@@ -125,35 +125,14 @@ def r_mu(measure, t, tol=1e-10):
     return float(out[0]) if scalar else out
 
 
-def _defect_moment_over_delta(measure, delta, kind, tol):
-    """(1/delta) int defect(lam/delta) dmu(lam), via the dilated measure."""
-    dm = (specfun.defect_minorant if kind == "minorant"
-          else specfun.defect_majorant)
-    nu = measures.dilate(measure, delta)
-    family = getattr(nu, "family", None)
-    if family == "haar_log":
-        if kind == "majorant":
-            raise AdmissibilityError(
-            "upper constant diverges for HaarLog() (no cond47 moment)")
-        return math.log(2.0) / delta
-    if family == "power_law":
-        s = nu.sigma
-        gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
-        fac = (2.0 - 2.0 ** (2.0 - s)) if kind == "minorant" else 2.0
-        return nu.prefactor * fac * gz / delta
-    if family == "atomic":
-        lams, ws = nu.atoms
-        return float(sum(w * dm(l) for l, w in zip(lams, ws))) / delta
-    return measures.integrate(dm, nu, tol=tol).value / delta
-
-
 def lower_constant_A(measure, delta=1.0, tol=1e-10, method="auto"):
     """Sharp lower form constant A(delta, mu) (> 0 for admissible mu)."""
     measures._check_delta(delta)
     measure.classify()
     if method == "quad":
         return quadrature_route_A(measure, delta, tol)
-    return _defect_moment_over_delta(measure, delta, "minorant", tol)
+    nu = measures.dilate(measure, delta)
+    return measures._defect_moment(nu, "minorant", tol) / delta
 
 
 def upper_constant_B(measure, delta=1.0, tol=1e-10, method="auto"):
@@ -166,7 +145,8 @@ def upper_constant_B(measure, delta=1.0, tol=1e-10, method="auto"):
             f"{measure!r} only satisfies cond31")
     if method == "quad":
         return quadrature_route_B(measure, delta, tol)
-    return _defect_moment_over_delta(measure, delta, "majorant", tol)
+    nu = measures.dilate(measure, delta)
+    return measures._defect_moment(nu, "majorant", tol) / delta
 
 
 def quadrature_route_A(measure, delta=1.0, tol=1e-10):

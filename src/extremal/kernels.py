@@ -2,21 +2,25 @@
 
 The minorant L(lam, .) interpolates e^{-lam|x|} and its derivative on the
 half-integer lattice, the majorant M(lam, .) on the integers; both have
-exponential type 2pi.  We evaluate the defining node series with terms
-paired across +-s so the sum is exactly even in x and absolutely convergent:
+exponential type 2pi.  Both are evaluated by _lattice_series, the one
+interpolation engine this module shares with the superposed G and H:
 
-    L(lam, x) = P(x) * sum_{s = 1/2, 3/2, ...} e^{-lam s}
-                [ 1/(x-s)^2 + 1/(x+s)^2 - lam (1/(x-s) - 1/(x+s)) ]
+    P(x) * sum_s [ f(s) (1/(x-s)^2 + 1/(x+s)^2) + f'(s) (1/(x-s) - 1/(x+s)) ]
 
-with P(x) = (cos(pi x)/pi)^2, and analogously for M over integer nodes with
-the extra unpaired s = 0 term.  P is computed as (sin(pi du)/pi)^2 from the
-distance du to the nearest node, which keeps full relative accuracy near the
-lattice, and the single offending term collapses to
+over s = 1/2, 3/2, ... with P(x) = (cos(pi x)/pi)^2, or over s = 1, 2, ...
+plus the unpaired node term f(0)/x^2 with P(x) = (sin(pi x)/pi)^2.  Pairing
+the terms across +-s makes the sum exactly even in x and absolutely
+convergent.  P is computed as (sin(pi du)/pi)^2 from the distance du to the
+nearest node, which keeps full relative accuracy near the lattice, and the
+single offending term collapses to
 
-    e^{-lam s*} sinc(du)^2 (1 - lam du)
+    sinc(du)^2 (f(s*) + du f'(s*))
 
-so node interpolation is exact.  Truncation keeps K = ceil(|x|) +
-ceil(log(1/eps)/lam) + 10 node pairs (eps = 1e-14).
+so node interpolation is exact.  For L and M, f = e^{-lam s}, f' = -lam f
+and f(0) = 1; truncation keeps K = ceil(|x|) + ceil(log(1/eps)/lam) + 10
+node pairs (eps = 1e-14) and adds no tail term.  The superposed module
+passes its cached f_mu nodes up to a fixed horizon and an Euler-Maclaurin
+tail.
 
 The Fourier transforms (supported on [-1, 1]) have the closed forms
 
@@ -44,6 +48,7 @@ from .quadrature import integrate_semiinfinite
 
 _EPS_TAIL = 1e-14
 _NODE_TOL = 1e-6
+_CHUNK = 2_000_000  # max matrix cells per vectorized block
 
 
 @dataclass(frozen=True)
@@ -77,70 +82,83 @@ def _tail_bound(lam, ax_max, K, shift):
     return geo * (2.0 / gap ** 2 + 2.0 * lam / gap) / math.pi ** 2
 
 
+def _lattice_series(x, nodes, f0=None, tail=None):
+    """Interpolation series through (f, f') on Z + 1/2, or on Z when f0 is given.
+
+    Vectorized over x and even in x bit-for-bit; with P(x) = (cos(pi x)/pi)^2
+    on Z + 1/2 and (sin(pi x)/pi)^2 on Z it evaluates
+
+        P(x) [f0/x^2 + sum_s f(s) (1/(x-s)^2 + 1/(x+s)^2)
+                     + f'(s) (1/(x-s) - 1/(x+s)) + tail(|x|, a0)].
+
+    ``nodes(ax_max)`` returns the positive nodes s (unit spacing, starting
+    at 1/2 or 1) reaching past max|x|, with f and f' there.  The f0/x^2
+    term is the unpaired node 0, present exactly on the integer lattice.
+    ``tail(ax, a0)``, if given, adds the node pairs dropped from a0 =
+    s[-1] + 1 on.  Non-finite x raises DomainError.
+    """
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x).ravel()
+    ax_max = float(ax.max(initial=0.0))         # nan or inf if any point is
+    if not math.isfinite(ax_max):
+        raise DomainError("evaluation points must be finite")
+    s, f, fp = nodes(ax_max)
+    out = np.empty_like(ax)
+    rows = max(1, _CHUNK // len(s))
+    for i in range(0, len(ax), rows):
+        y = ax[i:i + rows]
+        dx = y[:, None] - s[None, :]
+        px = y[:, None] + s[None, :]
+        if f0 is None:
+            k = np.floor(y).astype(int)             # nearest node s[k] = k + 1/2
+            du = y - (k + 0.5)
+        else:
+            n = np.rint(y).astype(int)              # nearest node n = s[n - 1]
+            du = y - n
+            k = n - 1                               # k = -1: the node at 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            direct = f[None, :] / dx ** 2 + fp[None, :] / dx
+            zero = None if f0 is None else f0 / y ** 2
+        mirror = f[None, :] / px ** 2 - fp[None, :] / px
+        hit = np.nonzero(np.abs(du) < _NODE_TOL)[0]
+        if hit.size:
+            kh = k[hit]
+            on_zero = kh < 0
+            direct[hit[~on_zero], kh[~on_zero]] = 0.0
+            if f0 is not None:
+                zero[hit[on_zero]] = 0.0
+        total = np.sum(direct + mirror, axis=1)
+        if f0 is not None:
+            total = zero + total
+        if tail is not None:
+            total = total + tail(y, s[-1] + 1.0)
+        vals = (np.sin(np.pi * du) / np.pi) ** 2 * total
+        if hit.size:
+            node = f[kh] + du[hit] * fp[kh]
+            if f0 is not None:
+                node[on_zero] = f0
+            vals[hit] += np.sinc(du[hit]) ** 2 * node
+        out[i:i + rows] = vals
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+
+
+def _exp_nodes(lam, first, ax_max):
+    """Nodes first, first + 1, ... of e^{-lam s} under the _trunc_terms policy."""
+    s = np.arange(first, _trunc_terms(lam, ax_max), dtype=float)
+    f = np.exp(-lam * s)
+    return s, f, -lam * f
+
+
 def minorant_values(lam, x):
     """L(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
     lam = _check_lam(lam)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    ax = np.abs(np.atleast_1d(x))
-    K = _trunc_terms(lam, float(ax.max(initial=0.0)))
-    s = np.arange(K, dtype=float) + 0.5
-    E = np.exp(-lam * s)
-    dx = ax[:, None] - s[None, :]
-    px = ax[:, None] + s[None, :]
-    i_near = np.floor(ax).astype(int)            # nearest node is i_near + 1/2
-    du = ax - (i_near + 0.5)
-    near = np.abs(du) < _NODE_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = E[None, :] * (1.0 / dx ** 2 - lam / dx)
-    mirror = E[None, :] * (1.0 / px ** 2 + lam / px)
-    rows = np.nonzero(near)[0]
-    if rows.size:
-        cols = i_near[rows]
-        direct[rows, cols] = 0.0
-    P = (np.sin(np.pi * du) / np.pi) ** 2
-    vals = P * np.sum(direct + mirror, axis=1)
-    if rows.size:
-        sn = cols + 0.5
-        sinc2 = np.sinc(du[rows]) ** 2
-        vals[rows] += np.exp(-lam * sn) * sinc2 * (1.0 - lam * du[rows])
-    return float(vals[0]) if scalar else vals
+    return _lattice_series(x, lambda ax_max: _exp_nodes(lam, 0.5, ax_max))
 
 
 def majorant_values(lam, x):
     """M(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
     lam = _check_lam(lam)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    ax = np.abs(np.atleast_1d(x))
-    K = _trunc_terms(lam, float(ax.max(initial=0.0)))
-    s = np.arange(1, K, dtype=float)
-    E = np.exp(-lam * s)
-    dx = ax[:, None] - s[None, :]
-    px = ax[:, None] + s[None, :]
-    i_near = np.rint(ax).astype(int)
-    du = ax - i_near
-    near = np.abs(du) < _NODE_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = E[None, :] * (1.0 / dx ** 2 - lam / dx)
-        zero_term = 1.0 / ax ** 2                # unpaired s = 0 node
-    mirror = E[None, :] * (1.0 / px ** 2 + lam / px)
-    rows = np.nonzero(near & (i_near >= 1))[0]
-    if rows.size:
-        cols = i_near[rows] - 1
-        direct[rows, cols] = 0.0
-    rows0 = np.nonzero(near & (i_near == 0))[0]
-    if rows0.size:
-        zero_term[rows0] = 0.0
-    P = (np.sin(np.pi * du) / np.pi) ** 2
-    vals = P * (zero_term + np.sum(direct + mirror, axis=1))
-    if rows.size:
-        sn = i_near[rows].astype(float)
-        sinc2 = np.sinc(du[rows]) ** 2
-        vals[rows] += np.exp(-lam * sn) * sinc2 * (1.0 - lam * du[rows])
-    if rows0.size:
-        vals[rows0] += np.sinc(ax[rows0]) ** 2
-    return float(vals[0]) if scalar else vals
+    return _lattice_series(x, lambda ax_max: _exp_nodes(lam, 1.0, ax_max), f0=1.0)
 
 
 def eval_L(lam, x):

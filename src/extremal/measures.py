@@ -364,6 +364,27 @@ def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
     return quadrature.integrate_measure(g, measure, tol, budget)
 
 
+def _defect_moment(nu, kind, tol):
+    """int of the one-sided kernel defect (2/lam - csch or coth - 2/lam) dnu."""
+    dm = (specfun.defect_minorant if kind == "minorant"
+          else specfun.defect_majorant)
+    family = getattr(nu, "family", None)
+    if family == "haar_log":
+        if kind == "majorant":
+            raise AdmissibilityError(
+                "majorant defect moment diverges for HaarLog() (no cond47 moment)")
+        return math.log(2.0)
+    if family == "power_law":
+        s = nu.sigma
+        gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
+        fac = (2.0 - 2.0 ** (2.0 - s)) if kind == "minorant" else 2.0
+        return nu.prefactor * fac * gz
+    if family == "atomic":
+        lams, ws = nu.atoms
+        return float(sum(w * dm(l) for l, w in zip(lams, ws)))
+    return integrate(dm, nu, tol=tol).value
+
+
 def atomic_from_csv(path):
     """Load an Atomic measure from CSV with header ``lambda,weight``."""
     rows = _read_measure_rows(path)
@@ -389,7 +410,8 @@ def weight_from_csv(path):
         inside = (idx >= 0) & (lam < lams[-1])
         return np.where(inside, ws[np.clip(idx, 0, len(ws) - 1)], 0.0)
 
-    return Weight(fn, breakpoints=tuple(lams), table=tuple((r[0], r[1]) for r in rows))
+    return Weight(fn, breakpoints=tuple(r[0] for r in rows),
+                  table=tuple((r[0], r[1]) for r in rows))
 
 
 def _read_measure_rows(path):

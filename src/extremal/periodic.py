@@ -285,34 +285,13 @@ def q_mu(measure, x, tol=1e-9):
     return float(out[0]) if scalar else out
 
 
-def _defect_moment(nu, kind, tol):
-    """int of the one-sided kernel defect (2/lam - csch or coth - 2/lam) dnu."""
-    dm = (specfun.defect_minorant if kind == "minorant"
-          else specfun.defect_majorant)
-    family = getattr(nu, "family", None)
-    if family == "haar_log":
-        if kind == "majorant":
-            raise AdmissibilityError("majorant moment diverges for HaarLog")
-        return math.log(2.0)
-    if family == "power_law":
-        s = nu.sigma
-        gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
-        if kind == "minorant":
-            return nu.prefactor * (2.0 - 2.0 ** (2.0 - s)) * gz
-        return nu.prefactor * 2.0 * gz
-    if family == "atomic":
-        lams, ws = nu.atoms
-        return float(sum(w * dm(l) for l, w in zip(lams, ws)))
-    return measures.integrate(dm, nu, tol=tol).value
-
-
 def trig_minorant_g(measure, N, tol=1e-9):
     """Extremal degree-N trig minorant of q_mu; coefficients are measure
     integrals of the single-kernel minorant transform."""
     N = _check_degree(N)
     measure.classify()
     nu = measures.dilate(measure, N + 1.0)
-    c0 = -_defect_moment(nu, "minorant", tol) / (N + 1.0)
+    c0 = -measures._defect_moment(nu, "minorant", tol) / (N + 1.0)
     if getattr(nu, "family", None) == "haar_log":
         def cn(t):
             return kernels.lhat_haar_integral(t, tol=tol) / (N + 1.0)
@@ -332,7 +311,7 @@ def trig_majorant_h(measure, N, tol=1e-9):
             f"trig majorant requires the cond47 moment (finite q_mu(0)); "
             f"{measure!r} only satisfies cond31")
     nu = measures.dilate(measure, N + 1.0)
-    c0 = _defect_moment(nu, "majorant", tol) / (N + 1.0)
+    c0 = measures._defect_moment(nu, "majorant", tol) / (N + 1.0)
 
     def cn(t):
         return measures.integrate(

@@ -11,10 +11,10 @@ expansion below ``_TAYLOR_SWITCH``; the coefficients come from the standard
 csch/coth Laurent series and both branches carry <= ~2e-13 relative error in
 a window around the switch.
 
-zeta(s) is evaluated on (-1, 2) \ {1} through the alternating eta series with
+zeta(s) is evaluated on (-1, 2) \\ {1} through the alternating eta series with
 the fixed 64-term Cohen-Villegas-Zagier acceleration (geometric convergence
 at rate (3+sqrt(8))^-1, far past double precision at n = 64); s <= 0 goes
-through the functional equation.  gamma(s) on (-1, 1) \ {0} wraps the C
+through the functional equation.  gamma(s) on (-1, 1) \\ {0} wraps the C
 library implementation behind the documented domain.
 
 No global state; every function is pure.

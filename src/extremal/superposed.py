@@ -21,6 +21,11 @@ a0 >= max(512, |x| + 96) the truncation error sits at the 1e-13 level even
 for the slowest admissible decay (power-law exponents near 2); this was
 validated against a 16384-node horizon.
 
+The series itself, with its near-node collapse and the unpaired s = 0 node
+of H, is kernels._lattice_series, the engine that also evaluates the single
+kernels L and M.  This module supplies the cached nodes f_nu and f_nu', the
+value f_nu(0) for H, the horizon and the Euler-Maclaurin tail.
+
 Dilation: Minorant(mu, delta) evaluates G_nu(delta x) with nu(E) = mu(delta E),
 the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).
 
@@ -39,12 +44,10 @@ from dataclasses import dataclass
 
 from . import measures
 from .errors import AdmissibilityError, DomainError
-from .kernels import KernelDefectAtPoint
+from .kernels import KernelDefectAtPoint, _lattice_series
 
-_NODE_TOL = 1e-6
 _MIN_HORIZON = 512
 _GAP = 96
-_CHUNK = 2_000_000  # max matrix cells per vectorized block
 
 
 def _bder(x, u, k):
@@ -69,6 +72,7 @@ class _Superposed:
         self._lock = threading.Lock()
         self._f = np.empty(0)
         self._fp = np.empty(0)
+        self._f00 = None
         self._tail_cache = {}
 
     # -- node cache -------------------------------------------------------
@@ -101,26 +105,22 @@ class _Superposed:
         g3 = f4 * b0 + 4.0 * f3 * b1 + 6.0 * f2 * b2 + 4.0 * f1 * b3 + f0 * b4
         return -f0 * b0 + 0.5 * g - gp / 12.0 + g3 / 720.0
 
+    def _lattice(self, y_max):
+        """Nodes below the horizon max(512, |y| + 96), with f_nu and f_nu' there."""
+        horizon = max(_MIN_HORIZON, int(math.ceil(y_max)) + _GAP)
+        s = np.arange(self._offset, horizon, dtype=float)
+        return (s,) + self._nodes(len(s))
+
+    def _zero_node(self):
+        """f_nu(0) where the lattice has a node at 0, else None."""
+        return None
+
     # -- evaluation -------------------------------------------------------
 
     def value(self, x):
         """The approximant at x (vectorized, even in x bit-for-bit)."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        ax = np.abs(np.atleast_1d(x)).ravel()
-        if not np.all(np.isfinite(ax)):
-            raise DomainError("evaluation points must be finite")
-        y = ax * self.delta
-        out = np.empty_like(y)
-        horizon = max(_MIN_HORIZON, int(math.ceil(y.max(initial=0.0))) + _GAP)
-        rows = max(1, _CHUNK // horizon)
-        for i in range(0, len(y), rows):
-            out[i:i + rows] = self._value_block(y[i:i + rows], horizon)
-        out = out.reshape(np.atleast_1d(x).shape)
-        return float(out[0]) if scalar else out
-
-    def _value_block(self, ax, horizon):
-        raise NotImplementedError
+        return _lattice_series(np.asarray(x, dtype=float) * self.delta, self._lattice,
+                               self._zero_node(), self._tail)
 
     def target(self, x):
         """What the approximant one-sidedly approximates at x.
@@ -177,29 +177,6 @@ class Minorant(_Superposed):
             raise AdmissibilityError(
                 f"minorant requires the cond31 moment; got {measure!r}")
 
-    def _value_block(self, ax, horizon):
-        fs, fps = self._nodes(horizon)
-        s = np.arange(horizon, dtype=float) + 0.5
-        dx = ax[:, None] - s[None, :]
-        px = ax[:, None] + s[None, :]
-        i_near = np.floor(ax).astype(int)
-        du = ax - (i_near + 0.5)
-        near = np.abs(du) < _NODE_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = fs[None, :] / dx ** 2 + fps[None, :] / dx
-        mirror = fs[None, :] / px ** 2 - fps[None, :] / px
-        rows = np.nonzero(near)[0]
-        if rows.size:
-            direct[rows, i_near[rows]] = 0.0
-        P = (np.sin(np.pi * du) / np.pi) ** 2
-        total = np.sum(direct + mirror, axis=1) + self._tail(ax, horizon + 0.5)
-        vals = P * total
-        if rows.size:
-            sn = i_near[rows]
-            sinc2 = np.sinc(du[rows]) ** 2
-            vals[rows] += sinc2 * (fs[sn] + du[rows] * fps[sn])
-        return vals
-
 
 class Majorant(_Superposed):
     """H: extremal type-2pi*delta majorant of f_mu(.) - f_mu(1/delta)."""
@@ -213,37 +190,12 @@ class Majorant(_Superposed):
                 f"majorant requires the cond47 moment (finite f_mu(0)); "
                 f"{measure!r} only satisfies cond31")
 
-    def _value_block(self, ax, horizon):
-        fs, fps = self._nodes(horizon - 1)      # nodes 1 .. horizon-1
-        if not hasattr(self, "_f00"):
-            self._f00 = self.nu.f(0.0)
-        f00 = self._f00
-        s = np.arange(1, horizon, dtype=float)
-        dx = ax[:, None] - s[None, :]
-        px = ax[:, None] + s[None, :]
-        i_near = np.rint(ax).astype(int)
-        du = ax - i_near
-        near = np.abs(du) < _NODE_TOL
-        with np.errstate(divide="ignore", invalid="ignore"):
-            direct = fs[None, :] / dx ** 2 + fps[None, :] / dx
-            zero_term = f00 / ax ** 2
-        mirror = fs[None, :] / px ** 2 - fps[None, :] / px
-        rows = np.nonzero(near & (i_near >= 1))[0]
-        if rows.size:
-            direct[rows, i_near[rows] - 1] = 0.0
-        rows0 = np.nonzero(near & (i_near == 0))[0]
-        if rows0.size:
-            zero_term[rows0] = 0.0
-        P = (np.sin(np.pi * du) / np.pi) ** 2
-        total = zero_term + np.sum(direct + mirror, axis=1) + self._tail(ax, float(horizon))
-        vals = P * total
-        if rows.size:
-            sn = i_near[rows]
-            sinc2 = np.sinc(du[rows]) ** 2
-            vals[rows] += sinc2 * (fs[sn - 1] + du[rows] * fps[sn - 1])
-        if rows0.size:
-            vals[rows0] += f00 * np.sinc(ax[rows0]) ** 2
-        return vals
+    def _zero_node(self):
+        if self._f00 is None:
+            with self._lock:
+                if self._f00 is None:
+                    self._f00 = self.nu.f(0.0)
+        return self._f00
 
 
 def eval_G(measure, x):
@@ -277,7 +229,7 @@ def eval_U(x):
 
 def defect(measure, kind, x, delta=1.0, tol=1e-9):
     """DefectProfile of the chosen one-sided approximant at x."""
-    cls = Minorant if kind == "minorant" else Majorant
     if kind not in ("minorant", "majorant"):
         raise DomainError(f"unknown kind {kind!r}")
+    cls = Minorant if kind == "minorant" else Majorant
     return cls(measure, delta).defect(x, tol)

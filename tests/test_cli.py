@@ -251,6 +251,23 @@ def test_bounds_csv_format_is_key_value(tmp_path, capsys):
     assert "lower" in asdict and "upper" in asdict
 
 
+def test_bounds_form_weight_csv_prints_plain_floats(tmp_path, capsys):
+    w = tmp_path / "w.csv"
+    w.write_text("lambda,weight\n0.5,1.0\n1.0,2.0\n3.0,0.5\n6.0,1.0\n")
+    pts = tmp_path / "pts.csv"
+    pts.write_text("xi,re,im\n0.0,1.0,0.0\n1.5,-1.0,0.5\n3.0,0.5,0.0\n")
+    code, out, _ = run_cli(
+        ["bounds", "--kind", "form", "--measure", f"weight:{w}",
+         "--points", str(pts), "--format", "csv"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["key", "value"]
+    values = {k: v for k, v in rows if k not in ("kind", "measure")}
+    assert "bound" in values and "slack" in values
+    for key, cell in values.items():
+        assert math.isfinite(float(cell)), key
+
+
 def test_bounds_usage_error_leaves_no_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, err = run_cli(

@@ -1,0 +1,68 @@
+"""Properties of the lattice-interpolation series shared by L, M, G and H."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from extremal import kernels, measures, superposed
+from extremal.errors import DomainError
+
+PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+lams = st.floats(math.log(0.1), math.log(10.0)).map(math.exp)
+xs = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.integers(-120, 120).map(lambda k: k / 2.0),               # exact nodes
+    st.tuples(st.integers(-120, 120), st.floats(-3e-6, 3e-6)).map(
+        lambda t: t[0] / 2.0 + t[1]),                            # near nodes
+)
+
+
+def _one_atom(lam):
+    return measures.Atomic((lam,), (1.0,))
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@PROPS
+@given(lams, xs)
+def test_single_kernel_is_one_atom_superposition(lam, x):
+    """L = G_{delta_lam} + e^{-lam} and M = H_{delta_lam} + e^{-lam}."""
+    shift = math.exp(-lam)
+    g = superposed.Minorant(_one_atom(lam)).value(x)
+    h = superposed.Majorant(_one_atom(lam)).value(x)
+    assert abs(kernels.minorant_values(lam, x) - (g + shift)) <= 1e-13
+    assert abs(kernels.majorant_values(lam, x) - (h + shift)) <= 1e-13
+
+
+@PROPS
+@given(lams, xs)
+def test_values_are_even_bit_for_bit(lam, x):
+    g = superposed.Minorant(_one_atom(lam))
+    h = superposed.Majorant(_one_atom(lam))
+    for fn in (lambda v: kernels.minorant_values(lam, v),
+               lambda v: kernels.majorant_values(lam, v), g.value, h.value):
+        assert _bits(fn(x)) == _bits(fn(-x))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_raise(bad):
+    g = superposed.Minorant(measures.HaarLog())
+    h = superposed.Majorant(measures.PowerLaw(1.5))
+    for fn in (lambda v: kernels.minorant_values(1.0, v),
+               lambda v: kernels.majorant_values(1.0, v), g.value, h.value):
+        for x in (bad, np.array([0.5, bad, 2.0])):
+            with pytest.raises(DomainError, match="finite"):
+                fn(x)
+
+
+def test_array_shape_is_kept():
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    flat = kernels.majorant_values(0.8, x.ravel())
+    assert np.array_equal(kernels.majorant_values(0.8, x), flat.reshape(3, 4))
+    flat = kernels.minorant_values(0.8, x.ravel())
+    assert np.array_equal(kernels.minorant_values(0.8, x), flat.reshape(3, 4))

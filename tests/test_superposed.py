@@ -1,6 +1,9 @@
 """Band-limited one-sided approximants built from kernel superpositions."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -147,3 +150,41 @@ def test_input_validation():
         superposed.defect(HAAR, "upper", 1.0)
     with pytest.raises(DomainError):
         superposed.Minorant(HAAR, delta=-1.0)
+
+
+class _CountingMeasure:
+    """Delegates to a measure and counts (slowly) the scalar f(0) calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.zero_calls = 0
+
+    def f(self, x):
+        if np.ndim(x) == 0:
+            self.zero_calls += 1
+            time.sleep(0.01)
+        return self.inner.f(x)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_majorant_zero_node_computed_once_across_threads():
+    h = superposed.Majorant(ATOM)
+    h.nu = _CountingMeasure(h.nu)
+    expected = superposed.Majorant(ATOM).value(0.3)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(h.value(0.3)))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
+    assert h.nu.zero_calls == 1
