@@ -30,6 +30,8 @@ BOUND_KINDS = ("hls", "form", "et")
 def _fmt(v):
     if isinstance(v, bool):
         return "true" if v else "false"
+    if isinstance(v, np.floating):
+        return repr(float(v))
     if isinstance(v, float):
         return repr(v)
     return str(v)
@@ -133,9 +135,15 @@ def _eval_columns(args):
         vals = periodic.eval_p(_need_lambda(args), xs)
     elif kind == "q":
         mu = _parse_measure(args.measure)
-        vals = np.array([
-            math.inf if measures.is_plus_inf(v) else float(v)
-            for v in (periodic.q_mu(mu, float(x), tol=tol) for x in xs)])
+        # integer points take the scalar path, which returns the divergence
+        # sentinel; the rest are one array call
+        at_int = xs == np.floor(xs)
+        vals = np.empty(xs.size)
+        for i in np.flatnonzero(at_int):
+            v = periodic.q_mu(mu, float(xs[i]), tol=tol)
+            vals[i] = math.inf if measures.is_plus_inf(v) else float(v)
+        if not np.all(at_int):
+            vals[~at_int] = periodic.q_mu(mu, xs[~at_int], tol=tol)
     elif kind in ("G", "H"):
         mu = _parse_measure(args.measure)
         cls = superposed.Minorant if kind == "G" else superposed.Majorant

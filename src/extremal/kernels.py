@@ -63,6 +63,15 @@ class KernelEval:
 
 
 def _check_lam(lam):
+    """lam as a float, or as a float array when it is an ndarray.
+
+    DomainError unless every rate is finite and positive.
+    """
+    if isinstance(lam, np.ndarray):
+        lam = lam.astype(float)
+        if not np.all((lam > 0.0) & np.isfinite(lam)):
+            raise DomainError("kernel rates must be finite and positive")
+        return lam
     if not (isinstance(lam, (int, float)) and lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"kernel rate must be finite and positive, got {lam!r}")
     return float(lam)
@@ -184,63 +193,72 @@ def eval_M(lam, x):
 
 
 def eval_Lhat(lam, t):
-    """Fourier transform of L(lam, .); identically 0 outside |t| <= 1."""
+    """Fourier transform of L(lam, .); identically 0 outside |t| <= 1.
+
+    lam, a rate or an ndarray of rates, broadcasts against t; a float comes
+    back when both are scalars.
+    """
     lam = _check_lam(lam)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    at = np.abs(np.atleast_1d(t))
-    E = math.exp(-0.5 * lam)
-    one_m_E2 = -math.expm1(-lam)
+    at = np.abs(np.asarray(t, dtype=float))
+    E = np.exp(-0.5 * lam)
+    one_m_E2 = -np.expm1(-lam)
     st = np.abs(np.sin(np.pi * at))
     ct = np.cos(np.pi * at)
     num = 2.0 * E * ((1.0 - at) * ct * one_m_E2
                      + (lam / (2.0 * math.pi)) * st * (1.0 + E * E))
     den = one_m_E2 ** 2 + 4.0 * E * E * st * st
     vals = np.where(at <= 1.0, num / den, 0.0)
-    return float(vals[0]) if scalar else vals
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def eval_Mhat(lam, t):
-    """Fourier transform of M(lam, .); identically 0 outside |t| <= 1."""
+    """Fourier transform of M(lam, .); identically 0 outside |t| <= 1.
+
+    lam broadcasts against t as in eval_Lhat.
+    """
     lam = _check_lam(lam)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    at = np.abs(np.atleast_1d(t))
-    E = math.exp(-0.5 * lam)
-    one_m_E2 = -math.expm1(-lam)
-    one_m_E4 = -math.expm1(-2.0 * lam)
+    at = np.abs(np.asarray(t, dtype=float))
+    E = np.exp(-0.5 * lam)
+    one_m_E2 = -np.expm1(-lam)
+    one_m_E4 = -np.expm1(-2.0 * lam)
     st = np.abs(np.sin(np.pi * at))
     ct = np.cos(np.pi * at)
     num = (1.0 - at) * one_m_E4 + 4.0 * E * E * (lam / (2.0 * math.pi)) * st * ct
     den = one_m_E2 ** 2 + 4.0 * E * E * st * st
     vals = np.where(at <= 1.0, num / den, 0.0)
-    return float(vals[0]) if scalar else vals
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def lhat_haar_integral(t, tol=1e-10):
     """int_0^inf Lhat(lam, t) dlam/lam, in [0, 1/(2|t|)] for 0 < |t| <= 1.
 
-    Vanishes at |t| = 1 (Lhat(., 1) is identically zero); the multiplicative
-    Haar weight makes the integrand bounded at lam = 0 and exponentially
-    small at infinity.  DomainError at t = 0 where the integral diverges.
+    Vanishes for |t| >= 1 (Lhat(., 1) is identically zero); the
+    multiplicative Haar weight makes the integrand bounded at lam = 0 and
+    exponentially small at infinity.  An array t is served by one vector
+    integral over all its points with 0 < |t| < 1.  DomainError at t = 0,
+    where the integral diverges.
     """
-    at = abs(float(t))
-    if at == 0.0:
+    at = np.abs(np.asarray(t, dtype=float))
+    if np.any(at == 0.0):
         raise DomainError("lhat_haar_integral diverges at t = 0")
-    if at > 1.0:
-        return 0.0
-    if at == 1.0:
-        return 0.0
-    res = integrate_semiinfinite(lambda lam: eval_Lhat_over_lam(lam, at), tol)
-    return res.value
+    inside = at < 1.0
+    out = np.zeros(at.shape)
+    if np.any(inside):
+        ti = at[inside]
+        out[inside] = integrate_semiinfinite(
+            lambda lam: eval_Lhat_over_lam(lam[:, None], ti), tol).value
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_Lhat_over_lam(lam, t):
-    """Lhat(lam, t)/lam, stable as lam -> 0 (finite positive limit)."""
+    """Lhat(lam, t)/lam, stable as lam -> 0 (finite positive limit).
+
+    lam and t broadcast against each other.
+    """
     lam = np.asarray(lam, dtype=float)
-    at = abs(float(t))
-    st = abs(math.sin(math.pi * at))
-    ct = math.cos(math.pi * at)
+    at = np.abs(np.asarray(t, dtype=float))
+    st = np.abs(np.sin(np.pi * at))
+    ct = np.cos(np.pi * at)
     E = np.exp(-0.5 * lam)
     one_m_E2 = -np.expm1(-lam)
     # (1 - e^-lam)/lam evaluated stably for small lam

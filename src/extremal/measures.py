@@ -347,7 +347,11 @@ def classify(measure):
 
 
 def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
-    """Integral of g against the measure, honoring tabulated breakpoints."""
+    """Integral of g against the measure, honoring tabulated breakpoints.
+
+    g follows the integrand contract of ``quadrature``: an (n, m) result
+    gives m integrals in one call, with arrays in the QuadResult.
+    """
     bp = getattr(measure, "breakpoints", None)
     if bp:
         gv = quadrature._as_vector_fn(g)
@@ -355,7 +359,7 @@ def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
         total, err, evals = 0.0, 0.0, 0
         for a, b in zip(bp, bp[1:]):
             r = quadrature.integrate_finite(
-                lambda lam: gv(lam) * w(lam), a, b,
+                lambda lam: (gv(lam).T * w(lam)).T, a, b,
                 tol / max(1, len(bp) - 1), budget // max(1, len(bp) - 1))
             total += r.value
             err += r.abs_err_est

@@ -20,6 +20,12 @@ the measure integrals of the single-kernel ones.  Specializing mu to the
 multiplicative Haar measure yields u_N = -g_mu, the degree-N majorant of
 log|2 sin(pi x)| with mean log2/(N+1).
 
+Each coefficient set is one vector-valued measure integral: the integrand
+returns Lhat or Mhat at all N frequencies t = n/(N+1) at once (shape
+(15, N) per quadrature panel), so the N integrals share their panels and
+their kernel-transform calls.  Likewise q_mu on an array integrates every
+point without a closed form in one call.
+
 Everything is evaluated in exponential-scaled form, so no hyperbolic
 overflow for large lam; a Taylor branch below lam = 1e-2 removes the
 2/lam cancellation (both branches agree to ~1e-13 in the switch window).
@@ -217,7 +223,7 @@ def trig_minorant_l(lam, N):
     N = _check_degree(N)
     u = lam / (N + 1.0)
     c0 = -specfun.defect_minorant(u) / (N + 1.0)
-    return _fejer_poly(N, c0, lambda t: kernels.eval_Lhat(u, t) / (N + 1.0))
+    return _fejer_poly(N, c0, lambda ts: kernels.eval_Lhat(u, ts) / (N + 1.0))
 
 
 def trig_majorant_m(lam, N):
@@ -226,16 +232,20 @@ def trig_majorant_m(lam, N):
     N = _check_degree(N)
     u = lam / (N + 1.0)
     c0 = specfun.defect_majorant(u) / (N + 1.0)
-    return _fejer_poly(N, c0, lambda t: kernels.eval_Mhat(u, t) / (N + 1.0))
+    return _fejer_poly(N, c0, lambda ts: kernels.eval_Mhat(u, ts) / (N + 1.0))
 
 
 def _fejer_poly(N, c0, cn):
+    """Real even polynomial with mean c0 and c(+-n) = cn(ts)[n - 1].
+
+    cn maps the array ts = n/(N+1), n = 1..N, to the N coefficients.
+    """
     cs = np.zeros(2 * N + 1, dtype=complex)
     cs[N] = c0
-    for n in range(1, N + 1):
-        v = float(cn(n / (N + 1.0)))
-        cs[N + n] = v
-        cs[N - n] = v
+    if N > 0:
+        v = np.asarray(cn(np.arange(1, N + 1) / (N + 1.0)), dtype=float)
+        cs[N + 1:] = v
+        cs[:N] = v[::-1]
     return TrigPoly(N, tuple(cs))
 
 
@@ -245,7 +255,9 @@ def q_mu(measure, x, tol=1e-9):
     Scalar x at an integer returns PLUS_INF when q_mu(0) diverges (measures
     failing the cond47 moment); array input then raises DomainError.
     HaarLog collapses to -log|2 sin(pi x)|, atomic measures to finite sums;
-    the rest goes through measure quadrature of the closed form.
+    for the rest one vector-valued measure integral of the closed form
+    covers every point of an array (integer points of a power law use the
+    zeta closed form of q(0)).
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -263,6 +275,8 @@ def q_mu(measure, x, tol=1e-9):
         lams, ws = measure.atoms
         out = eval_p(lams[None, :], xs[:, None]) @ ws
         return float(out[0]) if scalar else out
+    quad = np.ones(len(xs), dtype=bool)
+    out = np.empty(len(xs))
     if np.any(frac == 0.0):
         adm = measure.classify()
         if not adm.cond47:
@@ -273,32 +287,36 @@ def q_mu(measure, x, tol=1e-9):
         if family == "power_law":
             # q(0) = int defect_major dmu has the same closed form as the
             # sharp upper form constant at delta = 1.
-            val0 = (2.0 * measure.prefactor * specfun.gamma(1.0 - measure.sigma)
-                    * specfun.zeta(1.0 - measure.sigma))
-    out = np.empty(len(xs))
-    for i, (xi, fi) in enumerate(zip(xs, frac)):
-        if fi == 0.0 and family == "power_law":
-            out[i] = val0
-        else:
-            out[i] = measures.integrate(
-                lambda lam, xv=xi: eval_p(lam, xv), measure, tol=tol).value
+            quad = frac != 0.0
+            out[~quad] = (2.0 * measure.prefactor
+                          * specfun.gamma(1.0 - measure.sigma)
+                          * specfun.zeta(1.0 - measure.sigma))
+    if scalar and quad[0]:
+        out[0] = measures.integrate(
+            lambda lam: eval_p(lam, xs[0]), measure, tol=tol).value
+    elif np.any(quad):
+        pts = xs[quad]
+        out[quad] = measures.integrate(
+            lambda lam: eval_p(lam[:, None], pts), measure, tol=tol).value
     return float(out[0]) if scalar else out
 
 
 def trig_minorant_g(measure, N, tol=1e-9):
     """Extremal degree-N trig minorant of q_mu; coefficients are measure
-    integrals of the single-kernel minorant transform."""
+    integrals of the single-kernel minorant transform, all N in one
+    vector-valued integral."""
     N = _check_degree(N)
     measure.classify()
     nu = measures.dilate(measure, N + 1.0)
     c0 = -measures._defect_moment(nu, "minorant", tol) / (N + 1.0)
     if getattr(nu, "family", None) == "haar_log":
-        def cn(t):
-            return kernels.lhat_haar_integral(t, tol=tol) / (N + 1.0)
+        def cn(ts):
+            return kernels.lhat_haar_integral(ts, tol=tol) / (N + 1.0)
     else:
-        def cn(t):
+        def cn(ts):
             return measures.integrate(
-                lambda u: kernels.eval_Lhat(u, t), nu, tol=tol).value / (N + 1.0)
+                lambda u: kernels.eval_Lhat(u[:, None], ts), nu,
+                tol=tol).value / (N + 1.0)
     return _fejer_poly(N, c0, cn)
 
 
@@ -313,9 +331,10 @@ def trig_majorant_h(measure, N, tol=1e-9):
     nu = measures.dilate(measure, N + 1.0)
     c0 = measures._defect_moment(nu, "majorant", tol) / (N + 1.0)
 
-    def cn(t):
+    def cn(ts):
         return measures.integrate(
-            lambda u: kernels.eval_Mhat(u, t), nu, tol=tol).value / (N + 1.0)
+            lambda u: kernels.eval_Mhat(u[:, None], ts), nu,
+            tol=tol).value / (N + 1.0)
 
     return _fejer_poly(N, c0, cn)
 
@@ -329,4 +348,4 @@ def log_sin_majorant(N, tol=1e-9):
     N = _check_degree(N)
     c0 = math.log(2.0) / (N + 1.0)
     return _fejer_poly(
-        N, c0, lambda t: -kernels.lhat_haar_integral(t, tol=tol) / (N + 1.0))
+        N, c0, lambda ts: -kernels.lhat_haar_integral(ts, tol=tol) / (N + 1.0))

@@ -19,7 +19,6 @@ identity sum log+|alpha_m| = int_0^1 log|F(e(x))| dx serve as independent
 soundness checks.
 """
 
-import cmath
 import math
 import warnings
 

@@ -14,8 +14,19 @@ Semi-infinite integrals int_0^inf are split at 1, the tail mapped back to
 (0, 1] by lam = 1/u (du weight 1/u^2).  Every admissible kernel weight
 lam^-sigma becomes an integrable endpoint power after the split.
 
-Integrands are called with a numpy array of abscissae and should return an
-array; plain scalar callables are detected and wrapped.
+Integrand contract.  An integrand is called with a 1-D float array of n
+abscissae and returns either shape (n,), a scalar integrand, or shape
+(n, m), m integrands sharing the abscissae (the vector-integrand contract
+of QUADPACK qag and of S. G. Johnson's cubature).  A vector integral keeps
+one panel heap: each panel carries m values and m error estimates (each
+with the QUADPACK scaling), the panel with the largest component error is
+refined first, and refinement stops once every component k meets
+max(tol, 50 eps |value_k|).  QuadResult.value and abs_err_est are Python
+floats for a scalar integrand and float arrays of shape (m,) for a vector
+one; evaluations counts abscissae (15 per panel), whatever m is.  A
+callable that takes only scalars, such as math.exp, rejects the array with
+a TypeError on its first call and is then evaluated point by point; every
+other exception an integrand raises propagates unchanged.
 """
 
 import heapq
@@ -51,11 +62,16 @@ _WG15[1:14:2] = np.concatenate([_WG[:3], _WG[3:][::-1], _WG[2::-1]])
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 200_000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Value, a conservative absolute error estimate, and the eval count."""
+    """Value, a conservative absolute error estimate, and the eval count.
+
+    value and abs_err_est are floats for a scalar integrand and arrays of
+    shape (m,) for an m-component one; evaluations counts abscissae.
+    """
 
     value: float
     abs_err_est: float
@@ -63,31 +79,51 @@ class QuadResult:
 
 
 def _as_vector_fn(f):
-    """Return a callable mapping ndarray -> ndarray, wrapping scalar f if needed."""
-    probe = np.array([0.25, 0.75])
+    """f as a callable on abscissa arrays, under the integrand contract.
 
-    def wrapped(x):
-        return np.array([float(f(t)) for t in x])
+    The first call decides: f receives the array itself, and a TypeError
+    there (what math.exp and other scalar-only callables raise on an
+    array) switches this and every later call to one f call per abscissa.
+    Any other exception, and any exception after the first call, propagates.
+    """
+    pointwise = None                # undecided until the first call
 
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda x: np.asarray(f(x), dtype=float)
-    except Exception:
-        pass
-    return wrapped
+    def fvec(x):
+        nonlocal pointwise
+        if pointwise is None:
+            try:
+                out = np.asarray(f(x), dtype=float)
+            except TypeError:
+                pointwise = True
+            else:
+                pointwise = False
+                return out
+        if pointwise:
+            return np.array([f(t) for t in x], dtype=float)
+        return np.asarray(f(x), dtype=float)
+
+    return fvec
 
 
 def _gk15(fvec, a, b):
-    """One Gauss-Kronrod 7/15 pass on [a, b]: (value, err_est)."""
+    """One Gauss-Kronrod 7/15 pass on [a, b]: (value, err_est).
+
+    Floats for a scalar integrand, (m,) arrays for a (15, m) one.  The
+    scalar case stays on Python floats, because numpy calls on 0-d results
+    would cost more per panel than the rule itself.
+    """
     xm = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fv = fvec(xm + h * _NODES)
-    if fv.shape != (15,):
-        raise DomainError("integrand returned wrong shape")
+    if fv.shape != (15,) and (fv.ndim != 2 or fv.shape[0] != 15):
+        raise DomainError(
+            f"integrand returned shape {fv.shape}; expected (15,) or (15, m)")
     if not np.all(np.isfinite(fv)):
-        bad = xm + h * _NODES[~np.isfinite(fv)][0]
+        rows = ~np.all(np.isfinite(fv.reshape(15, -1)), axis=1)
+        bad = xm + h * _NODES[rows][0]
         raise DomainError(f"integrand non-finite at x = {bad!r}")
+    if fv.ndim == 2:
+        return _gk15_components(fv, h)
     resk = float(_WK15 @ fv)
     resg = float(_WG15 @ fv)
     resabs = float(_WK15 @ np.abs(fv))
@@ -98,17 +134,32 @@ def _gk15(fvec, a, b):
     resabs *= abs(h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * np.finfo(float).eps * resabs)
+    err = max(err, 50.0 * _EPS * resabs)
     return value, err
+
+
+def _gk15_components(fv, h):
+    """The scalar rule of _gk15 applied to each column of fv (15, m)."""
+    resk = _WK15 @ fv
+    resg = _WG15 @ fv
+    resabs = (_WK15 @ np.abs(fv)) * abs(h)
+    resasc = (_WK15 @ np.abs(fv - 0.5 * resk)) * abs(h)
+    value = resk * h
+    err = np.abs((resk - resg) * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    return value, np.maximum(err, 50.0 * _EPS * resabs)
 
 
 def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """Adaptive bisection integral of f over the finite interval [a, b].
 
-    Returns QuadResult; raises ConvergenceError (carrying the best estimate)
-    if the evaluation budget runs out, or DivergenceError when the estimate
-    keeps growing under refinement, which is how non-integrable endpoint
-    behaviour surfaces.
+    f follows the integrand contract of the module docstring.  Returns
+    QuadResult (0.0 without evaluating f when a == b); raises
+    ConvergenceError (carrying the best estimate) if the evaluation budget
+    runs out, or DivergenceError when the estimate keeps growing under
+    refinement, which is how non-integrable endpoint behaviour surfaces.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_finite requires finite endpoints")
@@ -116,13 +167,29 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
         return QuadResult(0.0, 0.0, 0)
     fvec = _as_vector_fn(f)
     value, err = _gk15(fvec, a, b)
+    if isinstance(value, np.ndarray):
+        # m components: rank panels by, and test, every component's error
+        def worst(e):
+            return float(e.max(initial=0.0))
+
+        def size(v):
+            return float(np.abs(v).max(initial=0.0))
+
+        def unconverged(v, e):
+            return bool(np.any(e > np.maximum(tol, 50.0 * _EPS * np.abs(v))))
+    else:
+        worst = float
+        size = abs
+
+        def unconverged(v, e):
+            return e > max(tol, 50.0 * _EPS * abs(v))
+
     evals = 15
-    heap = [(-err, 0, a, b, value, err)]
+    heap = [(-worst(err), 0, a, b, value, err)]
     counter = 1
     total_value, total_err = value, err
-    history = [abs(total_value)]
-    eps = np.finfo(float).eps
-    while total_err > max(tol, 50.0 * eps * abs(total_value)):
+    history = [size(total_value)]
+    while unconverged(total_value, total_err):
         if evals + 30 > budget:
             growth = len(history) > 64 and all(
                 h2 > h1 for h1, h2 in zip(history[-64:-1], history[-63:])
@@ -133,11 +200,11 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
             cls = DivergenceError if (growth and grew) else ConvergenceError
             raise cls(
                 f"budget {budget} exhausted: estimate {total_value!r}, "
-                f"err {total_err:.3e}, tol {tol:.3e}",
+                f"err {worst(total_err):.3e}, tol {tol:.3e}",
                 estimate=total_value,
                 err_estimate=total_err,
             )
-        neg_err, _, pa, pb, pv, pe = heapq.heappop(heap)
+        _, _, pa, pb, pv, pe = heapq.heappop(heap)
         pm = 0.5 * (pa + pb)
         tiny = (pb - pa) <= 1e-13 * (abs(pa) + abs(pb) + 1.0)
         if pm <= pa or pm >= pb:
@@ -155,12 +222,12 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
                     f"integrand blows up near x={pm!r}")
             raise
         evals += 30
-        total_value += v1 + v2 - pv
-        total_err += e1 + e2 - pe
-        heapq.heappush(heap, (-e1, counter, pa, pm, v1, e1))
-        heapq.heappush(heap, (-e2, counter + 1, pm, pb, v2, e2))
+        total_value = total_value + (v1 + v2 - pv)
+        total_err = total_err + (e1 + e2 - pe)
+        heapq.heappush(heap, (-worst(e1), counter, pa, pm, v1, e1))
+        heapq.heappush(heap, (-worst(e2), counter + 1, pm, pb, v2, e2))
         counter += 2
-        history.append(abs(total_value))
+        history.append(size(total_value))
     return QuadResult(total_value, total_err, evals)
 
 
@@ -171,7 +238,8 @@ def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
 
     def tail_integrand(u):
         u = np.asarray(u, dtype=float)
-        return fvec(1.0 / u) / (u * u)
+        # the transposes broadcast the weight over (n,) and (n, m) alike
+        return (fvec(1.0 / u).T / (u * u)).T
 
     tail = integrate_finite(tail_integrand, 0.0, 1.0, 0.5 * tol, budget // 2)
     return QuadResult(
@@ -186,21 +254,24 @@ def integrate_measure(g, measure, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
 
     ``measure`` is duck-typed: an ``atoms`` attribute of (positions, weights)
     arrays short-circuits to a finite sum; otherwise ``measure.weight``
-    supplies the density and the semi-infinite path is used.
+    supplies the density and the semi-infinite path is used.  g follows the
+    integrand contract, so a (n, m) g gives m integrals at once.
     """
+    gvec = _as_vector_fn(g)
     atoms = getattr(measure, "atoms", None)
     if atoms is not None:
         lams, ws = atoms
-        gvec = _as_vector_fn(g)
         vals = gvec(np.asarray(lams, dtype=float))
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand non-finite at an atom")
-        return QuadResult(float(np.asarray(ws) @ vals), 0.0, len(lams))
-    gvec = _as_vector_fn(g)
+        value = np.asarray(ws) @ vals
+        if vals.ndim == 1:
+            return QuadResult(float(value), 0.0, len(lams))
+        return QuadResult(value, np.zeros_like(value), len(lams))
     weight = measure.weight
 
     def integrand(lam):
         lam = np.asarray(lam, dtype=float)
-        return gvec(lam) * weight(lam)
+        return (gvec(lam).T * weight(lam)).T
 
     return integrate_semiinfinite(integrand, tol, budget)

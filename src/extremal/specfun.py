@@ -17,10 +17,15 @@ at rate (3+sqrt(8))^-1, far past double precision at n = 64); s <= 0 goes
 through the functional equation.  gamma(s) on (-1, 1) \\ {0} wraps the C
 library implementation behind the documented domain.
 
+The defect functions also take numpy arrays, elementwise with the same
+branches; scalars stay on Python floats.
+
 No global state; every function is pure.
 """
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -65,11 +70,26 @@ def _csch(y):
     return 2.0 * e / (-math.expm1(-2.0 * y))
 
 
+def _check_rates(lam, name):
+    """lam as a float array; DomainError unless every entry is finite and > 0."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all((lam > 0.0) & np.isfinite(lam)):
+        raise DomainError(f"{name} requires finite lam > 0 everywhere")
+    return lam
+
+
 def defect_minorant(lam):
     """Integral of e^{-lam|x|} minus its extremal type-2pi minorant: 2/lam - csch(lam/2).
 
     Positive and increasing on lam > 0.  Raises DomainError for lam <= 0.
+    Elementwise on arrays.
     """
+    if np.ndim(lam) != 0:
+        lam = _check_rates(lam, "defect_minorant")
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = 2.0 / lam - 2.0 * np.exp(-0.5 * lam) / (-np.expm1(-lam))
+        return np.where(lam < _TAYLOR_SWITCH, _odd_poly(lam, _MINOR_COEFFS),
+                        direct)
     if not (lam > 0.0) or math.isinf(lam):
         raise DomainError(f"defect_minorant requires finite lam > 0, got {lam!r}")
     if lam < _TAYLOR_SWITCH:
@@ -78,7 +98,16 @@ def defect_minorant(lam):
 
 
 def defect_majorant(lam):
-    """Integral of the extremal type-2pi majorant minus e^{-lam|x|}: coth(lam/2) - 2/lam."""
+    """Integral of the extremal type-2pi majorant minus e^{-lam|x|}: coth(lam/2) - 2/lam.
+
+    Elementwise on arrays, like defect_minorant.
+    """
+    if np.ndim(lam) != 0:
+        lam = _check_rates(lam, "defect_majorant")
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = (1.0 + 2.0 * np.exp(-lam) / (-np.expm1(-lam))) - 2.0 / lam
+        return np.where(lam < _TAYLOR_SWITCH, _odd_poly(lam, _MAJOR_COEFFS),
+                        direct)
     if not (lam > 0.0) or math.isinf(lam):
         raise DomainError(f"defect_majorant requires finite lam > 0, got {lam!r}")
     if lam < _TAYLOR_SWITCH:

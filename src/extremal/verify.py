@@ -23,7 +23,6 @@ import math
 import numpy as np
 
 from dataclasses import dataclass, asdict
-from typing import List
 
 from . import forms, kernels, measures, periodic, polybound, quadrature, specfun, superposed
 from .errors import DomainError

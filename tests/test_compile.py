@@ -2,9 +2,11 @@
 
 An import can be served from a cached bytecode file, which hides
 compile-time warnings such as invalid escape sequences; compiling the
-source text catches them on every run.
+source text catches them on every run.  No linter is installed, so a
+stdlib ``ast`` scan also checks that every imported name is used.
 """
 
+import ast
 import pathlib
 import warnings
 
@@ -18,3 +20,28 @@ def test_module_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def _unused_imports(tree):
+    """Names a module imports but never reads (``__all__`` counts as a read)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
