@@ -89,27 +89,6 @@ def _need_lambda(args):
     return args.lam
 
 
-def _coeffs_from_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["re", "im"]:
-            raise DomainError(f"{path}: expected header 're,im'")
-        vals = []
-        for ln, line in enumerate(reader, start=2):
-            if not line:
-                continue
-            if len(line) != 2:
-                raise DomainError(f"{path}:{ln}: malformed row {line!r}")
-            try:
-                vals.append(complex(float(line[0]), float(line[1])))
-            except ValueError:
-                raise DomainError(f"{path}:{ln}: non-numeric row {line!r}")
-    if not vals:
-        raise DomainError(f"{path}: no data rows")
-    return np.asarray(vals)
-
-
 # -- eval ------------------------------------------------------------------
 
 
@@ -269,7 +248,7 @@ def cmd_bounds(args, argv):
         mu = _parse_measure(args.measure)
         xi, a = forms.points_from_csv(args.points)
         if args.coeffs is not None:
-            a = _coeffs_from_csv(args.coeffs)
+            a = polybound.roots_from_csv(args.coeffs)
             if a.size != xi.size:
                 raise DomainError(
                     f"{args.coeffs}: {a.size} coefficients for {xi.size} points")

@@ -23,6 +23,10 @@ functional equation turns these into the discrete Hardy-Littlewood-Sobolev
 constants (2 - 2^{2-s}) zeta(s)/delta^s and 2 zeta(s)/delta^s for the
 kernel |xi_m - xi_n|^{-s}; both routes are computed here and must agree.
 
+r_mu, A and B are the (dilated) measure's r and defect_moment methods; the
+measure classes hold the closed forms above, and this module only scales
+them and maps a divergent r_mu(0) to the PLUS_INF sentinel.
+
 Sharpness is witnessed on arithmetic progressions xi_n = delta n with
 alternating (lower) or constant (upper) coefficients; the Rayleigh ratio
 then telescopes to (N+1)^{-1} sum_{k != 0} (N+1-|k|) (+-1)^k r_mu(delta k).
@@ -36,8 +40,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from . import measures, quadrature, specfun
-from .errors import AdmissibilityError, DomainError
+from . import measures, specfun
+from .errors import AdmissibilityError, ConvergenceError, DomainError
 
 
 @dataclass(frozen=True)
@@ -83,45 +87,20 @@ class HlsConstants:
 def r_mu(measure, t, tol=1e-10):
     """Form kernel r_mu(t); vectorized in t, even, positive.
 
-    Scalar t = 0 returns the PLUS_INF sentinel when the defining integral
-    diverges (Haar, power-law); array input containing 0 then raises.
+    Scalar t = 0 returns the PLUS_INF sentinel when r_mu(0) = int 2/lam dmu
+    diverges (Haar, power-law, densities with mass near 0); array input
+    containing 0 then raises DomainError.
     """
     scalar = np.ndim(t) == 0
     at = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
-    family = getattr(measure, "family", None)
-    if family == "haar_log":
-        if np.any(at == 0.0):
-            if scalar:
-                return measures.PLUS_INF
-            raise DomainError("r diverges at t = 0; use the scalar path")
-        out = 0.5 / at
-    elif family == "power_law":
-        if np.any(at == 0.0):
-            if scalar:
-                return measures.PLUS_INF
-            raise DomainError("r diverges at t = 0; use the scalar path")
-        s = measure.sigma
-        C = measure.prefactor * math.pi / ((2.0 * math.pi) ** s
-                                           * math.sin(math.pi * s / 2.0))
-        out = C * at ** (-s)
-    elif family == "atomic":
-        lams, ws = measure.atoms
-        out = (2.0 * lams * ws) @ (1.0 / (lams[None, :] ** 2
-                                          + 4.0 * np.pi ** 2 * at[:, None] ** 2)).T
-    else:
-        out = np.empty(at.shape)
-        cache = {}
-        for i, tv in enumerate(at.ravel()):
-            if tv not in cache:
-                try:
-                    cache[tv] = measures.integrate(
-                        lambda lam, t2=4.0 * math.pi ** 2 * tv * tv:
-                        2.0 * lam / (lam * lam + t2), measure, tol=tol).value
-                except quadrature.ConvergenceError:
-                    if scalar and tv == 0.0:
-                        return measures.PLUS_INF
-                    raise
-            out.ravel()[i] = cache[tv]
+    try:
+        out = measure.r(at, tol)
+    except ConvergenceError:
+        if not np.any(at == 0.0):
+            raise
+        if scalar:
+            return measures.PLUS_INF
+        raise DomainError("r diverges at t = 0; use the scalar path")
     return float(out[0]) if scalar else out
 
 
@@ -131,8 +110,7 @@ def lower_constant_A(measure, delta=1.0, tol=1e-10, method="auto"):
     measure.classify()
     if method == "quad":
         return quadrature_route_A(measure, delta, tol)
-    nu = measures.dilate(measure, delta)
-    return measures._defect_moment(nu, "minorant", tol) / delta
+    return measures.dilate(measure, delta).defect_moment("minorant", tol) / delta
 
 
 def upper_constant_B(measure, delta=1.0, tol=1e-10, method="auto"):
@@ -145,8 +123,7 @@ def upper_constant_B(measure, delta=1.0, tol=1e-10, method="auto"):
             f"{measure!r} only satisfies cond31")
     if method == "quad":
         return quadrature_route_B(measure, delta, tol)
-    nu = measures.dilate(measure, delta)
-    return measures._defect_moment(nu, "majorant", tol) / delta
+    return measures.dilate(measure, delta).defect_moment("majorant", tol) / delta
 
 
 def quadrature_route_A(measure, delta=1.0, tol=1e-10):

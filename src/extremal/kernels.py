@@ -30,6 +30,11 @@ The Fourier transforms (supported on [-1, 1]) have the closed forms
 
 evaluated in e^{-l/2}-scaled form so nothing overflows for any lam > 0.
 
+The periodized kernel p(lam, x) = -2/lam + sum_m e^{-lam|x+m|} and its
+x-derivative j (eval_p, eval_j, re-exported by periodic) are scaled alike;
+a Taylor branch below lam = 1e-2 removes the 2/lam cancellation of p (the
+branches agree to ~1e-13 in the switch window).
+
 The one-sided kernel defects e^{-lam|x|} - L and M - e^{-lam|x|} are O(lam)
 as lam -> 0 while the raw series needs ~32/lam terms, so measure integrals
 refining toward lam = 0 use KernelDefectAtPoint: a per-x Chebyshev fit of
@@ -49,6 +54,7 @@ from .quadrature import integrate_semiinfinite
 _EPS_TAIL = 1e-14
 _NODE_TOL = 1e-6
 _CHUNK = 2_000_000  # max matrix cells per vectorized block
+_P_SWITCH = 1e-2
 
 
 @dataclass(frozen=True)
@@ -227,6 +233,45 @@ def eval_Mhat(lam, t):
     den = one_m_E2 ** 2 + 4.0 * E * E * st * st
     vals = np.where(at <= 1.0, num / den, 0.0)
     return float(vals) if vals.ndim == 0 else vals
+
+
+def eval_p(lam, x):
+    """Periodized kernel p(lam, x), period 1, mean 0; broadcasts lam and x.
+
+    p(lam, 0) is the majorant defect coth(lam/2) - 2/lam and p(lam, 1/2)
+    the negated minorant defect.
+    """
+    lam = _check_lam(np.asarray(lam, dtype=float))
+    x = np.asarray(x, dtype=float)
+    scalar = lam.ndim == 0 and x.ndim == 0
+    lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))
+    h = (x - np.floor(x)) - 0.5
+    ah = np.abs(h)
+    with np.errstate(over="ignore"):
+        closed = (np.exp(-lam * (0.5 - ah)) * (1.0 + np.exp(-2.0 * lam * ah))
+                  / (-np.expm1(-lam)) - 2.0 / lam)
+    h2 = h * h
+    taylor = (lam * (h2 - 1.0 / 12.0)
+              + lam ** 3 * (h2 * h2 / 12.0 - h2 / 24.0 + 7.0 / 2880.0)
+              + lam ** 5 * (h2 ** 3 / 360.0 - h2 * h2 / 288.0
+                            + 7.0 * h2 / 5760.0 - 31.0 / 483840.0))
+    out = np.where(lam < _P_SWITCH, taylor, closed)
+    return float(out[0]) if scalar else out
+
+
+def eval_j(lam, x):
+    """x-derivative of p: lam sinh(lam({x}-1/2))/sinh(lam/2), 0 at integers."""
+    lam = _check_lam(np.asarray(lam, dtype=float))
+    x = np.asarray(x, dtype=float)
+    scalar = lam.ndim == 0 and x.ndim == 0
+    lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))
+    frac = x - np.floor(x)
+    h = frac - 0.5
+    ah = np.abs(h)
+    out = (np.sign(h) * lam * np.exp(-lam * (0.5 - ah))
+           * np.expm1(-2.0 * lam * ah) / np.expm1(-lam))
+    out = np.where(frac == 0.0, 0.0, out)
+    return float(out[0]) if scalar else out
 
 
 def lhat_haar_integral(t, tol=1e-10):

@@ -29,6 +29,18 @@ point of the PowerLaw scale.
 All f/f' evaluators accept numpy arrays of nonzero x.  f_derivs supplies
 (f, f', f'', f''', f'''') at positive points for the tail corrections in
 the superposed module.
+
+Every family subclasses Measure, whose methods f, f_prime, f_derivs,
+defect_moment, r, q and transform_moment are each one (vector-valued)
+``integrate`` call; a family overrides one only with a closed form:
+
+             f, f_prime, f_derivs  defect_moment  r       q       transform_moment
+  HaarLog    closed                closed         closed  closed  closed (minorant)
+  PowerLaw   closed                closed         closed  -       -
+  Atomic     closed                -              -       -       -
+  Weight     -                     -              -       -       -
+
+Atomic needs no moment override: ``integrate`` sums over its atoms.
 """
 
 import csv
@@ -36,11 +48,12 @@ import math
 
 import numpy as np
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
-from . import quadrature, specfun
-from .errors import AdmissibilityError, ConvergenceError, DomainError
+from . import kernels, quadrature, specfun
+from .errors import (AdmissibilityError, ConvergenceError, DivergenceError,
+                     DomainError)
 
 
 class _PlusInfinity:
@@ -78,12 +91,101 @@ def _check_positive_axis(x, family):
     return np.abs(x)
 
 
-class HaarLog:
+def _by_kind(kind, minorant, majorant):
+    """minorant or majorant as kind says; DomainError for any other kind."""
+    if kind not in ("minorant", "majorant"):
+        raise DomainError(f"unknown kind {kind!r}; use 'minorant' or 'majorant'")
+    return minorant if kind == "minorant" else majorant
+
+
+def _over_points(kernel, x, measure, tol):
+    """int kernel(lam, x) dmu at every point of x, in one integral.
+
+    A scalar x is a scalar integral and gives a float; an array x is one
+    vector integral of kernel(lam[:, None], x.ravel()), reshaped to x.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return integrate(lambda lam: kernel(lam, x), measure, tol=tol).value
+    pts = x.ravel()
+    return integrate(lambda lam: kernel(lam[:, None], pts), measure,
+                     tol=tol).value.reshape(x.shape)
+
+
+def _nonzero(t):
+    """t unchanged; DivergenceError if it holds a 0, where r = int 2/lam dmu."""
+    if np.any(t == 0.0):
+        raise DivergenceError("r diverges at t = 0")
+    return t
+
+
+class Measure:
+    """Base of the families: each kernel moment is one measure integral.
+
+    Subclasses supply ``weight`` (or ``atoms``), ``classify`` and
+    ``dilate``, and override a method below only with a closed form.
+    """
+
+    atoms = None
+    breakpoints = None
+
+    def f(self, x):
+        """f_mu(x) = int (e^{-lam|x|} - e^{-lam}) dmu; PLUS_INF at a scalar 0
+        when the cond47 moment fails."""
+        if np.ndim(x) == 0 and float(x) == 0.0 and not self.classify().cond47:
+            return PLUS_INF
+        return _over_points(lambda lam, a: np.exp(-lam * a) - np.exp(-lam),
+                            np.abs(x), self, 1e-10)
+
+    def f_prime(self, x):
+        """f_mu'(x) = -sign(x) int lam e^{-lam|x|} dmu for x != 0."""
+        x = np.asarray(x, dtype=float)
+        if np.any(x == 0.0):
+            raise DomainError("f' undefined at x = 0")
+        out = -np.sign(x) * _over_points(lambda lam, a: lam * np.exp(-lam * a),
+                                         np.abs(x), self, 1e-10)
+        return float(out) if out.ndim == 0 else out
+
+    def f_derivs(self, u):
+        """(f, f', f'', f''', f'''') at positive points u, as five arrays."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        pts = u.ravel()
+
+        def kernel(lam):
+            e = np.exp(-np.multiply.outer(lam, pts))
+            cols = [e - np.exp(-lam)[:, None]]
+            cols += [(-lam[:, None]) ** k * e for k in range(1, 5)]
+            return np.concatenate(cols, axis=1)
+
+        out = integrate(kernel, self, tol=1e-10).value
+        return tuple(out.reshape((5,) + u.shape))
+
+    def defect_moment(self, kind, tol=1e-10):
+        """int of the one-sided kernel defect 2/lam - csch(lam/2) (kind
+        "minorant") or coth(lam/2) - 2/lam ("majorant") dmu."""
+        return integrate(_by_kind(kind, specfun.defect_minorant,
+                                  specfun.defect_majorant), self, tol=tol).value
+
+    def r(self, t, tol=1e-10):
+        """Form kernel int 2 lam / (lam^2 + 4 pi^2 t^2) dmu at t >= 0."""
+        return _over_points(
+            lambda lam, a: 2.0 * lam / (lam * lam + 4.0 * math.pi ** 2 * a * a),
+            t, self, tol)
+
+    def q(self, x, tol=1e-9):
+        """Periodized kernel int p(lam, x) dmu at non-integer x."""
+        return _over_points(kernels.eval_p, x, self, tol)
+
+    def transform_moment(self, kind, ts, tol=1e-9):
+        """int Lhat(lam, ts) dmu (kind "minorant") or int Mhat(lam, ts) dmu."""
+        return _over_points(_by_kind(kind, kernels.eval_Lhat, kernels.eval_Mhat),
+                            ts, self, tol)
+
+
+class HaarLog(Measure):
     """Multiplicative Haar measure dlam/lam; f_mu(x) = -log|x|."""
 
     family = "haar_log"
-    atoms = None
-    breakpoints = None
 
     def weight(self, lam):
         return 1.0 / np.asarray(lam, dtype=float)
@@ -106,6 +208,24 @@ class HaarLog:
         u = np.asarray(u, dtype=float)
         return (-np.log(u), -1.0 / u, 1.0 / u ** 2, -2.0 / u ** 3, 6.0 / u ** 4)
 
+    def defect_moment(self, kind, tol=1e-10):
+        if _by_kind(kind, minorant=False, majorant=True):
+            raise AdmissibilityError(
+                "majorant defect moment diverges for HaarLog() (no cond47 moment)")
+        return math.log(2.0)
+
+    def r(self, t, tol=1e-10):
+        return 0.5 / _nonzero(t)
+
+    def q(self, x, tol=1e-9):
+        return -np.log(np.abs(2.0 * np.sin(np.pi * x)))
+
+    def transform_moment(self, kind, ts, tol=1e-9):
+        if _by_kind(kind, minorant=False, majorant=True):
+            raise AdmissibilityError(
+                "majorant transform moment diverges for HaarLog() (no cond47 moment)")
+        return kernels.lhat_haar_integral(ts, tol=tol)
+
     def classify(self):
         return Admissibility(cond31=True, cond47=False)
 
@@ -124,14 +244,12 @@ class HaarLog:
 
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(Measure):
     """dmu = prefactor * lam^-sigma dlam with sigma in (0, 2) \\ {1}."""
 
     sigma: float
     prefactor: float = 1.0
     family = "power_law"
-    atoms = None
-    breakpoints = None
 
     def __post_init__(self):
         s = self.sigma
@@ -179,6 +297,18 @@ class PowerLaw:
             out.append(fac * u ** (s - 1.0 - k))
         return tuple(out)
 
+    def defect_moment(self, kind, tol=1e-10):
+        s = self.sigma
+        gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
+        fac = _by_kind(kind, 2.0 - 2.0 ** (2.0 - s), 2.0)
+        return self.prefactor * fac * gz
+
+    def r(self, t, tol=1e-10):
+        s = self.sigma
+        C = self.prefactor * math.pi / ((2.0 * math.pi) ** s
+                                        * math.sin(math.pi * s / 2.0))
+        return C * _nonzero(t) ** (-s)
+
     def classify(self):
         return Admissibility(cond31=True, cond47=self.sigma > 1.0)
 
@@ -188,13 +318,15 @@ class PowerLaw:
 
 
 @dataclass(frozen=True)
-class Atomic:
-    """Finite positive combination of point masses at positive rates."""
+class Atomic(Measure):
+    """Finite positive combination of point masses at positive rates.
+
+    Its moments are the finite sums that ``integrate`` takes over atoms.
+    """
 
     points: Tuple[float, ...]
     weights: Tuple[float, ...]
     family = "atomic"
-    breakpoints = None
 
     def __post_init__(self):
         pts = tuple(float(p) for p in self.points)
@@ -247,76 +379,31 @@ class Atomic:
 
 
 @dataclass(frozen=True)
-class Weight:
+class Weight(Measure):
     """Measure with density ``fn`` (numpy-friendly callable on lam > 0).
 
     ``breakpoints`` marks discontinuities/compact support so integrals can
-    be taken piecewise; tabulated CSV weights always populate it.
+    be taken piecewise; tabulated CSV weights always populate it.  Every
+    moment is a quadrature fallback of the Measure base.
     """
 
     fn: Callable
     breakpoints: Optional[Tuple[float, ...]] = None
-    table: Optional[Tuple[Tuple[float, float], ...]] = field(default=None, repr=False)
     family = "weight"
-    atoms = None
 
     def weight(self, lam):
         return np.asarray(self.fn(np.asarray(lam, dtype=float)), dtype=float)
 
-    def _moment(self, g, tol=1e-10):
-        return integrate(g, self, tol=tol).value
-
-    def f(self, x):
-        scalar = np.ndim(x) == 0
-        ax = np.abs(np.atleast_1d(np.asarray(x, dtype=float)))
-        if scalar and ax[0] == 0.0:
-            adm = self.classify()
-            if not adm.cond47:
-                return PLUS_INF
-        out = np.array([
-            self._moment(lambda lam, a=a: np.exp(-lam * a) - np.exp(-lam))
-            for a in ax
-        ])
-        return float(out[0]) if scalar else out
-
-    def f_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x == 0.0):
-            raise DomainError("f' undefined at x = 0")
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
-        mag = np.array([
-            self._moment(lambda lam, a=abs(a): lam * np.exp(-lam * a)) for a in xs
-        ])
-        out = -np.sign(xs) * mag
-        return float(out[0]) if scalar else out
-
-    def f_derivs(self, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        cols = []
-        for k in range(5):
-            if k == 0:
-                cols.append(np.array([
-                    self._moment(lambda lam, a=a: np.exp(-lam * a) - np.exp(-lam))
-                    for a in u
-                ]))
-            else:
-                cols.append(np.array([
-                    self._moment(lambda lam, a=a, kk=k: (-lam) ** kk * np.exp(-lam * a))
-                    for a in u
-                ]))
-        return tuple(cols)
-
     def classify(self):
         try:
-            m31 = self._moment(lambda lam: lam / (lam * lam + 1.0))
+            m31 = integrate(lambda lam: lam / (lam * lam + 1.0), self).value
         except ConvergenceError as exc:
             raise AdmissibilityError(
                 "weight measure: minorant moment diverges") from exc
         if not (m31 > 0.0):
             raise AdmissibilityError("weight measure is null: zero total mass")
         try:
-            self._moment(lambda lam: lam / (lam + 1.0))
+            integrate(lambda lam: lam / (lam + 1.0), self)
             c47 = True
         except ConvergenceError:
             c47 = False
@@ -368,27 +455,6 @@ def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
     return quadrature.integrate_measure(g, measure, tol, budget)
 
 
-def _defect_moment(nu, kind, tol):
-    """int of the one-sided kernel defect (2/lam - csch or coth - 2/lam) dnu."""
-    dm = (specfun.defect_minorant if kind == "minorant"
-          else specfun.defect_majorant)
-    family = getattr(nu, "family", None)
-    if family == "haar_log":
-        if kind == "majorant":
-            raise AdmissibilityError(
-                "majorant defect moment diverges for HaarLog() (no cond47 moment)")
-        return math.log(2.0)
-    if family == "power_law":
-        s = nu.sigma
-        gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
-        fac = (2.0 - 2.0 ** (2.0 - s)) if kind == "minorant" else 2.0
-        return nu.prefactor * fac * gz
-    if family == "atomic":
-        lams, ws = nu.atoms
-        return float(sum(w * dm(l) for l, w in zip(lams, ws)))
-    return integrate(dm, nu, tol=tol).value
-
-
 def atomic_from_csv(path):
     """Load an Atomic measure from CSV with header ``lambda,weight``."""
     rows = _read_measure_rows(path)
@@ -414,8 +480,7 @@ def weight_from_csv(path):
         inside = (idx >= 0) & (lam < lams[-1])
         return np.where(inside, ws[np.clip(idx, 0, len(ws) - 1)], 0.0)
 
-    return Weight(fn, breakpoints=tuple(r[0] for r in rows),
-                  table=tuple((r[0], r[1]) for r in rows))
+    return Weight(fn, breakpoints=tuple(r[0] for r in rows))
 
 
 def _read_measure_rows(path):

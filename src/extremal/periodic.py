@@ -20,15 +20,10 @@ the measure integrals of the single-kernel ones.  Specializing mu to the
 multiplicative Haar measure yields u_N = -g_mu, the degree-N majorant of
 log|2 sin(pi x)| with mean log2/(N+1).
 
-Each coefficient set is one vector-valued measure integral: the integrand
-returns Lhat or Mhat at all N frequencies t = n/(N+1) at once (shape
-(15, N) per quadrature panel), so the N integrals share their panels and
-their kernel-transform calls.  Likewise q_mu on an array integrates every
-point without a closed form in one call.
-
-Everything is evaluated in exponential-scaled form, so no hyperbolic
-overflow for large lam; a Taylor branch below lam = 1e-2 removes the
-2/lam cancellation (both branches agree to ~1e-13 in the switch window).
+The coefficients of g_mu and h_mu are the dilated measure's defect and
+transform moments, and q_mu off the integers is its q method; the measure
+classes hold the closed forms and the one-integral quadrature fallback.
+p and its derivative j live in kernels, re-exported as eval_p and eval_j.
 """
 
 import csv
@@ -43,7 +38,6 @@ from typing import Tuple
 from . import kernels, measures, specfun
 from .errors import AdmissibilityError, DomainError
 
-_P_SWITCH = 1e-2
 _SYM_TOL = 1e-12
 
 
@@ -121,12 +115,12 @@ class TrigPoly:
             if header is None or [h.strip() for h in header] != ["n", "re", "im"]:
                 raise DomainError(f"{path}: expected header 'n,re,im'")
             entries = {}
-            for line in reader:
+            for ln, line in enumerate(reader, start=2):
                 if not line:
                     continue
                 if len(line) != 3:
-                    raise DomainError(f"{path}: malformed row {line!r}")
-                entries[int(line[0])] = complex(float(line[1]), float(line[2]))
+                    raise DomainError(f"{path}:{ln}: malformed row {line!r}")
+                _add_entry(entries, *line, where=f"{path}:{ln}")
         if not entries:
             raise DomainError(f"{path}: no coefficient rows")
         N = max(abs(n) for n in entries)
@@ -151,8 +145,9 @@ class TrigPoly:
     @classmethod
     def from_json_obj(cls, obj):
         N = int(obj["degree"])
-        entries = {int(e["n"]): complex(float(e["re"]), float(e["im"]))
-                   for e in obj["coeffs"]}
+        entries = {}
+        for i, e in enumerate(obj["coeffs"]):
+            _add_entry(entries, e["n"], e["re"], e["im"], where=f"coeffs[{i}]")
         if sorted(entries) != list(range(-N, N + 1)):
             raise DomainError("coefficient entries must cover -N..N")
         return cls(N, tuple(entries[n] for n in range(-N, N + 1)))
@@ -161,6 +156,20 @@ class TrigPoly:
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_json_obj(json.load(fh))
+
+
+def _add_entry(entries, n, real, imag, where):
+    """entries[n] = real + i imag for a new integer n; else DomainError at where."""
+    try:
+        k, c = int(n), complex(float(real), float(imag))
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != float(n):
+        raise DomainError(f"{where}: expected an integer n and numeric re, im; "
+                          f"got {[n, real, imag]!r}")
+    if k in entries:
+        raise DomainError(f"{where}: duplicate coefficient n = {k}")
+    entries[k] = c
 
 
 def _check_lam(lam):
@@ -174,47 +183,8 @@ def _check_degree(N):
     return int(N)
 
 
-def eval_p(lam, x):
-    """Periodized kernel p(lam, x), period 1, mean 0; broadcasts lam and x.
-
-    p(lam, 0) is the majorant defect coth(lam/2) - 2/lam and p(lam, 1/2)
-    the negated minorant defect.
-    """
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(~(lam > 0.0) | ~np.isfinite(lam)):
-        raise DomainError("lambda must be finite and positive")
-    scalar = lam.ndim == 0 and x.ndim == 0
-    lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))
-    h = (x - np.floor(x)) - 0.5
-    ah = np.abs(h)
-    with np.errstate(over="ignore"):
-        closed = (np.exp(-lam * (0.5 - ah)) * (1.0 + np.exp(-2.0 * lam * ah))
-                  / (-np.expm1(-lam)) - 2.0 / lam)
-    h2 = h * h
-    taylor = (lam * (h2 - 1.0 / 12.0)
-              + lam ** 3 * (h2 * h2 / 12.0 - h2 / 24.0 + 7.0 / 2880.0)
-              + lam ** 5 * (h2 ** 3 / 360.0 - h2 * h2 / 288.0
-                            + 7.0 * h2 / 5760.0 - 31.0 / 483840.0))
-    out = np.where(lam < _P_SWITCH, taylor, closed)
-    return float(out[0]) if scalar else out
-
-
-def eval_j(lam, x):
-    """x-derivative of p: lam sinh(lam({x}-1/2))/sinh(lam/2), 0 at integers."""
-    lam = np.asarray(lam, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(~(lam > 0.0) | ~np.isfinite(lam)):
-        raise DomainError("lambda must be finite and positive")
-    scalar = lam.ndim == 0 and x.ndim == 0
-    lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))
-    frac = x - np.floor(x)
-    h = frac - 0.5
-    ah = np.abs(h)
-    out = (np.sign(h) * lam * np.exp(-lam * (0.5 - ah))
-           * np.expm1(-2.0 * lam * ah) / np.expm1(-lam))
-    out = np.where(frac == 0.0, 0.0, out)
-    return float(out[0]) if scalar else out
+eval_p = kernels.eval_p
+eval_j = kernels.eval_j
 
 
 def trig_minorant_l(lam, N):
@@ -254,89 +224,49 @@ def q_mu(measure, x, tol=1e-9):
 
     Scalar x at an integer returns PLUS_INF when q_mu(0) diverges (measures
     failing the cond47 moment); array input then raises DomainError.
-    HaarLog collapses to -log|2 sin(pi x)|, atomic measures to finite sums;
-    for the rest one vector-valued measure integral of the closed form
-    covers every point of an array (integer points of a power law use the
-    zeta closed form of q(0)).
+    Otherwise q_mu(0) = int p(lam, 0) dmu is the majorant defect moment, and
+    the other points go to the measure's q method, all of an array at once.
     """
     scalar = np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    frac = xs - np.floor(xs)
-    family = getattr(measure, "family", None)
-    if family == "haar_log":
-        if np.any(frac == 0.0):
-            if scalar:
-                return measures.PLUS_INF
-            raise DomainError("q diverges at integer x for this measure; "
-                              "evaluate scalars to get the sentinel")
-        out = -np.log(np.abs(2.0 * np.sin(np.pi * xs)))
-        return float(out[0]) if scalar else out
-    if family == "atomic":
-        lams, ws = measure.atoms
-        out = eval_p(lams[None, :], xs[:, None]) @ ws
-        return float(out[0]) if scalar else out
-    quad = np.ones(len(xs), dtype=bool)
+    integer = xs - np.floor(xs) == 0.0
     out = np.empty(len(xs))
-    if np.any(frac == 0.0):
-        adm = measure.classify()
-        if not adm.cond47:
+    if np.any(integer):
+        if not measure.classify().cond47:
             if scalar:
                 return measures.PLUS_INF
             raise DomainError("q diverges at integer x for this measure; "
                               "evaluate scalars to get the sentinel")
-        if family == "power_law":
-            # q(0) = int defect_major dmu has the same closed form as the
-            # sharp upper form constant at delta = 1.
-            quad = frac != 0.0
-            out[~quad] = (2.0 * measure.prefactor
-                          * specfun.gamma(1.0 - measure.sigma)
-                          * specfun.zeta(1.0 - measure.sigma))
-    if scalar and quad[0]:
-        out[0] = measures.integrate(
-            lambda lam: eval_p(lam, xs[0]), measure, tol=tol).value
-    elif np.any(quad):
-        pts = xs[quad]
-        out[quad] = measures.integrate(
-            lambda lam: eval_p(lam[:, None], pts), measure, tol=tol).value
+        out[integer] = measure.defect_moment("majorant", tol)
+    if not np.all(integer):
+        out[~integer] = measure.q(xs[0] if scalar else xs[~integer], tol)
     return float(out[0]) if scalar else out
 
 
-def trig_minorant_g(measure, N, tol=1e-9):
-    """Extremal degree-N trig minorant of q_mu; coefficients are measure
-    integrals of the single-kernel minorant transform, all N in one
-    vector-valued integral."""
-    N = _check_degree(N)
-    measure.classify()
-    nu = measures.dilate(measure, N + 1.0)
-    c0 = -measures._defect_moment(nu, "minorant", tol) / (N + 1.0)
-    if getattr(nu, "family", None) == "haar_log":
-        def cn(ts):
-            return kernels.lhat_haar_integral(ts, tol=tol) / (N + 1.0)
-    else:
-        def cn(ts):
-            return measures.integrate(
-                lambda u: kernels.eval_Lhat(u[:, None], ts), nu,
-                tol=tol).value / (N + 1.0)
-    return _fejer_poly(N, c0, cn)
-
-
-def trig_majorant_h(measure, N, tol=1e-9):
-    """Extremal degree-N trig majorant of q_mu (needs the cond47 moment)."""
+def _superposed_poly(measure, N, kind, tol):
+    """g_mu (kind "minorant") or h_mu ("majorant"): with nu = mu dilated by
+    N + 1, c(0) = -+ nu.defect_moment/(N+1), c(n) = nu.transform_moment/(N+1)."""
     N = _check_degree(N)
     adm = measure.classify()
-    if not adm.cond47:
+    if kind == "majorant" and not adm.cond47:
         raise AdmissibilityError(
             f"trig majorant requires the cond47 moment (finite q_mu(0)); "
             f"{measure!r} only satisfies cond31")
     nu = measures.dilate(measure, N + 1.0)
-    c0 = measures._defect_moment(nu, "majorant", tol) / (N + 1.0)
+    c0 = nu.defect_moment(kind, tol) / (N + 1.0)
+    return _fejer_poly(N, -c0 if kind == "minorant" else c0,
+                       lambda ts: nu.transform_moment(kind, ts, tol) / (N + 1.0))
 
-    def cn(ts):
-        return measures.integrate(
-            lambda u: kernels.eval_Mhat(u[:, None], ts), nu,
-            tol=tol).value / (N + 1.0)
 
-    return _fejer_poly(N, c0, cn)
+def trig_minorant_g(measure, N, tol=1e-9):
+    """Extremal degree-N trig minorant of q_mu; coefficients are measure
+    integrals of the single-kernel minorant transform."""
+    return _superposed_poly(measure, N, "minorant", tol)
+
+
+def trig_majorant_h(measure, N, tol=1e-9):
+    """Extremal degree-N trig majorant of q_mu (needs the cond47 moment)."""
+    return _superposed_poly(measure, N, "majorant", tol)
 
 
 def log_sin_majorant(N, tol=1e-9):
@@ -345,7 +275,5 @@ def log_sin_majorant(N, tol=1e-9):
     u_N = -g_mu for the multiplicative Haar measure; its coefficients obey
     -1/(2|n|) <= c(n) <= 0 for 1 <= |n| <= N.
     """
-    N = _check_degree(N)
-    c0 = math.log(2.0) / (N + 1.0)
-    return _fejer_poly(
-        N, c0, lambda ts: -kernels.lhat_haar_integral(ts, tol=tol) / (N + 1.0))
+    g = trig_minorant_g(measures.HaarLog(), N, tol)
+    return TrigPoly(g.degree, tuple(-c.real for c in g.coeffs))

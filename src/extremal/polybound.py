@@ -19,6 +19,7 @@ identity sum log+|alpha_m| = int_0^1 log|F(e(x))| dx serve as independent
 soundness checks.
 """
 
+import csv
 import math
 import warnings
 
@@ -165,9 +166,10 @@ def bound_report(alpha, N, samples=65536):
 
 
 def roots_from_csv(path):
-    """Read complex roots from CSV with header ``re,im``."""
-    import csv
+    """Read complex roots from CSV with header ``re,im``.
 
+    The CLI reads form coefficients (``bounds --coeffs``) with it as well.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -3,7 +3,8 @@
 An import can be served from a cached bytecode file, which hides
 compile-time warnings such as invalid escape sequences; compiling the
 source text catches them on every run.  No linter is installed, so a
-stdlib ``ast`` scan also checks that every imported name is used.
+stdlib ``ast`` scan also checks that every imported name is used, and that
+no module branches on a measure's ``family`` name.
 """
 
 import ast
@@ -45,3 +46,26 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _family_comparisons(tree):
+    """Lines that compare a measure's family: ``.family``, a ``family`` name
+    or ``getattr(..., "family")`` as an operand of a comparison."""
+
+    def is_family(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "family")
+                or (isinstance(node, ast.Name) and node.id == "family")
+                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "family"))
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(is_family(op) for op in [node.left, *node.comparators]))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_branch_on_measure_family(path):
+    # closed forms are methods of the measure classes, never picked by name
+    assert _family_comparisons(ast.parse(path.read_text())) == []

@@ -1,0 +1,140 @@
+"""The moment methods of the measure classes.
+
+Atomic moments are the explicit weighted sums of the single-rate kernels;
+a Weight's vector methods equal one scalar integral per point; every
+closed form of HaarLog and PowerLaw matches the quadrature fallback of the
+Measure base; and r_mu and q_mu keep their divergence sentinels.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from extremal import forms, kernels, measures, periodic, specfun
+from extremal.errors import AdmissibilityError, DomainError
+
+PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+rates = st.floats(math.log(0.05), math.log(20.0)).map(math.exp)
+atomic = st.lists(st.tuples(rates, st.floats(0.01, 10.0)), min_size=1, max_size=5,
+                  unique_by=lambda a: a[0]).map(
+    lambda a: measures.Atomic(*zip(*sorted(a))))
+points = st.lists(st.floats(0.01, 5.0).filter(lambda v: v not in (1.0, 2.0, 3.0, 4.0)),
+                  min_size=1, max_size=6)
+
+
+def _sum(mu, kernel):
+    """sum_i w_i kernel(lam_i) and sum_i w_i |kernel(lam_i)|, term by term."""
+    terms = [w * np.asarray(kernel(l), dtype=float)
+             for l, w in zip(mu.points, mu.weights)]
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
+def _assert_sum(value, expected, rel=1e-13):
+    total, scale = expected
+    assert np.all(np.abs(np.asarray(value) - total) <= rel * scale)
+
+
+@PROPS
+@given(atomic, points)
+def test_atomic_moments_are_weighted_kernel_sums(mu, xs):
+    ts = np.asarray(xs)
+    _assert_sum(mu.r(ts), _sum(mu, lambda l: 2.0 * l / (l * l + 4.0 * math.pi ** 2 * ts ** 2)))
+    _assert_sum(mu.q(ts), _sum(mu, lambda l: kernels.eval_p(l, ts)))
+    _assert_sum(mu.q(xs[0]), _sum(mu, lambda l: kernels.eval_p(l, xs[0])))
+    _assert_sum(mu.defect_moment("minorant"), _sum(mu, specfun.defect_minorant))
+    _assert_sum(mu.defect_moment("majorant"), _sum(mu, specfun.defect_majorant))
+    us = ts / (1.0 + ts)
+    _assert_sum(mu.transform_moment("minorant", us),
+                _sum(mu, lambda l: kernels.eval_Lhat(l, us)))
+    _assert_sum(mu.transform_moment("majorant", us),
+                _sum(mu, lambda l: kernels.eval_Mhat(l, us)))
+
+
+def _table_weight(tmp_path):
+    path = tmp_path / "w.csv"
+    path.write_text("lambda,weight\n0.2,1.0\n0.9,2.5\n3.0,0.4\n8.0,1.0\n")
+    return measures.weight_from_csv(str(path))
+
+
+def _scalar(mu, kernel, tol):
+    return measures.integrate(kernel, mu, tol=tol).value
+
+
+@pytest.mark.parametrize("which", ["exp", "table"])
+def test_weight_vector_methods_equal_scalar_integrals(which, tmp_path):
+    mu = (measures.Weight(lambda lam: np.exp(-lam)) if which == "exp"
+          else _table_weight(tmp_path))
+    xs = np.array([0.05, 0.4, 1.3, 2.75, 9.0])
+    tol = 1e-10
+    f, fp, fd = mu.f(xs), mu.f_prime(-xs), mu.f_derivs(xs)
+    r, q = mu.r(xs, tol), mu.q(xs, 1e-9)
+    for i, a in enumerate(xs):
+        assert abs(f[i] - _scalar(mu, lambda l: np.exp(-l * a) - np.exp(-l), tol)) <= tol
+        assert abs(fp[i] - _scalar(mu, lambda l: l * np.exp(-l * a), tol)) <= tol
+        assert abs(fd[0][i] - f[i]) <= tol
+        for k in range(1, 5):
+            d = _scalar(mu, lambda l: (-l) ** k * np.exp(-l * a), tol)
+            assert abs(fd[k][i] - d) <= tol
+        rr = _scalar(mu, lambda l: 2.0 * l / (l * l + 4.0 * math.pi ** 2 * a * a), tol)
+        assert abs(r[i] - rr) <= tol
+        assert abs(q[i] - _scalar(mu, lambda l: kernels.eval_p(l, a), 1e-9)) <= 1e-9
+    assert [d.shape for d in fd] == [xs.shape] * 5
+    assert mu.f(xs.reshape(5, 1)).shape == (5, 1)
+    assert isinstance(mu.f(0.4), float) and isinstance(mu.f_prime(-0.4), float)
+
+
+def test_r_mu_zero_sentinel_and_array_rejection():
+    weight = measures.Weight(lambda lam: np.exp(-lam))
+    with np.errstate(divide="ignore"):     # 2 lam / lam^2 as lam^2 underflows
+        assert measures.is_plus_inf(forms.r_mu(weight, 0.0))
+        for mu in (measures.HaarLog(), measures.PowerLaw(0.5), weight):
+            with pytest.raises(DomainError):
+                forms.r_mu(mu, np.array([0.5, 0.0, 2.0]))
+    atom = measures.Atomic((0.5, 2.0), (1.0, 3.0))
+    assert forms.r_mu(atom, np.array([0.0, 1.0]))[0] == pytest.approx(
+        2.0 / 0.5 + 6.0 / 2.0, rel=1e-15)
+
+
+CLOSED = [measures.HaarLog(), measures.PowerLaw(0.5), measures.PowerLaw(1.5, 2.0)]
+
+
+@pytest.mark.parametrize("mu", CLOSED, ids=repr)
+def test_closed_forms_match_the_quadrature_fallback(mu):
+    base = measures.Measure
+    ts = np.array([0.3, 1.0, 4.5])
+    xs = np.array([0.1, 0.5, 0.85])
+    assert np.allclose(mu.r(ts), base.r(mu, ts, 1e-11), rtol=1e-8, atol=0)
+    assert mu.defect_moment("minorant") == pytest.approx(
+        base.defect_moment(mu, "minorant", 1e-11), rel=1e-8)
+    if mu.classify().cond47:
+        assert mu.defect_moment("majorant") == pytest.approx(
+            base.defect_moment(mu, "majorant", 1e-11), rel=1e-8)
+    assert np.allclose(mu.q(xs), base.q(mu, xs, 1e-10), rtol=0, atol=1e-8)
+    us = np.array([0.2, 0.5, 0.9])
+    assert np.allclose(mu.transform_moment("minorant", us),
+                       base.transform_moment(mu, "minorant", us, 1e-10),
+                       rtol=0, atol=1e-8)
+
+
+def test_haar_majorant_moments_and_unknown_kinds_raise():
+    haar = measures.HaarLog()
+    with pytest.raises(AdmissibilityError):
+        haar.defect_moment("majorant")
+    with pytest.raises(AdmissibilityError):
+        haar.transform_moment("majorant", np.array([0.5]))
+    for mu in (haar, measures.PowerLaw(1.5), measures.Atomic((1.0,), (1.0,))):
+        with pytest.raises(DomainError):
+            mu.defect_moment("upper")
+    with pytest.raises(DomainError):
+        measures.Atomic((1.0,), (1.0,)).transform_moment("upper", np.array([0.5]))
+
+
+def test_q_mu_integer_points_are_the_majorant_defect_moment():
+    mu = measures.Atomic((0.5, 2.0), (1.0, 3.0))
+    q = periodic.q_mu(mu, np.array([0.0, 0.25, 2.0]))
+    assert q[0] == q[2] == mu.defect_moment("majorant")
+    assert q[0] == pytest.approx(sum(w * kernels.eval_p(l, 0.0)
+                                     for l, w in zip(mu.points, mu.weights)), rel=1e-15)

@@ -86,6 +86,30 @@ def test_csv_parse_errors():
                 TrigPoly.from_csv(path)
 
 
+@pytest.mark.parametrize("rows,line", [
+    ("-1,.5,0\n0,1,0\n0,7,0\n1,.5,0\n", 4),      # duplicated n = 0
+    ("-1,.5,0\n0,one,0\n1,.5,0\n", 3),           # non-numeric cell
+    ("-1,.5,0\n0.5,1,0\n1,.5,0\n", 3),           # non-integer n
+])
+def test_csv_bad_rows_name_their_line(tmp_path, rows, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("n,re,im\n" + rows)
+    with pytest.raises(DomainError, match=f"{path}:{line}: "):
+        TrigPoly.from_csv(str(path))
+
+
+@pytest.mark.parametrize("entries,index", [
+    ([(-1, 0.5), (0, 1.0), (0, 7.0), (1, 0.5)], 2),
+    ([(-1, 0.5), (0, "one"), (1, 0.5)], 1),
+    ([(-1, 0.5), (0.5, 1.0), (1, 0.5)], 1),
+])
+def test_json_bad_entries_name_their_index(entries, index):
+    obj = {"degree": 1,
+           "coeffs": [{"n": n, "re": re, "im": 0.0} for n, re in entries]}
+    with pytest.raises(DomainError, match=rf"coeffs\[{index}\]: "):
+        TrigPoly.from_json_obj(obj)
+
+
 # -- periodized kernel ------------------------------------------------------
 
 def test_p_closed_values():

@@ -211,8 +211,8 @@ def test_defect_functions_reject_bad_array_entries(bad):
 @pytest.mark.parametrize("kind,sigma", [("minorant", 0.5), ("majorant", 1.5)])
 def test_weight_defect_moment_matches_closed_form(kind, sigma):
     mu = measures.Weight(lambda lam: lam ** -sigma)
-    quad = measures._defect_moment(mu, kind, 1e-11)
-    closed = measures._defect_moment(measures.PowerLaw(sigma), kind, 1e-11)
+    quad = mu.defect_moment(kind, 1e-11)
+    closed = measures.PowerLaw(sigma).defect_moment(kind, 1e-11)
     assert abs(quad - closed) <= 1e-9
 
 
