@@ -92,6 +92,11 @@ def _need_lambda(args):
 # -- eval ------------------------------------------------------------------
 
 
+def _finite_or_inf(v):
+    """v as a float, with the PLUS_INF sentinel mapped to math.inf."""
+    return math.inf if measures.is_plus_inf(v) else float(v)
+
+
 def _eval_columns(args):
     """Return (values, target or None) on the grid for the requested kind."""
     xs = _parse_grid(args.grid)
@@ -114,13 +119,12 @@ def _eval_columns(args):
         vals = periodic.eval_p(_need_lambda(args), xs)
     elif kind == "q":
         mu = _parse_measure(args.measure)
-        # integer points take the scalar path, which returns the divergence
-        # sentinel; the rest are one array call
+        # q_mu has period 1: every integer point takes the scalar q_mu(0),
+        # which returns the divergence sentinel; the rest are one array call
         at_int = xs == np.floor(xs)
         vals = np.empty(xs.size)
-        for i in np.flatnonzero(at_int):
-            v = periodic.q_mu(mu, float(xs[i]), tol=tol)
-            vals[i] = math.inf if measures.is_plus_inf(v) else float(v)
+        if np.any(at_int):
+            vals[at_int] = _finite_or_inf(periodic.q_mu(mu, 0.0, tol=tol))
         if not np.all(at_int):
             vals[~at_int] = periodic.q_mu(mu, xs[~at_int], tol=tol)
     elif kind in ("G", "H"):
@@ -129,9 +133,13 @@ def _eval_columns(args):
         obj = cls(mu, args.delta)
         vals = obj.value(xs)
         if args.with_target:
-            target = np.array([
-                math.inf if measures.is_plus_inf(t) else float(t)
-                for t in (obj.target(float(x)) for x in xs)])
+            # only x = 0 can diverge; it takes the scalar path to the sentinel
+            at_zero = xs == 0.0
+            target = np.empty(xs.size)
+            if np.any(at_zero):
+                target[at_zero] = _finite_or_inf(obj.target(0.0))
+            if not np.all(at_zero):
+                target[~at_zero] = obj.target(xs[~at_zero])
     else:  # U
         vals = superposed.eval_U(xs)
         with np.errstate(divide="ignore"):

@@ -104,16 +104,14 @@ def r_mu(measure, t, tol=1e-10):
     return float(out[0]) if scalar else out
 
 
-def lower_constant_A(measure, delta=1.0, tol=1e-10, method="auto"):
+def lower_constant_A(measure, delta=1.0, tol=1e-10):
     """Sharp lower form constant A(delta, mu) (> 0 for admissible mu)."""
     measures._check_delta(delta)
     measure.classify()
-    if method == "quad":
-        return quadrature_route_A(measure, delta, tol)
     return measures.dilate(measure, delta).defect_moment("minorant", tol) / delta
 
 
-def upper_constant_B(measure, delta=1.0, tol=1e-10, method="auto"):
+def upper_constant_B(measure, delta=1.0, tol=1e-10):
     """Sharp upper form constant B(delta, mu); needs the cond47 moment."""
     measures._check_delta(delta)
     adm = measure.classify()
@@ -121,8 +119,6 @@ def upper_constant_B(measure, delta=1.0, tol=1e-10, method="auto"):
         raise AdmissibilityError(
             f"upper form constant requires the cond47 moment; "
             f"{measure!r} only satisfies cond31")
-    if method == "quad":
-        return quadrature_route_B(measure, delta, tol)
     return measures.dilate(measure, delta).defect_moment("majorant", tol) / delta
 
 

@@ -40,6 +40,9 @@ as lam -> 0 while the raw series needs ~32/lam terms, so measure integrals
 refining toward lam = 0 use KernelDefectAtPoint: a per-x Chebyshev fit of
 defect/lam on [0, 1/2] (the defect is analytic in |lam| < 2pi, making the
 fit rounding-limited; ~1e-10 relative accuracy uniformly down to lam -> 0).
+It takes one x or an array of x: each rate is one series call over all
+the points and the fit is one chebfit over all of them, so an array of
+points is one (n_lam, n_x) vector integrand.
 """
 
 import math
@@ -78,7 +81,8 @@ def _check_lam(lam):
         if not np.all((lam > 0.0) & np.isfinite(lam)):
             raise DomainError("kernel rates must be finite and positive")
         return lam
-    if not (isinstance(lam, (int, float)) and lam > 0.0 and math.isfinite(lam)):
+    real = isinstance(lam, (int, float, np.integer, np.floating))
+    if not (real and lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"kernel rate must be finite and positive, got {lam!r}")
     return float(lam)
 
@@ -319,6 +323,8 @@ class KernelDefectAtPoint:
     """One-sided kernel defect at fixed x, callable over arrays of lam.
 
     kind "minorant": e^{-lam|x|} - L(lam, x);  "majorant": M(lam, x) - e^{-lam|x|}.
+    x is a point or an array of points; a call returns shape
+    lam.shape + x.shape, and a float when both are scalars.
     Above LAM_SWITCH the node series is cheap and used directly; below, a
     lazily built Chebyshev interpolant of defect/lam on [0, LAM_SWITCH]
     takes over (degree NFIT-1 on first-kind nodes, so the series evaluation
@@ -331,14 +337,16 @@ class KernelDefectAtPoint:
     def __init__(self, x, kind="minorant"):
         if kind not in ("minorant", "majorant"):
             raise DomainError(f"unknown defect kind {kind!r}")
-        self.x = abs(float(x))
+        x = np.abs(np.asarray(x, dtype=float))
+        self.x = float(x) if x.ndim == 0 else x
         self.kind = kind
         self._coeffs = None
 
-    def _direct(self, lam_arr):
-        out = np.empty_like(lam_arr)
-        for i, lam in enumerate(lam_arr):
-            e = math.exp(-lam * self.x)
+    def _direct(self, lams):
+        """The defect at every x, one series call per rate: (len(lams),) + x.shape."""
+        out = np.empty((len(lams),) + np.shape(self.x))
+        for i, lam in enumerate(lams):
+            e = np.exp(-lam * self.x)
             if self.kind == "minorant":
                 out[i] = e - minorant_values(lam, self.x)
             else:
@@ -350,22 +358,25 @@ class KernelDefectAtPoint:
         i = np.arange(n)
         tk = np.cos((2 * i + 1) * np.pi / (2 * n))     # first-kind nodes
         lam = self.LAM_SWITCH * (tk + 1.0) / 2.0
-        g = self._direct(lam) / lam
-        self._coeffs = np.polynomial.chebyshev.chebfit(tk, g, n - 1)
+        g = (self._direct(lam).T / lam).T
+        coeffs = np.polynomial.chebyshev.chebfit(tk, g.reshape(n, -1), n - 1)
+        self._coeffs = coeffs.reshape(g.shape)
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float)
-        scalar = lam.ndim == 0
-        lam = np.atleast_1d(lam)
+        shape = lam.shape + np.shape(self.x)
+        lam = lam.ravel()
         if np.any(lam <= 0.0):
             raise DomainError("kernel defect requires lam > 0")
-        out = np.empty_like(lam)
+        out = np.empty((lam.size,) + np.shape(self.x))
         small = lam < self.LAM_SWITCH
         if np.any(small):
             if self._coeffs is None:
                 self._fit()
             tk = 2.0 * lam[small] / self.LAM_SWITCH - 1.0
-            out[small] = lam[small] * np.polynomial.chebyshev.chebval(tk, self._coeffs)
+            # chebval puts the x axes of the coefficients first, lam last
+            g = np.polynomial.chebyshev.chebval(tk, self._coeffs)
+            out[small] = np.moveaxis(lam[small] * g, -1, 0)
         if np.any(~small):
             out[~small] = self._direct(lam[~small])
-        return float(out[0]) if scalar else out
+        return float(out[0]) if not shape else out.reshape(shape)

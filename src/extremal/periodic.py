@@ -28,7 +28,6 @@ p and its derivative j live in kernels, re-exported as eval_p and eval_j.
 
 import csv
 import json
-import math
 
 import numpy as np
 
@@ -53,9 +52,7 @@ class TrigPoly:
     coeffs: Tuple[complex, ...]
 
     def __post_init__(self):
-        N = self.degree
-        if not (isinstance(N, (int, np.integer)) and N >= 0):
-            raise DomainError(f"degree must be a nonnegative integer, got {N!r}")
+        N = _check_degree(self.degree)
         cs = tuple(complex(c) for c in self.coeffs)
         if len(cs) != 2 * N + 1:
             raise DomainError(
@@ -65,7 +62,7 @@ class TrigPoly:
             if abs(cs[N - n] - cs[N + n].conjugate()) > _SYM_TOL * scale:
                 raise DomainError(
                     f"coefficients not conjugate-symmetric at n = {n}")
-        object.__setattr__(self, "degree", int(N))
+        object.__setattr__(self, "degree", N)
         object.__setattr__(self, "coeffs", cs)
 
     def coeff(self, n):
@@ -172,11 +169,6 @@ def _add_entry(entries, n, real, imag, where):
     entries[k] = c
 
 
-def _check_lam(lam):
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"lambda must be finite and positive, got {lam!r}")
-
-
 def _check_degree(N):
     if not (isinstance(N, (int, np.integer)) and N >= 0):
         raise DomainError(f"degree must be a nonnegative integer, got {N!r}")
@@ -189,7 +181,7 @@ eval_j = kernels.eval_j
 
 def trig_minorant_l(lam, N):
     """Extremal degree-N trig minorant of p(lam, .); touches at (n-1/2)/(N+1)."""
-    _check_lam(lam)
+    lam = kernels._check_lam(lam)
     N = _check_degree(N)
     u = lam / (N + 1.0)
     c0 = -specfun.defect_minorant(u) / (N + 1.0)
@@ -198,7 +190,7 @@ def trig_minorant_l(lam, N):
 
 def trig_majorant_m(lam, N):
     """Extremal degree-N trig majorant of p(lam, .); touches at n/(N+1)."""
-    _check_lam(lam)
+    lam = kernels._check_lam(lam)
     N = _check_degree(N)
     u = lam / (N + 1.0)
     c0 = specfun.defect_majorant(u) / (N + 1.0)

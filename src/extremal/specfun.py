@@ -17,8 +17,8 @@ at rate (3+sqrt(8))^-1, far past double precision at n = 64); s <= 0 goes
 through the functional equation.  gamma(s) on (-1, 1) \\ {0} wraps the C
 library implementation behind the documented domain.
 
-The defect functions also take numpy arrays, elementwise with the same
-branches; scalars stay on Python floats.
+The defect functions take a scalar or a numpy array through one
+elementwise code path; a scalar comes back as a Python float.
 
 No global state; every function is pure.
 """
@@ -64,18 +64,20 @@ def _odd_poly(lam, coeffs):
     return acc * lam
 
 
-def _csch(y):
-    """csch(y) = 2 e^{-y} / (1 - e^{-2y}) for y > 0, no overflow."""
-    e = math.exp(-y)
-    return 2.0 * e / (-math.expm1(-2.0 * y))
-
-
 def _check_rates(lam, name):
     """lam as a float array; DomainError unless every entry is finite and > 0."""
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam > 0.0) & np.isfinite(lam)):
-        raise DomainError(f"{name} requires finite lam > 0 everywhere")
+        got = f", got {float(lam)!r}" if lam.ndim == 0 else " everywhere"
+        raise DomainError(f"{name} requires finite lam > 0{got}")
     return lam
+
+
+def _branches(lam, coeffs, direct):
+    """Taylor series below _TAYLOR_SWITCH, direct(lam) above; a float for a scalar."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.where(lam < _TAYLOR_SWITCH, _odd_poly(lam, coeffs), direct(lam))
+    return float(out) if out.ndim == 0 else out
 
 
 def defect_minorant(lam):
@@ -84,17 +86,10 @@ def defect_minorant(lam):
     Positive and increasing on lam > 0.  Raises DomainError for lam <= 0.
     Elementwise on arrays.
     """
-    if np.ndim(lam) != 0:
-        lam = _check_rates(lam, "defect_minorant")
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = 2.0 / lam - 2.0 * np.exp(-0.5 * lam) / (-np.expm1(-lam))
-        return np.where(lam < _TAYLOR_SWITCH, _odd_poly(lam, _MINOR_COEFFS),
-                        direct)
-    if not (lam > 0.0) or math.isinf(lam):
-        raise DomainError(f"defect_minorant requires finite lam > 0, got {lam!r}")
-    if lam < _TAYLOR_SWITCH:
-        return _odd_poly(lam, _MINOR_COEFFS)
-    return 2.0 / lam - _csch(0.5 * lam)
+    lam = _check_rates(lam, "defect_minorant")
+    # csch(y/2) = 2 e^{-y/2} / (1 - e^{-y}), no overflow
+    return _branches(lam, _MINOR_COEFFS,
+                     lambda y: 2.0 / y - 2.0 * np.exp(-0.5 * y) / (-np.expm1(-y)))
 
 
 def defect_majorant(lam):
@@ -102,20 +97,10 @@ def defect_majorant(lam):
 
     Elementwise on arrays, like defect_minorant.
     """
-    if np.ndim(lam) != 0:
-        lam = _check_rates(lam, "defect_majorant")
-        with np.errstate(over="ignore", invalid="ignore"):
-            direct = (1.0 + 2.0 * np.exp(-lam) / (-np.expm1(-lam))) - 2.0 / lam
-        return np.where(lam < _TAYLOR_SWITCH, _odd_poly(lam, _MAJOR_COEFFS),
-                        direct)
-    if not (lam > 0.0) or math.isinf(lam):
-        raise DomainError(f"defect_majorant requires finite lam > 0, got {lam!r}")
-    if lam < _TAYLOR_SWITCH:
-        return _odd_poly(lam, _MAJOR_COEFFS)
-    y = 0.5 * lam
-    # coth(y) = 1 + 2 e^{-2y} / (1 - e^{-2y})
-    coth = 1.0 + 2.0 * math.exp(-2.0 * y) / (-math.expm1(-2.0 * y))
-    return coth - 2.0 / lam
+    lam = _check_rates(lam, "defect_majorant")
+    # coth(y/2) = 1 + 2 e^{-y} / (1 - e^{-y})
+    return _branches(lam, _MAJOR_COEFFS,
+                     lambda y: (1.0 + 2.0 * np.exp(-y) / (-np.expm1(-y))) - 2.0 / y)
 
 
 def _eta(s):

@@ -144,22 +144,28 @@ class _Superposed:
         return t + prof.integral_value
 
     def defect(self, x, tol=1e-9):
-        """Both routes to the one-sided gap |approximant - target| at x."""
-        x = float(x)
+        """Both routes to the one-sided gap |approximant - target| at x.
+
+        A 1-D array x takes one vector integral over all its points.
+        """
+        x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
         t = self.target(x)
         if measures.is_plus_inf(t):
             raise DomainError("defect undefined where the target diverges")
         v = self.value(x)
         series = (t - v) if self.kind == "minorant" else (v - t)
-        dk = KernelDefectAtPoint(self.delta * x, self.kind)
-        res = measures.integrate(lambda u: dk(u), self.nu, tol=tol)
+        res = measures.integrate(KernelDefectAtPoint(self.delta * x, self.kind),
+                                 self.nu, tol=tol)
         return DefectProfile(series, res.value, abs(series - res.value)
                              + res.abs_err_est)
 
 
 @dataclass(frozen=True)
 class DefectProfile:
-    """Series-route and integral-route values of a pointwise defect."""
+    """Series-route and integral-route values of a pointwise defect.
+
+    Floats for a point, arrays over the points for an array x.
+    """
 
     series_value: float
     integral_value: float

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from extremal import cli, periodic
+from extremal import cli, measures, periodic, quadrature, superposed
 from extremal.errors import ConvergenceError, DivergenceError
 from extremal.periodic import TrigPoly
 
@@ -104,6 +104,91 @@ def test_eval_divergent_periodization_prints_inf(capsys):
     vals = [float(r[1]) for r in rows]
     assert vals[0] == math.inf and vals[4] == math.inf
     assert abs(vals[2] - (-math.log(2.0))) <= 1e-15
+
+
+WEIGHT_ROWS = "lambda,weight\n0.5,1.0\n1.0,2.0\n3.0,0.5\n6.0,1.0\n"
+
+
+def _q_text_by_points(mu, xs, tol=1e-9):
+    """eval --kind q output when each integer point takes its own scalar q_mu."""
+    vals = []
+    for x in xs:
+        if x == math.floor(x):
+            v = periodic.q_mu(mu, float(x), tol=tol)
+            vals.append(math.inf if measures.is_plus_inf(v) else float(v))
+        else:
+            vals.append(None)
+    off = [i for i, v in enumerate(vals) if v is None]
+    if off:
+        for i, v in zip(off, periodic.q_mu(mu, xs[off], tol=tol)):
+            vals[i] = float(v)
+    return cli._csv_text(("x", "value"), zip(xs.tolist(), vals))
+
+
+def test_eval_q_integer_points_share_one_moment(tmp_path, capsys, monkeypatch):
+    """q_mu has period 1, so the integer points cost one moment, not one each."""
+    w = tmp_path / "w.csv"
+    w.write_text(WEIGHT_ROWS)
+    calls = []
+    inner = quadrature.integrate_finite
+    monkeypatch.setattr(quadrature, "integrate_finite",
+                        lambda *a, **k: calls.append(1) or inner(*a, **k))
+    code, out, _ = run_cli(["eval", "--kind", "q", "--measure", f"weight:{w}",
+                            "--grid", "0:10:11"], capsys)
+    assert code == 0
+    assert len(calls) <= 9
+    monkeypatch.setattr(quadrature, "integrate_finite", inner)
+    xs = np.linspace(0.0, 10.0, 11)
+    assert out == _q_text_by_points(measures.weight_from_csv(str(w)), xs)
+
+
+@pytest.mark.parametrize("measure, grid", [("haar", "0:1:5"),
+                                           ("power:1.5", "0:3:13")])
+def test_eval_q_matches_pointwise_route(measure, grid, capsys):
+    code, out, _ = run_cli(["eval", "--kind", "q", "--measure", measure,
+                            "--grid", grid], capsys)
+    assert code == 0
+    assert out == _q_text_by_points(cli._parse_measure(measure),
+                                    cli._parse_grid(grid))
+    if measure == "haar":
+        assert out == ("x,value\n0.0,inf\n0.25,-0.3465735902799726\n"
+                       "0.5,-0.6931471805599453\n0.75,-0.3465735902799727\n"
+                       "1.0,inf\n")
+
+
+@pytest.mark.parametrize("kind, measure, delta", [
+    ("G", "haar", 1.0), ("G", "power:0.5", 1.0), ("G", "power:1.5", 2.0),
+    ("H", "power:1.5", 1.0), ("H", "atomic", 0.7), ("G", "weight", 1.0),
+    ("H", "weight", 1.0),
+])
+def test_eval_with_target_matches_scalar_targets(kind, measure, delta,
+                                                 tmp_path, capsys):
+    """The target column equals the per-point scalar target, inf at 0."""
+    if measure == "atomic":
+        a = tmp_path / "a.csv"
+        a.write_text("lambda,weight\n0.8,1.0\n2.0,0.5\n")
+        measure = f"atomic:{a}"
+    elif measure == "weight":
+        w = tmp_path / "w.csv"
+        w.write_text(WEIGHT_ROWS)
+        measure = f"weight:{w}"
+    code, out, _ = run_cli(["eval", "--kind", kind, "--measure", measure,
+                            "--grid", "-3:3:13", "--delta", str(delta),
+                            "--with-target"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    cls = superposed.Minorant if kind == "G" else superposed.Majorant
+    obj = cls(cli._parse_measure(measure), delta)
+    tol = 1e-9 if measure.startswith("weight:") else 1e-15
+    for r in rows:
+        x, t = float(r[0]), float(r[2])
+        ref = obj.target(x)
+        if measures.is_plus_inf(ref):
+            assert r[2] == "inf"
+            continue
+        assert abs(t - ref) <= tol * max(1.0, abs(ref))
+    if measure in ("haar", "power:0.5"):
+        assert rows[6][0] == "0.0" and rows[6][2] == "inf"
 
 
 def test_eval_usage_errors(capsys):

@@ -72,7 +72,7 @@ def test_lower_constant_haar():
 @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
 def test_lower_constant_dual_routes(mu, delta):
     closed = forms.lower_constant_A(mu, delta)
-    quad = forms.lower_constant_A(mu, delta, method="quad")
+    quad = forms.quadrature_route_A(mu, delta)
     assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
@@ -80,7 +80,7 @@ def test_lower_constant_dual_routes(mu, delta):
 @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
 def test_upper_constant_dual_routes(mu, delta):
     closed = forms.upper_constant_B(mu, delta)
-    quad = forms.upper_constant_B(mu, delta, method="quad")
+    quad = forms.quadrature_route_B(mu, delta)
     assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from extremal import kernels, quadrature, specfun
+from extremal import kernels, quadrature, specfun, verify
 from extremal.errors import DomainError
 from extremal.verify import cos_window_integral
+
+PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
@@ -141,6 +144,71 @@ def test_defect_at_point_matches_direct():
         tiny = d(10.0 ** np.linspace(-8, -2, 25))
         assert np.all(tiny > 0.0)
         assert np.all(vals > 0.0)
+
+
+defect_rates = st.lists(st.floats(math.log(1e-8), math.log(30.0)).map(math.exp),
+                        min_size=1, max_size=6)
+defect_points = st.lists(st.one_of(st.integers(-12, 12).map(float),
+                                   st.integers(-12, 11).map(lambda k: k + 0.5),
+                                   st.floats(-15.0, 15.0)),
+                         min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("kind", ["minorant", "majorant"])
+@PROPS
+@given(defect_rates, defect_points)
+def test_defect_at_point_array_x_equals_scalar_instances(kind, lams, xs):
+    """An array of points gives the per-point defects, on both sides of
+    LAM_SWITCH, at lattice nodes and at 0."""
+    lams = np.array(lams + [1e-8, 0.3, 2.0])
+    xs = np.array(xs + [0.0])
+    got = kernels.KernelDefectAtPoint(xs, kind)(lams)
+    assert got.shape == (lams.size, xs.size)
+    for j, x in enumerate(xs):
+        ref = kernels.KernelDefectAtPoint(float(x), kind)(lams)
+        assert np.max(np.abs(got[:, j] - ref)) <= 1e-13
+
+
+def test_defect_at_point_shapes_and_scalars():
+    d = kernels.KernelDefectAtPoint(np.array([0.5, 1.0, 3.2]), "majorant")
+    assert d(np.ones((2, 4))).shape == (2, 4, 3)
+    assert d(0.2).shape == (3,)
+    assert type(kernels.KernelDefectAtPoint(1.3)(0.7)) is float
+    assert type(kernels.KernelDefectAtPoint(1.3)(0.2)) is float
+    with pytest.raises(DomainError):
+        d(np.array([0.5, 0.0]))
+    with pytest.raises(DomainError):
+        kernels.KernelDefectAtPoint(1.0, "upper")
+
+
+def _period_tail_by_loop(f, horizon=64, fit_lo=40, tol=1e-11):
+    """integral_with_period_tail with one scalar integral per period."""
+    head = quadrature.integrate_finite(f, 0.0, float(fit_lo), tol=tol).value
+    ms = np.arange(fit_lo, horizon)
+    vals = np.array([
+        quadrature.integrate_finite(f, float(m), float(m + 1), tol=tol).value
+        for m in ms
+    ])
+    mid = ms + 0.5
+    V = np.vstack([mid ** -2.0, mid ** -3.0, mid ** -4.0]).T
+    coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
+    tail = float(sum(c * verify._hurwitz_tail(k, fit_lo + 0.5)
+                     for c, k in zip(coef, (2.0, 3.0, 4.0))))
+    return head + tail
+
+
+@pytest.mark.parametrize("kind", ["minorant", "majorant"])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_period_tail_vector_integral_equals_period_loop(lam, kind):
+    """The criterion-2 integrands give the per-period loop's value."""
+    def f(x):
+        e = np.exp(-lam * np.abs(x))
+        if kind == "minorant":
+            return e - kernels.minorant_values(lam, x)
+        return kernels.majorant_values(lam, x) - e
+
+    assert abs(verify.integral_with_period_tail(f)
+               - _period_tail_by_loop(f)) <= 1e-12
 
 
 def test_lambda_validation():

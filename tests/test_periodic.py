@@ -166,6 +166,16 @@ def test_single_kernel_sandwich(lam, N):
     assert np.min(m.evaluate(xs) - pv) >= -1e-11
 
 
+def test_single_kernel_rate_validation():
+    for make in (periodic.trig_minorant_l, periodic.trig_majorant_m):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                make(bad, 3)
+        # numpy scalar rates are rates like any other real
+        assert make(np.int64(2), 3) == make(2.0, 3)
+        assert make(np.float32(0.5), 3) == make(0.5, 3)
+
+
 def test_single_kernel_touch_points_and_means():
     lam, N = 1.0, 4
     l = periodic.trig_minorant_l(lam, N)

@@ -96,6 +96,31 @@ def test_defect_routes_agree():
             assert prof.series_value >= -1e-11
 
 
+ATOM2 = measures.Atomic((0.8, 2.0), (1.0, 0.5))
+
+
+@pytest.mark.parametrize("delta", [0.7, 2.0])
+@pytest.mark.parametrize("cls, mu", [
+    (superposed.Minorant, HAAR), (superposed.Minorant, PL05),
+    (superposed.Minorant, PL15), (superposed.Minorant, ATOM2),
+    (superposed.Majorant, PL15), (superposed.Majorant, ATOM2),
+], ids=["G-haar", "G-power0.5", "G-power1.5", "G-atomic",
+        "H-power1.5", "H-atomic"])
+def test_defect_over_points_equals_pointwise(cls, mu, delta):
+    """One vector integral over an array of points gives the per-point
+    defects, at and between the lattice nodes of the dilated approximant."""
+    obj = cls(mu, delta)
+    xs = np.array([0.37, 1.0 / delta, 1.5 / delta, 4.25, 11.9])
+    prof = obj.defect(xs)
+    assert prof.series_value.shape == prof.integral_value.shape == xs.shape
+    for i, x in enumerate(xs):
+        ref = obj.defect(float(x))
+        assert isinstance(ref.integral_value, float)
+        assert abs(prof.series_value[i] - ref.series_value) <= 1e-9
+        assert abs(prof.integral_value[i] - ref.integral_value) <= 1e-9
+        assert prof.abs_err[i] <= 1e-7
+
+
 def test_value_via_defect_matches_direct():
     g = superposed.Minorant(PL05)
     for x in (0.6, 2.3):
