@@ -58,6 +58,8 @@ def _parse_grid(spec):
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DomainError(f"grid must be 'a:b:n' with numeric parts, got {spec!r}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"grid endpoints must be finite, got {spec!r}")
     if n < 1:
         raise DomainError(f"grid point count must be >= 1, got {n}")
     return np.linspace(a, b, n)

@@ -98,9 +98,7 @@ def r_mu(measure, t, tol=1e-10):
     except ConvergenceError:
         if not np.any(at == 0.0):
             raise
-        if scalar:
-            return measures.PLUS_INF
-        raise DomainError("r diverges at t = 0; use the scalar path")
+        return measures._divergent(t, "r diverges at t = 0")
     return float(out[0]) if scalar else out
 
 
@@ -227,9 +225,9 @@ def sharpness_witness(measure, delta, N, kind="lower", tol=1e-10):
     """
     if kind not in ("lower", "upper"):
         raise DomainError(f"unknown witness kind {kind!r}")
+    if not (isinstance(N, (int, np.integer)) and N >= 0):
+        raise DomainError(f"N must be a nonnegative integer, got {N!r}")
     N = int(N)
-    if N < 0:
-        raise DomainError("N must be nonnegative")
     if N == 0:
         return 0.0
     k = np.arange(1, N + 1, dtype=float)

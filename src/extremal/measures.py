@@ -26,19 +26,26 @@ exponential type of the superposed approximants and satisfies
 f_nu(x) = f_mu(x/delta) - f_mu(1/delta).  HaarLog is the dilation-invariant
 point of the PowerLaw scale.
 
-All f/f' evaluators accept numpy arrays of nonzero x.  f_derivs supplies
+Measure.f and Measure.f_prime take a scalar or an array of x.  They pass
+|x| to the family's ``_f``/``_f_prime``, give f' the sign of x, and return
+a float for a scalar.  At x = 0, f follows the divergent-point rule of
+``_divergent`` (a scalar gets PLUS_INF, an array holding the point raises
+DomainError), which forms.r_mu and periodic.q_mu share.  f_derivs supplies
 (f, f', f'', f''', f'''') at positive points for the tail corrections in
 the superposed module.
 
-Every family subclasses Measure, whose methods f, f_prime, f_derivs,
-defect_moment, r, q and transform_moment are each one (vector-valued)
-``integrate`` call; a family overrides one only with a closed form:
+``integrate`` is the one integral against a measure: a finite sum over
+``atoms``, piece by piece between ``breakpoints``, or else the weighted
+integral over (0, inf).  Every family subclasses Measure, whose methods
+_f, _f_prime, f_derivs, defect_moment, r, q and transform_moment are each
+one (vector-valued) ``integrate`` call; a family overrides one only with a
+closed form:
 
-             f, f_prime, f_derivs  defect_moment  r       q       transform_moment
-  HaarLog    closed                closed         closed  closed  closed (minorant)
-  PowerLaw   closed                closed         closed  -       -
-  Atomic     closed                -              -       -       -
-  Weight     -                     -              -       -       -
+             _f, _f_prime, f_derivs  defect_moment  r       q       transform_moment
+  HaarLog    closed                  closed         closed  closed  closed (minorant)
+  PowerLaw   closed                  closed         closed  -       -
+  Atomic     closed                  -              -       -       -
+  Weight     -                       -              -       -       -
 
 Atomic needs no moment override: ``integrate`` sums over its atoms.
 """
@@ -81,14 +88,13 @@ class Admissibility:
     cond47: bool       # majorant path: additionally int lam/(lam+1) dmu < inf
 
 
-def _check_positive_axis(x, family):
-    x = np.asarray(x, dtype=float)
-    if np.any(x == 0.0):
-        raise DomainError(
-            f"{family}: kernel transform diverges at x = 0; "
-            "evaluate f(0.0) through the scalar path to get the sentinel"
-        )
-    return np.abs(x)
+def _divergent(x, what):
+    """The divergent-point rule, for an x that holds the point where a
+    transform diverges: PLUS_INF for a scalar x, DomainError for an array."""
+    if np.ndim(x) == 0:
+        return PLUS_INF
+    raise DomainError(f"{what}; evaluate that point as a scalar to get the "
+                      "PLUS_INF sentinel")
 
 
 def _by_kind(kind, minorant, majorant):
@@ -130,21 +136,32 @@ class Measure:
     breakpoints = None
 
     def f(self, x):
-        """f_mu(x) = int (e^{-lam|x|} - e^{-lam}) dmu; PLUS_INF at a scalar 0
-        when the cond47 moment fails."""
-        if np.ndim(x) == 0 and float(x) == 0.0 and not self.classify().cond47:
-            return PLUS_INF
-        return _over_points(lambda lam, a: np.exp(-lam * a) - np.exp(-lam),
-                            np.abs(x), self, 1e-10)
+        """f_mu(x) = int (e^{-lam|x|} - e^{-lam}) dmu; a float for a scalar x.
+
+        x = 0 follows the divergent-point rule when the cond47 moment fails.
+        """
+        ax = np.abs(np.asarray(x, dtype=float))
+        if np.any(ax == 0.0) and not self.classify().cond47:
+            return _divergent(x, "f diverges at x = 0")
+        out = self._f(ax)
+        return float(out) if np.ndim(out) == 0 else out
 
     def f_prime(self, x):
-        """f_mu'(x) = -sign(x) int lam e^{-lam|x|} dmu for x != 0."""
+        """f_mu'(x) = sign(x) f_mu'(|x|) for x != 0; a float for a scalar x."""
         x = np.asarray(x, dtype=float)
         if np.any(x == 0.0):
             raise DomainError("f' undefined at x = 0")
-        out = -np.sign(x) * _over_points(lambda lam, a: lam * np.exp(-lam * a),
-                                         np.abs(x), self, 1e-10)
+        out = np.sign(x) * self._f_prime(np.abs(x))
         return float(out) if out.ndim == 0 else out
+
+    def _f(self, ax):
+        """f_mu at the points ax >= 0 (an array of |x|)."""
+        return _over_points(lambda lam, a: np.exp(-lam * a) - np.exp(-lam),
+                            ax, self, 1e-10)
+
+    def _f_prime(self, ax):
+        """f_mu' = -int lam e^{-lam a} dmu at the points ax > 0."""
+        return -_over_points(lambda lam, a: lam * np.exp(-lam * a), ax, self, 1e-10)
 
     def f_derivs(self, u):
         """(f, f', f'', f''', f'''') at positive points u, as five arrays."""
@@ -190,19 +207,11 @@ class HaarLog(Measure):
     def weight(self, lam):
         return 1.0 / np.asarray(lam, dtype=float)
 
-    def f(self, x):
-        if np.ndim(x) == 0:
-            if float(x) == 0.0:
-                return PLUS_INF
-            return -math.log(abs(float(x)))
-        return -np.log(_check_positive_axis(x, self.family))
+    def _f(self, ax):
+        return -np.log(ax)
 
-    def f_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x == 0.0):
-            raise DomainError("f' undefined at x = 0")
-        out = -1.0 / np.abs(x) * np.sign(x)
-        return float(out) if out.ndim == 0 else out
+    def _f_prime(self, ax):
+        return -1.0 / ax
 
     def f_derivs(self, u):
         u = np.asarray(u, dtype=float)
@@ -267,24 +276,11 @@ class PowerLaw(Measure):
     def _gamma_factor(self):
         return self.prefactor * specfun.gamma(1.0 - self.sigma)
 
-    def f(self, x):
-        if np.ndim(x) == 0:
-            if float(x) == 0.0:
-                if self.sigma < 1.0:
-                    return PLUS_INF
-                return -self._gamma_factor
-            return self._gamma_factor * (abs(float(x)) ** (self.sigma - 1.0) - 1.0)
-        ax = _check_positive_axis(x, self.family) if self.sigma < 1.0 else np.abs(
-            np.asarray(x, dtype=float))
+    def _f(self, ax):
         return self._gamma_factor * (ax ** (self.sigma - 1.0) - 1.0)
 
-    def f_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x == 0.0):
-            raise DomainError("f' undefined at x = 0")
-        out = (self._gamma_factor * (self.sigma - 1.0)
-               * np.abs(x) ** (self.sigma - 2.0) * np.sign(x))
-        return float(out) if out.ndim == 0 else out
+    def _f_prime(self, ax):
+        return self._gamma_factor * (self.sigma - 1.0) * ax ** (self.sigma - 2.0)
 
     def f_derivs(self, u):
         u = np.asarray(u, dtype=float)
@@ -346,22 +342,13 @@ class Atomic(Measure):
     def atoms(self):
         return (np.array(self.points), np.array(self.weights))
 
-    def f(self, x):
+    def _f(self, ax):
         lams, ws = self.atoms
-        if np.ndim(x) == 0:
-            ax = abs(float(x))
-            return float(ws @ (np.exp(-lams * ax) - np.exp(-lams)))
-        ax = np.abs(np.asarray(x, dtype=float))
         return (np.exp(-ax[..., None] * lams) - np.exp(-lams)) @ ws
 
-    def f_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x == 0.0):
-            raise DomainError("f' undefined at x = 0")
+    def _f_prime(self, ax):
         lams, ws = self.atoms
-        mag = np.exp(-np.abs(x)[..., None] * lams) @ (ws * lams)
-        out = -np.sign(x) * mag
-        return float(out) if out.ndim == 0 else out
+        return -(np.exp(-ax[..., None] * lams) @ (ws * lams))
 
     def f_derivs(self, u):
         u = np.asarray(u, dtype=float)
@@ -419,7 +406,8 @@ class Weight(Measure):
 
 
 def _check_delta(delta):
-    if not (isinstance(delta, (int, float)) and delta > 0.0 and math.isfinite(delta)):
+    real = isinstance(delta, (int, float, np.integer, np.floating))
+    if not (real and delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"dilation parameter must be finite and positive, got {delta!r}")
 
 
@@ -434,25 +422,44 @@ def classify(measure):
 
 
 def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
-    """Integral of g against the measure, honoring tabulated breakpoints.
+    """Integral of g(lam) against a measure on (0, inf).
 
-    g follows the integrand contract of ``quadrature``: an (n, m) result
-    gives m integrals in one call, with arrays in the QuadResult.
+    ``measure`` is duck-typed: an ``atoms`` pair of (positions, weights)
+    arrays gives a finite sum; otherwise ``measure.weight`` is the density,
+    integrated piece by piece between its ``breakpoints`` when it has them
+    and over (0, inf) when not.  g follows the integrand contract of
+    ``quadrature``: an (n, m) result gives m integrals in one call, with
+    arrays in the QuadResult.
     """
+    gv = quadrature._as_vector_fn(g)
+    atoms = getattr(measure, "atoms", None)
+    if atoms is not None:
+        lams, ws = atoms
+        vals = gv(np.asarray(lams, dtype=float))
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("integrand non-finite at an atom")
+        value = np.asarray(ws) @ vals
+        if vals.ndim == 1:
+            return quadrature.QuadResult(float(value), 0.0, len(lams))
+        return quadrature.QuadResult(value, np.zeros_like(value), len(lams))
+    w = measure.weight
+
+    def integrand(lam):
+        # the transposes broadcast the weight over (n,) and (n, m) alike
+        return (gv(lam).T * w(lam)).T
+
     bp = getattr(measure, "breakpoints", None)
-    if bp:
-        gv = quadrature._as_vector_fn(g)
-        w = measure.weight
-        total, err, evals = 0.0, 0.0, 0
-        for a, b in zip(bp, bp[1:]):
-            r = quadrature.integrate_finite(
-                lambda lam: (gv(lam).T * w(lam)).T, a, b,
-                tol / max(1, len(bp) - 1), budget // max(1, len(bp) - 1))
-            total += r.value
-            err += r.abs_err_est
-            evals += r.evaluations
-        return quadrature.QuadResult(total, err, evals)
-    return quadrature.integrate_measure(g, measure, tol, budget)
+    if not bp:
+        return quadrature.integrate_semiinfinite(integrand, tol, budget)
+    pieces = max(1, len(bp) - 1)
+    total, err, evals = 0.0, 0.0, 0
+    for a, b in zip(bp, bp[1:]):
+        r = quadrature.integrate_finite(integrand, a, b, tol / pieces,
+                                        budget // pieces)
+        total += r.value
+        err += r.abs_err_est
+        evals += r.evaluations
+    return quadrature.QuadResult(total, err, evals)
 
 
 def atomic_from_csv(path):

@@ -225,10 +225,7 @@ def q_mu(measure, x, tol=1e-9):
     out = np.empty(len(xs))
     if np.any(integer):
         if not measure.classify().cond47:
-            if scalar:
-                return measures.PLUS_INF
-            raise DomainError("q diverges at integer x for this measure; "
-                              "evaluate scalars to get the sentinel")
+            return measures._divergent(x, "q diverges at integer x")
         out[integer] = measure.defect_moment("majorant", tol)
     if not np.all(integer):
         out[~integer] = measure.q(xs[0] if scalar else xs[~integer], tol)

@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Kronrod quadrature and semi-infinite measure integrals.
+"""Adaptive Gauss-Kronrod quadrature over finite and semi-infinite intervals.
 
 The workhorse is the nested 7/15 Gauss-Kronrod pair on bisected panels kept
 in a worst-first heap.  The rule is open (no abscissa touches a panel
@@ -12,7 +12,9 @@ than d on smooth panels and conservative on rough ones.
 
 Semi-infinite integrals int_0^inf are split at 1, the tail mapped back to
 (0, 1] by lam = 1/u (du weight 1/u^2).  Every admissible kernel weight
-lam^-sigma becomes an integrable endpoint power after the split.
+lam^-sigma becomes an integrable endpoint power after the split.  This
+module integrates functions only; integrals against a measure are
+``measures.integrate``.
 
 Integrand contract.  An integrand is called with a 1-D float array of n
 abscissae and returns either shape (n,), a scalar integrand, or shape
@@ -157,12 +159,15 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
 
     f follows the integrand contract of the module docstring.  Returns
     QuadResult (0.0 without evaluating f when a == b); raises
+    DomainError unless a, b and tol are finite and tol > 0;
     ConvergenceError (carrying the best estimate) if the evaluation budget
     runs out, or DivergenceError when the estimate keeps growing under
     refinement, which is how non-integrable endpoint behaviour surfaces.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_finite requires finite endpoints")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     fvec = _as_vector_fn(f)
@@ -247,31 +252,3 @@ def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
         head.abs_err_est + tail.abs_err_est,
         head.evaluations + tail.evaluations,
     )
-
-
-def integrate_measure(g, measure, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
-    """Integral of g(lam) against a measure on (0, inf).
-
-    ``measure`` is duck-typed: an ``atoms`` attribute of (positions, weights)
-    arrays short-circuits to a finite sum; otherwise ``measure.weight``
-    supplies the density and the semi-infinite path is used.  g follows the
-    integrand contract, so a (n, m) g gives m integrals at once.
-    """
-    gvec = _as_vector_fn(g)
-    atoms = getattr(measure, "atoms", None)
-    if atoms is not None:
-        lams, ws = atoms
-        vals = gvec(np.asarray(lams, dtype=float))
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("integrand non-finite at an atom")
-        value = np.asarray(ws) @ vals
-        if vals.ndim == 1:
-            return QuadResult(float(value), 0.0, len(lams))
-        return QuadResult(value, np.zeros_like(value), len(lams))
-    weight = measure.weight
-
-    def integrand(lam):
-        lam = np.asarray(lam, dtype=float)
-        return (gvec(lam).T * weight(lam)).T
-
-    return integrate_semiinfinite(integrand, tol, budget)

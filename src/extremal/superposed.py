@@ -128,8 +128,6 @@ class _Superposed:
         delta = 1: f_mu(x).  General delta: f_mu(x) - f_mu(1/delta), i.e.
         f_nu(delta x).  Returns the PLUS_INF sentinel where divergent.
         """
-        if np.ndim(x) == 0:
-            return self.nu.f(self.delta * float(x))
         return self.nu.f(self.delta * np.asarray(x, dtype=float))
 
     def value_via_defect(self, x, tol=1e-9):

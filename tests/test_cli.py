@@ -425,3 +425,18 @@ def test_console_script_entry_point():
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "eval" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kind", "Lhat", "--lambda", "1", "--grid", "nan:1:3"],
+    ["eval", "--kind", "p", "--lambda", "1", "--grid", "0.2:inf:2"],
+], ids=["nan-start", "inf-end"])
+def test_eval_rejects_a_nonfinite_grid(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and "grid" in err and out == ""
+
+
+def test_coeffs_rejects_a_nan_tolerance(capsys):
+    code, out, err = run_cli(["coeffs", "--kind", "g", "--measure", "power:0.5",
+                              "--N", "4", "--tol", "nan"], capsys)
+    assert code == 2 and "tolerance" in err and out == ""

@@ -3,8 +3,9 @@
 An import can be served from a cached bytecode file, which hides
 compile-time warnings such as invalid escape sequences; compiling the
 source text catches them on every run.  No linter is installed, so a
-stdlib ``ast`` scan also checks that every imported name is used, and that
-no module branches on a measure's ``family`` name.
+stdlib ``ast`` scan also checks that every imported name is used, that no
+module branches on a measure's ``family`` name, and that only ``measures``
+reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``).
 """
 
 import ast
@@ -48,17 +49,24 @@ def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
 
+def _attribute_read(node):
+    """The attribute node reads as ``x.name`` or ``getattr(x, "name")``, or None."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)):
+        return node.args[1].value
+    return None
+
+
 def _family_comparisons(tree):
     """Lines that compare a measure's family: ``.family``, a ``family`` name
     or ``getattr(..., "family")`` as an operand of a comparison."""
 
     def is_family(node):
-        return ((isinstance(node, ast.Attribute) and node.attr == "family")
-                or (isinstance(node, ast.Name) and node.id == "family")
-                or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "getattr" and len(node.args) >= 2
-                    and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value == "family"))
+        return (_attribute_read(node) == "family"
+                or (isinstance(node, ast.Name) and node.id == "family"))
 
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Compare)
@@ -69,3 +77,17 @@ def _family_comparisons(tree):
 def test_no_branch_on_measure_family(path):
     # closed forms are methods of the measure classes, never picked by name
     assert _family_comparisons(ast.parse(path.read_text())) == []
+
+
+def _measure_part_reads(tree):
+    """Lines that read a measure's ``atoms``, ``breakpoints`` or ``weight``."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if _attribute_read(node) in ("atoms", "breakpoints", "weight"))
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                        if p.name != "measures.py"),
+                         ids=lambda p: p.name)
+def test_only_measures_reads_measure_parts(path):
+    # measures.integrate is the one integral against a measure
+    assert _measure_part_reads(ast.parse(path.read_text())) == []

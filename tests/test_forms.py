@@ -262,3 +262,9 @@ def test_points_csv_round_trip_and_errors(tmp_path):
     empty.write_text("xi,re,im\n")
     with pytest.raises(DomainError):
         forms.points_from_csv(str(empty))
+
+
+@pytest.mark.parametrize("N", [2.5, 2.0, -1], ids=repr)
+def test_witness_rejects_a_non_integer_or_negative_N(N):
+    with pytest.raises(DomainError):
+        forms.sharpness_witness(HAAR, 1.0, N)

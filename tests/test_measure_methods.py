@@ -3,7 +3,8 @@
 Atomic moments are the explicit weighted sums of the single-rate kernels;
 a Weight's vector methods equal one scalar integral per point; every
 closed form of HaarLog and PowerLaw matches the quadrature fallback of the
-Measure base; and r_mu and q_mu keep their divergence sentinels.
+Measure base; f, r_mu and q_mu share one divergent-point rule; and a
+scalar f or f' is the array call at that point.
 """
 
 import math
@@ -138,3 +139,46 @@ def test_q_mu_integer_points_are_the_majorant_defect_moment():
     assert q[0] == q[2] == mu.defect_moment("majorant")
     assert q[0] == pytest.approx(sum(w * kernels.eval_p(l, 0.0)
                                      for l, w in zip(mu.points, mu.weights)), rel=1e-15)
+
+
+# f(0) = r(0) = q(0) = +inf for each; the Weight is the Haar density
+DIVERGENT_AT_ZERO = [measures.HaarLog(), measures.PowerLaw(0.5),
+                     measures.Weight(lambda lam: 1.0 / lam)]
+
+
+@pytest.mark.parametrize("mu", DIVERGENT_AT_ZERO, ids=["haar", "power0.5", "weight"])
+def test_divergent_point_is_the_sentinel_for_a_scalar_and_an_error_in_an_array(mu):
+    calls = [(mu.f, [1.0, 0.0]),
+             (lambda t: forms.r_mu(mu, t), [1.0, 0.0]),
+             (lambda x: periodic.q_mu(mu, x), [0.5, 0.0])]
+    with np.errstate(divide="ignore", over="ignore"):   # 1/lam at lam = 0, inf
+        for call, pts in calls:
+            assert measures.is_plus_inf(call(0.0))
+            with pytest.raises(DomainError):
+                call(np.array(pts))
+
+
+FAMILIES = [measures.HaarLog(), measures.PowerLaw(0.5), measures.PowerLaw(1.5, 2.0),
+            measures.Atomic((0.5, 1.0, 3.0), (0.2, 1.0, 0.7)),
+            measures.Weight(lambda lam: np.exp(-lam))]
+signed = st.floats(0.01, 50.0).flatmap(lambda a: st.sampled_from([a, -a]))
+
+
+@PROPS
+@given(xs=st.lists(signed, min_size=1, max_size=6))
+@pytest.mark.parametrize("mu", FAMILIES,
+                         ids=["haar", "power0.5", "power1.5", "atomic", "weight"])
+def test_scalar_f_and_f_prime_are_the_array_call(mu, xs):
+    # numpy takes a float64 scalar's power from libm and an array's from its
+    # own loop, which can differ by 1 ulp; a PowerLaw rounds that once more,
+    # and its f = kappa Gamma(1-sigma)(|x|^(sigma-1) - 1) cancels near |x| = 1,
+    # so there the ulp is that of the operands
+    power = isinstance(mu, measures.PowerLaw)
+    for fn in (mu.f, mu.f_prime):
+        for x in xs:
+            s, a = fn(x), fn(np.array([x]))[0]
+            scale = abs(a)
+            if power and fn == mu.f:
+                scale = abs(mu._gamma_factor) * (abs(x) ** (mu.sigma - 1.0) + 1.0)
+            assert isinstance(s, float)
+            assert abs(s - a) <= (2 if power else 1) * np.spacing(scale)

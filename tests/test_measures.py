@@ -177,3 +177,9 @@ def test_parse_error_carries_line_number():
         path = _write(td, "bad.csv", "lambda,weight\n1.0,1.0\n2.0,xyz\n")
         with pytest.raises(DomainError, match=":3:"):
             measures.atomic_from_csv(path)
+
+
+@pytest.mark.parametrize("delta", [np.int64(2), np.float64(2.0)], ids=repr)
+def test_dilate_accepts_numpy_scalars(delta):
+    for mu in (measures.PowerLaw(0.5), measures.Atomic((1.0, 3.0), (0.5, 2.0))):
+        assert measures.dilate(mu, delta) == measures.dilate(mu, 2.0)

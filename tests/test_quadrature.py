@@ -84,11 +84,11 @@ def test_budget_exhaustion_carries_estimate():
 def test_haar_invariance():
     """Frullani: int (e^-lam - e^-2lam) dlam/lam = log 2, scale-invariantly."""
     mu = measures.HaarLog()
-    base = quadrature.integrate_measure(
+    base = measures.integrate(
         lambda lam: np.exp(-lam) - np.exp(-2.0 * lam), mu, tol=1e-12).value
     assert abs(base - math.log(2.0)) <= 1e-10
     for c in (0.1, 3.0, 40.0):
-        scaled = quadrature.integrate_measure(
+        scaled = measures.integrate(
             lambda lam: np.exp(-c * lam) - np.exp(-2.0 * c * lam), mu,
             tol=1e-12).value
         assert abs(scaled - base) <= 1e-10
@@ -96,6 +96,14 @@ def test_haar_invariance():
 
 def test_integrate_measure_atoms():
     mu = measures.Atomic((0.5, 2.0, 7.0), (1.0, 0.25, 0.5))
-    res = quadrature.integrate_measure(lambda lam: lam ** 2, mu)
+    res = measures.integrate(lambda lam: lam ** 2, mu)
     assert res.value == pytest.approx(0.25 + 1.0 + 24.5, abs=1e-14)
     assert res.abs_err_est == 0.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(DomainError):
+        quadrature.integrate_finite(lambda x: np.sin(50.0 * x), 0.0, 1.0, tol=tol)
+    with pytest.raises(DomainError):
+        quadrature.integrate_semiinfinite(lambda x: np.exp(-x), tol=tol)
