@@ -52,7 +52,6 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quadrature import integrate_semiinfinite
 
 _EPS_TAIL = 1e-14
 _NODE_TOL = 1e-6
@@ -203,7 +202,9 @@ def eval_M(lam, x):
 
 
 def eval_Lhat(lam, t):
-    """Fourier transform of L(lam, .); identically 0 outside |t| <= 1.
+    """Fourier transform of L(lam, .); identically 0 for |t| >= 1.
+
+    At |t| = 1 it is 0, not the ~7.8e-17/lam that sin(pi) != 0 leaves.
 
     lam, a rate or an ndarray of rates, broadcasts against t; a float comes
     back when both are scalars.
@@ -217,14 +218,14 @@ def eval_Lhat(lam, t):
     num = 2.0 * E * ((1.0 - at) * ct * one_m_E2
                      + (lam / (2.0 * math.pi)) * st * (1.0 + E * E))
     den = one_m_E2 ** 2 + 4.0 * E * E * st * st
-    vals = np.where(at <= 1.0, num / den, 0.0)
+    vals = np.where(at < 1.0, num / den, 0.0)
     return float(vals) if vals.ndim == 0 else vals
 
 
 def eval_Mhat(lam, t):
-    """Fourier transform of M(lam, .); identically 0 outside |t| <= 1.
+    """Fourier transform of M(lam, .); identically 0 for |t| >= 1.
 
-    lam broadcasts against t as in eval_Lhat.
+    lam broadcasts against t, and |t| = 1 gives 0, as in eval_Lhat.
     """
     lam = _check_lam(lam)
     at = np.abs(np.asarray(t, dtype=float))
@@ -235,7 +236,7 @@ def eval_Mhat(lam, t):
     ct = np.cos(np.pi * at)
     num = (1.0 - at) * one_m_E4 + 4.0 * E * E * (lam / (2.0 * math.pi)) * st * ct
     den = one_m_E2 ** 2 + 4.0 * E * E * st * st
-    vals = np.where(at <= 1.0, num / den, 0.0)
+    vals = np.where(at < 1.0, num / den, 0.0)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -276,47 +277,6 @@ def eval_j(lam, x):
            * np.expm1(-2.0 * lam * ah) / np.expm1(-lam))
     out = np.where(frac == 0.0, 0.0, out)
     return float(out[0]) if scalar else out
-
-
-def lhat_haar_integral(t, tol=1e-10):
-    """int_0^inf Lhat(lam, t) dlam/lam, in [0, 1/(2|t|)] for 0 < |t| <= 1.
-
-    Vanishes for |t| >= 1 (Lhat(., 1) is identically zero); the
-    multiplicative Haar weight makes the integrand bounded at lam = 0 and
-    exponentially small at infinity.  An array t is served by one vector
-    integral over all its points with 0 < |t| < 1.  DomainError at t = 0,
-    where the integral diverges.
-    """
-    at = np.abs(np.asarray(t, dtype=float))
-    if np.any(at == 0.0):
-        raise DomainError("lhat_haar_integral diverges at t = 0")
-    inside = at < 1.0
-    out = np.zeros(at.shape)
-    if np.any(inside):
-        ti = at[inside]
-        out[inside] = integrate_semiinfinite(
-            lambda lam: eval_Lhat_over_lam(lam[:, None], ti), tol).value
-    return float(out) if out.ndim == 0 else out
-
-
-def eval_Lhat_over_lam(lam, t):
-    """Lhat(lam, t)/lam, stable as lam -> 0 (finite positive limit).
-
-    lam and t broadcast against each other.
-    """
-    lam = np.asarray(lam, dtype=float)
-    at = np.abs(np.asarray(t, dtype=float))
-    st = np.abs(np.sin(np.pi * at))
-    ct = np.cos(np.pi * at)
-    E = np.exp(-0.5 * lam)
-    one_m_E2 = -np.expm1(-lam)
-    # (1 - e^-lam)/lam evaluated stably for small lam
-    ratio = np.where(lam > 1e-8, one_m_E2 / np.where(lam == 0.0, 1.0, lam),
-                     1.0 - 0.5 * lam)
-    num = 2.0 * E * ((1.0 - at) * ct * ratio
-                     + (st / (2.0 * math.pi)) * (1.0 + E * E))
-    den = one_m_E2 ** 2 + 4.0 * E * E * st * st
-    return num / den
 
 
 class KernelDefectAtPoint:

@@ -26,26 +26,27 @@ exponential type of the superposed approximants and satisfies
 f_nu(x) = f_mu(x/delta) - f_mu(1/delta).  HaarLog is the dilation-invariant
 point of the PowerLaw scale.
 
-Measure.f and Measure.f_prime take a scalar or an array of x.  They pass
-|x| to the family's ``_f``/``_f_prime``, give f' the sign of x, and return
-a float for a scalar.  At x = 0, f follows the divergent-point rule of
-``_divergent`` (a scalar gets PLUS_INF, an array holding the point raises
-DomainError), which forms.r_mu and periodic.q_mu share.  f_derivs supplies
-(f, f', f'', f''', f'''') at positive points for the tail corrections in
-the superposed module.
+Each family states the derivatives of f_mu once, in ``_derivs(ax, orders)``
+(f_mu^(k) at the array ax of |x| for each k in orders, stacked on a new
+first axis).  Measure.f and f_prime call it with order 0 or 1, give f' the
+sign of x and return a float for a scalar; f_derivs takes orders 0-4 at
+positive points for the tail corrections in the superposed module.  At
+x = 0, f follows the divergent-point rule of ``_divergent`` (a scalar gets
+PLUS_INF, an array holding the point raises DomainError), which
+forms.r_mu and periodic.q_mu share.
 
 ``integrate`` is the one integral against a measure: a finite sum over
 ``atoms``, piece by piece between ``breakpoints``, or else the weighted
 integral over (0, inf).  Every family subclasses Measure, whose methods
-_f, _f_prime, f_derivs, defect_moment, r, q and transform_moment are each
-one (vector-valued) ``integrate`` call; a family overrides one only with a
+_derivs, defect_moment, r, q and transform_moment are each one
+(vector-valued) ``integrate`` call; a family overrides one only with a
 closed form:
 
-             _f, _f_prime, f_derivs  defect_moment  r       q       transform_moment
-  HaarLog    closed                  closed         closed  closed  closed (minorant)
-  PowerLaw   closed                  closed         closed  -       -
-  Atomic     closed                  -              -       -       -
-  Weight     -                       -              -       -       -
+             _derivs  defect_moment  r       q       transform_moment
+  HaarLog    closed   closed         closed  closed  -
+  PowerLaw   closed   closed         closed  -       -
+  Atomic     closed   -              -       -       -
+  Weight     -        -              -       -       -
 
 Atomic needs no moment override: ``integrate`` sums over its atoms.
 """
@@ -143,39 +144,39 @@ class Measure:
         ax = np.abs(np.asarray(x, dtype=float))
         if np.any(ax == 0.0) and not self.classify().cond47:
             return _divergent(x, "f diverges at x = 0")
-        out = self._f(ax)
-        return float(out) if np.ndim(out) == 0 else out
+        out = self._derivs(np.atleast_1d(ax), (0,))[0]
+        return float(out[0]) if ax.ndim == 0 else out
 
     def f_prime(self, x):
         """f_mu'(x) = sign(x) f_mu'(|x|) for x != 0; a float for a scalar x."""
         x = np.asarray(x, dtype=float)
         if np.any(x == 0.0):
             raise DomainError("f' undefined at x = 0")
-        out = np.sign(x) * self._f_prime(np.abs(x))
-        return float(out) if out.ndim == 0 else out
-
-    def _f(self, ax):
-        """f_mu at the points ax >= 0 (an array of |x|)."""
-        return _over_points(lambda lam, a: np.exp(-lam * a) - np.exp(-lam),
-                            ax, self, 1e-10)
-
-    def _f_prime(self, ax):
-        """f_mu' = -int lam e^{-lam a} dmu at the points ax > 0."""
-        return -_over_points(lambda lam, a: lam * np.exp(-lam * a), ax, self, 1e-10)
+        out = np.sign(x) * self._derivs(np.atleast_1d(np.abs(x)), (1,))[0]
+        return float(out[0]) if x.ndim == 0 else out
 
     def f_derivs(self, u):
         """(f, f', f'', f''', f'''') at positive points u, as five arrays."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        pts = u.ravel()
+        return tuple(self._derivs(np.atleast_1d(np.asarray(u, dtype=float)),
+                                  range(5)))
+
+    def _derivs(self, ax, orders):
+        """f_mu^(k) at the points of the array ax >= 0 for each k in orders,
+        stacked on a new first axis.
+
+        One vector integral with a column block per order: e^{-lam a} -
+        e^{-lam} for k = 0 and (-lam)^k e^{-lam a} for k >= 1.
+        """
+        pts = ax.ravel()
 
         def kernel(lam):
             e = np.exp(-np.multiply.outer(lam, pts))
-            cols = [e - np.exp(-lam)[:, None]]
-            cols += [(-lam[:, None]) ** k * e for k in range(1, 5)]
-            return np.concatenate(cols, axis=1)
+            return np.concatenate([e - np.exp(-lam)[:, None] if k == 0
+                                   else (-lam[:, None]) ** k * e
+                                   for k in orders], axis=1)
 
         out = integrate(kernel, self, tol=1e-10).value
-        return tuple(out.reshape((5,) + u.shape))
+        return out.reshape((len(orders),) + ax.shape)
 
     def defect_moment(self, kind, tol=1e-10):
         """int of the one-sided kernel defect 2/lam - csch(lam/2) (kind
@@ -207,15 +208,10 @@ class HaarLog(Measure):
     def weight(self, lam):
         return 1.0 / np.asarray(lam, dtype=float)
 
-    def _f(self, ax):
-        return -np.log(ax)
-
-    def _f_prime(self, ax):
-        return -1.0 / ax
-
-    def f_derivs(self, u):
-        u = np.asarray(u, dtype=float)
-        return (-np.log(u), -1.0 / u, 1.0 / u ** 2, -2.0 / u ** 3, 6.0 / u ** 4)
+    def _derivs(self, ax, orders):
+        return np.stack([-np.log(ax) if k == 0
+                         else (-1) ** k * math.factorial(k - 1) / ax ** k
+                         for k in orders])
 
     def defect_moment(self, kind, tol=1e-10):
         if _by_kind(kind, minorant=False, majorant=True):
@@ -230,10 +226,13 @@ class HaarLog(Measure):
         return -np.log(np.abs(2.0 * np.sin(np.pi * x)))
 
     def transform_moment(self, kind, ts, tol=1e-9):
+        """The base's int Lhat(lam, ts) dlam/lam, in [0, 1/(2|t|)] for |t| < 1
+        and 0 for |t| >= 1; DivergenceError at t = 0, where it grows like
+        int 2/lam^2 dlam, and AdmissibilityError for the majorant moment."""
         if _by_kind(kind, minorant=False, majorant=True):
             raise AdmissibilityError(
                 "majorant transform moment diverges for HaarLog() (no cond47 moment)")
-        return kernels.lhat_haar_integral(ts, tol=tol)
+        return super().transform_moment(kind, ts, tol)
 
     def classify(self):
         return Admissibility(cond31=True, cond47=False)
@@ -276,22 +275,12 @@ class PowerLaw(Measure):
     def _gamma_factor(self):
         return self.prefactor * specfun.gamma(1.0 - self.sigma)
 
-    def _f(self, ax):
-        return self._gamma_factor * (ax ** (self.sigma - 1.0) - 1.0)
-
-    def _f_prime(self, ax):
-        return self._gamma_factor * (self.sigma - 1.0) * ax ** (self.sigma - 2.0)
-
-    def f_derivs(self, u):
-        u = np.asarray(u, dtype=float)
-        g = self._gamma_factor
-        s = self.sigma
-        out = [g * (u ** (s - 1.0) - 1.0)]
-        fac = g
-        for k in range(1, 5):
-            fac *= s - k
-            out.append(fac * u ** (s - 1.0 - k))
-        return tuple(out)
+    def _derivs(self, ax, orders):
+        g, s = self._gamma_factor, self.sigma
+        facs = np.cumprod([g] + [s - k for k in range(1, max(orders) + 1)])
+        return np.stack([g * (ax ** (s - 1.0) - 1.0) if k == 0
+                         else facs[k] * ax ** (s - 2.0 if k == 1 else s - 1.0 - k)
+                         for k in orders])
 
     def defect_moment(self, kind, tol=1e-10):
         s = self.sigma
@@ -342,20 +331,11 @@ class Atomic(Measure):
     def atoms(self):
         return (np.array(self.points), np.array(self.weights))
 
-    def _f(self, ax):
+    def _derivs(self, ax, orders):
         lams, ws = self.atoms
-        return (np.exp(-ax[..., None] * lams) - np.exp(-lams)) @ ws
-
-    def _f_prime(self, ax):
-        lams, ws = self.atoms
-        return -(np.exp(-ax[..., None] * lams) @ (ws * lams))
-
-    def f_derivs(self, u):
-        u = np.asarray(u, dtype=float)
-        lams, ws = self.atoms
-        E = np.exp(-u[..., None] * lams)
-        f0 = E @ ws - float(ws @ np.exp(-lams))
-        return (f0,) + tuple(E @ (ws * (-lams) ** k) for k in range(1, 5))
+        E = np.exp(-ax[..., None] * lams)
+        return np.stack([(E - np.exp(-lams)) @ ws if k == 0
+                         else E @ (ws * (-lams) ** k) for k in orders])
 
     def classify(self):
         return Admissibility(cond31=True, cond47=True)
@@ -449,16 +429,18 @@ def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
         return (gv(lam).T * w(lam)).T
 
     bp = getattr(measure, "breakpoints", None)
-    if not bp:
-        return quadrature.integrate_semiinfinite(integrand, tol, budget)
-    pieces = max(1, len(bp) - 1)
-    total, err, evals = 0.0, 0.0, 0
-    for a, b in zip(bp, bp[1:]):
-        r = quadrature.integrate_finite(integrand, a, b, tol / pieces,
-                                        budget // pieces)
-        total += r.value
-        err += r.abs_err_est
-        evals += r.evaluations
+    # a divergent integral overflows before quadrature raises; no warnings
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if not bp:
+            return quadrature.integrate_semiinfinite(integrand, tol, budget)
+        pieces = max(1, len(bp) - 1)
+        total, err, evals = 0.0, 0.0, 0
+        for a, b in zip(bp, bp[1:]):
+            r = quadrature.integrate_finite(integrand, a, b, tol / pieces,
+                                            budget // pieces)
+            total += r.value
+            err += r.abs_err_est
+            evals += r.evaluations
     return quadrature.QuadResult(total, err, evals)
 
 

@@ -93,7 +93,7 @@ class _Superposed:
             with self._lock:
                 if a0 not in self._tail_cache:
                     self._tail_cache[a0] = tuple(
-                        float(np.atleast_1d(d)[0]) for d in self.nu.f_derivs(a0))
+                        float(d[0]) for d in self.nu.f_derivs(a0))
         f0, f1, f2, f3, f4 = self._tail_cache[a0]
         b0 = _bder(x, a0, 0)
         b1 = _bder(x, a0, 1)

@@ -4,8 +4,9 @@ An import can be served from a cached bytecode file, which hides
 compile-time warnings such as invalid escape sequences; compiling the
 source text catches them on every run.  No linter is installed, so a
 stdlib ``ast`` scan also checks that every imported name is used, that no
-module branches on a measure's ``family`` name, and that only ``measures``
-reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``).
+module branches on a measure's ``family`` name, that only ``measures``
+reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
+and that only ``Measure`` defines f, f_prime and f_derivs.
 """
 
 import ast
@@ -91,3 +92,18 @@ def _measure_part_reads(tree):
 def test_only_measures_reads_measure_parts(path):
     # measures.integrate is the one integral against a measure
     assert _measure_part_reads(ast.parse(path.read_text())) == []
+
+
+def _f_ladder_definitions(tree):
+    """(class, method) pairs that define f, f_prime, f_derivs, _f or _f_prime."""
+    return sorted((cls.name, fn.name) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef)
+                  and fn.name in ("f", "f_prime", "f_derivs", "_f", "_f_prime"))
+
+
+def test_measure_families_define_f_only_through_derivs():
+    # each family states the derivatives of f_mu once, in _derivs
+    tree = ast.parse((SRC / "measures.py").read_text())
+    assert _f_ladder_definitions(tree) == [
+        ("Measure", "f"), ("Measure", "f_derivs"), ("Measure", "f_prime")]

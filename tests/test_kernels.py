@@ -1,13 +1,14 @@
 """Single-kernel extremal functions: sandwich, interpolation, transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import kernels, quadrature, specfun, verify
-from extremal.errors import DomainError
+from extremal import kernels, measures, quadrature, specfun, verify
+from extremal.errors import DivergenceError, DomainError
 from extremal.verify import cos_window_integral
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -73,9 +74,12 @@ def test_transform_values_at_zero():
 
 
 def test_transform_support():
-    ts = np.array([-2.0, -1.5, -1.0000001, 1.0000001, 1.2, 5.0])
-    assert np.all(kernels.eval_Lhat(1.0, ts) == 0.0)
-    assert np.all(kernels.eval_Mhat(1.0, ts) == 0.0)
+    # the band edge |t| = 1 included, where sin(pi t) does not round to 0
+    ts = np.array([-2.0, -1.5, -1.0000001, -1.0, 1.0, 1.0000001, 1.2, 5.0])
+    for lam in (1e-15, 1e-9, 1.0):
+        assert np.all(kernels.eval_Lhat(lam, ts) == 0.0)
+        assert np.all(kernels.eval_Mhat(lam, ts) == 0.0)
+    assert kernels.eval_Lhat(1e-15, 1.0) == 0.0
 
 
 def test_transform_remark_bound():
@@ -118,14 +122,16 @@ def test_eval_point_wrappers():
     assert r.value == pytest.approx(kernels.majorant_values(1.0, 2.2), abs=0.0)
 
 
-def test_lhat_haar_integral_bounds():
-    assert kernels.lhat_haar_integral(1.0) == 0.0
-    assert kernels.lhat_haar_integral(1.7) == 0.0
+def test_haar_transform_moment_bounds():
+    moment = measures.HaarLog().transform_moment
+    assert moment("minorant", 1.0) == 0.0
+    assert moment("minorant", 1.7) == 0.0
     for t in (0.1, 0.4, 0.9):
-        v = kernels.lhat_haar_integral(t)
+        v = moment("minorant", t)
         assert 0.0 <= v <= 0.5 / t + 1e-12
-    with pytest.raises(DomainError):
-        kernels.lhat_haar_integral(0.0)
+    with warnings.catch_warnings(), pytest.raises(DivergenceError):
+        warnings.simplefilter("error")      # diverges without a numpy warning
+        moment("minorant", 0.0)
 
 
 def test_defect_at_point_matches_direct():

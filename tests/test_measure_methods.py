@@ -2,19 +2,21 @@
 
 Atomic moments are the explicit weighted sums of the single-rate kernels;
 a Weight's vector methods equal one scalar integral per point; every
-closed form of HaarLog and PowerLaw matches the quadrature fallback of the
-Measure base; f, r_mu and q_mu share one divergent-point rule; and a
-scalar f or f' is the array call at that point.
+closed form of HaarLog and PowerLaw, and the derivative ladder of Atomic,
+matches the quadrature fallback of the Measure base; f, r_mu and q_mu
+share one divergent-point rule without a numpy warning; and a scalar f or
+f' is exactly the array call at that point.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal import forms, kernels, measures, periodic, specfun
-from extremal.errors import AdmissibilityError, DomainError
+from extremal.errors import AdmissibilityError, ConvergenceError, DomainError
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -89,11 +91,10 @@ def test_weight_vector_methods_equal_scalar_integrals(which, tmp_path):
 
 def test_r_mu_zero_sentinel_and_array_rejection():
     weight = measures.Weight(lambda lam: np.exp(-lam))
-    with np.errstate(divide="ignore"):     # 2 lam / lam^2 as lam^2 underflows
-        assert measures.is_plus_inf(forms.r_mu(weight, 0.0))
-        for mu in (measures.HaarLog(), measures.PowerLaw(0.5), weight):
-            with pytest.raises(DomainError):
-                forms.r_mu(mu, np.array([0.5, 0.0, 2.0]))
+    assert measures.is_plus_inf(forms.r_mu(weight, 0.0))
+    for mu in (measures.HaarLog(), measures.PowerLaw(0.5), weight):
+        with pytest.raises(DomainError):
+            forms.r_mu(mu, np.array([0.5, 0.0, 2.0]))
     atom = measures.Atomic((0.5, 2.0), (1.0, 3.0))
     assert forms.r_mu(atom, np.array([0.0, 1.0]))[0] == pytest.approx(
         2.0 / 0.5 + 6.0 / 2.0, rel=1e-15)
@@ -118,6 +119,25 @@ def test_closed_forms_match_the_quadrature_fallback(mu):
     assert np.allclose(mu.transform_moment("minorant", us),
                        base.transform_moment(mu, "minorant", us, 1e-10),
                        rtol=0, atol=1e-8)
+
+
+# The base's f for sigma > 1 does not converge: e^{-lam a} - e^{-lam} keeps an
+# absolute rounding error of ~eps as lam -> 0, and eps lam^-sigma does not
+# integrate there (ROADMAP direction 3).
+CANCELS_NEAR_ZERO = pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                                      reason="f by quadrature cancels at lam -> 0")
+DERIVS_CLOSED = [measures.HaarLog(), measures.PowerLaw(0.5),
+                 pytest.param(measures.PowerLaw(1.5, 2.0), marks=CANCELS_NEAR_ZERO),
+                 measures.Atomic((0.5, 1.0, 3.0), (0.2, 1.0, 0.7))]
+
+
+@pytest.mark.parametrize("mu", DERIVS_CLOSED, ids=repr)
+def test_closed_derivative_ladders_match_the_quadrature_fallback(mu):
+    us = np.array([0.3, 1.0, 4.5, 512.0])
+    closed = np.array(mu.f_derivs(us))
+    base = measures.Measure._derivs(mu, us, range(5))
+    assert closed.shape == base.shape == (5, 4)
+    assert np.all(np.abs(closed - base) <= 1e-10)
 
 
 def test_haar_majorant_moments_and_unknown_kinds_raise():
@@ -151,7 +171,8 @@ def test_divergent_point_is_the_sentinel_for_a_scalar_and_an_error_in_an_array(m
     calls = [(mu.f, [1.0, 0.0]),
              (lambda t: forms.r_mu(mu, t), [1.0, 0.0]),
              (lambda x: periodic.q_mu(mu, x), [0.5, 0.0])]
-    with np.errstate(divide="ignore", over="ignore"):   # 1/lam at lam = 0, inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the divergence raises no numpy warning
         for call, pts in calls:
             assert measures.is_plus_inf(call(0.0))
             with pytest.raises(DomainError):
@@ -169,16 +190,8 @@ signed = st.floats(0.01, 50.0).flatmap(lambda a: st.sampled_from([a, -a]))
 @pytest.mark.parametrize("mu", FAMILIES,
                          ids=["haar", "power0.5", "power1.5", "atomic", "weight"])
 def test_scalar_f_and_f_prime_are_the_array_call(mu, xs):
-    # numpy takes a float64 scalar's power from libm and an array's from its
-    # own loop, which can differ by 1 ulp; a PowerLaw rounds that once more,
-    # and its f = kappa Gamma(1-sigma)(|x|^(sigma-1) - 1) cancels near |x| = 1,
-    # so there the ulp is that of the operands
-    power = isinstance(mu, measures.PowerLaw)
     for fn in (mu.f, mu.f_prime):
         for x in xs:
-            s, a = fn(x), fn(np.array([x]))[0]
-            scale = abs(a)
-            if power and fn == mu.f:
-                scale = abs(mu._gamma_factor) * (abs(x) ** (mu.sigma - 1.0) + 1.0)
+            s = fn(x)
             assert isinstance(s, float)
-            assert abs(s - a) <= (2 if power else 1) * np.spacing(scale)
+            assert s == fn(np.array([x]))[0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal import cli, kernels, measures, periodic, quadrature, specfun
-from extremal.errors import DomainError
+from extremal.errors import DivergenceError, DomainError
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 TOL = 1e-10
@@ -175,14 +175,15 @@ def test_array_transforms_reject_any_bad_rate(lams, where, bad):
             fn(lam[:, None], np.linspace(0.0, 1.0, 4))
 
 
-def test_lhat_haar_integral_array_matches_scalars():
+def test_haar_transform_moment_array_matches_scalars():
+    moment = measures.HaarLog().transform_moment
     ts = np.array([-1.2, -0.5, 0.125, 0.7, 1.0])
-    vec = kernels.lhat_haar_integral(ts)
+    vec = moment("minorant", ts, 1e-10)
     for t, v in zip(ts, vec):
-        assert abs(v - kernels.lhat_haar_integral(float(t))) <= 1e-10
+        assert abs(v - moment("minorant", float(t), 1e-10)) <= 1e-10
     assert vec[0] == 0.0 and vec[-1] == 0.0
-    with pytest.raises(DomainError):
-        kernels.lhat_haar_integral(np.array([0.5, 0.0]))
+    with pytest.raises(DivergenceError):
+        moment("minorant", np.array([0.5, 0.0]))
 
 
 # -- defect functions on arrays ------------------------------------------------
