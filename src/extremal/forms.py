@@ -32,7 +32,6 @@ alternating (lower) or constant (upper) coefficients; the Rayleigh ratio
 then telescopes to (N+1)^{-1} sum_{k != 0} (N+1-|k|) (+-1)^k r_mu(delta k).
 """
 
-import csv
 import math
 
 import numpy as np
@@ -105,18 +104,14 @@ def r_mu(measure, t, tol=1e-10):
 def lower_constant_A(measure, delta=1.0, tol=1e-10):
     """Sharp lower form constant A(delta, mu) (> 0 for admissible mu)."""
     measures._check_delta(delta)
-    measure.classify()
+    measure.require("minorant")
     return measures.dilate(measure, delta).defect_moment("minorant", tol) / delta
 
 
 def upper_constant_B(measure, delta=1.0, tol=1e-10):
     """Sharp upper form constant B(delta, mu); needs the cond47 moment."""
     measures._check_delta(delta)
-    adm = measure.classify()
-    if not adm.cond47:
-        raise AdmissibilityError(
-            f"upper form constant requires the cond47 moment; "
-            f"{measure!r} only satisfies cond31")
+    measure.require("majorant")
     return measures.dilate(measure, delta).defect_moment("majorant", tol) / delta
 
 
@@ -267,22 +262,7 @@ def random_point_set(rng, count, delta):
 
 def points_from_csv(path):
     """Read points and complex coefficients from CSV header ``xi,re,im``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["xi", "re", "im"]:
-            raise DomainError(f"{path}: expected header 'xi,re,im'")
-        xi, a = [], []
-        for ln, line in enumerate(reader, start=2):
-            if not line:
-                continue
-            if len(line) != 3:
-                raise DomainError(f"{path}:{ln}: malformed row {line!r}")
-            try:
-                xi.append(float(line[0]))
-                a.append(complex(float(line[1]), float(line[2])))
-            except ValueError:
-                raise DomainError(f"{path}:{ln}: non-numeric row {line!r}")
-    if not xi:
-        raise DomainError(f"{path}: no data rows")
+    rows = [row for _, row in measures._csv_rows(path, ("xi", "re", "im"))]
+    xi = [x for x, _, _ in rows]
+    a = [complex(re, im) for _, re, im in rows]
     return np.asarray(xi), np.asarray(a)

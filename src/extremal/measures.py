@@ -49,6 +49,9 @@ closed form:
   Weight     -        -              -       -       -
 
 Atomic needs no moment override: ``integrate`` sums over its atoms.
+
+``Measure.require(kind)`` is the one admissibility gate (the quadrature
+moments of the base stay ungated), and ``_csv_rows`` the one CSV reader.
 """
 
 import csv
@@ -160,19 +163,34 @@ class Measure:
         return tuple(self._derivs(np.atleast_1d(np.asarray(u, dtype=float)),
                                   range(5)))
 
+    def require(self, kind):
+        """classify(); AdmissibilityError for kind "majorant" without the
+        cond47 moment, and DomainError for an unknown kind."""
+        adm = self.classify()
+        if _by_kind(kind, minorant=False, majorant=not adm.cond47):
+            raise AdmissibilityError(
+                f"majorant requires the cond47 moment (finite f_mu(0)); "
+                f"{self!r} only satisfies cond31")
+        return adm
+
     def _derivs(self, ax, orders):
         """f_mu^(k) at the points of the array ax >= 0 for each k in orders,
         stacked on a new first axis.
 
         One vector integral with a column block per order: e^{-lam a} -
-        e^{-lam} for k = 0 and (-lam)^k e^{-lam a} for k >= 1.
+        e^{-lam} for k = 0 and (-lam)^k e^{-lam a} for k >= 1.  The k = 0
+        block is written as -sign(1-a) e^{-lam min(a,1)} expm1(-lam|1-a|),
+        which does not cancel as lam -> 0, where a density like lam^-1.5
+        would magnify the rounding error of the difference.
         """
         pts = ax.ravel()
+        sign, near, gap = np.sign(1.0 - pts), np.minimum(pts, 1.0), np.abs(1.0 - pts)
 
         def kernel(lam):
-            e = np.exp(-np.multiply.outer(lam, pts))
-            return np.concatenate([e - np.exp(-lam)[:, None] if k == 0
-                                   else (-lam[:, None]) ** k * e
+            e = None if orders == (0,) else np.exp(-np.multiply.outer(lam, pts))
+            lam = lam[:, None]
+            return np.concatenate([-sign * np.exp(-lam * near) * np.expm1(-lam * gap)
+                                   if k == 0 else (-lam) ** k * e
                                    for k in orders], axis=1)
 
         out = integrate(kernel, self, tol=1e-10).value
@@ -214,9 +232,7 @@ class HaarLog(Measure):
                          for k in orders])
 
     def defect_moment(self, kind, tol=1e-10):
-        if _by_kind(kind, minorant=False, majorant=True):
-            raise AdmissibilityError(
-                "majorant defect moment diverges for HaarLog() (no cond47 moment)")
+        self.require(kind)
         return math.log(2.0)
 
     def r(self, t, tol=1e-10):
@@ -229,9 +245,7 @@ class HaarLog(Measure):
         """The base's int Lhat(lam, ts) dlam/lam, in [0, 1/(2|t|)] for |t| < 1
         and 0 for |t| >= 1; DivergenceError at t = 0, where it grows like
         int 2/lam^2 dlam, and AdmissibilityError for the majorant moment."""
-        if _by_kind(kind, minorant=False, majorant=True):
-            raise AdmissibilityError(
-                "majorant transform moment diverges for HaarLog() (no cond47 moment)")
+        self.require(kind)
         return super().transform_moment(kind, ts, tol)
 
     def classify(self):
@@ -283,6 +297,7 @@ class PowerLaw(Measure):
                          for k in orders])
 
     def defect_moment(self, kind, tol=1e-10):
+        self.require(kind)
         s = self.sigma
         gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
         fac = _by_kind(kind, 2.0 - 2.0 ** (2.0 - s), 2.0)
@@ -473,30 +488,39 @@ def weight_from_csv(path):
 
 
 def _read_measure_rows(path):
+    rows = []
+    for where, (lam, w) in _csv_rows(path, ("lambda", "weight")):
+        if not (lam > 0.0 and math.isfinite(lam)):
+            raise DomainError(f"{where}: lambda must be finite positive, got {lam!r}")
+        if not (w > 0.0 and math.isfinite(w)):
+            raise DomainError(f"{where}: weight must be finite positive, got {w!r}")
+        rows.append((lam, w))
+    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
+        raise DomainError(f"{path}: lambda column must be strictly increasing")
+    return rows
+
+
+def _csv_rows(path, header):
+    """The data rows of a CSV file with the given header, as (where, floats)
+    pairs, where is "path:line".  Blank lines are skipped; a wrong header,
+    a row of the wrong width, a non-numeric cell or no rows at all raise
+    DomainError.  Every CSV reader of the package reads through here."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["lambda", "weight"]:
-            raise DomainError(f"{path}: expected header 'lambda,weight'")
+        got = next(reader, None)
+        if got is None or [h.strip() for h in got] != list(header):
+            raise DomainError(f"{path}: expected header {','.join(header)!r}")
         rows = []
         for ln, line in enumerate(reader, start=2):
             if not line:
                 continue
-            if len(line) != 2:
-                raise DomainError(f"{path}:{ln}: malformed row {line!r}")
+            where = f"{path}:{ln}"
+            if len(line) != len(header):
+                raise DomainError(f"{where}: malformed row {line!r}")
             try:
-                lam, w = float(line[0]), float(line[1])
+                rows.append((where, tuple(float(v) for v in line)))
             except ValueError:
-                raise DomainError(f"{path}:{ln}: non-numeric row {line!r}")
-            if not (lam > 0.0 and math.isfinite(lam)):
-                raise DomainError(
-                    f"{path}:{ln}: lambda must be finite positive, got {lam!r}")
-            if not (w > 0.0 and math.isfinite(w)):
-                raise DomainError(
-                    f"{path}:{ln}: weight must be finite positive, got {w!r}")
-            rows.append((lam, w))
+                raise DomainError(f"{where}: non-numeric row {line!r}")
     if not rows:
         raise DomainError(f"{path}: no data rows")
-    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
-        raise DomainError(f"{path}: lambda column must be strictly increasing")
     return rows

@@ -26,7 +26,6 @@ classes hold the closed forms and the one-integral quadrature fallback.
 p and its derivative j live in kernels, re-exported as eval_p and eval_j.
 """
 
-import csv
 import json
 
 import numpy as np
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import kernels, measures, specfun
-from .errors import AdmissibilityError, DomainError
+from .errors import DomainError
 
 _SYM_TOL = 1e-12
 
@@ -106,23 +105,17 @@ class TrigPoly:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["n", "re", "im"]:
-                raise DomainError(f"{path}: expected header 'n,re,im'")
-            entries = {}
-            for ln, line in enumerate(reader, start=2):
-                if not line:
-                    continue
-                if len(line) != 3:
-                    raise DomainError(f"{path}:{ln}: malformed row {line!r}")
-                _add_entry(entries, *line, where=f"{path}:{ln}")
-        if not entries:
-            raise DomainError(f"{path}: no coefficient rows")
-        N = max(abs(n) for n in entries)
-        if sorted(entries) != list(range(-N, N + 1)):
-            raise DomainError(f"{path}: coefficient rows must cover -N..N")
+        entries = {}
+        for where, row in measures._csv_rows(path, ("n", "re", "im")):
+            _add_entry(entries, *row, where=where)
+        return cls._from_entries(max(abs(n) for n in entries), entries, path)
+
+    @classmethod
+    def _from_entries(cls, N, entries, where):
+        """The degree-N polynomial of entries {n: c(n)}.  Distinct integers
+        with |n| <= N cover -N..N exactly when there are 2N + 1 of them."""
+        if len(entries) != 2 * N + 1 or any(abs(n) > N for n in entries):
+            raise DomainError(f"{where}: coefficients must cover -N..N")
         return cls(N, tuple(entries[n] for n in range(-N, N + 1)))
 
     def to_json_obj(self):
@@ -145,9 +138,7 @@ class TrigPoly:
         entries = {}
         for i, e in enumerate(obj["coeffs"]):
             _add_entry(entries, e["n"], e["re"], e["im"], where=f"coeffs[{i}]")
-        if sorted(entries) != list(range(-N, N + 1)):
-            raise DomainError("coefficient entries must cover -N..N")
-        return cls(N, tuple(entries[n] for n in range(-N, N + 1)))
+        return cls._from_entries(N, entries, "coeffs")
 
     @classmethod
     def from_json(cls, path):
@@ -236,11 +227,7 @@ def _superposed_poly(measure, N, kind, tol):
     """g_mu (kind "minorant") or h_mu ("majorant"): with nu = mu dilated by
     N + 1, c(0) = -+ nu.defect_moment/(N+1), c(n) = nu.transform_moment/(N+1)."""
     N = _check_degree(N)
-    adm = measure.classify()
-    if kind == "majorant" and not adm.cond47:
-        raise AdmissibilityError(
-            f"trig majorant requires the cond47 moment (finite q_mu(0)); "
-            f"{measure!r} only satisfies cond31")
+    measure.require(kind)
     nu = measures.dilate(measure, N + 1.0)
     c0 = nu.defect_moment(kind, tol) / (N + 1.0)
     return _fejer_poly(N, -c0 if kind == "minorant" else c0,

@@ -19,7 +19,6 @@ identity sum log+|alpha_m| = int_0^1 log|F(e(x))| dx serve as independent
 soundness checks.
 """
 
-import csv
 import math
 import warnings
 
@@ -28,7 +27,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import quadrature
+from . import measures, quadrature
 from .errors import DomainError
 
 _INTERIOR_GUARD = 1.0 + 1e-15
@@ -170,21 +169,6 @@ def roots_from_csv(path):
 
     The CLI reads form coefficients (``bounds --coeffs``) with it as well.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["re", "im"]:
-            raise DomainError(f"{path}: expected header 're,im'")
-        roots = []
-        for ln, line in enumerate(reader, start=2):
-            if not line:
-                continue
-            if len(line) != 2:
-                raise DomainError(f"{path}:{ln}: malformed row {line!r}")
-            try:
-                roots.append(complex(float(line[0]), float(line[1])))
-            except ValueError:
-                raise DomainError(f"{path}:{ln}: non-numeric row {line!r}")
-    if not roots:
-        raise DomainError(f"{path}: no data rows")
-    return np.asarray(roots, dtype=complex)
+    return np.asarray([complex(re, im)
+                       for _, (re, im) in measures._csv_rows(path, ("re", "im"))],
+                      dtype=complex)

@@ -43,7 +43,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import measures
-from .errors import AdmissibilityError, DomainError
+from .errors import DomainError
 from .kernels import KernelDefectAtPoint, _lattice_series
 
 _MIN_HORIZON = 512
@@ -57,15 +57,14 @@ def _bder(x, u, k):
 
 
 class _Superposed:
-    """Shared machinery; subclasses fix the lattice and admissibility."""
+    """Shared machinery; subclasses fix the lattice and the kind."""
 
     kind = None
     _offset = None     # node lattice is arange + offset
 
     def __init__(self, measure, delta=1.0):
         measures._check_delta(delta)
-        adm = measure.classify()
-        self._require(measure, adm)
+        measure.require(self.kind)
         self.measure = measure
         self.delta = float(delta)
         self.nu = measures.dilate(measure, self.delta)
@@ -176,23 +175,12 @@ class Minorant(_Superposed):
     kind = "minorant"
     _offset = 0.5
 
-    def _require(self, measure, adm):
-        if not adm.cond31:
-            raise AdmissibilityError(
-                f"minorant requires the cond31 moment; got {measure!r}")
-
 
 class Majorant(_Superposed):
     """H: extremal type-2pi*delta majorant of f_mu(.) - f_mu(1/delta)."""
 
     kind = "majorant"
     _offset = 1.0
-
-    def _require(self, measure, adm):
-        if not adm.cond47:
-            raise AdmissibilityError(
-                f"majorant requires the cond47 moment (finite f_mu(0)); "
-                f"{measure!r} only satisfies cond31")
 
     def _zero_node(self):
         if self._f00 is None:

@@ -364,6 +364,13 @@ def test_bounds_usage_error_leaves_no_file(tmp_path, capsys):
         ["bounds", "--kind", "et", "--roots", str(tmp_path / "missing.csv"),
          "--N", "2"], capsys)
     assert code == 2
+    bad = tmp_path / "bad.csv"
+    bad.write_text("re,im\n1.0,0.0\n0.5,oops\n")
+    code, _, err = run_cli(
+        ["bounds", "--kind", "et", "--roots", str(bad), "--N", "2",
+         "--out", str(out_file)], capsys)
+    assert code == 2 and f"{bad}:3:" in err
+    assert not out_file.exists()
 
 
 # -- verify -------------------------------------------------------------------

@@ -6,7 +6,8 @@ source text catches them on every run.  No linter is installed, so a
 stdlib ``ast`` scan also checks that every imported name is used, that no
 module branches on a measure's ``family`` name, that only ``measures``
 reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
-and that only ``Measure`` defines f, f_prime and f_derivs.
+that only ``Measure`` defines f, f_prime and f_derivs, and that only
+``measures`` raises AdmissibilityError or reads CSV.
 """
 
 import ast
@@ -107,3 +108,32 @@ def test_measure_families_define_f_only_through_derivs():
     tree = ast.parse((SRC / "measures.py").read_text())
     assert _f_ladder_definitions(tree) == [
         ("Measure", "f"), ("Measure", "f_derivs"), ("Measure", "f_prime")]
+
+
+def _raised_names(tree):
+    """Names of the exceptions a module raises, as ``raise E(...)`` or
+    ``raise mod.E(...)``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names.add(exc.id if isinstance(exc, ast.Name) else _attribute_read(exc))
+    return names
+
+
+def _modules_where(pred):
+    return sorted(p.name for p in SRC.glob("*.py") if pred(ast.parse(p.read_text())))
+
+
+def test_only_measures_raises_admissibility_error():
+    # Measure.require is the one majorant-admissibility gate
+    assert _modules_where(
+        lambda tree: "AdmissibilityError" in _raised_names(tree)) == ["measures.py"]
+
+
+def test_only_one_module_reads_csv():
+    # measures._csv_rows owns the header, width, number and path:line checks
+    assert _modules_where(
+        lambda tree: any(isinstance(node, ast.Call)
+                         and _attribute_read(node.func) == "reader"
+                         for node in ast.walk(tree))) == ["measures.py"]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal import forms, kernels, measures, periodic, specfun
-from extremal.errors import AdmissibilityError, ConvergenceError, DomainError
+from extremal.errors import AdmissibilityError, DomainError
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -121,13 +121,7 @@ def test_closed_forms_match_the_quadrature_fallback(mu):
                        rtol=0, atol=1e-8)
 
 
-# The base's f for sigma > 1 does not converge: e^{-lam a} - e^{-lam} keeps an
-# absolute rounding error of ~eps as lam -> 0, and eps lam^-sigma does not
-# integrate there (ROADMAP direction 3).
-CANCELS_NEAR_ZERO = pytest.mark.xfail(raises=ConvergenceError, strict=True,
-                                      reason="f by quadrature cancels at lam -> 0")
-DERIVS_CLOSED = [measures.HaarLog(), measures.PowerLaw(0.5),
-                 pytest.param(measures.PowerLaw(1.5, 2.0), marks=CANCELS_NEAR_ZERO),
+DERIVS_CLOSED = [measures.HaarLog(), measures.PowerLaw(0.5), measures.PowerLaw(1.5, 2.0),
                  measures.Atomic((0.5, 1.0, 3.0), (0.2, 1.0, 0.7))]
 
 
@@ -140,12 +134,23 @@ def test_closed_derivative_ladders_match_the_quadrature_fallback(mu):
     assert np.all(np.abs(closed - base) <= 1e-10)
 
 
+def test_base_f_converges_for_a_density_singular_at_zero():
+    # e^{-lam a} - e^{-lam} taken as a difference cancels as lam -> 0, and
+    # lam^-1.5 magnifies its rounding error past the quadrature budget
+    singular = measures.Weight(lambda lam: lam ** -1.5)
+    assert abs(singular.f(0.3) - measures.PowerLaw(1.5).f(0.3)) <= 1e-10
+
+
 def test_haar_majorant_moments_and_unknown_kinds_raise():
     haar = measures.HaarLog()
     with pytest.raises(AdmissibilityError):
         haar.defect_moment("majorant")
     with pytest.raises(AdmissibilityError):
         haar.transform_moment("majorant", np.array([0.5]))
+    # the closed form 2 Gamma(1-s) zeta(1-s) reads -5.18 at s = 0.5, where
+    # the moment is +inf
+    with pytest.raises(AdmissibilityError, match="cond47"):
+        measures.PowerLaw(0.5).defect_moment("majorant")
     for mu in (haar, measures.PowerLaw(1.5), measures.Atomic((1.0,), (1.0,))):
         with pytest.raises(DomainError):
             mu.defect_moment("upper")

@@ -2,14 +2,16 @@
 
 import math
 import os
+import re
 import tempfile
 import warnings
 
 import numpy as np
 import pytest
 
-from extremal import measures
+from extremal import forms, measures, polybound
 from extremal.errors import AdmissibilityError, DomainError
+from extremal.periodic import TrigPoly
 
 _GAMMA_M05 = -3.5449077018110321   # Gamma(-1/2), mpmath 1.3.0
 
@@ -177,6 +179,30 @@ def test_parse_error_carries_line_number():
         path = _write(td, "bad.csv", "lambda,weight\n1.0,1.0\n2.0,xyz\n")
         with pytest.raises(DomainError, match=":3:"):
             measures.atomic_from_csv(path)
+
+
+# every CSV reader of the package, with its header and one good row
+READERS = [(measures.atomic_from_csv, "lambda,weight", "1.0,2.0"),
+           (TrigPoly.from_csv, "n,re,im", "0,1.0,0.0"),
+           (forms.points_from_csv, "xi,re,im", "0.0,1.0,0.0"),
+           (polybound.roots_from_csv, "re,im", "1.0,0.0")]
+
+
+@pytest.mark.parametrize("read,header,good", READERS,
+                         ids=["measure", "trigpoly", "points", "roots"])
+@pytest.mark.parametrize("case", ["header", "width", "number", "empty"])
+def test_csv_readers_reject_bad_input_naming_the_line(tmp_path, read, header,
+                                                      good, case):
+    bad = {"header": f"x{header}\n{good}\n",
+           "width": f"{header}\n{good}\n{good},1.0\n",
+           "number": f"{header}\n{good}\n{good[:-1]}z\n",
+           "empty": f"{header}\n\n"}[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(bad)
+    where = {"header": f"{path}: expected header '{header}'",
+             "empty": f"{path}: no data rows"}.get(case, f"{path}:3: ")
+    with pytest.raises(DomainError, match=re.escape(where)):
+        read(str(path))
 
 
 @pytest.mark.parametrize("delta", [np.int64(2), np.float64(2.0)], ids=repr)

@@ -76,6 +76,7 @@ def test_csv_parse_errors():
         "k,re,im\n0,1.0,0.0\n",                      # header
         "n,re,im\n0,1.0,0.0\n2,0.5,0.0\n-2,0.5,0.0\n",  # gap at +-1
         "n,re,im\n",                                  # empty
+        "n,re,im\n4611686018427387904,1.0,0.0\n",     # |n| = 2**62: count, not list
     ]
     with tempfile.TemporaryDirectory() as td:
         for i, text in enumerate(cases):
@@ -84,6 +85,16 @@ def test_csv_parse_errors():
                 fh.write(text)
             with pytest.raises(DomainError):
                 TrigPoly.from_csv(path)
+
+
+def test_csv_reads_a_whole_float_n_as_json_does(tmp_path):
+    path = tmp_path / "poly.csv"
+    path.write_text("n,re,im\n-1.0,0.5,0.25\n0,2,0\n1.0,0.5,-0.25\n")
+    obj = {"degree": 1, "coeffs": [{"n": n, "re": re, "im": im} for n, re, im in
+                                   [(-1.0, 0.5, 0.25), (0, 2, 0), (1.0, 0.5, -0.25)]]}
+    assert TrigPoly.from_csv(str(path)) == TrigPoly.from_json_obj(obj)
+    with pytest.raises(DomainError):
+        TrigPoly.from_json_obj(dict(obj, degree=2 ** 62))
 
 
 @pytest.mark.parametrize("rows,line", [
