@@ -6,6 +6,16 @@ endpoint), so integrable endpoint singularities are handled by plain
 bisection refinement; the leftmost dyadic chain shrinks the contribution of
 an x^alpha endpoint (alpha > -1) geometrically.
 
+Refinement goes in batched passes.  Each pass pops the worst panels until
+their summed error estimates cover the excess, total error minus
+max(tol, 50 eps |value|), of every unconverged component; it bisects all of
+them and evaluates every child with one integrand call of 30 abscissae per
+popped panel.  One rule, _gk15, reduces the (15, n[, m]) block of a pass,
+a single panel included; there is no Python-float branch for scalar
+integrands, because a pass, not a panel, pays the numpy overhead.  A pass
+that would overrun the evaluation budget is trimmed to the panels that
+fit.
+
 Per-panel error follows the QUADPACK scaling: with d = |K15 - G7|, the
 estimate is resasc * min(1, (200 d / resasc)^1.5), which is sharply smaller
 than d on smooth panels and conservative on rough ones.
@@ -28,7 +38,9 @@ floats for a scalar integrand and float arrays of shape (m,) for a vector
 one; evaluations counts abscissae (15 per panel), whatever m is.  A
 callable that takes only scalars, such as math.exp, rejects the array with
 a TypeError on its first call and is then evaluated point by point; every
-other exception an integrand raises propagates unchanged.
+other exception an integrand raises propagates unchanged.  The abscissae
+of a pass come node-major (the first node of every panel, then the second,
+...), in no order an integrand may rely on.
 """
 
 import heapq
@@ -61,6 +73,7 @@ _NODES = np.concatenate([-_XGK[:7], _XGK[7:][::-1], _XGK[6::-1]])  # ascending, 
 _WK15 = np.concatenate([_WGK[:7], _WGK[7:][::-1], _WGK[6::-1]])
 _WG15 = np.zeros(15)
 _WG15[1:14:2] = np.concatenate([_WG[:3], _WG[3:][::-1], _WG[2::-1]])
+_WKG = np.stack([_WK15, _WG15])
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 200_000
@@ -107,51 +120,53 @@ def _as_vector_fn(f):
     return fvec
 
 
-def _gk15(fvec, a, b):
-    """One Gauss-Kronrod 7/15 pass on [a, b]: (value, err_est).
+def _gk15(fv, h):
+    """The Gauss-Kronrod 7/15 rule on a block of panels: (value, err_est).
 
-    Floats for a scalar integrand, (m,) arrays for a (15, m) one.  The
-    scalar case stays on Python floats, because numpy calls on 0-d results
-    would cost more per panel than the rule itself.
+    fv holds the integrand at the 15 nodes of n panels, node-major: shape
+    (15, n) for a scalar integrand, (15, n, m) for a vector one; h holds
+    the n half-widths.  value and err_est have shape fv.shape[1:].
     """
-    xm = 0.5 * (a + b)
+    flat = fv.reshape(15, -1)
+    hh = h if flat.shape[1] == len(h) else np.repeat(h, flat.shape[1] // len(h))
+    ah = np.abs(hh)
+    resk, resg = _WKG @ flat
+    resabs = (_WK15 @ np.abs(flat)) * ah
+    resasc = (_WK15 @ np.abs(flat - 0.5 * resk)) * ah
+    value = resk * hh
+    err = np.abs((resk - resg) * hh)
+    nz = resasc != 0.0              # where resasc is 0, err stays as it is
+    ratio = 200.0 * err / np.where(nz, resasc, np.inf)
+    err = np.where(nz, resasc * np.minimum(1.0, ratio ** 1.5), err)
+    err = np.maximum(err, 50.0 * _EPS * resabs)
+    return value.reshape(fv.shape[1:]), err.reshape(fv.shape[1:])
+
+
+def _panels(fvec, a, b, parents=None):
+    """_gk15 on the panels [a_i, b_i], with one integrand call for all of them.
+
+    A non-finite integrand value raises DomainError, or DivergenceError
+    when its panel was cut from a tiny one: ``parents`` = (pa, pb) holds k
+    bisected panels, and panel i is a half of [pa[i % k], pb[i % k]].  A
+    singularity that still blows up at that width does not integrate.
+    """
     h = 0.5 * (b - a)
-    fv = fvec(xm + h * _NODES)
-    if fv.shape != (15,) and (fv.ndim != 2 or fv.shape[0] != 15):
-        raise DomainError(
-            f"integrand returned shape {fv.shape}; expected (15,) or (15, m)")
-    if not np.all(np.isfinite(fv)):
-        rows = ~np.all(np.isfinite(fv.reshape(15, -1)), axis=1)
-        bad = xm + h * _NODES[rows][0]
-        raise DomainError(f"integrand non-finite at x = {bad!r}")
-    if fv.ndim == 2:
-        return _gk15_components(fv, h)
-    resk = float(_WK15 @ fv)
-    resg = float(_WG15 @ fv)
-    resabs = float(_WK15 @ np.abs(fv))
-    resasc = float(_WK15 @ np.abs(fv - 0.5 * resk))
-    value = resk * h
-    err = abs((resk - resg) * h)
-    resasc *= abs(h)
-    resabs *= abs(h)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-    return value, err
-
-
-def _gk15_components(fv, h):
-    """The scalar rule of _gk15 applied to each column of fv (15, m)."""
-    resk = _WK15 @ fv
-    resg = _WG15 @ fv
-    resabs = (_WK15 @ np.abs(fv)) * abs(h)
-    resasc = (_WK15 @ np.abs(fv - 0.5 * resk)) * abs(h)
-    value = resk * h
-    err = np.abs((resk - resg) * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
-    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
-    return value, np.maximum(err, 50.0 * _EPS * resabs)
+    x = 0.5 * (a + b) + np.multiply.outer(_NODES, h)
+    fv = fvec(x.ravel())
+    if fv.ndim not in (1, 2) or fv.shape[0] != x.size:
+        raise DomainError(f"integrand returned shape {fv.shape}; "
+                          f"expected ({x.size},) or ({x.size}, m)")
+    fv = fv.reshape((15, len(h)) + fv.shape[1:])
+    if not np.isfinite(fv).all():
+        bad = ~np.isfinite(fv.reshape(15, len(h), -1)).all(axis=2)
+        i = np.nonzero(bad.any(axis=0))[0][0]
+        at = float(x[bad[:, i], i][0])
+        if parents is not None:
+            pa, pb = (float(p[i % len(p)]) for p in parents)
+            if pb - pa <= 1e-13 * (abs(pa) + abs(pb) + 1.0):
+                raise DivergenceError(f"integrand blows up near x={at!r}")
+        raise DomainError(f"integrand non-finite at x = {at!r}")
+    return _gk15(fv, h)
 
 
 def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
@@ -171,31 +186,24 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     fvec = _as_vector_fn(f)
-    value, err = _gk15(fvec, a, b)
-    if isinstance(value, np.ndarray):
-        # m components: rank panels by, and test, every component's error
-        def worst(e):
-            return float(e.max(initial=0.0))
+    value, err = _panels(fvec, np.array([a]), np.array([b]))
+    scalar = value.ndim == 1        # else (1, m): m components
 
-        def size(v):
-            return float(np.abs(v).max(initial=0.0))
+    def out(v):
+        return float(v[0]) if scalar else v
 
-        def unconverged(v, e):
-            return bool(np.any(e > np.maximum(tol, 50.0 * _EPS * np.abs(v))))
-    else:
-        worst = float
-        size = abs
-
-        def unconverged(v, e):
-            return e > max(tol, 50.0 * _EPS * abs(v))
-
+    value, err = value.reshape(1, -1), err.reshape(1, -1)
     evals = 15
-    heap = [(-worst(err), 0, a, b, value, err)]
+    heap = [(-float(err[0].max(initial=0.0)), 0, a, b, value[0], err[0])]
     counter = 1
-    total_value, total_err = value, err
-    history = [size(total_value)]
-    while unconverged(total_value, total_err):
-        if evals + 30 > budget:
+    total_value, total_err = value[0], err[0]
+    history = [float(np.abs(total_value).max(initial=0.0))]
+    while True:
+        excess = total_err - np.maximum(tol, 50.0 * _EPS * np.abs(total_value))
+        if not (excess > 0.0).any():
+            break
+        room = (budget - evals) // 30
+        if room < 1:
             growth = len(history) > 64 and all(
                 h2 > h1 for h1, h2 in zip(history[-64:-1], history[-63:])
             )
@@ -204,36 +212,39 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
             )
             cls = DivergenceError if (growth and grew) else ConvergenceError
             raise cls(
-                f"budget {budget} exhausted: estimate {total_value!r}, "
-                f"err {worst(total_err):.3e}, tol {tol:.3e}",
-                estimate=total_value,
-                err_estimate=total_err,
+                f"budget {budget} exhausted: estimate {out(total_value)!r}, "
+                f"err {float(total_err.max()):.3e}, tol {tol:.3e}",
+                estimate=out(total_value),
+                err_estimate=out(total_err),
             )
-        _, _, pa, pb, pv, pe = heapq.heappop(heap)
+        # the worst panels whose errors cover every component's excess
+        popped = [heapq.heappop(heap)]
+        covered = popped[0][5]
+        while heap and len(popped) < room and not (covered >= excess).all():
+            popped.append(heapq.heappop(heap))
+            covered = covered + popped[-1][5]
+        _, _, pa, pb, pv, pe = zip(*popped)
+        pa, pb = np.array(pa), np.array(pb)
         pm = 0.5 * (pa + pb)
-        tiny = (pb - pa) <= 1e-13 * (abs(pa) + abs(pb) + 1.0)
-        if pm <= pa or pm >= pb:
+        stuck = (pm <= pa) | (pm >= pb)
+        if stuck.any():
+            at = float(pa[stuck][0])
             raise DivergenceError(
-                f"refinement exhausted float resolution near x={pa!r}; "
+                f"refinement exhausted float resolution near x={at!r}; "
                 "endpoint behaviour looks non-integrable")
-        try:
-            v1, e1 = _gk15(fvec, pa, pm)
-            v2, e2 = _gk15(fvec, pm, pb)
-        except DomainError:
-            if tiny:
-                # a non-finite value inside a panel this narrow means the
-                # singularity does not integrate; report it as such
-                raise DivergenceError(
-                    f"integrand blows up near x={pm!r}")
-            raise
-        evals += 30
-        total_value = total_value + (v1 + v2 - pv)
-        total_err = total_err + (e1 + e2 - pe)
-        heapq.heappush(heap, (-worst(e1), counter, pa, pm, v1, e1))
-        heapq.heappush(heap, (-worst(e2), counter + 1, pm, pb, v2, e2))
-        counter += 2
-        history.append(size(total_value))
-    return QuadResult(total_value, total_err, evals)
+        lo, hi = np.concatenate((pa, pm)), np.concatenate((pm, pb))
+        n = len(lo)
+        value, err = _panels(fvec, lo, hi, (pa, pb))
+        value, err = value.reshape(n, -1), err.reshape(n, -1)
+        evals += 15 * n
+        total_value = total_value + (np.add.reduce(value) - np.add.reduce(pv))
+        total_err = total_err + (np.add.reduce(err) - np.add.reduce(pe))
+        worst = err.max(axis=1, initial=0.0).tolist()
+        for i, (w, ca, cb) in enumerate(zip(worst, lo.tolist(), hi.tolist())):
+            heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i]))
+        counter += n
+        history.append(float(np.abs(total_value).max(initial=0.0)))
+    return QuadResult(out(total_value), out(total_err), evals)
 
 
 def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):

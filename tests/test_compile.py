@@ -6,8 +6,9 @@ source text catches them on every run.  No linter is installed, so a
 stdlib ``ast`` scan also checks that every imported name is used, that no
 module branches on a measure's ``family`` name, that only ``measures``
 reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
-that only ``Measure`` defines f, f_prime and f_derivs, and that only
-``measures`` raises AdmissibilityError or reads CSV.
+that only ``Measure`` defines f, f_prime and f_derivs, that only
+``measures`` raises AdmissibilityError or reads CSV, and that one function
+holds the Gauss-Kronrod rule.
 """
 
 import ast
@@ -137,3 +138,18 @@ def test_only_one_module_reads_csv():
         lambda tree: any(isinstance(node, ast.Call)
                          and _attribute_read(node.func) == "reader"
                          for node in ast.walk(tree))) == ["measures.py"]
+
+
+def _functions_reading(tree, name):
+    """Names of the functions whose bodies read the module-level ``name``."""
+    return sorted(fn.name for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef)
+                  and any(isinstance(node, ast.Name) and node.id == name
+                          and isinstance(node.ctx, ast.Load)
+                          for node in ast.walk(fn)))
+
+
+def test_one_gauss_kronrod_rule():
+    # _gk15 reduces every block of panels; no scalar twin of the rule
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    assert _functions_reading(tree, "_WK15") == ["_gk15"]

@@ -122,6 +122,31 @@ def test_eval_point_wrappers():
     assert r.value == pytest.approx(kernels.majorant_values(1.0, 2.2), abs=0.0)
 
 
+def test_eval_point_wrappers_bound_the_tail_past_the_last_node():
+    """Points past the K(lam) kept nodes: a finite tail bound, the kernel value."""
+    r = kernels.eval_L(10.0, 100.5)
+    assert r.trunc_terms == kernels._trunc_terms(10.0)
+    assert math.isfinite(r.tail_bound) and 0.0 < r.tail_bound <= 1e-15
+    assert abs(r.value - math.exp(-1005.0)) <= 1e-15
+    r = kernels.eval_M(10.0, 100.0)
+    assert r.trunc_terms == kernels._trunc_terms(10.0)
+    assert math.isfinite(r.tail_bound) and 0.0 < r.tail_bound <= 1e-15
+    for lam in (0.1, 0.37, 1.0, 10.0):
+        for x in (0.0, 3.3, 1e3, 1e9):
+            assert kernels.eval_L(lam, x).tail_bound <= 1e-16
+            assert kernels.eval_M(lam, x).tail_bound <= 1e-16
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+def test_nodes_past_the_truncation_interpolate(lam):
+    """L and M at lattice nodes up to 2000, far past the last kept node."""
+    s = np.arange(0, 2000, dtype=float) + 0.5
+    n = np.arange(0, 2001, dtype=float)
+    assert len(s) > kernels._trunc_terms(lam)
+    assert np.max(np.abs(kernels.minorant_values(lam, s) - np.exp(-lam * s))) <= 1e-15
+    assert np.max(np.abs(kernels.majorant_values(lam, n) - np.exp(-lam * n))) <= 1e-15
+
+
 def test_haar_transform_moment_bounds():
     moment = measures.HaarLog().transform_moment
     assert moment("minorant", 1.0) == 0.0

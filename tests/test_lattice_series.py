@@ -66,3 +66,55 @@ def test_array_shape_is_kept():
     assert np.array_equal(kernels.majorant_values(0.8, x), flat.reshape(3, 4))
     flat = kernels.minorant_values(0.8, x.ravel())
     assert np.array_equal(kernels.minorant_values(0.8, x), flat.reshape(3, 4))
+
+
+def _long_series(lam, x, first):
+    """L (first = 1/2) or M (first = 1) with nodes to |x| + ceil(log(1e14)/lam) + 10."""
+    def nodes(ax_max):
+        s = np.arange(first, math.ceil(ax_max) + math.ceil(math.log(1e14) / lam) + 10)
+        f = np.exp(-lam * s)
+        return s, f, -lam * f
+
+    return kernels._lattice_series(x, nodes, f0=None if first == 0.5 else 1.0)
+
+
+far_xs = st.one_of(
+    st.floats(-500.0, 500.0),
+    st.integers(-1000, 1000).map(lambda k: k / 2.0),             # exact nodes
+    st.tuples(st.integers(-1000, 1000), st.floats(-3e-6, 3e-6)).map(
+        lambda t: t[0] / 2.0 + t[1]),                            # near nodes
+)
+
+
+@PROPS
+@given(lams, st.lists(far_xs, min_size=1, max_size=8))
+def test_short_truncation_matches_a_long_one(lam, xs):
+    """K(lam) nodes whatever |x| is: within 1e-15 of nodes reaching past |x|."""
+    xs = np.array(xs)
+    assert np.max(np.abs(kernels.minorant_values(lam, xs)
+                         - _long_series(lam, xs, 0.5))) <= 1e-15
+    assert np.max(np.abs(kernels.majorant_values(lam, xs)
+                         - _long_series(lam, xs, 1.0))) <= 1e-15
+
+
+atomic_measures = st.lists(
+    st.tuples(lams, st.floats(0.01, 1.0)), min_size=1, max_size=5,
+    unique_by=lambda atom: atom[0]).map(
+        lambda atoms: measures.Atomic(*zip(*sorted(atoms))))
+
+
+@PROPS
+@given(atomic_measures, st.lists(far_xs, min_size=1, max_size=8))
+def test_one_sided_over_random_atomic_measures(mu, xs):
+    """sum_i w_i L(lam_i, .) <= sum_i w_i e^{-lam_i|.|} <= sum_i w_i M(lam_i, .),
+    and G_mu <= f_mu <= H_mu, to -1e-11."""
+    xs = np.array(xs)
+    atoms = list(zip(mu.points, mu.weights))
+    e = sum(w * np.exp(-lam * np.abs(xs)) for lam, w in atoms)
+    lo = sum(w * kernels.minorant_values(lam, xs) for lam, w in atoms)
+    hi = sum(w * kernels.majorant_values(lam, xs) for lam, w in atoms)
+    assert np.min(e - lo) >= -1e-11
+    assert np.min(hi - e) >= -1e-11
+    f = mu.f(xs)
+    assert np.min(f - superposed.Minorant(mu).value(xs)) >= -1e-11
+    assert np.min(superposed.Majorant(mu).value(xs) - f) >= -1e-11

@@ -3,10 +3,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from extremal import measures, quadrature
+from extremal import kernels, measures, quadrature, verify
 from extremal.errors import ConvergenceError, DivergenceError, DomainError
 
 # (integrand, a, b, exact value) for the finite-interval battery
@@ -49,6 +51,64 @@ def test_semiinfinite_battery():
 def test_scalar_callable_is_wrapped():
     res = quadrature.integrate_finite(math.exp, 0.0, 1.0, tol=1e-12)
     assert abs(res.value - (math.e - 1.0)) <= 1e-11
+
+
+def test_scalar_only_callable_goes_point_by_point():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.exp(x)          # TypeError on an array of abscissae
+
+    res = quadrature.integrate_finite(f, 0.0, 1.0, tol=1e-12)
+    assert abs(res.value - (math.e - 1.0)) <= 1e-11
+    assert isinstance(seen[0], np.ndarray)          # the rejected first call
+    assert all(isinstance(x, float) for x in seen[1:])
+    assert len(seen) - 1 == res.evaluations
+
+
+def test_cos_window_integral_batches_its_panels(monkeypatch):
+    """The criterion-3 integrand: one integrand call per pass, not per panel."""
+    calls, results = [], []
+    plain = quadrature.integrate_finite
+
+    def counting(f, *args, **kwargs):
+        def g(x):
+            calls.append(np.size(x))
+            return f(x)
+
+        results.append(plain(g, *args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    lam, t = 0.7, 0.45
+    ft = verify.cos_window_integral(
+        lambda x: np.exp(-lam * np.abs(x)) - kernels.minorant_values(lam, x), t)
+    closed = 2.0 * lam / (lam * lam + 4.0 * math.pi ** 2 * t * t)
+    assert abs(closed - ft - kernels.eval_Lhat(lam, t)) <= 1e-6
+    (res,) = results
+    assert sum(calls) == res.evaluations
+    assert len(calls) <= res.evaluations / 300
+
+
+@pytest.mark.parametrize("budget", [15, 44, 45, 75, 300, 901, 1500])
+def test_budget_is_never_overrun(budget):
+    """A pass that would overrun the budget is trimmed to the panels that fit."""
+    points = []
+
+    def f(x):
+        points.append(np.size(x))
+        return np.cos(40.0 * x) / np.sqrt(x)
+
+    try:
+        res = quadrature.integrate_finite(f, 0.0, 1.0, tol=1e-12, budget=budget)
+    except ConvergenceError as exc:
+        assert math.isfinite(exc.estimate) and exc.err_estimate > 0.0
+        assert abs(exc.estimate - 0.21699344350153) <= 10.0 * exc.err_estimate + 1e-9
+    else:
+        assert res.evaluations <= budget
+        assert abs(res.value - 0.21699344350153) <= 1e-9
+    assert sum(points) <= max(budget, 15)
 
 
 def test_zero_width_interval():
@@ -107,3 +167,33 @@ def test_tolerance_must_be_finite_and_positive(tol):
         quadrature.integrate_finite(lambda x: np.sin(50.0 * x), 0.0, 1.0, tol=tol)
     with pytest.raises(DomainError):
         quadrature.integrate_semiinfinite(lambda x: np.exp(-x), tol=tol)
+
+
+def _mp_reference(alpha, omega, phi, b):
+    """mpmath's integral of x^alpha and of cos(omega x + phi) over [0, b]."""
+    with mpmath.workdps(20):
+        cuts = mpmath.linspace(0, b, 2 + int(omega * b / math.pi))
+        power = mpmath.quad(lambda x: x ** alpha, [0, b])
+        wave = mpmath.quad(lambda x: mpmath.cos(omega * x + phi), cuts)
+        return float(power), float(wave)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.floats(-0.8, 2.0), st.floats(1.0, 60.0), st.floats(0.0, 2.0 * math.pi),
+       st.floats(0.5, 3.0), st.sampled_from([1e-8, 1e-10, 1e-12]))
+def test_matches_mpmath_on_oscillatory_and_endpoint_power_integrands(
+        alpha, omega, phi, b, tol):
+    """Scalar and two-component integrals within the tolerance asked for."""
+    power, wave = _mp_reference(alpha, omega, phi, b)
+
+    def floor(ref):
+        return tol + 50.0 * quadrature._EPS * abs(ref)
+
+    res = quadrature.integrate_finite(lambda x: x ** alpha, 0.0, b, tol=tol)
+    assert abs(res.value - power) <= floor(power)
+    res = quadrature.integrate_finite(lambda x: np.cos(omega * x + phi), 0.0, b, tol=tol)
+    assert abs(res.value - wave) <= floor(wave)
+    res = quadrature.integrate_finite(
+        lambda x: np.stack([x ** alpha, np.cos(omega * x + phi)], axis=1), 0.0, b, tol=tol)
+    assert abs(res.value[0] - power) <= floor(power)
+    assert abs(res.value[1] - wave) <= floor(wave)
