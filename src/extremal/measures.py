@@ -36,8 +36,8 @@ PLUS_INF, an array holding the point raises DomainError), which
 forms.r_mu and periodic.q_mu share.
 
 ``integrate`` is the one integral against a measure: a finite sum over
-``atoms``, piece by piece between ``breakpoints``, or else the weighted
-integral over (0, inf).  Every family subclasses Measure, whose methods
+``atoms``, one heap from the pieces between ``breakpoints``, or else the
+weighted integral over (0, inf).  Every family subclasses Measure, whose methods
 _derivs, defect_moment, r, q and transform_moment are each one
 (vector-valued) ``integrate`` call; a family overrides one only with a
 closed form:
@@ -111,15 +111,13 @@ def _by_kind(kind, minorant, majorant):
 def _over_points(kernel, x, measure, tol):
     """int kernel(lam, x) dmu at every point of x, in one integral.
 
-    A scalar x is a scalar integral and gives a float; an array x is one
-    vector integral of kernel(lam[:, None], x.ravel()), reshaped to x.
+    One vector integral of kernel(lam[:, None], x.ravel()), reshaped to x;
+    a scalar x is the one-point array call and gives a float.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return integrate(lambda lam: kernel(lam, x), measure, tol=tol).value
-    pts = x.ravel()
-    return integrate(lambda lam: kernel(lam[:, None], pts), measure,
-                     tol=tol).value.reshape(x.shape)
+    pts = np.atleast_1d(x).ravel()
+    out = integrate(lambda lam: kernel(lam[:, None], pts), measure, tol=tol).value
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def _nonzero(t):
@@ -307,7 +305,7 @@ class PowerLaw(Measure):
         s = self.sigma
         C = self.prefactor * math.pi / ((2.0 * math.pi) ** s
                                         * math.sin(math.pi * s / 2.0))
-        return C * _nonzero(t) ** (-s)
+        return C * np.asarray(_nonzero(t), dtype=float) ** (-s)
 
     def classify(self):
         return Admissibility(cond31=True, cond47=self.sigma > 1.0)
@@ -364,14 +362,27 @@ class Atomic(Measure):
 class Weight(Measure):
     """Measure with density ``fn`` (numpy-friendly callable on lam > 0).
 
-    ``breakpoints`` marks discontinuities/compact support so integrals can
-    be taken piecewise; tabulated CSV weights always populate it.  Every
-    moment is a quadrature fallback of the Measure base.
+    ``breakpoints`` marks discontinuities/compact support: integrals run
+    over [breakpoints[0], breakpoints[-1]] from the pieces between them;
+    tabulated CSV weights always populate it.  It needs at least two
+    finite, strictly increasing entries, the first >= 0.  Every moment is
+    a quadrature fallback of the Measure base.
     """
 
     fn: Callable
     breakpoints: Optional[Tuple[float, ...]] = None
     family = "weight"
+
+    def __post_init__(self):
+        bp = self.breakpoints
+        if bp is None:
+            return
+        bp = tuple(float(b) for b in bp)
+        if not (len(bp) >= 2 and all(math.isfinite(b) for b in bp) and bp[0] >= 0.0
+                and all(b > a for a, b in zip(bp, bp[1:]))):
+            raise DomainError("Weight breakpoints need at least two finite, strictly "
+                              f"increasing entries, the first >= 0; got {self.breakpoints!r}")
+        object.__setattr__(self, "breakpoints", bp)
 
     def weight(self, lam):
         return np.asarray(self.fn(np.asarray(lam, dtype=float)), dtype=float)
@@ -416,21 +427,21 @@ def classify(measure):
     return measure.classify()
 
 
-def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
+def integrate(g, measure, tol=1e-10):
     """Integral of g(lam) against a measure on (0, inf).
 
     ``measure`` is duck-typed: an ``atoms`` pair of (positions, weights)
     arrays gives a finite sum; otherwise ``measure.weight`` is the density,
-    integrated piece by piece between its ``breakpoints`` when it has them
-    and over (0, inf) when not.  g follows the integrand contract of
+    integrated in one heap from the pieces between its ``breakpoints``
+    when it has them and over (0, inf) when not, with one tol and
+    ``quadrature.DEFAULT_BUDGET``.  g follows the integrand contract of
     ``quadrature``: an (n, m) result gives m integrals in one call, with
     arrays in the QuadResult.
     """
-    gv = quadrature._as_vector_fn(g)
     atoms = getattr(measure, "atoms", None)
     if atoms is not None:
         lams, ws = atoms
-        vals = gv(np.asarray(lams, dtype=float))
+        vals = quadrature._as_vector_fn(g)(np.asarray(lams, dtype=float))
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand non-finite at an atom")
         value = np.asarray(ws) @ vals
@@ -441,22 +452,14 @@ def integrate(g, measure, tol=1e-10, budget=quadrature.DEFAULT_BUDGET):
 
     def integrand(lam):
         # the transposes broadcast the weight over (n,) and (n, m) alike
-        return (gv(lam).T * w(lam)).T
+        return (np.asarray(g(lam), dtype=float).T * w(lam)).T
 
     bp = getattr(measure, "breakpoints", None)
     # a divergent integral overflows before quadrature raises; no warnings
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if not bp:
-            return quadrature.integrate_semiinfinite(integrand, tol, budget)
-        pieces = max(1, len(bp) - 1)
-        total, err, evals = 0.0, 0.0, 0
-        for a, b in zip(bp, bp[1:]):
-            r = quadrature.integrate_finite(integrand, a, b, tol / pieces,
-                                            budget // pieces)
-            total += r.value
-            err += r.abs_err_est
-            evals += r.evaluations
-    return quadrature.QuadResult(total, err, evals)
+        if bp is None:
+            return quadrature.integrate_semiinfinite(integrand, tol)
+        return quadrature._refine(integrand, bp, tol, quadrature.DEFAULT_BUDGET)
 
 
 def atomic_from_csv(path):

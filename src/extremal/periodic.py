@@ -219,7 +219,7 @@ def q_mu(measure, x, tol=1e-9):
             return measures._divergent(x, "q diverges at integer x")
         out[integer] = measure.defect_moment("majorant", tol)
     if not np.all(integer):
-        out[~integer] = measure.q(xs[0] if scalar else xs[~integer], tol)
+        out[~integer] = measure.q(xs[~integer], tol)
     return float(out[0]) if scalar else out
 
 

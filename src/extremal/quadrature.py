@@ -20,11 +20,14 @@ Per-panel error follows the QUADPACK scaling: with d = |K15 - G7|, the
 estimate is resasc * min(1, (200 d / resasc)^1.5), which is sharply smaller
 than d on smooth panels and conservative on rough ones.
 
-Semi-infinite integrals int_0^inf are split at 1, the tail mapped back to
-(0, 1] by lam = 1/u (du weight 1/u^2).  Every admissible kernel weight
-lam^-sigma becomes an integrable endpoint power after the split.  This
-module integrates functions only; integrals against a measure are
-``measures.integrate``.
+Every integral is one heap, with one tol and one budget, over an initial
+partition whose pieces are the first pass: (a, b) for integrate_finite, a
+tabulated weight's breakpoints for measures.integrate, and (-1, 0, 1) for
+int_0^inf, with lam = u on (0, 1] and the tail lam = -1/u (du weight
+1/u^2) mirrored onto [-1, 0).  Both singular ends sit at 0, where floats
+are dense and every admissible kernel weight lam^-sigma is an integrable
+endpoint power.  This module integrates functions only; integrals against
+a measure are ``measures.integrate``.
 
 Integrand contract.  An integrand is called with a 1-D float array of n
 abscissae and returns either shape (n,), a scalar integrand, or shape
@@ -181,24 +184,40 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_finite requires finite endpoints")
+    return _refine(f, (a, b), tol, budget)
+
+
+def _refine(f, edges, tol, budget):
+    """f over [edges[0], edges[-1]] by one worst-first heap, one tol and one
+    budget; the first pass evaluates every piece of the partition ``edges``
+    in one integrand call.  Raises as integrate_finite documents."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
-    if a == b:
+    if edges[0] == edges[-1]:       # integrate_finite with a == b
         return QuadResult(0.0, 0.0, 0)
     fvec = _as_vector_fn(f)
-    value, err = _panels(fvec, np.array([a]), np.array([b]))
-    scalar = value.ndim == 1        # else (1, m): m components
+    lo = np.asarray(edges[:-1], dtype=float)
+    hi = np.asarray(edges[1:], dtype=float)
+    parents, pv, pe = None, (), ()  # the first pass replaces no panel
+    heap, history, counter, evals = [], [], 0, 0
+    total_value = total_err = 0.0
 
     def out(v):
         return float(v[0]) if scalar else v
 
-    value, err = value.reshape(1, -1), err.reshape(1, -1)
-    evals = 15
-    heap = [(-float(err[0].max(initial=0.0)), 0, a, b, value[0], err[0])]
-    counter = 1
-    total_value, total_err = value[0], err[0]
-    history = [float(np.abs(total_value).max(initial=0.0))]
     while True:
+        n = len(lo)
+        value, err = _panels(fvec, lo, hi, parents)
+        scalar = value.ndim == 1        # else (n, m): m components
+        value, err = value.reshape(n, -1), err.reshape(n, -1)
+        evals += 15 * n
+        total_value = total_value + (np.add.reduce(value) - np.add.reduce(pv))
+        total_err = total_err + (np.add.reduce(err) - np.add.reduce(pe))
+        worst = err.max(axis=1, initial=0.0).tolist()
+        for i, (w, ca, cb) in enumerate(zip(worst, lo.tolist(), hi.tolist())):
+            heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i]))
+        counter += n
+        history.append(float(np.abs(total_value).max(initial=0.0)))
         excess = total_err - np.maximum(tol, 50.0 * _EPS * np.abs(total_value))
         if not (excess > 0.0).any():
             break
@@ -233,33 +252,19 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
                 f"refinement exhausted float resolution near x={at!r}; "
                 "endpoint behaviour looks non-integrable")
         lo, hi = np.concatenate((pa, pm)), np.concatenate((pm, pb))
-        n = len(lo)
-        value, err = _panels(fvec, lo, hi, (pa, pb))
-        value, err = value.reshape(n, -1), err.reshape(n, -1)
-        evals += 15 * n
-        total_value = total_value + (np.add.reduce(value) - np.add.reduce(pv))
-        total_err = total_err + (np.add.reduce(err) - np.add.reduce(pe))
-        worst = err.max(axis=1, initial=0.0).tolist()
-        for i, (w, ca, cb) in enumerate(zip(worst, lo.tolist(), hi.tolist())):
-            heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i]))
-        counter += n
-        history.append(float(np.abs(total_value).max(initial=0.0)))
+        parents = (pa, pb)
     return QuadResult(out(total_value), out(total_err), evals)
 
 
 def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
-    """Integral of f over (0, inf): split at 1, tail mapped by lam = 1/u."""
-    fvec = _as_vector_fn(f)
-    head = integrate_finite(fvec, 0.0, 1.0, 0.5 * tol, budget // 2)
+    """Integral of f over (0, inf): one heap over (-1, 0, 1), with lam = u on
+    (0, 1] and lam = -1/u, weight 1/u^2, on [-1, 0)."""
 
-    def tail_integrand(u):
+    def mapped(u):
         u = np.asarray(u, dtype=float)
+        tail = u < 0.0
+        lam = np.divide(-1.0, u, out=u.copy(), where=tail)
         # the transposes broadcast the weight over (n,) and (n, m) alike
-        return (fvec(1.0 / u).T / (u * u)).T
+        return (np.asarray(f(lam), dtype=float).T / np.where(tail, u * u, 1.0)).T
 
-    tail = integrate_finite(tail_integrand, 0.0, 1.0, 0.5 * tol, budget // 2)
-    return QuadResult(
-        head.value + tail.value,
-        head.abs_err_est + tail.abs_err_est,
-        head.evaluations + tail.evaluations,
-    )
+    return _refine(mapped, (-1.0, 0.0, 1.0), tol, budget)

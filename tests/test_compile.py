@@ -7,8 +7,8 @@ stdlib ``ast`` scan also checks that every imported name is used, that no
 module branches on a measure's ``family`` name, that only ``measures``
 reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
 that only ``Measure`` defines f, f_prime and f_derivs, that only
-``measures`` raises AdmissibilityError or reads CSV, and that one function
-holds the Gauss-Kronrod rule.
+``measures`` raises AdmissibilityError or reads CSV, that one function
+holds the Gauss-Kronrod rule and that one function keeps a panel heap.
 """
 
 import ast
@@ -153,3 +153,9 @@ def test_one_gauss_kronrod_rule():
     # _gk15 reduces every block of panels; no scalar twin of the rule
     tree = ast.parse((SRC / "quadrature.py").read_text())
     assert _functions_reading(tree, "_WK15") == ["_gk15"]
+
+
+def test_one_panel_heap():
+    # _refine refines every integral; no second heap splits tol and budget
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    assert _functions_reading(tree, "heapq") == ["_refine"]

@@ -195,8 +195,11 @@ signed = st.floats(0.01, 50.0).flatmap(lambda a: st.sampled_from([a, -a]))
 @pytest.mark.parametrize("mu", FAMILIES,
                          ids=["haar", "power0.5", "power1.5", "atomic", "weight"])
 def test_scalar_f_and_f_prime_are_the_array_call(mu, xs):
-    for fn in (mu.f, mu.f_prime):
-        for x in xs:
-            s = fn(x)
-            assert isinstance(s, float)
-            assert s == fn(np.array([x]))[0]
+    # r, q and transform_moment too: each scalar is the one-point array call
+    t = xs[0] / 60.0 + math.copysign(0.05, xs[0])      # |t| in (0.05, 0.9)
+    cases = [(fn, x) for fn in (mu.f, mu.f_prime) for x in xs] + [
+        (mu.r, abs(t)), (mu.q, t), (lambda t: mu.transform_moment("minorant", t), t)]
+    for fn, x in cases:
+        s = fn(x)
+        assert isinstance(s, float)
+        assert s == fn(np.array([x]))[0]

@@ -123,6 +123,20 @@ def test_atomic_validation():
         measures.Atomic((1.0, 2.0), (1.0, -1.0))    # negative weight
 
 
+@pytest.mark.parametrize("bp", [(2.0, 1.0), (1.0,), (), (-1.0, 1.0), (0.5, 0.5, 1.0),
+                                (0.0, math.inf), (math.nan, 1.0)], ids=repr)
+def test_weight_breakpoints_validation(bp):
+    # each of these used to integrate silently to a wrong number
+    with pytest.raises(DomainError, match="breakpoints"):
+        measures.Weight(np.ones_like, breakpoints=bp)
+
+
+def test_weight_breakpoints_from_zero_are_accepted():
+    mu = measures.Weight(np.ones_like, breakpoints=(0, 1, 2.5))
+    assert mu.breakpoints == (0.0, 1.0, 2.5)
+    assert abs(measures.integrate(np.ones_like, mu).value - 2.5) <= 1e-12
+
+
 def test_integrate_dispatch():
     mu = measures.Atomic((1.0, 2.0), (0.5, 0.25))
     res = measures.integrate(lambda lam: lam, mu)

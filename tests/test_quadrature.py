@@ -141,6 +141,34 @@ def test_budget_exhaustion_carries_estimate():
     assert exc.value.err_estimate > 0.0
 
 
+def test_convergence_error_carries_the_whole_half_line_estimate():
+    """Head and mapped tail share one heap, so the estimate covers both."""
+    f = lambda x: np.where(x < 1.0, np.cos(300.0 * x), 0.0) + np.exp(-x)
+    with pytest.raises(ConvergenceError) as exc:
+        quadrature.integrate_semiinfinite(f, tol=1e-13, budget=600)
+    assert abs(exc.value.estimate - (1.0 + math.sin(300.0) / 300.0)) <= 1e-3
+
+
+def test_convergence_error_carries_the_whole_piecewise_estimate():
+    """The pieces of a breakpoint weight share one heap and one budget."""
+    mu = measures.Weight(np.ones_like, breakpoints=(0.0, 1.0, 2.0))
+    g = lambda lam: np.where(lam < 1.0, np.cos(3e4 * lam), 0.0) + np.exp(-lam)
+    with pytest.raises(ConvergenceError) as exc:
+        measures.integrate(g, mu, tol=1e-13)
+    exact = math.sin(3e4) / 3e4 + 1.0 - math.exp(-2.0)
+    assert abs(exc.value.estimate - exact) <= 1e-6
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(-0.9, 3.0, exclude_min=True), st.floats(0.05, 20.0))
+def test_semiinfinite_gamma_integrals(b, a):
+    """int_0^inf lam^b e^{-a lam} dlam = Gamma(b+1)/a^{b+1} within tol."""
+    exact = math.gamma(b + 1.0) / a ** (b + 1.0)
+    res = quadrature.integrate_semiinfinite(lambda x: x ** b * np.exp(-a * x))
+    assert abs(res.value - exact) <= max(quadrature.DEFAULT_TOL,
+                                         50.0 * quadrature._EPS * abs(exact))
+
+
 def test_haar_invariance():
     """Frullani: int (e^-lam - e^-2lam) dlam/lam = log 2, scale-invariantly."""
     mu = measures.HaarLog()

@@ -124,7 +124,28 @@ def test_array_integrand_errors_are_not_retried_point_by_point():
     calls.clear()
     with pytest.raises(DomainError, match="rejects"):
         measures.integrate(g, measures.PowerLaw(0.5))
-    assert calls == [(15,)]
+    assert calls == [(30,)]         # both half-line pieces share the first call
+
+
+def test_tabulated_weight_polynomial_takes_one_call(tmp_path):
+    """The pieces of a 6-row table are the first panels of one heap, so a
+    degree-20 polynomial, which the 15-point Kronrod rule integrates
+    exactly, converges in the first integrand call."""
+    rows = [(0.5, 2.0), (0.75, 1.0), (1.0, 3.0), (1.5, 0.5), (1.75, 4.0), (2.0, 1.0)]
+    path = tmp_path / "w.csv"
+    path.write_text("lambda,weight\n" + "".join(f"{l},{w}\n" for l, w in rows))
+    p = np.polynomial.Polynomial([math.cos(k) / math.factorial(k) for k in range(21)])
+    ip = p.integ()
+    exact = sum(w * (ip(b) - ip(a)) for (a, w), (b, _) in zip(rows, rows[1:]))
+    calls = []
+
+    def g(lam):
+        calls.append(np.shape(lam))
+        return p(lam)
+
+    res = measures.integrate(g, measures.weight_from_csv(path))
+    assert abs(res.value - exact) <= 1e-13
+    assert calls == [(75,)]
 
 
 def test_scalar_only_callables_are_evaluated_point_by_point():
