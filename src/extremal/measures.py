@@ -432,9 +432,8 @@ def integrate(g, measure, tol=1e-10):
 
     ``measure`` is duck-typed: an ``atoms`` pair of (positions, weights)
     arrays gives a finite sum; otherwise ``measure.weight`` is the density,
-    integrated in one heap from the pieces between its ``breakpoints``
-    when it has them and over (0, inf) when not, with one tol and
-    ``quadrature.DEFAULT_BUDGET``.  g follows the integrand contract of
+    integrated by one ``quadrature.refine`` heap over its ``breakpoints``,
+    or over (0, inf) without them.  g follows the integrand contract of
     ``quadrature``: an (n, m) result gives m integrals in one call, with
     arrays in the QuadResult.
     """
@@ -459,7 +458,7 @@ def integrate(g, measure, tol=1e-10):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if bp is None:
             return quadrature.integrate_semiinfinite(integrand, tol)
-        return quadrature._refine(integrand, bp, tol, quadrature.DEFAULT_BUDGET)
+        return quadrature.refine(integrand, bp, tol)
 
 
 def atomic_from_csv(path):

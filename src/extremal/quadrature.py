@@ -8,7 +8,7 @@ an x^alpha endpoint (alpha > -1) geometrically.
 
 Refinement goes in batched passes.  Each pass pops the worst panels until
 their summed error estimates cover the excess, total error minus
-max(tol, 50 eps |value|), of every unconverged component; it bisects all of
+max(tol, 2 floor), of every unconverged component; it bisects all of
 them and evaluates every child with one integrand call of 30 abscissae per
 popped panel.  One rule, _gk15, reduces the (15, n[, m]) block of a pass,
 a single panel included; there is no Python-float branch for scalar
@@ -18,16 +18,17 @@ fit.
 
 Per-panel error follows the QUADPACK scaling: with d = |K15 - G7|, the
 estimate is resasc * min(1, (200 d / resasc)^1.5), which is sharply smaller
-than d on smooth panels and conservative on rough ones.
+than d on smooth panels and conservative on rough ones, and at least the
+rounding floor 50 eps resabs.  An integral's floor sums its panels' floors;
+stopping at max(tol, 2 floor) keeps cancellation from stalling refinement.
 
 Every integral is one heap, with one tol and one budget, over an initial
-partition whose pieces are the first pass: (a, b) for integrate_finite, a
-tabulated weight's breakpoints for measures.integrate, and (-1, 0, 1) for
-int_0^inf, with lam = u on (0, 1] and the tail lam = -1/u (du weight
-1/u^2) mirrored onto [-1, 0).  Both singular ends sit at 0, where floats
-are dense and every admissible kernel weight lam^-sigma is an integrable
-endpoint power.  This module integrates functions only; integrals against
-a measure are ``measures.integrate``.
+partition: (a, b) for integrate_finite, a tabulated weight's breakpoints for
+measures.integrate, and (-1, 0, 1) for int_0^inf, lam = u on (0, 1] and
+lam = -1/u (du weight 1/u^2) on [-1, 0); every admissible kernel weight
+lam^-sigma is then an integrable power at 0, where floats are dense.  This
+module integrates functions only; integrals against a measure are
+``measures.integrate``.
 
 Integrand contract.  An integrand is called with a 1-D float array of n
 abscissae and returns either shape (n,), a scalar integrand, or shape
@@ -36,7 +37,7 @@ of QUADPACK qag and of S. G. Johnson's cubature).  A vector integral keeps
 one panel heap: each panel carries m values and m error estimates (each
 with the QUADPACK scaling), the panel with the largest component error is
 refined first, and refinement stops once every component k meets
-max(tol, 50 eps |value_k|).  QuadResult.value and abs_err_est are Python
+max(tol, 2 floor_k).  QuadResult.value and abs_err_est are Python
 floats for a scalar integrand and float arrays of shape (m,) for a vector
 one; evaluations counts abscissae (15 per panel), whatever m is.  A
 callable that takes only scalars, such as math.exp, rejects the array with
@@ -124,11 +125,11 @@ def _as_vector_fn(f):
 
 
 def _gk15(fv, h):
-    """The Gauss-Kronrod 7/15 rule on a block of panels: (value, err_est).
+    """The Gauss-Kronrod 7/15 rule on a block of panels: (value, err, floor).
 
     fv holds the integrand at the 15 nodes of n panels, node-major: shape
     (15, n) for a scalar integrand, (15, n, m) for a vector one; h holds
-    the n half-widths.  value and err_est have shape fv.shape[1:].
+    the n half-widths.  err >= floor = 50 eps resabs; all have fv.shape[1:].
     """
     flat = fv.reshape(15, -1)
     hh = h if flat.shape[1] == len(h) else np.repeat(h, flat.shape[1] // len(h))
@@ -141,8 +142,9 @@ def _gk15(fv, h):
     nz = resasc != 0.0              # where resasc is 0, err stays as it is
     ratio = 200.0 * err / np.where(nz, resasc, np.inf)
     err = np.where(nz, resasc * np.minimum(1.0, ratio ** 1.5), err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return value.reshape(fv.shape[1:]), err.reshape(fv.shape[1:])
+    floor = 50.0 * _EPS * resabs
+    err = np.maximum(err, floor)
+    return tuple(v.reshape(fv.shape[1:]) for v in (value, err, floor))
 
 
 def _panels(fvec, a, b, parents=None):
@@ -184,41 +186,41 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_finite requires finite endpoints")
-    return _refine(f, (a, b), tol, budget)
+    if a == b and math.isfinite(tol) and tol > 0.0:   # refine rejects a bad tol
+        return QuadResult(0.0, 0.0, 0)
+    return refine(f, (a, b), tol, budget)
 
 
-def _refine(f, edges, tol, budget):
+def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """f over [edges[0], edges[-1]] by one worst-first heap, one tol and one
     budget; the first pass evaluates every piece of the partition ``edges``
     in one integrand call.  Raises as integrate_finite documents."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
-    if edges[0] == edges[-1]:       # integrate_finite with a == b
-        return QuadResult(0.0, 0.0, 0)
     fvec = _as_vector_fn(f)
-    lo = np.asarray(edges[:-1], dtype=float)
-    hi = np.asarray(edges[1:], dtype=float)
-    parents, pv, pe = None, (), ()  # the first pass replaces no panel
+    lo, hi = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
+    parents, pv, pe, pr = None, (), (), ()  # the first pass replaces no panel
     heap, history, counter, evals = [], [], 0, 0
-    total_value = total_err = 0.0
+    total_value = total_err = total_floor = 0.0
 
     def out(v):
         return float(v[0]) if scalar else v
 
     while True:
         n = len(lo)
-        value, err = _panels(fvec, lo, hi, parents)
+        value, err, floor = _panels(fvec, lo, hi, parents)
         scalar = value.ndim == 1        # else (n, m): m components
-        value, err = value.reshape(n, -1), err.reshape(n, -1)
+        value, err, floor = (v.reshape(n, -1) for v in (value, err, floor))
         evals += 15 * n
         total_value = total_value + (np.add.reduce(value) - np.add.reduce(pv))
         total_err = total_err + (np.add.reduce(err) - np.add.reduce(pe))
+        total_floor = total_floor + (np.add.reduce(floor) - np.add.reduce(pr))
         worst = err.max(axis=1, initial=0.0).tolist()
         for i, (w, ca, cb) in enumerate(zip(worst, lo.tolist(), hi.tolist())):
-            heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i]))
+            heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i], floor[i]))
         counter += n
         history.append(float(np.abs(total_value).max(initial=0.0)))
-        excess = total_err - np.maximum(tol, 50.0 * _EPS * np.abs(total_value))
+        excess = total_err - np.maximum(tol, 2.0 * total_floor)
         if not (excess > 0.0).any():
             break
         room = (budget - evals) // 30
@@ -242,7 +244,7 @@ def _refine(f, edges, tol, budget):
         while heap and len(popped) < room and not (covered >= excess).all():
             popped.append(heapq.heappop(heap))
             covered = covered + popped[-1][5]
-        _, _, pa, pb, pv, pe = zip(*popped)
+        _, _, pa, pb, pv, pe, pr = zip(*popped)
         pa, pb = np.array(pa), np.array(pb)
         pm = 0.5 * (pa + pb)
         stuck = (pm <= pa) | (pm >= pb)
@@ -257,8 +259,7 @@ def _refine(f, edges, tol, budget):
 
 
 def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
-    """Integral of f over (0, inf): one heap over (-1, 0, 1), with lam = u on
-    (0, 1] and lam = -1/u, weight 1/u^2, on [-1, 0)."""
+    """Integral of f over (0, inf): lam = u on (0, 1], -1/u on [-1, 0)."""
 
     def mapped(u):
         u = np.asarray(u, dtype=float)
@@ -267,4 +268,4 @@ def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
         # the transposes broadcast the weight over (n,) and (n, m) alike
         return (np.asarray(f(lam), dtype=float).T / np.where(tail, u * u, 1.0)).T
 
-    return _refine(mapped, (-1.0, 0.0, 1.0), tol, budget)
+    return refine(mapped, (-1.0, 0.0, 1.0), tol, budget)

@@ -156,6 +156,6 @@ def test_one_gauss_kronrod_rule():
 
 
 def test_one_panel_heap():
-    # _refine refines every integral; no second heap splits tol and budget
+    # refine refines every integral; no second heap splits tol and budget
     tree = ast.parse((SRC / "quadrature.py").read_text())
-    assert _functions_reading(tree, "heapq") == ["_refine"]
+    assert _functions_reading(tree, "heapq") == ["refine"]

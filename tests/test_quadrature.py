@@ -159,6 +159,28 @@ def test_convergence_error_carries_the_whole_piecewise_estimate():
     assert abs(exc.value.estimate - exact) <= 1e-6
 
 
+def test_cancelling_integrands_stop_at_the_rounding_floor():
+    """50 eps int |f| > tol: the summed panel floors exceed 50 eps |int f|,
+    and refinement stops at twice them instead of running out of budget."""
+    c = np.cos(np.arange(17.0))[::-1]
+    res = quadrature.integrate_finite(lambda x: 3.0 * np.polyval(c, x), 0.5, 2.0)
+    exact = 3.0 * np.diff(np.polyval(np.polyint(c), [0.5, 2.0]))[0]
+    assert abs(res.value - exact) <= res.abs_err_est <= 1e-9
+    res = quadrature.integrate_semiinfinite(
+        lambda x: 1e5 * (np.exp(-x) - 2.0 * np.exp(-2.0 * x)))
+    assert abs(res.value) <= res.abs_err_est <= 1e-8
+
+
+@pytest.mark.parametrize("t, value", [(2.30e-4, 161745.04765427308),
+                                      (1e-4, 564188.7203012803),
+                                      (5e-5, 1595768.2582945162)])
+def test_half_line_floor_is_shared_by_head_and_tail(t, value):
+    """The head holds nearly all of the rounding floor; the tail's small
+    truncation error must not stall the one heap."""
+    mu = measures.PowerLaw(1.5, 2.0)
+    assert mu.transform_moment("minorant", t) == pytest.approx(value, rel=1e-13)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.floats(-0.9, 3.0, exclude_min=True), st.floats(0.05, 20.0))
 def test_semiinfinite_gamma_integrals(b, a):
