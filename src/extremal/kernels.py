@@ -16,19 +16,23 @@ single offending term collapses to
 
     sinc(du)^2 (f(s*) + du f'(s*))
 
-so node interpolation is exact.  For L and M, f = e^{-lam s}, f' = -lam f
-and f(0) = 1; truncation keeps the first K(lam) = ceil(log(1/eps)/lam) + 10
-node pairs (eps = 1e-16) whatever |x| is, and adds no tail term.  Since
-sum_s sinc(x - s)^2 = 1 over the whole lattice and |P(x)/(x -+ s)| <= 1/pi,
-the dropped pairs from s0 = first node + K on sum to at most
+so node interpolation is exact.  The series alone decides where it stops:
+the nodes below the horizon max(512, ceil(max |x|) + 96), plus the
+Euler-Maclaurin value of the pairs dropped from a0 on.  With b(u) =
+1/(x-u) - 1/(x+u) a pair is exactly g(s) = (f b)'(s), so that tail is
+-f(a0) b(a0) + g(a0)/2 - g'(a0)/12 + g'''(a0)/720 from the caller's
+f^(0..4)(a0), at the 1e-13 level even for power-law exponents near 2.  A
+caller may cap the node count; where the cap binds no tail is added.
 
-    e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam})))
-
-at every x, the tail_bound of eval_L and eval_M (below 6e-17 for lam >=
-0.1).  A point whose nearest node was dropped gets no collapse: P vanishes
-there and its term e^{-lam s*} is part of the dropped tail.  The
-superposed module passes its cached f_mu nodes up to a horizon past |x|
-and an Euler-Maclaurin tail.
+L and M (f = e^{-lam s}, f(0) = 1) are capped at K(lam) =
+ceil(log(1/eps)/lam) + 10 nodes (eps = 1e-16), which binds for lam >~
+0.0734.  Since sum_s sinc(x - s)^2 = 1 and |P(x)/(x -+ s)| <= 1/pi, the
+pairs dropped from s0 = first node + K on sum to at most
+e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at every x (below 6e-17 for
+lam >= 0.1); a point whose nearest node was dropped gets no collapse, as P
+vanishes there.  Smaller rates take the tail, so their values depend on the
+largest |x| of the call at the 1e-15 level, as those of G and H do.
+eval_L and eval_M report the nodes kept and the bound of their branch.
 
 The Fourier transforms (supported on [-1, 1]) have the closed forms
 
@@ -44,8 +48,8 @@ a Taylor branch below lam = 1e-2 removes the 2/lam cancellation of p (the
 branches agree to ~1e-13 in the switch window).
 
 The one-sided kernel defects e^{-lam|x|} - L and M - e^{-lam|x|} are O(lam)
-as lam -> 0 while the raw series needs ~32/lam terms, so measure integrals
-refining toward lam = 0 use KernelDefectAtPoint: a per-x Chebyshev fit of
+as lam -> 0, a difference of O(1) numbers, so measure integrals refining
+toward lam = 0 use KernelDefectAtPoint: a per-x Chebyshev fit of
 defect/lam on [0, 1/2] (the defect is analytic in |lam| < 2pi, making the
 fit rounding-limited; ~1e-10 relative accuracy uniformly down to lam -> 0).
 It takes one x or an array of x: each rate is one series call over all
@@ -65,6 +69,8 @@ _EPS_TAIL = 1e-16
 _NODE_TOL = 1e-6
 _CHUNK = 2_000_000  # max matrix cells per vectorized block
 _P_SWITCH = 1e-2
+_MIN_HORIZON = 512
+_GAP = 96
 
 
 @dataclass(frozen=True)
@@ -95,17 +101,51 @@ def _check_lam(lam):
 
 
 def _trunc_terms(lam):
-    """K(lam), the node pairs kept for L and M at every x."""
+    """K(lam), the most node pairs L and M keep at any x."""
     return int(math.ceil(math.log(1.0 / _EPS_TAIL) / lam)) + 10
 
 
-def _tail_bound(lam, first):
-    """Bound on the node pairs dropped from s0 = first + K(lam) on, at every x."""
-    s0 = first + _trunc_terms(lam)
-    return math.exp(-lam * s0) * (1.0 + 2.0 * lam / (math.pi * -math.expm1(-lam)))
+def _truncation(ax_max, first, cap):
+    """(n, tail): n nodes from first on, and whether the tail from first + n
+    is added, i.e. whether the horizon binds before the cap."""
+    n = math.ceil(max(_MIN_HORIZON, math.ceil(ax_max) + _GAP) - first)
+    if cap is not None and cap <= n:
+        return cap, False
+    return n, True
 
 
-def _lattice_series(x, nodes, f0=None, tail=None):
+def _bder(x, u, k):
+    """k-th u-derivative of b(u) = 1/(x-u) - 1/(x+u)."""
+    fk = math.factorial(k)
+    return fk * (1.0 / (x - u) ** (k + 1) + (-1.0) ** (k + 1) / (x + u) ** (k + 1))
+
+
+def _em_tail(x, a0, d):
+    """Euler-Maclaurin value of sum_{k>=0} (f b)'(a0 + k), vectorized in x,
+    from d = f^(0..4)(a0)."""
+    f0, f1, f2, f3, f4 = d
+    b0, b1, b2, b3, b4 = (_bder(x, a0, k) for k in range(5))
+    g = f0 * b1 + f1 * b0
+    gp = f2 * b0 + 2.0 * f1 * b1 + f0 * b2
+    g3 = f4 * b0 + 4.0 * f3 * b1 + 6.0 * f2 * b2 + 4.0 * f1 * b3 + f0 * b4
+    return -f0 * b0 + 0.5 * g - gp / 12.0 + g3 / 720.0
+
+
+def _tail_bound(lam, ax, a0, tail):
+    """Without the tail: the pairs of L or M dropped from a0 on.  With it:
+    the Euler-Maclaurin remainder (1/pi^2)(1/720) int_{a0}^inf |g''''| at
+    |x| = ax, by Leibniz with |f^(j)| <= lam^j e^{-lam a0} and |b^(m)(u)| <=
+    2 m!/(u - ax)^(m+1)."""
+    e = math.exp(-lam * a0)
+    if not tail:
+        return e * (1.0 + 2.0 * lam / (math.pi * -math.expm1(-lam)))
+    d = a0 - ax
+    terms = sum(math.comb(5, j) * math.factorial(4 - j) * lam ** j / d ** (5 - j)
+                for j in range(5))
+    return 2.0 * e * (terms + lam ** 4 / d) / (720.0 * math.pi ** 2)
+
+
+def _lattice_series(x, nodes, derivs, f0=None, cap=None):
     """Interpolation series through (f, f') on Z + 1/2, or on Z when f0 is given.
 
     Vectorized over x and even in x bit-for-bit; with P(x) = (cos(pi x)/pi)^2
@@ -114,11 +154,11 @@ def _lattice_series(x, nodes, f0=None, tail=None):
         P(x) [f0/x^2 + sum_s f(s) (1/(x-s)^2 + 1/(x+s)^2)
                      + f'(s) (1/(x-s) - 1/(x+s)) + tail(|x|, a0)].
 
-    ``nodes(ax_max)`` returns the positive nodes s (unit spacing, starting
-    at 1/2 or 1) with f and f' there; a point whose nearest node lies past
-    s[-1] gets no node collapse.  The f0/x^2 term is the unpaired node 0,
-    present exactly on the integer lattice.  ``tail(ax, a0)``, if given,
-    adds the node pairs dropped from a0 = s[-1] + 1 on.  Non-finite x
+    _truncation for the largest |x| and ``cap`` picks the n positive nodes
+    s = first, first + 1, ... (first = 1/2, or 1 with f0) and the tail;
+    ``nodes(s)`` returns f and f' there and ``derivs(a0)`` f^(0..4)(a0).  A
+    point whose nearest node lies past s[-1] gets no node collapse.  The
+    f0/x^2 term is the unpaired node 0 of the integer lattice.  Non-finite x
     raises DomainError.
     """
     x = np.asarray(x, dtype=float)
@@ -126,9 +166,13 @@ def _lattice_series(x, nodes, f0=None, tail=None):
     ax_max = float(ax.max(initial=0.0))         # nan or inf if any point is
     if not math.isfinite(ax_max):
         raise DomainError("evaluation points must be finite")
-    s, f, fp = nodes(ax_max)
+    first = 0.5 if f0 is None else 1.0
+    n, tail = _truncation(ax_max, first, cap)
+    s = first + np.arange(n, dtype=float)
+    f, fp = nodes(s)
+    d = derivs(first + n) if tail else None
     out = np.empty_like(ax)
-    rows = max(1, _CHUNK // len(s))
+    rows = max(1, _CHUNK // n)
     for i in range(0, len(ax), rows):
         y = ax[i:i + rows]
         dx = y[:, None] - s[None, :]
@@ -137,14 +181,14 @@ def _lattice_series(x, nodes, f0=None, tail=None):
             k = np.floor(y).astype(int)             # nearest node s[k] = k + 1/2
             du = y - (k + 0.5)
         else:
-            n = np.rint(y).astype(int)              # nearest node n = s[n - 1]
-            du = y - n
-            k = n - 1                               # k = -1: the node at 0
+            m = np.rint(y).astype(int)              # nearest node m = s[m - 1]
+            du = y - m
+            k = m - 1                               # k = -1: the node at 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             direct = f[None, :] / dx ** 2 + fp[None, :] / dx
             zero = None if f0 is None else f0 / y ** 2
         mirror = f[None, :] / px ** 2 - fp[None, :] / px
-        hit = np.nonzero((np.abs(du) < _NODE_TOL) & (k < len(s)))[0]
+        hit = np.nonzero((np.abs(du) < _NODE_TOL) & (k < n))[0]
         if hit.size:
             kh = k[hit]
             on_zero = kh < 0
@@ -154,8 +198,8 @@ def _lattice_series(x, nodes, f0=None, tail=None):
         total = np.sum(direct + mirror, axis=1)
         if f0 is not None:
             total = zero + total
-        if tail is not None:
-            total = total + tail(y, s[-1] + 1.0)
+        if tail:
+            total = total + _em_tail(y, first + n, d)
         vals = (np.sin(np.pi * du) / np.pi) ** 2 * total
         if hit.size:
             node = f[kh] + du[hit] * fp[kh]
@@ -166,41 +210,48 @@ def _lattice_series(x, nodes, f0=None, tail=None):
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
-def _exp_nodes(lam, first):
-    """The K(lam) nodes first, first + 1, ... of e^{-lam s}, with f and f'."""
-    s = first + np.arange(_trunc_terms(lam), dtype=float)
-    f = np.exp(-lam * s)
-    return s, f, -lam * f
+def _exp_series(lam, x, f0):
+    """L (f0 None) or M (f0 = 1): f = e^{-lam s} on at most K(lam) nodes."""
+    def nodes(s):
+        f = np.exp(-lam * s)
+        return f, -lam * f
+
+    def derivs(a0):
+        return [(-lam) ** j * math.exp(-lam * a0) for j in range(5)]
+
+    return _lattice_series(x, nodes, derivs, f0, _trunc_terms(lam))
 
 
 def minorant_values(lam, x):
     """L(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    lam = _check_lam(lam)
-    return _lattice_series(x, lambda ax_max: _exp_nodes(lam, 0.5))
+    return _exp_series(_check_lam(lam), x, None)
 
 
 def majorant_values(lam, x):
     """M(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
+    return _exp_series(_check_lam(lam), x, 1.0)
+
+
+def _eval_point(lam, x, f0):
+    """KernelEval of L (f0 None) or M (f0 = 1) at one point."""
     lam = _check_lam(lam)
-    return _lattice_series(x, lambda ax_max: _exp_nodes(lam, 1.0), f0=1.0)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    ax = abs(float(x))
+    first = 0.5 if f0 is None else 1.0
+    n, tail = _truncation(ax, first, _trunc_terms(lam))
+    return KernelEval(lam, float(x), _exp_series(lam, ax, f0), n,
+                      _tail_bound(lam, ax, first + n, tail))
 
 
 def eval_L(lam, x):
     """Extremal minorant of e^{-lam|.|} of type 2pi at a single point."""
-    lam = _check_lam(lam)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    return KernelEval(lam, float(x), minorant_values(lam, abs(float(x))),
-                      _trunc_terms(lam), _tail_bound(lam, 0.5))
+    return _eval_point(lam, x, None)
 
 
 def eval_M(lam, x):
     """Extremal majorant of e^{-lam|.|} of type 2pi at a single point."""
-    lam = _check_lam(lam)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    return KernelEval(lam, float(x), majorant_values(lam, abs(float(x))),
-                      _trunc_terms(lam), _tail_bound(lam, 1.0))
+    return _eval_point(lam, x, 1.0)
 
 
 def eval_Lhat(lam, t):
@@ -287,10 +338,10 @@ class KernelDefectAtPoint:
     kind "minorant": e^{-lam|x|} - L(lam, x);  "majorant": M(lam, x) - e^{-lam|x|}.
     x is a point or an array of points; a call returns shape
     lam.shape + x.shape, and a float when both are scalars.
-    Above LAM_SWITCH the node series is cheap and used directly; below, a
-    lazily built Chebyshev interpolant of defect/lam on [0, LAM_SWITCH]
-    takes over (degree NFIT-1 on first-kind nodes, so the series evaluation
-    is never needed at extreme lam).
+    Above LAM_SWITCH the node series is used directly; below, a lazily
+    built Chebyshev interpolant of defect/lam on [0, LAM_SWITCH] (degree
+    NFIT-1 on first-kind nodes) takes over, because the defect cancels to
+    O(lam) and the fit keeps its relative accuracy as lam -> 0.
     """
 
     LAM_SWITCH = 0.5

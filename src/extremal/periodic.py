@@ -23,7 +23,8 @@ log|2 sin(pi x)| with mean log2/(N+1).
 The coefficients of g_mu and h_mu are the dilated measure's defect and
 transform moments, and q_mu off the integers is its q method; the measure
 classes hold the closed forms and the one-integral quadrature fallback.
-p and its derivative j live in kernels, re-exported as eval_p and eval_j.
+l and m are g and h of the unit point mass at lam.  p and its derivative j
+live in kernels, re-exported as eval_p and eval_j.
 """
 
 import json
@@ -33,7 +34,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import kernels, measures, specfun
+from . import kernels, measures
 from .errors import DomainError
 
 _SYM_TOL = 1e-12
@@ -173,33 +174,13 @@ eval_j = kernels.eval_j
 def trig_minorant_l(lam, N):
     """Extremal degree-N trig minorant of p(lam, .); touches at (n-1/2)/(N+1)."""
     lam = kernels._check_lam(lam)
-    N = _check_degree(N)
-    u = lam / (N + 1.0)
-    c0 = -specfun.defect_minorant(u) / (N + 1.0)
-    return _fejer_poly(N, c0, lambda ts: kernels.eval_Lhat(u, ts) / (N + 1.0))
+    return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "minorant")
 
 
 def trig_majorant_m(lam, N):
     """Extremal degree-N trig majorant of p(lam, .); touches at n/(N+1)."""
     lam = kernels._check_lam(lam)
-    N = _check_degree(N)
-    u = lam / (N + 1.0)
-    c0 = specfun.defect_majorant(u) / (N + 1.0)
-    return _fejer_poly(N, c0, lambda ts: kernels.eval_Mhat(u, ts) / (N + 1.0))
-
-
-def _fejer_poly(N, c0, cn):
-    """Real even polynomial with mean c0 and c(+-n) = cn(ts)[n - 1].
-
-    cn maps the array ts = n/(N+1), n = 1..N, to the N coefficients.
-    """
-    cs = np.zeros(2 * N + 1, dtype=complex)
-    cs[N] = c0
-    if N > 0:
-        v = np.asarray(cn(np.arange(1, N + 1) / (N + 1.0)), dtype=float)
-        cs[N + 1:] = v
-        cs[:N] = v[::-1]
-    return TrigPoly(N, tuple(cs))
+    return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "majorant")
 
 
 def q_mu(measure, x, tol=1e-9):
@@ -223,15 +204,22 @@ def q_mu(measure, x, tol=1e-9):
     return float(out[0]) if scalar else out
 
 
-def _superposed_poly(measure, N, kind, tol):
-    """g_mu (kind "minorant") or h_mu ("majorant"): with nu = mu dilated by
-    N + 1, c(0) = -+ nu.defect_moment/(N+1), c(n) = nu.transform_moment/(N+1)."""
+def _superposed_poly(measure, N, kind, tol=1e-9):
+    """g_mu (kind "minorant") or h_mu ("majorant"), real and even: with nu =
+    mu dilated by N + 1, c(0) = -+ nu.defect_moment/(N+1) and c(+-n) =
+    nu.transform_moment(n/(N+1))/(N+1) for n = 1..N."""
     N = _check_degree(N)
     measure.require(kind)
     nu = measures.dilate(measure, N + 1.0)
     c0 = nu.defect_moment(kind, tol) / (N + 1.0)
-    return _fejer_poly(N, -c0 if kind == "minorant" else c0,
-                       lambda ts: nu.transform_moment(kind, ts, tol) / (N + 1.0))
+    cs = np.zeros(2 * N + 1, dtype=complex)
+    cs[N] = -c0 if kind == "minorant" else c0
+    if N > 0:
+        ts = np.arange(1, N + 1) / (N + 1.0)
+        v = np.asarray(nu.transform_moment(kind, ts, tol) / (N + 1.0), dtype=float)
+        cs[N + 1:] = v
+        cs[:N] = v[::-1]
+    return TrigPoly(N, tuple(cs))
 
 
 def trig_minorant_g(measure, N, tol=1e-9):

@@ -8,7 +8,9 @@ module branches on a measure's ``family`` name, that only ``measures``
 reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
 that only ``Measure`` defines f, f_prime and f_derivs, that only
 ``measures`` raises AdmissibilityError or reads CSV, that one function
-holds the Gauss-Kronrod rule and that one function keeps a panel heap.
+holds the Gauss-Kronrod rule, that one function keeps a panel heap and
+that only ``kernels`` decides where the lattice series stops: its horizon
+and its Euler-Maclaurin tail.
 """
 
 import ast
@@ -159,3 +161,24 @@ def test_one_panel_heap():
     # refine refines every integral; no second heap splits tol and budget
     tree = ast.parse((SRC / "quadrature.py").read_text())
     assert _functions_reading(tree, "heapq") == ["refine"]
+
+
+def _defined_names(tree):
+    """Names a module binds by def, class or assignment, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_one_truncation_for_the_lattice_series():
+    # _lattice_series alone sets the horizon and adds the tail, for L, M, G and H
+    truncation = {"_MIN_HORIZON", "_GAP", "_bder", "_em_tail"}
+    assert _modules_where(lambda tree: _defined_names(tree) & truncation) == [
+        "kernels.py"]
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert _functions_reading(tree, "_MIN_HORIZON") == ["_truncation"]
+    assert _functions_reading(tree, "_bder") == ["_em_tail"]

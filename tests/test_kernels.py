@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +15,11 @@ from extremal.verify import cos_window_integral
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
-@pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("lam", [1e-8, 1e-4, 1e-2, 0.1, 1.0, 10.0])
 def test_sandwich(lam):
-    xs = np.linspace(-25.0, 25.0, 10_000)
+    """One-sided at every rate, on both branches of the truncation."""
+    xs = np.concatenate([np.linspace(-25.0, 25.0, 10_000),
+                         np.linspace(-500.0, 500.0, 2001)])
     e = np.exp(-lam * np.abs(xs))
     assert np.min(e - kernels.minorant_values(lam, xs)) >= -1e-11
     assert np.min(kernels.majorant_values(lam, xs) - e) >= -1e-11
@@ -147,6 +150,46 @@ def test_nodes_past_the_truncation_interpolate(lam):
     assert np.max(np.abs(kernels.majorant_values(lam, n) - np.exp(-lam * n))) <= 1e-15
 
 
+def _nsum_series(lam, x, first):
+    """L (first = 1/2) or M (first = 1) at x > 0: mpmath's Euler-Maclaurin
+    sum of the paired node terms at 20 digits."""
+    with mpmath.workdps(20):
+        lam, x = mpmath.mpf(lam), mpmath.mpf(x)
+
+        def pair(k):
+            s = first + k
+            f = mpmath.exp(-lam * s)
+            return f * (1 / (x - s) ** 2 + 1 / (x + s) ** 2) - lam * f * (
+                1 / (x - s) - 1 / (x + s))
+
+        total = mpmath.nsum(pair, [0, mpmath.inf], method="euler-maclaurin")
+        if first == 0.5:
+            return float((mpmath.cos(mpmath.pi * x) / mpmath.pi) ** 2 * total)
+        return float((mpmath.sin(mpmath.pi * x) / mpmath.pi) ** 2 * (1 / x ** 2 + total))
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-3])
+@pytest.mark.parametrize("x", [3.3, 100.7])
+def test_small_rates_take_the_horizon_and_the_tail(lam, x):
+    """Below lam ~ 0.0734 L and M keep the nodes below max(512, |x| + 96) and
+    add the Euler-Maclaurin tail, not the ~36.8/lam nodes of K(lam): within
+    1e-15 of an mpmath sum, and tail_bound bounds the error up to rounding."""
+    for ev, first, kept in ((kernels.eval_L, 0.5, 512), (kernels.eval_M, 1.0, 511)):
+        r = ev(lam, x)
+        assert r.trunc_terms == kept < kernels._trunc_terms(lam)
+        assert 0.0 < r.tail_bound <= 1e-12
+        err = abs(r.value - _nsum_series(lam, x, first))
+        assert err <= min(1e-15, r.tail_bound + 2 * math.ulp(r.value))
+
+
+def test_small_rate_tail_bound_near_the_horizon():
+    """The Euler-Maclaurin bound is largest 96 nodes inside the horizon."""
+    for ev in (kernels.eval_L, kernels.eval_M):
+        r = ev(1e-8, 500.0)
+        assert r.trunc_terms < 600
+        assert 1e-14 < r.tail_bound <= 1e-12
+
+
 def test_haar_transform_moment_bounds():
     moment = measures.HaarLog().transform_moment
     assert moment("minorant", 1.0) == 0.0
@@ -160,11 +203,11 @@ def test_haar_transform_moment_bounds():
 
 
 def test_defect_at_point_matches_direct():
-    """Chebyshev small-lam branch agrees with the node series where the
-    series is affordable, and stays positive down to extreme lam."""
+    """Chebyshev small-lam branch agrees with the node series at every rate,
+    and stays positive down to extreme lam."""
     for kind in ("minorant", "majorant"):
         d = kernels.KernelDefectAtPoint(2.2, kind)
-        lams = 10.0 ** np.linspace(-2, 1, 40)
+        lams = 10.0 ** np.linspace(-8, 1, 40)
         vals = d(lams)
         e = np.exp(-lams * 2.2)
         if kind == "minorant":

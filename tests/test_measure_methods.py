@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal import forms, kernels, measures, periodic, specfun
-from extremal.errors import AdmissibilityError, DomainError
+from extremal.errors import AdmissibilityError, ConvergenceError, DomainError
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -139,6 +139,18 @@ def test_base_f_converges_for_a_density_singular_at_zero():
     # lam^-1.5 magnifies its rounding error past the quadrature budget
     singular = measures.Weight(lambda lam: lam ** -1.5)
     assert abs(singular.f(0.3) - measures.PowerLaw(1.5).f(0.3)) <= 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                   reason="the fourth-derivative column sets the floor of the "
+                          "fixed 1e-10 tolerance")
+@pytest.mark.parametrize("sigma, us", [(1.5, [1e-3]),
+                                       (0.5, np.geomspace(0.01, 600.0, 12))],
+                         ids=["power1.5-near-0", "power0.5-wide"])
+def test_base_derivative_ladder_converges_for_singular_densities(sigma, us):
+    weight = measures.Weight(lambda lam: lam ** -sigma)
+    closed = np.array(measures.PowerLaw(sigma).f_derivs(us))
+    assert np.allclose(weight.f_derivs(us), closed, rtol=1e-8, atol=0)
 
 
 def test_haar_majorant_moments_and_unknown_kinds_raise():
