@@ -16,13 +16,26 @@ single offending term collapses to
 
     sinc(du)^2 (f(s*) + du f'(s*))
 
-so node interpolation is exact.  The series alone decides where it stops:
-the nodes below the horizon max(512, ceil(max |x|) + 96), plus the
-Euler-Maclaurin value of the pairs dropped from a0 on.  With b(u) =
-1/(x-u) - 1/(x+u) a pair is exactly g(s) = (f b)'(s), so that tail is
+so node interpolation is exact.  The series alone decides where it stops,
+cell by cell: the cell of a point is its nearest node c0 (so du lies in
+[-1/2, 1/2]), and it keeps the nodes below its horizon
+max(512, ceil(c0 + 1/2) + 96), plus the Euler-Maclaurin value of the pairs
+dropped from a0 on.  With b(u) = 1/(x-u) - 1/(x+u) a pair is exactly
+g(s) = (f b)'(s), so that tail is
 -f(a0) b(a0) + g(a0)/2 - g'(a0)/12 + g'''(a0)/720 from the caller's
 f^(0..4)(a0), at the 1e-13 level even for power-law exponents near 2.  A
 caller may cap the node count; where the cap binds no tail is added.
+
+Where the horizon binds, the sum is split as in the fast multipole method
+for lattice sources (Greengard-Rokhlin 1987; Dutt-Gu-Rokhlin 1996).  The
+nodes sigma with |sigma - c0| < 3 (mirror nodes, the node 0 of Z and the
+collapsing node among them) are summed at the point.  The rest of the
+series, tail included, is analytic in du for |du| < 3: it is sampled once
+per cell at 16 first-kind Chebyshev offsets, and each point takes a
+barycentric interpolation in du, within ~1e-15 relative of the direct sum.
+A point then costs O(1), and its value depends on its own x alone, not on
+the other points of the call.  G and H keep the samples of their cells
+beside their node cache; L and M build theirs per call.
 
 L and M (f = e^{-lam s}, f(0) = 1) are capped at K(lam) =
 ceil(log(1/eps)/lam) + 10 nodes (eps = 1e-16), which binds for lam >~
@@ -30,9 +43,10 @@ ceil(log(1/eps)/lam) + 10 nodes (eps = 1e-16), which binds for lam >~
 pairs dropped from s0 = first node + K on sum to at most
 e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at every x (below 6e-17 for
 lam >= 0.1); a point whose nearest node was dropped gets no collapse, as P
-vanishes there.  Smaller rates take the tail, so their values depend on the
-largest |x| of the call at the 1e-15 level, as those of G and H do.
-eval_L and eval_M report the nodes kept and the bound of their branch.
+vanishes there.  Where the cap binds, the K(lam) nodes are summed directly
+at each point; smaller rates take the tail and the far field in the cells
+whose horizon is below K(lam).  eval_L and eval_M report the nodes kept and
+the bound of their point's cell.
 
 The Fourier transforms (supported on [-1, 1]) have the closed forms
 
@@ -58,6 +72,7 @@ points is one (n_lam, n_x) vector integrand.
 """
 
 import math
+import threading
 
 import numpy as np
 
@@ -67,10 +82,15 @@ from .errors import DomainError
 
 _EPS_TAIL = 1e-16
 _NODE_TOL = 1e-6
-_CHUNK = 2_000_000  # max matrix cells per vectorized block
+_CHUNK = 262_144  # max matrix cells per vectorized block
 _P_SWITCH = 1e-2
 _MIN_HORIZON = 512
 _GAP = 96
+_R = 3          # nodes nearer a point's cell node than _R are summed directly
+_Q = 16         # far-field samples per cell
+_NODE_BLOCK = 128  # nodes per block of a cell's far-field sum
+_OFFSETS = 0.5 * np.cos((2 * np.arange(_Q) + 1) * np.pi / (2 * _Q))
+_WEIGHTS = (-1.0) ** np.arange(_Q) * np.sin((2 * np.arange(_Q) + 1) * np.pi / (2 * _Q))
 
 
 @dataclass(frozen=True)
@@ -105,13 +125,23 @@ def _trunc_terms(lam):
     return int(math.ceil(math.log(1.0 / _EPS_TAIL) / lam)) + 10
 
 
-def _truncation(ax_max, first, cap):
-    """(n, tail): n nodes from first on, and whether the tail from first + n
-    is added, i.e. whether the horizon binds before the cap."""
-    n = math.ceil(max(_MIN_HORIZON, math.ceil(ax_max) + _GAP) - first)
-    if cap is not None and cap <= n:
-        return cap, False
-    return n, True
+def _cell(y, first):
+    """(c0, du) at y = |x| >= 0: the lattice node c0 nearest y (the node 0
+    counts on Z) and du = y - c0 in [-1/2, 1/2]."""
+    c0 = np.floor(y) + 0.5 if first == 0.5 else np.rint(y)
+    return c0, y - c0
+
+
+def _truncation(c0, first, cap):
+    """(n, tail) of the cells with nearest node c0, a number or an array: n
+    nodes from first on, and whether the tail from first + n is added, i.e.
+    whether the cell's horizon max(512, ceil(c0 + 1/2) + 96) binds before
+    the cap."""
+    n = np.ceil(np.maximum(_MIN_HORIZON, np.ceil(c0 + 0.5) + _GAP)
+                - first).astype(np.int64)
+    if cap is None:
+        return n, np.full(np.shape(n), True)
+    return np.minimum(n, cap), n < cap
 
 
 def _bder(x, u, k):
@@ -121,8 +151,8 @@ def _bder(x, u, k):
 
 
 def _em_tail(x, a0, d):
-    """Euler-Maclaurin value of sum_{k>=0} (f b)'(a0 + k), vectorized in x,
-    from d = f^(0..4)(a0)."""
+    """Euler-Maclaurin value of sum_{k>=0} (f b)'(a0 + k), elementwise in x
+    and a0, from d = f^(0..4)(a0)."""
     f0, f1, f2, f3, f4 = d
     b0, b1, b2, b3, b4 = (_bder(x, a0, k) for k in range(5))
     g = f0 * b1 + f1 * b0
@@ -145,7 +175,184 @@ def _tail_bound(lam, ax, a0, tail):
     return 2.0 * e * (terms + lam ** 4 / d) / (720.0 * math.pi ** 2)
 
 
-def _lattice_series(x, nodes, derivs, f0=None, cap=None):
+class _CellCache:
+    """Far-field samples of one series, a row of _Q per cell, each built once.
+
+    Reads take no lock and see the (cells, rows) table as one tuple; a
+    build holds the lock, so threads that miss the same cell build it once.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._table = (np.empty(0), np.empty((0, _Q)))
+
+    @staticmethod
+    def _find(table, cells):
+        """Where each cell sits in the table, and the cells it lacks."""
+        known = table[0]
+        if not len(known):
+            return np.zeros(len(cells), dtype=np.int64), cells
+        pos = np.minimum(np.searchsorted(known, cells), len(known) - 1)
+        return pos, cells[known[pos] != cells]
+
+    def rows(self, cells, build):
+        """The rows of the sorted distinct cells; build(new) makes the rows
+        of the cells not held yet."""
+        table = self._table
+        pos, new = self._find(table, cells)
+        if new.size:
+            with self._lock:
+                table = self._table
+                pos, new = self._find(table, cells)
+                if new.size:
+                    known = np.concatenate([table[0], new])
+                    order = np.argsort(known, kind="stable")
+                    table = (known[order],
+                             np.concatenate([table[1], build(new)])[order])
+                    self._table = table
+                    pos, _ = self._find(table, cells)
+        return table[1][pos]
+
+
+def _cell_samples(c0, first, nodes, derivs, f0):
+    """The far field of each cell c0 (a sorted array) at c0 + _OFFSETS, as a
+    (len(c0), _Q) array.
+
+    A cell's far field is the series without its near nodes: every lattice
+    node sigma below the cell's horizon (mirrors -s and the node 0 of Z
+    included) with |sigma - c0| >= _R, plus the Euler-Maclaurin tail from
+    the horizon on.  It is analytic in du for |du| < _R, so _Q Chebyshev
+    samples on [-1/2, 1/2] hold it to rounding.  The cells are summed in
+    blocks of at most _CHUNK (cell, sample, node) triples, over node blocks
+    of _NODE_BLOCK in which the nodes a cell leaves out enter as zeros; a
+    row thus takes the same operations whatever cells share its block.
+    """
+    n, _ = _truncation(c0, first, None)
+    a0 = first + n
+    horizons, col = np.unique(a0, return_inverse=True)
+    d = derivs(horizons)[:, col, None]
+    f, fp = nodes(first + np.arange(n.max(), dtype=float))
+    pad = np.zeros(-len(f) % _NODE_BLOCK)
+    f, fp = np.concatenate([f, pad]), np.concatenate([fp, pad])
+    out = np.empty((len(c0), _Q))
+    rows = max(1, _CHUNK // (_Q * _NODE_BLOCK))
+    for i in range(0, len(c0), rows):
+        c = c0[i:i + rows, None, None]
+        m = n[i:i + rows, None, None]
+        y = c + _OFFSETS[:, None]
+        total = 0.0
+        for j in range(0, int(m.max()), _NODE_BLOCK):
+            k = np.arange(j, j + _NODE_BLOCK)
+            s = first + k
+            kept = k < m
+            fd, fpd = (np.where(kept & (np.abs(s - c) >= _R), v[k], 0.0)
+                       for v in (f, fp))
+            fm, fpm = (np.where(kept & (s + c >= _R), v[k], 0.0) for v in (f, fp))
+            r = 1.0 / (y - s)
+            terms = (fd * r + fpd) * r
+            r = 1.0 / (y + s)
+            terms += (fm * r - fpm) * r
+            total = total + np.sum(terms, axis=2)
+        y = y[..., 0]
+        if f0 is not None:
+            total = total + np.where(c[..., 0] >= _R, f0 / y ** 2, 0.0)
+        out[i:i + rows] = total + _em_tail(y, a0[i:i + rows, None], d[:, i:i + rows])
+    return out
+
+
+def _interpolate(du, F):
+    """Barycentric interpolation of the rows F (len(du), _Q), sampled at
+    _OFFSETS, to the offsets du: a loop over the samples, so that a value
+    takes the same operations whatever the length of du."""
+    num = den = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for q in range(_Q):
+            w = _WEIGHTS[q] / (du - _OFFSETS[q])
+            num = num + w * F[:, q]
+            den = den + w
+        out = num / den
+    on = np.nonzero(du[:, None] == _OFFSETS)
+    out[on[0]] = F[on]
+    return out
+
+
+def _near(y, c0, du, first, f, fp, f0, hit):
+    """Sum over the near nodes sigma = c0 + j, |j| < _R, of each point of
+    f(|sigma|)/(y - sigma)^2 + sign(sigma) f'(|sigma|)/(y - sigma), with
+    f0/y^2 at the node 0 of Z; the node c0 of a point in hit is left to the
+    collapse."""
+    total = 0.0
+    for j in range(1 - _R, _R):
+        sigma = c0 + j
+        k = (np.abs(sigma) - first).astype(np.int64)    # -1: the node 0 of Z
+        d = du if j == 0 else y - sigma
+        kk = np.maximum(k, 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            term = f[kk] / d ** 2 + np.sign(sigma) * fp[kk] / d
+            if f0 is not None:
+                term = np.where(k < 0, f0 / d ** 2, term)
+        if j == 0:
+            term = np.where(hit, 0.0, term)
+        total = total + term
+    return total
+
+
+def _collapse(vals, hit, k, du, f, fp, f0):
+    """Add sinc(du)^2 (f + du f') of the nearest node, index k, to vals at
+    the points hit; k = -1 is the node 0 of Z, which carries f0 alone."""
+    kk = np.maximum(k, 0)
+    node = f[kk] + du * fp[kk]
+    if f0 is not None:
+        node = np.where(k < 0, f0, node)
+    vals[hit] += np.sinc(du) ** 2 * node
+
+
+def _far(y, c0, du, first, nodes, derivs, f0, cells):
+    """The series at points whose cell's horizon binds: the near nodes
+    directly, the rest from the cell's samples, and the node collapse."""
+    keys, inv = np.unique(c0, return_inverse=True)
+    F = cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0))
+    f, fp = nodes(first + np.arange(int(keys[-1] - first) + _R, dtype=float))
+    hit = np.abs(du) < _NODE_TOL
+    vals = (np.sin(np.pi * du) / np.pi) ** 2 * (
+        _interpolate(du, F[inv]) + _near(y, c0, du, first, f, fp, f0, hit))
+    _collapse(vals, hit, (c0[hit] - first).astype(np.int64), du[hit], f, fp, f0)
+    return vals
+
+
+def _direct(y, c0, du, first, n, nodes, f0):
+    """The series at y over the first n nodes and no tail: the points where
+    the cap binds.  A point whose nearest node is past them gets no
+    collapse."""
+    s = first + np.arange(n, dtype=float)
+    f, fp = nodes(s)
+    out = np.empty_like(y)
+    rows = max(1, _CHUNK // n)
+    for i in range(0, len(y), rows):
+        yi, dui = y[i:i + rows], du[i:i + rows]
+        k = (c0[i:i + rows] - first).astype(int)    # nearest node s[k]; -1: 0
+        dx = yi[:, None] - s[None, :]
+        px = yi[:, None] + s[None, :]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            direct = f[None, :] / dx ** 2 + fp[None, :] / dx
+            zero = None if f0 is None else f0 / yi ** 2
+        mirror = f[None, :] / px ** 2 - fp[None, :] / px
+        hit = np.nonzero((np.abs(dui) < _NODE_TOL) & (k < n))[0]
+        kh = k[hit]
+        on_zero = kh < 0
+        direct[hit[~on_zero], kh[~on_zero]] = 0.0
+        if f0 is not None:
+            zero[hit[on_zero]] = 0.0
+        total = np.sum(direct + mirror, axis=1)
+        if f0 is not None:
+            total = zero + total
+        vals = (np.sin(np.pi * dui) / np.pi) ** 2 * total
+        _collapse(vals, hit, kh, dui[hit], f, fp, f0)
+        out[i:i + rows] = vals
+    return out
+
+
+def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
     """Interpolation series through (f, f') on Z + 1/2, or on Z when f0 is given.
 
     Vectorized over x and even in x bit-for-bit; with P(x) = (cos(pi x)/pi)^2
@@ -154,59 +361,30 @@ def _lattice_series(x, nodes, derivs, f0=None, cap=None):
         P(x) [f0/x^2 + sum_s f(s) (1/(x-s)^2 + 1/(x+s)^2)
                      + f'(s) (1/(x-s) - 1/(x+s)) + tail(|x|, a0)].
 
-    _truncation for the largest |x| and ``cap`` picks the n positive nodes
-    s = first, first + 1, ... (first = 1/2, or 1 with f0) and the tail;
-    ``nodes(s)`` returns f and f' there and ``derivs(a0)`` f^(0..4)(a0).  A
-    point whose nearest node lies past s[-1] gets no node collapse.  The
-    f0/x^2 term is the unpaired node 0 of the integer lattice.  Non-finite x
-    raises DomainError.
+    _truncation of the cell of |x| (its nearest node c0) and ``cap`` pick
+    the n positive nodes s = first, first + 1, ... (first = 1/2, or 1 with
+    f0) and the tail; ``nodes(s)`` returns f and f' there and ``derivs(a0)``
+    f^(0..4) at an array of a0, as a (5, len(a0)) array.  Where the cap
+    binds the n nodes are summed directly, and a point whose nearest node
+    lies past s[-1] gets no node collapse.  Elsewhere the near nodes are
+    summed directly and the rest comes from the samples of the cell, which
+    ``cells`` keeps (a _CellCache; a new one when None).  A value depends
+    on its own x alone.  The f0/x^2 term is the unpaired node 0 of the
+    integer lattice.  Non-finite x raises DomainError.
     """
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x).ravel()
-    ax_max = float(ax.max(initial=0.0))         # nan or inf if any point is
-    if not math.isfinite(ax_max):
+    y = np.abs(x).ravel()
+    if not math.isfinite(y.max(initial=0.0)):     # nan or inf if any point is
         raise DomainError("evaluation points must be finite")
     first = 0.5 if f0 is None else 1.0
-    n, tail = _truncation(ax_max, first, cap)
-    s = first + np.arange(n, dtype=float)
-    f, fp = nodes(s)
-    d = derivs(first + n) if tail else None
-    out = np.empty_like(ax)
-    rows = max(1, _CHUNK // n)
-    for i in range(0, len(ax), rows):
-        y = ax[i:i + rows]
-        dx = y[:, None] - s[None, :]
-        px = y[:, None] + s[None, :]
-        if f0 is None:
-            k = np.floor(y).astype(int)             # nearest node s[k] = k + 1/2
-            du = y - (k + 0.5)
-        else:
-            m = np.rint(y).astype(int)              # nearest node m = s[m - 1]
-            du = y - m
-            k = m - 1                               # k = -1: the node at 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = f[None, :] / dx ** 2 + fp[None, :] / dx
-            zero = None if f0 is None else f0 / y ** 2
-        mirror = f[None, :] / px ** 2 - fp[None, :] / px
-        hit = np.nonzero((np.abs(du) < _NODE_TOL) & (k < n))[0]
-        if hit.size:
-            kh = k[hit]
-            on_zero = kh < 0
-            direct[hit[~on_zero], kh[~on_zero]] = 0.0
-            if f0 is not None:
-                zero[hit[on_zero]] = 0.0
-        total = np.sum(direct + mirror, axis=1)
-        if f0 is not None:
-            total = zero + total
-        if tail:
-            total = total + _em_tail(y, first + n, d)
-        vals = (np.sin(np.pi * du) / np.pi) ** 2 * total
-        if hit.size:
-            node = f[kh] + du[hit] * fp[kh]
-            if f0 is not None:
-                node[on_zero] = f0
-            vals[hit] += np.sinc(du[hit]) ** 2 * node
-        out[i:i + rows] = vals
+    c0, du = _cell(y, first)
+    _, tail = _truncation(c0, first, cap)
+    out = np.empty_like(y)
+    if not tail.all():
+        out[~tail] = _direct(y[~tail], c0[~tail], du[~tail], first, cap, nodes, f0)
+    if tail.any():
+        out[tail] = _far(y[tail], c0[tail], du[tail], first, nodes, derivs, f0,
+                         _CellCache() if cells is None else cells)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
@@ -217,7 +395,8 @@ def _exp_series(lam, x, f0):
         return f, -lam * f
 
     def derivs(a0):
-        return [(-lam) ** j * math.exp(-lam * a0) for j in range(5)]
+        e = np.exp(-lam * a0)
+        return np.array([(-lam) ** j * e for j in range(5)])
 
     return _lattice_series(x, nodes, derivs, f0, _trunc_terms(lam))
 
@@ -239,9 +418,9 @@ def _eval_point(lam, x, f0):
         raise DomainError(f"x must be finite, got {x!r}")
     ax = abs(float(x))
     first = 0.5 if f0 is None else 1.0
-    n, tail = _truncation(ax, first, _trunc_terms(lam))
-    return KernelEval(lam, float(x), _exp_series(lam, ax, f0), n,
-                      _tail_bound(lam, ax, first + n, tail))
+    n, tail = _truncation(_cell(ax, first)[0], first, _trunc_terms(lam))
+    return KernelEval(lam, float(x), _exp_series(lam, ax, f0), int(n),
+                      _tail_bound(lam, ax, first + int(n), bool(tail)))
 
 
 def eval_L(lam, x):

@@ -17,8 +17,13 @@ f_nu^(0..4) where the tail starts.
 Dilation: Minorant(mu, delta) evaluates G_nu(delta x) with nu(E) = mu(delta E),
 the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).
 
-Node values and tail derivatives are cached per instance (reads are pure;
-the caches only grow), so grid sweeps reuse one instance.  The
+Each instance caches, under locks, f_nu and f_nu' on the nodes, f_nu(0),
+the tail derivatives at each horizon and the far-field samples of each
+cell (see kernels); reads are pure and the caches only grow, so a point
+costs O(1) once its cell is built and grid sweeps reuse one instance.
+Where f_nu has a closed form (HaarLog, PowerLaw, Atomic) a value depends on
+its own x alone; a Weight takes the values it caches from one vector
+integral over the points that first asked for them.  The
 measure-integral route int (kernel defect at x) dmu is exposed both as an
 independent evaluation strategy and as the DefectProfile cross-check.
 """
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 from . import measures
 from .errors import DomainError
-from .kernels import KernelDefectAtPoint, _lattice_series
+from .kernels import KernelDefectAtPoint, _CellCache, _lattice_series
 
 
 class _Superposed:
@@ -50,6 +55,7 @@ class _Superposed:
         self._fp = np.empty(0)
         self._f00 = None
         self._deriv_cache = {}
+        self._cells = _CellCache()
 
     # -- node cache -------------------------------------------------------
 
@@ -65,13 +71,16 @@ class _Superposed:
         return self._f[:count], self._fp[:count]
 
     def _derivs(self, a0):
-        """f_nu and its first four derivatives at a0, for the tail there."""
-        if a0 not in self._deriv_cache:
+        """f_nu and its first four derivatives at each horizon a0, as a
+        (5, len(a0)) array; one f_derivs integral for the a0 not held yet."""
+        new = [a for a in a0.tolist() if a not in self._deriv_cache]
+        if new:
             with self._lock:
-                if a0 not in self._deriv_cache:
-                    self._deriv_cache[a0] = tuple(
-                        float(d[0]) for d in self.nu.f_derivs(a0))
-        return self._deriv_cache[a0]
+                new = [a for a in new if a not in self._deriv_cache]
+                if new:
+                    d = np.asarray(self.nu.f_derivs(np.array(new)))
+                    self._deriv_cache.update(zip(new, d.T.tolist()))
+        return np.array([self._deriv_cache[a] for a in a0.tolist()]).T
 
     def _zero_node(self):
         """f_nu(0) where the lattice has a node at 0, else None."""
@@ -82,7 +91,7 @@ class _Superposed:
     def value(self, x):
         """The approximant at x (vectorized, even in x bit-for-bit)."""
         return _lattice_series(np.asarray(x, dtype=float) * self.delta, self._nodes,
-                               self._derivs, self._zero_node())
+                               self._derivs, self._zero_node(), cells=self._cells)
 
     def target(self, x):
         """What the approximant one-sidedly approximates at x.

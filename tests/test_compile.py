@@ -9,8 +9,9 @@ reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
 that only ``Measure`` defines f, f_prime and f_derivs, that only
 ``measures`` raises AdmissibilityError or reads CSV, that one function
 holds the Gauss-Kronrod rule, that one function keeps a panel heap and
-that only ``kernels`` decides where the lattice series stops: its horizon
-and its Euler-Maclaurin tail.
+that only ``kernels`` decides where the lattice series stops (its horizon
+and its Euler-Maclaurin tail) and how it splits near nodes from the far
+field.
 """
 
 import ast
@@ -175,10 +176,13 @@ def _defined_names(tree):
 
 
 def test_one_truncation_for_the_lattice_series():
-    # _lattice_series alone sets the horizon and adds the tail, for L, M, G and H
-    truncation = {"_MIN_HORIZON", "_GAP", "_bder", "_em_tail"}
+    # _lattice_series alone sets the horizon, adds the tail and splits near
+    # from far, for L, M, G and H; the tail enters through the cell samples
+    truncation = {"_MIN_HORIZON", "_GAP", "_bder", "_em_tail",
+                  "_R", "_Q", "_NODE_BLOCK", "_OFFSETS", "_WEIGHTS"}
     assert _modules_where(lambda tree: _defined_names(tree) & truncation) == [
         "kernels.py"]
     tree = ast.parse((SRC / "kernels.py").read_text())
     assert _functions_reading(tree, "_MIN_HORIZON") == ["_truncation"]
     assert _functions_reading(tree, "_bder") == ["_em_tail"]
+    assert _functions_reading(tree, "_em_tail") == ["_cell_samples"]

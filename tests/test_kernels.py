@@ -182,6 +182,18 @@ def test_small_rates_take_the_horizon_and_the_tail(lam, x):
         assert err <= min(1e-15, r.tail_bound + 2 * math.ulp(r.value))
 
 
+def test_report_takes_the_horizon_of_the_cell():
+    """trunc_terms is the node count of the point's cell, whose horizon
+    covers the cell's largest |x|: every x of a cell reports the same."""
+    for ev, cell, kept in ((kernels.eval_L, (416.0, 416.3, 416.999), 513),
+                           (kernels.eval_M, (416.6, 417.0, 417.4), 513)):
+        reports = [ev(1e-8, x) for x in cell]
+        assert [r.trunc_terms for r in reports] == [kept] * 3
+        first = 0.5 if ev is kernels.eval_L else 1.0
+        assert reports[1].tail_bound == kernels._tail_bound(
+            1e-8, cell[1], first + kept, True)
+
+
 def test_small_rate_tail_bound_near_the_horizon():
     """The Euler-Maclaurin bound is largest 96 nodes inside the horizon."""
     for ev in (kernels.eval_L, kernels.eval_M):

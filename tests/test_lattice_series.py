@@ -68,24 +68,49 @@ def test_array_shape_is_kept():
     assert np.array_equal(kernels.minorant_values(0.8, x), flat.reshape(3, 4))
 
 
-def _long_series(lam, x, first):
-    """L (first = 1/2) or M (first = 1) by a direct sum over the nodes up to
-    |x| + ceil(log(1e14)/lam) + 10; the nearest node's term, whatever its
-    distance du, in the closed form sinc(du)^2 (f + du f')."""
-    y = np.abs(np.asarray(x, dtype=float))[:, None]
-    s = np.arange(first, y.max() + math.ceil(math.log(1e14) / lam) + 10)
-    near = np.rint(y - first) + first            # first = 1 allows the node 0
-    du = y - near
-    f = np.exp(-lam * s)
-    # the unpaired node 0 of M carries f(0) = 1 and no slope term
-    node = np.where(near == 0.0, 1.0, np.exp(-lam * near) * (1.0 - lam * du))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.where(s == near, 0.0, f / (y - s) ** 2 - lam * f / (y - s))
-        zero = np.where(near == 0.0, 0.0, 1.0 / y ** 2) if first == 1.0 else 0.0
-    total = zero + np.sum(direct + f / (y + s) ** 2 + lam * f / (y + s), axis=1,
-                          keepdims=True)
-    value = (np.sin(np.pi * du) / np.pi) ** 2 * total + np.sinc(du) ** 2 * node
-    return value[:, 0]
+def _em_pairs(y, a0, d):
+    """Euler-Maclaurin value of sum_{k>=0} g(a0 + k) for the pairs g(s) =
+    (f b)'(s), b(u) = 1/(y-u) - 1/(y+u), from d = f^(0..4)(a0)."""
+    b = [math.factorial(k) * ((y - a0) ** -(k + 1) - (-1) ** k * (y + a0) ** -(k + 1))
+         for k in range(5)]
+    g = d[1] * b[0] + d[0] * b[1]
+    g1 = d[2] * b[0] + 2 * d[1] * b[1] + d[0] * b[2]
+    g3 = d[4] * b[0] + 4 * d[3] * b[1] + 6 * d[2] * b[2] + 4 * d[1] * b[3] + d[0] * b[4]
+    return -d[0] * b[0] + g / 2 - g1 / 12 + g3 / 720
+
+
+def _long_series(x, first, f, fp, horizon, derivs=None, f0=None):
+    """The series at each x by a direct sum, point by point, over the nodes
+    s = first, first + 1, ... below horizon(|x|), plus the Euler-Maclaurin
+    value of the pairs from there on when derivs(a0) gives f^(0..4)(a0).
+    f0 is the node 0 of Z (first = 1); the nearest node's term, whatever
+    its distance du, is in the closed form sinc(du)^2 (f + du f')."""
+    out = []
+    for y in np.abs(np.atleast_1d(np.asarray(x, dtype=float))):
+        s = np.arange(first, horizon(y))
+        near = np.rint(y - first) + first        # first = 1 allows the node 0
+        du = y - near
+        fs, fps = f(s), fp(s)
+        far = s != near
+        total = (np.sum(fs[far] / (y - s[far]) ** 2 + fps[far] / (y - s[far]))
+                 + np.sum(fs / (y + s) ** 2 - fps / (y + s)))
+        if f0 is not None and near != 0.0:
+            total += f0 / y ** 2
+        if derivs is not None:
+            total += _em_pairs(y, s[-1] + 1.0, derivs(s[-1] + 1.0))
+        # the unpaired node 0 of M carries f(0) and no slope term
+        node = f0 if near == 0.0 else f(near) + du * fp(near)
+        out.append((np.sin(np.pi * du) / np.pi) ** 2 * total + np.sinc(du) ** 2 * node)
+    return np.array(out)
+
+
+def _long_exp(lam, x, first):
+    """L (first = 1/2) or M (first = 1) with the nodes up to
+    |x| + ceil(log(1e14)/lam) + 10 and no tail."""
+    return _long_series(x, first, lambda s: np.exp(-lam * s),
+                        lambda s: -lam * np.exp(-lam * s),
+                        lambda y: y + math.ceil(math.log(1e14) / lam) + 10,
+                        f0=None if first == 0.5 else 1.0)
 
 
 far_xs = st.one_of(
@@ -104,9 +129,9 @@ def test_short_truncation_matches_a_long_one(lam, xs):
     is more: within 1e-15 of a direct sum with nodes reaching past |x|."""
     xs = np.array(xs)
     assert np.max(np.abs(kernels.minorant_values(lam, xs)
-                         - _long_series(lam, xs, 0.5))) <= 1e-15
+                         - _long_exp(lam, xs, 0.5))) <= 1e-15
     assert np.max(np.abs(kernels.majorant_values(lam, xs)
-                         - _long_series(lam, xs, 1.0))) <= 1e-15
+                         - _long_exp(lam, xs, 1.0))) <= 1e-15
 
 
 atomic_measures = st.lists(
@@ -130,3 +155,104 @@ def test_one_sided_over_random_atomic_measures(mu, xs):
     f = mu.f(xs)
     assert np.min(f - superposed.Minorant(mu).value(xs)) >= -1e-11
     assert np.min(superposed.Majorant(mu).value(xs) - f) >= -1e-11
+
+
+sigmas = st.floats(0.05, 1.95).filter(lambda s: abs(s - 1.0) > 0.02)
+closed_form_measures = st.one_of(st.just(measures.HaarLog()),
+                                 sigmas.map(measures.PowerLaw), atomic_measures)
+# y = k/2 + tiny lies near a node of one lattice and at du ~ +-1/2 of the other
+lattice_ys = st.one_of(
+    st.floats(-1000.0, 1000.0),
+    st.tuples(st.integers(-2000, 2000), st.floats(-3e-6, 3e-6)).map(
+        lambda t: t[0] / 2.0 + t[1]),
+)
+
+
+@PROPS
+@given(closed_form_measures, st.floats(0.5, 3.0),
+       st.lists(lattice_ys, min_size=1, max_size=6))
+def test_far_field_matches_a_direct_sum(mu, delta, ys):
+    """G_nu(delta x) and H_nu(delta x) against a direct sum over the nodes
+    below max(512, ceil(|delta x|) + 96) plus the Euler-Maclaurin tail:
+    within 1e-14 max(1, |value|) where both horizons are 512 on both
+    lattices (|delta x| < 415.5), and 2e-13 max(1, |value|) beyond, where
+    the cell's horizon may be a node longer."""
+    nu = measures.dilate(mu, delta)
+    xs = np.array(ys) / delta
+    y = np.abs(xs * delta)
+    tol = np.where(y < 415.5, 1e-14, 2e-13)
+    kinds = [(superposed.Minorant, 0.5, None)]
+    if mu.classify().cond47:
+        kinds.append((superposed.Majorant, 1.0, nu.f(0.0)))
+    for cls, first, f0 in kinds:
+        ref = _long_series(xs * delta, first, nu.f, nu.f_prime,
+                           lambda v: max(512, math.ceil(v) + 96),
+                           lambda a0: [d[0] for d in nu.f_derivs(a0)], f0)
+        err = np.abs(cls(mu, delta).value(xs) - ref)
+        assert np.all(err <= tol * np.maximum(1.0, np.abs(ref)))
+
+
+tables = st.lists(st.floats(0.05, 6.0), min_size=2, max_size=4, unique=True).flatmap(
+    lambda bp: st.lists(st.floats(0.1, 2.0), min_size=len(bp) - 1,
+                        max_size=len(bp) - 1).map(
+        lambda w: measures.Weight(
+            lambda lam, bp=sorted(bp), w=w: np.select(
+                [(lam >= a) & (lam < b) for a, b in zip(bp, bp[1:])], w, 0.0),
+            tuple(sorted(bp)))))
+all_measures = st.one_of(
+    closed_form_measures, tables,
+    st.floats(0.5, 2.0).map(lambda c: measures.Weight(lambda lam: np.exp(-c * lam))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(all_measures, st.floats(0.5, 3.0), st.floats(0.05, 50.0))
+def test_dilation_identity_over_random_measures(mu, delta, x):
+    """f_nu(x) = f_mu(x/delta) - f_mu(1/delta) for nu = dilate(mu, delta),
+    over all four families."""
+    nu = measures.dilate(mu, delta)
+    rhs = mu.f(x / delta) - mu.f(1.0 / delta)
+    assert abs(nu.f(x) - rhs) <= 1e-9 * (1.0 + abs(rhs))
+
+
+# Points near 0, at nodes of either lattice (du = 0 on one, +-1/2 on the
+# other), next to a node, either side of the 512-node horizon, far past it,
+# and past the cap K(1e-3) of L and M.
+BATCH = np.array([0.0, 1e-9, -0.3, 0.5, 1.0, 2.5, -3.0, 7.5 + 1e-7, 12.25,
+                  100.7, 415.5, -416.0, 416.7, 1000.0, -5000.2, 40000.3])
+
+
+def _bit_identical_alone_and_in_batches(make):
+    """make() gives a fresh evaluator; each value of BATCH taken alone by a
+    fresh one has the bits of the same point inside the batch, inside the
+    reversed batch, and inside a batch that a warm evaluator takes."""
+    batch = make()(BATCH)
+    alone = np.array([make()(x) for x in BATCH])
+    warm = make()
+    warm(BATCH[::-1] * 0.5)
+    reverse = warm(BATCH[::-1])[::-1]
+    for values in (alone, reverse):
+        assert values.tobytes() == batch.tobytes()
+
+
+@pytest.mark.parametrize("mu", [measures.HaarLog(), measures.PowerLaw(1.5),
+                                measures.PowerLaw(0.5),
+                                measures.Atomic((0.3, 2.0), (1.0, 0.5))],
+                         ids=lambda m: m.family)
+def test_superposed_values_do_not_depend_on_their_batch(mu):
+    """G and H of the closed-form families.  A Weight is left out: it takes
+    its node values from one vector integral over the nodes a call first
+    asks for, so the cache it builds depends on the batch."""
+    _bit_identical_alone_and_in_batches(lambda: superposed.Minorant(mu, 1.3).value)
+    if mu.classify().cond47:
+        _bit_identical_alone_and_in_batches(lambda: superposed.Majorant(mu).value)
+
+
+def test_log_majorant_values_do_not_depend_on_their_batch():
+    _bit_identical_alone_and_in_batches(lambda: superposed.eval_U)
+
+
+@pytest.mark.parametrize("lam", [1e-8, 1e-3])
+def test_small_rate_values_do_not_depend_on_their_batch(lam):
+    """L and M where the horizon binds (and, at 1e-3, the cap past |x| ~ 3.7e4)."""
+    _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
+    _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from extremal import measures, superposed
+from extremal import kernels, measures, superposed
 from extremal.errors import AdmissibilityError, DomainError
 
 HAAR = measures.HaarLog()
@@ -213,3 +213,37 @@ def test_majorant_zero_node_computed_once_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 8
     assert h.nu.zero_calls == 1
+
+
+def test_each_cell_is_sampled_once_across_threads(monkeypatch):
+    """Threads that miss the same cells build each cell's far field once."""
+    built = []
+    sample = kernels._cell_samples
+
+    def counting(c0, *args):
+        built.extend(c0.tolist())
+        time.sleep(0.01)
+        return sample(c0, *args)
+
+    monkeypatch.setattr(kernels, "_cell_samples", counting)
+    xs = np.linspace(-40.0, 40.0, 321)
+    expected = superposed.Majorant(ATOM).value(xs)
+    cells = np.unique(np.rint(np.abs(xs)))
+    built.clear()
+    h = superposed.Majorant(ATOM)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(h.value(xs)))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(r.tobytes() == expected.tobytes() for r in results)
+    assert sorted(built) == cells.tolist()
