@@ -245,9 +245,11 @@ def _cell_samples(c0, first, nodes, derivs, f0):
             k = np.arange(j, j + _NODE_BLOCK)
             s = first + k
             kept = k < m
-            fd, fpd = (np.where(kept & (np.abs(s - c) >= _R), v[k], 0.0)
+            block = slice(j, j + _NODE_BLOCK)
+            fd, fpd = (np.where(kept & (np.abs(s - c) >= _R), v[block], 0.0)
                        for v in (f, fp))
-            fm, fpm = (np.where(kept & (s + c >= _R), v[k], 0.0) for v in (f, fp))
+            fm, fpm = (np.where(kept & (s + c >= _R), v[block], 0.0)
+                       for v in (f, fp))
             r = 1.0 / (y - s)
             terms = (fd * r + fpd) * r
             r = 1.0 / (y + s)
@@ -338,16 +340,18 @@ def _direct(y, c0, du, first, n, nodes, f0):
             zero = None if f0 is None else f0 / yi ** 2
         mirror = f[None, :] / px ** 2 - fp[None, :] / px
         hit = np.nonzero((np.abs(dui) < _NODE_TOL) & (k < n))[0]
-        kh = k[hit]
-        on_zero = kh < 0
-        direct[hit[~on_zero], kh[~on_zero]] = 0.0
-        if f0 is not None:
-            zero[hit[on_zero]] = 0.0
+        if hit.size:
+            kh = k[hit]
+            on_zero = kh < 0
+            direct[hit[~on_zero], kh[~on_zero]] = 0.0
+            if f0 is not None:
+                zero[hit[on_zero]] = 0.0
         total = np.sum(direct + mirror, axis=1)
         if f0 is not None:
             total = zero + total
         vals = (np.sin(np.pi * dui) / np.pi) ** 2 * total
-        _collapse(vals, hit, kh, dui[hit], f, fp, f0)
+        if hit.size:
+            _collapse(vals, hit, kh, dui[hit], f, fp, f0)
         out[i:i + rows] = vals
     return out
 
@@ -378,13 +382,16 @@ def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
         raise DomainError("evaluation points must be finite")
     first = 0.5 if f0 is None else 1.0
     c0, du = _cell(y, first)
-    _, tail = _truncation(c0, first, cap)
+    far = _truncation(c0, first, cap)[1]
+    cells = _CellCache() if cells is None else cells
+    paths = ((~far, lambda i: _direct(y[i], c0[i], du[i], first, cap, nodes, f0)),
+             (far, lambda i: _far(y[i], c0[i], du[i], first, nodes, derivs, f0, cells)))
     out = np.empty_like(y)
-    if not tail.all():
-        out[~tail] = _direct(y[~tail], c0[~tail], du[~tail], first, cap, nodes, f0)
-    if tail.any():
-        out[tail] = _far(y[tail], c0[tail], du[tail], first, nodes, derivs, f0,
-                         _CellCache() if cells is None else cells)
+    for at, path in paths:
+        if at.all():
+            out = path(slice(None))             # one path: no copies of the points
+        elif at.any():
+            out[at] = path(at)
     return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
