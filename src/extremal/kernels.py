@@ -388,7 +388,7 @@ def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
              (far, lambda i: _far(y[i], c0[i], du[i], first, nodes, derivs, f0, cells)))
     out = np.empty_like(y)
     for at, path in paths:
-        if at.all():
+        if at.size and at.all():
             out = path(slice(None))             # one path: no copies of the points
         elif at.any():
             out[at] = path(at)

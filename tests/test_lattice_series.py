@@ -66,6 +66,11 @@ def test_array_shape_is_kept():
     assert np.array_equal(kernels.majorant_values(0.8, x), flat.reshape(3, 4))
     flat = kernels.minorant_values(0.8, x.ravel())
     assert np.array_equal(kernels.minorant_values(0.8, x), flat.reshape(3, 4))
+    g = superposed.Minorant(measures.HaarLog())
+    h = superposed.Majorant(measures.PowerLaw(1.5))
+    for fn in (lambda v: kernels.minorant_values(1e-3, v),
+               lambda v: kernels.majorant_values(0.8, v), g.value, h.value):
+        assert fn(np.zeros((0, 3))).shape == (0, 3)
 
 
 def _em_pairs(y, a0, d):
