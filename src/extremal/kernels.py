@@ -37,6 +37,11 @@ A point then costs O(1), and its value depends on its own x alone, not on
 the other points of the call.  G and H keep the samples of their cells
 beside their node cache; L and M build theirs per call.
 
+A point's cell may keep at most 2^20 nodes (_MAX_NODES), so G, H and U
+take |x| up to about 1.05e6; past that, and wherever an uncapped L/M cell
+or a cap of K(lam) > 2^20 (lam <~ 3.5e-5) would keep more, the series
+raises DomainError before it allocates a node.
+
 L and M (f = e^{-lam s}, f(0) = 1) are capped at K(lam) =
 ceil(log(1/eps)/lam) + 10 nodes (eps = 1e-16), which binds for lam >~
 0.0734.  Since sum_s sinc(x - s)^2 = 1 and |P(x)/(x -+ s)| <= 1/pi, the
@@ -82,9 +87,10 @@ from .errors import DomainError
 
 _EPS_TAIL = 1e-16
 _NODE_TOL = 1e-6
-_CHUNK = 262_144  # max matrix cells per vectorized block
+_CHUNK = 65_536  # max matrix cells per vectorized block
 _P_SWITCH = 1e-2
 _MIN_HORIZON = 512
+_MAX_NODES = 1 << 20  # most nodes a point's cell may keep
 _GAP = 96
 _R = 3          # nodes nearer a point's cell node than _R are summed directly
 _Q = 16         # far-field samples per cell
@@ -374,7 +380,8 @@ def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
     summed directly and the rest comes from the samples of the cell, which
     ``cells`` keeps (a _CellCache; a new one when None).  A value depends
     on its own x alone.  The f0/x^2 term is the unpaired node 0 of the
-    integer lattice.  Non-finite x raises DomainError.
+    integer lattice.  Non-finite x, or a point whose cell would keep more
+    than _MAX_NODES nodes, raises DomainError.
     """
     x = np.asarray(x, dtype=float)
     y = np.abs(x).ravel()
@@ -382,7 +389,10 @@ def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
         raise DomainError("evaluation points must be finite")
     first = 0.5 if f0 is None else 1.0
     c0, du = _cell(y, first)
-    far = _truncation(c0, first, cap)[1]
+    n, far = _truncation(c0, first, cap)
+    if n.max(initial=0) > _MAX_NODES:
+        raise DomainError(f"|x| = {float(y.max())!r} needs {n.max()} series nodes, "
+                          f"more than the {_MAX_NODES} allowed")
     cells = _CellCache() if cells is None else cells
     paths = ((~far, lambda i: _direct(y[i], c0[i], du[i], first, cap, nodes, f0)),
              (far, lambda i: _far(y[i], c0[i], du[i], first, nodes, derivs, f0, cells)))

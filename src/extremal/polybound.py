@@ -13,10 +13,10 @@ exterior roots).  The log2/(N+1) term is the mean of the degree-N majorant
 of log|2 sin(pi x)|, which is where the constant comes from; it cannot be
 improved for N = 0 where alpha = {1} attains equality (both sides log 2).
 
-A brute-force boundary oracle (dense circle grid plus golden-section
-refinement; maximum modulus pushes the sup to |z| = 1) and the Jensen-mean
-identity sum log+|alpha_m| = int_0^1 log|F(e(x))| dx serve as independent
-soundness checks.
+A brute-force boundary oracle (dense circle grid, then a zoom of 33-point
+grids on the best cell; maximum modulus pushes the sup to |z| = 1) and the
+Jensen-mean identity sum log+|alpha_m| = int_0^1 log|F(e(x))| dx serve as
+independent soundness checks.
 """
 
 import math
@@ -31,7 +31,7 @@ from . import measures, quadrature
 from .errors import DomainError
 
 _INTERIOR_GUARD = 1.0 + 1e-15
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ZOOM = 33          # points per zoom step; the bracket shrinks 16x a step
 
 
 def _as_roots(alpha):
@@ -70,17 +70,15 @@ def reflect_roots(alpha):
 def disk_sup_bound(alpha, N):
     """The log+ / power-sum upper bound for sup_{|z|<=1} log|F(z)|."""
     a = _as_roots(alpha)
-    if not (isinstance(N, (int, np.integer)) and N >= 0):
+    if not (isinstance(N, (int, np.integer)) and not isinstance(N, bool)
+            and N >= 0):
         raise DomainError(f"N must be a nonnegative integer, got {N!r}")
     N = int(N)
     mods = np.abs(a)
     logplus = float(np.sum(np.log(mods[mods > _INTERIOR_GUARD])))
     beta = reflect_roots(a)
-    sums = []
-    cur = np.ones_like(beta)
-    for _ in range(N):
-        cur = cur * beta
-        sums.append(abs(complex(np.sum(cur))))
+    powers = np.cumprod(np.broadcast_to(beta, (N, len(beta))), axis=0)
+    sums = np.abs(np.sum(powers, axis=1)).tolist()
     bound = (logplus + len(a) * math.log(2.0) / (N + 1.0)
              + sum(s / n for n, s in enumerate(sums, start=1)))
     return SupBound(len(a), N, bound, logplus, tuple(sums))
@@ -99,36 +97,31 @@ def _log_abs_on_circle(xs, alpha):
 def sup_log_oracle(alpha, samples=65536):
     """Lower estimate of sup_{|z|<=1} log|F(z)| from the boundary circle.
 
-    Dense offset grid (a root exactly on a grid point only costs that one
-    -inf sample), then golden-section refinement of the best cell.
+    Dense offset grid of ``samples`` points (a root exactly on a grid point
+    only costs that one -inf sample), then a zoom on the best cell
+    [best - 1, best + 2]/samples: each step evaluates 33 equally spaced
+    points of the bracket and keeps the two neighbours of the best one,
+    until the bracket is narrower than 1e-13 (8 steps at 8192 and at 65536
+    samples).  The result is the largest value seen, never below the grid's.
     """
     a = _as_roots(alpha)
-    if samples < 1024:
-        raise DomainError("need at least 1024 boundary samples")
+    if not (isinstance(samples, (int, np.integer))
+            and not isinstance(samples, bool) and samples >= 1024):
+        raise DomainError(f"need an integer >= 1024 boundary samples, got {samples!r}")
     xs = (np.arange(samples) + 0.5) / samples
     vals = _log_abs_on_circle(xs, a)
-    best = int(np.nanargmax(np.where(np.isfinite(vals), vals, -np.inf)))
+    best = int(np.argmax(vals))     # finite, or -inf exactly at a root
+    sup = float(vals[best])
     lo = (best - 1.0) / samples
     hi = (best + 2.0) / samples
-
-    def g(x):
-        return float(_log_abs_on_circle(np.array([x]), a)[0])
-
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    gc, gd = g(c), g(d)
     while hi - lo > 1e-13:
-        if gc >= gd:
-            hi, d, gd = d, c, gc
-            c = hi - _GOLDEN * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _GOLDEN * (hi - lo)
-            gd = g(d)
-    refined = max(gc, gd)
-    grid_best = float(vals[best]) if math.isfinite(vals[best]) else -math.inf
-    return max(grid_best, refined)
+        xs = np.linspace(lo, hi, _ZOOM)
+        vals = _log_abs_on_circle(xs, a)
+        j = int(np.argmax(vals))
+        sup = max(sup, float(vals[j]))
+        j = min(max(j, 1), _ZOOM - 2)
+        lo, hi = xs[j - 1], xs[j + 1]
+    return sup
 
 
 def jensen_gap(alpha, tol=1e-10):

@@ -206,6 +206,15 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and "measure" in err
 
 
+def test_eval_past_the_node_limit_is_a_usage_error(capsys, tmp_path):
+    """|x| = 1e9 would need a 1e9-node series: exit 2, no output file."""
+    out = tmp_path / "g.csv"
+    code, _, err = run_cli(["eval", "--kind", "G", "--measure", "haar",
+                            "--grid", "0:1e9:2", "--out", str(out)], capsys)
+    assert code == 2 and "series nodes" in err
+    assert not out.exists()
+
+
 # -- coeffs ---------------------------------------------------------------------
 
 def test_coeffs_log_sin_degree_eight(capsys):

@@ -1,6 +1,7 @@
 """Properties of the lattice-interpolation series shared by L, M, G and H."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,3 +262,55 @@ def test_small_rate_values_do_not_depend_on_their_batch(lam):
     """L and M where the horizon binds (and, at 1e-3, the cap past |x| ~ 3.7e4)."""
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
+
+
+CHUNK_POINTS = np.concatenate([np.linspace(-700.0, 700.0, 2801), BATCH])
+
+
+def _chunk_values():
+    """L/M capped and at lam = 1e-3, G and H of fresh instances, at
+    CHUNK_POINTS."""
+    return np.concatenate([
+        kernels.minorant_values(1.0, CHUNK_POINTS),
+        kernels.majorant_values(1.0, CHUNK_POINTS),
+        kernels.minorant_values(1e-3, CHUNK_POINTS),
+        kernels.majorant_values(1e-3, CHUNK_POINTS),
+        superposed.Minorant(measures.HaarLog()).value(CHUNK_POINTS),
+        superposed.Majorant(measures.PowerLaw(1.5)).value(CHUNK_POINTS)])
+
+
+@pytest.mark.parametrize("chunk", [4096, 262_144])
+def test_values_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    """Capped sums reduce each row on its own and cell samples run over
+    fixed node blocks, so the block size moves no bit."""
+    default = _chunk_values()
+    monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    assert _chunk_values().tobytes() == default.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: superposed.eval_U(2.0 ** 21),
+    lambda: superposed.Majorant(measures.PowerLaw(1.5)).value([1.0, -3e6]),
+    lambda: kernels.minorant_values(1e-8, 2e6),
+    lambda: kernels.eval_M(1e-8, 1e10),
+], ids=["U", "H", "L-tail", "M-cap"])
+def test_node_limit_raises_before_allocating(call):
+    """A point whose cell would keep more than _MAX_NODES nodes raises
+    DomainError, with no node array allocated (a peak far below the 8 MB
+    of 2^20 nodes)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="series nodes"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
+
+
+def test_node_limit_spares_capped_rates_and_the_last_cells():
+    """Capped L/M never reach the limit, and G/U take the cells below it."""
+    assert kernels._truncation(1e9, 0.5, kernels._trunc_terms(0.1))[0] < 400
+    n, _ = kernels._truncation(np.array([1e6, 2.0 ** 20]), 0.5, None)
+    assert n[0] <= kernels._MAX_NODES < n[1]
+    assert math.isfinite(superposed.eval_U(1e5))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal import polybound
 from extremal.errors import DomainError
@@ -100,6 +101,22 @@ def test_validation():
         polybound.sup_log_oracle(np.array([1.0]), samples=100)
 
 
+@pytest.mark.parametrize("samples", [2048.5, math.nan, 4096.0, True, "8192"])
+def test_oracle_rejects_non_integer_samples(samples):
+    with pytest.raises(DomainError, match="samples"):
+        polybound.sup_log_oracle(np.array([1.0]), samples=samples)
+
+
+def test_oracle_takes_numpy_integer_samples():
+    assert polybound.sup_log_oracle(np.array([1.0]), np.int64(8192)) == \
+        polybound.sup_log_oracle(np.array([1.0]), 8192)
+
+
+def test_bound_rejects_boolean_degree():
+    with pytest.raises(DomainError):
+        polybound.disk_sup_bound(np.array([0.5]), True)
+
+
 def test_roots_csv_round_trip_and_errors(tmp_path):
     good = tmp_path / "roots.csv"
     good.write_text("re,im\n1.0,0.0\n-0.5,0.25\n")
@@ -113,3 +130,104 @@ def test_roots_csv_round_trip_and_errors(tmp_path):
     wrong.write_text("real,imag\n1.0,0.0\n")
     with pytest.raises(DomainError):
         polybound.roots_from_csv(str(wrong))
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_oracle(a, samples):
+    """The oracle's former route, kept as its dual: the same grid and
+    bracket, then golden-section search with one-point evaluations down to
+    width 1e-13."""
+    xs = (np.arange(samples) + 0.5) / samples
+    vals = polybound._log_abs_on_circle(xs, a)
+    best = int(np.nanargmax(np.where(np.isfinite(vals), vals, -np.inf)))
+    lo, hi = (best - 1.0) / samples, (best + 2.0) / samples
+
+    def g(x):
+        return float(polybound._log_abs_on_circle(np.array([x]), a)[0])
+
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    gc, gd = g(c), g(d)
+    while hi - lo > 1e-13:
+        if gc >= gd:
+            hi, d, gd = d, c, gc
+            c = hi - _GOLDEN * (hi - lo)
+            gc = g(c)
+        else:
+            lo, c, gc = c, d, gd
+            d = lo + _GOLDEN * (hi - lo)
+            gd = g(d)
+    grid_best = float(vals[best]) if math.isfinite(vals[best]) else -math.inf
+    return max(grid_best, gc, gd)
+
+
+def test_zoom_is_never_below_golden_section():
+    """On 200 random root sets with M <= 64 the zoom finds at least what
+    golden-section search finds on the same bracket, to 1e-13."""
+    rng = np.random.default_rng(20261018)
+    gaps = []
+    for _ in range(200):
+        m = int(rng.integers(1, 65))
+        a = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
+        gaps.append(polybound.sup_log_oracle(a, 8192) - _golden_oracle(a, 8192))
+    assert min(gaps) >= -1e-13
+    assert max(gaps) <= 1e-9     # same cell, same maximum
+
+
+def _circle(xs):
+    return np.exp(2j * np.pi * np.asarray(xs, dtype=float))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=6),
+       st.lists(st.integers(0, 8191), max_size=6),
+       st.lists(st.tuples(st.floats(0.2, 3.0), st.floats(0.0, 1.0)), max_size=6))
+def test_oracle_with_roots_on_the_circle_and_the_grid(on_circle, on_grid, free):
+    """Roots on the circle, on grid points of the 8192-sample grid and off
+    the circle: the oracle is finite, not below its grid or the golden
+    route, and below the power-sum bound."""
+    roots = np.concatenate([
+        _circle(on_circle), _circle((np.array(on_grid) + 0.5) / 8192),
+        np.array([r for r, _ in free]) * _circle([t for _, t in free]),
+        [0.1]])
+    sup = polybound.sup_log_oracle(roots, 8192)
+    grid = polybound._log_abs_on_circle((np.arange(8192) + 0.5) / 8192, roots)
+    assert math.isfinite(sup)
+    assert sup >= np.max(grid[np.isfinite(grid)])
+    assert sup >= _golden_oracle(roots, 8192) - 1e-13
+    for N in (0, 4, 16):
+        assert polybound.disk_sup_bound(roots, N).bound >= sup - 1e-9
+
+
+@pytest.mark.parametrize("samples", [8192, 65536])
+def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
+    """One grid call, then 8 zoom calls of 33 points each."""
+    sizes = []
+    evaluate = polybound._log_abs_on_circle
+
+    def counted(xs, a):
+        sizes.append(len(xs))
+        return evaluate(xs, a)
+
+    monkeypatch.setattr(polybound, "_log_abs_on_circle", counted)
+    rng = np.random.default_rng(5)
+    for m in (1, 7, 40):
+        sizes.clear()
+        a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        polybound.sup_log_oracle(a, samples)
+        assert sizes == [samples] + [33] * 8
+
+
+def test_power_sums_match_the_product_loop():
+    """The cumulative-product power sums against N successive products."""
+    rng = np.random.default_rng(11)
+    a = rng.uniform(-2, 2, 40) + 1j * rng.uniform(-2, 2, 40)
+    beta = polybound.reflect_roots(a)
+    cur, loop = np.ones_like(beta), []
+    for _ in range(64):
+        cur = cur * beta
+        loop.append(abs(complex(np.sum(cur))))
+    sums = polybound.disk_sup_bound(a, 64).power_sums
+    assert len(sums) == 64
+    assert np.max(np.abs(np.array(sums) - loop)) <= 1e-13
