@@ -25,6 +25,8 @@ from .errors import AdmissibilityError, ConvergenceError, DivergenceError, Domai
 EVAL_KINDS = ("L", "M", "Lhat", "Mhat", "p", "q", "G", "H", "U")
 COEFF_KINDS = ("l", "m", "g", "h", "uN")
 BOUND_KINDS = ("hls", "form", "et")
+DELTA_KINDS = {"eval": ("G", "H"), "bounds": ("hls", "form")}
+TOL_KINDS = {"eval": ("q",), "coeffs": ("g", "h", "uN"), "bounds": ("form",)}
 
 
 def _fmt(v):
@@ -83,6 +85,15 @@ def _parse_measure(spec):
     raise DomainError(
         f"unknown measure {spec!r}; use haar, power:sigma, "
         "atomic:file.csv or weight:file.csv")
+
+
+def _check_flags(args):
+    """A usage error for --delta != 1 or any --tol where the kind ignores it."""
+    kind = getattr(args, "kind", None)
+    for flag, unset, kinds in (("delta", 1.0, DELTA_KINDS), ("tol", None, TOL_KINDS)):
+        if getattr(args, flag) != unset and kind not in kinds.get(args.command, ()):
+            raise DomainError(f"--{flag} is not used by {args.command}"
+                              + (f" --kind {kind}" if kind else ""))
 
 
 def _need_lambda(args):
@@ -384,6 +395,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_fuse_grid(argv))
     try:
+        _check_flags(args)
         text, code = args.fn(args, argv)
     except (DomainError, AdmissibilityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import measures, specfun
-from .errors import AdmissibilityError, ConvergenceError, DomainError
+from .errors import AdmissibilityError, ConvergenceError, DomainError, is_count, is_real
 
 
 @dataclass(frozen=True)
@@ -177,8 +177,9 @@ def hls_constants(sigma, delta=1.0):
     sigma = 2 is served as the continuity limit pi^2/(3 delta^2) and flagged.
     """
     measures._check_delta(delta)
-    if not (isinstance(sigma, (int, float)) and 0.0 < sigma <= 2.0):
+    if not (is_real(sigma) and 0.0 < sigma <= 2.0):
         raise DomainError(f"sigma must lie in (0, 2], got {sigma!r}")
+    sigma = float(sigma)
     if sigma == 1.0:
         return HlsConstants(math.log(4.0) / delta, None)
     if sigma == 2.0:
@@ -199,10 +200,10 @@ def hls_gamma_route(sigma, delta=1.0):
     functional equation, so the pair is a dual-route consistency check.
     """
     measures._check_delta(delta)
-    if not (isinstance(sigma, (int, float)) and 0.0 < sigma < 2.0
-            and sigma != 1.0):
+    if not (is_real(sigma) and 0.0 < sigma < 2.0 and sigma != 1.0):
         raise DomainError(
             f"gamma-route sigma must lie in (0, 2) excluding 1, got {sigma!r}")
+    sigma = float(sigma)
     C = math.pi / ((2.0 * math.pi) ** sigma * math.sin(math.pi * sigma / 2.0))
     mu = measures.PowerLaw(sigma)
     lower = lower_constant_A(mu, delta) / C
@@ -220,7 +221,7 @@ def sharpness_witness(measure, delta, N, kind="lower", tol=1e-10):
     """
     if kind not in ("lower", "upper"):
         raise DomainError(f"unknown witness kind {kind!r}")
-    if not (isinstance(N, (int, np.integer)) and N >= 0):
+    if not (is_count(N) and N >= 0):
         raise DomainError(f"N must be a nonnegative integer, got {N!r}")
     N = int(N)
     if N == 0:

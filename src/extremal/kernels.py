@@ -83,7 +83,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, is_real
 
 _EPS_TAIL = 1e-16
 _NODE_TOL = 1e-6
@@ -120,8 +120,7 @@ def _check_lam(lam):
         if not np.all((lam > 0.0) & np.isfinite(lam)):
             raise DomainError("kernel rates must be finite and positive")
         return lam
-    real = isinstance(lam, (int, float, np.integer, np.floating))
-    if not (real and lam > 0.0 and math.isfinite(lam)):
+    if not (is_real(lam) and lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"kernel rate must be finite and positive, got {lam!r}")
     return float(lam)
 

@@ -64,7 +64,7 @@ from typing import Callable, Optional, Tuple
 
 from . import kernels, quadrature, specfun
 from .errors import (AdmissibilityError, ConvergenceError, DivergenceError,
-                     DomainError)
+                     DomainError, is_real)
 
 
 class _PlusInfinity:
@@ -216,6 +216,7 @@ class Measure:
                             ts, self, tol)
 
 
+@dataclass(frozen=True)
 class HaarLog(Measure):
     """Multiplicative Haar measure dlam/lam; f_mu(x) = -log|x|."""
 
@@ -253,15 +254,6 @@ class HaarLog(Measure):
         _check_delta(delta)
         return self
 
-    def __repr__(self):
-        return "HaarLog()"
-
-    def __eq__(self, other):
-        return isinstance(other, HaarLog)
-
-    def __hash__(self):
-        return hash("haar_log")
-
 
 @dataclass(frozen=True)
 class PowerLaw(Measure):
@@ -273,12 +265,13 @@ class PowerLaw(Measure):
 
     def __post_init__(self):
         s = self.sigma
-        if not (isinstance(s, (int, float)) and 0.0 < s < 2.0 and s != 1.0):
+        if not (is_real(s) and 0.0 < s < 2.0 and s != 1.0):
             raise DomainError(
                 f"PowerLaw exponent must lie in (0, 2) excluding 1, got {s!r}"
             )
         if not (self.prefactor > 0.0 and math.isfinite(self.prefactor)):
             raise DomainError(f"PowerLaw prefactor must be positive, got {self.prefactor!r}")
+        object.__setattr__(self, "sigma", float(s))
 
     def weight(self, lam):
         return self.prefactor * np.asarray(lam, dtype=float) ** (-self.sigma)
@@ -412,8 +405,7 @@ class Weight(Measure):
 
 
 def _check_delta(delta):
-    real = isinstance(delta, (int, float, np.integer, np.floating))
-    if not (real and delta > 0.0 and math.isfinite(delta)):
+    if not (is_real(delta) and delta > 0.0 and math.isfinite(delta)):
         raise DomainError(f"dilation parameter must be finite and positive, got {delta!r}")
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import kernels, measures
-from .errors import DomainError
+from .errors import DomainError, is_count
 
 _SYM_TOL = 1e-12
 
@@ -53,17 +53,17 @@ class TrigPoly:
 
     def __post_init__(self):
         N = _check_degree(self.degree)
-        cs = tuple(complex(c) for c in self.coeffs)
-        if len(cs) != 2 * N + 1:
-            raise DomainError(
-                f"degree {N} needs {2 * N + 1} coefficients, got {len(cs)}")
-        scale = max(1.0, max(abs(c) for c in cs))
-        for n in range(N + 1):
-            if abs(cs[N - n] - cs[N + n].conjugate()) > _SYM_TOL * scale:
-                raise DomainError(
-                    f"coefficients not conjugate-symmetric at n = {n}")
+        c = np.asarray(self.coeffs, dtype=complex)
+        if c.shape != (2 * N + 1,):
+            raise DomainError(f"degree {N} needs {2 * N + 1} coefficients, "
+                              f"got {len(self.coeffs)}")
+        tol = _SYM_TOL * np.abs(c).max(initial=1.0)
+        bad = np.abs(c[N::-1] - c[N:].conj()) > tol
+        if bad.any():
+            raise DomainError(f"coefficients not conjugate-symmetric at "
+                              f"n = {int(np.argmax(bad))}")
         object.__setattr__(self, "degree", N)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
 
     def coeff(self, n):
         """c(n) for -degree <= n <= degree."""
@@ -85,8 +85,8 @@ class TrigPoly:
         out = np.full(xs.shape, self.coeff(0).real)
         if N > 0:
             n = np.arange(1, N + 1)
-            cre = np.array([self.coeff(k).real for k in n])
-            cim = np.array([self.coeff(k).imag for k in n])
+            c = np.array(self.coeffs[N + 1:])
+            cre, cim = c.real.copy(), c.imag.copy()
             ang = 2.0 * np.pi * xs[..., None] * n
             out = out + 2.0 * (np.cos(ang) @ cre - np.sin(ang) @ cim)
         return float(out[0]) if scalar else out
@@ -162,7 +162,7 @@ def _add_entry(entries, n, real, imag, where):
 
 
 def _check_degree(N):
-    if not (isinstance(N, (int, np.integer)) and N >= 0):
+    if not (is_count(N) and N >= 0):
         raise DomainError(f"degree must be a nonnegative integer, got {N!r}")
     return int(N)
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import measures, quadrature
-from .errors import DomainError
+from .errors import DomainError, is_count
 
 _INTERIOR_GUARD = 1.0 + 1e-15
 _ZOOM = 33          # points per zoom step; the bracket shrinks 16x a step
@@ -70,8 +70,7 @@ def reflect_roots(alpha):
 def disk_sup_bound(alpha, N):
     """The log+ / power-sum upper bound for sup_{|z|<=1} log|F(z)|."""
     a = _as_roots(alpha)
-    if not (isinstance(N, (int, np.integer)) and not isinstance(N, bool)
-            and N >= 0):
+    if not (is_count(N) and N >= 0):
         raise DomainError(f"N must be a nonnegative integer, got {N!r}")
     N = int(N)
     mods = np.abs(a)
@@ -105,8 +104,7 @@ def sup_log_oracle(alpha, samples=65536):
     samples).  The result is the largest value seen, never below the grid's.
     """
     a = _as_roots(alpha)
-    if not (isinstance(samples, (int, np.integer))
-            and not isinstance(samples, bool) and samples >= 1024):
+    if not (is_count(samples) and samples >= 1024):
         raise DomainError(f"need an integer >= 1024 boundary samples, got {samples!r}")
     xs = (np.arange(samples) + 0.5) / samples
     vals = _log_abs_on_circle(xs, a)

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_real
 
 # Direct/Taylor switch for the defect functions.  At the switch the direct
 # branch's cancellation error is ~24*eps/lam^2 ~ 8e-14 relative and the
@@ -125,11 +125,9 @@ def zeta(s):
     factor through expm1 to stay stable near s = 1.  (-1, 0]: functional
     equation against zeta(1 - s) with 1 - s in [1, 2).
     """
-    if not isinstance(s, (int, float)) or math.isnan(s):
-        raise DomainError(f"zeta requires a real argument, got {s!r}")
-    s = float(s)
-    if s == 1.0 or not (-1.0 < s < 2.0):
+    if not (is_real(s) and -1.0 < s < 2.0 and s != 1.0):
         raise DomainError(f"zeta implemented on (-1, 2) excluding 1, got {s!r}")
+    s = float(s)
     if s > 0.0:
         return _eta(s) / (-math.expm1((1.0 - s) * math.log(2.0)))
     if s == 0.0:
@@ -145,9 +143,7 @@ def zeta(s):
 
 def gamma(s):
     """Euler Gamma on (-1, 1) \\ {0} (the range the power-law kernels need)."""
-    if not isinstance(s, (int, float)) or math.isnan(s):
-        raise DomainError(f"gamma requires a real argument, got {s!r}")
-    s = float(s)
-    if s == 0.0 or not (-1.0 < s < 1.0):
+    if not (is_real(s) and -1.0 < s < 1.0 and s != 0.0):
         raise DomainError(f"gamma implemented on (-1, 1) excluding 0, got {s!r}")
+    s = float(s)
     return math.gamma(s)

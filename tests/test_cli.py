@@ -458,3 +458,18 @@ def test_coeffs_rejects_a_nan_tolerance(capsys):
     code, out, err = run_cli(["coeffs", "--kind", "g", "--measure", "power:0.5",
                               "--N", "4", "--tol", "nan"], capsys)
     assert code == 2 and "tolerance" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kind", "L", "--lambda", "1", "--delta", "2", "--grid", "0:1:3"],
+    ["eval", "--kind", "L", "--lambda", "1", "--tol", "5", "--grid", "0:1:3"],
+    ["coeffs", "--kind", "l", "--lambda", "1", "--N", "1", "--delta", "5"],
+    ["bounds", "--kind", "hls", "--sigma", "0.5", "--tol", "1e-9"],
+    ["verify", "--suite", "et", "--delta", "2"],
+], ids=["eval-delta", "eval-tol", "coeffs-delta", "bounds-tol", "verify-delta"])
+def test_a_flag_the_kind_ignores_is_a_usage_error(argv, tmp_path, capsys):
+    """--delta != 1 and --tol are refused where the kind would ignore them."""
+    out_path = tmp_path / "out.txt"
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert "is not used by" in err

@@ -286,15 +286,42 @@ def _period_tail_by_loop(f, horizon=64, fit_lo=40, tol=1e-11):
 @pytest.mark.parametrize("kind", ["minorant", "majorant"])
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
 def test_period_tail_vector_integral_equals_period_loop(lam, kind):
-    """The criterion-2 integrands give the per-period loop's value."""
-    def f(x):
-        e = np.exp(-lam * np.abs(x))
+    """The criterion-2 integrands give the per-period loop's value, alone
+    and as the columns of one (..., 2) integrand of the rates lam and 2 lam."""
+    def f(x, rate=lam):
+        e = np.exp(-rate * np.abs(x))
         if kind == "minorant":
-            return e - kernels.minorant_values(lam, x)
-        return kernels.majorant_values(lam, x) - e
+            return e - kernels.minorant_values(rate, x)
+        return kernels.majorant_values(rate, x) - e
 
-    assert abs(verify.integral_with_period_tail(f)
-               - _period_tail_by_loop(f)) <= 1e-12
+    loop = [_period_tail_by_loop(lambda x, r=r: f(x, r)) for r in (lam, 2.0 * lam)]
+    assert abs(verify.integral_with_period_tail(f) - loop[0]) <= 1e-12
+    both = verify.integral_with_period_tail(
+        lambda x: np.stack([f(x), f(x, 2.0 * lam)], axis=-1))
+    assert both.shape == (2,)
+    assert np.max(np.abs(both - loop)) <= 1e-12
+
+
+def test_cos_window_integral_of_a_family_equals_the_scalar_calls():
+    """An array of frequencies, and an (n, 2) integrand, give each scalar
+    call's value."""
+    lam, ts = 0.8, np.array([0.3, -0.65, 1.2])
+
+    def lo(x):
+        return np.exp(-lam * np.abs(x)) - kernels.minorant_values(lam, x)
+
+    def hi(x):
+        return kernels.majorant_values(lam, x) - np.exp(-lam * np.abs(x))
+
+    by_t = cos_window_integral(lo, ts)
+    assert by_t.shape == (3,)
+    assert np.max(np.abs(by_t - [cos_window_integral(lo, t) for t in ts])) <= 1e-12
+    pair = cos_window_integral(lambda x: np.stack([lo(x), hi(x)], axis=1), 0.3)
+    assert pair.shape == (2,)
+    assert np.max(np.abs(pair - [cos_window_integral(lo, 0.3),
+                                 cos_window_integral(hi, 0.3)])) <= 1e-12
+    paired = cos_window_integral(lambda x: np.stack([lo(x), hi(x)], axis=1), ts[:2])
+    assert np.max(np.abs(paired - [by_t[0], cos_window_integral(hi, ts[1])])) <= 1e-12
 
 
 def test_lambda_validation():

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from extremal import forms, measures, polybound
+from extremal import forms, kernels, measures, periodic, polybound, specfun, superposed
 from extremal.errors import AdmissibilityError, DomainError
 from extremal.periodic import TrigPoly
 
@@ -223,3 +223,34 @@ def test_csv_readers_reject_bad_input_naming_the_line(tmp_path, read, header,
 def test_dilate_accepts_numpy_scalars(delta):
     for mu in (measures.PowerLaw(0.5), measures.Atomic((1.0, 3.0), (0.5, 2.0))):
         assert measures.dilate(mu, delta) == measures.dilate(mu, 2.0)
+
+
+# one numeric argument of each validating entry point, as a function of it
+_NUMERIC_ARGUMENTS = {
+    "rate": lambda v: kernels.minorant_values(v, 0.3),
+    "dilation": lambda v: superposed.Minorant(measures.HaarLog(), v),
+    "power-sigma": lambda v: measures.PowerLaw(v),
+    "degree": lambda v: periodic.trig_minorant_l(1.0, v),
+    "witness-N": lambda v: forms.sharpness_witness(measures.HaarLog(), 1.0, v),
+    "hls-sigma": lambda v: forms.hls_constants(v),
+    "hls-gamma-sigma": lambda v: forms.hls_gamma_route(v),
+    "et-N": lambda v: polybound.disk_sup_bound([0.5], v),
+    "oracle-samples": lambda v: polybound.sup_log_oracle([0.5], v),
+    "zeta": specfun.zeta,
+    "gamma": specfun.gamma,
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("call", list(_NUMERIC_ARGUMENTS.values()),
+                         ids=list(_NUMERIC_ARGUMENTS))
+def test_a_bool_is_not_a_number(call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+def test_a_numpy_float32_is_a_real_number():
+    assert measures.PowerLaw(np.float32(0.5)) == measures.PowerLaw(0.5)
+    assert forms.hls_constants(np.float32(1.5)) == forms.hls_constants(1.5)
+    assert forms.hls_gamma_route(np.float32(0.5)) == forms.hls_gamma_route(0.5)
+    assert specfun.zeta(np.float32(0.5)) == specfun.zeta(0.5)

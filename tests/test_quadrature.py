@@ -91,6 +91,26 @@ def test_cos_window_integral_batches_its_panels(monkeypatch):
     assert len(calls) <= res.evaluations / 300
 
 
+@pytest.mark.parametrize("name, most", [("2-defect-integrals", 2),
+                                        ("3-transforms", 5),
+                                        ("4-log-majorant", 3)])
+def test_whole_line_criteria_take_vector_integrals(name, most, monkeypatch):
+    """Criteria 2-4 take each family of integrands as vector integrals: at
+    most 2, 5 and 3 quadrature calls, where one scalar integral per rate,
+    kind and frequency took 12, 42 and 8 (criterion 3 integrates its 40
+    columns in groups of ten)."""
+    plain = quadrature.integrate_finite
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    verify.run_criterion(name)
+    assert 0 < len(calls) <= most
+
+
 @pytest.mark.parametrize("budget", [15, 44, 45, 75, 300, 901, 1500])
 def test_budget_is_never_overrun(budget):
     """A pass that would overrun the budget is trimmed to the panels that fit."""
