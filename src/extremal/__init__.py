@@ -12,7 +12,7 @@ from .errors import (
     DivergenceError,
     DomainError,
 )
-from .specfun import defect_majorant, defect_minorant, gamma, zeta
+from .specfun import defect_majorant, defect_minorant, gamma, hurwitz_zeta, zeta
 from .quadrature import (
     QuadResult,
     integrate_finite,
@@ -91,7 +91,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "ConvergenceError", "DivergenceError", "DomainError",
-    "defect_minorant", "defect_majorant", "gamma", "zeta",
+    "defect_minorant", "defect_majorant", "gamma", "hurwitz_zeta", "zeta",
     "QuadResult", "integrate_finite", "integrate_semiinfinite",
     "integrate_measure",
     "minorant_values", "majorant_values",

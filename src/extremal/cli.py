@@ -326,7 +326,6 @@ def cmd_verify(args, argv):
 def _add_common(p, default_format):
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default=default_format)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--delta", type=float, default=1.0)
 
@@ -345,6 +344,7 @@ def build_parser():
     p.add_argument("--measure", default=None,
                    help="haar | power:sigma | atomic:f.csv | weight:f.csv")
     p.add_argument("--with-target", action="store_true")
+    p.add_argument("--seed", type=int, default=7)
     _add_common(p, "csv")
     p.set_defaults(fn=cmd_eval)
 
@@ -365,11 +365,13 @@ def build_parser():
                    help="optional CSV re,im overriding coefficient columns")
     p.add_argument("--roots", default=None, help="CSV with header re,im")
     p.add_argument("--N", type=int, default=None)
+    p.add_argument("--seed", type=int, default=7)
     _add_common(p, "json")
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
+    p.add_argument("--seed", type=int, default=7)
     _add_common(p, "json")
     p.set_defaults(fn=cmd_verify)
 

@@ -83,7 +83,8 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DomainError, is_real
+from .errors import DomainError
+from .specfun import check_rates
 
 _EPS_TAIL = 1e-16
 _NODE_TOL = 1e-6
@@ -108,21 +109,6 @@ class KernelEval:
     value: float
     trunc_terms: int
     tail_bound: float
-
-
-def _check_lam(lam):
-    """lam as a float, or as a float array when it is an ndarray.
-
-    DomainError unless every rate is finite and positive.
-    """
-    if isinstance(lam, np.ndarray):
-        lam = lam.astype(float)
-        if not np.all((lam > 0.0) & np.isfinite(lam)):
-            raise DomainError("kernel rates must be finite and positive")
-        return lam
-    if not (is_real(lam) and lam > 0.0 and math.isfinite(lam)):
-        raise DomainError(f"kernel rate must be finite and positive, got {lam!r}")
-    return float(lam)
 
 
 def _trunc_terms(lam):
@@ -419,17 +405,17 @@ def _exp_series(lam, x, f0):
 
 def minorant_values(lam, x):
     """L(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series(_check_lam(lam), x, None)
+    return _exp_series(check_rates(lam, "the kernel"), x, None)
 
 
 def majorant_values(lam, x):
     """M(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series(_check_lam(lam), x, 1.0)
+    return _exp_series(check_rates(lam, "the kernel"), x, 1.0)
 
 
 def _eval_point(lam, x, f0):
     """KernelEval of L (f0 None) or M (f0 = 1) at one point."""
-    lam = _check_lam(lam)
+    lam = check_rates(lam, "the kernel")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     ax = abs(float(x))
@@ -457,7 +443,7 @@ def eval_Lhat(lam, t):
     lam, a rate or an ndarray of rates, broadcasts against t; a float comes
     back when both are scalars.
     """
-    lam = _check_lam(lam)
+    lam = check_rates(lam, "the kernel")
     at = np.abs(np.asarray(t, dtype=float))
     E = np.exp(-0.5 * lam)
     one_m_E2 = -np.expm1(-lam)
@@ -475,7 +461,7 @@ def eval_Mhat(lam, t):
 
     lam broadcasts against t, and |t| = 1 gives 0, as in eval_Lhat.
     """
-    lam = _check_lam(lam)
+    lam = check_rates(lam, "the kernel")
     at = np.abs(np.asarray(t, dtype=float))
     E = np.exp(-0.5 * lam)
     one_m_E2 = -np.expm1(-lam)
@@ -494,7 +480,7 @@ def eval_p(lam, x):
     p(lam, 0) is the majorant defect coth(lam/2) - 2/lam and p(lam, 1/2)
     the negated minorant defect.
     """
-    lam = _check_lam(np.asarray(lam, dtype=float))
+    lam = np.asarray(check_rates(lam, "the kernel"))
     x = np.asarray(x, dtype=float)
     scalar = lam.ndim == 0 and x.ndim == 0
     lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))
@@ -514,7 +500,7 @@ def eval_p(lam, x):
 
 def eval_j(lam, x):
     """x-derivative of p: lam sinh(lam({x}-1/2))/sinh(lam/2), 0 at integers."""
-    lam = _check_lam(np.asarray(lam, dtype=float))
+    lam = np.asarray(check_rates(lam, "the kernel"))
     x = np.asarray(x, dtype=float)
     scalar = lam.ndim == 0 and x.ndim == 0
     lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))

@@ -44,7 +44,7 @@ closed form:
 
              _derivs  defect_moment  r       q       transform_moment
   HaarLog    closed   closed         closed  closed  -
-  PowerLaw   closed   closed         closed  -       -
+  PowerLaw   closed   closed         closed  closed  -
   Atomic     closed   -              -       -       -
   Weight     -        -              -       -       -
 
@@ -293,6 +293,16 @@ class PowerLaw(Measure):
         gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
         fac = _by_kind(kind, 2.0 - 2.0 ** (2.0 - s), 2.0)
         return self.prefactor * fac * gz
+
+    def q(self, x, tol=1e-9):
+        """q_mu at non-integer x in closed form: kappa Gamma(1-sigma) [zeta(1-sigma,
+        d) + zeta(1-sigma, 1-d)], with d = |x - round(x)| the exact distance to Z."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        d = np.abs(xs - np.round(xs))
+        s = 1.0 - self.sigma
+        out = self._gamma_factor * (specfun.hurwitz_zeta(s, d)
+                                    + specfun.hurwitz_zeta(s, 1.0 - d))
+        return float(out[0]) if np.ndim(x) == 0 else out
 
     def r(self, t, tol=1e-10):
         s = self.sigma

@@ -34,7 +34,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import kernels, measures
+from . import kernels, measures, specfun
 from .errors import DomainError, is_count
 
 _SYM_TOL = 1e-12
@@ -173,13 +173,13 @@ eval_j = kernels.eval_j
 
 def trig_minorant_l(lam, N):
     """Extremal degree-N trig minorant of p(lam, .); touches at (n-1/2)/(N+1)."""
-    lam = kernels._check_lam(lam)
+    lam = specfun.check_rates(lam, "trig_minorant_l")
     return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "minorant")
 
 
 def trig_majorant_m(lam, N):
     """Extremal degree-N trig majorant of p(lam, .); touches at n/(N+1)."""
-    lam = kernels._check_lam(lam)
+    lam = specfun.check_rates(lam, "trig_majorant_m")
     return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "majorant")
 
 

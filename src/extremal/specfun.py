@@ -11,14 +11,16 @@ expansion below ``_TAYLOR_SWITCH``; the coefficients come from the standard
 csch/coth Laurent series and both branches carry <= ~2e-13 relative error in
 a window around the switch.
 
-zeta(s) is evaluated on (-1, 2) \\ {1} through the alternating eta series with
-the fixed 64-term Cohen-Villegas-Zagier acceleration (geometric convergence
-at rate (3+sqrt(8))^-1, far past double precision at n = 64); s <= 0 goes
-through the functional equation.  gamma(s) on (-1, 1) \\ {0} wraps the C
-library implementation behind the documented domain.
+hurwitz_zeta(s, a) = sum_{k >= 0} (k + a)^-s is the one zeta series: five
+direct terms, then the Euler-Maclaurin remainder at n = a + 5 (Johansson,
+arXiv:1309.2877), n^(1-s)/(s-1) + n^-s/2 + sum_{j=1..10} B_2j/(2j)!
+s(s+1)...(s+2j-2) n^(-s-2j+1).  It is good to 1e-13 max(1, |zeta|) for s in
+(-1, 2) and at s = 2, 3, 4, and analytic in s, so s <= 0 needs no functional
+equation.  zeta(s) is hurwitz_zeta(s, 1) on (-1, 2) \\ {1}; gamma(s) on
+(-1, 1) \\ {0} wraps the C library implementation behind the documented domain.
 
-The defect functions take a scalar or a numpy array through one
-elementwise code path; a scalar comes back as a Python float.
+The defect functions and hurwitz_zeta take a scalar or a numpy array
+through one elementwise code path; a scalar comes back as a Python float.
 
 No global state; every function is pure.
 """
@@ -64,13 +66,16 @@ def _odd_poly(lam, coeffs):
     return acc * lam
 
 
-def _check_rates(lam, name):
-    """lam as a float array; DomainError unless every entry is finite and > 0."""
-    lam = np.asarray(lam, dtype=float)
-    if not np.all((lam > 0.0) & np.isfinite(lam)):
-        got = f", got {float(lam)!r}" if lam.ndim == 0 else " everywhere"
-        raise DomainError(f"{name} requires finite lam > 0{got}")
-    return lam
+def check_rates(lam, what):
+    """lam as a float, or a float array if it has a shape; DomainError naming
+    what unless it holds finite positive ints or floats (no bool, in any shape)."""
+    if is_real(lam) and 0.0 < lam < math.inf:
+        return float(lam)
+    arr = np.asarray(lam)
+    if arr.dtype.kind not in "iuf" or not np.all((arr > 0.0) & np.isfinite(arr)):
+        got = f", got {lam!r}" if arr.ndim == 0 else " everywhere"
+        raise DomainError(f"{what} requires finite rates lam > 0{got}")
+    return float(arr) if arr.ndim == 0 else arr.astype(float)
 
 
 def _branches(lam, coeffs, direct):
@@ -86,7 +91,7 @@ def defect_minorant(lam):
     Positive and increasing on lam > 0.  Raises DomainError for lam <= 0.
     Elementwise on arrays.
     """
-    lam = _check_rates(lam, "defect_minorant")
+    lam = check_rates(lam, "defect_minorant")
     # csch(y/2) = 2 e^{-y/2} / (1 - e^{-y}), no overflow
     return _branches(lam, _MINOR_COEFFS,
                      lambda y: 2.0 / y - 2.0 * np.exp(-0.5 * y) / (-np.expm1(-y)))
@@ -97,48 +102,52 @@ def defect_majorant(lam):
 
     Elementwise on arrays, like defect_minorant.
     """
-    lam = _check_rates(lam, "defect_majorant")
+    lam = check_rates(lam, "defect_majorant")
     # coth(y/2) = 1 + 2 e^{-y} / (1 - e^{-y})
     return _branches(lam, _MAJOR_COEFFS,
                      lambda y: (1.0 + 2.0 * np.exp(-y) / (-np.expm1(-y))) - 2.0 / y)
 
 
-def _eta(s):
-    """Dirichlet eta(s) by the 64-term Cohen-Villegas-Zagier acceleration."""
-    n = 64
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = 0.5 * (d + 1.0 / d)
-    b = -1.0
-    c = -d
-    acc = 0.0
-    for k in range(n):
-        c = b - c
-        acc += c * (k + 1.0) ** (-s)
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return acc / d
+# B_2, B_4, ..., B_20: the Bernoulli numbers of the Euler-Maclaurin remainder
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+              -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
+              -174611.0 / 330.0)
+
+
+def hurwitz_zeta(s, a):
+    """Hurwitz zeta sum_{k >= 0} (k + a)^-s, continued analytically in s.
+
+    s is a finite real other than 1; a >= 0 is a scalar or an array of ints
+    or floats (not bools), and a scalar a gives a float.  At a = 0 the k = 0
+    term is 0^-s: 0 for s < 0, 1 for s = 0, and a DomainError for s > 0.
+    """
+    if not (is_real(s) and math.isfinite(s) and s != 1.0):
+        raise DomainError(f"hurwitz_zeta needs a finite real s != 1, got {s!r}")
+    s = float(s)
+    a = np.asarray(a)
+    if (a.dtype.kind not in "iuf" or not np.all((a >= 0.0) & np.isfinite(a))
+            or (s > 0.0 and np.any(a == 0.0))):
+        raise DomainError("hurwitz_zeta needs finite real a >= 0, and a > 0 for s > 0")
+    x = np.atleast_1d(a).astype(float)    # a scalar a is the one-point array
+    n = x + 5.0
+    # Horner in n^-2 over j of B_2j/(2j)! (s+1)...(s+2j-2) n^(2-2j)
+    acc = np.zeros_like(n)
+    for j in range(len(_BERNOULLI), 0, -1):
+        acc = _BERNOULLI[j - 1] / math.factorial(2 * j) + acc * (
+            (s + 2 * j - 1) * (s + 2 * j) / (n * n))
+    # the k = 0 term and the pole term are both large for small a and s near
+    # 1, and cancel: their sum comes first, before the moderate terms
+    out = x ** -s + n ** (1.0 - s) / (s - 1.0)
+    out += (np.sum((x[..., None] + np.arange(1.0, 5.0)) ** -s, axis=-1)
+            + 0.5 * n ** -s + s * n ** (-s - 1.0) * acc)
+    return float(out[0]) if a.ndim == 0 else out
 
 
 def zeta(s):
-    """Riemann zeta on (-1, 2) \\ {1}.
-
-    (0, 2): eta series, zeta = eta(s) / (1 - 2^{1-s}) with the 1 - 2^{1-s}
-    factor through expm1 to stay stable near s = 1.  (-1, 0]: functional
-    equation against zeta(1 - s) with 1 - s in [1, 2).
-    """
+    """Riemann zeta on (-1, 2) \\ {1}: hurwitz_zeta(s, 1), exactly -1/2 at 0."""
     if not (is_real(s) and -1.0 < s < 2.0 and s != 1.0):
         raise DomainError(f"zeta implemented on (-1, 2) excluding 1, got {s!r}")
-    s = float(s)
-    if s > 0.0:
-        return _eta(s) / (-math.expm1((1.0 - s) * math.log(2.0)))
-    if s == 0.0:
-        return -0.5
-    return (
-        2.0 ** s
-        * math.pi ** (s - 1.0)
-        * math.sin(0.5 * math.pi * s)
-        * math.gamma(1.0 - s)
-        * zeta(1.0 - s)
-    )
+    return hurwitz_zeta(s, 1.0)
 
 
 def gamma(s):

@@ -13,8 +13,8 @@ module's (n, m) contract, not one integral per member of the family:
 
   * plain integrals use per-period integrals I_m = int_m^{m+1} D, taken
     together as one vector integral over the period, fitted to a/m^2 +
-    b/m^3 + c/m^4 on a window and summed beyond the horizon by an
-    Euler-Maclaurin Hurwitz tail;
+    b/m^3 + c/m^4 on a window and summed beyond the horizon by the
+    Hurwitz zeta of specfun;
   * Fourier integrals use a raised-cosine taper over one last window, which
     suppresses the truncation boundary term of every oscillatory component
     by (frequency gap)^{-2}; test frequencies stay away from 0 and 1 so the
@@ -47,14 +47,6 @@ def _check(name, passed, observed, expected, tol):
 # -- tail machinery -------------------------------------------------------
 
 
-def _hurwitz_tail(k, M):
-    """sum_{m >= M} m^-k by Euler-Maclaurin (k > 1, M moderately large)."""
-    M = float(M)
-    return (M ** (1.0 - k) / (k - 1.0) + 0.5 * M ** (-k)
-            + k / 12.0 * M ** (-k - 1.0)
-            - k * (k + 1.0) * (k + 2.0) / 720.0 * M ** (-k - 3.0))
-
-
 def integral_with_period_tail(f, horizon=64, fit_lo=40, tol=1e-11):
     """int_0^inf f, f with per-period mass ~ a/m^2 + b/m^3 + c/m^4.
 
@@ -62,7 +54,7 @@ def integral_with_period_tail(f, horizon=64, fit_lo=40, tol=1e-11):
     integrands at once, which give a (k,) array.  Integrates [0, fit_lo]
     adaptively and the periods [m, m + 1), fit_lo <= m < horizon, as one
     vector integral of f(u + m) over u in [0, 1]; fits the model to those
-    per-period integrals and closes with the Hurwitz tail.
+    per-period integrals and closes with the Hurwitz zeta tail.
     """
     head = quadrature.integrate_finite(f, 0.0, float(fit_lo), tol=tol).value
     ms = np.arange(fit_lo, horizon)
@@ -71,7 +63,7 @@ def integral_with_period_tail(f, horizon=64, fit_lo=40, tol=1e-11):
     mid = ms + 0.5
     V = np.vstack([mid ** -2.0, mid ** -3.0, mid ** -4.0]).T
     coef, *_ = np.linalg.lstsq(V, vals.reshape(len(ms), -1), rcond=None)
-    tail = [_hurwitz_tail(k, fit_lo + 0.5) for k in (2.0, 3.0, 4.0)] @ coef
+    tail = [specfun.hurwitz_zeta(k, fit_lo + 0.5) for k in (2.0, 3.0, 4.0)] @ coef
     return head + (float(tail[0]) if np.ndim(head) == 0 else tail)
 
 

@@ -460,16 +460,27 @@ def test_coeffs_rejects_a_nan_tolerance(capsys):
     assert code == 2 and "tolerance" in err and out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["eval", "--kind", "L", "--lambda", "1", "--delta", "2", "--grid", "0:1:3"],
-    ["eval", "--kind", "L", "--lambda", "1", "--tol", "5", "--grid", "0:1:3"],
-    ["coeffs", "--kind", "l", "--lambda", "1", "--N", "1", "--delta", "5"],
-    ["bounds", "--kind", "hls", "--sigma", "0.5", "--tol", "1e-9"],
-    ["verify", "--suite", "et", "--delta", "2"],
-], ids=["eval-delta", "eval-tol", "coeffs-delta", "bounds-tol", "verify-delta"])
-def test_a_flag_the_kind_ignores_is_a_usage_error(argv, tmp_path, capsys):
-    """--delta != 1 and --tol are refused where the kind would ignore them."""
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "--kind", "L", "--lambda", "1", "--delta", "2", "--grid", "0:1:3"],
+     "is not used by"),
+    (["eval", "--kind", "L", "--lambda", "1", "--tol", "5", "--grid", "0:1:3"],
+     "is not used by"),
+    (["coeffs", "--kind", "l", "--lambda", "1", "--N", "1", "--delta", "5"],
+     "is not used by"),
+    (["bounds", "--kind", "hls", "--sigma", "0.5", "--tol", "1e-9"], "is not used by"),
+    (["verify", "--suite", "et", "--delta", "2"], "is not used by"),
+    (["coeffs", "--kind", "l", "--lambda", "1", "--N", "2", "--seed", "5",
+      "--format", "json"], "unrecognized arguments: --seed 5"),
+], ids=["eval-delta", "eval-tol", "coeffs-delta", "bounds-tol", "verify-delta",
+        "coeffs-seed"])
+def test_a_flag_the_kind_ignores_is_a_usage_error(argv, message, tmp_path, capsys):
+    """--delta != 1 and --tol are refused where the kind would ignore them,
+    and coeffs, which draws nothing at random, has no --seed."""
     out_path = tmp_path / "out.txt"
-    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    try:
+        code = cli.main(argv + ["--out", str(out_path)])
+    except SystemExit as exc:          # argparse refuses an unknown flag
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2 and out == "" and not out_path.exists()
-    assert "is not used by" in err
+    assert message in err

@@ -11,7 +11,7 @@ that only ``Measure`` defines f, f_prime and f_derivs, that only
 holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 that only ``kernels`` decides where the lattice series stops (its horizon
 and its Euler-Maclaurin tail) and how it splits near nodes from the far
-field.
+field, and that ``specfun.hurwitz_zeta`` is the one zeta series.
 """
 
 import ast
@@ -186,3 +186,14 @@ def test_one_truncation_for_the_lattice_series():
     assert _functions_reading(tree, "_MIN_HORIZON") == ["_truncation"]
     assert _functions_reading(tree, "_bder") == ["_em_tail"]
     assert _functions_reading(tree, "_em_tail") == ["_cell_samples"]
+
+
+def test_one_zeta_series():
+    # hurwitz_zeta alone reads the Bernoulli table; zeta, the q of PowerLaw
+    # and the period tail of verify all call it
+    tree = ast.parse((SRC / "specfun.py").read_text())
+    assert _functions_reading(tree, "_BERNOULLI") == ["hurwitz_zeta"]
+    assert _modules_where(
+        lambda tree: any(isinstance(node, ast.FunctionDef)
+                         and ("zeta" in node.name or "hurwitz" in node.name)
+                         for node in ast.walk(tree))) == ["specfun.py"]

@@ -278,7 +278,7 @@ def _period_tail_by_loop(f, horizon=64, fit_lo=40, tol=1e-11):
     mid = ms + 0.5
     V = np.vstack([mid ** -2.0, mid ** -3.0, mid ** -4.0]).T
     coef, *_ = np.linalg.lstsq(V, vals, rcond=None)
-    tail = float(sum(c * verify._hurwitz_tail(k, fit_lo + 0.5)
+    tail = float(sum(c * specfun.hurwitz_zeta(k, fit_lo + 0.5)
                      for c, k in zip(coef, (2.0, 3.0, 4.0))))
     return head + tail
 

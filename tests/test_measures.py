@@ -238,6 +238,12 @@ _NUMERIC_ARGUMENTS = {
     "oracle-samples": lambda v: polybound.sup_log_oracle([0.5], v),
     "zeta": specfun.zeta,
     "gamma": specfun.gamma,
+    "hurwitz-s": lambda v: specfun.hurwitz_zeta(v, 1.0),
+    # the rate rule takes arrays too, and a bool in any shape is refused
+    "eval_p-rate": lambda v: kernels.eval_p(v, 0.3),
+    "defect-rate": specfun.defect_minorant,
+    "Lhat-rate-array": lambda v: kernels.eval_Lhat(np.array([v, v]), 0.3),
+    "rate-0d-array": lambda v: kernels.minorant_values(np.array(v), 0.3),
 }
 
 
@@ -254,3 +260,4 @@ def test_a_numpy_float32_is_a_real_number():
     assert forms.hls_constants(np.float32(1.5)) == forms.hls_constants(1.5)
     assert forms.hls_gamma_route(np.float32(0.5)) == forms.hls_gamma_route(0.5)
     assert specfun.zeta(np.float32(0.5)) == specfun.zeta(0.5)
+    assert specfun.hurwitz_zeta(np.float32(0.5), 1.0) == specfun.zeta(0.5)

@@ -236,6 +236,17 @@ def test_q_power_law_by_quadrature():
     assert abs(periodic.q_mu(PL05, x) - direct) <= 1e-9
 
 
+@pytest.mark.parametrize("mu", [PL05, PL15], ids=["power0.5", "power1.5"])
+def test_q_power_law_is_even_and_finite_next_to_the_integers(mu):
+    # the closed form takes the exact distance to the nearest integer, where
+    # x mod 1 rounds -1e-17 to 1.0
+    xs = np.array([1e-17, 0.3, 2.7, 1.0 - 2.0 ** -40])
+    assert np.array_equal(periodic.q_mu(mu, -xs), periodic.q_mu(mu, xs))
+    if mu.sigma < 1.0:
+        assert periodic.q_mu(mu, -1e-17) == pytest.approx(
+            math.gamma(1.0 - mu.sigma) * 1e-17 ** (mu.sigma - 1.0), rel=1e-7)
+
+
 @pytest.mark.parametrize("mu", [HAAR, PL05, PL15, ATOM],
                          ids=lambda m: m.family)
 def test_superposed_minorant_sandwich(mu):

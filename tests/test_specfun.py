@@ -1,9 +1,11 @@
-"""Special-function checks against high-precision fixture values."""
+"""Special-function checks against high-precision fixture values and mpmath."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal import specfun
 from extremal.errors import DomainError
@@ -114,6 +116,44 @@ def test_zeta_domain():
         specfun.zeta(2.5)
     with pytest.raises(DomainError):
         specfun.zeta(-1.5)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(-1.0, 2.0, exclude_min=True, exclude_max=True).filter(
+           lambda s: abs(s - 1.0) >= 1e-3),
+       st.floats(1e-3, 50.0))
+def test_hurwitz_zeta_matches_mpmath(s, a):
+    # mpmath reflects s < 0 through 1 - s, which needs the bits of a tiny s
+    with mpmath.workprec(100 + max(0, -math.frexp(s)[1])):
+        ref = float(mpmath.zeta(s, a))
+    assert abs(specfun.hurwitz_zeta(s, a) - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("a", [1e-3, 0.5, 1.0, 40.5])
+def test_hurwitz_zeta_at_the_integers_of_the_period_tail(k, a):
+    ref = float(mpmath.zeta(k, a))
+    assert abs(specfun.hurwitz_zeta(k, a) - ref) <= 1e-13 * ref
+
+
+def test_hurwitz_zeta_array_is_the_scalar_call():
+    a = np.array([[0.0, 0.25], [0.5, 7.0]])
+    got = specfun.hurwitz_zeta(-0.5, a)
+    assert got.shape == a.shape
+    assert got.tolist() == [[specfun.hurwitz_zeta(-0.5, float(v)) for v in row]
+                            for row in a]
+    # at a = 0 the k = 0 term 0^0.5 is 0
+    assert got[0, 0] == pytest.approx(specfun.zeta(-0.5), rel=1e-14)
+    assert isinstance(specfun.hurwitz_zeta(0.5, 0.25), float)
+
+
+@pytest.mark.parametrize("s,a", [(1.0, 0.5), (math.nan, 0.5), (math.inf, 0.5),
+                                 (0.5, -0.1), (-0.5, np.array([0.5, -1e-300])),
+                                 (0.5, math.nan), (0.5, 0.0), (1.5, np.array([1.0, 0.0])),
+                                 (0.5, True), (-0.5, np.array([True, False]))])
+def test_hurwitz_zeta_domain(s, a):
+    with pytest.raises(DomainError):
+        specfun.hurwitz_zeta(s, a)
 
 
 @pytest.mark.parametrize("s,val", _GAMMA_CASES)
