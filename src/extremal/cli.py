@@ -6,6 +6,10 @@ leaves a partial file behind.  CSV cells use shortest round-trip decimal
 formatting; JSON is serialized with sorted keys so reruns with identical
 flags and seed are byte-identical.
 
+FLAGS holds each optional flag's argparse settings and KINDS the flags each
+kind reads.  A command declares the flags its kinds read; a REQUIRED flag
+left out, or a flag given to a kind that does not read it, is a usage error.
+
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numeric
 non-convergence.
 """
@@ -22,11 +26,51 @@ import numpy as np
 from . import forms, kernels, measures, periodic, polybound, superposed, verify
 from .errors import AdmissibilityError, ConvergenceError, DivergenceError, DomainError
 
-EVAL_KINDS = ("L", "M", "Lhat", "Mhat", "p", "q", "G", "H", "U")
-COEFF_KINDS = ("l", "m", "g", "h", "uN")
-BOUND_KINDS = ("hls", "form", "et")
-DELTA_KINDS = {"eval": ("G", "H"), "bounds": ("hls", "form")}
-TOL_KINDS = {"eval": ("q",), "coeffs": ("g", "h", "uN"), "bounds": ("form",)}
+# the argparse settings of every optional flag
+FLAGS = {
+    "--lambda": dict(dest="lam", type=float, default=None),
+    "--measure": dict(default=None,
+                      help="haar | power:sigma | atomic:f.csv | weight:f.csv"),
+    "--N": dict(type=int, default=None),
+    "--sigma": dict(type=float, default=None),
+    "--points": dict(default=None, help="CSV with header xi,re,im"),
+    "--coeffs": dict(default=None,
+                     help="optional CSV re,im overriding coefficient columns"),
+    "--roots": dict(default=None, help="CSV with header re,im"),
+    "--with-target": dict(action="store_true", default=False),
+    "--delta": dict(type=float, default=1.0),
+    "--tol": dict(type=float, default=None),
+}
+# command -> kind (verify: suite) -> the optional flags that kind reads;
+# a command declares the flags its kinds read and no others
+KINDS = {
+    "eval": {
+        "L": ("--lambda", "--with-target"),
+        "M": ("--lambda", "--with-target"),
+        "Lhat": ("--lambda",),
+        "Mhat": ("--lambda",),
+        "p": ("--lambda",),
+        "q": ("--measure", "--tol"),
+        "G": ("--measure", "--with-target", "--delta"),
+        "H": ("--measure", "--with-target", "--delta"),
+        "U": ("--with-target",),
+    },
+    "coeffs": {
+        "l": ("--lambda", "--N"),
+        "m": ("--lambda", "--N"),
+        "g": ("--measure", "--N", "--tol"),
+        "h": ("--measure", "--N", "--tol"),
+        "uN": ("--N", "--tol"),
+    },
+    "bounds": {
+        "hls": ("--sigma", "--delta"),
+        "form": ("--measure", "--points", "--coeffs", "--delta", "--tol"),
+        "et": ("--roots", "--N"),
+    },
+    "verify": dict.fromkeys(sorted(verify.SUITES), ()),
+}
+# the flags a kind cannot do without when it reads them
+REQUIRED = ("--lambda", "--measure", "--N", "--sigma", "--points", "--roots")
 
 
 def _fmt(v):
@@ -68,8 +112,6 @@ def _parse_grid(spec):
 
 
 def _parse_measure(spec):
-    if spec is None:
-        raise DomainError("this kind requires --measure")
     if spec == "haar":
         return measures.HaarLog()
     if spec.startswith("power:"):
@@ -88,18 +130,18 @@ def _parse_measure(spec):
 
 
 def _check_flags(args):
-    """A usage error for --delta != 1 or any --tol where the kind ignores it."""
-    kind = getattr(args, "kind", None)
-    for flag, unset, kinds in (("delta", 1.0, DELTA_KINDS), ("tol", None, TOL_KINDS)):
-        if getattr(args, flag) != unset and kind not in kinds.get(args.command, ()):
-            raise DomainError(f"--{flag} is not used by {args.command}"
-                              + (f" --kind {kind}" if kind else ""))
-
-
-def _need_lambda(args):
-    if args.lam is None:
-        raise DomainError(f"kind {args.kind!r} requires --lambda")
-    return args.lam
+    """A usage error for a REQUIRED flag the kind reads but was not given, and
+    for a flag given (set off its default) that the kind does not read."""
+    reads = KINDS[args.command][args.kind]
+    where = f"{args.command} --kind {args.kind}"
+    for flag, settings in FLAGS.items():
+        dest = settings.get("dest", flag[2:].replace("-", "_"))
+        # a flag the command does not declare is at its default
+        given = getattr(args, dest, settings["default"]) != settings["default"]
+        if flag in reads and flag in REQUIRED and not given:
+            raise DomainError(f"{where} requires {flag}")
+        if flag not in reads and given:
+            raise DomainError(f"{flag} is not used by {where}")
 
 
 # -- eval ------------------------------------------------------------------
@@ -117,19 +159,17 @@ def _eval_columns(args):
     tol = args.tol if args.tol is not None else 1e-9
     target = None
     if kind == "L":
-        lam = _need_lambda(args)
-        vals = kernels.minorant_values(lam, xs)
-        target = np.exp(-lam * np.abs(xs))
+        vals = kernels.minorant_values(args.lam, xs)
+        target = np.exp(-args.lam * np.abs(xs))
     elif kind == "M":
-        lam = _need_lambda(args)
-        vals = kernels.majorant_values(lam, xs)
-        target = np.exp(-lam * np.abs(xs))
+        vals = kernels.majorant_values(args.lam, xs)
+        target = np.exp(-args.lam * np.abs(xs))
     elif kind == "Lhat":
-        vals = kernels.eval_Lhat(_need_lambda(args), xs)
+        vals = kernels.eval_Lhat(args.lam, xs)
     elif kind == "Mhat":
-        vals = kernels.eval_Mhat(_need_lambda(args), xs)
+        vals = kernels.eval_Mhat(args.lam, xs)
     elif kind == "p":
-        vals = periodic.eval_p(_need_lambda(args), xs)
+        vals = periodic.eval_p(args.lam, xs)
     elif kind == "q":
         mu = _parse_measure(args.measure)
         # q_mu has period 1: every integer point takes the scalar q_mu(0),
@@ -162,12 +202,8 @@ def _eval_columns(args):
 
 def cmd_eval(args, argv):
     xs, vals, target = _eval_columns(args)
-    signed = -1.0 if args.kind in ("L", "G") else 1.0
     if args.with_target:
-        if target is None:
-            raise DomainError(
-                f"--with-target is not defined for kind {args.kind!r}")
-        defect = signed * (vals - target)
+        defect = (-1.0 if args.kind in ("L", "G") else 1.0) * (vals - target)
     if args.format == "csv":
         if args.with_target:
             rows = zip(xs.tolist(), vals.tolist(), target.tolist(),
@@ -199,14 +235,12 @@ def cmd_eval(args, argv):
 
 
 def cmd_coeffs(args, argv):
-    if args.N is None:
-        raise DomainError("coeffs requires --N")
     tol = args.tol if args.tol is not None else 1e-10
     kind = args.kind
     if kind == "l":
-        poly = periodic.trig_minorant_l(_need_lambda(args), args.N)
+        poly = periodic.trig_minorant_l(args.lam, args.N)
     elif kind == "m":
-        poly = periodic.trig_majorant_m(_need_lambda(args), args.N)
+        poly = periodic.trig_majorant_m(args.lam, args.N)
     elif kind == "g":
         poly = periodic.trig_minorant_g(_parse_measure(args.measure), args.N,
                                         tol=tol)
@@ -235,15 +269,16 @@ def _kv_rows(payload):
     return rows
 
 
-def _bounds_report(args, argv, results, checks):
-    code = 0 if all(c["pass"] for c in checks) else 1
+def _bounds_report(args, argv, results, checks=()):
+    """The report of a bounds kind; checks are verify.CheckResult rows."""
+    code = 0 if all(c.passed for c in checks) else 1
     if args.format == "csv":
         return _csv_text(("key", "value"), _kv_rows(results)), code
     report = {
         "command": "extremal " + " ".join(argv),
         "seed": args.seed,
         "results": results,
-        "checks": checks,
+        "checks": [verify.check_dict(c) for c in checks],
     }
     return _json_text(report), code
 
@@ -251,8 +286,6 @@ def _bounds_report(args, argv, results, checks):
 def cmd_bounds(args, argv):
     tol = args.tol if args.tol is not None else 1e-10
     if args.kind == "hls":
-        if args.sigma is None:
-            raise DomainError("bounds --kind hls requires --sigma")
         h = forms.hls_constants(args.sigma, args.delta)
         results = {
             "kind": "hls",
@@ -262,10 +295,8 @@ def cmd_bounds(args, argv):
             "upper": h.upper,
             "continuity_extension": h.continuity_extension,
         }
-        return _bounds_report(args, argv, results, [])
+        return _bounds_report(args, argv, results)
     if args.kind == "form":
-        if args.points is None:
-            raise DomainError("bounds --kind form requires --points")
         mu = _parse_measure(args.measure)
         xi, a = forms.points_from_csv(args.points)
         if args.coeffs is not None:
@@ -277,39 +308,24 @@ def cmd_bounds(args, argv):
         rep = forms.form_report(mu, args.delta, ps, a, tol=tol)
         energy = float(np.sum(np.abs(a) ** 2))
         results = {"kind": "form", "measure": args.measure,
-                   "delta": args.delta, "n_points": int(xi.size)}
-        results.update(rep)
-        checks = [{
-            "name": "form-lower-bound",
-            "pass": bool(rep["slack"] >= -1e-9 * energy),
-            "observed": rep["slack"],
-            "expected": ">= -1e-9 * energy",
-            "tol": 1e-9,
-        }]
-        return _bounds_report(args, argv, results, checks)
-    if args.roots is None:
-        raise DomainError("bounds --kind et requires --roots")
-    if args.N is None:
-        raise DomainError("bounds --kind et requires --N")
+                   "delta": args.delta, "n_points": int(xi.size), **rep}
+        check = verify.CheckResult("form-lower-bound",
+                                   bool(rep["slack"] >= -1e-9 * energy),
+                                   rep["slack"], ">= -1e-9 * energy", 1e-9)
+        return _bounds_report(args, argv, results, [check])
     roots = polybound.roots_from_csv(args.roots)
     rep = polybound.bound_report(roots, args.N)
-    results = {"kind": "et"}
-    results.update(rep)
-    checks = [{
-        "name": "et-soundness",
-        "pass": bool(rep["slack"] >= -1e-9),
-        "observed": rep["slack"],
-        "expected": "bound >= sup_estimate",
-        "tol": 1e-9,
-    }]
-    return _bounds_report(args, argv, results, checks)
+    results = {"kind": "et", **rep}
+    check = verify.CheckResult("et-soundness", bool(rep["slack"] >= -1e-9),
+                               rep["slack"], "bound >= sup_estimate", 1e-9)
+    return _bounds_report(args, argv, results, [check])
 
 
 # -- verify ----------------------------------------------------------------
 
 
 def cmd_verify(args, argv):
-    report = verify.run_suite(args.suite, seed=args.seed,
+    report = verify.run_suite(args.kind, seed=args.seed,
                               command="extremal " + " ".join(argv))
     code = 0 if all(c["pass"] for c in report["checks"]) else 1
     if args.format == "csv":
@@ -323,59 +339,36 @@ def cmd_verify(args, argv):
 # -- wiring ----------------------------------------------------------------
 
 
-def _add_common(p, default_format):
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=("csv", "json"), default=default_format)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--delta", type=float, default=1.0)
-
-
 def build_parser():
+    """The parser: per command its fixed flags and the flags its kinds read."""
     parser = argparse.ArgumentParser(
         prog="extremal",
         description="Extremal band-limited majorants/minorants: evaluation, "
                     "coefficients, sharp constants, verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a kernel/transform/periodization")
-    p.add_argument("--kind", required=True, choices=EVAL_KINDS)
-    p.add_argument("--grid", required=True, help="a:b:n inclusive grid")
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--measure", default=None,
-                   help="haar | power:sigma | atomic:f.csv | weight:f.csv")
-    p.add_argument("--with-target", action="store_true")
-    p.add_argument("--seed", type=int, default=7)
-    _add_common(p, "csv")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("coeffs", help="dump trigonometric polynomial coefficients")
-    p.add_argument("--kind", required=True, choices=COEFF_KINDS)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--measure", default=None)
-    _add_common(p, "csv")
-    p.set_defaults(fn=cmd_coeffs)
-
-    p = sub.add_parser("bounds", help="compute sharp constants and verdicts")
-    p.add_argument("--kind", required=True, choices=BOUND_KINDS)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--measure", default=None)
-    p.add_argument("--points", default=None, help="CSV with header xi,re,im")
-    p.add_argument("--coeffs", default=None,
-                   help="optional CSV re,im overriding coefficient columns")
-    p.add_argument("--roots", default=None, help="CSV with header re,im")
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--seed", type=int, default=7)
-    _add_common(p, "json")
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    p.add_argument("--seed", type=int, default=7)
-    _add_common(p, "json")
-    p.set_defaults(fn=cmd_verify)
-
+    for command, help_, default_format in (
+            ("eval", "evaluate a kernel/transform/periodization", "csv"),
+            ("coeffs", "dump trigonometric polynomial coefficients", "csv"),
+            ("bounds", "compute sharp constants and verdicts", "json"),
+            ("verify", "run a verification suite", "json")):
+        kinds = KINDS[command]
+        p = sub.add_parser(command, help=help_)
+        p.add_argument("--suite" if command == "verify" else "--kind",
+                       dest="kind", required=True, choices=tuple(kinds))
+        if command == "eval":
+            p.add_argument("--grid", required=True, help="a:b:n inclusive grid")
+        if command != "coeffs":             # coeffs draws nothing at random
+            p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--out", help="write output to this path instead of stdout")
+        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+        read = set().union(*kinds.values())
+        for flag, settings in FLAGS.items():
+            if flag in read:
+                p.add_argument(flag, **settings)
     return parser
+
+
+_PARSER = build_parser()
 
 
 def _fuse_grid(argv):
@@ -394,11 +387,11 @@ def _fuse_grid(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_fuse_grid(argv))
+    args = _PARSER.parse_args(_fuse_grid(argv))
     try:
         _check_flags(args)
-        text, code = args.fn(args, argv)
+        # looked up per call, so a rebound cmd_* is the one that runs
+        text, code = globals()[f"cmd_{args.command}"](args, argv)
     except (DomainError, AdmissibilityError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -84,7 +84,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import check_rates
+from .specfun import _check_rate, check_rates
 
 _EPS_TAIL = 1e-16
 _NODE_TOL = 1e-6
@@ -405,17 +405,28 @@ def _exp_series(lam, x, f0):
 
 def minorant_values(lam, x):
     """L(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series(check_rates(lam, "the kernel"), x, None)
+    return _exp_series(_check_rate(lam, "the kernel"), x, None)
 
 
 def majorant_values(lam, x):
     """M(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series(check_rates(lam, "the kernel"), x, 1.0)
+    return _exp_series(_check_rate(lam, "the kernel"), x, 1.0)
+
+
+def _defects(lams, x, kind):
+    """e^{-lam|x|} - L(lam, x) (kind "minorant") or M(lam, x) - e^{-lam|x|}
+    ("majorant") at the points x for each rate: (len(lams),) + x.shape."""
+    out = np.empty((len(lams),) + np.shape(x))
+    for i, lam in enumerate(lams):
+        e = np.exp(-lam * np.abs(x))
+        out[i] = (e - minorant_values(lam, x) if kind == "minorant"
+                  else majorant_values(lam, x) - e)
+    return out
 
 
 def _eval_point(lam, x, f0):
     """KernelEval of L (f0 None) or M (f0 = 1) at one point."""
-    lam = check_rates(lam, "the kernel")
+    lam = _check_rate(lam, "the kernel")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     ax = abs(float(x))
@@ -536,23 +547,12 @@ class KernelDefectAtPoint:
         self.kind = kind
         self._coeffs = None
 
-    def _direct(self, lams):
-        """The defect at every x, one series call per rate: (len(lams),) + x.shape."""
-        out = np.empty((len(lams),) + np.shape(self.x))
-        for i, lam in enumerate(lams):
-            e = np.exp(-lam * self.x)
-            if self.kind == "minorant":
-                out[i] = e - minorant_values(lam, self.x)
-            else:
-                out[i] = majorant_values(lam, self.x) - e
-        return out
-
     def _fit(self):
         n = self.NFIT
         i = np.arange(n)
         tk = np.cos((2 * i + 1) * np.pi / (2 * n))     # first-kind nodes
         lam = self.LAM_SWITCH * (tk + 1.0) / 2.0
-        g = (self._direct(lam).T / lam).T
+        g = (_defects(lam, self.x, self.kind).T / lam).T
         coeffs = np.polynomial.chebyshev.chebfit(tk, g.reshape(n, -1), n - 1)
         self._coeffs = coeffs.reshape(g.shape)
 
@@ -572,5 +572,5 @@ class KernelDefectAtPoint:
             g = np.polynomial.chebyshev.chebval(tk, self._coeffs)
             out[small] = np.moveaxis(lam[small] * g, -1, 0)
         if np.any(~small):
-            out[~small] = self._direct(lam[~small])
+            out[~small] = _defects(lam[~small], self.x, self.kind)
         return float(out[0]) if not shape else out.reshape(shape)

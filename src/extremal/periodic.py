@@ -173,13 +173,13 @@ eval_j = kernels.eval_j
 
 def trig_minorant_l(lam, N):
     """Extremal degree-N trig minorant of p(lam, .); touches at (n-1/2)/(N+1)."""
-    lam = specfun.check_rates(lam, "trig_minorant_l")
+    lam = specfun._check_rate(lam, "trig_minorant_l")
     return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "minorant")
 
 
 def trig_majorant_m(lam, N):
     """Extremal degree-N trig majorant of p(lam, .); touches at n/(N+1)."""
-    lam = specfun.check_rates(lam, "trig_majorant_m")
+    lam = specfun._check_rate(lam, "trig_majorant_m")
     return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "majorant")
 
 

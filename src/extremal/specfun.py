@@ -78,6 +78,14 @@ def check_rates(lam, what):
     return float(arr) if arr.ndim == 0 else arr.astype(float)
 
 
+def _check_rate(lam, what):
+    """check_rates for one rate: a float (a 0-d array is one), no other shape."""
+    lam = check_rates(lam, what)
+    if not isinstance(lam, float):
+        raise DomainError(f"{what} takes one rate lam, got shape {lam.shape}")
+    return lam
+
+
 def _branches(lam, coeffs, direct):
     """Taylor series below _TAYLOR_SWITCH, direct(lam) above; a float for a scalar."""
     with np.errstate(over="ignore", invalid="ignore"):

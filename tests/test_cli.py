@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -466,9 +468,9 @@ def test_coeffs_rejects_a_nan_tolerance(capsys):
     (["eval", "--kind", "L", "--lambda", "1", "--tol", "5", "--grid", "0:1:3"],
      "is not used by"),
     (["coeffs", "--kind", "l", "--lambda", "1", "--N", "1", "--delta", "5"],
-     "is not used by"),
+     "unrecognized arguments: --delta"),
     (["bounds", "--kind", "hls", "--sigma", "0.5", "--tol", "1e-9"], "is not used by"),
-    (["verify", "--suite", "et", "--delta", "2"], "is not used by"),
+    (["verify", "--suite", "et", "--delta", "2"], "unrecognized arguments: --delta"),
     (["coeffs", "--kind", "l", "--lambda", "1", "--N", "2", "--seed", "5",
       "--format", "json"], "unrecognized arguments: --seed 5"),
 ], ids=["eval-delta", "eval-tol", "coeffs-delta", "bounds-tol", "verify-delta",
@@ -484,3 +486,104 @@ def test_a_flag_the_kind_ignores_is_a_usage_error(argv, message, tmp_path, capsy
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and not out_path.exists()
     assert message in err
+
+
+# -- the flag table ----------------------------------------------------------
+
+def _read_by_command(command):
+    return set().union(*cli.KINDS[command].values())
+
+
+# every (command, kind, flag) where the command declares the flag and the
+# kind does not read it, and every (command, kind, flag) the kind requires
+_IGNORED = [(c, k, f) for c, kinds in cli.KINDS.items() for k, reads in kinds.items()
+            for f in cli.FLAGS if f in _read_by_command(c) and f not in reads]
+_MISSING = [(c, k, f) for c, kinds in cli.KINDS.items() for k, reads in kinds.items()
+            for f in reads if f in cli.REQUIRED]
+_RUNNABLE = [(c, k) for c, kinds in cli.KINDS.items() for k in kinds if c != "verify"]
+
+
+@pytest.fixture
+def flag_values(tmp_path):
+    """An argument list for each optional flag that every kind reading it accepts."""
+    pts = tmp_path / "pts.csv"
+    pts.write_text("xi,re,im\n0.0,1.0,0.0\n1.0,-1.0,0.0\n")
+    coeffs = tmp_path / "a.csv"
+    coeffs.write_text("re,im\n1.0,0.0\n1.0,0.0\n")
+    roots = tmp_path / "roots.csv"
+    roots.write_text("re,im\n1.0,0.0\n")
+    return {"--lambda": ["1.0"], "--measure": ["power:1.5"], "--N": ["2"],
+            "--sigma": ["1.5"], "--points": [str(pts)], "--coeffs": [str(coeffs)],
+            "--roots": [str(roots)], "--with-target": [], "--delta": ["2.0"],
+            "--tol": ["1e-9"]}
+
+
+def _kind_argv(command, kind, values, leave_out=None):
+    """The kind with every flag it requires, but leave_out."""
+    argv = [command, "--kind", kind]
+    if command == "eval":
+        argv += ["--grid", "0.25:0.75:3"]
+    for flag in cli.KINDS[command][kind]:
+        if flag in cli.REQUIRED and flag != leave_out:
+            argv += [flag, *values[flag]]
+    return argv
+
+
+@pytest.mark.parametrize("command, kind", _RUNNABLE,
+                         ids=[f"{c}-{k}" for c, k in _RUNNABLE])
+def test_each_kind_runs_on_its_required_flags(command, kind, flag_values, capsys):
+    code, out, err = run_cli(_kind_argv(command, kind, flag_values), capsys)
+    assert code == 0 and out and not err
+
+
+@pytest.mark.parametrize("command, kind, flag", _IGNORED,
+                         ids=[f"{c}-{k}-{f[2:]}" for c, k, f in _IGNORED])
+def test_every_flag_the_kind_does_not_read_is_a_usage_error(
+        command, kind, flag, flag_values, tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    argv = _kind_argv(command, kind, flag_values) + [flag, *flag_values[flag]]
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert f"{flag} is not used by {command} --kind {kind}" in err
+
+
+@pytest.mark.parametrize("command, kind, flag", _MISSING,
+                         ids=[f"{c}-{k}-{f[2:]}" for c, k, f in _MISSING])
+def test_every_required_flag_left_out_is_a_usage_error(
+        command, kind, flag, flag_values, tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    argv = _kind_argv(command, kind, flag_values, leave_out=flag)
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 2 and out == "" and not out_path.exists()
+    assert f"{command} --kind {kind} requires {flag}" in err
+
+
+def test_each_command_declares_its_fixed_flags_and_its_kinds_flags():
+    sub = next(a for a in cli._PARSER._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(cli.KINDS)
+    for command, parser in sub.choices.items():
+        actions = {s: a for a in parser._actions for s in a.option_strings}
+        selector = "--suite" if command == "verify" else "--kind"
+        fixed = {selector, "--out", "--format", "-h", "--help"}
+        fixed |= {"--grid"} if command == "eval" else set()
+        fixed |= {"--seed"} if command != "coeffs" else set()
+        assert set(actions) == fixed | _read_by_command(command), command
+        assert tuple(actions[selector].choices) == tuple(cli.KINDS[command])
+        for flag in _read_by_command(command):
+            assert actions[flag].default == cli.FLAGS[flag]["default"]
+
+
+def test_readme_flag_table_matches_the_kinds():
+    """The README's kind -> flags table is cli.KINDS, row for row."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    table = text.split("| command |", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        command, kinds, flags = (re.findall(r"`([^`]+)`", cell)
+                                 for cell in line.strip("|").split("|"))
+        for kind in kinds:
+            documented.setdefault(command[0], {})[kind] = tuple(flags)
+    assert documented == cli.KINDS

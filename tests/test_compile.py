@@ -11,11 +11,14 @@ that only ``Measure`` defines f, f_prime and f_derivs, that only
 holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 that only ``kernels`` decides where the lattice series stops (its horizon
 and its Euler-Maclaurin tail) and how it splits near nodes from the far
-field, and that ``specfun.hurwitz_zeta`` is the one zeta series.
+field, that ``specfun.hurwitz_zeta`` is the one zeta series, that
+``kernels._defects`` is the one loop of kernel defects over rates, and
+that the flag table of ``cli`` is the only place naming its optional flags.
 """
 
 import ast
 import pathlib
+import re
 import warnings
 
 import pytest
@@ -197,3 +200,33 @@ def test_one_zeta_series():
         lambda tree: any(isinstance(node, ast.FunctionDef)
                          and ("zeta" in node.name or "hurwitz" in node.name)
                          for node in ast.walk(tree))) == ["specfun.py"]
+
+
+def test_one_kernel_defect_loop():
+    # KernelDefectAtPoint and verify's criteria 1-3 all take the one-sided
+    # defects of L and M over a set of rates from kernels._defects
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert _functions_reading(tree, "minorant_values") == ["_defects"]
+    assert _functions_reading(tree, "majorant_values") == ["_defects"]
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert not any(isinstance(node, ast.Attribute)
+                   and node.attr in ("minorant_values", "majorant_values")
+                   for node in ast.walk(tree))
+
+
+def test_one_flag_table():
+    # FLAGS, KINDS and REQUIRED alone name the optional flags of the CLI:
+    # which kind reads which flag is decided nowhere else
+    tree = ast.parse((SRC / "cli.py").read_text())
+    table = {"FLAGS", "KINDS", "REQUIRED"}
+    flag = re.compile(r"--(lambda|measure|N|sigma|points|coeffs|roots"
+                      r"|with-target|delta|tol)\b")
+    assert {t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets} >= table
+    rest = [node for node in tree.body
+            if not (isinstance(node, ast.Assign)
+                    and {t.id for t in node.targets} <= table)]
+    named = [node.value for top in rest for node in ast.walk(top)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and flag.search(node.value)]
+    assert named == []

@@ -255,6 +255,26 @@ def test_a_bool_is_not_a_number(call, value):
         call(value)
 
 
+# the entry points that take one rate, each as a function of it
+_ONE_RATE = {
+    "eval_L": lambda lam: kernels.eval_L(lam, 0.3).value,
+    "eval_M": lambda lam: kernels.eval_M(lam, 0.3).value,
+    "minorant_values": lambda lam: kernels.minorant_values(lam, np.array([0.5, 1.0])),
+    "majorant_values": lambda lam: kernels.majorant_values(lam, [1.0]),
+    "trig_minorant_l": lambda lam: periodic.trig_minorant_l(lam, 3).coeffs,
+    "trig_majorant_m": lambda lam: periodic.trig_majorant_m(lam, 3).coeffs,
+}
+
+
+@pytest.mark.parametrize("lam", [[0.5, 1.0], np.array([1.0, 2.0]), np.array([0.7])],
+                         ids=["list", "array", "one-element-array"])
+@pytest.mark.parametrize("call", list(_ONE_RATE.values()), ids=list(_ONE_RATE))
+def test_a_one_rate_entry_point_refuses_an_array_of_rates(call, lam):
+    with pytest.raises(DomainError, match="one rate"):
+        call(lam)
+    assert np.array_equal(call(np.array(0.7)), call(0.7))
+
+
 def test_a_numpy_float32_is_a_real_number():
     assert measures.PowerLaw(np.float32(0.5)) == measures.PowerLaw(0.5)
     assert forms.hls_constants(np.float32(1.5)) == forms.hls_constants(1.5)
