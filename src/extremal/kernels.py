@@ -44,12 +44,18 @@ raises DomainError before it allocates a node.
 
 L and M (f = e^{-lam s}, f(0) = 1) are capped at K(lam) =
 ceil(log(1/eps)/lam) + 10 nodes (eps = 1e-16), which binds for lam >~
-0.0734.  Since sum_s sinc(x - s)^2 = 1 and |P(x)/(x -+ s)| <= 1/pi, the
-pairs dropped from s0 = first node + K on sum to at most
+0.0734; a cap past 2^20 could never bind, so K is clamped there and no
+rate, however small, overflows it.  Since sum_s sinc(x - s)^2 = 1 and
+|P(x)/(x -+ s)| <= 1/pi, the pairs dropped from s0 = first node + K on
+sum to at most
 e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at every x (below 6e-17 for
 lam >= 0.1); a point whose nearest node was dropped gets no collapse, as P
-vanishes there.  Where the cap binds, the K(lam) nodes are summed directly
-at each point; smaller rates take the tail and the far field in the cells
+vanishes there.  Where the cap binds the K(lam) nodes are summed
+directly, and the rates of one call share the work that depends on the
+points alone: per block of points one table of 1/(x - s) and 1/(x + s)
+over the longest cap, from which each rate takes two row dot products
+over its own first K(lam) nodes (2 divisions per (point, node) for the
+whole call).  Smaller rates take the tail and the far field in the cells
 whose horizon is below K(lam).  eval_L and eval_M report the nodes kept and
 the bound of their point's cell.
 
@@ -71,7 +77,7 @@ as lam -> 0, a difference of O(1) numbers, so measure integrals refining
 toward lam = 0 use KernelDefectAtPoint: a per-x Chebyshev fit of
 defect/lam on [0, 1/2] (the defect is analytic in |lam| < 2pi, making the
 fit rounding-limited; ~1e-10 relative accuracy uniformly down to lam -> 0).
-It takes one x or an array of x: each rate is one series call over all
+It takes one x or an array of x: its rates are one series call over all
 the points and the fit is one chebfit over all of them, so an array of
 points is one (n_lam, n_x) vector integrand.
 """
@@ -112,8 +118,10 @@ class KernelEval:
 
 
 def _trunc_terms(lam):
-    """K(lam), the most node pairs L and M keep at any x."""
-    return int(math.ceil(math.log(1.0 / _EPS_TAIL) / lam)) + 10
+    """K(lam), the most node pairs L and M keep at any x.  A cap past
+    _MAX_NODES can never bind (the series raises first), so K is clamped
+    there in floats: no rate, however small, overflows the int."""
+    return int(math.ceil(min(math.log(1.0 / _EPS_TAIL) / lam, _MAX_NODES))) + 10
 
 
 def _cell(y, first):
@@ -313,42 +321,61 @@ def _far(y, c0, du, first, nodes, derivs, f0, cells):
     return vals
 
 
-def _direct(y, c0, du, first, n, nodes, f0):
-    """The series at y over the first n nodes and no tail: the points where
-    the cap binds.  A point whose nearest node is past them gets no
-    collapse."""
-    s = first + np.arange(n, dtype=float)
-    f, fp = nodes(s)
-    out = np.empty_like(y)
-    rows = max(1, _CHUNK // n)
+def _direct(y, c0, du, first, series, f0):
+    """The series at y over the first len(f) nodes of each (f, f') in series
+    and no tail: the points where each cap binds, as a (len(series),
+    len(y)) array.
+
+    One table per block of points serves every series: r+ = 1/(y - s) and
+    r- = 1/(y + s) over the longest of them, r+ zeroed at each point's
+    collapsing node, a = r+^2 + r-^2 and b = r+ - r-.  A series then takes
+    the row dot products a.f + b.f' over its own columns.  The columns run
+    from the last node down to the first, so the small far terms are added
+    first, and einsum reduces each row on its own (a BLAS product does
+    not): a value does not depend on the other points or series of the
+    call.  A point whose nearest node is past a series' nodes gets no
+    collapse from it.
+    """
+    m = max(len(f) for f, _ in series)
+    s = first + np.arange(m - 1, -1, -1, dtype=float)     # column m - 1 - k: s_k
+    backward = [(np.ascontiguousarray(f[::-1]), np.ascontiguousarray(fp[::-1]))
+                for f, fp in series]
+    out = np.empty((len(series), len(y)))
+    rows = max(1, _CHUNK // m)
+    table = np.empty((4, min(rows, len(y)), m))     # r+, r-, a, b: one buffer for all blocks
     for i in range(0, len(y), rows):
         yi, dui = y[i:i + rows], du[i:i + rows]
-        k = (c0[i:i + rows] - first).astype(int)    # nearest node s[k]; -1: 0
-        dx = yi[:, None] - s[None, :]
-        px = yi[:, None] + s[None, :]
+        rp, rm, a, b = table[:, :len(yi)]
+        k = (c0[i:i + rows] - first).astype(np.int64)    # nearest node s_k; -1: 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            direct = f[None, :] / dx ** 2 + fp[None, :] / dx
+            np.divide(1.0, np.subtract(yi[:, None], s, out=rp), out=rp)
             zero = None if f0 is None else f0 / yi ** 2
-        mirror = f[None, :] / px ** 2 - fp[None, :] / px
-        hit = np.nonzero((np.abs(dui) < _NODE_TOL) & (k < n))[0]
-        if hit.size:
-            kh = k[hit]
-            on_zero = kh < 0
-            direct[hit[~on_zero], kh[~on_zero]] = 0.0
-            if f0 is not None:
-                zero[hit[on_zero]] = 0.0
-        total = np.sum(direct + mirror, axis=1)
+        np.divide(1.0, np.add(yi[:, None], s, out=rm), out=rm)
+        hit = np.nonzero((np.abs(dui) < _NODE_TOL) & (k < m))[0]
+        on_node = hit[k[hit] >= 0]
+        rp[on_node, m - 1 - k[on_node]] = 0.0
         if f0 is not None:
-            total = zero + total
-        vals = (np.sin(np.pi * dui) / np.pi) ** 2 * total
-        if hit.size:
-            _collapse(vals, hit, kh, dui[hit], f, fp, f0)
-        out[i:i + rows] = vals
+            zero[hit[k[hit] < 0]] = 0.0
+        np.subtract(rp, rm, out=b)
+        np.add(np.multiply(rp, rp, out=a), np.multiply(rm, rm, out=rm), out=a)
+        px = (np.sin(np.pi * dui) / np.pi) ** 2
+        for j, ((f, fp), (fb, fpb)) in enumerate(zip(series, backward)):
+            n = len(f)
+            total = (np.einsum("ik,k->i", a[:, m - n:], fb)
+                     + np.einsum("ik,k->i", b[:, m - n:], fpb))
+            if f0 is not None:
+                total = zero + total
+            vals = px * total
+            kept = hit[k[hit] < n]
+            if kept.size:
+                _collapse(vals, kept, k[kept], dui[kept], f, fp, f0)
+            out[j, i:i + rows] = vals
     return out
 
 
-def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
-    """Interpolation series through (f, f') on Z + 1/2, or on Z when f0 is given.
+def _lattice_series(x, series, f0=None):
+    """Interpolation series through (f, f') on Z + 1/2, or on Z when f0 is
+    given, for each of a list of series that share the lattice.
 
     Vectorized over x and even in x bit-for-bit; with P(x) = (cos(pi x)/pi)^2
     on Z + 1/2 and (sin(pi x)/pi)^2 on Z it evaluates
@@ -356,17 +383,23 @@ def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
         P(x) [f0/x^2 + sum_s f(s) (1/(x-s)^2 + 1/(x+s)^2)
                      + f'(s) (1/(x-s) - 1/(x+s)) + tail(|x|, a0)].
 
-    _truncation of the cell of |x| (its nearest node c0) and ``cap`` pick
-    the n positive nodes s = first, first + 1, ... (first = 1/2, or 1 with
-    f0) and the tail; ``nodes(s)`` returns f and f' there and ``derivs(a0)``
-    f^(0..4) at an array of a0, as a (5, len(a0)) array.  Where the cap
-    binds the n nodes are summed directly, and a point whose nearest node
-    lies past s[-1] gets no node collapse.  Elsewhere the near nodes are
-    summed directly and the rest comes from the samples of the cell, which
-    ``cells`` keeps (a _CellCache; a new one when None).  A value depends
-    on its own x alone.  The f0/x^2 term is the unpaired node 0 of the
+    A series is (nodes, derivs, cap, cells): ``nodes(s)`` returns f and f'
+    at the positive nodes s = first, first + 1, ... (first = 1/2, or 1 with
+    f0) and ``derivs(a0)`` f^(0..4) at an array of a0, as a (5, len(a0))
+    array; _truncation of the cell of |x| (its nearest node c0) and ``cap``
+    (None: no cap) pick its n nodes and whether the tail is added; ``cells``
+    keeps its far-field samples (a _CellCache; a new one when None).  The
+    series whose cap binds at every point are summed directly in one
+    _direct call.  For any other, the n nodes are summed directly where its
+    cap binds, and a point whose nearest node lies past them gets no node
+    collapse; elsewhere the near nodes are summed directly and the rest
+    comes from the samples of the cell.  A value depends on its own x and
+    its own series alone.  The f0/x^2 term is the unpaired node 0 of the
     integer lattice.  Non-finite x, or a point whose cell would keep more
     than _MAX_NODES nodes, raises DomainError.
+
+    Returns one value per series: a float for a scalar x, else an array of
+    the shape of x.
     """
     x = np.asarray(x, dtype=float)
     y = np.abs(x).ravel()
@@ -374,53 +407,72 @@ def _lattice_series(x, nodes, derivs, f0=None, cap=None, cells=None):
         raise DomainError("evaluation points must be finite")
     first = 0.5 if f0 is None else 1.0
     c0, du = _cell(y, first)
-    n, far = _truncation(c0, first, cap)
-    if n.max(initial=0) > _MAX_NODES:
-        raise DomainError(f"|x| = {float(y.max())!r} needs {n.max()} series nodes, "
-                          f"more than the {_MAX_NODES} allowed")
-    cells = _CellCache() if cells is None else cells
-    paths = ((~far, lambda i: _direct(y[i], c0[i], du[i], first, cap, nodes, f0)),
-             (far, lambda i: _far(y[i], c0[i], du[i], first, nodes, derivs, f0, cells)))
-    out = np.empty_like(y)
-    for at, path in paths:
-        if at.size and at.all():
-            out = path(slice(None))             # one path: no copies of the points
-        elif at.any():
-            out[at] = path(at)
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
+    out = np.empty((len(series), len(y)))
+    capped = {}
+    for j, (nodes, derivs, cap, cells) in enumerate(series):
+        n, far = _truncation(c0, first, cap)
+        if n.max(initial=0) > _MAX_NODES:
+            raise DomainError(f"|x| = {float(y.max())!r} needs {n.max()} series nodes, "
+                              f"more than the {_MAX_NODES} allowed")
+        if y.size and not far.any():
+            capped[j] = nodes, cap
+            continue
+        cells = _CellCache() if cells is None else cells
+        paths = ((~far, lambda i: _direct(y[i], c0[i], du[i], first,
+                                          [nodes(first + np.arange(cap, dtype=float))],
+                                          f0)[0]),
+                 (far, lambda i: _far(y[i], c0[i], du[i], first, nodes, derivs, f0, cells)))
+        for at, path in paths:
+            if at.size and at.all():
+                out[j] = path(slice(None))      # one path: no copies of the points
+            elif at.any():
+                out[j, at] = path(at)
+    if capped:
+        s = first + np.arange(max(cap for _, cap in capped.values()), dtype=float)
+        out[list(capped)] = _direct(y, c0, du, first,
+                                    [nodes(s[:cap]) for nodes, cap in capped.values()], f0)
+    return [float(v[0]) if x.ndim == 0 else v.reshape(x.shape) for v in out]
 
 
-def _exp_series(lam, x, f0):
-    """L (f0 None) or M (f0 = 1): f = e^{-lam s} on at most K(lam) nodes."""
-    def nodes(s):
-        f = np.exp(-lam * s)
-        return f, -lam * f
+def _exp_series(lams, x, f0):
+    """L (f0 None) or M (f0 = 1) at each of the rates lams, a list of floats:
+    f = e^{-lam s} on at most K(lam) nodes.  One value per rate, as
+    _lattice_series returns them."""
+    def series(lam):
+        def nodes(s):
+            f = np.exp(-lam * s)
+            return f, -lam * f
 
-    def derivs(a0):
-        e = np.exp(-lam * a0)
-        return np.array([(-lam) ** j * e for j in range(5)])
+        def derivs(a0):
+            e = np.exp(-lam * a0)
+            return np.array([(-lam) ** j * e for j in range(5)])
 
-    return _lattice_series(x, nodes, derivs, f0, _trunc_terms(lam))
+        return nodes, derivs, _trunc_terms(lam), None
+
+    return _lattice_series(x, [series(lam) for lam in lams], f0)
 
 
 def minorant_values(lam, x):
     """L(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series(_check_rate(lam, "the kernel"), x, None)
+    return _exp_series([_check_rate(lam, "the kernel")], x, None)[0]
 
 
 def majorant_values(lam, x):
     """M(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series(_check_rate(lam, "the kernel"), x, 1.0)
+    return _exp_series([_check_rate(lam, "the kernel")], x, 1.0)[0]
 
 
 def _defects(lams, x, kind):
     """e^{-lam|x|} - L(lam, x) (kind "minorant") or M(lam, x) - e^{-lam|x|}
-    ("majorant") at the points x for each rate: (len(lams),) + x.shape."""
+    ("majorant") at the points x for each rate: (len(lams),) + x.shape.
+    One series call takes every rate, and each row has the bits of the
+    rate taken alone."""
+    lams = np.atleast_1d(check_rates(lams, "the kernel")).tolist()
+    values = _exp_series(lams, x, None if kind == "minorant" else 1.0)
     out = np.empty((len(lams),) + np.shape(x))
-    for i, lam in enumerate(lams):
+    for i, (lam, v) in enumerate(zip(lams, values)):
         e = np.exp(-lam * np.abs(x))
-        out[i] = (e - minorant_values(lam, x) if kind == "minorant"
-                  else majorant_values(lam, x) - e)
+        out[i] = e - v if kind == "minorant" else v - e
     return out
 
 
@@ -432,7 +484,7 @@ def _eval_point(lam, x, f0):
     ax = abs(float(x))
     first = 0.5 if f0 is None else 1.0
     n, tail = _truncation(_cell(ax, first)[0], first, _trunc_terms(lam))
-    return KernelEval(lam, float(x), _exp_series(lam, ax, f0), int(n),
+    return KernelEval(lam, float(x), _exp_series([lam], ax, f0)[0], int(n),
                       _tail_bound(lam, ax, first + int(n), bool(tail)))
 
 

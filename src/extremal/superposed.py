@@ -90,8 +90,9 @@ class _Superposed:
 
     def value(self, x):
         """The approximant at x (vectorized, even in x bit-for-bit)."""
-        return _lattice_series(np.asarray(x, dtype=float) * self.delta, self._nodes,
-                               self._derivs, self._zero_node(), cells=self._cells)
+        return _lattice_series(np.asarray(x, dtype=float) * self.delta,
+                               [(self._nodes, self._derivs, None, self._cells)],
+                               self._zero_node())[0]
 
     def target(self, x):
         """What the approximant one-sidedly approximates at x.

@@ -74,6 +74,19 @@ def test_eval_negative_grid_start_parses(capsys):
     assert all(float(r[3]) >= -1e-12 for r in rows)
 
 
+@pytest.mark.parametrize("lam", ["1e-18", "5e-324"])
+@pytest.mark.parametrize("kind", ["L", "M"])
+def test_eval_tiny_rate_reads_one(kind, lam, capsys):
+    """A rate too small for an int node count still evaluates: e^{-lam|x|}
+    is 1 to rounding on [0, 1]."""
+    code, out, err = run_cli(
+        ["eval", "--kind", kind, "--lambda", lam, "--grid", "0:1:2"], capsys)
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert len(rows) == 2
+    assert all(abs(float(r[1]) - 1.0) <= 1e-14 for r in rows)
+
+
 def test_eval_json_report_shape(capsys):
     code, out, _ = run_cli(
         ["eval", "--kind", "L", "--lambda", "0.5", "--grid", "0:2:3",

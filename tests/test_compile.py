@@ -204,10 +204,15 @@ def test_one_zeta_series():
 
 def test_one_kernel_defect_loop():
     # KernelDefectAtPoint and verify's criteria 1-3 all take the one-sided
-    # defects of L and M over a set of rates from kernels._defects
+    # defects of L and M over a set of rates from kernels._defects, which
+    # hands all its rates to one _exp_series call; the one-rate entry points
+    # are not a second route
     tree = ast.parse((SRC / "kernels.py").read_text())
-    assert _functions_reading(tree, "minorant_values") == ["_defects"]
-    assert _functions_reading(tree, "majorant_values") == ["_defects"]
+    assert _functions_reading(tree, "_defects") == ["__call__", "_fit"]
+    assert _functions_reading(tree, "_exp_series") == [
+        "_defects", "_eval_point", "majorant_values", "minorant_values"]
+    assert _functions_reading(tree, "minorant_values") == []
+    assert _functions_reading(tree, "majorant_values") == []
     tree = ast.parse((SRC / "verify.py").read_text())
     assert not any(isinstance(node, ast.Attribute)
                    and node.attr in ("minorant_values", "majorant_values")

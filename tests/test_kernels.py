@@ -194,6 +194,19 @@ def test_report_takes_the_horizon_of_the_cell():
             1e-8, cell[1], first + kept, True)
 
 
+@pytest.mark.parametrize("lam", [1e-18, 1e-20, 1e-300, 5e-324])
+def test_tiny_rates_clamp_the_cap(lam):
+    """K(lam) is clamped in floats where it can no longer bind, so no rate
+    overflows the node count: L and M read 1 to rounding near 0, and a
+    point keeps its cell's horizon."""
+    x = np.array([0.0, 0.3, -1.0, 3.3, 7.5])
+    assert np.max(np.abs(kernels.minorant_values(lam, x) - 1.0)) <= 1e-15
+    assert np.max(np.abs(kernels.majorant_values(lam, x) - 1.0)) <= 1e-15
+    assert kernels._trunc_terms(lam) > kernels._MAX_NODES
+    assert kernels.eval_L(lam, 3.3).trunc_terms == 512
+    assert kernels.eval_M(lam, 3.3).trunc_terms == 511
+
+
 def test_small_rate_tail_bound_near_the_horizon():
     """The Euler-Maclaurin bound is largest 96 nodes inside the horizon."""
     for ev in (kernels.eval_L, kernels.eval_M):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import kernels, measures, superposed
+from extremal import kernels, measures, superposed, verify
 from extremal.errors import DomainError
 
 PROPS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -264,17 +264,53 @@ def test_small_rate_values_do_not_depend_on_their_batch(lam):
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.5, 3.0])
+def test_capped_rate_values_do_not_depend_on_their_batch(lam):
+    """L and M where the cap K(lam) binds at every point, so that the
+    shared reciprocal table of _direct sums them."""
+    _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
+    _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
+
+
 CHUNK_POINTS = np.concatenate([np.linspace(-700.0, 700.0, 2801), BATCH])
 
 
+def _one_rate_defect(lam, x, kind):
+    e = np.exp(-lam * np.abs(x))
+    if kind == "minorant":
+        return e - kernels.minorant_values(lam, x)
+    return kernels.majorant_values(lam, x) - e
+
+
+# capped rates from K(0.08) = 471 nodes down to 12, and one (1e-3) that
+# takes the far field at these points
+RATES = [0.08, 0.1, 0.37, 0.5, 1.0, 3.0, 7.5, 20.0, 1e-3]
+
+
+@pytest.mark.parametrize("kind", ["minorant", "majorant"])
+def test_defects_have_the_bits_of_each_rate_alone(kind):
+    """Each row of a many-rate _defects call has the bits of the one-rate
+    defect from minorant_values/majorant_values, whatever other rates share
+    the call: shuffled, reversed, overlapping and repeated rate sets."""
+    x = np.concatenate([CHUNK_POINTS[::5], BATCH])
+    alone = {lam: _one_rate_defect(lam, x, kind).tobytes() for lam in RATES}
+    shuffled = [RATES[i] for i in np.random.default_rng(19).permutation(len(RATES))]
+    for lams in (RATES, RATES[::-1], shuffled, RATES[:4], RATES[3:7] + [0.1, 3.0, 0.1],
+                 [20.0], [0.5, 1e-3, 0.5]):
+        got = kernels._defects(lams, x, kind)
+        assert [row.tobytes() for row in got] == [alone[lam] for lam in lams]
+
+
 def _chunk_values():
-    """L/M capped and at lam = 1e-3, G and H of fresh instances, at
-    CHUNK_POINTS."""
+    """L/M capped and at lam = 1e-3, a many-rate defect call, G and H of
+    fresh instances, at CHUNK_POINTS."""
     return np.concatenate([
         kernels.minorant_values(1.0, CHUNK_POINTS),
         kernels.majorant_values(1.0, CHUNK_POINTS),
         kernels.minorant_values(1e-3, CHUNK_POINTS),
         kernels.majorant_values(1e-3, CHUNK_POINTS),
+        kernels._defects([3.0, 0.08, 1e-3, 0.5], CHUNK_POINTS, "minorant").ravel(),
+        kernels._defects([0.1, 7.5, 1.0], CHUNK_POINTS, "majorant").ravel(),
         superposed.Minorant(measures.HaarLog()).value(CHUNK_POINTS),
         superposed.Majorant(measures.PowerLaw(1.5)).value(CHUNK_POINTS)])
 
@@ -286,6 +322,79 @@ def test_values_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
     default = _chunk_values()
     monkeypatch.setattr(kernels, "_CHUNK", chunk)
     assert _chunk_values().tobytes() == default.tobytes()
+
+
+def _direct_per_rate(lam, x, f0):
+    """The capped sum of L (f0 None) or M (f0 = 1) as it was written for one
+    rate at a time, kept as the dual of the shared reciprocal table: four
+    divisions per (point, node) and a pairwise np.sum per row."""
+    y = np.abs(np.asarray(x, dtype=float))
+    first = 0.5 if f0 is None else 1.0
+    c0, du = kernels._cell(y, first)
+    n = kernels._trunc_terms(lam)
+    s = first + np.arange(n, dtype=float)
+    f = np.exp(-lam * s)
+    fp = -lam * f
+    k = (c0 - first).astype(int)
+    dx = y[:, None] - s[None, :]
+    px = y[:, None] + s[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = f[None, :] / dx ** 2 + fp[None, :] / dx
+        zero = None if f0 is None else f0 / y ** 2
+    mirror = f[None, :] / px ** 2 - fp[None, :] / px
+    hit = np.nonzero((np.abs(du) < kernels._NODE_TOL) & (k < n))[0]
+    kh = k[hit]
+    on_zero = kh < 0
+    direct[hit[~on_zero], kh[~on_zero]] = 0.0
+    if f0 is not None:
+        zero[hit[on_zero]] = 0.0
+    total = np.sum(direct + mirror, axis=1)
+    if f0 is not None:
+        total = zero + total
+    vals = (np.sin(np.pi * du) / np.pi) ** 2 * total
+    if hit.size:
+        kernels._collapse(vals, hit, kh, du[hit], f, fp, f0)
+    return vals
+
+
+capped_rates = st.lists(st.floats(math.log(0.08), math.log(20.0)).map(math.exp),
+                        min_size=1, max_size=5)
+wide_points = st.lists(st.one_of(
+    st.floats(-1000.0, 1000.0),
+    st.integers(-2000, 2000).map(lambda k: k / 2.0),             # nodes of both lattices
+    st.tuples(st.integers(-2000, 2000), st.floats(-3e-6, 3e-6)).map(
+        lambda t: t[0] / 2.0 + t[1])), min_size=1, max_size=8)   # next to nodes
+
+
+@pytest.mark.parametrize("f0", [None, 1.0], ids=["L", "M"])
+@PROPS
+@given(capped_rates, wide_points)
+def test_shared_table_matches_the_per_rate_sum(f0, lams, xs):
+    """The capped rates of one call, through one shared table, against the
+    per-rate sum: within 2e-15 max(1, |value|)."""
+    xs = np.array(xs + [0.0])
+    for lam, got in zip(lams, kernels._exp_series(lams, xs, f0)):
+        ref = _direct_per_rate(lam, xs, f0)
+        assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_capped_rates_share_one_direct_call(monkeypatch):
+    """A _defects call whose rates are all capped makes one _direct call for
+    all of them, and criterion 3's integrand makes two, one per kind."""
+    calls = []
+    direct = kernels._direct
+
+    def counted(*args):
+        calls.append(len(args[4]))
+        return direct(*args)
+
+    monkeypatch.setattr(kernels, "_direct", counted)
+    kernels._defects([0.1, 3.0, 0.5, 20.0, 0.5], np.linspace(-50.0, 50.0, 301), "minorant")
+    assert calls == [5]
+    calls.clear()
+    lams = 10.0 ** np.linspace(-0.5, 0.5, 5)      # the rates criterion 3 draws
+    verify._kernel_defects(lams, np.linspace(-60.0, 60.0, 450))
+    assert calls == [5, 5]
 
 
 @pytest.mark.parametrize("call", [
