@@ -23,7 +23,8 @@ import sys
 
 import numpy as np
 
-from . import forms, kernels, measures, periodic, polybound, superposed, verify
+from . import (forms, kernels, measures, periodic, polybound, quadrature,
+               superposed, verify)
 from .errors import AdmissibilityError, ConvergenceError, DivergenceError, DomainError
 
 # the argparse settings of every optional flag
@@ -130,8 +131,9 @@ def _parse_measure(spec):
 
 
 def _check_flags(args):
-    """A usage error for a REQUIRED flag the kind reads but was not given, and
-    for a flag given (set off its default) that the kind does not read."""
+    """A usage error for a REQUIRED flag the kind reads but was not given,
+    for a flag given (set off its default) that the kind does not read, and
+    for a tolerance that is not finite and positive."""
     reads = KINDS[args.command][args.kind]
     where = f"{args.command} --kind {args.kind}"
     for flag, settings in FLAGS.items():
@@ -142,6 +144,8 @@ def _check_flags(args):
             raise DomainError(f"{where} requires {flag}")
         if flag not in reads and given:
             raise DomainError(f"{flag} is not used by {where}")
+    if getattr(args, "tol", None) is not None:
+        quadrature.check_tol(args.tol)      # closed forms never reach refine
 
 
 # -- eval ------------------------------------------------------------------

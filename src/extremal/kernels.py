@@ -175,15 +175,16 @@ def _tail_bound(lam, ax, a0, tail):
 
 
 class _CellCache:
-    """Far-field samples of one series, a row of _Q per cell, each built once.
+    """Rows of ``width`` floats keyed by float, each built once: the _Q
+    far-field samples of a cell, or f^(0..4) at a horizon.
 
-    Reads take no lock and see the (cells, rows) table as one tuple; a
-    build holds the lock, so threads that miss the same cell build it once.
+    Reads take no lock and see the (keys, rows) table as one tuple; a
+    build holds the lock, so threads that miss the same key build it once.
     """
 
-    def __init__(self):
+    def __init__(self, width=_Q):
         self._lock = threading.Lock()
-        self._table = (np.empty(0), np.empty((0, _Q)))
+        self._table = (np.empty(0), np.empty((0, width)))
 
     @staticmethod
     def _find(table, cells):
@@ -385,8 +386,8 @@ def _lattice_series(x, series, f0=None):
 
     A series is (nodes, derivs, cap, cells): ``nodes(s)`` returns f and f'
     at the positive nodes s = first, first + 1, ... (first = 1/2, or 1 with
-    f0) and ``derivs(a0)`` f^(0..4) at an array of a0, as a (5, len(a0))
-    array; _truncation of the cell of |x| (its nearest node c0) and ``cap``
+    f0) and ``derivs(a0)`` f^(0..4) at a sorted array of distinct a0, as a
+    (5, len(a0)) array; _truncation of the cell of |x| (its nearest node c0) and ``cap``
     (None: no cap) pick its n nodes and whether the tail is added; ``cells``
     keeps its far-field samples (a _CellCache; a new one when None).  The
     series whose cap binds at every point are summed directly in one

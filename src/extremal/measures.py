@@ -363,7 +363,9 @@ class Atomic(Measure):
 
 @dataclass(frozen=True)
 class Weight(Measure):
-    """Measure with density ``fn`` (numpy-friendly callable on lam > 0).
+    """Measure with density ``fn``, a callable that takes an array of rates
+    lam > 0 and returns the array of densities (a scalar-only callable
+    fails with its own TypeError).
 
     ``breakpoints`` marks discontinuities/compact support: integrals run
     over [breakpoints[0], breakpoints[-1]] from the pieces between them;
@@ -436,13 +438,15 @@ def integrate(g, measure, tol=1e-10):
     arrays gives a finite sum; otherwise ``measure.weight`` is the density,
     integrated by one ``quadrature.refine`` heap over its ``breakpoints``,
     or over (0, inf) without them.  g follows the integrand contract of
-    ``quadrature``: an (n, m) result gives m integrals in one call, with
-    arrays in the QuadResult.
+    ``quadrature``, atom sums included: it takes arrays, and an (n, m)
+    result gives m integrals in one call, with arrays in the QuadResult.
+    tol follows quadrature.check_tol there too.
     """
+    quadrature.check_tol(tol)
     atoms = getattr(measure, "atoms", None)
     if atoms is not None:
         lams, ws = atoms
-        vals = quadrature._as_vector_fn(g)(np.asarray(lams, dtype=float))
+        vals = np.asarray(g(np.asarray(lams, dtype=float)), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand non-finite at an atom")
         value = np.asarray(ws) @ vals

@@ -8,13 +8,13 @@ an x^alpha endpoint (alpha > -1) geometrically.
 
 Refinement goes in batched passes.  Each pass pops the worst panels until
 their summed error estimates cover the excess, total error minus
-max(tol, 2 floor), of every unconverged component; it bisects all of
-them and evaluates every child with one integrand call of 30 abscissae per
-popped panel.  One rule, _gk15, reduces the (15, n[, m]) block of a pass,
-a single panel included; there is no Python-float branch for scalar
-integrands, because a pass, not a panel, pays the numpy overhead.  A pass
-that would overrun the evaluation budget is trimmed to the panels that
-fit.
+max(tol, 2 floor), of every unconverged component, and bisects all of
+them.  A pass is evaluated in slices: an integrand call takes the 15
+abscissae of at most max(1, _SLICE // (15 m)) panels, so no call after
+the first returns more than max(_SLICE, 15 m) values.  One rule, _gk15,
+reduces the (15, k[, m]) block of a slice, a single panel included.  A
+pass that would overrun the evaluation budget is trimmed to the panels
+that fit.
 
 Per-panel error follows the QUADPACK scaling: with d = |K15 - G7|, the
 estimate is resasc * min(1, (200 d / resasc)^1.5), which is sharply smaller
@@ -30,21 +30,22 @@ lam^-sigma is then an integrable power at 0, where floats are dense.  This
 module integrates functions only; integrals against a measure are
 ``measures.integrate``.
 
-Integrand contract.  An integrand is called with a 1-D float array of n
-abscissae and returns either shape (n,), a scalar integrand, or shape
-(n, m), m integrands sharing the abscissae (the vector-integrand contract
-of QUADPACK qag and of S. G. Johnson's cubature).  A vector integral keeps
-one panel heap: each panel carries m values and m error estimates (each
-with the QUADPACK scaling), the panel with the largest component error is
-refined first, and refinement stops once every component k meets
-max(tol, 2 floor_k).  QuadResult.value and abs_err_est are Python
-floats for a scalar integrand and float arrays of shape (m,) for a vector
-one; evaluations counts abscissae (15 per panel), whatever m is.  A
-callable that takes only scalars, such as math.exp, rejects the array with
-a TypeError on its first call and is then evaluated point by point; every
-other exception an integrand raises propagates unchanged.  The abscissae
-of a pass come node-major (the first node of every panel, then the second,
-...), in no order an integrand may rely on.
+Integrand contract.  An integrand takes a 1-D float array of n abscissae
+and returns shape (n,), a scalar integrand, or (n, m), m integrands
+sharing the abscissae (the vector-integrand contract of QUADPACK qag and
+of S. G. Johnson's cubature), with the m of its first call on every call.
+It takes arrays only: a scalar-only callable such as math.exp fails on
+its first call, and every exception an integrand raises propagates.  A
+vector integral keeps one panel heap: each panel carries m values and m
+error estimates, the panel with the largest component error is refined
+first, and refinement stops once every component k meets
+max(tol, 2 floor_k).  QuadResult.value and abs_err_est are floats for a
+scalar integrand and arrays of shape (m,) for a vector one; evaluations
+counts abscissae (15 per panel), whatever m is.  _gk15 sums each column
+on its own, so a panel's bits do not depend on the slice width or m, nor
+a QuadResult's on the slice width.  The abscissae of a slice come
+node-major (the first node of every panel, then the second, ...), in no
+order an integrand may rely on.
 """
 
 import heapq
@@ -54,7 +55,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DivergenceError, DomainError
+from .errors import ConvergenceError, DivergenceError, DomainError, is_real
 
 # 15-point Kronrod abscissae (positive half) and weights, 7-point Gauss
 # weights on the shared abscissae; standard QUADPACK dqk15 constants.
@@ -81,6 +82,7 @@ _WKG = np.stack([_WK15, _WG15])
 
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 200_000
+_SLICE = 2 ** 16                    # integrand values per call of a pass, at most
 _EPS = float(np.finfo(float).eps)
 
 
@@ -97,81 +99,70 @@ class QuadResult:
     evaluations: int
 
 
-def _as_vector_fn(f):
-    """f as a callable on abscissa arrays, under the integrand contract.
-
-    The first call decides: f receives the array itself, and a TypeError
-    there (what math.exp and other scalar-only callables raise on an
-    array) switches this and every later call to one f call per abscissa.
-    Any other exception, and any exception after the first call, propagates.
-    """
-    pointwise = None                # undecided until the first call
-
-    def fvec(x):
-        nonlocal pointwise
-        if pointwise is None:
-            try:
-                out = np.asarray(f(x), dtype=float)
-            except TypeError:
-                pointwise = True
-            else:
-                pointwise = False
-                return out
-        if pointwise:
-            return np.array([f(t) for t in x], dtype=float)
-        return np.asarray(f(x), dtype=float)
-
-    return fvec
-
-
 def _gk15(fv, h):
     """The Gauss-Kronrod 7/15 rule on a block of panels: (value, err, floor).
 
     fv holds the integrand at the 15 nodes of n panels, node-major: shape
     (15, n) for a scalar integrand, (15, n, m) for a vector one; h holds
     the n half-widths.  err >= floor = 50 eps resabs; all have fv.shape[1:].
+    Each weighted sum is an einsum, never a BLAS product: it adds a
+    column's 15 nodes in node order whatever n and m are, except a lone
+    column, a dot product to einsum, which is summed beside its copy.
     """
-    flat = fv.reshape(15, -1)
-    hh = h if flat.shape[1] == len(h) else np.repeat(h, flat.shape[1] // len(h))
-    ah = np.abs(hh)
-    resk, resg = _WKG @ flat
-    resabs = (_WK15 @ np.abs(flat)) * ah
-    resasc = (_WK15 @ np.abs(flat - 0.5 * resk)) * ah
-    value = resk * hh
-    err = np.abs((resk - resg) * hh)
+    lone = fv[0].size == 1
+    if lone:
+        fv, h = np.concatenate([fv, fv], axis=1), np.concatenate([h, h])
+    hb = h.reshape(h.shape + (1,) * (fv.ndim - 2))  # over the m columns
+    ah = np.abs(hb)
+    resk, resg = np.einsum("kq,q...->k...", _WKG, fv)
+    resabs = np.einsum("q,q...->...", _WK15, np.abs(fv)) * ah
+    resasc = np.einsum("q,q...->...", _WK15, np.abs(fv - 0.5 * resk)) * ah
+    value = resk * hb
+    err = np.abs((resk - resg) * hb)
     nz = resasc != 0.0              # where resasc is 0, err stays as it is
     ratio = 200.0 * err / np.where(nz, resasc, np.inf)
     err = np.where(nz, resasc * np.minimum(1.0, ratio ** 1.5), err)
     floor = 50.0 * _EPS * resabs
-    err = np.maximum(err, floor)
-    return tuple(v.reshape(fv.shape[1:]) for v in (value, err, floor))
+    out = value, np.maximum(err, floor), floor
+    return tuple(v[:1] for v in out) if lone else out
 
 
-def _panels(fvec, a, b, parents=None):
-    """_gk15 on the panels [a_i, b_i], with one integrand call for all of them.
-
+def _panels(f, a, b, parents=None, cols=None):
+    """_gk15 on the panels [a_i, b_i], in integrand calls of at most
+    max(1, _SLICE // (15 m)) panels; m is the size of ``cols``, the trailing
+    shape every call returns (the first call's; m = 1 until it returns).
     A non-finite integrand value raises DomainError, or DivergenceError
     when its panel was cut from a tiny one: ``parents`` = (pa, pb) holds k
-    bisected panels, and panel i is a half of [pa[i % k], pb[i % k]].  A
-    singularity that still blows up at that width does not integrate.
+    bisected panels, and panel i of the pass is a half of
+    [pa[i % k], pb[i % k]].  A singularity that still blows up at that
+    width does not integrate.
     """
     h = 0.5 * (b - a)
     x = 0.5 * (a + b) + np.multiply.outer(_NODES, h)
-    fv = fvec(x.ravel())
-    if fv.ndim not in (1, 2) or fv.shape[0] != x.size:
-        raise DomainError(f"integrand returned shape {fv.shape}; "
-                          f"expected ({x.size},) or ({x.size}, m)")
-    fv = fv.reshape((15, len(h)) + fv.shape[1:])
-    if not np.isfinite(fv).all():
-        bad = ~np.isfinite(fv.reshape(15, len(h), -1)).all(axis=2)
-        i = np.nonzero(bad.any(axis=0))[0][0]
-        at = float(x[bad[:, i], i][0])
-        if parents is not None:
-            pa, pb = (float(p[i % len(p)]) for p in parents)
-            if pb - pa <= 1e-13 * (abs(pa) + abs(pb) + 1.0):
-                raise DivergenceError(f"integrand blows up near x={at!r}")
-        raise DomainError(f"integrand non-finite at x = {at!r}")
-    return _gk15(fv, h)
+    parts, i = [], 0
+    while i < len(h):
+        j = i + max(1, _SLICE // (15 * math.prod(cols or ())))
+        xs = x[:, i:j]
+        fv = np.asarray(f(xs.ravel()), dtype=float)
+        if fv.ndim not in (1, 2) or fv.shape[0] != xs.size or (
+                cols is not None and fv.shape[1:] != cols):
+            raise DomainError(f"integrand returned shape {fv.shape}; expected "
+                              f"({xs.size},) or ({xs.size}, m), one m throughout")
+        cols = fv.shape[1:]
+        # C order, so refine's sums over panels add them in panel order
+        fv = np.ascontiguousarray(fv.reshape(xs.shape + cols))
+        if not np.isfinite(fv).all():
+            bad = ~np.isfinite(fv.reshape(xs.shape + (-1,))).all(axis=2)
+            k = np.nonzero(bad.any(axis=0))[0][0]
+            at = float(xs[bad[:, k], k][0])
+            if parents is not None:
+                pa, pb = (float(p[(i + k) % len(p)]) for p in parents)
+                if pb - pa <= 1e-13 * (abs(pa) + abs(pb) + 1.0):
+                    raise DivergenceError(f"integrand blows up near x={at!r}")
+            raise DomainError(f"integrand non-finite at x = {at!r}")
+        parts.append(_gk15(fv, h[i:j]))
+        i = j
+    return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
 def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
@@ -186,20 +177,25 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integrate_finite requires finite endpoints")
-    if a == b and math.isfinite(tol) and tol > 0.0:   # refine rejects a bad tol
+    check_tol(tol)
+    if a == b:
         return QuadResult(0.0, 0.0, 0)
     return refine(f, (a, b), tol, budget)
 
 
+def check_tol(tol):
+    """DomainError unless tol is finite and positive: the one tol rule."""
+    if not (is_real(tol) and math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """f over [edges[0], edges[-1]] by one worst-first heap, one tol and one
-    budget; the first pass evaluates every piece of the partition ``edges``
-    in one integrand call.  Raises as integrate_finite documents."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
-    fvec = _as_vector_fn(f)
+    budget; the first pass evaluates every piece of the partition ``edges``.
+    Raises as integrate_finite documents."""
+    check_tol(tol)
     lo, hi = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
-    parents, pv, pe, pr = None, (), (), ()  # the first pass replaces no panel
+    parents, cols, pv, pe, pr = None, None, (), (), ()  # the first pass replaces no panel
     heap, history, counter, evals = [], [], 0, 0
     total_value = total_err = total_floor = 0.0
 
@@ -208,8 +204,9 @@ def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
 
     while True:
         n = len(lo)
-        value, err, floor = _panels(fvec, lo, hi, parents)
-        scalar = value.ndim == 1        # else (n, m): m components
+        value, err, floor = _panels(f, lo, hi, parents, cols)
+        cols = value.shape[1:]
+        scalar = not cols               # else (n, m): m components
         value, err, floor = (v.reshape(n, -1) for v in (value, err, floor))
         evals += 15 * n
         total_value = total_value + (np.add.reduce(value) - np.add.reduce(pv))

@@ -54,7 +54,7 @@ class _Superposed:
         self._f = np.empty(0)
         self._fp = np.empty(0)
         self._f00 = None
-        self._deriv_cache = {}
+        self._horizons = _CellCache(5)
         self._cells = _CellCache()
 
     # -- node cache -------------------------------------------------------
@@ -71,16 +71,11 @@ class _Superposed:
         return self._f[:count], self._fp[:count]
 
     def _derivs(self, a0):
-        """f_nu and its first four derivatives at each horizon a0, as a
-        (5, len(a0)) array; one f_derivs integral for the a0 not held yet."""
-        new = [a for a in a0.tolist() if a not in self._deriv_cache]
-        if new:
-            with self._lock:
-                new = [a for a in new if a not in self._deriv_cache]
-                if new:
-                    d = np.asarray(self.nu.f_derivs(np.array(new)))
-                    self._deriv_cache.update(zip(new, d.T.tolist()))
-        return np.array([self._deriv_cache[a] for a in a0.tolist()]).T
+        """f_nu and its first four derivatives at each horizon of the sorted,
+        distinct a0, as a (5, len(a0)) array; one f_derivs integral for the
+        a0 not held yet."""
+        return self._horizons.rows(
+            a0, lambda new: np.array(self.nu.f_derivs(new)).T).T
 
     def _zero_node(self):
         """f_nu(0) where the lattice has a node at 0, else None."""

@@ -475,6 +475,33 @@ def test_coeffs_rejects_a_nan_tolerance(capsys):
     assert code == 2 and "tolerance" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--kind", "g", "--measure", "haar", "--N", "0", "--tol", "nan"],
+    ["coeffs", "--kind", "g", "--measure", "atomic:{atoms}", "--N", "4", "--tol", "nan"],
+    ["coeffs", "--kind", "h", "--measure", "atomic:{atoms}", "--N", "4", "--tol", "nan"],
+    ["coeffs", "--kind", "g", "--measure", "atomic:{atoms}", "--N", "4", "--tol", "-1"],
+    ["coeffs", "--kind", "h", "--measure", "atomic:{atoms}", "--N", "4", "--tol", "-1"],
+    ["eval", "--kind", "q", "--measure", "power:0.5", "--tol", "nan",
+     "--grid", "0.25:0.75:3"],
+    ["eval", "--kind", "q", "--measure", "haar", "--tol", "-5", "--grid", "0.25:0.75:3"],
+    ["bounds", "--kind", "form", "--measure", "haar", "--points", "{points}",
+     "--tol", "nan"],
+    ["coeffs", "--kind", "uN", "--N", "0", "--tol", "inf"],
+], ids=["g-haar-nan", "g-atomic-nan", "h-atomic-nan", "g-atomic-negative",
+        "h-atomic-negative", "q-power-nan", "q-haar-negative", "form-haar-nan",
+        "uN-inf"])
+def test_every_kind_that_reads_a_tolerance_refuses_a_bad_one(argv, tmp_path, capsys):
+    """Closed forms and atom sums never reach the quadrature, so the CLI
+    checks --tol itself: not finite and positive is exit 2, for every kind."""
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("lambda,weight\n0.5,1.0\n2.0,0.5\n")
+    points = tmp_path / "pts.csv"
+    points.write_text("xi,re,im\n0.0,1.0,0.0\n1.0,-1.0,0.0\n")
+    argv = [a.format(atoms=atoms, points=points) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and "tolerance" in err and out == ""
+
+
 @pytest.mark.parametrize("argv,message", [
     (["eval", "--kind", "L", "--lambda", "1", "--delta", "2", "--grid", "0:1:3"],
      "is not used by"),

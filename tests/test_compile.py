@@ -9,6 +9,7 @@ reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
 that only ``Measure`` defines f, f_prime and f_derivs, that only
 ``measures`` raises AdmissibilityError or reads CSV, that one function
 holds the Gauss-Kronrod rule, that one function keeps a panel heap and
+one slices its passes, that no integrand is probed for a TypeError, and
 that only ``kernels`` decides where the lattice series stops (its horizon
 and its Euler-Maclaurin tail) and how it splits near nodes from the far
 field, that ``specfun.hurwitz_zeta`` is the one zeta series, that
@@ -165,6 +166,19 @@ def test_one_panel_heap():
     # refine refines every integral; no second heap splits tol and budget
     tree = ast.parse((SRC / "quadrature.py").read_text())
     assert _functions_reading(tree, "heapq") == ["refine"]
+
+
+def test_one_slicing_rule_and_no_integrand_probe():
+    # _panels alone decides how many values an integrand call returns, and
+    # an integrand takes arrays: nothing catches a TypeError to retry it
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    assert _functions_reading(tree, "_SLICE") == ["_panels"]
+    for name in ("quadrature.py", "measures.py"):
+        tree = ast.parse((SRC / name).read_text())
+        caught = [node.type for node in ast.walk(tree)
+                  if isinstance(node, ast.ExceptHandler) and node.type is not None]
+        names = {n.id for t in caught for n in ast.walk(t) if isinstance(n, ast.Name)}
+        assert "TypeError" not in names, name
 
 
 def _defined_names(tree):

@@ -251,6 +251,13 @@ def test_superposed_values_do_not_depend_on_their_batch(mu):
     _bit_identical_alone_and_in_batches(lambda: superposed.Minorant(mu, 1.3).value)
     if mu.classify().cond47:
         _bit_identical_alone_and_in_batches(lambda: superposed.Majorant(mu).value)
+    # the horizon rows a warm instance holds are those f_derivs gives alone
+    g = superposed.Minorant(mu, 1.3)
+    g.value(BATCH)
+    a0 = g._horizons._table[0]
+    assert len(a0) and np.array_equal(a0, np.unique(a0))
+    alone = np.array([g.nu.f_derivs(a) for a in a0])[..., 0].T
+    assert g._derivs(a0).tobytes() == alone.tobytes()
 
 
 def test_log_majorant_values_do_not_depend_on_their_batch():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import cli, kernels, measures, periodic, quadrature, specfun
+from extremal import cli, kernels, measures, periodic, quadrature, specfun, verify
 from extremal.errors import DivergenceError, DomainError
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -148,11 +148,83 @@ def test_tabulated_weight_polynomial_takes_one_call(tmp_path):
     assert calls == [(75,)]
 
 
-def test_scalar_only_callables_are_evaluated_point_by_point():
-    one_atom = measures.Atomic((0.5,), (2.0,))
-    assert measures.integrate(math.exp, one_atom).value == 2.0 * math.exp(0.5)
-    res = quadrature.integrate_semiinfinite(lambda x: math.exp(-x), tol=1e-11)
-    assert abs(res.value - 1.0) <= 1e-10
+def test_scalar_only_callables_raise_type_error():
+    """An integrand takes arrays: a scalar-only callable fails on its first
+    call with its own TypeError, in a plain integral, an atom sum and a
+    Weight's density alike, never with an IndexError further on."""
+    with pytest.raises(TypeError):
+        quadrature.integrate_finite(math.exp, 0.0, 1.0)
+    with pytest.raises(TypeError):
+        measures.integrate(math.exp, measures.Atomic((0.5, 1.0), (2.0, 1.0)))
+    with pytest.raises(TypeError):
+        measures.Weight(lambda l: math.exp(-l)).f(2.0)
+
+
+# -- bounded slices of a pass --------------------------------------------------
+
+def _criterion3_defects(x):
+    """The 40-column integrand of criterion 3: both one-sided defects at 20
+    rates, each column under its own cosine."""
+    rng = np.random.default_rng(7)
+    lams = 10.0 ** rng.uniform(-0.5, 0.5, 20)
+    ts = np.tile(rng.uniform(0.05, 0.9, 20), 2)
+    return verify._kernel_defects(lams, x) * np.cos(2.0 * math.pi
+                                                    * np.multiply.outer(x, ts))
+
+
+# (integrand, interval, columns m) for the slice tests
+_SLICED = {
+    "scalar": (lambda x: np.cos(40.0 * x) / np.sqrt(x), (0.0, 1.0), 1),
+    "m=3": (_components(lambda x, p: np.exp(-p * x) * np.sin(p * x), [0.5, 3.0, 40.0]),
+            (0.0, 10.0), 3),
+    "criterion-3": (_criterion3_defects, (0.0, 448.0), 40),
+}
+
+
+def _sliced_result(case, width, monkeypatch):
+    """The QuadResult of a case with _SLICE = width, and every call's size."""
+    f, (a, b), m = case
+    sizes = []
+
+    def g(x):
+        out = f(x)
+        sizes.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(quadrature, "_SLICE", width)
+    res = quadrature.integrate_finite(g, a, b, tol=1e-9, budget=400_000)
+    return res, sizes
+
+
+def _bits(res):
+    return tuple(np.asarray(v, dtype=float).tobytes()
+                 for v in (res.value, res.abs_err_est)) + (res.evaluations,)
+
+
+@pytest.mark.parametrize("name", list(_SLICED))
+def test_values_do_not_depend_on_the_slice_width(name, monkeypatch):
+    """A pass evaluated one panel per call, in slices of 1000 values or of
+    2^16 gives the same QuadResult, bit for bit, and after the first call
+    no call returns more than max(_SLICE, 15 m) values."""
+    case = _SLICED[name]
+    m = case[2]
+    results = []
+    for width in (15 * m, 1000, 2 ** 16):
+        res, sizes = _sliced_result(case, width, monkeypatch)
+        assert max(sizes[1:], default=0) <= max(width, 15 * m)
+        results.append(_bits(res))
+    assert results[0] == results[1] == results[2]
+
+
+def test_weight_r_does_not_depend_on_the_slice_width(monkeypatch):
+    """r of a Weight at 200 points: one 200-column integral."""
+    mu = measures.Weight(lambda l: np.exp(-l))
+    ts = np.linspace(0.05, 10.0, 200)
+    values = []
+    for width in (15 * 200, 1000, 2 ** 16):
+        monkeypatch.setattr(quadrature, "_SLICE", width)
+        values.append(mu.r(ts).tobytes())
+    assert values[0] == values[1] == values[2]
 
 
 def test_wrong_integrand_shape_raises():
