@@ -61,7 +61,7 @@ KINDS = {
         "m": ("--lambda", "--N"),
         "g": ("--measure", "--N", "--tol"),
         "h": ("--measure", "--N", "--tol"),
-        "uN": ("--N", "--tol"),
+        "uN": ("--N",),
     },
     "bounds": {
         "hls": ("--sigma", "--delta"),
@@ -252,10 +252,10 @@ def cmd_coeffs(args, argv):
         poly = periodic.trig_majorant_h(_parse_measure(args.measure), args.N,
                                         tol=tol)
     else:
-        poly = periodic.log_sin_majorant(args.N, tol=tol)
+        poly = periodic.log_sin_majorant(args.N)
     if args.format == "csv":
         return poly.to_csv_text(), 0
-    return json.dumps(poly.to_json_obj(), indent=1) + "\n", 0
+    return poly.to_json_text(), 0
 
 
 # -- bounds ----------------------------------------------------------------

@@ -553,12 +553,15 @@ def eval_p(lam, x):
     with np.errstate(over="ignore"):
         closed = (np.exp(-lam * (0.5 - ah)) * (1.0 + np.exp(-2.0 * lam * ah))
                   / (-np.expm1(-lam)) - 2.0 / lam)
-    h2 = h * h
-    taylor = (lam * (h2 - 1.0 / 12.0)
-              + lam ** 3 * (h2 * h2 / 12.0 - h2 / 24.0 + 7.0 / 2880.0)
-              + lam ** 5 * (h2 ** 3 / 360.0 - h2 * h2 / 288.0
-                            + 7.0 * h2 / 5760.0 - 31.0 / 483840.0))
-    out = np.where(lam < _P_SWITCH, taylor, closed)
+    small = lam < _P_SWITCH
+    out = closed
+    if small.any():                 # the series only where some rate needs it
+        h2 = h * h
+        taylor = (lam * (h2 - 1.0 / 12.0)
+                  + lam ** 3 * (h2 * h2 / 12.0 - h2 / 24.0 + 7.0 / 2880.0)
+                  + lam ** 5 * (h2 ** 3 / 360.0 - h2 * h2 / 288.0
+                                + 7.0 * h2 / 5760.0 - 31.0 / 483840.0))
+        out = np.where(small, taylor, closed)
     return float(out[0]) if scalar else out
 
 

@@ -35,20 +35,27 @@ x = 0, f follows the divergent-point rule of ``_divergent`` (a scalar gets
 PLUS_INF, an array holding the point raises DomainError), which
 forms.r_mu and periodic.q_mu share.
 
+The periodized kernel q_mu(x) = int p(lam, x) dmu follows the same idiom:
+``_q(x, orders, tol)`` gives q_mu (order 0) and q_mu' (order 1) at
+non-integer points, and Measure.q is its order 0.
+
 ``integrate`` is the one integral against a measure: a finite sum over
 ``atoms``, one heap from the pieces between ``breakpoints``, or else the
 weighted integral over (0, inf).  Every family subclasses Measure, whose methods
-_derivs, defect_moment, r, q and transform_moment are each one
+_derivs, defect_moment, r, _q and transform_moment are each one
 (vector-valued) ``integrate`` call; a family overrides one only with a
 closed form:
 
-             _derivs  defect_moment  r       q       transform_moment
+             _derivs  defect_moment  r       _q      transform_moment
   HaarLog    closed   closed         closed  closed  -
   PowerLaw   closed   closed         closed  closed  -
   Atomic     closed   -              -       -       -
   Weight     -        -              -       -       -
 
-Atomic needs no moment override: ``integrate`` sums over its atoms.
+Atomic needs no moment override: ``integrate`` sums over its atoms, under
+the output contract of ``quadrature``.  transform_moment is the paper's
+coefficient route for the periodic polynomials; periodic builds them from
+_q instead, and the tests keep it as the oracle.
 
 ``Measure.require(kind)`` is the one admissibility gate (the quadrature
 moments of the base stay ungated), and ``_csv_rows`` the one CSV reader.
@@ -207,8 +214,24 @@ class Measure:
             t, self, tol)
 
     def q(self, x, tol=1e-9):
-        """Periodized kernel int p(lam, x) dmu at non-integer x."""
-        return _over_points(kernels.eval_p, x, self, tol)
+        """Periodized kernel q_mu(x) = int p(lam, x) dmu at non-integer x,
+        order 0 of ``_q``; a float for a scalar x."""
+        x = np.asarray(x, dtype=float)
+        out = self._q(np.atleast_1d(x), (0,), tol)[0]
+        return float(out[0]) if x.ndim == 0 else out
+
+    def _q(self, x, orders, tol):
+        """q_mu^(k) at the non-integer points of the array x for each k in
+        orders (0 or 1), stacked on a new first axis.
+
+        One vector integral with a column block per order: p(lam, x) for
+        k = 0 and its x-derivative j(lam, x) for k = 1.
+        """
+        pts = x.ravel()
+        kernel = (kernels.eval_p, kernels.eval_j)
+        out = integrate(lambda lam: np.concatenate(
+            [kernel[k](lam[:, None], pts) for k in orders], axis=1), self, tol=tol).value
+        return out.reshape((len(orders),) + x.shape)
 
     def transform_moment(self, kind, ts, tol=1e-9):
         """int Lhat(lam, ts) dmu (kind "minorant") or int Mhat(lam, ts) dmu."""
@@ -237,8 +260,12 @@ class HaarLog(Measure):
     def r(self, t, tol=1e-10):
         return 0.5 / _nonzero(t)
 
-    def q(self, x, tol=1e-9):
-        return -np.log(np.abs(2.0 * np.sin(np.pi * x)))
+    def _q(self, x, orders, tol):
+        """-log|2 sin(pi x)| and its derivative -pi cot(pi x), the latter
+        from the signed distance t to the nearest integer, exactly odd."""
+        t = x - np.round(x)
+        return np.stack([-np.log(np.abs(2.0 * np.sin(np.pi * x))) if k == 0
+                         else -np.pi / np.tan(np.pi * t) for k in orders])
 
     def transform_moment(self, kind, ts, tol=1e-9):
         """The base's int Lhat(lam, ts) dlam/lam, in [0, 1/(2|t|)] for |t| < 1
@@ -294,15 +321,21 @@ class PowerLaw(Measure):
         fac = _by_kind(kind, 2.0 - 2.0 ** (2.0 - s), 2.0)
         return self.prefactor * fac * gz
 
-    def q(self, x, tol=1e-9):
-        """q_mu at non-integer x in closed form: kappa Gamma(1-sigma) [zeta(1-sigma,
-        d) + zeta(1-sigma, 1-d)], with d = |x - round(x)| the exact distance to Z."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        d = np.abs(xs - np.round(xs))
+    def _q(self, x, orders, tol):
+        """q_mu and q_mu' at non-integer x in closed form: with t = x - round(x)
+        and d = |t| the exact distance to Z, q = kappa Gamma(1-sigma)
+        [zeta(1-sigma, d) + zeta(1-sigma, 1-d)] and q' = -sign(t) kappa
+        Gamma(2-sigma) [zeta(2-sigma, d) - zeta(2-sigma, 1-d)].  Near sigma = 1
+        the poles of the two zeta(2-sigma, .) cancel, to about eps/|1-sigma|."""
+        t = x - np.round(x)
+        d = np.abs(t)
         s = 1.0 - self.sigma
-        out = self._gamma_factor * (specfun.hurwitz_zeta(s, d)
-                                    + specfun.hurwitz_zeta(s, 1.0 - d))
-        return float(out[0]) if np.ndim(x) == 0 else out
+        g = self._gamma_factor
+        return np.stack([g * (specfun.hurwitz_zeta(s, d) + specfun.hurwitz_zeta(s, 1.0 - d))
+                         if k == 0 else -np.sign(t) * (s * g) * (
+                             specfun.hurwitz_zeta(s + 1.0, d)
+                             - specfun.hurwitz_zeta(s + 1.0, 1.0 - d))
+                         for k in orders])
 
     def r(self, t, tol=1e-10):
         s = self.sigma
@@ -447,6 +480,9 @@ def integrate(g, measure, tol=1e-10):
     if atoms is not None:
         lams, ws = atoms
         vals = np.asarray(g(np.asarray(lams, dtype=float)), dtype=float)
+        if vals.ndim not in (1, 2) or vals.shape[0] != len(lams):
+            raise DomainError(f"integrand returned shape {vals.shape}; expected "
+                              f"({len(lams)},) or ({len(lams)}, m)")
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand non-finite at an atom")
         value = np.asarray(ws) @ vals

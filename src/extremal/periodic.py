@@ -5,26 +5,28 @@ The periodized exponential kernel on R/Z,
     p(lam, x) = -2/lam + sum_m e^{-lam|x+m|}
               = cosh(lam({x} - 1/2)) / sinh(lam/2) - 2/lam,
 
-has mean zero, and for each degree N the trigonometric polynomials
-
-    l(lam, N; x) = -dm_minor(lam/(N+1))/(N+1)
-                   + (N+1)^{-1} sum_{1<=|n|<=N} Lhat(lam/(N+1), n/(N+1)) e(nx)
-    m(lam, N; x) = +dm_major(lam/(N+1))/(N+1)
-                   + (N+1)^{-1} sum M_hat(...) e(nx)
-
-sandwich it, l <= p <= m, touching at x = (n-1/2)/(N+1) and x = n/(N+1)
-respectively; they are the extremal one-sided approximations of degree N.
+has mean zero, and for each degree N it has extremal trigonometric
+polynomials l(lam, N; .) <= p(lam, .) <= m(lam, N; .), with means
+-dm_minor(lam/(N+1))/(N+1) and +dm_major(lam/(N+1))/(N+1).  l touches p at
+the N + 1 nodes x_k = (k + 1/2)/(N + 1) and m at x_k = k/(N + 1).
 Superposing over an admissible measure mu gives q_mu(x) = int p(lam,x) dmu
-and its extremal polynomials g_mu <= q_mu <= h_mu whose coefficients are
-the measure integrals of the single-kernel ones.  Specializing mu to the
-multiplicative Haar measure yields u_N = -g_mu, the degree-N majorant of
-log|2 sin(pi x)| with mean log2/(N+1).
+and its extremal polynomials g_mu <= q_mu <= h_mu, which touch q_mu at the
+same nodes, with the means of the dilated measure nu = mu(. (N+1)):
+-+ nu.defect_moment/(N+1).  Specializing mu to the multiplicative Haar
+measure yields u_N = -g_mu, the degree-N majorant of log|2 sin(pi x)| with
+mean log2/(N+1).
 
-The coefficients of g_mu and h_mu are the dilated measure's defect and
-transform moments, and q_mu off the integers is its q method; the measure
-classes hold the closed forms and the one-integral quadrature fallback.
-l and m are g and h of the unit point mass at lam.  p and its derivative j
-live in kernels, re-exported as eval_p and eval_j.
+A polynomial of degree N that touches a kernel at N + 1 equally spaced
+nodes matches its value and its derivative there (at the majorant node
+x = 0 the derivative of the even polynomial is 0), and these 2N + 2
+numbers fix it: this is Hermite interpolation with the Fejer kernel
+(Vaaler, Bull. AMS 12 (1985)).  So every polynomial here is built from the
+kernel and its derivative sampled at its nodes, by two FFTs (_from_nodes):
+l and m from eval_p and eval_j, g and h from the measure's q ladder, whose
+closed forms need no integral.  Only the mean is a defect moment.  The
+paper's route, the dilated measure's transform moments of Lhat and Mhat,
+is Measure.transform_moment, which the tests keep as the oracle.  p and
+its derivative j live in kernels, re-exported as eval_p and eval_j.
 """
 
 import json
@@ -38,14 +40,16 @@ from . import kernels, measures, specfun
 from .errors import DomainError, is_count
 
 _SYM_TOL = 1e-12
+# one coefficient of the JSON text, as json.dumps(..., indent=1) writes it
+_JSON_ROW = '  {{\n   "n": {},\n   "re": {!r},\n   "im": {!r}\n  }}'
 
 
 @dataclass(frozen=True)
 class TrigPoly:
     """Real-valued trigonometric polynomial sum_{|n|<=N} c(n) e(nx).
 
-    coeffs holds c(-N)..c(N) and must be conjugate-symmetric; evaluation
-    uses the folded real form, so values are exactly real.
+    coeffs holds c(-N)..c(N), which must be finite and conjugate-symmetric;
+    evaluation uses the folded real form, so values are exactly real.
     """
 
     degree: int
@@ -57,6 +61,9 @@ class TrigPoly:
         if c.shape != (2 * N + 1,):
             raise DomainError(f"degree {N} needs {2 * N + 1} coefficients, "
                               f"got {len(self.coeffs)}")
+        bad = ~np.isfinite(c)
+        if bad.any():
+            raise DomainError(f"coefficient c({int(np.argmax(bad)) - N}) is not finite")
         tol = _SYM_TOL * np.abs(c).max(initial=1.0)
         bad = np.abs(c[N::-1] - c[N:].conj()) > tol
         if bad.any():
@@ -94,11 +101,9 @@ class TrigPoly:
     # -- serialization (shortest round-trip decimals; bit-exact reload) ----
 
     def to_csv_text(self):
-        lines = ["n,re,im"]
-        for n in range(-self.degree, self.degree + 1):
-            c = self.coeff(n)
-            lines.append(f"{n},{c.real!r},{c.imag!r}")
-        return "\n".join(lines) + "\n"
+        N = self.degree
+        return "n,re,im\n" + "".join(f"{n},{c.real!r},{c.imag!r}\n"
+                                     for n, c in zip(range(-N, N + 1), self.coeffs))
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -128,10 +133,17 @@ class TrigPoly:
             ],
         }
 
+    def to_json_text(self):
+        """json.dumps(self.to_json_obj(), indent=1) + "\n", byte for byte,
+        from a row template: json writes a finite float as its repr."""
+        N = self.degree
+        rows = ",\n".join(_JSON_ROW.format(n, c.real, c.imag)
+                          for n, c in zip(range(-N, N + 1), self.coeffs))
+        return f'{{\n "degree": {N},\n "coeffs": [\n{rows}\n ]\n}}\n'
+
     def to_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, indent=1)
-            fh.write("\n")
+            fh.write(self.to_json_text())
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -174,13 +186,13 @@ eval_j = kernels.eval_j
 def trig_minorant_l(lam, N):
     """Extremal degree-N trig minorant of p(lam, .); touches at (n-1/2)/(N+1)."""
     lam = specfun._check_rate(lam, "trig_minorant_l")
-    return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "minorant")
+    return _single_poly(lam, N, "minorant")
 
 
 def trig_majorant_m(lam, N):
     """Extremal degree-N trig majorant of p(lam, .); touches at n/(N+1)."""
     lam = specfun._check_rate(lam, "trig_majorant_m")
-    return _superposed_poly(measures.Atomic((lam,), (1.0,)), N, "majorant")
+    return _single_poly(lam, N, "majorant")
 
 
 def q_mu(measure, x, tol=1e-9):
@@ -204,40 +216,83 @@ def q_mu(measure, x, tol=1e-9):
     return float(out[0]) if scalar else out
 
 
-def _superposed_poly(measure, N, kind, tol=1e-9):
-    """g_mu (kind "minorant") or h_mu ("majorant"), real and even: with nu =
-    mu dilated by N + 1, c(0) = -+ nu.defect_moment/(N+1) and c(+-n) =
-    nu.transform_moment(n/(N+1))/(N+1) for n = 1..N."""
-    N = _check_degree(N)
-    measure.require(kind)
-    nu = measures.dilate(measure, N + 1.0)
-    c0 = nu.defect_moment(kind, tol) / (N + 1.0)
-    cs = np.zeros(2 * N + 1, dtype=complex)
-    cs[N] = -c0 if kind == "minorant" else c0
+def _nodes(N, kind):
+    """The N + 1 touching nodes x_k = x_0 + k/(N+1), k = 0..N, with x_0 =
+    1/(2(N+1)) for kind "minorant" and 0 for "majorant", each taken in
+    (-1/2, 1/2], so that the nodes come in exactly opposite pairs."""
+    j = np.arange(N + 1) + (0.5 if kind == "minorant" else 0.0)
+    return np.where(j > 0.5 * (N + 1), j - (N + 1), j) / (N + 1.0)
+
+
+def _from_nodes(N, kind, c0, q, dq):
+    """The real even degree-N polynomial with mean c0 that takes the values
+    q and the derivatives dq at the nodes of kind.
+
+    With V_n and W_n the FFTs of q and dq/(2 pi i) over the nodes, each
+    times e(-n x_0)/(N+1), c(+-n) = [W_n - (n - N - 1) V_n]/(N + 1) for
+    n = 1..N (and V_0 = c(0)); the phase and both 1/(N+1) are applied
+    once, to the combination.
+    """
+    cs = np.zeros(2 * N + 1)
+    cs[N] = c0
     if N > 0:
-        ts = np.arange(1, N + 1) / (N + 1.0)
-        v = np.asarray(nu.transform_moment(kind, ts, tol) / (N + 1.0), dtype=float)
+        n = np.arange(1, N + 1)
+        x0 = 0.5 if kind == "minorant" else 0.0
+        # np.fft is reached here, at call time, so importing the package
+        # does not load it
+        V, W = np.fft.fft(np.stack([q, dq / (2j * np.pi)]))[:, 1:]
+        phase = np.exp(-2j * np.pi * x0 * n / (N + 1.0))
+        v = ((W - (n - N - 1.0) * V) * phase).real / (N + 1.0) ** 2
         cs[N + 1:] = v
         cs[:N] = v[::-1]
-    return TrigPoly(N, tuple(cs))
+    return TrigPoly(N, cs)
+
+
+def _single_poly(lam, N, kind):
+    """l (kind "minorant") or m ("majorant"): mean -+ the kind's kernel defect
+    at lam/(N+1), over N+1, and p(lam, .) and j(lam, .) at the nodes."""
+    N = _check_degree(N)
+    u = lam / (N + 1.0)
+    c0 = -specfun.defect_minorant(u) if kind == "minorant" else specfun.defect_majorant(u)
+    x = _nodes(N, kind)
+    return _from_nodes(N, kind, c0 / (N + 1.0), eval_p(lam, x), eval_j(lam, x))
+
+
+def _superposed_poly(measure, N, kind, tol=1e-9):
+    """g_mu (kind "minorant") or h_mu ("majorant"), real and even: c(0) =
+    -+ nu.defect_moment/(N+1) with nu = mu dilated by N + 1, and the
+    other coefficients from q_mu and q_mu' at the nodes.  The majorant node
+    x = 0 takes q_mu(0), the majorant defect moment, and q_mu'(0) = 0."""
+    N = _check_degree(N)
+    measure.require(kind)
+    c0 = measures.dilate(measure, N + 1.0).defect_moment(kind, tol) / (N + 1.0)
+    x = _nodes(N, kind)
+    if kind == "minorant":
+        return _from_nodes(N, kind, -c0, *measure._q(x, (0, 1), tol))
+    q, dq = np.zeros((2, N + 1))
+    q[0] = measure.defect_moment(kind, tol)
+    if N > 0:
+        q[1:], dq[1:] = measure._q(x[1:], (0, 1), tol)
+    return _from_nodes(N, kind, c0, q, dq)
 
 
 def trig_minorant_g(measure, N, tol=1e-9):
-    """Extremal degree-N trig minorant of q_mu; coefficients are measure
-    integrals of the single-kernel minorant transform."""
+    """Extremal degree-N trig minorant of q_mu; touches at (n-1/2)/(N+1)."""
     return _superposed_poly(measure, N, "minorant", tol)
 
 
 def trig_majorant_h(measure, N, tol=1e-9):
-    """Extremal degree-N trig majorant of q_mu (needs the cond47 moment)."""
+    """Extremal degree-N trig majorant of q_mu (needs the cond47 moment);
+    touches at n/(N+1)."""
     return _superposed_poly(measure, N, "majorant", tol)
 
 
-def log_sin_majorant(N, tol=1e-9):
+def log_sin_majorant(N):
     """u_N: degree-N trig majorant of log|2 sin(pi x)|, mean log2/(N+1).
 
-    u_N = -g_mu for the multiplicative Haar measure; its coefficients obey
-    -1/(2|n|) <= c(n) <= 0 for 1 <= |n| <= N.
+    u_N = -g_mu for the multiplicative Haar measure, whose q_mu and q_mu'
+    are closed; its coefficients obey -1/(2|n|) <= c(n) <= 0 for
+    1 <= |n| <= N.
     """
-    g = trig_minorant_g(measures.HaarLog(), N, tol)
+    g = trig_minorant_g(measures.HaarLog(), N)
     return TrigPoly(g.degree, tuple(-c.real for c in g.coeffs))

@@ -266,6 +266,19 @@ def test_coeffs_json_round_trips_bit_exact(capsys):
     assert back.coeffs == direct.coeffs
 
 
+@pytest.mark.parametrize("kind", ["g", "h"])
+def test_coeffs_of_a_power_law_near_sigma_two(kind, capsys):
+    # q and q' are closed, so no moment integral has to reach lam -> 0,
+    # where the one of sigma = 1.95 grows like lam^-0.95
+    code, out, err = run_cli(["coeffs", "--kind", kind, "--measure", "power:1.95",
+                              "--N", "8", "--format", "json"], capsys)
+    assert code == 0 and not err
+    poly = TrigPoly.from_json_obj(json.loads(out))
+    assert poly == periodic._superposed_poly(
+        measures.PowerLaw(1.95), 8, "minorant" if kind == "g" else "majorant")
+    assert out == poly.to_json_text()
+
+
 def test_coeffs_majorant_rejects_haar(tmp_path, capsys):
     out_file = tmp_path / "h.csv"
     code, _, err = run_cli(
@@ -486,10 +499,8 @@ def test_coeffs_rejects_a_nan_tolerance(capsys):
     ["eval", "--kind", "q", "--measure", "haar", "--tol", "-5", "--grid", "0.25:0.75:3"],
     ["bounds", "--kind", "form", "--measure", "haar", "--points", "{points}",
      "--tol", "nan"],
-    ["coeffs", "--kind", "uN", "--N", "0", "--tol", "inf"],
 ], ids=["g-haar-nan", "g-atomic-nan", "h-atomic-nan", "g-atomic-negative",
-        "h-atomic-negative", "q-power-nan", "q-haar-negative", "form-haar-nan",
-        "uN-inf"])
+        "h-atomic-negative", "q-power-nan", "q-haar-negative", "form-haar-nan"])
 def test_every_kind_that_reads_a_tolerance_refuses_a_bad_one(argv, tmp_path, capsys):
     """Closed forms and atom sums never reach the quadrature, so the CLI
     checks --tol itself: not finite and positive is exit 2, for every kind."""
@@ -513,11 +524,13 @@ def test_every_kind_that_reads_a_tolerance_refuses_a_bad_one(argv, tmp_path, cap
     (["verify", "--suite", "et", "--delta", "2"], "unrecognized arguments: --delta"),
     (["coeffs", "--kind", "l", "--lambda", "1", "--N", "2", "--seed", "5",
       "--format", "json"], "unrecognized arguments: --seed 5"),
+    (["coeffs", "--kind", "uN", "--N", "0", "--tol", "inf"], "is not used by"),
 ], ids=["eval-delta", "eval-tol", "coeffs-delta", "bounds-tol", "verify-delta",
-        "coeffs-seed"])
+        "coeffs-seed", "uN-inf"])
 def test_a_flag_the_kind_ignores_is_a_usage_error(argv, message, tmp_path, capsys):
-    """--delta != 1 and --tol are refused where the kind would ignore them,
-    and coeffs, which draws nothing at random, has no --seed."""
+    """--delta != 1 and --tol are refused where the kind would ignore them
+    (u_N is closed and integrates nothing), and coeffs, which draws nothing
+    at random, has no --seed."""
     out_path = tmp_path / "out.txt"
     try:
         code = cli.main(argv + ["--out", str(out_path)])

@@ -6,7 +6,8 @@ source text catches them on every run.  No linter is installed, so a
 stdlib ``ast`` scan also checks that every imported name is used, that no
 module branches on a measure's ``family`` name, that only ``measures``
 reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
-that only ``Measure`` defines f, f_prime and f_derivs, that only
+that only ``Measure`` defines f, f_prime, f_derivs and q, that ``periodic``
+builds its polynomials without the transform moments or a point mass, that only
 ``measures`` raises AdmissibilityError or reads CSV, that one function
 holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 one slices its passes, that no integrand is probed for a TypeError, and
@@ -116,6 +117,18 @@ def test_measure_families_define_f_only_through_derivs():
     tree = ast.parse((SRC / "measures.py").read_text())
     assert _f_ladder_definitions(tree) == [
         ("Measure", "f"), ("Measure", "f_derivs"), ("Measure", "f_prime")]
+
+
+def test_periodic_polynomials_come_from_the_q_ladder():
+    # q is order 0 of _q, and periodic builds every polynomial from the
+    # ladder at the nodes: neither the transform moments nor a point mass
+    tree = ast.parse((SRC / "measures.py").read_text())
+    assert sorted(cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "q") == ["Measure"]
+    tree = ast.parse((SRC / "periodic.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if _attribute_read(node) in ("transform_moment", "Atomic")]
 
 
 def _raised_names(tree):

@@ -147,6 +147,15 @@ def test_integrate_dispatch():
     assert abs(haar.value - math.log(3.0)) <= 1e-10
 
 
+@pytest.mark.parametrize("g", [lambda lam: np.ones((2, 2, 2)), lambda lam: np.ones(3),
+                               lambda lam: np.float64(1.0)],
+                         ids=["three-axes", "wrong-length", "scalar"])
+def test_an_atom_sum_follows_the_integrand_contract(g):
+    # the shapes refine refuses are refused by the atom sum too, by name
+    with pytest.raises(DomainError, match="integrand returned shape"):
+        measures.integrate(g, measures.Atomic((1.0, 2.0), (1.0, 1.0)))
+
+
 def _write(tmpdir, name, text):
     path = os.path.join(tmpdir, name)
     with open(path, "w") as fh:

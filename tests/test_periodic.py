@@ -5,8 +5,10 @@ import math
 import os
 import tempfile
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal import measures, periodic
 from extremal.errors import AdmissibilityError, DomainError
@@ -69,6 +71,40 @@ def test_json_round_trip_is_bit_exact():
         with open(path) as fh:
             obj = json.load(fh)
         assert TrigPoly.from_json_obj(obj).coeffs == tp.coeffs
+        assert TrigPoly.from_json(path) == tp
+
+
+# every float json writes: signed zeros, subnormals and the largest exponents
+_any_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_any_float, _any_float), max_size=12), _any_float,
+       st.sampled_from([0.0, -0.0]))
+def test_json_text_is_the_json_module_text(cs, c0, im0):
+    c = [complex(re, im) for re, im in cs]
+    tp = TrigPoly(len(c), tuple(z.conjugate() for z in c[::-1])
+                  + (complex(c0, im0),) + tuple(c))
+    assert tp.to_json_text() == json.dumps(tp.to_json_obj(), indent=1) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)],
+                         ids=["nan", "inf", "-inf", "nan-imag"])
+def test_trig_poly_refuses_non_finite_coefficients(bad, tmp_path):
+    # NaN compares false, so the symmetry check alone would let it through
+    with pytest.raises(DomainError, match=r"c\(-1\) is not finite"):
+        TrigPoly(1, (bad, 0.0, bad))
+    with pytest.raises(DomainError, match="not finite"):
+        TrigPoly(0, (bad,))
+    path = tmp_path / "poly.csv"
+    path.write_text(f"n,re,im\n-1,{bad.real},{-bad.imag}\n0,1,0\n1,{bad.real},{bad.imag}\n")
+    with pytest.raises(DomainError, match="not finite"):
+        TrigPoly.from_csv(str(path))
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"degree": 0, "coeffs": [
+        {"n": 0, "re": bad.real, "im": bad.imag}]}))
+    with pytest.raises(DomainError, match="not finite"):
+        TrigPoly.from_json(str(path))
 
 
 def test_csv_parse_errors():
@@ -330,3 +366,99 @@ def test_minorant_mean_is_variationally_maximal():
         shift = np.max(cand - pv)          # push back below p
         cand_mean = l.mean + d0 - shift
         assert cand_mean <= l.mean + 1e-9
+
+
+# -- the node route against the paper's transform-moment route ------------
+
+def _node_mean(mu, N, kind, tol):
+    """V_0: the mean of q_mu over the N + 1 nodes of kind."""
+    x = periodic._nodes(N, kind)
+    if kind == "minorant":
+        return float(np.mean(mu._q(x, (0,), tol)[0]))
+    rest = mu._q(x[1:], (0,), tol)[0]
+    return float(np.mean(np.concatenate([[mu.defect_moment(kind, tol)], rest])))
+
+
+_atomic_measures = st.lists(
+    st.tuples(st.floats(0.01, 100.0), st.floats(0.1, 10.0)),
+    min_size=1, max_size=4, unique_by=lambda a: a[0]).map(
+        lambda atoms: measures.Atomic(*zip(*sorted(atoms))))
+_kinds = st.sampled_from(["minorant", "majorant"])
+# (measure, kind) per family; the majorant moment of sigma near 1 is too
+# slow a quadrature for the oracle
+_ROUTE_CASES = {
+    "haar": st.tuples(st.just(HAAR), st.just("minorant")),
+    "power-minorant": st.tuples(st.floats(0.1, 1.8).filter(lambda s: abs(s - 1.0) > 1e-3)
+                                .map(measures.PowerLaw), st.just("minorant")),
+    "power-majorant": st.tuples(st.floats(1.2, 1.8).map(measures.PowerLaw),
+                                st.just("majorant")),
+    "atomic": st.tuples(_atomic_measures, _kinds),
+    "weight-exp": st.tuples(st.just(measures.Weight(lambda lam: np.exp(-lam))), _kinds),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUTE_CASES.values()), ids=list(_ROUTE_CASES))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_node_route_matches_the_transform_moments(case, data):
+    """c(n), n >= 1, from q and q' at the nodes equals the dilated measure's
+    transform moment over N + 1 (the quadrature oracle), and the mean of q
+    over the nodes is the closed c(0)."""
+    mu, kind = data.draw(case)
+    N = data.draw(st.integers(0, 64))
+    poly = periodic._superposed_poly(mu, N, kind, tol=1e-12)
+    nu = measures.dilate(mu, N + 1.0)
+    ref = nu.transform_moment(kind, np.arange(1, N + 1) / (N + 1.0), 1e-11) / (N + 1.0)
+    c = np.array(poly.coeffs[N + 1:])
+    assert np.max(np.abs(c - ref), initial=0.0) <= 1e-10
+    assert np.array_equal(c.imag, np.zeros(N))
+    assert poly.coeffs[:N] == poly.coeffs[N + 1:][::-1]
+    assert abs(_node_mean(mu, N, kind, 1e-12) - poly.mean) <= 1e-13
+
+
+@pytest.mark.parametrize("sigma", [1.0 - 1e-3, 1.0 + 1e-3, 0.5, 1.5])
+def test_power_law_q_prime_matches_mpmath(sigma):
+    """q' = -Gamma(2-sigma) [zeta(2-sigma, {x}) - zeta(2-sigma, 1-{x})], to
+    the zeta series' 1e-13 relative; the poles of the two zetas cancel near
+    sigma = 1, which adds about eps/|1-sigma|."""
+    xs = np.array([1e-6, 0.01, 0.3, 0.49, 0.77, 0.999, -0.3, 2.3])
+    q, dq = measures.PowerLaw(sigma)._q(xs, (0, 1), 1e-9)
+    assert np.array_equal(q, measures.PowerLaw(sigma).q(xs))
+    with mpmath.workdps(40):
+        s = 2 - mpmath.mpf(sigma)
+        for x, got in zip(xs, dq):
+            frac = mpmath.mpf(x) - mpmath.floor(x)
+            ref = float(-mpmath.gamma(s) * (mpmath.zeta(s, frac) - mpmath.zeta(s, 1 - frac)))
+            eps = np.finfo(float).eps
+            assert abs(got - ref) <= 1e-13 * abs(ref) + 16.0 * eps / abs(1.0 - sigma), x
+
+
+def _mp_majorant_moment(sigma, N, n):
+    """c(n) of h for PowerLaw(sigma): (N+1)^-sigma int Mhat(lam, n/(N+1))
+    lam^-sigma dlam by mpmath, with lam = v^(1/(2-sigma)) on (0, 1], where
+    the integrand grows like lam^(1-sigma)."""
+    t = mpmath.mpf(n) / (N + 1)
+    s = mpmath.mpf(sigma)
+    sn, cs = mpmath.sin(mpmath.pi * t), mpmath.cos(mpmath.pi * t)
+
+    def mhat(lam):
+        e2 = mpmath.exp(-lam)
+        return (((1 - t) * -mpmath.expm1(-2 * lam) + 2 * e2 * lam / mpmath.pi * sn * cs)
+                / (mpmath.expm1(-lam) ** 2 + 4 * e2 * sn * sn))
+
+    p = 1 / (2 - s)
+    head = mpmath.quad(lambda v: p * v ** (p - 1) * mhat(v ** p) * v ** (-p * s), [0, 1])
+    tail = mpmath.quad(lambda lam: mhat(lam) * lam ** -s, [1, mpmath.inf])
+    return float((head + tail) * mpmath.mpf(N + 1) ** -s)
+
+
+@pytest.mark.parametrize("sigma", [1.9, 1.95, 1.99, 1.999])
+@pytest.mark.parametrize("N,n", [(64, 1), (8, 3)])
+def test_majorant_near_sigma_two_matches_mpmath(sigma, N, n):
+    # the transform-moment quadrature does not reach these: the moment's
+    # integrand grows like lam^(1-sigma) and dyadic bisection runs out of
+    # floats.  At sigma = 1.95, N = 64, mpmath gives c(1) = 1.11294098539334.
+    with mpmath.workdps(30):
+        ref = _mp_majorant_moment(sigma, N, n)
+    got = periodic.trig_majorant_h(measures.PowerLaw(sigma), N).coeff(n).real
+    assert abs(got - ref) <= 1e-12 * abs(ref)
