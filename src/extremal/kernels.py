@@ -68,9 +68,9 @@ The Fourier transforms (supported on [-1, 1]) have the closed forms
 evaluated in e^{-l/2}-scaled form so nothing overflows for any lam > 0.
 
 The periodized kernel p(lam, x) = -2/lam + sum_m e^{-lam|x+m|} and its
-x-derivative j (eval_p, eval_j, re-exported by periodic) are scaled alike;
-a Taylor branch below lam = 1e-2 removes the 2/lam cancellation of p (the
-branches agree to ~1e-13 in the switch window).
+x-derivative j (eval_p, eval_j, re-exported by periodic) are one ladder,
+_periodized: p is a non-negative term minus specfun's minorant defect,
+whose series alone carries the 2/lam cancellation.
 
 The one-sided kernel defects e^{-lam|x|} - L and M - e^{-lam|x|} are O(lam)
 as lam -> 0, a difference of O(1) numbers, so measure integrals refining
@@ -90,12 +90,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .specfun import _check_rate, check_rates
+from .specfun import _check_rate, check_rates, defect_minorant
 
 _EPS_TAIL = 1e-16
 _NODE_TOL = 1e-6
 _CHUNK = 65_536  # max matrix cells per vectorized block
-_P_SWITCH = 1e-2
 _MIN_HORIZON = 512
 _MAX_NODES = 1 << 20  # most nodes a point's cell may keep
 _GAP = 96
@@ -313,7 +312,8 @@ def _far(y, c0, du, first, nodes, derivs, f0, cells):
     """The series at points whose cell's horizon binds: the near nodes
     directly, the rest from the cell's samples, and the node collapse."""
     keys, inv = np.unique(c0, return_inverse=True)
-    F = cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0))
+    F = (_cell_samples(keys, first, nodes, derivs, f0) if cells is None else
+         cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0)))
     f, fp = nodes(first + np.arange(int(keys[-1] - first) + _R, dtype=float))
     hit = np.abs(du) < _NODE_TOL
     vals = (np.sin(np.pi * du) / np.pi) ** 2 * (
@@ -389,8 +389,8 @@ def _lattice_series(x, series, f0=None):
     f0) and ``derivs(a0)`` f^(0..4) at a sorted array of distinct a0, as a
     (5, len(a0)) array; _truncation of the cell of |x| (its nearest node c0) and ``cap``
     (None: no cap) pick its n nodes and whether the tail is added; ``cells``
-    keeps its far-field samples (a _CellCache; a new one when None).  The
-    series whose cap binds at every point are summed directly in one
+    keeps its far-field samples (a _CellCache; None samples them per call).
+    The series whose cap binds at every point are summed directly in one
     _direct call.  For any other, the n nodes are summed directly where its
     cap binds, and a point whose nearest node lies past them gets no node
     collapse; elsewhere the near nodes are summed directly and the rest
@@ -418,7 +418,6 @@ def _lattice_series(x, series, f0=None):
         if y.size and not far.any():
             capped[j] = nodes, cap
             continue
-        cells = _CellCache() if cells is None else cells
         paths = ((~far, lambda i: _direct(y[i], c0[i], du[i], first,
                                           [nodes(first + np.arange(cap, dtype=float))],
                                           f0)[0]),
@@ -538,46 +537,45 @@ def eval_Mhat(lam, t):
     return float(vals) if vals.ndim == 0 else vals
 
 
+def _periodized(lam, x, orders):
+    """p(lam, x) (order 0) and its x-derivative j (order 1, 0 at the
+    integers) for each k in orders, stacked on a new first axis.  With
+    h = {x} - 1/2, t = expm1(-lam|h|) and w = e^{-lam(1/2-|h|)}/(1 - e^{-lam}),
+
+        p = 2 sinh(lam h/2)^2/sinh(lam/2) - defect_minorant(lam) = (w t) t - dm,
+        j = lam sinh(lam h)/sinh(lam/2) = -sign(h) (lam w) t (t + 2).
+
+    (w t) t neither cancels nor underflows, and p(lam, 1/2) = -dm bit for
+    bit; dm is taken on lam before it broadcasts against x.
+    """
+    frac = x - np.floor(x)
+    h = frac - 0.5
+    ah = np.abs(h)
+    w = np.exp(-lam * (0.5 - ah)) / -np.expm1(-lam)
+    t = np.expm1(-lam * ah)
+    return np.stack([w * t * t - defect_minorant(lam) if k == 0
+                     else np.where(frac == 0.0, 0.0, -np.sign(h) * (lam * w) * (t * (t + 2.0)))
+                     for k in orders])
+
+
+def _order(lam, x, k):
+    """Order k of _periodized at checked rates; a float when lam and x are scalars."""
+    out = _periodized(check_rates(lam, "the kernel"), np.asarray(x, dtype=float), (k,))[0]
+    return float(out) if out.ndim == 0 else out
+
+
 def eval_p(lam, x):
     """Periodized kernel p(lam, x), period 1, mean 0; broadcasts lam and x.
 
-    p(lam, 0) is the majorant defect coth(lam/2) - 2/lam and p(lam, 1/2)
-    the negated minorant defect.
+    p(lam, 1/2) is the negated minorant defect and p(lam, 0) the majorant
+    defect coth(lam/2) - 2/lam.
     """
-    lam = np.asarray(check_rates(lam, "the kernel"))
-    x = np.asarray(x, dtype=float)
-    scalar = lam.ndim == 0 and x.ndim == 0
-    lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))
-    h = (x - np.floor(x)) - 0.5
-    ah = np.abs(h)
-    with np.errstate(over="ignore"):
-        closed = (np.exp(-lam * (0.5 - ah)) * (1.0 + np.exp(-2.0 * lam * ah))
-                  / (-np.expm1(-lam)) - 2.0 / lam)
-    small = lam < _P_SWITCH
-    out = closed
-    if small.any():                 # the series only where some rate needs it
-        h2 = h * h
-        taylor = (lam * (h2 - 1.0 / 12.0)
-                  + lam ** 3 * (h2 * h2 / 12.0 - h2 / 24.0 + 7.0 / 2880.0)
-                  + lam ** 5 * (h2 ** 3 / 360.0 - h2 * h2 / 288.0
-                                + 7.0 * h2 / 5760.0 - 31.0 / 483840.0))
-        out = np.where(small, taylor, closed)
-    return float(out[0]) if scalar else out
+    return _order(lam, x, 0)
 
 
 def eval_j(lam, x):
     """x-derivative of p: lam sinh(lam({x}-1/2))/sinh(lam/2), 0 at integers."""
-    lam = np.asarray(check_rates(lam, "the kernel"))
-    x = np.asarray(x, dtype=float)
-    scalar = lam.ndim == 0 and x.ndim == 0
-    lam, x = np.atleast_1d(*np.broadcast_arrays(lam, x))
-    frac = x - np.floor(x)
-    h = frac - 0.5
-    ah = np.abs(h)
-    out = (np.sign(h) * lam * np.exp(-lam * (0.5 - ah))
-           * np.expm1(-2.0 * lam * ah) / np.expm1(-lam))
-    out = np.where(frac == 0.0, 0.0, out)
-    return float(out[0]) if scalar else out
+    return _order(lam, x, 1)
 
 
 class KernelDefectAtPoint:

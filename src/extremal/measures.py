@@ -33,11 +33,13 @@ sign of x and return a float for a scalar; f_derivs takes orders 0-4 at
 positive points for the tail corrections in the superposed module.  At
 x = 0, f follows the divergent-point rule of ``_divergent`` (a scalar gets
 PLUS_INF, an array holding the point raises DomainError), which
-forms.r_mu and periodic.q_mu share.
+forms.r_mu and Measure.q share.
 
 The periodized kernel q_mu(x) = int p(lam, x) dmu follows the same idiom:
-``_q(x, orders, tol)`` gives q_mu (order 0) and q_mu' (order 1) at
-non-integer points, and Measure.q is its order 0.
+``_q(x, orders, tol)`` gives q_mu (order 0) and q_mu' (order 1) wherever
+q_mu is finite, the integers included (q_mu' is 0 there).  Measure.q is
+its order 0 and, as f does at x = 0, gates the integers on cond47.  The
+base defect_moment is -q_mu(1/2) or q_mu(0).
 
 ``integrate`` is the one integral against a measure: a finite sum over
 ``atoms``, one heap from the pieces between ``breakpoints``, or else the
@@ -202,10 +204,10 @@ class Measure:
         return out.reshape((len(orders),) + ax.shape)
 
     def defect_moment(self, kind, tol=1e-10):
-        """int of the one-sided kernel defect 2/lam - csch(lam/2) (kind
-        "minorant") or coth(lam/2) - 2/lam ("majorant") dmu."""
-        return integrate(_by_kind(kind, specfun.defect_minorant,
-                                  specfun.defect_majorant), self, tol=tol).value
+        """int of the one-sided kernel defect 2/lam - csch(lam/2) = -p(lam, 1/2)
+        (kind "minorant") or coth(lam/2) - 2/lam = p(lam, 0) ("majorant") dmu."""
+        sign, x = _by_kind(kind, (-1.0, 0.5), (1.0, 0.0))
+        return sign * float(self._q(np.array([x]), (0,), tol)[0, 0])
 
     def r(self, t, tol=1e-10):
         """Form kernel int 2 lam / (lam^2 + 4 pi^2 t^2) dmu at t >= 0."""
@@ -214,23 +216,25 @@ class Measure:
             t, self, tol)
 
     def q(self, x, tol=1e-9):
-        """Periodized kernel q_mu(x) = int p(lam, x) dmu at non-integer x,
-        order 0 of ``_q``; a float for a scalar x."""
+        """Periodized kernel q_mu(x) = int p(lam, x) dmu, order 0 of ``_q``;
+        a float for a scalar x.  An integer x follows the divergent-point
+        rule when the cond47 moment fails."""
         x = np.asarray(x, dtype=float)
+        if np.any(x - np.floor(x) == 0.0) and not self.classify().cond47:
+            return _divergent(x, "q diverges at integer x")
         out = self._q(np.atleast_1d(x), (0,), tol)[0]
         return float(out[0]) if x.ndim == 0 else out
 
     def _q(self, x, orders, tol):
-        """q_mu^(k) at the non-integer points of the array x for each k in
-        orders (0 or 1), stacked on a new first axis.
+        """q_mu^(k) at the points of the array x, integers included, for
+        each k in orders (0 or 1), stacked on a new first axis.
 
-        One vector integral with a column block per order: p(lam, x) for
-        k = 0 and its x-derivative j(lam, x) for k = 1.
+        One vector integral with a column block per order of the kernels
+        ladder: p(lam, x) for k = 0, its x-derivative j(lam, x) for k = 1.
         """
         pts = x.ravel()
-        kernel = (kernels.eval_p, kernels.eval_j)
         out = integrate(lambda lam: np.concatenate(
-            [kernel[k](lam[:, None], pts) for k in orders], axis=1), self, tol=tol).value
+            kernels._periodized(lam[:, None], pts, orders), axis=1), self, tol=tol).value
         return out.reshape((len(orders),) + x.shape)
 
     def transform_moment(self, kind, ts, tol=1e-9):
@@ -322,19 +326,22 @@ class PowerLaw(Measure):
         return self.prefactor * fac * gz
 
     def _q(self, x, orders, tol):
-        """q_mu and q_mu' at non-integer x in closed form: with t = x - round(x)
-        and d = |t| the exact distance to Z, q = kappa Gamma(1-sigma)
-        [zeta(1-sigma, d) + zeta(1-sigma, 1-d)] and q' = -sign(t) kappa
-        Gamma(2-sigma) [zeta(2-sigma, d) - zeta(2-sigma, 1-d)].  Near sigma = 1
-        the poles of the two zeta(2-sigma, .) cancel, to about eps/|1-sigma|."""
+        """q_mu and q_mu' in closed form: with t = x - round(x) and d = |t|
+        the exact distance to Z, q = kappa Gamma(1-sigma) [zeta(1-sigma, d)
+        + zeta(1-sigma, 1-d)] and q' = -sign(t) kappa Gamma(2-sigma)
+        [zeta(2-sigma, d) - zeta(2-sigma, 1-d)].  Near sigma = 1 the poles
+        of the two zeta(2-sigma, .) cancel, to about eps/|1-sigma|.  At the
+        integers q takes zeta(1-sigma, 0), finite for sigma > 1, and the odd
+        q' is 0: its difference is taken at the offset 1/2 instead of 0."""
         t = x - np.round(x)
         d = np.abs(t)
         s = 1.0 - self.sigma
         g = self._gamma_factor
+        odd = np.where(d == 0.0, 0.5, d)
         return np.stack([g * (specfun.hurwitz_zeta(s, d) + specfun.hurwitz_zeta(s, 1.0 - d))
                          if k == 0 else -np.sign(t) * (s * g) * (
-                             specfun.hurwitz_zeta(s + 1.0, d)
-                             - specfun.hurwitz_zeta(s + 1.0, 1.0 - d))
+                             specfun.hurwitz_zeta(s + 1.0, odd)
+                             - specfun.hurwitz_zeta(s + 1.0, 1.0 - odd))
                          for k in orders])
 
     def r(self, t, tol=1e-10):
@@ -426,18 +433,18 @@ class Weight(Measure):
         return np.asarray(self.fn(np.asarray(lam, dtype=float)), dtype=float)
 
     def classify(self):
+        """cond47 first: lam/(lam^2+1) <= 1.21 lam/(lam+1), so a finite
+        cond47 moment bounds the cond31 one, which is then not taken."""
         try:
-            m31 = integrate(lambda lam: lam / (lam * lam + 1.0), self).value
-        except ConvergenceError as exc:
-            raise AdmissibilityError(
-                "weight measure: minorant moment diverges") from exc
-        if not (m31 > 0.0):
-            raise AdmissibilityError("weight measure is null: zero total mass")
-        try:
-            integrate(lambda lam: lam / (lam + 1.0), self)
-            c47 = True
+            mass, c47 = integrate(lambda lam: lam / (lam + 1.0), self).value, True
         except ConvergenceError:
-            c47 = False
+            try:
+                mass, c47 = integrate(lambda lam: lam / (lam * lam + 1.0), self).value, False
+            except ConvergenceError as exc:
+                raise AdmissibilityError(
+                    "weight measure: minorant moment diverges") from exc
+        if not (mass > 0.0):
+            raise AdmissibilityError("weight measure is null: zero total mass")
         return Admissibility(cond31=True, cond47=c47)
 
     def dilate(self, delta):

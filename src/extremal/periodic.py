@@ -22,11 +22,12 @@ x = 0 the derivative of the even polynomial is 0), and these 2N + 2
 numbers fix it: this is Hermite interpolation with the Fejer kernel
 (Vaaler, Bull. AMS 12 (1985)).  So every polynomial here is built from the
 kernel and its derivative sampled at its nodes, by two FFTs (_from_nodes):
-l and m from eval_p and eval_j, g and h from the measure's q ladder, whose
-closed forms need no integral.  Only the mean is a defect moment.  The
-paper's route, the dilated measure's transform moments of Lhat and Mhat,
-is Measure.transform_moment, which the tests keep as the oracle.  p and
-its derivative j live in kernels, re-exported as eval_p and eval_j.
+l and m from the kernels ladder of p and j, g and h from one call of the
+measure's q ladder at all the nodes (x = 0 included), whose closed forms
+need no integral.  Only the mean is a defect moment.  The paper's route,
+the dilated measure's transform moments of Lhat and Mhat, is
+Measure.transform_moment, which the tests keep as the oracle.  p and its
+derivative j live in kernels, re-exported as eval_p and eval_j.
 """
 
 import json
@@ -196,24 +197,10 @@ def trig_majorant_m(lam, N):
 
 
 def q_mu(measure, x, tol=1e-9):
-    """Periodized superposed kernel q_mu(x) = int p(lam, x) dmu(lam).
-
-    Scalar x at an integer returns PLUS_INF when q_mu(0) diverges (measures
-    failing the cond47 moment); array input then raises DomainError.
-    Otherwise q_mu(0) = int p(lam, 0) dmu is the majorant defect moment, and
-    the other points go to the measure's q method, all of an array at once.
-    """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    integer = xs - np.floor(xs) == 0.0
-    out = np.empty(len(xs))
-    if np.any(integer):
-        if not measure.classify().cond47:
-            return measures._divergent(x, "q diverges at integer x")
-        out[integer] = measure.defect_moment("majorant", tol)
-    if not np.all(integer):
-        out[~integer] = measure.q(xs[~integer], tol)
-    return float(out[0]) if scalar else out
+    """Periodized superposed kernel q_mu(x) = int p(lam, x) dmu(lam), the
+    measure's q: at an integer x, the majorant defect moment, or without the
+    cond47 moment PLUS_INF for a scalar and DomainError for an array."""
+    return measure.q(x, tol)
 
 
 def _nodes(N, kind):
@@ -254,26 +241,19 @@ def _single_poly(lam, N, kind):
     N = _check_degree(N)
     u = lam / (N + 1.0)
     c0 = -specfun.defect_minorant(u) if kind == "minorant" else specfun.defect_majorant(u)
-    x = _nodes(N, kind)
-    return _from_nodes(N, kind, c0 / (N + 1.0), eval_p(lam, x), eval_j(lam, x))
+    return _from_nodes(N, kind, c0 / (N + 1.0),
+                       *kernels._periodized(lam, _nodes(N, kind), (0, 1)))
 
 
 def _superposed_poly(measure, N, kind, tol=1e-9):
     """g_mu (kind "minorant") or h_mu ("majorant"), real and even: c(0) =
     -+ nu.defect_moment/(N+1) with nu = mu dilated by N + 1, and the
-    other coefficients from q_mu and q_mu' at the nodes.  The majorant node
-    x = 0 takes q_mu(0), the majorant defect moment, and q_mu'(0) = 0."""
+    other coefficients from q_mu and q_mu' at the nodes."""
     N = _check_degree(N)
     measure.require(kind)
     c0 = measures.dilate(measure, N + 1.0).defect_moment(kind, tol) / (N + 1.0)
-    x = _nodes(N, kind)
-    if kind == "minorant":
-        return _from_nodes(N, kind, -c0, *measure._q(x, (0, 1), tol))
-    q, dq = np.zeros((2, N + 1))
-    q[0] = measure.defect_moment(kind, tol)
-    if N > 0:
-        q[1:], dq[1:] = measure._q(x[1:], (0, 1), tol)
-    return _from_nodes(N, kind, c0, q, dq)
+    return _from_nodes(N, kind, -c0 if kind == "minorant" else c0,
+                       *measure._q(_nodes(N, kind), (0, 1), tol))
 
 
 def trig_minorant_g(measure, N, tol=1e-9):

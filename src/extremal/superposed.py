@@ -51,8 +51,7 @@ class _Superposed:
         self.delta = float(delta)
         self.nu = measures.dilate(measure, self.delta)
         self._lock = threading.Lock()
-        self._f = np.empty(0)
-        self._fp = np.empty(0)
+        self._table = (np.empty(0), np.empty(0))
         self._f00 = None
         self._horizons = _CellCache(5)
         self._cells = _CellCache()
@@ -60,15 +59,19 @@ class _Superposed:
     # -- node cache -------------------------------------------------------
 
     def _nodes(self, s):
-        """f_nu and f_nu' on s, the first len(s) positive lattice nodes."""
+        """f_nu and f_nu' on s, the first len(s) positive lattice nodes; a
+        build publishes both as one tuple, so a lock-free read sees them match."""
         count = len(s)
-        if len(self._f) < count:
+        f, fp = self._table
+        if len(f) < count:
             with self._lock:
-                if len(self._f) < count:
-                    s = s[len(self._f):]
-                    self._f = np.concatenate([self._f, np.asarray(self.nu.f(s))])
-                    self._fp = np.concatenate([self._fp, np.asarray(self.nu.f_prime(s))])
-        return self._f[:count], self._fp[:count]
+                f, fp = self._table
+                if len(f) < count:
+                    s = s[len(f):]
+                    f = np.concatenate([f, np.asarray(self.nu.f(s))])
+                    fp = np.concatenate([fp, np.asarray(self.nu.f_prime(s))])
+                    self._table = f, fp
+        return f[:count], fp[:count]
 
     def _derivs(self, a0):
         """f_nu and its first four derivatives at each horizon of the sorted,

@@ -13,7 +13,9 @@ holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 one slices its passes, that no integrand is probed for a TypeError, and
 that only ``kernels`` decides where the lattice series stops (its horizon
 and its Euler-Maclaurin tail) and how it splits near nodes from the far
-field, that ``specfun.hurwitz_zeta`` is the one zeta series, that
+field, that ``specfun.hurwitz_zeta`` is the one zeta series, that the
+small-rate series of the periodized kernel p is ``specfun``'s minorant
+defect alone and ``periodic`` reads q_mu only through the measure, that
 ``kernels._defects`` is the one loop of kernel defects over rates, and
 that the flag table of ``cli`` is the only place naming its optional flags.
 """
@@ -227,6 +229,32 @@ def test_one_zeta_series():
         lambda tree: any(isinstance(node, ast.FunctionDef)
                          and ("zeta" in node.name or "hurwitz" in node.name)
                          for node in ast.walk(tree))) == ["specfun.py"]
+
+
+def _functions_reading_attribute(tree, attr):
+    """Names of the functions whose bodies read ``x.attr``, with repeats:
+    one entry per read."""
+    return sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  for node in ast.walk(fn) if _attribute_read(node) == attr)
+
+
+def test_one_defect_series_for_the_periodized_kernel():
+    # kernels keeps no Taylor switch of its own: its one p/j ladder takes
+    # the 2/lam cancellation from specfun's minorant defect, and eval_p and
+    # eval_j are orders of it
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert not [t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if re.search("SWITCH|TAYLOR", t.id)]
+    assert _functions_reading(tree, "defect_minorant") == ["_periodized"]
+    assert _functions_reading(tree, "_periodized") == ["_order"]
+    assert _functions_reading(tree, "_order") == ["eval_j", "eval_p"]
+    # periodic takes q_mu and q_mu' from the measure, the integers included:
+    # no integer test, and the one defect moment it reads is the mean
+    tree = ast.parse((SRC / "periodic.py").read_text())
+    assert _functions_reading_attribute(tree, "q") == ["q_mu"]
+    assert _functions_reading_attribute(tree, "_q") == ["_superposed_poly"]
+    assert _functions_reading_attribute(tree, "defect_moment") == ["_superposed_poly"]
+    assert _functions_reading_attribute(tree, "floor") == []
 
 
 def test_one_kernel_defect_loop():

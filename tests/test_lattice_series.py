@@ -264,9 +264,10 @@ def test_log_majorant_values_do_not_depend_on_their_batch():
     _bit_identical_alone_and_in_batches(lambda: superposed.eval_U)
 
 
-@pytest.mark.parametrize("lam", [1e-8, 1e-3])
+@pytest.mark.parametrize("lam", [1e-8, 1e-3, 0.03, 0.07])
 def test_small_rate_values_do_not_depend_on_their_batch(lam):
-    """L and M where the horizon binds (and, at 1e-3, the cap past |x| ~ 3.7e4)."""
+    """L and M where the horizon binds, below lam ~ 0.0734, and the far
+    field is sampled per call (and, at 1e-3, the cap past |x| ~ 3.7e4)."""
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
 

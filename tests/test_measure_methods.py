@@ -109,11 +109,13 @@ def test_closed_forms_match_the_quadrature_fallback(mu):
     ts = np.array([0.3, 1.0, 4.5])
     xs = np.array([0.1, 0.5, 0.85])
     assert np.allclose(mu.r(ts), base.r(mu, ts, 1e-11), rtol=1e-8, atol=0)
+    # the defect moments by quadrature (base.defect_moment would take the
+    # closed _q at 1/2 and 0)
     assert mu.defect_moment("minorant") == pytest.approx(
-        base.defect_moment(mu, "minorant", 1e-11), rel=1e-8)
+        measures.integrate(specfun.defect_minorant, mu, 1e-11).value, rel=1e-8)
     if mu.classify().cond47:
         assert mu.defect_moment("majorant") == pytest.approx(
-            base.defect_moment(mu, "majorant", 1e-11), rel=1e-8)
+            measures.integrate(specfun.defect_majorant, mu, 1e-11).value, rel=1e-8)
     # q and q' (the _q ladder; base.q would dispatch to the closed _q)
     assert np.allclose(mu._q(xs, (0, 1), 1e-9), base._q(mu, xs, (0, 1), 1e-10),
                        rtol=0, atol=1e-8)

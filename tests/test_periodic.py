@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import measures, periodic
+from extremal import measures, periodic, quadrature, specfun
 from extremal.errors import AdmissibilityError, DomainError
 from extremal.periodic import TrigPoly
 
@@ -193,6 +193,22 @@ def test_j_is_the_derivative():
     assert periodic.eval_j(lam, 1.0) == 0.0
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.floats(math.log(1e-6), 0.0).map(math.exp),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_p_matches_mpmath_at_small_rates(lam, x):
+    """p has no series of its own: its 2/lam cancellation is the minorant
+    defect's, and p adds at most 1e-14 max(|p|, lam/12) to the defect's own
+    error (up to ~6e-14 relative just above the defect's Taylor switch)."""
+    with mpmath.workdps(40):
+        rate = mpmath.mpf(lam)
+        defect = 2 / rate - 1 / mpmath.sinh(rate / 2)
+        ref = mpmath.cosh(rate * (mpmath.mpf(x) - 0.5)) / mpmath.sinh(rate / 2) - 2 / rate
+        err = float(abs(periodic.eval_p(lam, x) - ref))
+        inherited = float(abs(specfun.defect_minorant(lam) - defect))
+    assert err <= 1e-14 * max(abs(float(ref)), lam / 12.0) + inherited
+
+
 def test_p_and_j_validation():
     with pytest.raises(DomainError):
         periodic.eval_p(0.0, 0.3)
@@ -281,6 +297,32 @@ def test_q_power_law_is_even_and_finite_next_to_the_integers(mu):
     if mu.sigma < 1.0:
         assert periodic.q_mu(mu, -1e-17) == pytest.approx(
             math.gamma(1.0 - mu.sigma) * 1e-17 ** (mu.sigma - 1.0), rel=1e-7)
+
+
+def test_q_power_law_at_the_integers_is_the_majorant_defect_moment():
+    # q_mu' is odd, so 0 at the integers, and q_mu(0) = int p(lam, 0) dmu
+    q, dq = PL15._q(np.array([0.0, 1.0, -3.0]), (0, 1), 1e-9)
+    assert np.all(dq == 0.0)
+    moment = PL15.defect_moment("majorant")
+    assert np.all(np.abs(q - moment) <= 1e-13 * moment)
+
+
+def test_weight_polynomials_count_their_integrals(tmp_path, monkeypatch):
+    """A compactly supported weight classifies with the cond47 moment alone,
+    and g and h each take it, their mean and one q ladder at the nodes."""
+    path = tmp_path / "w.csv"
+    path.write_text("lambda,weight\n0.5,1.0\n1.0,2.0\n3.0,0.5\n6.0,1.0\n9.0,0.3\n")
+    mu = measures.weight_from_csv(str(path))
+    calls = []
+    inner = quadrature.refine
+    monkeypatch.setattr(quadrature, "refine",
+                        lambda *a, **k: calls.append(1) or inner(*a, **k))
+    for run, count in [(mu.classify, 1),
+                       (lambda: periodic.trig_minorant_g(mu, 4), 3),
+                       (lambda: periodic.trig_majorant_h(mu, 4), 3)]:
+        calls.clear()
+        run()
+        assert len(calls) == count
 
 
 @pytest.mark.parametrize("mu", [HAAR, PL05, PL15, ATOM],
@@ -372,11 +414,7 @@ def test_minorant_mean_is_variationally_maximal():
 
 def _node_mean(mu, N, kind, tol):
     """V_0: the mean of q_mu over the N + 1 nodes of kind."""
-    x = periodic._nodes(N, kind)
-    if kind == "minorant":
-        return float(np.mean(mu._q(x, (0,), tol)[0]))
-    rest = mu._q(x[1:], (0,), tol)[0]
-    return float(np.mean(np.concatenate([[mu.defect_moment(kind, tol)], rest])))
+    return float(np.mean(mu._q(periodic._nodes(N, kind), (0,), tol)[0]))
 
 
 _atomic_measures = st.lists(

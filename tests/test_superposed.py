@@ -194,6 +194,49 @@ class _CountingMeasure:
         return getattr(self.inner, name)
 
 
+class _HeldPrime:
+    """Delegates to a measure; f_prime signals that it started and waits."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def f_prime(self, x):
+        self.started.set()
+        self.release.wait(timeout=30.0)
+        return self.inner.f_prime(x)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_node_cache_publishes_f_and_f_prime_together():
+    """A reader while the node cache grows sees matching f and f' blocks:
+    the build publishes both at once, so it never gets a long f with the
+    old, short f'."""
+    s = np.arange(600) + 0.5
+    expected = superposed.Minorant(ATOM)._nodes(s)
+    g = superposed.Minorant(ATOM)
+    g.nu = _HeldPrime(g.nu)
+    got = []
+    writer = threading.Thread(target=g._nodes, args=(s,))
+    reader = threading.Thread(target=lambda: got.append(g._nodes(s)))
+    writer.start()
+    try:
+        assert g.nu.started.wait(timeout=30.0)
+        reader.start()
+        reader.join(timeout=0.1)        # a reader that does not wait returns now
+    finally:
+        g.nu.release.set()
+    for t in (writer, reader):
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in (writer, reader))
+    (f, fp), = got
+    assert f.tobytes() == expected[0].tobytes()
+    assert fp.tobytes() == expected[1].tobytes()
+
+
 def test_majorant_zero_node_computed_once_across_threads():
     h = superposed.Majorant(ATOM)
     h.nu = _CountingMeasure(h.nu)
