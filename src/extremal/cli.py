@@ -151,9 +151,17 @@ def _check_flags(args):
 # -- eval ------------------------------------------------------------------
 
 
-def _finite_or_inf(v):
-    """v as a float, with the PLUS_INF sentinel mapped to math.inf."""
-    return math.inf if measures.is_plus_inf(v) else float(v)
+def _split_divergent(fn, xs, at):
+    """fn on the grid xs.  The points in the mask at, where fn may diverge,
+    take the scalar fn(0.0) with the PLUS_INF sentinel as math.inf; the rest
+    are one array call."""
+    out = np.empty(xs.size)
+    if np.any(at):
+        v = fn(0.0)
+        out[at] = math.inf if measures.is_plus_inf(v) else float(v)
+    if not np.all(at):
+        out[~at] = fn(xs[~at])
+    return out
 
 
 def _eval_columns(args):
@@ -176,27 +184,17 @@ def _eval_columns(args):
         vals = periodic.eval_p(args.lam, xs)
     elif kind == "q":
         mu = _parse_measure(args.measure)
-        # q_mu has period 1: every integer point takes the scalar q_mu(0),
-        # which returns the divergence sentinel; the rest are one array call
-        at_int = xs == np.floor(xs)
-        vals = np.empty(xs.size)
-        if np.any(at_int):
-            vals[at_int] = _finite_or_inf(periodic.q_mu(mu, 0.0, tol=tol))
-        if not np.all(at_int):
-            vals[~at_int] = periodic.q_mu(mu, xs[~at_int], tol=tol)
+        # q_mu has period 1 and may diverge at the integers
+        vals = _split_divergent(lambda x: periodic.q_mu(mu, x, tol=tol), xs,
+                                xs == np.floor(xs))
     elif kind in ("G", "H"):
         mu = _parse_measure(args.measure)
         cls = superposed.Minorant if kind == "G" else superposed.Majorant
         obj = cls(mu, args.delta)
         vals = obj.value(xs)
         if args.with_target:
-            # only x = 0 can diverge; it takes the scalar path to the sentinel
-            at_zero = xs == 0.0
-            target = np.empty(xs.size)
-            if np.any(at_zero):
-                target[at_zero] = _finite_or_inf(obj.target(0.0))
-            if not np.all(at_zero):
-                target[~at_zero] = obj.target(xs[~at_zero])
+            # only x = 0 can diverge
+            target = _split_divergent(obj.target, xs, xs == 0.0)
     else:  # U
         vals = superposed.eval_U(xs)
         with np.errstate(divide="ignore"):

@@ -142,8 +142,9 @@ def form_bound(measure, delta=1.0, tol=1e-10):
 def evaluate_form(measure, points, a, tol=1e-10):
     """Off-diagonal Hermitian form sum_{m != n} a_m conj(a_n) r_mu(xi_m - xi_n).
 
-    Exactly real by conjugate symmetry; the rounding-level imaginary part
-    is asserted small, then dropped.
+    The (m, n) and (n, m) terms are conjugates, so it is the real sum
+    2 sum_{m < n} Re(a_m conj(a_n)) r_mu(|xi_m - xi_n|), with one r_mu value
+    per distinct distance.
     """
     xi = np.asarray(points.xi if isinstance(points, PointSet) else points,
                     dtype=float)
@@ -151,22 +152,12 @@ def evaluate_form(measure, points, a, tol=1e-10):
     if a.shape != xi.shape:
         raise DomainError(
             f"coefficient count {a.shape} does not match points {xi.shape}")
-    n = len(xi)
-    if n < 2:
+    m, n = np.triu_indices(len(xi), k=1)
+    if m.size == 0:
         return 0.0
-    D = np.abs(xi[:, None] - xi[None, :])
-    iu = np.triu_indices(n, k=1)
-    dvals = D[iu]
-    uniq, inv = np.unique(dvals, return_inverse=True)
-    rvals = np.atleast_1d(np.asarray(r_mu(measure, uniq, tol=tol)))
-    R = np.zeros((n, n))
-    R[iu] = rvals[inv]
-    R = R + R.T
-    total = complex(np.conj(a) @ (R @ a))
-    scale = max(1.0, float(np.sum(np.abs(a)) ** 2 * np.max(R, initial=0.0)))
-    if abs(total.imag) > 1e-10 * scale:
-        raise DomainError(f"form imaginary part {total.imag!r} beyond rounding")
-    return total.real
+    uniq, inv = np.unique(np.abs(xi[m] - xi[n]), return_inverse=True)
+    weights = a.real[m] * a.real[n] + a.imag[m] * a.imag[n]
+    return 2.0 * float(weights @ r_mu(measure, uniq, tol=tol)[inv])
 
 
 def hls_constants(sigma, delta=1.0):

@@ -70,7 +70,8 @@ evaluated in e^{-l/2}-scaled form so nothing overflows for any lam > 0.
 The periodized kernel p(lam, x) = -2/lam + sum_m e^{-lam|x+m|} and its
 x-derivative j (eval_p, eval_j, re-exported by periodic) are one ladder,
 _periodized: p is a non-negative term minus specfun's minorant defect,
-whose series alone carries the 2/lam cancellation.
+whose series alone carries the 2/lam cancellation.  p(lam, 1/2) is minus
+that defect and p(lam, 0) is specfun's majorant defect, both bit for bit.
 
 The one-sided kernel defects e^{-lam|x|} - L and M - e^{-lam|x|} are O(lam)
 as lam -> 0, a difference of O(1) numbers, so measure integrals refining
@@ -567,8 +568,8 @@ def _order(lam, x, k):
 def eval_p(lam, x):
     """Periodized kernel p(lam, x), period 1, mean 0; broadcasts lam and x.
 
-    p(lam, 1/2) is the negated minorant defect and p(lam, 0) the majorant
-    defect coth(lam/2) - 2/lam.
+    p(lam, 1/2) is -defect_minorant(lam) and p(lam, 0) is
+    defect_majorant(lam) = coth(lam/2) - 2/lam, bit for bit.
     """
     return _order(lam, x, 0)
 
@@ -611,11 +612,9 @@ class KernelDefectAtPoint:
         self._coeffs = coeffs.reshape(g.shape)
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=float)
+        lam = np.asarray(check_rates(lam, "kernel defect"))
         shape = lam.shape + np.shape(self.x)
         lam = lam.ravel()
-        if np.any(lam <= 0.0):
-            raise DomainError("kernel defect requires lam > 0")
         out = np.empty((lam.size,) + np.shape(self.x))
         small = lam < self.LAM_SWITCH
         if np.any(small):

@@ -122,6 +122,17 @@ def test_eval_divergent_periodization_prints_inf(capsys):
     assert abs(vals[2] - (-math.log(2.0))) <= 1e-15
 
 
+def test_eval_divergent_target_prints_inf(capsys):
+    # the Haar target -log|x| diverges at x = 0 alone
+    code, out, _ = run_cli(
+        ["eval", "--kind", "G", "--measure", "haar", "--grid", "-1:1:3",
+         "--with-target"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[2] for r in rows] == ["-0.0", "inf", "-0.0"]
+    assert rows[1][3] == "inf" and math.isfinite(float(rows[1][1]))
+
+
 WEIGHT_ROWS = "lambda,weight\n0.5,1.0\n1.0,2.0\n3.0,0.5\n6.0,1.0\n"
 
 

@@ -13,7 +13,9 @@ holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 one slices its passes, that no integrand is probed for a TypeError, and
 that only ``kernels`` decides where the lattice series stops (its horizon
 and its Euler-Maclaurin tail) and how it splits near nodes from the far
-field, that ``specfun.hurwitz_zeta`` is the one zeta series, that the
+field, that ``specfun.hurwitz_zeta`` is the one zeta series, that
+the one small-rate defect series of ``specfun`` is the minorant's and the
+majorant has no series, switch or direct formula of its own, that the
 small-rate series of the periodized kernel p is ``specfun``'s minorant
 defect alone and ``periodic`` reads q_mu only through the measure, that
 ``kernels._defects`` is the one loop of kernel defects over rates, and
@@ -229,6 +231,25 @@ def test_one_zeta_series():
         lambda tree: any(isinstance(node, ast.FunctionDef)
                          and ("zeta" in node.name or "hurwitz" in node.name)
                          for node in ast.walk(tree))) == ["specfun.py"]
+
+
+def test_one_small_rate_series_for_the_defects():
+    # the minorant's series of sinh y - y is the one defect table and switch;
+    # the majorant is (w t) t minus the minorant at its checked rates, with
+    # no table, switch or direct formula of its own
+    tree = ast.parse((SRC / "specfun.py").read_text())
+    tables = sorted(t.id for node in tree.body if isinstance(node, ast.Assign)
+                    for t in node.targets)
+    assert tables == ["_BERNOULLI", "_SERIES_SWITCH", "_SINH_SERIES"]
+    assert _functions_reading(tree, "_SINH_SERIES") == ["_minorant"]
+    assert _functions_reading(tree, "_SERIES_SWITCH") == ["_minorant"]
+    assert _functions_reading(tree, "_minorant") == ["defect_majorant",
+                                                      "defect_minorant"]
+    majorant = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                    and fn.name == "defect_majorant")
+    calls = sorted(ast.unparse(node.func) for node in ast.walk(majorant)
+                   if isinstance(node, ast.Call))
+    assert calls == ["_minorant", "check_rates", "float", "np.expm1", "np.expm1"]
 
 
 def _functions_reading_attribute(tree, attr):

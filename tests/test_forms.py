@@ -163,6 +163,27 @@ def test_form_matches_direct_double_sum():
     assert abs(val - brute) <= 1e-12 * max(1.0, abs(brute))
 
 
+@pytest.mark.parametrize("mu", [HAAR, PL15, ATOM], ids=lambda m: m.family)
+@pytest.mark.parametrize("lattice", [False, True], ids=["random", "lattice"])
+def test_form_matches_dense_hermitian_matrix(mu, lattice):
+    """The pair sum equals conj(a) R a with the full matrix R of r_mu over
+    every ordered pair; a lattice repeats distances, which share one r_mu."""
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        n = int(rng.integers(2, 40))
+        xi = (np.arange(n) * 1.5 if lattice
+              else np.array(forms.random_point_set(rng, n, 1.0).xi))
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        off = ~np.eye(n, dtype=bool)
+        R = np.zeros((n, n))
+        R[off] = forms.r_mu(mu, (xi[:, None] - xi[None, :])[off])
+        dense = np.conj(a) @ R @ a
+        energy = float(np.sum(np.abs(a) ** 2))
+        val = forms.evaluate_form(mu, xi, a)
+        assert isinstance(val, float)
+        assert abs(val - dense) <= 1e-13 * energy
+
+
 def test_form_single_point_is_zero():
     assert forms.evaluate_form(HAAR, forms.PointSet((1.0,), 1.0),
                                np.array([2.0 + 1j])) == 0.0

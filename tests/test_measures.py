@@ -251,6 +251,10 @@ _NUMERIC_ARGUMENTS = {
     # the rate rule takes arrays too, and a bool in any shape is refused
     "eval_p-rate": lambda v: kernels.eval_p(v, 0.3),
     "defect-rate": specfun.defect_minorant,
+    "majorant-defect-rate": specfun.defect_majorant,
+    "defect-at-point-rate": lambda v: kernels.KernelDefectAtPoint(0.3)(v),
+    "defect-at-point-rate-array":
+        lambda v: kernels.KernelDefectAtPoint(np.array([0.3, 2.0]))(v),
     "Lhat-rate-array": lambda v: kernels.eval_Lhat(np.array([v, v]), 0.3),
     "rate-0d-array": lambda v: kernels.minorant_values(np.array(v), 0.3),
 }

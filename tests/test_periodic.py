@@ -199,7 +199,7 @@ def test_j_is_the_derivative():
 def test_p_matches_mpmath_at_small_rates(lam, x):
     """p has no series of its own: its 2/lam cancellation is the minorant
     defect's, and p adds at most 1e-14 max(|p|, lam/12) to the defect's own
-    error (up to ~6e-14 relative just above the defect's Taylor switch)."""
+    error (itself within 1e-15 relative, see test_specfun)."""
     with mpmath.workdps(40):
         rate = mpmath.mpf(lam)
         defect = 2 / rate - 1 / mpmath.sinh(rate / 2)

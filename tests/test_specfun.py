@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import specfun
+from extremal import kernels, specfun
 from extremal.errors import DomainError
 
 # Reference values computed once with mpmath 1.3.0 at 40 decimal digits:
@@ -76,6 +76,33 @@ def test_defects_match_reference(lam, dm, dM):
     assert abs(specfun.defect_minorant(lam) - dm) <= 1e-11 * scale
     scale = max(1.0, abs(dM))
     assert abs(specfun.defect_majorant(lam) - dM) <= 1e-11 * scale
+
+
+def test_defects_match_mpmath_to_rounding():
+    """One series below the switch and the direct formula above, both within
+    1e-15 relative of mpmath from lam = 1e-300 to 1e4; the 2/lam cancellation
+    needs about twice the bits of lam's exponent on top of the working digits."""
+    lams = np.geomspace(1e-300, 1e4, 1500)
+    lams = np.concatenate([lams, np.linspace(0.2, 6.0, 300)])
+    got = specfun.defect_minorant(lams), specfun.defect_majorant(lams)
+    for i, lam in enumerate(lams.tolist()):
+        with mpmath.workprec(120 + 2 * max(0, -math.frexp(lam)[1])):
+            rate = mpmath.mpf(lam)
+            dm = 2 / rate - mpmath.csch(rate / 2)
+            dM = mpmath.coth(rate / 2) - 2 / rate
+            assert abs(got[0][i] - dm) <= 1e-15 * dm, lam
+            assert abs(got[1][i] - dM) <= 1e-15 * dM, lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(math.log(1e-300), math.log(700.0)).map(math.exp))
+def test_the_defects_are_p_at_its_touching_points(lam):
+    # p(lam, 0) and -p(lam, 1/2), bit for bit, for a scalar and an array
+    assert kernels.eval_p(lam, 0.0) == specfun.defect_majorant(lam)
+    assert kernels.eval_p(lam, 0.5) == -specfun.defect_minorant(lam)
+    lams = np.array([lam, 2.0 * lam])
+    assert np.array_equal(kernels.eval_p(lams, 0.0), specfun.defect_majorant(lams))
+    assert np.array_equal(kernels.eval_p(lams, 0.5), -specfun.defect_minorant(lams))
 
 
 def test_defect_branch_consistency():
