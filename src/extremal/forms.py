@@ -186,17 +186,17 @@ def hls_constants(sigma, delta=1.0):
 def hls_gamma_route(sigma, delta=1.0):
     """The same constants through A/B and the kernel normalization.
 
-    Divides the Gamma(1-sigma) zeta(1-sigma) closed forms by
-    pi/((2 pi)^sigma sin(pi sigma/2)); equal to hls_constants by the zeta
-    functional equation, so the pair is a dual-route consistency check.
+    Divides the Gamma(1-sigma) zeta(1-sigma) closed forms by the kernel
+    normalization r_mu(1) = pi/((2 pi)^sigma sin(pi sigma/2)) of
+    PowerLaw(sigma); equal to hls_constants by the zeta functional
+    equation, so the pair is a dual-route consistency check.
     """
     measures._check_delta(delta)
     if not (is_real(sigma) and 0.0 < sigma < 2.0 and sigma != 1.0):
         raise DomainError(
             f"gamma-route sigma must lie in (0, 2) excluding 1, got {sigma!r}")
-    sigma = float(sigma)
-    C = math.pi / ((2.0 * math.pi) ** sigma * math.sin(math.pi * sigma / 2.0))
     mu = measures.PowerLaw(sigma)
+    C = float(mu.r(1.0))
     lower = lower_constant_A(mu, delta) / C
     upper = upper_constant_B(mu, delta) / C if sigma > 1.0 else None
     return HlsConstants(lower, upper)

@@ -129,11 +129,10 @@ def jensen_gap(alpha, tol=1e-10):
     a warning flags the conditioning but the quadrature still runs.
     """
     a = _as_roots(alpha)
-    mods = np.abs(a)
-    if np.any(np.abs(mods - 1.0) < 1e-9):
+    if np.any(np.abs(np.abs(a) - 1.0) < 1e-9):
         warnings.warn("root within 1e-9 of the unit circle: "
                       "Jensen integral is ill-conditioned", RuntimeWarning)
-    logplus = float(np.sum(np.log(mods[mods > _INTERIOR_GUARD])))
+    logplus = disk_sup_bound(a, 0).logplus_sum
     res = quadrature.integrate_finite(
         lambda xs: _log_abs_on_circle(xs, a), 0.0, 1.0, tol=tol)
     return abs(logplus - res.value)

@@ -17,14 +17,14 @@ f_nu^(0..4) where the tail starts.
 Dilation: Minorant(mu, delta) evaluates G_nu(delta x) with nu(E) = mu(delta E),
 the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).
 
-Each instance caches, under locks, f_nu and f_nu' on the nodes, f_nu(0),
-the tail derivatives at each horizon and the far-field samples of each
-cell (see kernels); reads are pure and the caches only grow, so a point
-costs O(1) once its cell is built and grid sweeps reuse one instance.
-Where f_nu has a closed form (HaarLog, PowerLaw, Atomic) a value depends on
-its own x alone; a Weight takes the values it caches from one vector
-integral over the points that first asked for them.  The
-measure-integral route int (kernel defect at x) dmu is exposed both as an
+A majorant takes f_nu(0) when it is built.  Each instance caches, under
+locks, f_nu and f_nu' on the nodes, the tail derivatives at each horizon
+and the far-field samples of each cell (see kernels); reads are pure and
+the caches only grow, so a point costs O(1) once its cell is built and
+grid sweeps reuse one instance.  Where f_nu has a closed form (HaarLog,
+PowerLaw, Atomic) a value depends on its own x alone; a Weight takes the
+values it caches from one vector integral over the points that first
+asked for them.  The measure-integral route int (kernel defect at x) dmu is exposed both as an
 independent evaluation strategy and as the DefectProfile cross-check.
 """
 
@@ -43,16 +43,15 @@ class _Superposed:
     """Shared machinery; subclasses fix the lattice and the kind."""
 
     kind = None
+    _f0 = None          # f_nu(0) where the lattice has a node at 0
 
     def __init__(self, measure, delta=1.0):
-        measures._check_delta(delta)
+        self.nu = measures.dilate(measure, delta)
         measure.require(self.kind)
         self.measure = measure
         self.delta = float(delta)
-        self.nu = measures.dilate(measure, self.delta)
         self._lock = threading.Lock()
         self._table = (np.empty(0), np.empty(0))
-        self._f00 = None
         self._horizons = _CellCache(5)
         self._cells = _CellCache()
 
@@ -67,22 +66,16 @@ class _Superposed:
             with self._lock:
                 f, fp = self._table
                 if len(f) < count:
-                    s = s[len(f):]
-                    f = np.concatenate([f, np.asarray(self.nu.f(s))])
-                    fp = np.concatenate([fp, np.asarray(self.nu.f_prime(s))])
+                    df, dfp = self.nu._derivs(s[len(f):], (0, 1))
+                    f, fp = np.concatenate([f, df]), np.concatenate([fp, dfp])
                     self._table = f, fp
         return f[:count], fp[:count]
 
     def _derivs(self, a0):
         """f_nu and its first four derivatives at each horizon of the sorted,
-        distinct a0, as a (5, len(a0)) array; one f_derivs integral for the
-        a0 not held yet."""
-        return self._horizons.rows(
-            a0, lambda new: np.array(self.nu.f_derivs(new)).T).T
-
-    def _zero_node(self):
-        """f_nu(0) where the lattice has a node at 0, else None."""
-        return None
+        distinct a0, as a (5, len(a0)) array; one _derivs call for the a0
+        not held yet."""
+        return self._horizons.rows(a0, lambda new: self.nu._derivs(new, range(5)).T).T
 
     # -- evaluation -------------------------------------------------------
 
@@ -90,7 +83,7 @@ class _Superposed:
         """The approximant at x (vectorized, even in x bit-for-bit)."""
         return _lattice_series(np.asarray(x, dtype=float) * self.delta,
                                [(self._nodes, self._derivs, None, self._cells)],
-                               self._zero_node())[0]
+                               self._f0)[0]
 
     def target(self, x):
         """What the approximant one-sidedly approximates at x.
@@ -151,12 +144,9 @@ class Majorant(_Superposed):
 
     kind = "majorant"
 
-    def _zero_node(self):
-        if self._f00 is None:
-            with self._lock:
-                if self._f00 is None:
-                    self._f00 = self.nu.f(0.0)
-        return self._f00
+    def __init__(self, measure, delta=1.0):
+        super().__init__(measure, delta)
+        self._f0 = self.nu.f(0.0)
 
 
 def eval_G(measure, x):

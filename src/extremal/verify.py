@@ -7,18 +7,20 @@ floats), so a rerun with the same seed is byte-identical.
 
 Whole-line integrals of band-limited defects need care: the defects decay
 only like sin^2(pi x)/x^2.  Two devices keep the checks at 1e-6..1e-8
-accuracy with modest budgets.  Each takes a family of integrands (rates,
-kernel kinds, frequencies) as one vector integral under the quadrature
-module's (n, m) contract, not one integral per member of the family:
+accuracy with modest budgets:
 
   * plain integrals use per-period integrals I_m = int_m^{m+1} D, taken
     together as one vector integral over the period, fitted to a/m^2 +
     b/m^3 + c/m^4 on a window and summed beyond the horizon by the
-    Hurwitz zeta of specfun;
-  * Fourier integrals use a raised-cosine taper over one last window, which
-    suppresses the truncation boundary term of every oscillatory component
-    by (frequency gap)^{-2}; test frequencies stay away from 0 and 1 so the
-    gap never degenerates.
+    Hurwitz zeta of specfun; a family of rates and kernel kinds is one
+    vector integral under the quadrature module's (n, m) contract;
+  * Fourier integrals of one integrand use a raised-cosine taper over one
+    last window, which suppresses the truncation boundary term of every
+    oscillatory component by (frequency gap)^{-2}; test frequencies stay
+    away from 0 and 1 so the gap never degenerates.
+
+L and M need neither: their closed transforms vanish outside [-1, 1], so
+criterion 3 inverts them on [0, 1].
 """
 
 import math
@@ -70,11 +72,11 @@ def integral_with_period_tail(f, horizon=64, fit_lo=40, tol=1e-11):
 def cos_window_integral(f, t, X=384.0, taper=64.0, tol=1e-9):
     """2 int_0^inf f(x) cos(2 pi t x) dx for even f with oscillatory x^-2 tail.
 
-    f follows the quadrature integrand contract, (n,) or (n, m), and t is a
-    frequency or an array that broadcasts against the m columns; a scalar f
-    and t give a float, anything else an array.  Truncates with a
-    raised-cosine taper on [X, X + taper]; valid when every frequency
-    component of f(x) cos(2 pi t x) stays away from 0.
+    f is a scalar integrand, an array x to x.shape values, and t is a
+    frequency or an array of them; a scalar t gives a float, an array t an
+    array of t's shape.  Truncates with a raised-cosine taper on
+    [X, X + taper]; valid when every frequency component of
+    f(x) cos(2 pi t x) stays away from 0.
     """
 
     omega = 2.0 * np.pi * np.asarray(t, dtype=float)
@@ -82,16 +84,9 @@ def cos_window_integral(f, t, X=384.0, taper=64.0, tol=1e-9):
     def g(x):
         w = np.where(x <= X, 1.0,
                      0.5 * (1.0 + np.cos(np.pi * (x - X) / taper)))
-        fx = np.asarray(f(x), dtype=float)
-        c = np.multiply.outer(x, omega)
-        # the transposes broadcast (n,) and (n, m) factors alike
-        out = fx.T * np.cos(c, out=c).T
-        out *= w
-        return out.T
+        return (np.cos(np.multiply.outer(omega, x)) * f(x) * w).T
 
-    r = quadrature.integrate_finite(g, 0.0, X + taper, tol=tol,
-                                    budget=400_000)
-    return 2.0 * r.value
+    return 2.0 * quadrature.integrate_finite(g, 0.0, X + taper, tol=tol).value
 
 
 # -- criterion checks ------------------------------------------------------
@@ -133,19 +128,24 @@ def _exp_transform(lam, t):
 
 
 def check_transforms(rng):
-    lams, ts = np.array([(10.0 ** rng.uniform(-0.5, 0.5),
-                          rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.9))
-                         for _ in range(20)]).T
-    ft_l, ft_m = cos_window_integral(lambda x: _kernel_defects(lams, x),
-                                     np.tile(ts, 2)).reshape(2, -1)
-    worst_l = float(np.max(np.abs(_exp_transform(lams, ts) - ft_l
-                                  - kernels.eval_Lhat(lams, ts))))
-    worst_m = float(np.max(np.abs(_exp_transform(lams, ts) + ft_m
-                                  - kernels.eval_Mhat(lams, ts))))
-    out = [_check("transform-L-vs-closed", worst_l <= 1e-6, worst_l,
-                  "max |numeric - closed| over 20 random (lam,t)", 1e-6),
-           _check("transform-M-vs-closed", worst_m <= 1e-6, worst_m,
-                  "max |numeric - closed| over 20 random (lam,t)", 1e-6)]
+    lams = 10.0 ** rng.uniform(-0.5, 0.5, 20)
+    xs = rng.uniform(-30.0, 30.0, 20)
+
+    def closed(t):
+        t = t[:, None]
+        return (np.hstack([kernels.eval_Lhat(lams, t), kernels.eval_Mhat(lams, t)])
+                * np.cos(2.0 * np.pi * t * np.tile(xs, 2)))
+
+    # L(lam, x) = 2 int_0^1 Lhat(lam, t) cos(2 pi x t) dt, and M alike, against
+    # e^{-lam|x|} -+ the (lam_i, x_i) diagonal of each kind's series defects
+    inv = 2.0 * quadrature.integrate_finite(closed, 0.0, 1.0, tol=1e-14).value
+    defects = np.diagonal(_kernel_defects(lams, xs).reshape(20, 2, 20),
+                          axis1=0, axis2=2)
+    series = np.exp(-lams * np.abs(xs)) + [[-1.0], [1.0]] * defects
+    worst = np.max(np.abs(inv.reshape(2, -1) - series), axis=1)
+    out = [_check(f"transform-{k}-vs-closed", w <= 1e-12, w,
+                  "max |inverse closed - series| over 20 random (lam,x)", 1e-12)
+           for k, w in zip("LM", worst)]
     ts = np.array([1.1, 1.5])
     ft = cos_window_integral(
         lambda x: kernels._defects((1.0,), x, "minorant")[0], ts)

@@ -472,10 +472,13 @@ def test_nonconvergence_maps_to_exit_3(monkeypatch, capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the package the tests import, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "extremal.cli", "bounds", "--kind", "hls",
          "--sigma", "1.0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["lower"] == math.log(4.0)
     exe = os.path.join(os.path.dirname(sys.executable), "extremal")

@@ -18,8 +18,14 @@ the one small-rate defect series of ``specfun`` is the minorant's and the
 majorant has no series, switch or direct formula of its own, that the
 small-rate series of the periodized kernel p is ``specfun``'s minorant
 defect alone and ``periodic`` reads q_mu only through the measure, that
-``kernels._defects`` is the one loop of kernel defects over rates, and
-that the flag table of ``cli`` is the only place naming its optional flags.
+``kernels._defects`` is the one loop of kernel defects over rates, that
+the flag table of ``cli`` is the only place naming its optional flags,
+that no call overrides the quadrature budget, that criterion 3 inverts the
+closed ``eval_Lhat`` and ``eval_Mhat`` and takes one tapered forward
+transform (``transform-support``'s), that ``superposed`` takes f and its
+derivatives from the measure's ``_derivs`` ladder and never calls
+``f_prime`` or ``f_derivs``, and that ``polybound`` writes its log+ sum
+once.
 """
 
 import ast
@@ -311,3 +317,38 @@ def test_one_flag_table():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and flag.search(node.value)]
     assert named == []
+
+
+def test_no_call_overrides_the_quadrature_budget():
+    # every integral runs on quadrature.DEFAULT_BUDGET
+    assert _modules_where(
+        lambda tree: any(isinstance(node, ast.Call)
+                         and any(k.arg == "budget" for k in node.keywords)
+                         for node in ast.walk(tree))) == []
+
+
+def test_criterion_3_inverts_the_closed_transforms():
+    # L and M come back from eval_Lhat and eval_Mhat on their support; the
+    # one tapered forward transform left is transform-support's
+    tree = ast.parse((SRC / "verify.py").read_text())
+    check = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                 and fn.name == "check_transforms")
+    assert {"eval_Lhat", "eval_Mhat"} <= {_attribute_read(node)
+                                         for node in ast.walk(check)}
+    calls = [ast.unparse(node.func) for node in ast.walk(check)
+             if isinstance(node, ast.Call)]
+    assert calls.count("cos_window_integral") == 1
+
+
+def test_superposed_reads_one_derivative_ladder():
+    # the nodes take f and f' from one _derivs call, the horizons f^(0..4)
+    tree = ast.parse((SRC / "superposed.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if _attribute_read(node) in ("f_prime", "f_derivs")]
+
+
+def test_one_log_plus_sum():
+    # disk_sup_bound alone sums log+|alpha|; jensen_gap reads its logplus_sum
+    tree = ast.parse((SRC / "polybound.py").read_text())
+    assert _functions_reading(tree, "_INTERIOR_GUARD") == ["disk_sup_bound",
+                                                            "reflect_roots"]

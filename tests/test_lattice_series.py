@@ -388,7 +388,7 @@ def test_shared_table_matches_the_per_rate_sum(f0, lams, xs):
 
 def test_capped_rates_share_one_direct_call(monkeypatch):
     """A _defects call whose rates are all capped makes one _direct call for
-    all of them, and criterion 3's integrand makes two, one per kind."""
+    all of them, and verify's _kernel_defects makes two, one per kind."""
     calls = []
     direct = kernels._direct
 

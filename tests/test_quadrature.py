@@ -49,7 +49,7 @@ def test_semiinfinite_battery():
 
 
 def test_cos_window_integral_batches_its_panels(monkeypatch):
-    """The criterion-3 integrand: one integrand call per pass, not per panel."""
+    """A tapered forward transform: one integrand call per pass, not per panel."""
     calls, results = [], []
     plain = quadrature.integrate_finite
 
@@ -78,8 +78,8 @@ def test_cos_window_integral_batches_its_panels(monkeypatch):
 def test_whole_line_criteria_take_vector_integrals(name, most, monkeypatch):
     """Criteria 2-4 take each family of integrands as vector integrals: at
     most 2, 2 and 3 quadrature calls, where one scalar integral per rate,
-    kind and frequency took 12, 42 and 8 (criterion 3 integrates its 40
-    columns in one integral, whose passes the quadrature slices)."""
+    kind and frequency took 12, 42 and 8 (criterion 3 inverts the closed
+    transforms of its 40 columns in one integral)."""
     plain = quadrature.integrate_finite
     calls = []
 

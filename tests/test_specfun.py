@@ -106,7 +106,8 @@ def test_the_defects_are_p_at_its_touching_points(lam):
 
 
 def test_defect_branch_consistency():
-    """Series and closed-form branches agree across the switchover region."""
+    """The small-rate series agrees with the closed forms to 1e-12 on
+    lam in [0.15, 0.4]."""
     for lam in np.linspace(0.15, 0.4, 101):
         lam = float(lam)
         closed_m = 2.0 / lam - 1.0 / math.sinh(lam / 2.0)

@@ -178,7 +178,8 @@ def test_input_validation():
 
 
 class _CountingMeasure:
-    """Delegates to a measure and counts (slowly) the scalar f(0) calls."""
+    """Delegates to a measure and counts (slowly) the scalar f(0) calls; its
+    dilation counts its own."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -190,22 +191,25 @@ class _CountingMeasure:
             time.sleep(0.01)
         return self.inner.f(x)
 
+    def dilate(self, delta):
+        return _CountingMeasure(self.inner.dilate(delta))
+
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
 
-class _HeldPrime:
-    """Delegates to a measure; f_prime signals that it started and waits."""
+class _HeldDerivs:
+    """Delegates to a measure; _derivs signals that it started and waits."""
 
     def __init__(self, inner):
         self.inner = inner
         self.started = threading.Event()
         self.release = threading.Event()
 
-    def f_prime(self, x):
+    def _derivs(self, ax, orders):
         self.started.set()
         self.release.wait(timeout=30.0)
-        return self.inner.f_prime(x)
+        return self.inner._derivs(ax, orders)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -218,7 +222,7 @@ def test_node_cache_publishes_f_and_f_prime_together():
     s = np.arange(600) + 0.5
     expected = superposed.Minorant(ATOM)._nodes(s)
     g = superposed.Minorant(ATOM)
-    g.nu = _HeldPrime(g.nu)
+    g.nu = _HeldDerivs(g.nu)
     got = []
     writer = threading.Thread(target=g._nodes, args=(s,))
     reader = threading.Thread(target=lambda: got.append(g._nodes(s)))
@@ -238,8 +242,9 @@ def test_node_cache_publishes_f_and_f_prime_together():
 
 
 def test_majorant_zero_node_computed_once_across_threads():
-    h = superposed.Majorant(ATOM)
-    h.nu = _CountingMeasure(h.nu)
+    """H takes f_nu(0) once, when it is built, and threads read that value."""
+    h = superposed.Majorant(_CountingMeasure(ATOM))
+    assert h.nu.zero_calls == 1
     expected = superposed.Majorant(ATOM).value(0.3)
     results = []
     interval = sys.getswitchinterval()

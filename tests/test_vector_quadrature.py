@@ -163,8 +163,9 @@ def test_scalar_only_callables_raise_type_error():
 # -- bounded slices of a pass --------------------------------------------------
 
 def _criterion3_defects(x):
-    """The 40-column integrand of criterion 3: both one-sided defects at 20
-    rates, each column under its own cosine."""
+    """A wide 40-column integrand, the forward transform that criterion 3
+    once took on [0, 448]: both one-sided defects at 20 rates, each column
+    under its own cosine."""
     rng = np.random.default_rng(7)
     lams = 10.0 ** rng.uniform(-0.5, 0.5, 20)
     ts = np.tile(rng.uniform(0.05, 0.9, 20), 2)
