@@ -77,10 +77,8 @@ REQUIRED = ("--lambda", "--measure", "--N", "--sigma", "--points", "--roots")
 def _fmt(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, np.floating):
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -95,6 +93,12 @@ def _csv_text(header, rows):
 
 def _json_text(obj):
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+def _json_report(args, argv, results, checks=()):
+    """The JSON report of an eval or bounds run; checks are verify.CheckResult rows."""
+    return _json_text({"command": "extremal " + " ".join(argv), "seed": args.seed,
+                       "results": results, "checks": [verify.check_dict(c) for c in checks]})
 
 
 def _parse_grid(spec):
@@ -164,73 +168,58 @@ def _split_divergent(fn, xs, at):
     return out
 
 
+# the kinds whose values at one rate are one array call over the grid
+_OF_RATE = {"Lhat": kernels.eval_Lhat, "Mhat": kernels.eval_Mhat, "p": periodic.eval_p}
+
+
 def _eval_columns(args):
-    """Return (values, target or None) on the grid for the requested kind."""
+    """The report's columns on the grid, in order: x and value, then the
+    target and the one-sided defect (>= 0) when the target is asked for."""
     xs = _parse_grid(args.grid)
     kind = args.kind
-    tol = args.tol if args.tol is not None else 1e-9
     target = None
-    if kind == "L":
-        vals = kernels.minorant_values(args.lam, xs)
+    if kind in ("L", "M"):
+        lattice = kernels.minorant_values if kind == "L" else kernels.majorant_values
+        vals = lattice(args.lam, xs)
         target = np.exp(-args.lam * np.abs(xs))
-    elif kind == "M":
-        vals = kernels.majorant_values(args.lam, xs)
-        target = np.exp(-args.lam * np.abs(xs))
-    elif kind == "Lhat":
-        vals = kernels.eval_Lhat(args.lam, xs)
-    elif kind == "Mhat":
-        vals = kernels.eval_Mhat(args.lam, xs)
-    elif kind == "p":
-        vals = periodic.eval_p(args.lam, xs)
+    elif kind in _OF_RATE:
+        vals = _OF_RATE[kind](args.lam, xs)
     elif kind == "q":
         mu = _parse_measure(args.measure)
+        tol = args.tol if args.tol is not None else 1e-9
         # q_mu has period 1 and may diverge at the integers
         vals = _split_divergent(lambda x: periodic.q_mu(mu, x, tol=tol), xs,
                                 xs == np.floor(xs))
     elif kind in ("G", "H"):
-        mu = _parse_measure(args.measure)
         cls = superposed.Minorant if kind == "G" else superposed.Majorant
-        obj = cls(mu, args.delta)
+        obj = cls(_parse_measure(args.measure), args.delta)
         vals = obj.value(xs)
         if args.with_target:
-            # only x = 0 can diverge
+            # a quadrature for a Weight, so only when asked; only x = 0 can diverge
             target = _split_divergent(obj.target, xs, xs == 0.0)
     else:  # U
         vals = superposed.eval_U(xs)
         with np.errstate(divide="ignore"):
             target = np.log(np.abs(xs))
-    return xs, np.asarray(vals, dtype=float), target
+    columns = {"x": xs, "value": np.asarray(vals, dtype=float)}
+    if args.with_target:
+        columns["target"] = target
+        columns["defect"] = (-1.0 if kind in ("L", "G") else 1.0) * (columns["value"] - target)
+    return columns
 
 
 def cmd_eval(args, argv):
-    xs, vals, target = _eval_columns(args)
-    if args.with_target:
-        defect = (-1.0 if args.kind in ("L", "G") else 1.0) * (vals - target)
+    columns = _eval_columns(args)
+    rows = list(zip(*(c.tolist() for c in columns.values())))
     if args.format == "csv":
-        if args.with_target:
-            rows = zip(xs.tolist(), vals.tolist(), target.tolist(),
-                       defect.tolist())
-            return _csv_text(("x", "value", "target", "defect"), rows), 0
-        return _csv_text(("x", "value"), zip(xs.tolist(), vals.tolist())), 0
-    rows = []
-    for i in range(xs.size):
-        row = {"x": float(xs[i]), "value": float(vals[i])}
-        if args.with_target:
-            row["target"] = float(target[i])
-            row["defect"] = float(defect[i])
-        rows.append(row)
+        return _csv_text(columns, rows), 0
     params = {"kind": args.kind, "grid": args.grid, "delta": args.delta}
     if args.lam is not None:
         params["lambda"] = args.lam
     if args.measure is not None:
         params["measure"] = args.measure
-    report = {
-        "command": "extremal " + " ".join(argv),
-        "seed": args.seed,
-        "results": {"params": params, "rows": rows},
-        "checks": [],
-    }
-    return _json_text(report), 0
+    rows = [dict(zip(columns, r)) for r in rows]
+    return _json_report(args, argv, {"params": params, "rows": rows}), 0
 
 
 # -- coeffs ----------------------------------------------------------------
@@ -276,13 +265,7 @@ def _bounds_report(args, argv, results, checks=()):
     code = 0 if all(c.passed for c in checks) else 1
     if args.format == "csv":
         return _csv_text(("key", "value"), _kv_rows(results)), code
-    report = {
-        "command": "extremal " + " ".join(argv),
-        "seed": args.seed,
-        "results": results,
-        "checks": [verify.check_dict(c) for c in checks],
-    }
-    return _json_text(report), code
+    return _json_report(args, argv, results, checks), code
 
 
 def cmd_bounds(args, argv):

@@ -4,10 +4,14 @@ Domain violations and inadmissible measures are value errors (the caller
 passed something the mathematics rejects); convergence failures are runtime
 errors and carry the best estimate obtained so far so callers can decide
 whether a degraded answer is still useful.  is_real and is_count are the
-one rule for numeric arguments: a bool is not a number.
+one rule for numeric arguments: a bool is not a number.  check_count,
+check_kind and check_finite are the one count, kind and evaluation-point
+rules, each with its one message.
 """
 
 import numbers
+
+import numpy as np
 
 
 def is_real(v):
@@ -42,3 +46,25 @@ class ConvergenceError(RuntimeError):
 
 class DivergenceError(ConvergenceError):
     """Quadrature estimate grows without bound under refinement."""
+
+
+def check_count(v, what):
+    """v as an int; DomainError unless it is a nonnegative count."""
+    if not (is_count(v) and v >= 0):
+        raise DomainError(f"{what} must be a nonnegative integer, got {v!r}")
+    return int(v)
+
+
+def check_kind(kind):
+    """kind; DomainError unless it is "minorant" or "majorant"."""
+    if kind not in ("minorant", "majorant"):
+        raise DomainError(f"unknown kind {kind!r}; use 'minorant' or 'majorant'")
+    return kind
+
+
+def check_finite(x):
+    """x as a float array; DomainError if a point is nan or infinite."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("evaluation points must be finite")
+    return x

@@ -25,7 +25,8 @@ kernel |xi_m - xi_n|^{-s}; both routes are computed here and must agree.
 
 r_mu, A and B are the (dilated) measure's r and defect_moment methods; the
 measure classes hold the closed forms above, and this module only scales
-them and maps a divergent r_mu(0) to the PLUS_INF sentinel.
+them and maps a divergent r_mu(0) to the PLUS_INF sentinel.  A(N+1, mu)
+and B(N+1, mu) are also the means of periodic's g_mu and h_mu, -A and B.
 
 Sharpness is witnessed on arithmetic progressions xi_n = delta n with
 alternating (lower) or constant (upper) coefficients; the Rayleigh ratio
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import measures, specfun
-from .errors import AdmissibilityError, ConvergenceError, DomainError, is_count, is_real
+from .errors import (AdmissibilityError, ConvergenceError, DomainError, check_count,
+                     check_finite, is_real)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def r_mu(measure, t, tol=1e-10):
     containing 0 then raises DomainError.
     """
     scalar = np.ndim(t) == 0
-    at = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+    at = np.abs(np.atleast_1d(check_finite(t)))
     try:
         out = measure.r(at, tol)
     except ConvergenceError:
@@ -212,9 +214,7 @@ def sharpness_witness(measure, delta, N, kind="lower", tol=1e-10):
     """
     if kind not in ("lower", "upper"):
         raise DomainError(f"unknown witness kind {kind!r}")
-    if not (is_count(N) and N >= 0):
-        raise DomainError(f"N must be a nonnegative integer, got {N!r}")
-    N = int(N)
+    N = check_count(N, "N")
     if N == 0:
         return 0.0
     k = np.arange(1, N + 1, dtype=float)

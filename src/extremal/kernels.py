@@ -90,7 +90,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_kind
 from .specfun import _check_rate, check_rates, defect_minorant
 
 _EPS_TAIL = 1e-16
@@ -403,10 +403,8 @@ def _lattice_series(x, series, f0=None):
     Returns one value per series: a float for a scalar x, else an array of
     the shape of x.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_finite(x)
     y = np.abs(x).ravel()
-    if not math.isfinite(y.max(initial=0.0)):     # nan or inf if any point is
-        raise DomainError("evaluation points must be finite")
     first = 0.5 if f0 is None else 1.0
     c0, du = _cell(y, first)
     out = np.empty((len(series), len(y)))
@@ -480,9 +478,7 @@ def _defects(lams, x, kind):
 def _eval_point(lam, x, f0):
     """KernelEval of L (f0 None) or M (f0 = 1) at one point."""
     lam = _check_rate(lam, "the kernel")
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    ax = abs(float(x))
+    ax = abs(float(check_finite(x)))
     first = 0.5 if f0 is None else 1.0
     n, tail = _truncation(_cell(ax, first)[0], first, _trunc_terms(lam))
     return KernelEval(lam, float(x), _exp_series([lam], ax, f0)[0], int(n),
@@ -505,10 +501,10 @@ def eval_Lhat(lam, t):
     At |t| = 1 it is 0, not the ~7.8e-17/lam that sin(pi) != 0 leaves.
 
     lam, a rate or an ndarray of rates, broadcasts against t; a float comes
-    back when both are scalars.
+    back when both are scalars.  A nan or infinite t raises DomainError.
     """
     lam = check_rates(lam, "the kernel")
-    at = np.abs(np.asarray(t, dtype=float))
+    at = np.abs(check_finite(t))
     E = np.exp(-0.5 * lam)
     one_m_E2 = -np.expm1(-lam)
     st = np.abs(np.sin(np.pi * at))
@@ -523,10 +519,11 @@ def eval_Lhat(lam, t):
 def eval_Mhat(lam, t):
     """Fourier transform of M(lam, .); identically 0 for |t| >= 1.
 
-    lam broadcasts against t, and |t| = 1 gives 0, as in eval_Lhat.
+    lam broadcasts against t, and |t| = 1 gives 0, as in eval_Lhat; a nan
+    or infinite t raises DomainError.
     """
     lam = check_rates(lam, "the kernel")
-    at = np.abs(np.asarray(t, dtype=float))
+    at = np.abs(check_finite(t))
     E = np.exp(-0.5 * lam)
     one_m_E2 = -np.expm1(-lam)
     one_m_E4 = -np.expm1(-2.0 * lam)
@@ -560,8 +557,9 @@ def _periodized(lam, x, orders):
 
 
 def _order(lam, x, k):
-    """Order k of _periodized at checked rates; a float when lam and x are scalars."""
-    out = _periodized(check_rates(lam, "the kernel"), np.asarray(x, dtype=float), (k,))[0]
+    """Order k of _periodized at checked rates and finite x; a float when lam
+    and x are scalars."""
+    out = _periodized(check_rates(lam, "the kernel"), check_finite(x), (k,))[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -595,11 +593,9 @@ class KernelDefectAtPoint:
     NFIT = 12
 
     def __init__(self, x, kind="minorant"):
-        if kind not in ("minorant", "majorant"):
-            raise DomainError(f"unknown defect kind {kind!r}")
+        self.kind = check_kind(kind)
         x = np.abs(np.asarray(x, dtype=float))
         self.x = float(x) if x.ndim == 0 else x
-        self.kind = kind
         self._coeffs = None
 
     def _fit(self):

@@ -33,7 +33,8 @@ sign of x and return a float for a scalar; f_derivs takes orders 0-4 at
 positive points for the tail corrections in the superposed module.  At
 x = 0, f follows the divergent-point rule of ``_divergent`` (a scalar gets
 PLUS_INF, an array holding the point raises DomainError), which
-forms.r_mu and Measure.q share.
+forms.r_mu and Measure.q share.  A nan or infinite point raises
+DomainError in f, f_prime, f_derivs, q and r_mu alike.
 
 The periodized kernel q_mu(x) = int p(lam, x) dmu follows the same idiom:
 ``_q(x, orders, tol)`` gives q_mu (order 0) and q_mu' (order 1) wherever
@@ -73,7 +74,7 @@ from typing import Callable, Optional, Tuple
 
 from . import kernels, quadrature, specfun
 from .errors import (AdmissibilityError, ConvergenceError, DivergenceError,
-                     DomainError, is_real)
+                     DomainError, check_finite, check_kind, is_real)
 
 
 class _PlusInfinity:
@@ -112,9 +113,7 @@ def _divergent(x, what):
 
 def _by_kind(kind, minorant, majorant):
     """minorant or majorant as kind says; DomainError for any other kind."""
-    if kind not in ("minorant", "majorant"):
-        raise DomainError(f"unknown kind {kind!r}; use 'minorant' or 'majorant'")
-    return minorant if kind == "minorant" else majorant
+    return minorant if check_kind(kind) == "minorant" else majorant
 
 
 def _over_points(kernel, x, measure, tol):
@@ -151,7 +150,7 @@ class Measure:
 
         x = 0 follows the divergent-point rule when the cond47 moment fails.
         """
-        ax = np.abs(np.asarray(x, dtype=float))
+        ax = np.abs(check_finite(x))
         if np.any(ax == 0.0) and not self.classify().cond47:
             return _divergent(x, "f diverges at x = 0")
         out = self._derivs(np.atleast_1d(ax), (0,))[0]
@@ -159,7 +158,7 @@ class Measure:
 
     def f_prime(self, x):
         """f_mu'(x) = sign(x) f_mu'(|x|) for x != 0; a float for a scalar x."""
-        x = np.asarray(x, dtype=float)
+        x = check_finite(x)
         if np.any(x == 0.0):
             raise DomainError("f' undefined at x = 0")
         out = np.sign(x) * self._derivs(np.atleast_1d(np.abs(x)), (1,))[0]
@@ -167,8 +166,7 @@ class Measure:
 
     def f_derivs(self, u):
         """(f, f', f'', f''', f'''') at positive points u, as five arrays."""
-        return tuple(self._derivs(np.atleast_1d(np.asarray(u, dtype=float)),
-                                  range(5)))
+        return tuple(self._derivs(np.atleast_1d(check_finite(u)), range(5)))
 
     def require(self, kind):
         """classify(); AdmissibilityError for kind "majorant" without the
@@ -219,7 +217,7 @@ class Measure:
         """Periodized kernel q_mu(x) = int p(lam, x) dmu, order 0 of ``_q``;
         a float for a scalar x.  An integer x follows the divergent-point
         rule when the cond47 moment fails."""
-        x = np.asarray(x, dtype=float)
+        x = check_finite(x)
         if np.any(x - np.floor(x) == 0.0) and not self.classify().cond47:
             return _divergent(x, "q diverges at integer x")
         out = self._q(np.atleast_1d(x), (0,), tol)[0]

@@ -11,10 +11,10 @@ polynomials l(lam, N; .) <= p(lam, .) <= m(lam, N; .), with means
 the N + 1 nodes x_k = (k + 1/2)/(N + 1) and m at x_k = k/(N + 1).
 Superposing over an admissible measure mu gives q_mu(x) = int p(lam,x) dmu
 and its extremal polynomials g_mu <= q_mu <= h_mu, which touch q_mu at the
-same nodes, with the means of the dilated measure nu = mu(. (N+1)):
--+ nu.defect_moment/(N+1).  Specializing mu to the multiplicative Haar
-measure yields u_N = -g_mu, the degree-N majorant of log|2 sin(pi x)| with
-mean log2/(N+1).
+same nodes; their means are the sharp form constants -A(N+1, mu) and
+B(N+1, mu) of forms.  Specializing mu to the multiplicative Haar measure
+yields u_N = -g_mu, the degree-N majorant of log|2 sin(pi x)| with mean
+log2/(N+1).
 
 A polynomial of degree N that touches a kernel at N + 1 equally spaced
 nodes matches its value and its derivative there (at the majorant node
@@ -24,10 +24,11 @@ numbers fix it: this is Hermite interpolation with the Fejer kernel
 kernel and its derivative sampled at its nodes, by two FFTs (_from_nodes):
 l and m from the kernels ladder of p and j, g and h from one call of the
 measure's q ladder at all the nodes (x = 0 included), whose closed forms
-need no integral.  Only the mean is a defect moment.  The paper's route,
-the dilated measure's transform moments of Lhat and Mhat, is
-Measure.transform_moment, which the tests keep as the oracle.  p and its
-derivative j live in kernels, re-exported as eval_p and eval_j.
+need no integral.  Only the mean is a kernel defect (l, m) or a sharp
+constant of forms (g, h).  The paper's route, the dilated measure's
+transform moments of Lhat and Mhat, is Measure.transform_moment, which the
+tests keep as the oracle.  p and its derivative j live in kernels,
+re-exported as eval_p and eval_j.
 """
 
 import json
@@ -37,8 +38,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import kernels, measures, specfun
-from .errors import DomainError, is_count
+from . import forms, kernels, measures, specfun
+from .errors import DomainError, check_count
 
 _SYM_TOL = 1e-12
 # one coefficient of the JSON text, as json.dumps(..., indent=1) writes it
@@ -57,7 +58,7 @@ class TrigPoly:
     coeffs: Tuple[complex, ...]
 
     def __post_init__(self):
-        N = _check_degree(self.degree)
+        N = check_count(self.degree, "degree")
         c = np.asarray(self.coeffs, dtype=complex)
         if c.shape != (2 * N + 1,):
             raise DomainError(f"degree {N} needs {2 * N + 1} coefficients, "
@@ -90,13 +91,11 @@ class TrigPoly:
         scalar = x.ndim == 0
         xs = np.atleast_1d(x)
         N = self.degree
-        out = np.full(xs.shape, self.coeff(0).real)
-        if N > 0:
-            n = np.arange(1, N + 1)
-            c = np.array(self.coeffs[N + 1:])
-            cre, cim = c.real.copy(), c.imag.copy()
-            ang = 2.0 * np.pi * xs[..., None] * n
-            out = out + 2.0 * (np.cos(ang) @ cre - np.sin(ang) @ cim)
+        n = np.arange(1, N + 1)
+        c = np.array(self.coeffs[N + 1:], dtype=complex)
+        ang = 2.0 * np.pi * xs[..., None] * n
+        out = self.coeff(0).real + 2.0 * (np.cos(ang) @ c.real.copy()
+                                          - np.sin(ang) @ c.imag.copy())
         return float(out[0]) if scalar else out
 
     # -- serialization (shortest round-trip decimals; bit-exact reload) ----
@@ -174,12 +173,6 @@ def _add_entry(entries, n, real, imag, where):
     entries[k] = c
 
 
-def _check_degree(N):
-    if not (is_count(N) and N >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {N!r}")
-    return int(N)
-
-
 eval_p = kernels.eval_p
 eval_j = kernels.eval_j
 
@@ -220,25 +213,20 @@ def _from_nodes(N, kind, c0, q, dq):
     n = 1..N (and V_0 = c(0)); the phase and both 1/(N+1) are applied
     once, to the combination.
     """
-    cs = np.zeros(2 * N + 1)
-    cs[N] = c0
-    if N > 0:
-        n = np.arange(1, N + 1)
-        x0 = 0.5 if kind == "minorant" else 0.0
-        # np.fft is reached here, at call time, so importing the package
-        # does not load it
-        V, W = np.fft.fft(np.stack([q, dq / (2j * np.pi)]))[:, 1:]
-        phase = np.exp(-2j * np.pi * x0 * n / (N + 1.0))
-        v = ((W - (n - N - 1.0) * V) * phase).real / (N + 1.0) ** 2
-        cs[N + 1:] = v
-        cs[:N] = v[::-1]
-    return TrigPoly(N, cs)
+    n = np.arange(1, N + 1)
+    x0 = 0.5 if kind == "minorant" else 0.0
+    # np.fft is reached here, at call time, so importing the package does
+    # not load it
+    V, W = np.fft.fft(np.stack([q, dq / (2j * np.pi)]))[:, 1:]
+    phase = np.exp(-2j * np.pi * x0 * n / (N + 1.0))
+    v = ((W - (n - N - 1.0) * V) * phase).real / (N + 1.0) ** 2
+    return TrigPoly(N, np.concatenate([v[::-1], [c0], v]))
 
 
 def _single_poly(lam, N, kind):
     """l (kind "minorant") or m ("majorant"): mean -+ the kind's kernel defect
     at lam/(N+1), over N+1, and p(lam, .) and j(lam, .) at the nodes."""
-    N = _check_degree(N)
+    N = check_count(N, "degree")
     u = lam / (N + 1.0)
     c0 = -specfun.defect_minorant(u) if kind == "minorant" else specfun.defect_majorant(u)
     return _from_nodes(N, kind, c0 / (N + 1.0),
@@ -246,14 +234,13 @@ def _single_poly(lam, N, kind):
 
 
 def _superposed_poly(measure, N, kind, tol=1e-9):
-    """g_mu (kind "minorant") or h_mu ("majorant"), real and even: c(0) =
-    -+ nu.defect_moment/(N+1) with nu = mu dilated by N + 1, and the
-    other coefficients from q_mu and q_mu' at the nodes."""
-    N = _check_degree(N)
-    measure.require(kind)
-    c0 = measures.dilate(measure, N + 1.0).defect_moment(kind, tol) / (N + 1.0)
-    return _from_nodes(N, kind, -c0 if kind == "minorant" else c0,
-                       *measure._q(_nodes(N, kind), (0, 1), tol))
+    """g_mu (kind "minorant") or h_mu ("majorant"), real and even: c(0) is
+    the sharp form constant -A(N+1, mu) or B(N+1, mu), and the other
+    coefficients come from q_mu and q_mu' at the nodes."""
+    N = check_count(N, "degree")
+    c0 = (-forms.lower_constant_A(measure, N + 1.0, tol) if kind == "minorant"
+          else forms.upper_constant_B(measure, N + 1.0, tol))
+    return _from_nodes(N, kind, c0, *measure._q(_nodes(N, kind), (0, 1), tol))
 
 
 def trig_minorant_g(measure, N, tol=1e-9):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import measures, quadrature
-from .errors import DomainError, is_count
+from .errors import DomainError, check_count, is_count
 
 _INTERIOR_GUARD = 1.0 + 1e-15
 _ZOOM = 33          # points per zoom step; the bracket shrinks 16x a step
@@ -70,9 +70,7 @@ def reflect_roots(alpha):
 def disk_sup_bound(alpha, N):
     """The log+ / power-sum upper bound for sup_{|z|<=1} log|F(z)|."""
     a = _as_roots(alpha)
-    if not (is_count(N) and N >= 0):
-        raise DomainError(f"N must be a nonnegative integer, got {N!r}")
-    N = int(N)
+    N = check_count(N, "N")
     mods = np.abs(a)
     logplus = float(np.sum(np.log(mods[mods > _INTERIOR_GUARD])))
     beta = reflect_roots(a)

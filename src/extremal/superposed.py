@@ -35,7 +35,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import measures
-from .errors import DomainError
+from .errors import DomainError, check_kind
 from .kernels import KernelDefectAtPoint, _CellCache, _lattice_series
 
 
@@ -180,7 +180,5 @@ def eval_U(x):
 
 def defect(measure, kind, x, delta=1.0, tol=1e-9):
     """DefectProfile of the chosen one-sided approximant at x."""
-    if kind not in ("minorant", "majorant"):
-        raise DomainError(f"unknown kind {kind!r}")
-    cls = Minorant if kind == "minorant" else Majorant
+    cls = Minorant if check_kind(kind) == "minorant" else Majorant
     return cls(measure, delta).defect(x, tol)

@@ -242,6 +242,75 @@ def test_eval_past_the_node_limit_is_a_usage_error(capsys, tmp_path):
     assert not out.exists()
 
 
+def _fmt_cell(v):
+    """A CSV cell as the per-row writer formatted it."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, np.floating):
+        return repr(float(v))
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _eval_text_by_rows(argv):
+    """The eval report written one row at a time: csv.writer over formatted
+    cells, or one dict per row through json.dumps.  x, value and target come
+    from cli._eval_columns; the defect is taken here, per kind."""
+    args = cli._PARSER.parse_args(cli._fuse_grid(argv))
+    columns = cli._eval_columns(args)
+    xs, vals, target = columns["x"], columns["value"], columns.get("target")
+    if args.with_target:
+        defect = (-1.0 if args.kind in ("L", "G") else 1.0) * (vals - target)
+    if args.format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(("x", "value", "target", "defect") if args.with_target else ("x", "value"))
+        for i in range(xs.size):
+            cells = [xs[i], vals[i]] + ([target[i], defect[i]] if args.with_target else [])
+            w.writerow([_fmt_cell(float(c)) for c in cells])
+        return buf.getvalue()
+    rows = []
+    for i in range(xs.size):
+        row = {"x": float(xs[i]), "value": float(vals[i])}
+        if args.with_target:
+            row["target"] = float(target[i])
+            row["defect"] = float(defect[i])
+        rows.append(row)
+    params = {"kind": args.kind, "grid": args.grid, "delta": args.delta}
+    if args.lam is not None:
+        params["lambda"] = args.lam
+    if args.measure is not None:
+        params["measure"] = args.measure
+    report = {"command": "extremal " + " ".join(argv), "seed": args.seed,
+              "results": {"params": params, "rows": rows}, "checks": []}
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
+
+
+_EVAL_CASES = [["--kind", "L", "--lambda", "0.7"], ["--kind", "M", "--lambda", "3.0"],
+               ["--kind", "Lhat", "--lambda", "0.7"], ["--kind", "Mhat", "--lambda", "3.0"],
+               ["--kind", "p", "--lambda", "2.0"], ["--kind", "q", "--measure", "haar"],
+               ["--kind", "q", "--measure", "power:1.5", "--tol", "1e-8"],
+               ["--kind", "G", "--measure", "haar"],
+               ["--kind", "H", "--measure", "power:1.5", "--delta", "0.5"], ["--kind", "U"]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", _EVAL_CASES, ids=lambda c: "-".join(c[1:4:2]))
+def test_eval_reports_match_the_per_row_writers(case, fmt, capsys):
+    # every kind, with and without the target columns where it reads them,
+    # on a grid through 0 and the integers: the +inf of q at the integers
+    # and the -inf and +inf targets of U and G at x = 0 included
+    extra = [[], ["--with-target"]] if "--with-target" in cli.KINDS["eval"][case[1]] else [[]]
+    for more in extra:
+        argv = ["eval", *case, "--grid", "-2:2:9", "--format", fmt, *more]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == _eval_text_by_rows(argv)
+        if more and case[1] in ("U", "G"):
+            assert ("inf" if fmt == "csv" else "Infinity") in out
+
+
 # -- coeffs ---------------------------------------------------------------------
 
 def test_coeffs_log_sin_degree_eight(capsys):

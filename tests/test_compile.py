@@ -24,8 +24,13 @@ that no call overrides the quadrature budget, that criterion 3 inverts the
 closed ``eval_Lhat`` and ``eval_Mhat`` and takes one tapered forward
 transform (``transform-support``'s), that ``superposed`` takes f and its
 derivatives from the measure's ``_derivs`` ladder and never calls
-``f_prime`` or ``f_derivs``, and that ``polybound`` writes its log+ sum
-once.
+``f_prime`` or ``f_derivs``, that ``polybound`` writes its log+ sum
+once, that ``cli.cmd_eval`` writes its CSV and JSON rows from one column
+table without a per-index loop, that the means of g_mu and h_mu are the
+sharp constants A and B of ``forms`` (so ``periodic`` neither dilates a
+measure nor reads its defect moment or admissibility gate), that
+criterion 8 reads its witnesses off the sharpness table, and that the
+count, kind and evaluation-point messages are written only in ``errors``.
 """
 
 import ast
@@ -276,11 +281,10 @@ def test_one_defect_series_for_the_periodized_kernel():
     assert _functions_reading(tree, "_periodized") == ["_order"]
     assert _functions_reading(tree, "_order") == ["eval_j", "eval_p"]
     # periodic takes q_mu and q_mu' from the measure, the integers included:
-    # no integer test, and the one defect moment it reads is the mean
+    # no integer test (its mean is test_periodic_means_are_the_sharp_constants')
     tree = ast.parse((SRC / "periodic.py").read_text())
     assert _functions_reading_attribute(tree, "q") == ["q_mu"]
     assert _functions_reading_attribute(tree, "_q") == ["_superposed_poly"]
-    assert _functions_reading_attribute(tree, "defect_moment") == ["_superposed_poly"]
     assert _functions_reading_attribute(tree, "floor") == []
 
 
@@ -352,3 +356,50 @@ def test_one_log_plus_sum():
     tree = ast.parse((SRC / "polybound.py").read_text())
     assert _functions_reading(tree, "_INTERIOR_GUARD") == ["disk_sup_bound",
                                                             "reflect_roots"]
+
+
+def _function(name, tree):
+    return next(fn for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
+def _calls(fn):
+    return [ast.unparse(node.func) for node in ast.walk(fn) if isinstance(node, ast.Call)]
+
+
+def test_eval_rows_come_from_one_column_table():
+    # _eval_columns is the one table; CSV and JSON rows are zipped from it
+    tree = ast.parse((SRC / "cli.py").read_text())
+    assert "range" not in _calls(_function("cmd_eval", tree))
+    assert "_eval_columns" in _calls(_function("cmd_eval", tree))
+
+
+def test_periodic_means_are_the_sharp_constants():
+    # the mean of g_mu is -A(N+1, mu) and that of h_mu B(N+1, mu); forms
+    # owns the admissibility gate and the dilation they take
+    tree = ast.parse((SRC / "periodic.py").read_text())
+    assert {"lower_constant_A", "upper_constant_B"} <= {
+        _attribute_read(node) for node in ast.walk(_function("_superposed_poly", tree))}
+    assert not [node.lineno for node in ast.walk(tree)
+                if _attribute_read(node) in ("defect_moment", "dilate", "require")]
+
+
+def test_criterion_8_reads_the_sharpness_table():
+    # the witness ratios and constants are computed once, in sharpness_table
+    calls = _calls(_function("check_form_bounds", ast.parse((SRC / "verify.py").read_text())))
+    assert "sharpness_table" in calls
+    assert not [c for c in calls if c.endswith("sharpness_witness")]
+
+
+def test_count_kind_and_point_messages_are_written_once():
+    # errors.check_count, check_kind and check_finite hold the one text of each
+    message = re.compile("must be a nonnegative integer|unknown kind "
+                         "|evaluation points must be finite")
+
+    def raises_message(tree):
+        return any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and message.search(node.value)
+                   for r in ast.walk(tree) if isinstance(r, ast.Raise)
+                   for node in ast.walk(r))
+
+    assert _modules_where(raises_message) == ["errors.py"]

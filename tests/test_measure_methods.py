@@ -9,13 +9,14 @@ f' is exactly the array call at that point.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import forms, kernels, measures, periodic, specfun
+from extremal import forms, kernels, measures, periodic, polybound, specfun, superposed
 from extremal.errors import AdmissibilityError, ConvergenceError, DomainError
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -219,3 +220,47 @@ def test_scalar_f_and_f_prime_are_the_array_call(mu, xs):
         s = fn(x)
         assert isinstance(s, float)
         assert s == fn(np.array([x]))[0]
+
+
+# every entry that takes evaluation points, each with a measure of FAMILIES
+POINT_ENTRIES = {
+    "f": lambda mu, x: mu.f(x),
+    "f_prime": lambda mu, x: mu.f_prime(x),
+    "f_derivs": lambda mu, x: mu.f_derivs(x),
+    "q": lambda mu, x: mu.q(x),
+    "r_mu": lambda mu, x: forms.r_mu(mu, x),
+    "Lhat": lambda mu, x: kernels.eval_Lhat(1.0, x),
+    "Mhat": lambda mu, x: kernels.eval_Mhat(1.0, x),
+    "p": lambda mu, x: kernels.eval_p(1.0, x),
+    "j": lambda mu, x: kernels.eval_j(1.0, x),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", POINT_ENTRIES)
+def test_a_non_finite_point_raises_domain_error(entry, x):
+    # not a nan, a 0 or a numpy warning, and the message names the point,
+    # not a quadrature abscissa of a Weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in FAMILIES:
+            for pts in (x, np.array([0.5, x])):
+                with pytest.raises(DomainError, match="evaluation points must be finite"):
+                    POINT_ENTRIES[entry](mu, pts)
+
+
+def test_one_kind_rule_and_one_count_rule():
+    haar = measures.HaarLog()
+    for call in (lambda: haar.require("upper"),
+                 lambda: kernels.KernelDefectAtPoint(0.5, "upper"),
+                 lambda: superposed.defect(haar, "upper", 1.0)):
+        with pytest.raises(DomainError,
+                           match="unknown kind 'upper'; use 'minorant' or 'majorant'"):
+            call()
+    for what, call in (("degree", lambda N: periodic.trig_minorant_l(1.0, N)),
+                       ("N", lambda N: forms.sharpness_witness(haar, 1.0, N)),
+                       ("N", lambda N: polybound.disk_sup_bound([0.5], N))):
+        for N in (-1, True, 1.5):
+            message = f"{what} must be a nonnegative integer, got {N!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                call(N)
