@@ -33,14 +33,19 @@ collapsing node among them) are summed at the point.  The rest of the
 series, tail included, is analytic in du for |du| < 3: it is sampled once
 per cell at 16 first-kind Chebyshev offsets, and each point takes a
 barycentric interpolation in du, within ~1e-15 relative of the direct sum.
-A point then costs O(1), and its value depends on its own x alone, not on
-the other points of the call.  G and H keep the samples of their cells
-beside their node cache; L and M build theirs per call.
+The cell is the unit of state: its row holds the 16 samples and the pairs
+(a, b) = (f(|sigma|), sign(sigma) f'(|sigma|)) of its five near nodes (a =
+f(0), b = 0 at the node 0 of Z), so a point reads its cell's row and no
+node.  A point then costs O(1), and its value depends on its own x alone,
+not on the other points of the call.  G and H keep their cell rows in a
+_CellCache; L and M build theirs per call.
 
 A point's cell may keep at most 2^20 nodes (_MAX_NODES), so G, H and U
 take |x| up to about 1.05e6; past that, and wherever an uncapped L/M cell
 or a cap of K(lam) > 2^20 (lam <~ 3.5e-5) would keep more, the series
-raises DomainError before it allocates a node.
+raises DomainError before it allocates a node.  Node counts stay in floats
+until they are checked, so no |x|, however large, overflows them: L and M
+with a cap K(lam) <= 2^20 take every finite x.
 
 L and M (f = e^{-lam s}, f(0) = 1) are capped at K(lam) =
 ceil(log(1/eps)/lam) + 10 nodes (eps = 1e-16), which binds for lam >~
@@ -102,6 +107,8 @@ _GAP = 96
 _R = 3          # nodes nearer a point's cell node than _R are summed directly
 _Q = 16         # far-field samples per cell
 _NODE_BLOCK = 128  # nodes per block of a cell's far-field sum
+_A = _Q + _R - 1  # cell row column of a at c0; a at c0 + j is column _A + j
+_B = _A + 2 * _R - 1  # and b at c0 + j is column _B + j
 _OFFSETS = 0.5 * np.cos((2 * np.arange(_Q) + 1) * np.pi / (2 * _Q))
 _WEIGHTS = (-1.0) ** np.arange(_Q) * np.sin((2 * np.arange(_Q) + 1) * np.pi / (2 * _Q))
 
@@ -135,9 +142,8 @@ def _truncation(c0, first, cap):
     """(n, tail) of the cells with nearest node c0, a number or an array: n
     nodes from first on, and whether the tail from first + n is added, i.e.
     whether the cell's horizon max(512, ceil(c0 + 1/2) + 96) binds before
-    the cap."""
-    n = np.ceil(np.maximum(_MIN_HORIZON, np.ceil(c0 + 0.5) + _GAP)
-                - first).astype(np.int64)
+    the cap.  n is a whole float, so that no |x| overflows the count."""
+    n = np.ceil(np.maximum(_MIN_HORIZON, np.ceil(c0 + 0.5) + _GAP) - first)
     if cap is None:
         return n, np.full(np.shape(n), True)
     return np.minimum(n, cap), n < cap
@@ -175,23 +181,24 @@ def _tail_bound(lam, ax, a0, tail):
 
 
 class _CellCache:
-    """Rows of ``width`` floats keyed by float, each built once: the _Q
-    far-field samples of a cell, or f^(0..4) at a horizon.
+    """Rows of floats keyed by float, each built once: a cell's row (see
+    _cell_samples), or f and f' at a node.  The first build fixes the row
+    width.
 
     Reads take no lock and see the (keys, rows) table as one tuple; a
     build holds the lock, so threads that miss the same key build it once.
     """
 
-    def __init__(self, width=_Q):
+    def __init__(self):
         self._lock = threading.Lock()
-        self._table = (np.empty(0), np.empty((0, width)))
+        self._table = None
 
     @staticmethod
     def _find(table, cells):
         """Where each cell sits in the table, and the cells it lacks."""
-        known = table[0]
-        if not len(known):
+        if table is None:
             return np.zeros(len(cells), dtype=np.int64), cells
+        known = table[0]
         pos = np.minimum(np.searchsorted(known, cells), len(known) - 1)
         return pos, cells[known[pos] != cells]
 
@@ -205,18 +212,30 @@ class _CellCache:
                 table = self._table
                 pos, new = self._find(table, cells)
                 if new.size:
-                    known = np.concatenate([table[0], new])
-                    order = np.argsort(known, kind="stable")
-                    table = (known[order],
-                             np.concatenate([table[1], build(new)])[order])
-                    self._table = table
+                    keys, rows = new, build(new)
+                    if table is not None:
+                        keys = np.concatenate([table[0], keys])
+                        rows = np.concatenate([table[1], rows])
+                    order = np.argsort(keys, kind="stable")
+                    table = self._table = keys[order], rows[order]
                     pos, _ = self._find(table, cells)
         return table[1][pos]
 
 
+def _pairs(sigma, first, f, fp, f0):
+    """(a, b) at the lattice nodes sigma, from f and f' on the positive
+    nodes first, first + 1, ...: a = f(|sigma|) and b = sign(sigma)
+    f'(|sigma|), or a = f0 and b = 0 at the node 0 of Z."""
+    k = (np.abs(sigma) - first).astype(np.int64)    # -1: the node 0 of Z
+    kk = np.maximum(k, 0)
+    a = f[kk] if f0 is None else np.where(k < 0, f0, f[kk])
+    return a, np.sign(sigma) * fp[kk]
+
+
 def _cell_samples(c0, first, nodes, derivs, f0):
-    """The far field of each cell c0 (a sorted array) at c0 + _OFFSETS, as a
-    (len(c0), _Q) array.
+    """The row of each cell c0 (a sorted array): its far field at c0 +
+    _OFFSETS, then the pairs (a, b) of its near nodes c0 + j, |j| < _R, as
+    a (len(c0), _B + _R) array laid out [samples | a | b].
 
     A cell's far field is the series without its near nodes: every lattice
     node sigma below the cell's horizon (mirrors -s and the node 0 of Z
@@ -232,9 +251,10 @@ def _cell_samples(c0, first, nodes, derivs, f0):
     horizons, col = np.unique(a0, return_inverse=True)
     d = derivs(horizons)[:, col, None]
     f, fp = nodes(first + np.arange(n.max(), dtype=float))
+    out = np.empty((len(c0), _B + _R))
+    out[:, _Q:] = np.hstack(_pairs(c0[:, None] + np.arange(1 - _R, _R), first, f, fp, f0))
     pad = np.zeros(-len(f) % _NODE_BLOCK)
     f, fp = np.concatenate([f, pad]), np.concatenate([fp, pad])
-    out = np.empty((len(c0), _Q))
     rows = max(1, _CHUNK // (_Q * _NODE_BLOCK))
     for i in range(0, len(c0), rows):
         c = c0[i:i + rows, None, None]
@@ -258,7 +278,7 @@ def _cell_samples(c0, first, nodes, derivs, f0):
         y = y[..., 0]
         if f0 is not None:
             total = total + np.where(c[..., 0] >= _R, f0 / y ** 2, 0.0)
-        out[i:i + rows] = total + _em_tail(y, a0[i:i + rows, None], d[:, i:i + rows])
+        out[i:i + rows, :_Q] = total + _em_tail(y, a0[i:i + rows, None], d[:, i:i + rows])
     return out
 
 
@@ -278,48 +298,38 @@ def _interpolate(du, F):
     return out
 
 
-def _near(y, c0, du, first, f, fp, f0, hit):
+def _near(y, c0, du, rows, inv, hit):
     """Sum over the near nodes sigma = c0 + j, |j| < _R, of each point of
-    f(|sigma|)/(y - sigma)^2 + sign(sigma) f'(|sigma|)/(y - sigma), with
-    f0/y^2 at the node 0 of Z; the node c0 of a point in hit is left to the
-    collapse."""
+    a/(y - sigma)^2 + b/(y - sigma), with (a, b) from the row inv of its
+    cell; the node c0 of a point in hit is left to the collapse."""
     total = 0.0
     for j in range(1 - _R, _R):
-        sigma = c0 + j
-        k = (np.abs(sigma) - first).astype(np.int64)    # -1: the node 0 of Z
-        d = du if j == 0 else y - sigma
-        kk = np.maximum(k, 0)
+        d = du if j == 0 else y - (c0 + j)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            term = f[kk] / d ** 2 + np.sign(sigma) * fp[kk] / d
-            if f0 is not None:
-                term = np.where(k < 0, f0 / d ** 2, term)
+            term = rows[inv, _A + j] / d ** 2 + rows[inv, _B + j] / d
         if j == 0:
             term = np.where(hit, 0.0, term)
         total = total + term
     return total
 
 
-def _collapse(vals, hit, k, du, f, fp, f0):
-    """Add sinc(du)^2 (f + du f') of the nearest node, index k, to vals at
-    the points hit; k = -1 is the node 0 of Z, which carries f0 alone."""
-    kk = np.maximum(k, 0)
-    node = f[kk] + du * fp[kk]
-    if f0 is not None:
-        node = np.where(k < 0, f0, node)
-    vals[hit] += np.sinc(du) ** 2 * node
+def _collapse(vals, hit, du, a, b):
+    """Add sinc(du)^2 (a + du b), the pair (a, b) of each point's nearest
+    node, to vals at the points hit."""
+    vals[hit] += np.sinc(du) ** 2 * (a + du * b)
 
 
 def _far(y, c0, du, first, nodes, derivs, f0, cells):
-    """The series at points whose cell's horizon binds: the near nodes
-    directly, the rest from the cell's samples, and the node collapse."""
+    """The series at points whose cell's horizon binds, read off the cell
+    rows alone: the near nodes directly, the rest from the cell's samples,
+    and the node collapse."""
     keys, inv = np.unique(c0, return_inverse=True)
-    F = (_cell_samples(keys, first, nodes, derivs, f0) if cells is None else
-         cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0)))
-    f, fp = nodes(first + np.arange(int(keys[-1] - first) + _R, dtype=float))
+    rows = (_cell_samples(keys, first, nodes, derivs, f0) if cells is None else
+            cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0)))
     hit = np.abs(du) < _NODE_TOL
     vals = (np.sin(np.pi * du) / np.pi) ** 2 * (
-        _interpolate(du, F[inv]) + _near(y, c0, du, first, f, fp, f0, hit))
-    _collapse(vals, hit, (c0[hit] - first).astype(np.int64), du[hit], f, fp, f0)
+        _interpolate(du, rows[inv, :_Q]) + _near(y, c0, du, rows, inv, hit))
+    _collapse(vals, hit, du[hit], rows[inv[hit], _A], rows[inv[hit], _B])
     return vals
 
 
@@ -346,18 +356,17 @@ def _direct(y, c0, du, first, series, f0):
     rows = max(1, _CHUNK // m)
     table = np.empty((4, min(rows, len(y)), m))     # r+, r-, a, b: one buffer for all blocks
     for i in range(0, len(y), rows):
-        yi, dui = y[i:i + rows], du[i:i + rows]
+        yi, ci, dui = y[i:i + rows], c0[i:i + rows], du[i:i + rows]
         rp, rm, a, b = table[:, :len(yi)]
-        k = (c0[i:i + rows] - first).astype(np.int64)    # nearest node s_k; -1: 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             np.divide(1.0, np.subtract(yi[:, None], s, out=rp), out=rp)
             zero = None if f0 is None else f0 / yi ** 2
         np.divide(1.0, np.add(yi[:, None], s, out=rm), out=rm)
-        hit = np.nonzero((np.abs(dui) < _NODE_TOL) & (k < m))[0]
-        on_node = hit[k[hit] >= 0]
-        rp[on_node, m - 1 - k[on_node]] = 0.0
+        hit = np.nonzero((np.abs(dui) < _NODE_TOL) & (ci - first < m))[0]
+        k = (ci[hit] - first).astype(np.int64)    # nearest node s_k; -1: 0
+        rp[hit[k >= 0], m - 1 - k[k >= 0]] = 0.0
         if f0 is not None:
-            zero[hit[k[hit] < 0]] = 0.0
+            zero[hit[k < 0]] = 0.0
         np.subtract(rp, rm, out=b)
         np.add(np.multiply(rp, rp, out=a), np.multiply(rm, rm, out=rm), out=a)
         px = (np.sin(np.pi * dui) / np.pi) ** 2
@@ -368,9 +377,9 @@ def _direct(y, c0, du, first, series, f0):
             if f0 is not None:
                 total = zero + total
             vals = px * total
-            kept = hit[k[hit] < n]
+            kept = hit[k < n]
             if kept.size:
-                _collapse(vals, kept, k[kept], dui[kept], f, fp, f0)
+                _collapse(vals, kept, dui[kept], *_pairs(ci[kept], first, f, fp, f0))
             out[j, i:i + rows] = vals
     return out
 
@@ -390,7 +399,7 @@ def _lattice_series(x, series, f0=None):
     f0) and ``derivs(a0)`` f^(0..4) at a sorted array of distinct a0, as a
     (5, len(a0)) array; _truncation of the cell of |x| (its nearest node c0) and ``cap``
     (None: no cap) pick its n nodes and whether the tail is added; ``cells``
-    keeps its far-field samples (a _CellCache; None samples them per call).
+    keeps its cell rows (a _CellCache; None builds them per call).
     The series whose cap binds at every point are summed directly in one
     _direct call.  For any other, the n nodes are summed directly where its
     cap binds, and a point whose nearest node lies past them gets no node
@@ -412,7 +421,7 @@ def _lattice_series(x, series, f0=None):
     for j, (nodes, derivs, cap, cells) in enumerate(series):
         n, far = _truncation(c0, first, cap)
         if n.max(initial=0) > _MAX_NODES:
-            raise DomainError(f"|x| = {float(y.max())!r} needs {n.max()} series nodes, "
+            raise DomainError(f"|x| = {float(y.max())!r} needs {n.max():.15g} series nodes, "
                               f"more than the {_MAX_NODES} allowed")
         if y.size and not far.any():
             capped[j] = nodes, cap

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from . import forms, kernels, measures, specfun
-from .errors import DomainError, check_count
+from .errors import DomainError, check_count, check_finite
 
 _SYM_TOL = 1e-12
 # one coefficient of the JSON text, as json.dumps(..., indent=1) writes it
@@ -86,8 +86,9 @@ class TrigPoly:
         return self.coeff(0).real
 
     def evaluate(self, x):
-        """Value at x (scalar or array); exactly real by folding +-n."""
-        x = np.asarray(x, dtype=float)
+        """Value at x (scalar or array); exactly real by folding +-n.  A nan
+        or infinite x raises DomainError."""
+        x = check_finite(x)
         scalar = x.ndim == 0
         xs = np.atleast_1d(x)
         N = self.degree

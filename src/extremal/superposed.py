@@ -17,18 +17,17 @@ f_nu^(0..4) where the tail starts.
 Dilation: Minorant(mu, delta) evaluates G_nu(delta x) with nu(E) = mu(delta E),
 the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).
 
-A majorant takes f_nu(0) when it is built.  Each instance caches, under
-locks, f_nu and f_nu' on the nodes, the tail derivatives at each horizon
-and the far-field samples of each cell (see kernels); reads are pure and
-the caches only grow, so a point costs O(1) once its cell is built and
-grid sweeps reuse one instance.  Where f_nu has a closed form (HaarLog,
+A majorant takes f_nu(0) when it is built.  Each instance keeps two
+kernels._CellCache tables: the rows (f_nu, f_nu') of the nodes, and the
+row of each cell (its far-field samples and the pairs of its near nodes,
+see kernels).  Reads are pure and the caches only grow, so a point costs
+O(1) once its cell is built and grid sweeps reuse one instance.  The tail
+derivatives f_nu^(0..4) are taken afresh for each cell build.  Where f_nu has a closed form (HaarLog,
 PowerLaw, Atomic) a value depends on its own x alone; a Weight takes the
 values it caches from one vector integral over the points that first
 asked for them.  The measure-integral route int (kernel defect at x) dmu is exposed both as an
 independent evaluation strategy and as the DefectProfile cross-check.
 """
-
-import threading
 
 import numpy as np
 
@@ -50,39 +49,22 @@ class _Superposed:
         measure.require(self.kind)
         self.measure = measure
         self.delta = float(delta)
-        self._lock = threading.Lock()
-        self._table = (np.empty(0), np.empty(0))
-        self._horizons = _CellCache(5)
+        self._node_rows = _CellCache()
         self._cells = _CellCache()
 
-    # -- node cache -------------------------------------------------------
-
     def _nodes(self, s):
-        """f_nu and f_nu' on s, the first len(s) positive lattice nodes; a
-        build publishes both as one tuple, so a lock-free read sees them match."""
-        count = len(s)
-        f, fp = self._table
-        if len(f) < count:
-            with self._lock:
-                f, fp = self._table
-                if len(f) < count:
-                    df, dfp = self.nu._derivs(s[len(f):], (0, 1))
-                    f, fp = np.concatenate([f, df]), np.concatenate([fp, dfp])
-                    self._table = f, fp
-        return f[:count], fp[:count]
-
-    def _derivs(self, a0):
-        """f_nu and its first four derivatives at each horizon of the sorted,
-        distinct a0, as a (5, len(a0)) array; one _derivs call for the a0
-        not held yet."""
-        return self._horizons.rows(a0, lambda new: self.nu._derivs(new, range(5)).T).T
+        """f_nu and f_nu' on the sorted distinct nodes s, as a (2, len(s))
+        array: one row (f, f') per node, each built once, by one _derivs
+        call for the nodes a call first needs."""
+        return self._node_rows.rows(s, lambda new: self.nu._derivs(new, (0, 1)).T).T
 
     # -- evaluation -------------------------------------------------------
 
     def value(self, x):
         """The approximant at x (vectorized, even in x bit-for-bit)."""
         return _lattice_series(np.asarray(x, dtype=float) * self.delta,
-                               [(self._nodes, self._derivs, None, self._cells)],
+                               [(self._nodes, lambda a0: self.nu._derivs(a0, range(5)),
+                                 None, self._cells)],
                                self._f0)[0]
 
     def target(self, x):
@@ -94,15 +76,15 @@ class _Superposed:
         return self.nu.f(self.delta * np.asarray(x, dtype=float))
 
     def value_via_defect(self, x, tol=1e-9):
-        """Independent evaluation through the kernel-defect measure integral."""
+        """Independent evaluation through the kernel-defect measure integral,
+        with no lattice series."""
         x = float(x)
-        prof = self.defect(x, tol)
         t = self.target(x)
         if measures.is_plus_inf(t):
             raise DomainError("defect strategy needs a finite target value")
-        if self.kind == "minorant":
-            return t - prof.integral_value
-        return t + prof.integral_value
+        gap = measures.integrate(KernelDefectAtPoint(self.delta * x, self.kind),
+                                 self.nu, tol=tol).value
+        return t - gap if self.kind == "minorant" else t + gap
 
     def defect(self, x, tol=1e-9):
         """Both routes to the one-sided gap |approximant - target| at x.

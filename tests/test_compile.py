@@ -13,7 +13,9 @@ holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 one slices its passes, that no integrand is probed for a TypeError, and
 that only ``kernels`` decides where the lattice series stops (its horizon
 and its Euler-Maclaurin tail) and how it splits near nodes from the far
-field, that ``specfun.hurwitz_zeta`` is the one zeta series, that
+field, that a cell row carries its near nodes (one pair rule, ``_pairs``,
+and no node read in ``_far``) and ``kernels._CellCache`` is the one cache
+and the one lock of the series, that ``specfun.hurwitz_zeta`` is the one zeta series, that
 the one small-rate defect series of ``specfun`` is the minorant's and the
 majorant has no series, switch or direct formula of its own, that the
 small-rate series of the periodized kernel p is ``specfun``'s minorant
@@ -231,6 +233,37 @@ def test_one_truncation_for_the_lattice_series():
     assert _functions_reading(tree, "_MIN_HORIZON") == ["_truncation"]
     assert _functions_reading(tree, "_bder") == ["_em_tail"]
     assert _functions_reading(tree, "_em_tail") == ["_cell_samples"]
+
+
+def _imports_threading(tree):
+    return any((isinstance(node, ast.Import) and any(a.name == "threading" for a in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.module == "threading")
+               for node in ast.walk(tree))
+
+
+def test_only_the_cell_cache_takes_a_lock():
+    # every cache of the series layer is a kernels._CellCache
+    assert _modules_where(_imports_threading) == ["kernels.py"]
+
+
+def test_one_pair_rule_for_the_near_nodes():
+    # (a, b) at a node is written once, for the cell rows and the capped sums
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert _functions_reading(tree, "_pairs") == ["_cell_samples", "_direct"]
+
+
+def test_far_field_reads_cell_rows_alone():
+    # a cell row carries the pairs of its near nodes, so _far reads no node
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert "nodes" not in _calls(_function("_far", tree))
+
+
+def test_cell_cache_takes_its_width_from_its_first_build():
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    cache = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_CellCache")
+    init = _function("__init__", cache).args
+    assert [a.arg for a in init.posonlyargs + init.args + init.kwonlyargs] == ["self"]
+    assert init.vararg is None and init.kwarg is None
 
 
 def test_one_zeta_series():

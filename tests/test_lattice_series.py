@@ -251,13 +251,15 @@ def test_superposed_values_do_not_depend_on_their_batch(mu):
     _bit_identical_alone_and_in_batches(lambda: superposed.Minorant(mu, 1.3).value)
     if mu.classify().cond47:
         _bit_identical_alone_and_in_batches(lambda: superposed.Majorant(mu).value)
-    # the horizon rows a warm instance holds are those f_derivs gives alone
+    # each cell row a warm instance holds is the row its cell builds alone
     g = superposed.Minorant(mu, 1.3)
     g.value(BATCH)
-    a0 = g._horizons._table[0]
-    assert len(a0) and np.array_equal(a0, np.unique(a0))
-    alone = np.array([g.nu.f_derivs(a) for a in a0])[..., 0].T
-    assert g._derivs(a0).tobytes() == alone.tobytes()
+    keys, rows = g._cells._table
+    assert len(keys) and np.array_equal(keys, np.unique(keys))
+    for c0, row in zip(keys, rows):
+        alone = kernels._cell_samples(np.array([c0]), 0.5, superposed.Minorant(mu, 1.3)._nodes,
+                                      lambda a0: g.nu._derivs(a0, range(5)), None)
+        assert alone.tobytes() == row.tobytes()
 
 
 def test_log_majorant_values_do_not_depend_on_their_batch():
@@ -361,7 +363,7 @@ def _direct_per_rate(lam, x, f0):
         total = zero + total
     vals = (np.sin(np.pi * du) / np.pi) ** 2 * total
     if hit.size:
-        kernels._collapse(vals, hit, kh, du[hit], f, fp, f0)
+        kernels._collapse(vals, hit, du[hit], *kernels._pairs(c0[hit], first, f, fp, f0))
     return vals
 
 
@@ -431,3 +433,20 @@ def test_node_limit_spares_capped_rates_and_the_last_cells():
     n, _ = kernels._truncation(np.array([1e6, 2.0 ** 20]), 0.5, None)
     assert n[0] <= kernels._MAX_NODES < n[1]
     assert math.isfinite(superposed.eval_U(1e5))
+
+
+@pytest.mark.parametrize("x", [2.0 ** 63, 1e19, -1e300], ids=["2^63", "1e19", "-1e300"])
+def test_node_counts_do_not_overflow(x, recwarn):
+    """Past |x| = 2^63 the node count no longer fits an int64: L and M,
+    capped, are 0 there, G, H and U raise DomainError, and nothing warns."""
+    for lam in (0.5, 1.0):
+        assert kernels.minorant_values(lam, x) == 0.0
+        assert kernels.majorant_values(lam, x) == 0.0
+        assert np.all(kernels._defects([lam, 3.0], [x, -x], "majorant") == 0.0)
+    for call in (superposed.Minorant(measures.PowerLaw(1.5)).value,
+                 superposed.Majorant(measures.PowerLaw(1.5)).value, superposed.eval_U):
+        with pytest.raises(DomainError, match="series nodes"):
+            call(x)
+    ev = kernels.eval_M(0.01, 1e300)
+    assert ev.value == 0.0 and math.isfinite(ev.tail_bound)
+    assert not recwarn.list

@@ -51,6 +51,14 @@ def test_trig_poly_validation():
         TrigPoly(0, (1.0,)).coeff(1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_trig_poly_refuses_non_finite_points(bad):
+    tp = TrigPoly(1, (0.5 - 0.25j, 2.0, 0.5 + 0.25j))
+    for x in (bad, np.array([0.25, bad])):
+        with pytest.raises(DomainError, match="must be finite"):
+            tp.evaluate(x)
+
+
 def test_csv_round_trip_is_bit_exact():
     tp = periodic.trig_minorant_l(1.7, 6)
     with tempfile.TemporaryDirectory() as td:

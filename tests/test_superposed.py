@@ -130,6 +130,23 @@ def test_value_via_defect_matches_direct():
         assert abs(h.value_via_defect(x) - h.value(x)) <= 1e-7
 
 
+def test_value_via_defect_takes_no_series(monkeypatch):
+    """The integral route alone: the value of defect() at x, with no
+    lattice-series call, and a diverging target says so."""
+    expected = [superposed.Minorant(PL05).defect(x).integral_value for x in (0.6, 2.3)]
+
+    def no_series(*args):
+        raise AssertionError("lattice series called")
+
+    monkeypatch.setattr(superposed, "_lattice_series", no_series)
+    g = superposed.Minorant(PL05)
+    for x, gap in zip((0.6, 2.3), expected):
+        assert g.value_via_defect(x) == float(g.target(x)) - gap
+    assert math.isfinite(superposed.Majorant(ATOM).value_via_defect(0.6))
+    with pytest.raises(DomainError, match="finite target"):
+        superposed.Minorant(HAAR).value_via_defect(0.0)
+
+
 def test_weight_family_round_trip():
     mu = measures.Weight(lambda lam: np.exp(-lam))
     h = superposed.Majorant(mu)
