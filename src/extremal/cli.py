@@ -377,7 +377,7 @@ def main(argv=None):
         _check_flags(args)
         # looked up per call, so a rebound cmd_* is the one that runs
         text, code = globals()[f"cmd_{args.command}"](args, argv)
-    except (DomainError, AdmissibilityError, OSError, ValueError) as exc:
+    except (DomainError, AdmissibilityError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConvergenceError, DivergenceError) as exc:

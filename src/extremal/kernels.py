@@ -26,8 +26,8 @@ g(s) = (f b)'(s), so that tail is
 f^(0..4)(a0), at the 1e-13 level even for power-law exponents near 2.  A
 caller may cap the node count; where the cap binds no tail is added.
 
-Where the horizon binds, the sum is split as in the fast multipole method
-for lattice sources (Greengard-Rokhlin 1987; Dutt-Gu-Rokhlin 1996).  The
+G and H split the sum as in the fast multipole method for lattice
+sources (Greengard-Rokhlin 1987; Dutt-Gu-Rokhlin 1996).  The
 nodes sigma with |sigma - c0| < 3 (mirror nodes, the node 0 of Z and the
 collapsing node among them) are summed at the point.  The rest of the
 series, tail included, is analytic in du for |du| < 3: it is sampled once
@@ -38,7 +38,7 @@ The cell is the unit of state: its row holds the 16 samples and the pairs
 f(0), b = 0 at the node 0 of Z), so a point reads its cell's row and no
 node.  A point then costs O(1), and its value depends on its own x alone,
 not on the other points of the call.  G and H keep their cell rows in a
-_CellCache; L and M build theirs per call.
+_CellCache, so a cell is sampled once over the life of its cache.
 
 A point's cell may keep at most 2^20 nodes (_MAX_NODES), so G, H and U
 take |x| up to about 1.05e6; past that, and wherever an uncapped L/M cell
@@ -55,14 +55,18 @@ rate, however small, overflows it.  Since sum_s sinc(x - s)^2 = 1 and
 sum to at most
 e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at every x (below 6e-17 for
 lam >= 0.1); a point whose nearest node was dropped gets no collapse, as P
-vanishes there.  Where the cap binds the K(lam) nodes are summed
-directly, and the rates of one call share the work that depends on the
-points alone: per block of points one table of 1/(x - s) and 1/(x + s)
-over the longest cap, from which each rate takes two row dot products
-over its own first K(lam) nodes (2 divisions per (point, node) for the
-whole call).  Smaller rates take the tail and the far field in the cells
-whose horizon is below K(lam).  eval_L and eval_M report the nodes kept and
-the bound of their point's cell.
+vanishes there.  L and M are summed at the points at every rate: a
+point keeps min(n, K(lam)) nodes, n those below its cell's horizon, and
+the tail where the horizon binds first.  One node sum, _node_sum, serves
+them and the samples of a G or H cell.  The rates of one call share the
+work that depends on the points alone: per block of points one table of
+1/(x - s) and 1/(x + s) over the longest series, from which each rate
+takes two row dot products over its own nodes (2 divisions per (point,
+node) for the whole call).  A point's nearest node stays out of the
+table and enters in the closed form of the collapse.  L and M keep no
+cache, so below lam ~ 0.0734 a point costs its 512 or more nodes.
+eval_L and eval_M report the nodes kept and the bound of their point's
+cell.
 
 The Fourier transforms (supported on [-1, 1]) have the closed forms
 
@@ -106,7 +110,6 @@ _MAX_NODES = 1 << 20  # most nodes a point's cell may keep
 _GAP = 96
 _R = 3          # nodes nearer a point's cell node than _R are summed directly
 _Q = 16         # far-field samples per cell
-_NODE_BLOCK = 128  # nodes per block of a cell's far-field sum
 _A = _Q + _R - 1  # cell row column of a at c0; a at c0 + j is column _A + j
 _B = _A + 2 * _R - 1  # and b at c0 + j is column _B + j
 _OFFSETS = 0.5 * np.cos((2 * np.arange(_Q) + 1) * np.pi / (2 * _Q))
@@ -138,15 +141,12 @@ def _cell(y, first):
     return c0, y - c0
 
 
-def _truncation(c0, first, cap):
-    """(n, tail) of the cells with nearest node c0, a number or an array: n
-    nodes from first on, and whether the tail from first + n is added, i.e.
-    whether the cell's horizon max(512, ceil(c0 + 1/2) + 96) binds before
-    the cap.  n is a whole float, so that no |x| overflows the count."""
-    n = np.ceil(np.maximum(_MIN_HORIZON, np.ceil(c0 + 0.5) + _GAP) - first)
-    if cap is None:
-        return n, np.full(np.shape(n), True)
-    return np.minimum(n, cap), n < cap
+def _truncation(c0, first):
+    """The node count of the cells with nearest node c0, a number or an
+    array: the nodes from first on below the cell's horizon max(512,
+    ceil(c0 + 1/2) + 96).  It is a whole float, so that no |x| overflows
+    it."""
+    return np.ceil(np.maximum(_MIN_HORIZON, np.ceil(c0 + 0.5) + _GAP) - first)
 
 
 def _bder(x, u, k):
@@ -232,53 +232,86 @@ def _pairs(sigma, first, f, fp, f0):
     return a, np.sign(sigma) * fp[kk]
 
 
+def _node_sum(y, c0, r, first, series, f0):
+    """The pair series at the points y, one row per (f, fp, derivs, cap) in
+    series: a (len(series), len(y)) array.
+
+    At a point whose cell (nearest node) is c0 a series keeps its first
+    min(n, cap) nodes, n those below the cell's horizon (cap None: n; f
+    and fp hold at least as many), and adds the Euler-Maclaurin tail from
+    the horizon on where n < cap.  It leaves out every lattice node sigma
+    with |sigma - c0| < r, a whole r <= _R: the mirror nodes -s and the
+    node 0 of Z (the term f0/y^2) are lattice nodes.
+
+    The points are summed in groups of one table width, the node count of
+    their longest series, in blocks of at most _CHUNK (point, node) cells.
+    A block builds one table r+ = 1/(y - s) and r- = 1/(y + s), zeroed at
+    the nodes left out, a = r+^2 + r-^2 and b = r+ - r-; each series then
+    takes the row dot products a.f + b.f' over its own nodes.  The columns
+    run from the last node down to the first, so the small far terms are
+    added first, and einsum reduces each row on its own (a BLAS product
+    does not, nor does einsum a lone row, which is summed beside its
+    copy): a value does not depend on the other points or series of the
+    call.  The tails are taken after the loop, one call per series.
+    """
+    n = _truncation(c0, first)
+    caps = [math.inf if cap is None else cap for *_, cap in series]
+    width = np.minimum(n, max(caps))
+    backward = [(f[::-1].copy(), fp[::-1].copy()) for f, fp, _, _ in series]
+    out = np.empty((len(series), len(y)))
+    order = np.argsort(width, kind="stable")
+    widths, starts = np.unique(width[order], return_index=True)
+    for w, group in zip(widths.astype(np.int64), np.split(order, starts[1:])):
+        s = first + np.arange(w - 1, -1, -1, dtype=float)     # column w - 1 - k: s_k
+        rows = max(1, _CHUNK // w)
+        for i in range(0, len(group), rows):
+            at = group[i:i + rows]
+            if len(at) == 1:
+                at = np.repeat(at, 2)
+            yi, ci = y[at], c0[at]
+            rp, rm = np.subtract(yi[:, None], s), np.add(yi[:, None], s)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                np.divide(1.0, rp, out=rp)
+                zero = None if f0 is None else np.where(ci < r, 0.0, f0 / yi ** 2)
+            np.divide(1.0, rm, out=rm)
+            for off in range(1 - r, r):
+                sigma = ci + off
+                k = np.abs(sigma) - first              # -1: the node 0 of Z
+                left = np.nonzero((k >= 0) & (k < w))[0]
+                col = w - 1 - k[left].astype(np.int64)
+                mirror = sigma[left] < 0
+                rp[left[~mirror], col[~mirror]] = 0.0
+                rm[left[mirror], col[mirror]] = 0.0
+            b = rp - rm
+            a = np.add(np.multiply(rp, rp, out=rp), np.multiply(rm, rm, out=rm), out=rp)
+            for j, (fb, fpb) in enumerate(backward):
+                m = min(w, caps[j])
+                total = (np.einsum("ik,k->i", a[:, w - m:], fb[len(fb) - m:])
+                         + np.einsum("ik,k->i", b[:, w - m:], fpb[len(fb) - m:]))
+                out[j, at] = total if f0 is None else zero + total
+    for j, (_, _, derivs, _) in enumerate(series):
+        tail = np.nonzero(n < caps[j])[0]
+        if tail.size:
+            a0 = first + n[tail]
+            horizons, col = np.unique(a0, return_inverse=True)
+            out[j, tail] += _em_tail(y[tail], a0, derivs(horizons)[:, col])
+    return out
+
+
 def _cell_samples(c0, first, nodes, derivs, f0):
     """The row of each cell c0 (a sorted array): its far field at c0 +
     _OFFSETS, then the pairs (a, b) of its near nodes c0 + j, |j| < _R, as
     a (len(c0), _B + _R) array laid out [samples | a | b].
 
-    A cell's far field is the series without its near nodes: every lattice
-    node sigma below the cell's horizon (mirrors -s and the node 0 of Z
-    included) with |sigma - c0| >= _R, plus the Euler-Maclaurin tail from
-    the horizon on.  It is analytic in du for |du| < _R, so _Q Chebyshev
-    samples on [-1/2, 1/2] hold it to rounding.  The cells are summed in
-    blocks of at most _CHUNK (cell, sample, node) triples, over node blocks
-    of _NODE_BLOCK in which the nodes a cell leaves out enter as zeros; a
-    row thus takes the same operations whatever cells share its block.
+    A cell's far field is the node sum without its near nodes (radius _R)
+    and with the tail.  It is analytic in du for |du| < _R, so _Q Chebyshev
+    samples on [-1/2, 1/2] hold it to rounding.
     """
-    n, _ = _truncation(c0, first, None)
-    a0 = first + n
-    horizons, col = np.unique(a0, return_inverse=True)
-    d = derivs(horizons)[:, col, None]
-    f, fp = nodes(first + np.arange(n.max(), dtype=float))
+    f, fp = nodes(first + np.arange(_truncation(c0, first).max(initial=0), dtype=float))
     out = np.empty((len(c0), _B + _R))
+    out[:, :_Q] = _node_sum((c0[:, None] + _OFFSETS).ravel(), np.repeat(c0, _Q), _R,
+                            first, [(f, fp, derivs, None)], f0)[0].reshape(len(c0), _Q)
     out[:, _Q:] = np.hstack(_pairs(c0[:, None] + np.arange(1 - _R, _R), first, f, fp, f0))
-    pad = np.zeros(-len(f) % _NODE_BLOCK)
-    f, fp = np.concatenate([f, pad]), np.concatenate([fp, pad])
-    rows = max(1, _CHUNK // (_Q * _NODE_BLOCK))
-    for i in range(0, len(c0), rows):
-        c = c0[i:i + rows, None, None]
-        m = n[i:i + rows, None, None]
-        y = c + _OFFSETS[:, None]
-        total = 0.0
-        for j in range(0, int(m.max()), _NODE_BLOCK):
-            k = np.arange(j, j + _NODE_BLOCK)
-            s = first + k
-            kept = k < m
-            block = slice(j, j + _NODE_BLOCK)
-            fd, fpd = (np.where(kept & (np.abs(s - c) >= _R), v[block], 0.0)
-                       for v in (f, fp))
-            fm, fpm = (np.where(kept & (s + c >= _R), v[block], 0.0)
-                       for v in (f, fp))
-            r = 1.0 / (y - s)
-            terms = (fd * r + fpd) * r
-            r = 1.0 / (y + s)
-            terms += (fm * r - fpm) * r
-            total = total + np.sum(terms, axis=2)
-        y = y[..., 0]
-        if f0 is not None:
-            total = total + np.where(c[..., 0] >= _R, f0 / y ** 2, 0.0)
-        out[i:i + rows, :_Q] = total + _em_tail(y, a0[i:i + rows, None], d[:, i:i + rows])
     return out
 
 
@@ -320,12 +353,11 @@ def _collapse(vals, hit, du, a, b):
 
 
 def _far(y, c0, du, first, nodes, derivs, f0, cells):
-    """The series at points whose cell's horizon binds, read off the cell
-    rows alone: the near nodes directly, the rest from the cell's samples,
-    and the node collapse."""
+    """The series at points whose cell rows the _CellCache cells keeps,
+    read off those rows alone: the near nodes directly, the rest from the
+    cell's samples, and the node collapse."""
     keys, inv = np.unique(c0, return_inverse=True)
-    rows = (_cell_samples(keys, first, nodes, derivs, f0) if cells is None else
-            cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0)))
+    rows = cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0))
     hit = np.abs(du) < _NODE_TOL
     vals = (np.sin(np.pi * du) / np.pi) ** 2 * (
         _interpolate(du, rows[inv, :_Q]) + _near(y, c0, du, rows, inv, hit))
@@ -334,53 +366,19 @@ def _far(y, c0, du, first, nodes, derivs, f0, cells):
 
 
 def _direct(y, c0, du, first, series, f0):
-    """The series at y over the first len(f) nodes of each (f, f') in series
-    and no tail: the points where each cap binds, as a (len(series),
-    len(y)) array.
-
-    One table per block of points serves every series: r+ = 1/(y - s) and
-    r- = 1/(y + s) over the longest of them, r+ zeroed at each point's
-    collapsing node, a = r+^2 + r-^2 and b = r+ - r-.  A series then takes
-    the row dot products a.f + b.f' over its own columns.  The columns run
-    from the last node down to the first, so the small far terms are added
-    first, and einsum reduces each row on its own (a BLAS product does
-    not): a value does not depend on the other points or series of the
-    call.  A point whose nearest node is past a series' nodes gets no
-    collapse from it.
-    """
-    m = max(len(f) for f, _ in series)
-    s = first + np.arange(m - 1, -1, -1, dtype=float)     # column m - 1 - k: s_k
-    backward = [(np.ascontiguousarray(f[::-1]), np.ascontiguousarray(fp[::-1]))
-                for f, fp in series]
-    out = np.empty((len(series), len(y)))
-    rows = max(1, _CHUNK // m)
-    table = np.empty((4, min(rows, len(y)), m))     # r+, r-, a, b: one buffer for all blocks
-    for i in range(0, len(y), rows):
-        yi, ci, dui = y[i:i + rows], c0[i:i + rows], du[i:i + rows]
-        rp, rm, a, b = table[:, :len(yi)]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(1.0, np.subtract(yi[:, None], s, out=rp), out=rp)
-            zero = None if f0 is None else f0 / yi ** 2
-        np.divide(1.0, np.add(yi[:, None], s, out=rm), out=rm)
-        hit = np.nonzero((np.abs(dui) < _NODE_TOL) & (ci - first < m))[0]
-        k = (ci[hit] - first).astype(np.int64)    # nearest node s_k; -1: 0
-        rp[hit[k >= 0], m - 1 - k[k >= 0]] = 0.0
-        if f0 is not None:
-            zero[hit[k < 0]] = 0.0
-        np.subtract(rp, rm, out=b)
-        np.add(np.multiply(rp, rp, out=a), np.multiply(rm, rm, out=rm), out=a)
-        px = (np.sin(np.pi * dui) / np.pi) ** 2
-        for j, ((f, fp), (fb, fpb)) in enumerate(zip(series, backward)):
-            n = len(f)
-            total = (np.einsum("ik,k->i", a[:, m - n:], fb)
-                     + np.einsum("ik,k->i", b[:, m - n:], fpb))
-            if f0 is not None:
-                total = zero + total
-            vals = px * total
-            kept = hit[k < n]
-            if kept.size:
-                _collapse(vals, kept, dui[kept], *_pairs(ci[kept], first, f, fp, f0))
-            out[j, i:i + rows] = vals
+    """The series at y for each (nodes, derivs, cap) in series, summed at
+    the points, as a (len(series), len(y)) array: P(du) times the node sum
+    without each point's nearest node, plus that node in the closed form of
+    the collapse, which stays exact as du -> 0 and adds the largest term
+    last.  A point whose nearest node is past a series' cap gets no
+    collapse from it."""
+    top = _truncation(c0, first).max(initial=0)
+    series = [(*nodes(first + np.arange(top if cap is None else min(top, cap), dtype=float)),
+               derivs, cap) for nodes, derivs, cap in series]
+    out = (np.sin(np.pi * du) / np.pi) ** 2 * _node_sum(y, c0, 1, first, series, f0)
+    for vals, (f, fp, _, _) in zip(out, series):
+        kept = np.nonzero(c0 - first < len(f))[0]
+        _collapse(vals, kept, du[kept], *_pairs(c0[kept], first, f, fp, f0))
     return out
 
 
@@ -397,17 +395,16 @@ def _lattice_series(x, series, f0=None):
     A series is (nodes, derivs, cap, cells): ``nodes(s)`` returns f and f'
     at the positive nodes s = first, first + 1, ... (first = 1/2, or 1 with
     f0) and ``derivs(a0)`` f^(0..4) at a sorted array of distinct a0, as a
-    (5, len(a0)) array; _truncation of the cell of |x| (its nearest node c0) and ``cap``
-    (None: no cap) pick its n nodes and whether the tail is added; ``cells``
-    keeps its cell rows (a _CellCache; None builds them per call).
-    The series whose cap binds at every point are summed directly in one
-    _direct call.  For any other, the n nodes are summed directly where its
-    cap binds, and a point whose nearest node lies past them gets no node
-    collapse; elsewhere the near nodes are summed directly and the rest
-    comes from the samples of the cell.  A value depends on its own x and
-    its own series alone.  The f0/x^2 term is the unpaired node 0 of the
-    integer lattice.  Non-finite x, or a point whose cell would keep more
-    than _MAX_NODES nodes, raises DomainError.
+    (5, len(a0)) array; at the cell of |x| (its nearest node c0) it keeps
+    the nodes below the cell's horizon (_truncation), or its first ``cap``
+    if fewer (None: no cap), and adds the tail where the horizon binds.
+    ``cells``, a _CellCache or None, keeps its cell rows.  The series
+    without a cache (L and M) are summed at the points in one _direct
+    call; a series with one (G and H) is read off its cell rows by _far.
+    A value depends on its own x and its own series alone.  The f0/x^2
+    term is the unpaired node 0 of the integer lattice.  Non-finite x, or
+    a point whose cell would keep more than _MAX_NODES nodes, raises
+    DomainError.
 
     Returns one value per series: a float for a scalar x, else an array of
     the shape of x.
@@ -416,29 +413,19 @@ def _lattice_series(x, series, f0=None):
     y = np.abs(x).ravel()
     first = 0.5 if f0 is None else 1.0
     c0, du = _cell(y, first)
-    out = np.empty((len(series), len(y)))
-    capped = {}
-    for j, (nodes, derivs, cap, cells) in enumerate(series):
-        n, far = _truncation(c0, first, cap)
-        if n.max(initial=0) > _MAX_NODES:
-            raise DomainError(f"|x| = {float(y.max())!r} needs {n.max():.15g} series nodes, "
+    top = _truncation(c0, first).max(initial=0)
+    for _, _, cap, _ in series:
+        n = top if cap is None else min(top, cap)
+        if n > _MAX_NODES:
+            raise DomainError(f"|x| = {float(y.max())!r} needs {n:.15g} series nodes, "
                               f"more than the {_MAX_NODES} allowed")
-        if y.size and not far.any():
-            capped[j] = nodes, cap
-            continue
-        paths = ((~far, lambda i: _direct(y[i], c0[i], du[i], first,
-                                          [nodes(first + np.arange(cap, dtype=float))],
-                                          f0)[0]),
-                 (far, lambda i: _far(y[i], c0[i], du[i], first, nodes, derivs, f0, cells)))
-        for at, path in paths:
-            if at.size and at.all():
-                out[j] = path(slice(None))      # one path: no copies of the points
-            elif at.any():
-                out[j, at] = path(at)
-    if capped:
-        s = first + np.arange(max(cap for _, cap in capped.values()), dtype=float)
-        out[list(capped)] = _direct(y, c0, du, first,
-                                    [nodes(s[:cap]) for nodes, cap in capped.values()], f0)
+    out = np.empty((len(series), len(y)))
+    direct = [j for j, (*_, cells) in enumerate(series) if cells is None]
+    if direct:
+        out[direct] = _direct(y, c0, du, first, [series[j][:3] for j in direct], f0)
+    for j, (nodes, derivs, _, cells) in enumerate(series):
+        if cells is not None and y.size:
+            out[j] = _far(y, c0, du, first, nodes, derivs, f0, cells)
     return [float(v[0]) if x.ndim == 0 else v.reshape(x.shape) for v in out]
 
 
@@ -489,9 +476,11 @@ def _eval_point(lam, x, f0):
     lam = _check_rate(lam, "the kernel")
     ax = abs(float(check_finite(x)))
     first = 0.5 if f0 is None else 1.0
-    n, tail = _truncation(_cell(ax, first)[0], first, _trunc_terms(lam))
-    return KernelEval(lam, float(x), _exp_series([lam], ax, f0)[0], int(n),
-                      _tail_bound(lam, ax, first + int(n), bool(tail)))
+    cap = _trunc_terms(lam)
+    horizon = _truncation(_cell(ax, first)[0], first)
+    n = int(min(horizon, cap))
+    return KernelEval(lam, float(x), _exp_series([lam], ax, f0)[0], n,
+                      _tail_bound(lam, ax, first + n, bool(horizon < cap)))
 
 
 def eval_L(lam, x):

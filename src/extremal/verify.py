@@ -270,7 +270,7 @@ def check_log_sin_suite(rng):
     return out
 
 
-def check_form_bounds(rng):
+def check_form_bounds(rng, table=None):
     out = []
     for name, (mu, _) in _FAMILIES.items():
         fb = forms.form_bound(mu, 1.0)
@@ -291,8 +291,8 @@ def check_form_bounds(rng):
             out.append(_check(f"form-upper-{name}", worst_hi >= -1e-9,
                               worst_hi, "form <= B sum|a|^2, 100 trials",
                               1e-9))
-    # the N = 2000 rows of the sharpness table, in _WITNESSES order
-    last = [row for row in sharpness_table() if row["N"] == 2000]
+    # the N = 2000 rows of the sharpness table (the run's, if given), in _WITNESSES order
+    last = [row for row in table or sharpness_table() if row["N"] == 2000]
     for (_, _, name, expected), row in zip(_WITNESSES, last):
         rel = abs(row["rel_gap"])
         out.append(_check(f"sharpness-witness-{name}", rel <= 0.02, rel,
@@ -389,13 +389,15 @@ def sharpness_table(delta=1.0):
     return rows
 
 
-def run_criterion(name, seed=7):
-    """CheckResults of one numbered criterion under a fresh seeded RNG."""
+def run_criterion(name, seed=7, table=None):
+    """CheckResults of one numbered criterion under a fresh seeded RNG;
+    criterion 8 reads its witnesses off ``table``, a sharpness_table(),
+    when given."""
     fns = dict(CRITERIA)
     if name not in fns:
         raise DomainError(f"unknown criterion {name!r}")
     rng = np.random.default_rng(seed)
-    return fns[name](rng)
+    return fns[name](rng, table) if name == "8-form-bounds" else fns[name](rng)
 
 
 def check_dict(c):
@@ -411,8 +413,10 @@ def run_suite(suite, seed=7, command=None):
                           f"choose from {sorted(SUITES)}")
     checks = []
     groups = []
+    # one sharpness table per run, for criterion 8 and the report
+    table = sharpness_table() if "8-form-bounds" in SUITES[suite] else None
     for crit in SUITES[suite]:
-        rows = run_criterion(crit, seed)
+        rows = run_criterion(crit, seed, table)
         checks.extend(check_dict(c) for c in rows)
         groups.append({"criterion": crit,
                        "passed": all(c.passed for c in rows)})
@@ -421,8 +425,8 @@ def run_suite(suite, seed=7, command=None):
         "criteria": groups,
         "passed": all(g["passed"] for g in groups),
     }
-    if suite in ("forms", "all"):
-        results["sharpness_table"] = sharpness_table()
+    if table is not None:
+        results["sharpness_table"] = table
     return {
         "command": command or f"verify --suite {suite} --seed {seed}",
         "seed": int(seed),

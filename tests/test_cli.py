@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from extremal import cli, measures, periodic, quadrature, superposed
+from extremal import cli, forms, measures, periodic, quadrature, superposed, verify
 from extremal.errors import ConvergenceError, DivergenceError
 from extremal.periodic import TrigPoly
 
@@ -240,6 +240,24 @@ def test_eval_past_the_node_limit_is_a_usage_error(capsys, tmp_path):
                             "--grid", "0:1e9:2", "--out", str(out)], capsys)
     assert code == 2 and "series nodes" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--kind", "et", "--roots", "{roots}", "--N", "1000000000000"],
+    ["coeffs", "--kind", "uN", "--N", "1000000000000"],
+    ["eval", "--kind", "p", "--lambda", "1", "--grid", "0:1:1000000000000"],
+], ids=["bounds", "coeffs", "eval"])
+def test_an_input_too_large_to_allocate_is_a_usage_error(argv, tmp_path, capsys):
+    """numpy refuses arrays of terabytes before it allocates anything: the
+    MemoryError is exit 2 with one error line and no output file, not a
+    traceback and exit 1, the code of a failed check."""
+    roots = tmp_path / "roots.csv"
+    roots.write_text("re,im\n1.0,0.0\n0.5,0.5\n")
+    out = tmp_path / "out.csv"
+    code, stdout, err = run_cli([a.format(roots=roots) for a in argv] + ["--out", str(out)],
+                                capsys)
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _fmt_cell(v):
@@ -505,6 +523,26 @@ def test_verify_reruns_are_byte_identical(capsys):
     assert set(rep) == {"command", "seed", "results", "checks"}
     assert rep["command"] == "extremal verify --suite et --seed 7"
     assert all(c["pass"] for c in rep["checks"])
+
+
+def test_verify_builds_one_sharpness_table(monkeypatch):
+    """One run of the all suite builds one sharpness table (15 witness
+    ratios), for criterion 8 and the report alike; criterion 8 alone
+    builds its own."""
+    calls = []
+    witness = forms.sharpness_witness
+
+    def counted(*args):
+        calls.append(args)
+        return witness(*args)
+
+    monkeypatch.setattr(forms, "sharpness_witness", counted)
+    report = verify.run_suite("all")
+    assert len(calls) == 15 and len(report["results"]["sharpness_table"]) == 15
+    calls.clear()
+    assert len(verify.run_criterion("8-form-bounds")) == len(
+        [c for c in report["checks"] if c["name"].startswith(("form-", "sharpness-"))])
+    assert len(calls) == 15
 
 
 def test_verify_csv_lists_checks(capsys):

@@ -15,7 +15,11 @@ that only ``kernels`` decides where the lattice series stops (its horizon
 and its Euler-Maclaurin tail) and how it splits near nodes from the far
 field, that a cell row carries its near nodes (one pair rule, ``_pairs``,
 and no node read in ``_far``) and ``kernels._CellCache`` is the one cache
-and the one lock of the series, that ``specfun.hurwitz_zeta`` is the one zeta series, that
+and the one lock of the series, that ``kernels._node_sum`` is the one node
+sum (the one reader of the block size and the one table of 1/(y -+ s),
+called by the direct sums and the cell samples, with no fixed node blocks)
+and ``_far`` always reads a cache, that every private module-level name of
+the package is read somewhere in it, that ``specfun.hurwitz_zeta`` is the one zeta series, that
 the one small-rate defect series of ``specfun`` is the minorant's and the
 majorant has no series, switch or direct formula of its own, that the
 small-rate series of the periodized kernel p is ``specfun``'s minorant
@@ -50,6 +54,32 @@ def test_module_compiles_without_warnings(path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         compile(path.read_text(), str(path), "exec")
+
+
+def _private_module_names(tree):
+    """The _names (not __dunders__) a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_module_name_is_read():
+    # a private constant, helper or class nothing reads is a leftover: the
+    # package reads each one, as a name or as ``module._name``
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(f"{path}:{name}" for path, tree in trees.items()
+                  for name in _private_module_names(tree) - read) == []
 
 
 def _unused_imports(tree):
@@ -224,15 +254,32 @@ def _defined_names(tree):
 
 def test_one_truncation_for_the_lattice_series():
     # _lattice_series alone sets the horizon, adds the tail and splits near
-    # from far, for L, M, G and H; the tail enters through the cell samples
+    # from far, for L, M, G and H; the node sum alone adds the tail, at the
+    # points of L and M and at the cell samples of G and H
     truncation = {"_MIN_HORIZON", "_GAP", "_bder", "_em_tail",
-                  "_R", "_Q", "_NODE_BLOCK", "_OFFSETS", "_WEIGHTS"}
+                  "_R", "_Q", "_OFFSETS", "_WEIGHTS"}
     assert _modules_where(lambda tree: _defined_names(tree) & truncation) == [
         "kernels.py"]
     tree = ast.parse((SRC / "kernels.py").read_text())
     assert _functions_reading(tree, "_MIN_HORIZON") == ["_truncation"]
     assert _functions_reading(tree, "_bder") == ["_em_tail"]
-    assert _functions_reading(tree, "_em_tail") == ["_cell_samples"]
+    assert _functions_reading(tree, "_em_tail") == ["_node_sum"]
+
+
+def test_one_node_sum_for_the_lattice_series():
+    # _node_sum alone blocks the points by _CHUNK and builds the table of
+    # 1/(y - s) and 1/(y + s); the direct sums of L and M and the cell
+    # samples of G and H both call it, with no fixed node blocks of their
+    # own, and _far always reads a cache, never sampling cells per call
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert _functions_reading(tree, "_CHUNK") == ["_node_sum"]
+    assert sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                  and "np.divide" in _calls(fn)) == ["_node_sum"]
+    assert _functions_reading(tree, "_node_sum") == ["_cell_samples", "_direct"]
+    assert "_NODE_BLOCK" not in _defined_names(tree)
+    names = [{ast.unparse(op) for op in [node.left, *node.comparators]}
+             for node in ast.walk(_function("_far", tree)) if isinstance(node, ast.Compare)]
+    assert not [ops for ops in names if {"cells", "None"} <= ops]
 
 
 def _imports_threading(tree):
@@ -247,7 +294,8 @@ def test_only_the_cell_cache_takes_a_lock():
 
 
 def test_one_pair_rule_for_the_near_nodes():
-    # (a, b) at a node is written once, for the cell rows and the capped sums
+    # (a, b) at a node is written once, for the near nodes of the cell rows
+    # and the collapse of the direct sums
     tree = ast.parse((SRC / "kernels.py").read_text())
     assert _functions_reading(tree, "_pairs") == ["_cell_samples", "_direct"]
 

@@ -268,8 +268,9 @@ def test_log_majorant_values_do_not_depend_on_their_batch():
 
 @pytest.mark.parametrize("lam", [1e-8, 1e-3, 0.03, 0.07])
 def test_small_rate_values_do_not_depend_on_their_batch(lam):
-    """L and M where the horizon binds, below lam ~ 0.0734, and the far
-    field is sampled per call (and, at 1e-3, the cap past |x| ~ 3.7e4)."""
+    """L and M where the horizon binds, below lam ~ 0.0734, so that each
+    point's nodes and tail follow its cell (and, at 1e-3, the cap past
+    |x| ~ 3.7e4), all summed at the point."""
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
 
@@ -292,8 +293,8 @@ def _one_rate_defect(lam, x, kind):
     return kernels.majorant_values(lam, x) - e
 
 
-# capped rates from K(0.08) = 471 nodes down to 12, and one (1e-3) that
-# takes the far field at these points
+# capped rates from K(0.08) = 471 nodes down to 12, and one (1e-3) whose
+# horizon binds before its cap at most of these points
 RATES = [0.08, 0.1, 0.37, 0.5, 1.0, 3.0, 7.5, 20.0, 1e-3]
 
 
@@ -312,12 +313,14 @@ def test_defects_have_the_bits_of_each_rate_alone(kind):
 
 
 def _chunk_values():
-    """L/M capped and at lam = 1e-3, a many-rate defect call, G and H of
-    fresh instances, at CHUNK_POINTS."""
+    """L/M capped and at lam = 1e-3, L at lam = 1e-4 (whose widest row,
+    at |x| = 40000.3, fills a block alone), a many-rate defect call, G and
+    H of fresh instances, at CHUNK_POINTS."""
     return np.concatenate([
         kernels.minorant_values(1.0, CHUNK_POINTS),
         kernels.majorant_values(1.0, CHUNK_POINTS),
         kernels.minorant_values(1e-3, CHUNK_POINTS),
+        kernels.minorant_values(1e-4, CHUNK_POINTS),
         kernels.majorant_values(1e-3, CHUNK_POINTS),
         kernels._defects([3.0, 0.08, 1e-3, 0.5], CHUNK_POINTS, "minorant").ravel(),
         kernels._defects([0.1, 7.5, 1.0], CHUNK_POINTS, "majorant").ravel(),
@@ -327,31 +330,36 @@ def _chunk_values():
 
 @pytest.mark.parametrize("chunk", [4096, 262_144])
 def test_values_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    """Capped sums reduce each row on its own and cell samples run over
-    fixed node blocks, so the block size moves no bit."""
+    """The node sum reduces each row on its own, a lone row beside its
+    copy, so the block size moves no bit."""
     default = _chunk_values()
     monkeypatch.setattr(kernels, "_CHUNK", chunk)
     assert _chunk_values().tobytes() == default.tobytes()
 
 
 def _direct_per_rate(lam, x, f0):
-    """The capped sum of L (f0 None) or M (f0 = 1) as it was written for one
-    rate at a time, kept as the dual of the shared reciprocal table: four
-    divisions per (point, node) and a pairwise np.sum per row."""
+    """The sum of L (f0 None) or M (f0 = 1) at the points as it was written
+    for one rate at a time, kept as the dual of the shared reciprocal
+    table: four divisions per (point, node) and a pairwise np.sum per row,
+    over the first min(n, K(lam)) nodes of each point, n those below its
+    cell's horizon, plus the Euler-Maclaurin tail (_em_pairs) where the
+    horizon binds first."""
     y = np.abs(np.asarray(x, dtype=float))
     first = 0.5 if f0 is None else 1.0
     c0, du = kernels._cell(y, first)
-    n = kernels._trunc_terms(lam)
-    s = first + np.arange(n, dtype=float)
+    horizon = kernels._truncation(c0, first)
+    n = np.minimum(horizon, kernels._trunc_terms(lam))
+    s = first + np.arange(n.max(), dtype=float)
     f = np.exp(-lam * s)
     fp = -lam * f
     k = (c0 - first).astype(int)
+    kept = np.arange(len(s)) < n[:, None]
     dx = y[:, None] - s[None, :]
     px = y[:, None] + s[None, :]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = f[None, :] / dx ** 2 + fp[None, :] / dx
+        direct = np.where(kept, f[None, :] / dx ** 2 + fp[None, :] / dx, 0.0)
         zero = None if f0 is None else f0 / y ** 2
-    mirror = f[None, :] / px ** 2 - fp[None, :] / px
+    mirror = np.where(kept, f[None, :] / px ** 2 - fp[None, :] / px, 0.0)
     hit = np.nonzero((np.abs(du) < kernels._NODE_TOL) & (k < n))[0]
     kh = k[hit]
     on_zero = kh < 0
@@ -359,6 +367,9 @@ def _direct_per_rate(lam, x, f0):
     if f0 is not None:
         zero[hit[on_zero]] = 0.0
     total = np.sum(direct + mirror, axis=1)
+    tail = horizon < kernels._trunc_terms(lam)
+    a0 = first + horizon[tail]
+    total[tail] += _em_pairs(y[tail], a0, [(-lam) ** j * np.exp(-lam * a0) for j in range(5)])
     if f0 is not None:
         total = zero + total
     vals = (np.sin(np.pi * du) / np.pi) ** 2 * total
@@ -367,7 +378,7 @@ def _direct_per_rate(lam, x, f0):
     return vals
 
 
-capped_rates = st.lists(st.floats(math.log(0.08), math.log(20.0)).map(math.exp),
+capped_rates = st.lists(st.floats(math.log(1e-4), math.log(20.0)).map(math.exp),
                         min_size=1, max_size=5)
 wide_points = st.lists(st.one_of(
     st.floats(-1000.0, 1000.0),
@@ -380,8 +391,8 @@ wide_points = st.lists(st.one_of(
 @PROPS
 @given(capped_rates, wide_points)
 def test_shared_table_matches_the_per_rate_sum(f0, lams, xs):
-    """The capped rates of one call, through one shared table, against the
-    per-rate sum: within 2e-15 max(1, |value|)."""
+    """The rates of one call, capped or not, through one shared table,
+    against the per-rate sum: within 2e-15 max(1, |value|)."""
     xs = np.array(xs + [0.0])
     for lam, got in zip(lams, kernels._exp_series(lams, xs, f0)):
         ref = _direct_per_rate(lam, xs, f0)
@@ -389,22 +400,40 @@ def test_shared_table_matches_the_per_rate_sum(f0, lams, xs):
 
 
 def test_capped_rates_share_one_direct_call(monkeypatch):
-    """A _defects call whose rates are all capped makes one _direct call for
-    all of them, and verify's _kernel_defects makes two, one per kind."""
+    """A _defects call makes one node-sum call for all its rates, capped
+    or not, and verify's _kernel_defects makes two, one per kind."""
     calls = []
-    direct = kernels._direct
+    node_sum = kernels._node_sum
 
     def counted(*args):
         calls.append(len(args[4]))
-        return direct(*args)
+        return node_sum(*args)
 
-    monkeypatch.setattr(kernels, "_direct", counted)
+    monkeypatch.setattr(kernels, "_node_sum", counted)
     kernels._defects([0.1, 3.0, 0.5, 20.0, 0.5], np.linspace(-50.0, 50.0, 301), "minorant")
     assert calls == [5]
+    calls.clear()
+    kernels._defects([1e-3, 0.03, 0.5], np.linspace(-500.0, 500.0, 301), "majorant")
+    assert calls == [3]
     calls.clear()
     lams = 10.0 ** np.linspace(-0.5, 0.5, 5)      # the rates criterion 3 draws
     verify._kernel_defects(lams, np.linspace(-60.0, 60.0, 450))
     assert calls == [5, 5]
+
+
+def test_kernels_never_sample_cells(monkeypatch):
+    """L, M and their defects are summed at the points at every rate, the
+    small ones included: no call of theirs builds a cell row."""
+    calls = []
+    monkeypatch.setattr(kernels, "_cell_samples", lambda *args: calls.append(args))
+    pts = np.linspace(-700.0, 700.0, 41)
+    lams = np.array([1e-3, 0.03, 0.2, 0.5, 2.0])
+    for kind in ("minorant", "majorant"):
+        kernels._defects([1e-3, 0.03, 0.5], pts, kind)
+        kernels.KernelDefectAtPoint(pts, kind)(lams)
+    kernels.minorant_values(1e-3, pts)
+    kernels.majorant_values(1e-3, pts)
+    assert calls == []
 
 
 @pytest.mark.parametrize("call", [
@@ -429,8 +458,9 @@ def test_node_limit_raises_before_allocating(call):
 
 def test_node_limit_spares_capped_rates_and_the_last_cells():
     """Capped L/M never reach the limit, and G/U take the cells below it."""
-    assert kernels._truncation(1e9, 0.5, kernels._trunc_terms(0.1))[0] < 400
-    n, _ = kernels._truncation(np.array([1e6, 2.0 ** 20]), 0.5, None)
+    assert kernels.eval_L(0.1, 1e9).trunc_terms < 400
+    assert kernels.eval_M(0.1, 1e9).trunc_terms < 400
+    n = kernels._truncation(np.array([1e6, 2.0 ** 20]), 0.5)
     assert n[0] <= kernels._MAX_NODES < n[1]
     assert math.isfinite(superposed.eval_U(1e5))
 
