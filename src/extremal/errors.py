@@ -5,10 +5,11 @@ passed something the mathematics rejects); convergence failures are runtime
 errors and carry the best estimate obtained so far so callers can decide
 whether a degraded answer is still useful.  is_real and is_count are the
 one rule for numeric arguments: a bool is not a number.  check_count,
-check_kind and check_finite are the one count, kind and evaluation-point
-rules, each with its one message.
+check_kind, check_finite and check_delta are the one count, kind,
+evaluation-point and dilation rules, each with its one message.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -60,6 +61,12 @@ def check_kind(kind):
     if kind not in ("minorant", "majorant"):
         raise DomainError(f"unknown kind {kind!r}; use 'minorant' or 'majorant'")
     return kind
+
+
+def check_delta(delta):
+    """DomainError unless delta (a dilation or separation) is finite, > 0."""
+    if not (is_real(delta) and delta > 0.0 and math.isfinite(delta)):
+        raise DomainError(f"dilation parameter must be finite and positive, got {delta!r}")
 
 
 def check_finite(x):

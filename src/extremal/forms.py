@@ -23,9 +23,10 @@ functional equation turns these into the discrete Hardy-Littlewood-Sobolev
 constants (2 - 2^{2-s}) zeta(s)/delta^s and 2 zeta(s)/delta^s for the
 kernel |xi_m - xi_n|^{-s}; both routes are computed here and must agree.
 
-r_mu, A and B are the (dilated) measure's r and defect_moment methods; the
-measure classes hold the closed forms above, and this module only scales
-them and maps a divergent r_mu(0) to the PLUS_INF sentinel.  A(N+1, mu)
+r_mu is the measure's r, and A and B its defect_moment at delta, which
+dilates, checks delta and takes the kind's gate on the measure given; the
+measure classes hold the closed forms above, and this module only maps a
+divergent r_mu(0) to the PLUS_INF sentinel.  A(N+1, mu)
 and B(N+1, mu) are also the means of periodic's g_mu and h_mu, -A and B.
 
 Sharpness is witnessed on arithmetic progressions xi_n = delta n with
@@ -42,7 +43,7 @@ from typing import Optional, Tuple
 
 from . import measures, specfun
 from .errors import (AdmissibilityError, ConvergenceError, DomainError, check_count,
-                     check_finite, is_real)
+                     check_delta, check_finite, is_real)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class PointSet:
             raise DomainError("point set must be nonempty")
         if any(not math.isfinite(v) for v in xs):
             raise DomainError("points must be finite")
-        measures._check_delta(self.delta)
+        check_delta(self.delta)
         if len(xs) > 1:
             gap = float(np.min(np.diff(np.sort(np.asarray(xs)))))
             if gap < self.delta:
@@ -105,16 +106,12 @@ def r_mu(measure, t, tol=1e-10):
 
 def lower_constant_A(measure, delta=1.0, tol=1e-10):
     """Sharp lower form constant A(delta, mu) (> 0 for admissible mu)."""
-    measures._check_delta(delta)
-    measure.require("minorant")
-    return measures.dilate(measure, delta).defect_moment("minorant", tol) / delta
+    return measure.defect_moment("minorant", tol, delta)
 
 
 def upper_constant_B(measure, delta=1.0, tol=1e-10):
     """Sharp upper form constant B(delta, mu); needs the cond47 moment."""
-    measures._check_delta(delta)
-    measure.require("majorant")
-    return measures.dilate(measure, delta).defect_moment("majorant", tol) / delta
+    return measure.defect_moment("majorant", tol, delta)
 
 
 def quadrature_route_A(measure, delta=1.0, tol=1e-10):
@@ -169,7 +166,7 @@ def hls_constants(sigma, delta=1.0):
     log4/delta at sigma = 1.  Upper (1 < sigma < 2): 2 zeta(sigma)/delta^sigma.
     sigma = 2 is served as the continuity limit pi^2/(3 delta^2) and flagged.
     """
-    measures._check_delta(delta)
+    check_delta(delta)
     if not (is_real(sigma) and 0.0 < sigma <= 2.0):
         raise DomainError(f"sigma must lie in (0, 2], got {sigma!r}")
     sigma = float(sigma)
@@ -193,7 +190,6 @@ def hls_gamma_route(sigma, delta=1.0):
     PowerLaw(sigma); equal to hls_constants by the zeta functional
     equation, so the pair is a dual-route consistency check.
     """
-    measures._check_delta(delta)
     if not (is_real(sigma) and 0.0 < sigma < 2.0 and sigma != 1.0):
         raise DomainError(
             f"gamma-route sigma must lie in (0, 2) excluding 1, got {sigma!r}")

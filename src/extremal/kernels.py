@@ -74,13 +74,19 @@ The Fourier transforms (supported on [-1, 1]) have the closed forms
     Mhat = [(1-|t|) sinh(l/2) cosh(l/2) + (l/2pi)|sin(pi t)| cos(pi t)] / Dh
     Dh   = sinh(l/2)^2 + sin(pi t)^2
 
-evaluated in e^{-l/2}-scaled form so nothing overflows for any lam > 0.
+evaluated in e^{-l/2}-scaled form so nothing overflows for any lam > 0;
+eval_Lhat and eval_Mhat share one body, _hat.
 
 The periodized kernel p(lam, x) = -2/lam + sum_m e^{-lam|x+m|} and its
 x-derivative j (eval_p, eval_j, re-exported by periodic) are one ladder,
 _periodized: p is a non-negative term minus specfun's minorant defect,
 whose series alone carries the 2/lam cancellation.  p(lam, 1/2) is minus
 that defect and p(lam, 0) is specfun's majorant defect, both bit for bit.
+
+Every single-rate kernel that measures integrates is written here once:
+the ladder of f_mu (_exp_ladder), the transform of e^{-lam|x|}
+(_exp_transform, r_mu's), Lhat and Mhat, and p and j.  The ladders of L
+and M (_exp_series) interpolate e^{-lam|x|} itself and stay apart.
 
 The one-sided kernel defects e^{-lam|x|} - L and M - e^{-lam|x|} are O(lam)
 as lam -> 0, a difference of O(1) numbers, so measure integrals refining
@@ -493,44 +499,50 @@ def eval_M(lam, x):
     return _eval_point(lam, x, 1.0)
 
 
-def eval_Lhat(lam, t):
-    """Fourier transform of L(lam, .); identically 0 for |t| >= 1.
-
-    At |t| = 1 it is 0, not the ~7.8e-17/lam that sin(pi) != 0 leaves.
-
-    lam, a rate or an ndarray of rates, broadcasts against t; a float comes
-    back when both are scalars.  A nan or infinite t raises DomainError.
-    """
+def _hat(lam, t, majorant):
+    """Mhat if majorant, else Lhat: the kind's numerator over Dh, scaled."""
     lam = check_rates(lam, "the kernel")
     at = np.abs(check_finite(t))
     E = np.exp(-0.5 * lam)
     one_m_E2 = -np.expm1(-lam)
     st = np.abs(np.sin(np.pi * at))
     ct = np.cos(np.pi * at)
-    num = 2.0 * E * ((1.0 - at) * ct * one_m_E2
-                     + (lam / (2.0 * math.pi)) * st * (1.0 + E * E))
-    den = one_m_E2 ** 2 + 4.0 * E * E * st * st
-    vals = np.where(at < 1.0, num / den, 0.0)
+    c = lam / (2.0 * math.pi)
+    num = ((1.0 - at) * -np.expm1(-2.0 * lam) + 4.0 * E * E * c * st * ct if majorant
+           else 2.0 * E * ((1.0 - at) * ct * one_m_E2 + c * st * (1.0 + E * E)))
+    vals = np.where(at < 1.0, num / (one_m_E2 ** 2 + 4.0 * E * E * st * st), 0.0)
     return float(vals) if vals.ndim == 0 else vals
+
+
+def eval_Lhat(lam, t):
+    """Fourier transform of L(lam, .); identically 0 for |t| >= 1 (at |t| = 1
+    exactly 0, not the ~7.8e-17/lam that sin(pi) != 0 leaves).  lam, a rate
+    or an ndarray of rates, broadcasts against t; a float comes back when
+    both are scalars.  A nan or infinite t raises DomainError."""
+    return _hat(lam, t, False)
 
 
 def eval_Mhat(lam, t):
-    """Fourier transform of M(lam, .); identically 0 for |t| >= 1.
+    """Fourier transform of M(lam, .); identically 0 for |t| >= 1.  lam
+    broadcasts against t, and |t| = 1 gives 0, as in eval_Lhat; a nan or
+    infinite t raises DomainError."""
+    return _hat(lam, t, True)
 
-    lam broadcasts against t, and |t| = 1 gives 0, as in eval_Lhat; a nan
-    or infinite t raises DomainError.
-    """
-    lam = check_rates(lam, "the kernel")
-    at = np.abs(check_finite(t))
-    E = np.exp(-0.5 * lam)
-    one_m_E2 = -np.expm1(-lam)
-    one_m_E4 = -np.expm1(-2.0 * lam)
-    st = np.abs(np.sin(np.pi * at))
-    ct = np.cos(np.pi * at)
-    num = (1.0 - at) * one_m_E4 + 4.0 * E * E * (lam / (2.0 * math.pi)) * st * ct
-    den = one_m_E2 ** 2 + 4.0 * E * E * st * st
-    vals = np.where(at < 1.0, num / den, 0.0)
-    return float(vals) if vals.ndim == 0 else vals
+
+def _exp_transform(lam, t):
+    """The transform 2 lam/(lam^2 + 4 pi^2 t^2) of e^{-lam|x|}, r_mu's kernel."""
+    return 2.0 * lam / (lam * lam + 4.0 * math.pi ** 2 * t * t)
+
+
+def _exp_ladder(lam, a, orders):
+    """f_mu's kernel e^{-lam a} - e^{-lam} (order 0) and (-lam)^k e^{-lam a}
+    (order k) at a >= 0, stacked.  Order 0, -sign(1-a) e^{-lam min(a,1)}
+    expm1(-lam|1-a|), cancels neither as a -> 1 nor as lam -> 0, where a
+    density like lam^-1.5 would magnify the error of the difference."""
+    e = None if orders == (0,) else np.exp(-lam * a)
+    return np.stack([-np.sign(1.0 - a) * np.exp(-lam * np.minimum(a, 1.0))
+                     * np.expm1(-lam * np.abs(1.0 - a)) if k == 0 else (-lam) ** k * e
+                     for k in orders])
 
 
 def _periodized(lam, x, orders):

@@ -40,28 +40,29 @@ The periodized kernel q_mu(x) = int p(lam, x) dmu follows the same idiom:
 ``_q(x, orders, tol)`` gives q_mu (order 0) and q_mu' (order 1) wherever
 q_mu is finite, the integers included (q_mu' is 0 there).  Measure.q is
 its order 0 and, as f does at x = 0, gates the integers on cond47.  The
-base defect_moment is -q_mu(1/2) or q_mu(0).
+base defect_moment(kind, tol, delta) is the sharp form constant A or B:
+-q_nu(1/2) or q_nu(0) of the dilation nu, over delta.
 
-``integrate`` is the one integral against a measure: a finite sum over
-``atoms``, one heap from the pieces between ``breakpoints``, or else the
-weighted integral over (0, inf).  Every family subclasses Measure, whose methods
-_derivs, defect_moment, r, _q and transform_moment are each one
-(vector-valued) ``integrate`` call; a family overrides one only with a
-closed form:
+Measures integrate and kernels evaluate: ``kernels`` writes each
+single-rate kernel, and ``integrate`` is the one integral against a
+measure: a sum over ``atoms``, one heap over ``breakpoints``, or else the
+weighted integral over (0, inf).  On the base Measure, _derivs, r, _q and
+transform_moment are each one call of the column integral ``_integral``.
+A family overrides a method only where it beats the base:
 
-             _derivs  defect_moment  r       _q      transform_moment
-  HaarLog    closed   closed         closed  closed  -
-  PowerLaw   closed   closed         closed  closed  -
-  Atomic     closed   -              -       -       -
-  Weight     -        -              -       -       -
+             _derivs  defect_moment  r       _q
+  HaarLog    closed   -              closed  closed
+  PowerLaw   closed   closed         closed  closed
+  Atomic     -        -              -       -
+  Weight     -        -              -       -
 
-Atomic needs no moment override: ``integrate`` sums over its atoms, under
-the output contract of ``quadrature``.  transform_moment is the paper's
-coefficient route for the periodic polynomials; periodic builds them from
-_q instead, and the tests keep it as the oracle.
+Atomic's ladder and moments are the base's atom sums, exact near |x| = 1,
+and HaarLog's moments the base's from its closed _q (A = log 2, bit for
+bit).  transform_moment is the paper's coefficient route for the periodic
+polynomials; periodic builds them from _q, and the tests keep it as oracle.
 
-``Measure.require(kind)`` is the one admissibility gate (the quadrature
-moments of the base stay ungated), and ``_csv_rows`` the one CSV reader.
+``Measure.require(kind)`` is the one admissibility gate (the base moments
+of a kind take the gate), and ``_csv_rows`` the one CSV reader.
 """
 
 import csv
@@ -74,7 +75,7 @@ from typing import Callable, Optional, Tuple
 
 from . import kernels, quadrature, specfun
 from .errors import (AdmissibilityError, ConvergenceError, DivergenceError,
-                     DomainError, check_finite, check_kind, is_real)
+                     DomainError, check_delta, check_finite, check_kind, is_real)
 
 
 class _PlusInfinity:
@@ -116,18 +117,6 @@ def _by_kind(kind, minorant, majorant):
     return minorant if check_kind(kind) == "minorant" else majorant
 
 
-def _over_points(kernel, x, measure, tol):
-    """int kernel(lam, x) dmu at every point of x, in one integral.
-
-    One vector integral of kernel(lam[:, None], x.ravel()), reshaped to x;
-    a scalar x is the one-point array call and gives a float.
-    """
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_1d(x).ravel()
-    out = integrate(lambda lam: kernel(lam[:, None], pts), measure, tol=tol).value
-    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
-
-
 def _nonzero(t):
     """t unchanged; DivergenceError if it holds a 0, where r = int 2/lam dmu."""
     if np.any(t == 0.0):
@@ -139,7 +128,7 @@ class Measure:
     """Base of the families: each kernel moment is one measure integral.
 
     Subclasses supply ``weight`` (or ``atoms``), ``classify`` and
-    ``dilate``, and override a method below only with a closed form.
+    ``dilate``, and override a method below only where they beat it.
     """
 
     atoms = None
@@ -178,40 +167,36 @@ class Measure:
                 f"{self!r} only satisfies cond31")
         return adm
 
+    def _integral(self, kernel, x, tol, orders=None):
+        """int kernel dmu at every point of x, in one vector integral over the
+        flattened points: kernel(lam, pts) is one (rates, points) block, or
+        kernel(lam, pts, orders) a stack of one per order.  One row per block,
+        of the shape of x; a scalar x gives a list of floats."""
+        x = np.asarray(x, dtype=float)
+        pts = x.ravel()
+        args = () if orders is None else (orders,)
+        out = integrate(lambda lam: np.moveaxis(kernel(lam[:, None], pts, *args), -2, 0)
+                        .reshape(len(lam), -1), self, tol=tol).value
+        out = out.reshape((len(orders) if args else 1,) + x.shape)
+        return out.tolist() if x.ndim == 0 else out
+
     def _derivs(self, ax, orders):
         """f_mu^(k) at the points of the array ax >= 0 for each k in orders,
-        stacked on a new first axis.
+        stacked on a new first axis: the integral of the kernels ladder."""
+        return self._integral(kernels._exp_ladder, ax, 1e-10, orders)
 
-        One vector integral with a column block per order: e^{-lam a} -
-        e^{-lam} for k = 0 and (-lam)^k e^{-lam a} for k >= 1.  The k = 0
-        block is written as -sign(1-a) e^{-lam min(a,1)} expm1(-lam|1-a|),
-        which does not cancel as lam -> 0, where a density like lam^-1.5
-        would magnify the rounding error of the difference.
-        """
-        pts = ax.ravel()
-        sign, near, gap = np.sign(1.0 - pts), np.minimum(pts, 1.0), np.abs(1.0 - pts)
-
-        def kernel(lam):
-            e = None if orders == (0,) else np.exp(-np.multiply.outer(lam, pts))
-            lam = lam[:, None]
-            return np.concatenate([-sign * np.exp(-lam * near) * np.expm1(-lam * gap)
-                                   if k == 0 else (-lam) ** k * e
-                                   for k in orders], axis=1)
-
-        out = integrate(kernel, self, tol=1e-10).value
-        return out.reshape((len(orders),) + ax.shape)
-
-    def defect_moment(self, kind, tol=1e-10):
-        """int of the one-sided kernel defect 2/lam - csch(lam/2) = -p(lam, 1/2)
-        (kind "minorant") or coth(lam/2) - 2/lam = p(lam, 0) ("majorant") dmu."""
+    def defect_moment(self, kind, tol=1e-10, delta=1.0):
+        """A(delta, mu) (kind "minorant") or B(delta, mu): int 2/lam -
+        csch(lam/2) = -p(lam, 1/2) or coth(lam/2) - 2/lam = p(lam, 0) dnu
+        over delta, nu(E) = mu(delta E), behind the gate of mu itself."""
+        nu = self.dilate(delta)
+        self.require(kind)
         sign, x = _by_kind(kind, (-1.0, 0.5), (1.0, 0.0))
-        return sign * float(self._q(np.array([x]), (0,), tol)[0, 0])
+        return sign * float(nu._q(np.array([x]), (0,), tol)[0, 0]) / delta
 
     def r(self, t, tol=1e-10):
         """Form kernel int 2 lam / (lam^2 + 4 pi^2 t^2) dmu at t >= 0."""
-        return _over_points(
-            lambda lam, a: 2.0 * lam / (lam * lam + 4.0 * math.pi ** 2 * a * a),
-            t, self, tol)
+        return self._integral(kernels._exp_transform, t, tol)[0]
 
     def q(self, x, tol=1e-9):
         """Periodized kernel q_mu(x) = int p(lam, x) dmu, order 0 of ``_q``;
@@ -225,20 +210,16 @@ class Measure:
 
     def _q(self, x, orders, tol):
         """q_mu^(k) at the points of the array x, integers included, for
-        each k in orders (0 or 1), stacked on a new first axis.
-
-        One vector integral with a column block per order of the kernels
-        ladder: p(lam, x) for k = 0, its x-derivative j(lam, x) for k = 1.
-        """
-        pts = x.ravel()
-        out = integrate(lambda lam: np.concatenate(
-            kernels._periodized(lam[:, None], pts, orders), axis=1), self, tol=tol).value
-        return out.reshape((len(orders),) + x.shape)
+        each k in orders (0 or 1), stacked on a new first axis: the integral
+        of the kernels ladder, p(lam, x) for k = 0 and j(lam, x) for k = 1."""
+        return self._integral(kernels._periodized, x, tol, orders)
 
     def transform_moment(self, kind, ts, tol=1e-9):
-        """int Lhat(lam, ts) dmu (kind "minorant") or int Mhat(lam, ts) dmu."""
-        return _over_points(_by_kind(kind, kernels.eval_Lhat, kernels.eval_Mhat),
-                            ts, self, tol)
+        """int Lhat(lam, ts) dmu (kind "minorant") or int Mhat(lam, ts) dmu,
+        behind the kind's gate."""
+        self.require(kind)
+        return self._integral(_by_kind(kind, kernels.eval_Lhat, kernels.eval_Mhat),
+                              ts, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -255,10 +236,6 @@ class HaarLog(Measure):
                          else (-1) ** k * math.factorial(k - 1) / ax ** k
                          for k in orders])
 
-    def defect_moment(self, kind, tol=1e-10):
-        self.require(kind)
-        return math.log(2.0)
-
     def r(self, t, tol=1e-10):
         return 0.5 / _nonzero(t)
 
@@ -269,18 +246,11 @@ class HaarLog(Measure):
         return np.stack([-np.log(np.abs(2.0 * np.sin(np.pi * x))) if k == 0
                          else -np.pi / np.tan(np.pi * t) for k in orders])
 
-    def transform_moment(self, kind, ts, tol=1e-9):
-        """The base's int Lhat(lam, ts) dlam/lam, in [0, 1/(2|t|)] for |t| < 1
-        and 0 for |t| >= 1; DivergenceError at t = 0, where it grows like
-        int 2/lam^2 dlam, and AdmissibilityError for the majorant moment."""
-        self.require(kind)
-        return super().transform_moment(kind, ts, tol)
-
     def classify(self):
         return Admissibility(cond31=True, cond47=False)
 
     def dilate(self, delta):
-        _check_delta(delta)
+        check_delta(delta)
         return self
 
 
@@ -310,18 +280,22 @@ class PowerLaw(Measure):
         return self.prefactor * specfun.gamma(1.0 - self.sigma)
 
     def _derivs(self, ax, orders):
+        """Order 0 is g expm1((sigma-1) log a), which does not cancel near
+        a = 1; log 0 = -inf gives f_mu(0) = -g for sigma > 1."""
         g, s = self._gamma_factor, self.sigma
         facs = np.cumprod([g] + [s - k for k in range(1, max(orders) + 1)])
-        return np.stack([g * (ax ** (s - 1.0) - 1.0) if k == 0
-                         else facs[k] * ax ** (s - 2.0 if k == 1 else s - 1.0 - k)
-                         for k in orders])
+        with np.errstate(divide="ignore"):
+            return np.stack([g * np.expm1((s - 1.0) * np.log(ax)) if k == 0
+                             else facs[k] * ax ** (s - 2.0 if k == 1 else s - 1.0 - k)
+                             for k in orders])
 
-    def defect_moment(self, kind, tol=1e-10):
+    def defect_moment(self, kind, tol=1e-10, delta=1.0):
+        nu = self.dilate(delta)
         self.require(kind)
         s = self.sigma
         gz = specfun.gamma(1.0 - s) * specfun.zeta(1.0 - s)
         fac = _by_kind(kind, 2.0 - 2.0 ** (2.0 - s), 2.0)
-        return self.prefactor * fac * gz
+        return nu.prefactor * fac * gz / delta
 
     def _q(self, x, orders, tol):
         """q_mu and q_mu' in closed form: with t = x - round(x) and d = |t|
@@ -352,7 +326,7 @@ class PowerLaw(Measure):
         return Admissibility(cond31=True, cond47=self.sigma > 1.0)
 
     def dilate(self, delta):
-        _check_delta(delta)
+        check_delta(delta)
         return PowerLaw(self.sigma, self.prefactor * delta ** (1.0 - self.sigma))
 
 
@@ -385,17 +359,11 @@ class Atomic(Measure):
     def atoms(self):
         return (np.array(self.points), np.array(self.weights))
 
-    def _derivs(self, ax, orders):
-        lams, ws = self.atoms
-        E = np.exp(-ax[..., None] * lams)
-        return np.stack([(E - np.exp(-lams)) @ ws if k == 0
-                         else E @ (ws * (-lams) ** k) for k in orders])
-
     def classify(self):
         return Admissibility(cond31=True, cond47=True)
 
     def dilate(self, delta):
-        _check_delta(delta)
+        check_delta(delta)
         return Atomic(tuple(p / delta for p in self.points), self.weights)
 
 
@@ -446,17 +414,12 @@ class Weight(Measure):
         return Admissibility(cond31=True, cond47=c47)
 
     def dilate(self, delta):
-        _check_delta(delta)
+        check_delta(delta)
         base = self.fn
         bp = None if self.breakpoints is None else tuple(
             b / delta for b in self.breakpoints)
         return Weight(lambda lam, d=delta: d * np.asarray(base(d * np.asarray(lam)),
                                                           dtype=float), bp)
-
-
-def _check_delta(delta):
-    if not (is_real(delta) and delta > 0.0 and math.isfinite(delta)):
-        raise DomainError(f"dilation parameter must be finite and positive, got {delta!r}")
 
 
 def dilate(measure, delta):

@@ -124,10 +124,6 @@ def check_defect_integrals(rng):
     return out
 
 
-def _exp_transform(lam, t):
-    return 2.0 * lam / (lam * lam + 4.0 * math.pi ** 2 * t * t)
-
-
 def check_transforms(rng):
     lams = 10.0 ** rng.uniform(-0.5, 0.5, 20)
     xs = rng.uniform(-30.0, 30.0, 20)
@@ -150,12 +146,12 @@ def check_transforms(rng):
     ts = np.array([1.1, 1.5])
     ft = cos_window_integral(
         lambda x: kernels._defects((1.0,), x, "minorant")[0], ts)
-    worst = float(np.max(np.abs(_exp_transform(1.0, ts) - ft)))
+    worst = float(np.max(np.abs(kernels._exp_transform(1.0, ts) - ft)))
     out.append(_check("transform-support", worst <= 1e-6, worst,
                       "|numeric Lhat| at t in {1.1, 1.5}", 1e-6))
     lams = 10.0 ** np.linspace(-1, 1, 7)[:, None]
     ts = np.linspace(-0.95, 0.95, 21)
-    slack = float(np.min(_exp_transform(lams, ts) - kernels.eval_Lhat(lams, ts)))
+    slack = float(np.min(kernels._exp_transform(lams, ts) - kernels.eval_Lhat(lams, ts)))
     out.append(_check("transform-remark-bound", slack >= -1e-12, slack,
                       "Lhat <= 2lam/(lam^2+4pi^2t^2) on grid", 1e-12))
     return out

@@ -35,8 +35,16 @@ once, that ``cli.cmd_eval`` writes its CSV and JSON rows from one column
 table without a per-index loop, that the means of g_mu and h_mu are the
 sharp constants A and B of ``forms`` (so ``periodic`` neither dilates a
 measure nor reads its defect moment or admissibility gate), that
-criterion 8 reads its witnesses off the sharpness table, and that the
-count, kind and evaluation-point messages are written only in ``errors``.
+criterion 8 reads its witnesses off the sharpness table, that the
+count, kind, evaluation-point and dilation messages are written only in
+``errors``, and that measures integrate while kernels evaluate: every
+single-rate kernel is written in ``kernels`` (``measures`` makes no
+``np.exp`` call and ``verify`` writes no transform of its own), the base
+methods of ``Measure`` are each one call of its one column integral
+``_integral``, no family overrides a method the base already gives
+(``Atomic`` defines only its atoms, and ``HaarLog`` no moment), the base
+moments take the kind's gate so that ``forms`` reads neither ``require``
+nor a delta check, and ``eval_Lhat`` and ``eval_Mhat`` share one body.
 """
 
 import ast
@@ -475,7 +483,7 @@ def test_criterion_8_reads_the_sharpness_table():
 def test_count_kind_and_point_messages_are_written_once():
     # errors.check_count, check_kind and check_finite hold the one text of each
     message = re.compile("must be a nonnegative integer|unknown kind "
-                         "|evaluation points must be finite")
+                         "|evaluation points must be finite|dilation parameter must")
 
     def raises_message(tree):
         return any(isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -484,3 +492,47 @@ def test_count_kind_and_point_messages_are_written_once():
                    for node in ast.walk(r))
 
     assert _modules_where(raises_message) == ["errors.py"]
+
+
+def _methods(tree, cls):
+    """The names of the methods the class cls of tree defines."""
+    node = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == cls)
+    return sorted(fn.name for fn in node.body if isinstance(fn, ast.FunctionDef))
+
+
+def test_measures_integrate_and_kernels_evaluate():
+    # kernels writes every single-rate kernel; measures integrates them
+    # against mu through one column integral, and verify takes them as well
+    tree = ast.parse((SRC / "measures.py").read_text())
+    assert "np.exp" not in _calls(tree)
+    assert "_over_points" not in _defined_names(tree)
+    assert _functions_reading_attribute(tree, "_integral") == [
+        "_derivs", "_q", "r", "transform_moment"]
+    assert sorted(set(_functions_reading(tree, "integrate"))) == ["_integral", "classify"]
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert "_exp_transform" not in _defined_names(tree)
+    assert "_exp_transform" in {_attribute_read(node) for node in ast.walk(tree)}
+
+
+def test_no_override_the_base_already_gives():
+    # Atomic's moments and ladder are the base's atom sums, and HaarLog's
+    # moments the base's closed _q behind the base's gate
+    tree = ast.parse((SRC / "measures.py").read_text())
+    assert _methods(tree, "Atomic") == ["__post_init__", "atoms", "classify", "dilate"]
+    assert not {"defect_moment", "transform_moment"} & set(_methods(tree, "HaarLog"))
+
+
+def test_forms_takes_the_gate_of_the_measure():
+    # defect_moment gates the kind and dilate checks delta, so A and B read
+    # neither; the delta rule of the point sets is errors.check_delta
+    tree = ast.parse((SRC / "forms.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if _attribute_read(node) in ("require", "_check_delta")
+                or (isinstance(node, ast.Name) and node.id == "_check_delta")]
+
+
+def test_one_body_for_the_transforms_of_l_and_m():
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert _functions_reading(tree, "_hat") == ["eval_Lhat", "eval_Mhat"]
+    assert _calls(_function("eval_Lhat", tree)) == ["_hat"]
+    assert _calls(_function("eval_Mhat", tree)) == ["_hat"]

@@ -96,6 +96,10 @@ def test_upper_constant_rejects_divergent_families():
     with pytest.raises(AdmissibilityError) as exc:
         forms.upper_constant_B(PL05)
     assert "cond31" in str(exc.value)
+    # the gate is the measure's own, not its dilation's
+    with pytest.raises(AdmissibilityError) as exc:
+        forms.upper_constant_B(PL05, delta=5.0)
+    assert repr(PL05) in str(exc.value)
 
 
 def test_form_bound_container():

@@ -6,6 +6,7 @@ import re
 import tempfile
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -54,6 +55,37 @@ def test_atomic_f_is_the_finite_sum():
     assert abs(mu.f(x) - expect) <= 1e-15
     assert mu.f(0.0) == pytest.approx(
         sum(w * (1.0 - math.exp(-l)) for l, w in zip(pts, ws)), abs=1e-15)
+
+
+# |x| from 1e-6 to the series' limit 1.05e6, and 1 -+ [1e-12, 0.4]
+_NEAR_ONE = np.outer([-1.0, 1.0], np.geomspace(1e-12, 0.4, 30)).ravel() + 1.0
+
+
+@pytest.mark.parametrize("sigma", [0.2, 0.5, 0.7, 1.3, 1.5, 1.9, 1.99])
+def test_power_law_f_has_full_relative_accuracy(sigma):
+    # kappa Gamma(1-sigma) expm1((sigma-1) log|x|): |x|^(sigma-1) - 1 would
+    # cancel near |x| = 1, to 2.2e-4 relative at 1 + 1e-12
+    mu = measures.PowerLaw(sigma)
+    xs = np.concatenate([np.geomspace(1e-6, 1.05e6, 200), _NEAR_ONE])
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        ref = np.array([float(mpmath.gamma(1 - s) * (mpmath.mpf(x) ** (s - 1) - 1))
+                        for x in xs])
+    for got in (mu.f(xs), mu.f_derivs(xs)[0]):
+        assert np.max(np.abs(got / ref - 1.0)) <= 4e-15
+
+
+def test_atomic_f_has_full_relative_accuracy_near_one():
+    # the atom sum of the base ladder, e^{-lam a} - e^{-lam} without
+    # cancellation: a difference of exponentials read 2.1e-5 at 1 + 1e-12
+    mu = measures.Atomic((0.5, 1.0, 3.0), (0.2, 1.0, 0.7))
+    xs = np.outer([-1.0, 1.0], 10.0 ** -np.arange(3, 13)).ravel() + 1.0
+    with mpmath.workdps(40):
+        ref = np.array([float(sum(w * (mpmath.exp(-lam * mpmath.mpf(x)) - mpmath.exp(-lam))
+                                  for lam, w in zip(mu.points, mu.weights)))
+                        for x in xs])
+    for got in (mu.f(xs), mu.f_derivs(xs)[0]):
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
 
 
 def test_weight_f_matches_quadrature():
