@@ -11,62 +11,60 @@ over s = 1/2, 3/2, ... with P(x) = (cos(pi x)/pi)^2, or over s = 1, 2, ...
 plus the unpaired node term f(0)/x^2 with P(x) = (sin(pi x)/pi)^2.  Pairing
 the terms across +-s makes the sum exactly even in x and absolutely
 convergent.  P is computed as (sin(pi du)/pi)^2 from the distance du to the
-nearest node, which keeps full relative accuracy near the lattice, and the
-single offending term collapses to
+nearest node c0, which keeps full relative accuracy near the lattice, and
+the term of c0 at x collapses to
 
-    sinc(du)^2 (f(s*) + du f'(s*))
+    sinc(du)^2 (f(c0) + du f'(c0))
 
-so node interpolation is exact.  The series alone decides where it stops,
-cell by cell: the cell of a point is its nearest node c0 (so du lies in
-[-1/2, 1/2]), and it keeps the nodes below its horizon
-max(512, ceil(c0 + 1/2) + 96), plus the Euler-Maclaurin value of the pairs
-dropped from a0 on.  With b(u) = 1/(x-u) - 1/(x+u) a pair is exactly
-g(s) = (f b)'(s), so that tail is
--f(a0) b(a0) + g(a0)/2 - g'(a0)/12 + g'''(a0)/720 from the caller's
-f^(0..4)(a0), at the 1e-13 level even for power-law exponents near 2.  A
-caller may cap the node count; where the cap binds no tail is added.
+so node interpolation is exact; the mirror half f(c0)/(x+c0)^2 -
+f'(c0)/(x+c0) of its pair stays in the sum, and at the node 0 of Z the
+collapse is sinc(du)^2 f(0).
 
-G and H split the sum as in the fast multipole method for lattice
-sources (Greengard-Rokhlin 1987; Dutt-Gu-Rokhlin 1996).  The
-nodes sigma with |sigma - c0| < 3 (mirror nodes, the node 0 of Z and the
-collapsing node among them) are summed at the point.  The rest of the
-series, tail included, is analytic in du for |du| < 3: it is sampled once
-per cell at 16 first-kind Chebyshev offsets, and each point takes a
-barycentric interpolation in du, within ~1e-15 relative of the direct sum.
-The cell is the unit of state: its row holds the 16 samples and the pairs
-(a, b) = (f(|sigma|), sign(sigma) f'(|sigma|)) of its five near nodes (a =
-f(0), b = 0 at the node 0 of Z), so a point reads its cell's row and no
-node.  A point then costs O(1), and its value depends on its own x alone,
-not on the other points of the call.  G and H keep their cell rows in a
-_CellCache, so a cell is sampled once over the life of its cache.
+With b(u) = 1/(x-u) - 1/(x+u) each pair is one derivative, g(s) =
+(f b)'(s), so a run of nodes [A, B] away from x has the closed
+Euler-Maclaurin value (DLMF 2.10, 24.17)
 
-A point's cell may keep at most 2^20 nodes (_MAX_NODES), so G, H and U
-take |x| up to about 1.05e6; past that, and wherever an uncapped L/M cell
-or a cap of K(lam) > 2^20 (lam <~ 3.5e-5) would keep more, the series
-raises DomainError before it allocates a node.  Node counts stay in floats
-until they are checked, so no |x|, however large, overflows them: L and M
-with a cap K(lam) <= 2^20 take every finite x.
+    f b|_A^B + (g(A) + g(B))/2 + sum_{j<=p} B_2j/(2j)! (g^(2j-1)(B) - g^(2j-1)(A))
 
-L and M (f = e^{-lam s}, f(0) = 1) are capped at K(lam) =
-ceil(log(1/eps)/lam) + 10 nodes (eps = 1e-16), which binds for lam >~
-0.0734; a cap past 2^20 could never bind, so K is clamped there and no
-rate, however small, overflows it.  Since sum_s sinc(x - s)^2 = 1 and
-|P(x)/(x -+ s)| <= 1/pi, the pairs dropped from s0 = first node + K on
-sum to at most
-e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at every x (below 6e-17 for
-lam >= 0.1); a point whose nearest node was dropped gets no collapse, as P
-vanishes there.  L and M are summed at the points at every rate: a
-point keeps min(n, K(lam)) nodes, n those below its cell's horizon, and
-the tail where the horizon binds first.  One node sum, _node_sum, serves
-them and the samples of a G or H cell.  The rates of one call share the
-work that depends on the points alone: per block of points one table of
-1/(x - s) and 1/(x + s) over the longest series, from which each rate
-takes two row dot products over its own nodes (2 divisions per (point,
-node) for the whole call).  A point's nearest node stays out of the
-table and enters in the closed form of the collapse.  L and M keep no
-cache, so below lam ~ 0.0734 a point costs its 512 or more nodes.
-eval_L and eval_M report the nodes kept and the bound of their point's
-cell.
+from f^(0..2p) at its two ends, and the run from A to infinity is the same
+with no B terms.  Every point |x| takes the same pieces:
+
+- a head, the first _HEAD nodes, summed directly;
+- its window, the nodes c0 + j with |j| < _NEAR, summed directly (those
+  the head holds left out), the nearest node in the collapse;
+- one block of the nodes from the head's end to c0 - _NEAR;
+- one tail from max(head end, c0 + _NEAR).
+
+So a point costs O(1) nodes at every |x|.  The Bernoulli numbers are
+specfun's.  The remainder of a block or a tail is at most 2 zeta(2p)/(2pi)^2p
+int |g^(2p)| (DLMF 24.17).  Its ends lie at least _NEAR - 1/2 from x and
+_HEAD from 0, so b's share, 2 (2p)!/15.5^(2p+1), dominates, and with p =
+_EM_ORDER = 8 the bound is about 1e-19 max(1, |f|) for the closed families.  One set of constants serves
+every measure; the head's nodes are never the end of a run, so they take f
+and f' alone, which a Weight integrates where its higher columns would not
+converge.
+
+The direct sums take one table per block of points, r+ = 1/(x - s) and r-
+= 1/(x + s) over the head (last node first) and then the window, a = r+^2
++ r-^2 and b = r+ - r-, from which each series takes its own row dot
+products; einsum reduces each row on its own (a BLAS product does not, nor
+does einsum a lone row, which is summed beside its copy), and the end
+terms are elementwise, so a value depends on its own x and series alone.
+Half-integers are exact floats below 2^52: a point whose window would reach
+2^52 raises DomainError.
+
+L and M (f = e^{-lam s}, f(0) = 1) have a cap K(lam) = ceil(log(1/eps)/lam)
++ 10 (eps = 1e-16), and none where that reaches 2^52.  Since sum_s sinc(x -
+s)^2 = 1 and |P(x)/(x -+ s)| <= 1/pi, the pairs dropped from s0 = first
+node + K on sum to at most e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at
+every x.  A cap of at most _DIRECT nodes (lam >~ 0.695) is summed as it
+stands: the first K nodes and nothing else, with no collapse where the
+nearest node is past the cap.  A longer cap is dropped, every piece past it
+being below eps, except at a point whose window lies wholly past it: that
+point takes the head and one block to the cap, which keeps L and M finite
+(and 0 to rounding) at any |x|.  eval_L and eval_M report the nodes summed
+directly and a bound on the Euler-Maclaurin remainders and the dropped
+pairs.
 
 The Fourier transforms (supported on [-1, 1]) have the closed forms
 
@@ -106,20 +104,17 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError, check_finite, check_kind
-from .specfun import _check_rate, check_rates, defect_minorant
+from .specfun import _BERNOULLI, _check_rate, check_rates, defect_minorant, hurwitz_zeta
 
 _EPS_TAIL = 1e-16
-_NODE_TOL = 1e-6
 _CHUNK = 65_536  # max matrix cells per vectorized block
-_MIN_HORIZON = 512
-_MAX_NODES = 1 << 20  # most nodes a point's cell may keep
-_GAP = 96
-_R = 3          # nodes nearer a point's cell node than _R are summed directly
-_Q = 16         # far-field samples per cell
-_A = _Q + _R - 1  # cell row column of a at c0; a at c0 + j is column _A + j
-_B = _A + 2 * _R - 1  # and b at c0 + j is column _B + j
-_OFFSETS = 0.5 * np.cos((2 * np.arange(_Q) + 1) * np.pi / (2 * _Q))
-_WEIGHTS = (-1.0) ** np.arange(_Q) * np.sin((2 * np.arange(_Q) + 1) * np.pi / (2 * _Q))
+_HEAD = 32       # nodes summed directly from the first node on
+_NEAR = 16       # a point's window: the nodes c0 + j, |j| < _NEAR
+_EM_ORDER = 8    # p: the terms B_2 ... B_2p of each block and tail
+_ROWS = 2 * _EM_ORDER + 1   # the derivatives f^(0..2p) they read
+_DIRECT = _HEAD + 2 * _NEAR - 1  # the nodes a point past the head sums directly
+_EXACT = 2.0 ** 52  # half-integers are exact floats below this
+_WINDOW = np.arange(_NEAR - 1, -_NEAR, -1.0)  # window offsets, last node first
 
 
 @dataclass(frozen=True)
@@ -133,63 +128,70 @@ class KernelEval:
     tail_bound: float
 
 
-def _trunc_terms(lam):
-    """K(lam), the most node pairs L and M keep at any x.  A cap past
-    _MAX_NODES can never bind (the series raises first), so K is clamped
-    there in floats: no rate, however small, overflows the int."""
-    return int(math.ceil(min(math.log(1.0 / _EPS_TAIL) / lam, _MAX_NODES))) + 10
+def _cap(lam):
+    """K(lam), the nodes of L and M past which every pair is below eps, or
+    None where K(lam) would reach 2^52, past every exact node: it is kept
+    in floats until then, so no rate, however small, overflows the int."""
+    k = math.log(1.0 / _EPS_TAIL) / lam
+    return int(math.ceil(k)) + 10 if k < _EXACT else None
 
 
-def _cell(y, first):
+def _nearest(y, first):
     """(c0, du) at y = |x| >= 0: the lattice node c0 nearest y (the node 0
     counts on Z) and du = y - c0 in [-1/2, 1/2]."""
     c0 = np.floor(y) + 0.5 if first == 0.5 else np.rint(y)
     return c0, y - c0
 
 
-def _truncation(c0, first):
-    """The node count of the cells with nearest node c0, a number or an
-    array: the nodes from first on below the cell's horizon max(512,
-    ceil(c0 + 1/2) + 96).  It is a whole float, so that no |x| overflows
-    it."""
-    return np.ceil(np.maximum(_MIN_HORIZON, np.ceil(c0 + 0.5) + _GAP) - first)
+def _plan(c0, first, cap):
+    """(keep, B) of a series past the head at points with nearest node c0:
+    keep where the point keeps its window, its collapse and its tail, and B
+    the last node of its block from first + _HEAD, c0 - _NEAR there and the
+    last node below the cap (cap None: none) where the window lies past it."""
+    last = math.inf if cap is None else first + cap - 1.0
+    keep = c0 - _NEAR < last
+    return keep, np.where(keep, c0 - _NEAR, last)
 
 
-def _bder(x, u, k):
-    """k-th u-derivative of b(u) = 1/(x-u) - 1/(x+u)."""
-    fk = math.factorial(k)
-    return fk * (1.0 / (x - u) ** (k + 1) + (-1.0) ** (k + 1) / (x + u) ** (k + 1))
+def _em_end(y, a, d, h):
+    """The Euler-Maclaurin end term (f b)(a) + h g(a) + sum_j B_2j/(2j)!
+    g^(2j-1)(a) of the pairs g = (f b)', elementwise in y and a, from the
+    rows d = f^(0..2p)(a).  With b^(k)(a)/k! = r^(k+1) + t^(k+1), r = 1/(y -
+    a) and t = -1/(y + a), (f b)^(m)/m! is C_m = phi_m(r) + phi_m(t), where
+    phi_m(u) = sum_{i<=m} f^(i)(a)/i! u^(m-i+1) = u (phi_{m-1}(u) +
+    f^(m)(a)/m!), and the term is C_0 + h C_1 + sum_j B_2j C_2j.  A block
+    [A, B] is end(B, 1/2) - end(A, -1/2), a tail from T is -end(T, -1/2)."""
+    u = np.stack([1.0 / (y - a), -1.0 / (y + a)])
+    phi = u * d[0]
+    out, term = phi.copy(), np.empty_like(phi)
+    for m in range(1, len(d)):
+        phi += d[m] / math.factorial(m)
+        phi *= u
+        if m == 1 or m % 2 == 0:
+            out += np.multiply(phi, h if m == 1 else _BERNOULLI[m // 2 - 1], out=term)
+    return out[0] + out[1]
 
 
-def _em_tail(x, a0, d):
-    """Euler-Maclaurin value of sum_{k>=0} (f b)'(a0 + k), elementwise in x
-    and a0, from d = f^(0..4)(a0)."""
-    f0, f1, f2, f3, f4 = d
-    b0, b1, b2, b3, b4 = (_bder(x, a0, k) for k in range(5))
-    g = f0 * b1 + f1 * b0
-    gp = f2 * b0 + 2.0 * f1 * b1 + f0 * b2
-    g3 = f4 * b0 + 4.0 * f3 * b1 + 6.0 * f2 * b2 + 4.0 * f1 * b3 + f0 * b4
-    return -f0 * b0 + 0.5 * g - gp / 12.0 + g3 / 720.0
+def _em_bound(lam, lo, d):
+    """P(x) times the Euler-Maclaurin remainder of L or M over nodes from lo
+    on, d >= _NEAR - 1/2 from |x|: (1/pi^2) 2 zeta(2p)/(2 pi)^2p int |g^(2p)|,
+    by Leibniz with |f^(i)| <= lam^i e^{-lam lo} and |b^(m)(u)| <= 2 m!/|u -
+    |x||^(m+1)."""
+    n = 2 * _EM_ORDER
+    terms = sum(math.comb(n + 1, i) * math.factorial(n - i) * lam ** i * (1.0 / d) ** (n + 1 - i)
+                for i in range(n + 1))
+    return (4.0 * hurwitz_zeta(n, 1.0) / (2.0 * math.pi) ** n * math.exp(-lam * lo)
+            * (terms + lam ** n / d) / math.pi ** 2)
 
 
-def _tail_bound(lam, ax, a0, tail):
-    """Without the tail: the pairs of L or M dropped from a0 on.  With it:
-    the Euler-Maclaurin remainder (1/pi^2)(1/720) int_{a0}^inf |g''''| at
-    |x| = ax, by Leibniz with |f^(j)| <= lam^j e^{-lam a0} and |b^(m)(u)| <=
-    2 m!/(u - ax)^(m+1)."""
-    e = math.exp(-lam * a0)
-    if not tail:
-        return e * (1.0 + 2.0 * lam / (math.pi * -math.expm1(-lam)))
-    d = a0 - ax
-    terms = sum(math.comb(5, j) * math.factorial(4 - j) * lam ** j / d ** (5 - j)
-                for j in range(5))
-    return 2.0 * e * (terms + lam ** 4 / d) / (720.0 * math.pi ** 2)
+def _dropped(lam, s0):
+    """The pairs of L or M dropped from the node s0 on, with P(x), at any x."""
+    return math.exp(-lam * s0) * (1.0 + 2.0 * lam / (math.pi * -math.expm1(-lam)))
 
 
 class _CellCache:
-    """Rows of floats keyed by float, each built once: a cell's row (see
-    _cell_samples), or f and f' at a node.  The first build fixes the row
-    width.
+    """Rows of floats keyed by float, each built once: the derivatives
+    f^(0..2p) of a node.
 
     Reads take no lock and see the (keys, rows) table as one tuple; a
     build holds the lock, so threads that miss the same key build it once.
@@ -200,191 +202,121 @@ class _CellCache:
         self._table = None
 
     @staticmethod
-    def _find(table, cells):
-        """Where each cell sits in the table, and the cells it lacks."""
+    def _find(table, keys):
+        """Where each key sits in the table, and the keys it lacks."""
         if table is None:
-            return np.zeros(len(cells), dtype=np.int64), cells
+            return np.zeros(len(keys), dtype=np.int64), keys
         known = table[0]
-        pos = np.minimum(np.searchsorted(known, cells), len(known) - 1)
-        return pos, cells[known[pos] != cells]
+        pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        return pos, keys[known[pos] != keys]
 
-    def rows(self, cells, build):
-        """The rows of the sorted distinct cells; build(new) makes the rows
-        of the cells not held yet."""
+    def rows(self, keys, build):
+        """The rows of the sorted distinct keys; build(new) makes the rows
+        of the keys not held yet."""
         table = self._table
-        pos, new = self._find(table, cells)
+        pos, new = self._find(table, keys)
         if new.size:
             with self._lock:
                 table = self._table
-                pos, new = self._find(table, cells)
+                pos, new = self._find(table, keys)
                 if new.size:
-                    keys, rows = new, build(new)
+                    known, rows = new, build(new)
                     if table is not None:
-                        keys = np.concatenate([table[0], keys])
+                        known = np.concatenate([table[0], known])
                         rows = np.concatenate([table[1], rows])
-                    order = np.argsort(keys, kind="stable")
-                    table = self._table = keys[order], rows[order]
-                    pos, _ = self._find(table, cells)
+                    order = np.argsort(known, kind="stable")
+                    table = self._table = known[order], rows[order]
+                    pos, _ = self._find(table, keys)
         return table[1][pos]
 
 
-def _pairs(sigma, first, f, fp, f0):
-    """(a, b) at the lattice nodes sigma, from f and f' on the positive
-    nodes first, first + 1, ...: a = f(|sigma|) and b = sign(sigma)
-    f'(|sigma|), or a = f0 and b = 0 at the node 0 of Z."""
-    k = (np.abs(sigma) - first).astype(np.int64)    # -1: the node 0 of Z
-    kk = np.maximum(k, 0)
-    a = f[kk] if f0 is None else np.where(k < 0, f0, f[kk])
-    return a, np.sign(sigma) * fp[kk]
+def _node_rows(nodes, keys):
+    """f^(0..2p) at the sorted nodes keys of a series past the head, as a
+    (_ROWS, len(keys)) array: the first _HEAD keys, the head, are never the
+    end of a block or a tail, so they take f and f' alone (nan below)."""
+    rows = np.full((_ROWS, len(keys)), np.nan)
+    rows[:2, :_HEAD] = nodes(keys[:_HEAD], 2)
+    rows[:, _HEAD:] = nodes(keys[_HEAD:], _ROWS)
+    return rows
 
 
-def _node_sum(y, c0, r, first, series, f0):
-    """The pair series at the points y, one row per (f, fp, derivs, cap) in
-    series: a (len(series), len(y)) array.
+def _node_sum(y, c0, first, head, win, keys, series):
+    """The pair sums at the points y with nearest nodes c0, without P and
+    the collapse: one row per (v, plan) in series, a (len(series), len(y))
+    array.
 
-    At a point whose cell (nearest node) is c0 a series keeps its first
-    min(n, cap) nodes, n those below the cell's horizon (cap None: n; f
-    and fp hold at least as many), and adds the Euler-Maclaurin tail from
-    the horizon on where n < cap.  It leaves out every lattice node sigma
-    with |sigma - c0| < r, a whole r <= _R: the mirror nodes -s and the
-    node 0 of Z (the term f0/y^2) are lattice nodes.
+    plan None: v holds f and f' at the first v.shape[1] nodes, and the row
+    sums them alone.  Otherwise v holds f^(0..2p) at the sorted nodes keys,
+    whose first _HEAD are the head, and plan is _plan's (keep, B): the row
+    sums the head, the window and the tail where keep holds, and the block
+    from first + _HEAD to B where B is past its start.
 
-    The points are summed in groups of one table width, the node count of
-    their longest series, in blocks of at most _CHUNK (point, node) cells.
-    A block builds one table r+ = 1/(y - s) and r- = 1/(y + s), zeroed at
-    the nodes left out, a = r+^2 + r-^2 and b = r+ - r-; each series then
-    takes the row dot products a.f + b.f' over its own nodes.  The columns
-    run from the last node down to the first, so the small far terms are
-    added first, and einsum reduces each row on its own (a BLAS product
-    does not, nor does einsum a lone row, which is summed beside its
-    copy): a value does not depend on the other points or series of the
-    call.  The tails are taken after the loop, one call per series.
+    A point's table runs over the first ``head`` nodes, last first, and,
+    where win holds (a bool per point, or None: no window), over its window
+    c0 + _WINDOW, leaving out the window nodes the head holds; the nearest
+    node's r+ is left to the collapse.  The points go in blocks of at most
+    _CHUNK table cells, a lone point beside its copy.
     """
-    n = _truncation(c0, first)
-    caps = [math.inf if cap is None else cap for *_, cap in series]
-    width = np.minimum(n, max(caps))
-    backward = [(f[::-1].copy(), fp[::-1].copy()) for f, fp, _, _ in series]
+    width = head + (0 if win is None else len(_WINDOW))
+    s = first + np.arange(head - 1, -1, -1, dtype=float)
+    start = first + _HEAD
+    at0 = None if win is None else np.searchsorted(keys, c0)
+    heads = [tuple((g[::-1] if plan is None else g[_HEAD - 1::-1]).copy() for g in v[:2])
+             for v, plan in series]
     out = np.empty((len(series), len(y)))
-    order = np.argsort(width, kind="stable")
-    widths, starts = np.unique(width[order], return_index=True)
-    for w, group in zip(widths.astype(np.int64), np.split(order, starts[1:])):
-        s = first + np.arange(w - 1, -1, -1, dtype=float)     # column w - 1 - k: s_k
-        rows = max(1, _CHUNK // w)
-        for i in range(0, len(group), rows):
-            at = group[i:i + rows]
-            if len(at) == 1:
-                at = np.repeat(at, 2)
-            yi, ci = y[at], c0[at]
-            rp, rm = np.subtract(yi[:, None], s), np.add(yi[:, None], s)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                np.divide(1.0, rp, out=rp)
-                zero = None if f0 is None else np.where(ci < r, 0.0, f0 / yi ** 2)
-            np.divide(1.0, rm, out=rm)
-            for off in range(1 - r, r):
-                sigma = ci + off
-                k = np.abs(sigma) - first              # -1: the node 0 of Z
-                left = np.nonzero((k >= 0) & (k < w))[0]
-                col = w - 1 - k[left].astype(np.int64)
-                mirror = sigma[left] < 0
-                rp[left[~mirror], col[~mirror]] = 0.0
-                rm[left[mirror], col[mirror]] = 0.0
-            b = rp - rm
-            a = np.add(np.multiply(rp, rp, out=rp), np.multiply(rm, rm, out=rm), out=rp)
-            for j, (fb, fpb) in enumerate(backward):
-                m = min(w, caps[j])
-                total = (np.einsum("ik,k->i", a[:, w - m:], fb[len(fb) - m:])
-                         + np.einsum("ik,k->i", b[:, w - m:], fpb[len(fb) - m:]))
-                out[j, at] = total if f0 is None else zero + total
-    for j, (_, _, derivs, _) in enumerate(series):
-        tail = np.nonzero(n < caps[j])[0]
-        if tail.size:
-            a0 = first + n[tail]
-            horizons, col = np.unique(a0, return_inverse=True)
-            out[j, tail] += _em_tail(y[tail], a0, derivs(horizons)[:, col])
-    return out
-
-
-def _cell_samples(c0, first, nodes, derivs, f0):
-    """The row of each cell c0 (a sorted array): its far field at c0 +
-    _OFFSETS, then the pairs (a, b) of its near nodes c0 + j, |j| < _R, as
-    a (len(c0), _B + _R) array laid out [samples | a | b].
-
-    A cell's far field is the node sum without its near nodes (radius _R)
-    and with the tail.  It is analytic in du for |du| < _R, so _Q Chebyshev
-    samples on [-1/2, 1/2] hold it to rounding.
-    """
-    f, fp = nodes(first + np.arange(_truncation(c0, first).max(initial=0), dtype=float))
-    out = np.empty((len(c0), _B + _R))
-    out[:, :_Q] = _node_sum((c0[:, None] + _OFFSETS).ravel(), np.repeat(c0, _Q), _R,
-                            first, [(f, fp, derivs, None)], f0)[0].reshape(len(c0), _Q)
-    out[:, _Q:] = np.hstack(_pairs(c0[:, None] + np.arange(1 - _R, _R), first, f, fp, f0))
-    return out
-
-
-def _interpolate(du, F):
-    """Barycentric interpolation of the rows F (len(du), _Q), sampled at
-    _OFFSETS, to the offsets du: a loop over the samples, so that a value
-    takes the same operations whatever the length of du."""
-    num = den = 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for q in range(_Q):
-            w = _WEIGHTS[q] / (du - _OFFSETS[q])
-            num = num + w * F[:, q]
-            den = den + w
-        out = num / den
-    on = np.nonzero(du[:, None] == _OFFSETS)
-    out[on[0]] = F[on]
-    return out
-
-
-def _near(y, c0, du, rows, inv, hit):
-    """Sum over the near nodes sigma = c0 + j, |j| < _R, of each point of
-    a/(y - sigma)^2 + b/(y - sigma), with (a, b) from the row inv of its
-    cell; the node c0 of a point in hit is left to the collapse."""
-    total = 0.0
-    for j in range(1 - _R, _R):
-        d = du if j == 0 else y - (c0 + j)
+    rows = max(1, _CHUNK // (2 * width - head))    # a window cell holds twice a head cell
+    for i in range(0, len(y), rows):
+        at = np.arange(i, min(i + rows, len(y)))
+        if len(at) == 1:
+            at = np.repeat(at, 2)
+        yi, ci = y[at], c0[at]
+        rp, rm = np.empty((2, len(at), width))
+        np.subtract(yi[:, None], s, out=rp[:, :head])
+        np.add(yi[:, None], s, out=rm[:, :head])
+        if win is not None:
+            np.add(ci[:, None], _WINDOW, out=rm[:, head:])
+            np.subtract(yi[:, None], rm[:, head:], out=rp[:, head:])
+            rm[:, head:] += yi[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            term = rows[inv, _A + j] / d ** 2 + rows[inv, _B + j] / d
-        if j == 0:
-            term = np.where(hit, 0.0, term)
-        total = total + term
-    return total
-
-
-def _collapse(vals, hit, du, a, b):
-    """Add sinc(du)^2 (a + du b), the pair (a, b) of each point's nearest
-    node, to vals at the points hit."""
-    vals[hit] += np.sinc(du) ** 2 * (a + du * b)
-
-
-def _far(y, c0, du, first, nodes, derivs, f0, cells):
-    """The series at points whose cell rows the _CellCache cells keeps,
-    read off those rows alone: the near nodes directly, the rest from the
-    cell's samples, and the node collapse."""
-    keys, inv = np.unique(c0, return_inverse=True)
-    rows = cells.rows(keys, lambda new: _cell_samples(new, first, nodes, derivs, f0))
-    hit = np.abs(du) < _NODE_TOL
-    vals = (np.sin(np.pi * du) / np.pi) ** 2 * (
-        _interpolate(du, rows[inv, :_Q]) + _near(y, c0, du, rows, inv, hit))
-    _collapse(vals, hit, du[hit], rows[inv[hit], _A], rows[inv[hit], _B])
-    return vals
-
-
-def _direct(y, c0, du, first, series, f0):
-    """The series at y for each (nodes, derivs, cap) in series, summed at
-    the points, as a (len(series), len(y)) array: P(du) times the node sum
-    without each point's nearest node, plus that node in the closed form of
-    the collapse, which stays exact as du -> 0 and adds the largest term
-    last.  A point whose nearest node is past a series' cap gets no
-    collapse from it."""
-    top = _truncation(c0, first).max(initial=0)
-    series = [(*nodes(first + np.arange(top if cap is None else min(top, cap), dtype=float)),
-               derivs, cap) for nodes, derivs, cap in series]
-    out = (np.sin(np.pi * du) / np.pi) ** 2 * _node_sum(y, c0, 1, first, series, f0)
-    for vals, (f, fp, _, _) in zip(out, series):
-        kept = np.nonzero(c0 - first < len(f))[0]
-        _collapse(vals, kept, du[kept], *_pairs(c0[kept], first, f, fp, f0))
+            np.divide(1.0, rp, out=rp)
+            np.divide(1.0, rm, out=rm)
+        k = ci - first
+        near = np.nonzero((k >= 0) & (k < head))[0]
+        rp[near, head - 1 - k[near].astype(np.int64)] = 0.0
+        if win is not None:
+            rp[:, head + _NEAR - 1] = 0.0
+            edge = np.nonzero((k < _HEAD + _NEAR - 1) | ~win[at])[0]
+            drop = (k[edge, None] + _WINDOW < _HEAD) | ~win[at[edge], None]
+            for r in (rp, rm):
+                r[edge, head:] = np.where(drop, 0.0, r[edge, head:])
+            pos = np.clip(at0[at, None] + _WINDOW.astype(np.int64), 0, len(keys) - 1)
+        b = rp - rm
+        a = np.add(np.multiply(rp, rp, out=rp), np.multiply(rm, rm, out=rm), out=rp)
+        for j, ((fh, fph), (v, plan)) in enumerate(zip(heads, series)):
+            m = len(fh)
+            total = (np.einsum("ik,k->i", a[:, head - m:head], fh)
+                     + np.einsum("ik,k->i", b[:, head - m:head], fph))
+            if plan is not None:
+                F, Fp = v[0][pos], v[1][pos]
+                F[~plan[0][at]] = 0.0
+                Fp[~plan[0][at]] = 0.0
+                total += (np.einsum("ik,ik->i", a[:, head:], F)
+                          + np.einsum("ik,ik->i", b[:, head:], Fp))
+            out[j, at] = total
+    for row, (v, plan) in zip(out, series):
+        for i in range(0, len(y) if plan else 0, _CHUNK // 64):
+            at = slice(i, i + _CHUNK // 64)
+            keep, B = plan[0][at], plan[1][at]
+            block, tail = np.nonzero(B >= start)[0], np.nonzero(keep)[0]
+            nb = len(block)
+            ends = np.concatenate([B[block], np.full(nb, start),
+                                   np.maximum(start, c0[at][tail] + _NEAR)])
+            em = _em_end(y[at][np.concatenate([block, block, tail])], ends,
+                         v[:, np.searchsorted(keys, ends)],
+                         np.repeat([0.5, -0.5, -0.5], [nb, nb, len(tail)]))
+            part = row[at]
+            part[block] += em[:nb] - em[nb:2 * nb]
+            part[tail] -= em[2 * nb:]
     return out
 
 
@@ -396,59 +328,76 @@ def _lattice_series(x, series, f0=None):
     on Z + 1/2 and (sin(pi x)/pi)^2 on Z it evaluates
 
         P(x) [f0/x^2 + sum_s f(s) (1/(x-s)^2 + 1/(x+s)^2)
-                     + f'(s) (1/(x-s) - 1/(x+s)) + tail(|x|, a0)].
+                     + f'(s) (1/(x-s) - 1/(x+s))].
 
-    A series is (nodes, derivs, cap, cells): ``nodes(s)`` returns f and f'
-    at the positive nodes s = first, first + 1, ... (first = 1/2, or 1 with
-    f0) and ``derivs(a0)`` f^(0..4) at a sorted array of distinct a0, as a
-    (5, len(a0)) array; at the cell of |x| (its nearest node c0) it keeps
-    the nodes below the cell's horizon (_truncation), or its first ``cap``
-    if fewer (None: no cap), and adds the tail where the horizon binds.
-    ``cells``, a _CellCache or None, keeps its cell rows.  The series
-    without a cache (L and M) are summed at the points in one _direct
-    call; a series with one (G and H) is read off its cell rows by _far.
-    A value depends on its own x and its own series alone.  The f0/x^2
-    term is the unpaired node 0 of the integer lattice.  Non-finite x, or
-    a point whose cell would keep more than _MAX_NODES nodes, raises
-    DomainError.
+    A series is (nodes, cap): ``nodes(s, n)`` returns f^(0..n-1) at the
+    sorted distinct positive nodes s (first = 1/2, or 1 with f0), as an
+    (n, len(s)) array, and cap is None or K: the series is below eps past
+    its first K nodes.  A series with cap <= _DIRECT sums its first K
+    nodes; every other takes the head, window, block and tail of the
+    module docstring, dropping its cap but where a point's window lies past
+    it.  A value depends on its own x and its own series alone.  The f0/x^2
+    term is the unpaired node 0 of the integer lattice.  Non-finite x, or a
+    point whose window reaches 2^52, raises DomainError.
 
     Returns one value per series: a float for a scalar x, else an array of
     the shape of x.
     """
     x = check_finite(x)
+    if not x.size:
+        return [np.empty(x.shape) for _ in series]
     y = np.abs(x).ravel()
     first = 0.5 if f0 is None else 1.0
-    c0, du = _cell(y, first)
-    top = _truncation(c0, first).max(initial=0)
-    for _, _, cap, _ in series:
-        n = top if cap is None else min(top, cap)
-        if n > _MAX_NODES:
-            raise DomainError(f"|x| = {float(y.max())!r} needs {n:.15g} series nodes, "
-                              f"more than the {_MAX_NODES} allowed")
-    out = np.empty((len(series), len(y)))
-    direct = [j for j, (*_, cells) in enumerate(series) if cells is None]
-    if direct:
-        out[direct] = _direct(y, c0, du, first, [series[j][:3] for j in direct], f0)
-    for j, (nodes, derivs, _, cells) in enumerate(series):
-        if cells is not None and y.size:
-            out[j] = _far(y, c0, du, first, nodes, derivs, f0, cells)
+    c0, du = _nearest(y, first)
+    plans = [_plan(c0, first, cap) if cap is None or cap > _DIRECT else None
+             for _, cap in series]
+    win = keys = None
+    if any(plan is not None for plan in plans):
+        win = np.logical_or.reduce([plan[0] for plan in plans if plan is not None])
+        if np.any(win & (c0 + _NEAR >= _EXACT)):
+            raise DomainError(f"|x| = {float(y.max())!r} needs series nodes past 2^52, "
+                              "where they are no longer exact floats")
+        start = first + _HEAD
+        window = (np.unique(c0[win])[:, None] + _WINDOW).ravel()
+        keys = np.unique(np.concatenate(
+            [first + np.arange(_HEAD + 1, dtype=float), window[window >= start],
+             np.maximum(start, c0[win] + _NEAR)]
+            + [plan[1][plan[1] >= start] for plan in plans if plan is not None]))
+    values = [nodes(first + np.arange(cap, dtype=float), 2) if plan is None
+              else _node_rows(nodes, keys) for (nodes, cap), plan in zip(series, plans)]
+    head = max([_HEAD] * (win is not None)
+               + [v.shape[1] for v, plan in zip(values, plans) if plan is None])
+    inner = _node_sum(y, c0, first, head, win, keys, list(zip(values, plans)))
+    if f0 is not None:
+        with np.errstate(divide="ignore", over="ignore"):
+            inner = np.where(c0 < 1.0, 0.0, f0 / y ** 2) + inner
+    out = (np.sin(np.pi * du) / np.pi) ** 2 * inner
+    k = c0 - first                       # -1: the node 0 of Z
+    for vals, v, plan in zip(out, values, plans):
+        if plan is None:
+            hit = np.nonzero(k < v.shape[1])[0]
+            at = np.maximum(k[hit], 0).astype(np.int64)
+        else:
+            hit = np.nonzero(plan[0])[0]
+            at = np.searchsorted(keys, c0[hit])
+        a, b = v[0][at], v[1][at]
+        if f0 is not None:
+            zero = k[hit] < 0
+            a, b = np.where(zero, f0, a), np.where(zero, 0.0, b)
+        vals[hit] += np.sinc(du[hit]) ** 2 * (a + du[hit] * b)
     return [float(v[0]) if x.ndim == 0 else v.reshape(x.shape) for v in out]
 
 
 def _exp_series(lams, x, f0):
     """L (f0 None) or M (f0 = 1) at each of the rates lams, a list of floats:
-    f = e^{-lam s} on at most K(lam) nodes.  One value per rate, as
+    f = e^{-lam s} with the cap K(lam).  One value per rate, as
     _lattice_series returns them."""
     def series(lam):
-        def nodes(s):
-            f = np.exp(-lam * s)
-            return f, -lam * f
+        def nodes(s, n):
+            e = np.exp(-lam * s)
+            return np.array([(-lam) ** j * e for j in range(n)])
 
-        def derivs(a0):
-            e = np.exp(-lam * a0)
-            return np.array([(-lam) ** j * e for j in range(5)])
-
-        return nodes, derivs, _trunc_terms(lam), None
+        return nodes, _cap(lam)
 
     return _lattice_series(x, [series(lam) for lam in lams], f0)
 
@@ -478,15 +427,28 @@ def _defects(lams, x, kind):
 
 
 def _eval_point(lam, x, f0):
-    """KernelEval of L (f0 None) or M (f0 = 1) at one point."""
+    """KernelEval of L (f0 None) or M (f0 = 1) at one point: the nodes
+    summed directly, and a bound on the dropped pairs (a cap of at most
+    _DIRECT nodes, or a window past the cap) plus the Euler-Maclaurin
+    remainders of the block and the tail."""
     lam = _check_rate(lam, "the kernel")
     ax = abs(float(check_finite(x)))
     first = 0.5 if f0 is None else 1.0
-    cap = _trunc_terms(lam)
-    horizon = _truncation(_cell(ax, first)[0], first)
-    n = int(min(horizon, cap))
-    return KernelEval(lam, float(x), _exp_series([lam], ax, f0)[0], n,
-                      _tail_bound(lam, ax, first + n, bool(horizon < cap)))
+    value = _exp_series([lam], ax, f0)[0]
+    cap = _cap(lam)
+    if cap is not None and cap <= _DIRECT:
+        return KernelEval(lam, float(x), value, cap, _dropped(lam, first + cap))
+    c0 = float(_nearest(ax, first)[0])
+    keep, B = _plan(c0, first, cap)
+    keep, B = bool(keep), float(B)
+    start = first + _HEAD
+    bound = _em_bound(lam, start, ax - B) if B >= start else 0.0
+    if not keep:
+        return KernelEval(lam, float(x), value, _HEAD, bound + _dropped(lam, first + cap))
+    tail = max(start, c0 + _NEAR)
+    k = c0 - first
+    n = _HEAD + max(0, int(k + _NEAR) - max(_HEAD, int(k - _NEAR) + 1))
+    return KernelEval(lam, float(x), value, n, bound + _em_bound(lam, tail, tail - ax))
 
 
 def eval_L(lam, x):
@@ -538,11 +500,13 @@ def _exp_ladder(lam, a, orders):
     """f_mu's kernel e^{-lam a} - e^{-lam} (order 0) and (-lam)^k e^{-lam a}
     (order k) at a >= 0, stacked.  Order 0, -sign(1-a) e^{-lam min(a,1)}
     expm1(-lam|1-a|), cancels neither as a -> 1 nor as lam -> 0, where a
-    density like lam^-1.5 would magnify the error of the difference."""
+    density like lam^-1.5 would magnify the error of the difference.  Order
+    k is 0 where e^{-lam a} underflows, though (-lam)^k overflows there."""
     e = None if orders == (0,) else np.exp(-lam * a)
-    return np.stack([-np.sign(1.0 - a) * np.exp(-lam * np.minimum(a, 1.0))
-                     * np.expm1(-lam * np.abs(1.0 - a)) if k == 0 else (-lam) ** k * e
-                     for k in orders])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.stack([-np.sign(1.0 - a) * np.exp(-lam * np.minimum(a, 1.0))
+                         * np.expm1(-lam * np.abs(1.0 - a)) if k == 0
+                         else np.where(e > 0.0, (-lam) ** k * e, 0.0) for k in orders])
 
 
 def _periodized(lam, x, orders):

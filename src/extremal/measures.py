@@ -453,7 +453,10 @@ def integrate(g, measure, tol=1e-10):
                               f"({len(lams)},) or ({len(lams)}, m)")
         if not np.all(np.isfinite(vals)):
             raise DomainError("integrand non-finite at an atom")
-        value = np.asarray(ws) @ vals
+        # one atom after another, so a point's sum does not depend on the others
+        value = vals[0] * ws[0]
+        for w, v in zip(ws[1:], vals[1:]):
+            value = value + v * w
         if vals.ndim == 1:
             return quadrature.QuadResult(float(value), 0.0, len(lams))
         return quadrature.QuadResult(value, np.zeros_like(value), len(lams))

@@ -64,19 +64,37 @@ def _check_rate(lam, what):
 
 
 def _minorant(lam):
-    """defect_minorant at checked rates, as an array: y S(y^2) (y / sinh y)
-    below _SERIES_SWITCH, with y = lam/2 and S the series of (sinh y - y)/y^3,
-    and 2/lam - 2e^{-y}/(1 - e^{-lam}) above.  y^3 is never formed: it
-    underflows where lam/12 does not."""
-    y = 0.5 * lam
+    """defect_minorant at checked rates (a float, or an array): y S(y^2) (y
+    / sinh y) below _SERIES_SWITCH, with y = lam/2 and S the series of
+    (sinh y - y)/y^3, and _csch_form above.  y^3 is never formed: it
+    underflows where lam/12 does not.  Each rate takes its own branch
+    alone, and a float goes through in floats."""
+    if isinstance(lam, float):
+        if lam >= _SERIES_SWITCH:
+            return _csch_form(lam)
+        y = 0.5 * lam
+    else:
+        small = lam < _SERIES_SWITCH
+        out = np.empty_like(lam)
+        if not np.all(small):
+            out[~small] = _csch_form(lam[~small])
+        if not np.any(small):
+            return out
+        y = 0.5 * lam[small]
+    z = y * y
     acc = 0.0
-    # np.where takes both branches at every rate
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = y * y
-        for c in reversed(_SINH_SERIES):
-            acc = acc * z + c
-        return np.where(lam < _SERIES_SWITCH, y * acc * (y / np.sinh(y)),
-                        2.0 / lam - 2.0 * np.exp(-y) / -np.expm1(-lam))
+    for c in reversed(_SINH_SERIES):
+        acc = acc * z + c
+    series = y * acc * (y / np.sinh(y))
+    if isinstance(lam, float):
+        return series
+    out[small] = series
+    return out
+
+
+def _csch_form(lam):
+    """The minorant defect 2/lam - 2e^{-lam/2}/(1 - e^{-lam}), for lam >= 4."""
+    return 2.0 / lam - 2.0 * np.exp(-0.5 * lam) / -np.expm1(-lam)
 
 
 def defect_minorant(lam):

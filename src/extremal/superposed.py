@@ -10,23 +10,25 @@ lattice,
 and the majorant H_mu does the same over the integers (no derivative term
 at s = 0).  Terms are paired across +-s, which makes the sum absolutely
 convergent for every admissible family.  kernels._lattice_series, the
-engine that also evaluates L and M, sums it and decides where it stops;
-this module supplies f_nu and f_nu' on the nodes, f_nu(0) for H and
-f_nu^(0..4) where the tail starts.
+engine that also evaluates L and M, sums it: a head and a window of nodes
+directly, and the runs between and past them by Euler-Maclaurin, from
+f_nu^(0..16) at their ends; this module supplies f_nu and its derivatives
+on the nodes and f_nu(0) for H.
 
 Dilation: Minorant(mu, delta) evaluates G_nu(delta x) with nu(E) = mu(delta E),
 the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).
 
-A majorant takes f_nu(0) when it is built.  Each instance keeps two
-kernels._CellCache tables: the rows (f_nu, f_nu') of the nodes, and the
-row of each cell (its far-field samples and the pairs of its near nodes,
-see kernels).  Reads are pure and the caches only grow, so a point costs
-O(1) once its cell is built and grid sweeps reuse one instance.  The tail
-derivatives f_nu^(0..4) are taken afresh for each cell build.  Where f_nu has a closed form (HaarLog,
-PowerLaw, Atomic) a value depends on its own x alone; a Weight takes the
-values it caches from one vector integral over the points that first
-asked for them.  The measure-integral route int (kernel defect at x) dmu is exposed both as an
-independent evaluation strategy and as the DefectProfile cross-check.
+A majorant takes f_nu(0) when it is built.  Each instance keeps one
+kernels._CellCache, keyed by node: a node's row of f_nu^(0..16), built
+once by one _derivs call for the nodes a call first needs (the head's
+nodes take f and f' alone).  Reads are pure and the cache only grows, so
+grid sweeps reuse one instance, and a point costs O(1) nodes at every |x|
+below 2^52, past which G, H and U raise DomainError.  Where f_nu has a
+closed form (HaarLog, PowerLaw, Atomic) a value depends on its own x
+alone; a Weight takes the values it caches from one vector integral over
+the nodes that first asked for them.  The measure-integral route int
+(kernel defect at x) dmu is exposed both as an independent evaluation
+strategy and as the DefectProfile cross-check.
 """
 
 import numpy as np
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 from . import measures
 from .errors import DomainError, check_kind
-from .kernels import KernelDefectAtPoint, _CellCache, _lattice_series
+from .kernels import KernelDefectAtPoint, _CellCache, _ROWS, _lattice_series
 
 
 class _Superposed:
@@ -50,22 +52,26 @@ class _Superposed:
         self.measure = measure
         self.delta = float(delta)
         self._node_rows = _CellCache()
-        self._cells = _CellCache()
 
-    def _nodes(self, s):
-        """f_nu and f_nu' on the sorted distinct nodes s, as a (2, len(s))
-        array: one row (f, f') per node, each built once, by one _derivs
-        call for the nodes a call first needs."""
-        return self._node_rows.rows(s, lambda new: self.nu._derivs(new, (0, 1)).T).T
+    def _nodes(self, s, n):
+        """f_nu^(0..n-1) on the sorted distinct nodes s, as an (n, len(s))
+        array.  Each node's row of f_nu^(0..2p) is built once, by one
+        _derivs call for the nodes a call first needs, with the orders that
+        call asks for and nan above them: the series asks the higher orders
+        only at nodes past its head, whose nodes take f and f'."""
+        def build(new):
+            rows = np.full((len(new), _ROWS), np.nan)
+            rows[:, :n] = self.nu._derivs(new, range(n)).T
+            return rows
+
+        return self._node_rows.rows(s, build)[:, :n].T
 
     # -- evaluation -------------------------------------------------------
 
     def value(self, x):
         """The approximant at x (vectorized, even in x bit-for-bit)."""
         return _lattice_series(np.asarray(x, dtype=float) * self.delta,
-                               [(self._nodes, lambda a0: self.nu._derivs(a0, range(5)),
-                                 None, self._cells)],
-                               self._f0)[0]
+                               [(self._nodes, None)], self._f0)[0]
 
     def target(self, x):
         """What the approximant one-sidedly approximates at x.

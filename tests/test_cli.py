@@ -234,12 +234,23 @@ def test_eval_usage_errors(capsys):
 
 
 def test_eval_past_the_node_limit_is_a_usage_error(capsys, tmp_path):
-    """|x| = 1e9 would need a 1e9-node series: exit 2, no output file."""
+    """|x| = 1e16 is past 2^52, where the series nodes are no longer exact
+    floats: exit 2, no output file."""
     out = tmp_path / "g.csv"
     code, _, err = run_cli(["eval", "--kind", "G", "--measure", "haar",
-                            "--grid", "0:1e9:2", "--out", str(out)], capsys)
+                            "--grid", "0:1e16:2", "--out", str(out)], capsys)
     assert code == 2 and "series nodes" in err
     assert not out.exists()
+
+
+def test_eval_takes_the_log_majorant_far_out(capsys):
+    """U at |x| = 1e9, past the old 2^20-node limit, lies above log|x|."""
+    code, out, _ = run_cli(["eval", "--kind", "U", "--grid", "1e9:1e9:1",
+                            "--with-target"], capsys)
+    assert code == 0
+    header, row = out.strip().splitlines()
+    cols = dict(zip(header.split(","), map(float, row.split(","))))
+    assert cols["value"] >= math.log(1e9) and cols["target"] == math.log(1e9)
 
 
 @pytest.mark.parametrize("argv", [

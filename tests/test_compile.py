@@ -11,14 +11,15 @@ builds its polynomials without the transform moments or a point mass, that only
 ``measures`` raises AdmissibilityError or reads CSV, that one function
 holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 one slices its passes, that no integrand is probed for a TypeError, and
-that only ``kernels`` decides where the lattice series stops (its horizon
-and its Euler-Maclaurin tail) and how it splits near nodes from the far
-field, that a cell row carries its near nodes (one pair rule, ``_pairs``,
-and no node read in ``_far``) and ``kernels._CellCache`` is the one cache
-and the one lock of the series, that ``kernels._node_sum`` is the one node
-sum (the one reader of the block size and the one table of 1/(y -+ s),
-called by the direct sums and the cell samples, with no fixed node blocks)
-and ``_far`` always reads a cache, that every private module-level name of
+that the lattice series has one path: ``kernels._lattice_series`` takes
+no cell cache and keeps no cell, far field or horizon, only ``kernels``
+sets its head, window and Euler-Maclaurin order, ``kernels._node_sum`` is
+the one node sum (the one reader of the block size, the one table of
+1/(y -+ s) and the one caller of the Euler-Maclaurin end terms), the end
+terms read the Bernoulli numbers of ``specfun`` and ``kernels`` writes
+none of its own, ``superposed`` holds one ``kernels._CellCache`` (its
+node rows), and that cache is the one lock of the series; that every
+private module-level name of
 the package is read somewhere in it, that ``specfun.hurwitz_zeta`` is the one zeta series, that
 the one small-rate defect series of ``specfun`` is the minorant's and the
 majorant has no series, switch or direct formula of its own, that the
@@ -261,33 +262,47 @@ def _defined_names(tree):
 
 
 def test_one_truncation_for_the_lattice_series():
-    # _lattice_series alone sets the horizon, adds the tail and splits near
-    # from far, for L, M, G and H; the node sum alone adds the tail, at the
-    # points of L and M and at the cell samples of G and H
-    truncation = {"_MIN_HORIZON", "_GAP", "_bder", "_em_tail",
-                  "_R", "_Q", "_OFFSETS", "_WEIGHTS"}
-    assert _modules_where(lambda tree: _defined_names(tree) & truncation) == [
-        "kernels.py"]
+    # L, M, G and H take one path: no cell rows, far-field samples, horizon
+    # or node limit, and no cells argument; only kernels sets the head, the
+    # window and the Euler-Maclaurin order
+    gone = {"_cell_samples", "_interpolate", "_near", "_far", "_direct", "_truncation",
+            "_OFFSETS", "_WEIGHTS", "_Q", "_R", "_A", "_B", "_MIN_HORIZON", "_MAX_NODES",
+            "_GAP", "_pairs", "_bder", "_em_tail", "_NODE_TOL"}
+    assert _modules_where(lambda tree: _defined_names(tree) & gone) == []
+    assert _modules_where(
+        lambda tree: _defined_names(tree) & {"_HEAD", "_NEAR", "_EM_ORDER"}) == ["kernels.py"]
     tree = ast.parse((SRC / "kernels.py").read_text())
-    assert _functions_reading(tree, "_MIN_HORIZON") == ["_truncation"]
-    assert _functions_reading(tree, "_bder") == ["_em_tail"]
-    assert _functions_reading(tree, "_em_tail") == ["_node_sum"]
+    series = _function("_lattice_series", tree)
+    assert [a.arg for a in series.args.args] == ["x", "series", "f0"]
+    assert not [node.lineno for node in ast.walk(series)
+                if (isinstance(node, ast.Name) and node.id == "cells")
+                or _attribute_read(node) == "cells"]
 
 
 def test_one_node_sum_for_the_lattice_series():
-    # _node_sum alone blocks the points by _CHUNK and builds the table of
-    # 1/(y - s) and 1/(y + s); the direct sums of L and M and the cell
-    # samples of G and H both call it, with no fixed node blocks of their
-    # own, and _far always reads a cache, never sampling cells per call
+    # _node_sum alone blocks the points by _CHUNK, builds the table of
+    # 1/(y - s) and 1/(y + s) and adds the Euler-Maclaurin runs, for every
+    # series of a _lattice_series call
     tree = ast.parse((SRC / "kernels.py").read_text())
     assert _functions_reading(tree, "_CHUNK") == ["_node_sum"]
     assert sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                   and "np.divide" in _calls(fn)) == ["_node_sum"]
-    assert _functions_reading(tree, "_node_sum") == ["_cell_samples", "_direct"]
-    assert "_NODE_BLOCK" not in _defined_names(tree)
-    names = [{ast.unparse(op) for op in [node.left, *node.comparators]}
-             for node in ast.walk(_function("_far", tree)) if isinstance(node, ast.Compare)]
-    assert not [ops for ops in names if {"cells", "None"} <= ops]
+    assert _functions_reading(tree, "_node_sum") == ["_lattice_series"]
+    assert _functions_reading(tree, "_em_end") == ["_node_sum"]
+
+
+def test_the_series_reads_the_bernoulli_numbers_of_specfun():
+    # the end terms take B_2 ... B_2p from specfun in one function, and
+    # kernels writes no Bernoulli number nor a coefficient B_2j/(2j)! (such
+    # as 1/12 or 1/720) of its own
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    assert _functions_reading(tree, "_BERNOULLI") == ["_em_end"]
+    tables = {6, 12, 30, 42, 66, 720, 2730, 30240, 1209600, 47900160}
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.right, ast.Constant) and node.right.value in tables]
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and node.value in {720, 30240, 1209600, 47900160, 691, 3617, 43867, 174611}]
 
 
 def _imports_threading(tree):
@@ -301,17 +316,19 @@ def test_only_the_cell_cache_takes_a_lock():
     assert _modules_where(_imports_threading) == ["kernels.py"]
 
 
+def test_superposed_holds_one_node_cache():
+    # the rows f^(0..2p) of the nodes are the one cache of an approximant
+    tree = ast.parse((SRC / "superposed.py").read_text())
+    assert [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith("_CellCache")] == ["_CellCache"]
+
+
 def test_one_pair_rule_for_the_near_nodes():
-    # (a, b) at a node is written once, for the near nodes of the cell rows
-    # and the collapse of the direct sums
+    # the collapse of a point's nearest node, sinc(du)^2 (f + du f'), is
+    # written once, for every series
     tree = ast.parse((SRC / "kernels.py").read_text())
-    assert _functions_reading(tree, "_pairs") == ["_cell_samples", "_direct"]
-
-
-def test_far_field_reads_cell_rows_alone():
-    # a cell row carries the pairs of its near nodes, so _far reads no node
-    tree = ast.parse((SRC / "kernels.py").read_text())
-    assert "nodes" not in _calls(_function("_far", tree))
+    assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and "np.sinc" in _calls(fn)] == ["_lattice_series"]
 
 
 def test_cell_cache_takes_its_width_from_its_first_build():

@@ -130,14 +130,19 @@ def test_eval_point_wrappers():
     assert r.value == pytest.approx(kernels.majorant_values(1.0, 2.2), abs=0.0)
 
 
+def _cap(lam):
+    """K(lam) = ceil(log(1e16)/lam) + 10, the nodes L and M keep at most."""
+    return math.ceil(math.log(1e16) / lam) + 10
+
+
 def test_eval_point_wrappers_bound_the_tail_past_the_last_node():
     """Points past the K(lam) kept nodes: a finite tail bound, the kernel value."""
     r = kernels.eval_L(10.0, 100.5)
-    assert r.trunc_terms == kernels._trunc_terms(10.0)
+    assert r.trunc_terms == _cap(10.0)
     assert math.isfinite(r.tail_bound) and 0.0 < r.tail_bound <= 1e-15
     assert abs(r.value - math.exp(-1005.0)) <= 1e-15
     r = kernels.eval_M(10.0, 100.0)
-    assert r.trunc_terms == kernels._trunc_terms(10.0)
+    assert r.trunc_terms == _cap(10.0)
     assert math.isfinite(r.tail_bound) and 0.0 < r.tail_bound <= 1e-15
     for lam in (0.1, 0.37, 1.0, 10.0):
         for x in (0.0, 3.3, 1e3, 1e9):
@@ -150,7 +155,7 @@ def test_nodes_past_the_truncation_interpolate(lam):
     """L and M at lattice nodes up to 2000, far past the last kept node."""
     s = np.arange(0, 2000, dtype=float) + 0.5
     n = np.arange(0, 2001, dtype=float)
-    assert len(s) > kernels._trunc_terms(lam)
+    assert len(s) > _cap(lam)
     assert np.max(np.abs(kernels.minorant_values(lam, s) - np.exp(-lam * s))) <= 1e-15
     assert np.max(np.abs(kernels.majorant_values(lam, n) - np.exp(-lam * n))) <= 1e-15
 
@@ -173,51 +178,61 @@ def _nsum_series(lam, x, first):
         return float((mpmath.sin(mpmath.pi * x) / mpmath.pi) ** 2 * (1 / x ** 2 + total))
 
 
+def _check_tail_bound(lam, x, kept):
+    """trunc_terms is the count kept of nodes summed directly, and the
+    value is within 1e-15 of an mpmath sum and within tail_bound of it up
+    to rounding, for L and M."""
+    for ev, first in ((kernels.eval_L, 0.5), (kernels.eval_M, 1.0)):
+        r = ev(lam, x)
+        assert r.trunc_terms == kept
+        assert 0.0 < r.tail_bound <= 1e-12
+        err = abs(r.value - _nsum_series(lam, x, first))
+        assert err <= min(1e-15, r.tail_bound + 2 * math.ulp(max(abs(r.value), 0.5)))
+
+
 @pytest.mark.parametrize("lam", [1e-8, 1e-3])
 @pytest.mark.parametrize("x", [3.3, 100.7])
 def test_small_rates_take_the_horizon_and_the_tail(lam, x):
-    """Below lam ~ 0.0734 L and M keep the nodes below max(512, |x| + 96) and
-    add the Euler-Maclaurin tail, not the ~36.8/lam nodes of K(lam): within
-    1e-15 of an mpmath sum, and tail_bound bounds the error up to rounding."""
-    for ev, first, kept in ((kernels.eval_L, 0.5, 512), (kernels.eval_M, 1.0, 511)):
-        r = ev(lam, x)
-        assert r.trunc_terms == kept < kernels._trunc_terms(lam)
-        assert 0.0 < r.tail_bound <= 1e-12
-        err = abs(r.value - _nsum_series(lam, x, first))
-        assert err <= min(1e-15, r.tail_bound + 2 * math.ulp(r.value))
+    """Small rates take the head and the window (32 nodes at 3.3, where the
+    window lies inside the head; 63 at 100.7) and the Euler-Maclaurin block
+    and tail, not the ~36.8/lam nodes of K(lam); tail_bound bounds their
+    remainders."""
+    _check_tail_bound(lam, x, 32 if x < 10.0 else 63)
+
+
+@pytest.mark.parametrize("lam, x, kept", [
+    (0.5, 1000.3, 32),                           # the window past the cap K(lam)
+    (1.0, 3.3, 47), (2.0, 100.7, 29),            # a cap of at most 63 nodes alone
+], ids=["past-cap", "capped-1", "capped-2"])
+def test_tail_bound_bounds_the_error_under_a_cap(lam, x, kept):
+    """A point whose window lies past the cap takes the head and one block
+    to the cap; a cap of at most 63 nodes is summed alone: tail_bound then
+    bounds the dropped pairs (and the block's remainder)."""
+    _check_tail_bound(lam, x, kept)
 
 
 def test_report_takes_the_horizon_of_the_cell():
-    """trunc_terms is the node count of the point's cell, whose horizon
-    covers the cell's largest |x|: every x of a cell reports the same."""
-    for ev, cell, kept in ((kernels.eval_L, (416.0, 416.3, 416.999), 513),
-                           (kernels.eval_M, (416.6, 417.0, 417.4), 513)):
-        reports = [ev(1e-8, x) for x in cell]
-        assert [r.trunc_terms for r in reports] == [kept] * 3
-        first = 0.5 if ev is kernels.eval_L else 1.0
-        assert reports[1].tail_bound == kernels._tail_bound(
-            1e-8, cell[1], first + kept, True)
+    """trunc_terms is the head of 32 nodes and the window of the point's
+    nearest node past it: every x of a cell reports the same, 31 window
+    nodes far out, fewer where the window reaches into the head."""
+    for ev, cell, kept in ((kernels.eval_L, (416.0, 416.3, 416.999), 63),
+                           (kernels.eval_M, (416.6, 417.0, 417.4), 63),
+                           (kernels.eval_L, (40.0, 40.2, 40.9), 56),
+                           (kernels.eval_M, (39.6, 40.0, 40.4), 55)):
+        assert [ev(1e-8, x).trunc_terms for x in cell] == [kept] * 3
 
 
 @pytest.mark.parametrize("lam", [1e-18, 1e-20, 1e-300, 5e-324])
 def test_tiny_rates_clamp_the_cap(lam):
     """K(lam) is clamped in floats where it can no longer bind, so no rate
     overflows the node count: L and M read 1 to rounding near 0, and a
-    point keeps its cell's horizon."""
+    point keeps its head and window at any |x| the series takes."""
     x = np.array([0.0, 0.3, -1.0, 3.3, 7.5])
     assert np.max(np.abs(kernels.minorant_values(lam, x) - 1.0)) <= 1e-15
     assert np.max(np.abs(kernels.majorant_values(lam, x) - 1.0)) <= 1e-15
-    assert kernels._trunc_terms(lam) > kernels._MAX_NODES
-    assert kernels.eval_L(lam, 3.3).trunc_terms == 512
-    assert kernels.eval_M(lam, 3.3).trunc_terms == 511
-
-
-def test_small_rate_tail_bound_near_the_horizon():
-    """The Euler-Maclaurin bound is largest 96 nodes inside the horizon."""
-    for ev in (kernels.eval_L, kernels.eval_M):
-        r = ev(1e-8, 500.0)
-        assert r.trunc_terms < 600
-        assert 1e-14 < r.tail_bound <= 1e-12
+    assert kernels.eval_L(lam, 3.3).trunc_terms == 32
+    assert kernels.eval_M(lam, 3.3).trunc_terms == 32
+    assert kernels.eval_L(lam, 1e15).trunc_terms == 63
 
 
 def test_haar_transform_moment_bounds():

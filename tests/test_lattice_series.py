@@ -180,9 +180,8 @@ lattice_ys = st.one_of(
 def test_far_field_matches_a_direct_sum(mu, delta, ys):
     """G_nu(delta x) and H_nu(delta x) against a direct sum over the nodes
     below max(512, ceil(|delta x|) + 96) plus the Euler-Maclaurin tail:
-    within 1e-14 max(1, |value|) where both horizons are 512 on both
-    lattices (|delta x| < 415.5), and 2e-13 max(1, |value|) beyond, where
-    the cell's horizon may be a node longer."""
+    within 1e-14 max(1, |value|) for |delta x| < 415.5, and 2e-13 max(1,
+    |value|) beyond."""
     nu = measures.dilate(mu, delta)
     xs = np.array(ys) / delta
     y = np.abs(xs * delta)
@@ -221,21 +220,24 @@ def test_dilation_identity_over_random_measures(mu, delta, x):
 
 
 # Points near 0, at nodes of either lattice (du = 0 on one, +-1/2 on the
-# other), next to a node, either side of the 512-node horizon, far past it,
-# and past the cap K(1e-3) of L and M.
+# other), next to a node, with and without a block before the window, far
+# out, and past the cap K(1e-3) of L and M.
 BATCH = np.array([0.0, 1e-9, -0.3, 0.5, 1.0, 2.5, -3.0, 7.5 + 1e-7, 12.25,
-                  100.7, 415.5, -416.0, 416.7, 1000.0, -5000.2, 40000.3])
+                  47.5, -48.0, 48.7, 100.7, 415.5, -416.0, 416.7, 1000.0, -5000.2,
+                  40000.3])
 
 
-def _bit_identical_alone_and_in_batches(make):
-    """make() gives a fresh evaluator; each value of BATCH taken alone by a
-    fresh one has the bits of the same point inside the batch, inside the
-    reversed batch, and inside a batch that a warm evaluator takes."""
-    batch = make()(BATCH)
-    alone = np.array([make()(x) for x in BATCH])
+def _bit_identical_alone_and_in_batches(make, points=BATCH):
+    """make() gives a fresh evaluator; each of the points taken alone by a
+    fresh one has the bits of the same point inside the batch of them all,
+    inside the reversed batch, and inside a batch that a warm evaluator
+    takes, one that other points filled first."""
+    points = np.asarray(points, dtype=float)
+    batch = make()(points)
+    alone = np.array([make()(x) for x in points])
     warm = make()
-    warm(BATCH[::-1] * 0.5)
-    reverse = warm(BATCH[::-1])[::-1]
+    warm(points[::-1] * 0.5 + 3.0)
+    reverse = warm(points[::-1])[::-1]
     for values in (alone, reverse):
         assert values.tobytes() == batch.tobytes()
 
@@ -251,15 +253,15 @@ def test_superposed_values_do_not_depend_on_their_batch(mu):
     _bit_identical_alone_and_in_batches(lambda: superposed.Minorant(mu, 1.3).value)
     if mu.classify().cond47:
         _bit_identical_alone_and_in_batches(lambda: superposed.Majorant(mu).value)
-    # each cell row a warm instance holds is the row its cell builds alone
+    # each node row a warm instance holds is the row its node builds alone
     g = superposed.Minorant(mu, 1.3)
     g.value(BATCH)
-    keys, rows = g._cells._table
+    keys, rows = g._node_rows._table
     assert len(keys) and np.array_equal(keys, np.unique(keys))
-    for c0, row in zip(keys, rows):
-        alone = kernels._cell_samples(np.array([c0]), 0.5, superposed.Minorant(mu, 1.3)._nodes,
-                                      lambda a0: g.nu._derivs(a0, range(5)), None)
-        assert alone.tobytes() == row.tobytes()
+    for s, row in zip(keys, rows):
+        n = np.count_nonzero(~np.isnan(row))
+        alone = superposed.Minorant(mu, 1.3)._nodes(np.array([s]), n)
+        assert alone.T.tobytes() == row[:n].tobytes()
 
 
 def test_log_majorant_values_do_not_depend_on_their_batch():
@@ -268,19 +270,52 @@ def test_log_majorant_values_do_not_depend_on_their_batch():
 
 @pytest.mark.parametrize("lam", [1e-8, 1e-3, 0.03, 0.07])
 def test_small_rate_values_do_not_depend_on_their_batch(lam):
-    """L and M where the horizon binds, below lam ~ 0.0734, so that each
-    point's nodes and tail follow its cell (and, at 1e-3, the cap past
-    |x| ~ 3.7e4), all summed at the point."""
+    """L and M past the direct cap, so that each point's window, block and
+    tail follow its nearest node (and, at 1e-3, its window lies past the
+    cap from |x| ~ 3.7e4 on)."""
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.5, 3.0])
 def test_capped_rate_values_do_not_depend_on_their_batch(lam):
-    """L and M where the cap K(lam) binds at every point, so that the
-    shared reciprocal table of _direct sums them."""
+    """L and M with a cap K(lam) past every window of BATCH but the last
+    (0.1), past a few of them (0.5), and at most 63 nodes (3.0)."""
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
+
+
+def _series_case(kind, arg):
+    """A fresh-evaluator factory: L or M at the rate arg, or G or H of the
+    closed-form measure arg."""
+    if kind == "L":
+        return lambda: lambda x: kernels.minorant_values(arg, x)
+    if kind == "M":
+        return lambda: lambda x: kernels.majorant_values(arg, x)
+    cls = superposed.Minorant if kind == "G" else superposed.Majorant
+    return lambda: cls(arg).value
+
+
+series_cases = st.one_of(
+    st.tuples(st.sampled_from("LM"), st.floats(math.log(1e-4), math.log(20.0)).map(math.exp)),
+    st.tuples(st.just("G"), closed_form_measures),
+    st.tuples(st.just("H"), st.one_of(st.floats(1.05, 1.95).map(measures.PowerLaw),
+                                      atomic_measures)))
+batch_points = st.lists(st.one_of(
+    st.floats(-2000.0, 2000.0),
+    st.integers(-4000, 4000).map(lambda k: k / 2.0),
+    st.tuples(st.integers(-4000, 4000), st.floats(-3e-6, 3e-6)).map(
+        lambda t: t[0] / 2.0 + t[1]),
+    st.floats(1e4, 1e7)), min_size=1, max_size=8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(series_cases, batch_points)
+def test_values_do_not_depend_on_their_batch(case, points):
+    """L and M at drawn rates, G of HaarLog, PowerLaw and Atomic measures and
+    H of the cond47 ones: a value alone, inside a drawn batch, and after
+    other points warmed the evaluator, bit for bit."""
+    _bit_identical_alone_and_in_batches(_series_case(*case), points)
 
 
 CHUNK_POINTS = np.concatenate([np.linspace(-700.0, 700.0, 2801), BATCH])
@@ -313,8 +348,7 @@ def test_defects_have_the_bits_of_each_rate_alone(kind):
 
 
 def _chunk_values():
-    """L/M capped and at lam = 1e-3, L at lam = 1e-4 (whose widest row,
-    at |x| = 40000.3, fills a block alone), a many-rate defect call, G and
+    """L/M capped and at lam = 1e-3 and 1e-4, a many-rate defect call, G and
     H of fresh instances, at CHUNK_POINTS."""
     return np.concatenate([
         kernels.minorant_values(1.0, CHUNK_POINTS),
@@ -331,51 +365,11 @@ def _chunk_values():
 @pytest.mark.parametrize("chunk", [4096, 262_144])
 def test_values_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
     """The node sum reduces each row on its own, a lone row beside its
-    copy, so the block size moves no bit."""
+    copy, and a point's end terms are elementwise, so the block size moves
+    no bit."""
     default = _chunk_values()
     monkeypatch.setattr(kernels, "_CHUNK", chunk)
     assert _chunk_values().tobytes() == default.tobytes()
-
-
-def _direct_per_rate(lam, x, f0):
-    """The sum of L (f0 None) or M (f0 = 1) at the points as it was written
-    for one rate at a time, kept as the dual of the shared reciprocal
-    table: four divisions per (point, node) and a pairwise np.sum per row,
-    over the first min(n, K(lam)) nodes of each point, n those below its
-    cell's horizon, plus the Euler-Maclaurin tail (_em_pairs) where the
-    horizon binds first."""
-    y = np.abs(np.asarray(x, dtype=float))
-    first = 0.5 if f0 is None else 1.0
-    c0, du = kernels._cell(y, first)
-    horizon = kernels._truncation(c0, first)
-    n = np.minimum(horizon, kernels._trunc_terms(lam))
-    s = first + np.arange(n.max(), dtype=float)
-    f = np.exp(-lam * s)
-    fp = -lam * f
-    k = (c0 - first).astype(int)
-    kept = np.arange(len(s)) < n[:, None]
-    dx = y[:, None] - s[None, :]
-    px = y[:, None] + s[None, :]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.where(kept, f[None, :] / dx ** 2 + fp[None, :] / dx, 0.0)
-        zero = None if f0 is None else f0 / y ** 2
-    mirror = np.where(kept, f[None, :] / px ** 2 - fp[None, :] / px, 0.0)
-    hit = np.nonzero((np.abs(du) < kernels._NODE_TOL) & (k < n))[0]
-    kh = k[hit]
-    on_zero = kh < 0
-    direct[hit[~on_zero], kh[~on_zero]] = 0.0
-    if f0 is not None:
-        zero[hit[on_zero]] = 0.0
-    total = np.sum(direct + mirror, axis=1)
-    tail = horizon < kernels._trunc_terms(lam)
-    a0 = first + horizon[tail]
-    total[tail] += _em_pairs(y[tail], a0, [(-lam) ** j * np.exp(-lam * a0) for j in range(5)])
-    if f0 is not None:
-        total = zero + total
-    vals = (np.sin(np.pi * du) / np.pi) ** 2 * total
-    if hit.size:
-        kernels._collapse(vals, hit, du[hit], *kernels._pairs(c0[hit], first, f, fp, f0))
-    return vals
 
 
 capped_rates = st.lists(st.floats(math.log(1e-4), math.log(20.0)).map(math.exp),
@@ -391,11 +385,18 @@ wide_points = st.lists(st.one_of(
 @PROPS
 @given(capped_rates, wide_points)
 def test_shared_table_matches_the_per_rate_sum(f0, lams, xs):
-    """The rates of one call, capped or not, through one shared table,
-    against the per-rate sum: within 2e-15 max(1, |value|)."""
+    """The rates of one call, capped or not, through one shared table:
+    each has the bits of the rate taken alone, and lies within 2e-15
+    max(1, |value|) of a direct sum below max(512, |x| + 96) with its
+    Euler-Maclaurin tail."""
     xs = np.array(xs + [0.0])
+    first = 0.5 if f0 is None else 1.0
     for lam, got in zip(lams, kernels._exp_series(lams, xs, f0)):
-        ref = _direct_per_rate(lam, xs, f0)
+        assert got.tobytes() == kernels._exp_series([lam], xs, f0)[0].tobytes()
+        ref = _long_series(xs, first, lambda s: np.exp(-lam * s),
+                           lambda s: -lam * np.exp(-lam * s),
+                           lambda y: max(512, math.ceil(y) + 96),
+                           lambda a0: [(-lam) ** j * math.exp(-lam * a0) for j in range(5)], f0)
         assert np.all(np.abs(got - ref) <= 2e-15 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -406,7 +407,7 @@ def test_capped_rates_share_one_direct_call(monkeypatch):
     node_sum = kernels._node_sum
 
     def counted(*args):
-        calls.append(len(args[4]))
+        calls.append(len(args[6]))
         return node_sum(*args)
 
     monkeypatch.setattr(kernels, "_node_sum", counted)
@@ -421,31 +422,17 @@ def test_capped_rates_share_one_direct_call(monkeypatch):
     assert calls == [5, 5]
 
 
-def test_kernels_never_sample_cells(monkeypatch):
-    """L, M and their defects are summed at the points at every rate, the
-    small ones included: no call of theirs builds a cell row."""
-    calls = []
-    monkeypatch.setattr(kernels, "_cell_samples", lambda *args: calls.append(args))
-    pts = np.linspace(-700.0, 700.0, 41)
-    lams = np.array([1e-3, 0.03, 0.2, 0.5, 2.0])
-    for kind in ("minorant", "majorant"):
-        kernels._defects([1e-3, 0.03, 0.5], pts, kind)
-        kernels.KernelDefectAtPoint(pts, kind)(lams)
-    kernels.minorant_values(1e-3, pts)
-    kernels.majorant_values(1e-3, pts)
-    assert calls == []
-
-
 @pytest.mark.parametrize("call", [
-    lambda: superposed.eval_U(2.0 ** 21),
-    lambda: superposed.Majorant(measures.PowerLaw(1.5)).value([1.0, -3e6]),
-    lambda: kernels.minorant_values(1e-8, 2e6),
-    lambda: kernels.eval_M(1e-8, 1e10),
+    lambda: superposed.eval_U(2.0 ** 52),
+    lambda: superposed.Majorant(measures.PowerLaw(1.5)).value([1.0, -3e16]),
+    lambda: kernels.minorant_values(1e-17, 2.0 ** 53),
+    lambda: kernels.eval_M(1e-20, 1e16),
 ], ids=["U", "H", "L-tail", "M-cap"])
 def test_node_limit_raises_before_allocating(call):
-    """A point whose cell would keep more than _MAX_NODES nodes raises
-    DomainError, with no node array allocated (a peak far below the 8 MB
-    of 2^20 nodes)."""
+    """A point whose window reaches 2^52, where half-integers stop being
+    floats, raises DomainError unless its series' cap ends before the
+    window (L and M at rates whose K(lam) stays below 2^52), with no node
+    array allocated."""
     tracemalloc.start()
     try:
         with pytest.raises(DomainError, match="series nodes"):
@@ -457,12 +444,72 @@ def test_node_limit_raises_before_allocating(call):
 
 
 def test_node_limit_spares_capped_rates_and_the_last_cells():
-    """Capped L/M never reach the limit, and G/U take the cells below it."""
-    assert kernels.eval_L(0.1, 1e9).trunc_terms < 400
-    assert kernels.eval_M(0.1, 1e9).trunc_terms < 400
-    n = kernels._truncation(np.array([1e6, 2.0 ** 20]), 0.5)
-    assert n[0] <= kernels._MAX_NODES < n[1]
-    assert math.isfinite(superposed.eval_U(1e5))
+    """L and M sum their head alone where the window lies past the cap, and
+    G, H and U take points far past the old limit of 2^20 nodes, up to
+    2^52."""
+    assert kernels.eval_L(0.1, 1e9).trunc_terms == 32
+    assert kernels.eval_M(0.1, 1e9).trunc_terms == 32
+    assert kernels.eval_L(1e-8, 1e10).trunc_terms == 32
+    for x in (1e9 + 0.3, 2.0 ** 52 - 64.0):
+        assert superposed.eval_U(x) >= math.log(x)
+    h = superposed.Majorant(measures.PowerLaw(1.5)).value(np.array([3e6, 1e12 + 0.5]))
+    assert np.all(np.isfinite(h))
+
+
+def _long_double_g(x, derivs, f, fp):
+    """G at x on Z + 1/2 in long double: a direct sum over the nodes below
+    4|x| + 100 and the Euler-Maclaurin tail (B_2 ... B_16) from there, from
+    derivs(a) = f^(0..16)(a)."""
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    y = ld(abs(x))
+    n = int(4 * abs(x)) + 100
+    total = ld(0)
+    for start in range(0, n, 1 << 16):          # blocks keep the arrays small
+        s = np.arange(start, min(start + (1 << 16), n), dtype=ld) + ld(0.5)
+        total += np.sum(f(s) * (1 / (y - s) ** 2 + 1 / (y + s) ** 2)
+                        + fp(s) * (1 / (y - s) - 1 / (y + s)))
+    a = s[-1] + 1
+    d = derivs(a)
+    u = [1 / (y - a), -1 / (y + a)]
+    c = [sum(d[i] / math.factorial(i) * (u[0] ** (m - i + 1) + u[1] ** (m - i + 1))
+             for i in range(m + 1)) for m in range(17)]
+    bern = [ld(1) / 6, ld(-1) / 30, ld(1) / 42, ld(-1) / 30, ld(5) / 66,
+            ld(-691) / 2730, ld(7) / 6, ld(-3617) / 510]
+    total -= c[0] - c[1] / 2 + sum(b * c[2 * j + 2] for j, b in enumerate(bern))
+    du = y - (np.floor(y) + ld(0.5))
+    return float(np.sin(pi * du) ** 2 / pi ** 2 * total)
+
+
+def _haar_ladder(a):
+    return [-np.log(a)] + [np.longdouble((-1) ** k * math.factorial(k - 1)) / a ** k
+                           for k in range(1, 17)]
+
+
+def _power_ladder(sigma, g):
+    def ladder(a):
+        out, fac = [g * np.expm1((sigma - 1) * np.log(a))], g
+        for k in range(1, 17):
+            fac = fac * (sigma - k)
+            out.append(fac * a ** (sigma - 1 - k))
+        return out
+    return ladder
+
+
+@pytest.mark.parametrize("x", [1e5 + 0.3, 1e6 - 0.2])
+def test_large_points_match_a_long_double_sum(x):
+    """HaarLog and PowerLaw(1.5) G at |x| >= 1e5, within 1e-15 relative of
+    a long-double direct sum over the nodes below 4|x| and its tail."""
+    g = np.longdouble(measures.PowerLaw(1.5)._gamma_factor)
+    sigma = np.longdouble(1.5)
+    refs = {measures.HaarLog(): _long_double_g(x, _haar_ladder, lambda s: -np.log(s),
+                                               lambda s: -1 / s),
+            measures.PowerLaw(1.5): _long_double_g(
+                x, _power_ladder(sigma, g), lambda s: g * np.expm1((sigma - 1) * np.log(s)),
+                lambda s: g * (sigma - 1) * s ** (sigma - 2))}
+    for mu, ref in refs.items():
+        got = superposed.Minorant(mu).value(x)
+        assert abs(got / ref - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("x", [2.0 ** 63, 1e19, -1e300], ids=["2^63", "1e19", "-1e300"])

@@ -286,3 +286,14 @@ def test_one_kind_rule_and_one_count_rule():
             message = f"{what} must be a nonnegative integer, got {N!r}"
             with pytest.raises(DomainError, match=re.escape(message)):
                 call(N)
+
+
+def test_an_atom_sum_does_not_depend_on_the_other_points():
+    """The atom sum takes the atoms one after another: f^(0..2p) of a node
+    alone has the bits of the same node inside a 700-node call."""
+    mu = measures.Atomic((0.3, 1.7, 4.0, 6.0, 9.0), (1.0, 0.5, 2.0, 0.3, 0.1))
+    nodes = np.arange(700) + 0.5
+    orders = range(kernels._ROWS)
+    batch = mu._derivs(nodes, orders)
+    alone = np.hstack([mu._derivs(nodes[i:i + 1], orders) for i in range(len(nodes))])
+    assert alone.tobytes() == batch.tobytes()

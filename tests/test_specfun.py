@@ -1,6 +1,7 @@
 """Special-function checks against high-precision fixture values and mpmath."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -114,6 +115,32 @@ def test_defect_branch_consistency():
         closed_M = 1.0 / math.tanh(lam / 2.0) - 2.0 / lam
         assert abs(specfun.defect_minorant(lam) - closed_m) <= 1e-12
         assert abs(specfun.defect_majorant(lam) - closed_M) <= 1e-12
+
+
+def test_each_rate_takes_its_own_branch_alone():
+    """Rates on both sides of _SERIES_SWITCH, in one array, as floats and
+    as arrays of one branch: each has the bits of its branch's formula, so
+    neither branch is evaluated at (or warns for) the other's rates."""
+    switch = specfun._SERIES_SWITCH
+    lams = np.concatenate([np.geomspace(1e-300, switch, 200, endpoint=False),
+                           [np.nextafter(switch, 0.0), switch, np.nextafter(switch, 9.0)],
+                           np.geomspace(switch, 1e300, 200)])
+    small = lams < switch
+    y = 0.5 * lams[small]
+    acc = 0.0
+    for c in reversed(specfun._SINH_SERIES):
+        acc = acc * y * y + c
+    series = y * acc * (y / np.sinh(y))
+    big = lams[~small]
+    direct = 2.0 / big - 2.0 * np.exp(-0.5 * big) / -np.expm1(-big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = specfun.defect_minorant(lams)
+        alone = [specfun.defect_minorant(lams[small]), specfun.defect_minorant(big)]
+        floats = np.array([specfun.defect_minorant(float(lam)) for lam in lams])
+    for got in (mixed, np.concatenate(alone), floats):
+        assert got[small].tobytes() == series.tobytes()
+        assert got[~small].tobytes() == direct.tobytes()
 
 
 def test_defect_positivity_ordering_monotonicity():

@@ -237,12 +237,12 @@ def test_node_cache_publishes_f_and_f_prime_together():
     the build publishes both at once, so it never gets a long f with the
     old, short f'."""
     s = np.arange(600) + 0.5
-    expected = superposed.Minorant(ATOM)._nodes(s)
+    expected = superposed.Minorant(ATOM)._nodes(s, 2)
     g = superposed.Minorant(ATOM)
     g.nu = _HeldDerivs(g.nu)
     got = []
-    writer = threading.Thread(target=g._nodes, args=(s,))
-    reader = threading.Thread(target=lambda: got.append(g._nodes(s)))
+    writer = threading.Thread(target=g._nodes, args=(s, 2))
+    reader = threading.Thread(target=lambda: got.append(g._nodes(s, 2)))
     writer.start()
     try:
         assert g.nu.started.wait(timeout=30.0)
@@ -280,22 +280,30 @@ def test_majorant_zero_node_computed_once_across_threads():
     assert h.nu.zero_calls == 1
 
 
-def test_each_cell_is_sampled_once_across_threads(monkeypatch):
-    """Threads that miss the same cells build each cell's far field once."""
-    built = []
-    sample = kernels._cell_samples
+class _CountingDerivs:
+    """Delegates to a measure; _derivs records the nodes it is asked for."""
 
-    def counting(c0, *args):
-        built.extend(c0.tolist())
+    def __init__(self, inner, built):
+        self.inner = inner
+        self.built = built
+
+    def _derivs(self, ax, orders):
+        self.built.extend(np.asarray(ax).tolist())
         time.sleep(0.01)
-        return sample(c0, *args)
+        return self.inner._derivs(ax, orders)
 
-    monkeypatch.setattr(kernels, "_cell_samples", counting)
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_each_cell_is_sampled_once_across_threads():
+    """Threads that miss the same nodes build each node's row, the unit of
+    the cache, once."""
     xs = np.linspace(-40.0, 40.0, 321)
     expected = superposed.Majorant(ATOM).value(xs)
-    cells = np.unique(np.rint(np.abs(xs)))
-    built.clear()
+    built = []
     h = superposed.Majorant(ATOM)
+    h.nu = _CountingDerivs(h.nu, built)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -311,4 +319,5 @@ def test_each_cell_is_sampled_once_across_threads(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     assert all(r.tobytes() == expected.tobytes() for r in results)
-    assert sorted(built) == cells.tolist()
+    assert built and sorted(built) == sorted(set(built))
+    assert np.array_equal(h._node_rows._table[0], sorted(built))
