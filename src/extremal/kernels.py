@@ -37,19 +37,20 @@ with no B terms.  Every point |x| takes the same pieces:
 
 So a point costs O(1) nodes at every |x|.  The Bernoulli numbers are
 specfun's.  The remainder of a block or a tail is at most 2 zeta(2p)/(2pi)^2p
-int |g^(2p)| (DLMF 24.17).  Its ends lie at least _NEAR - 1/2 from x and
-_HEAD from 0, so b's share, 2 (2p)!/15.5^(2p+1), dominates, and with p =
-_EM_ORDER = 8 the bound is about 1e-19 max(1, |f|) for the closed families.  One set of constants serves
-every measure; the head's nodes are never the end of a run, so they take f
-and f' alone, which a Weight integrates where its higher columns would not
-converge.
+int |g^(2p)| (DLMF 24.17).  The runs end at least _NEAR - 3/2 from x (a
+block is taken up to the window's first node) and _HEAD from 0, so b's
+share, 2 (2p)!/14.5^(2p+1), dominates: with p = _EM_ORDER = 8 the bound is
+below 3e-19 max(1, |f|) for the closed families.  One set of constants
+serves every measure; the head's nodes are never the end of a run, so they
+take f and f' alone, which a Weight integrates where its higher columns
+would not converge.
 
-The direct sums take one table per block of points, r+ = 1/(x - s) and r-
-= 1/(x + s) over the head (last node first) and then the window, a = r+^2
-+ r-^2 and b = r+ - r-, from which each series takes its own row dot
-products; einsum reduces each row on its own (a BLAS product does not, nor
-does einsum a lone row, which is summed beside its copy), and the end
-terms are elementwise, so a value depends on its own x and series alone.
+The direct sums take a table of r+ = 1/(x - s) and r- = 1/(x + s) over the
+head and one over the windows, a = r+^2 + r-^2 and b = r+ - r-, from which
+each series takes its own dot products; einsum reduces each point on its
+own (a BLAS product does not, nor does einsum a lone point, which is summed
+beside its copy), and an end term is a polynomial in 1/(x -+ a) evaluated
+elementwise, so a value depends on its own x and series alone.
 Half-integers are exact floats below 2^52: a point whose window would reach
 2^52 raises DomainError.
 
@@ -146,35 +147,44 @@ def _nearest(y, first):
 def _plan(c0, first, cap):
     """(keep, B) of a series past the head at points with nearest node c0:
     keep where the point keeps its window, its collapse and its tail, and B
-    the last node of its block from first + _HEAD, c0 - _NEAR there and the
-    last node below the cap (cap None: none) where the window lies past it."""
-    last = math.inf if cap is None else first + cap - 1.0
-    keep = c0 - _NEAR < last
-    return keep, np.where(keep, c0 - _NEAR, last)
+    the node past the end of its block from first + _HEAD, c0 - _NEAR + 1
+    there and the cap's node first + cap (cap None: none) where the window
+    lies past it."""
+    stop = math.inf if cap is None else first + cap
+    keep = c0 - _NEAR + 1 < stop
+    return keep, np.where(keep, c0 - _NEAR + 1, stop)
 
 
-def _em_end(y, a, d, h):
-    """The Euler-Maclaurin end term (f b)(a) + h g(a) + sum_j B_2j/(2j)!
-    g^(2j-1)(a) of the pairs g = (f b)', elementwise in y and a, from the
-    rows d = f^(0..2p)(a).  With b^(k)(a)/k! = r^(k+1) + t^(k+1), r = 1/(y -
-    a) and t = -1/(y + a), (f b)^(m)/m! is C_m = phi_m(r) + phi_m(t), where
-    phi_m(u) = sum_{i<=m} f^(i)(a)/i! u^(m-i+1) = u (phi_{m-1}(u) +
-    f^(m)(a)/m!), and the term is C_0 + h C_1 + sum_j B_2j C_2j.  A block
-    [A, B] is end(B, 1/2) - end(A, -1/2), a tail from T is -end(T, -1/2)."""
+def _em_coeffs(d):
+    """The Euler-Maclaurin end term (f b)(a) - g(a)/2 + sum_j B_2j/(2j)!
+    g^(2j-1)(a) of the pairs g = (f b)' at the nodes a of the rows d =
+    f^(0..2p)(a), a column of polynomial coefficients c each: a tail from T
+    is -end(T), a block of the nodes A <= s < B is end(B) - end(A).  With r
+    = 1/(y - a) and t = -1/(y + a), (f b)^(m)/m! = phi(m, r) + phi(m, t),
+    phi(m, u) = sum_{i<=m} f^(i)(a)/i! u^(m-i+1), so the term, weighted by
+    w = (1, -1/2, B_2, 0, B_4, ...) over m, is S(r) + S(t) with S(u) =
+    sum_k c_k u^k (k = 1..2p+1) and c_k = sum_i f^(i)(a)/i! w_(i+k-1)."""
+    e = d / np.array([math.factorial(i) for i in range(len(d))])[:, None]
+    c = np.zeros_like(e)
+    for m, w in [(0, 1.0), (1, -0.5)] + [(2 * j, b) for j, b in enumerate(_BERNOULLI[:_EM_ORDER], 1)]:
+        c[:m + 1] += w * e[m::-1]
+    return c
+
+
+def _em_end(y, a, c):
+    """S(r) + S(t) of _em_coeffs at the points y and their end nodes a, from
+    the columns c of the ends' coefficients: Horner in u, elementwise."""
     u = np.stack([1.0 / (y - a), -1.0 / (y + a)])
-    phi = u * d[0]
-    out, term = phi.copy(), np.empty_like(phi)
-    for m in range(1, len(d)):
-        phi += d[m] / math.factorial(m)
-        phi *= u
-        if m == 1 or m % 2 == 0:
-            out += np.multiply(phi, h if m == 1 else _BERNOULLI[m // 2 - 1], out=term)
-    return out[0] + out[1]
+    acc = u * c[-1]
+    for ck in c[-2::-1]:
+        acc += ck
+        acc *= u
+    return acc[0] + acc[1]
 
 
 def _em_bound(lam, lo, d):
     """P(x) times the Euler-Maclaurin remainder of L or M over nodes from lo
-    on, d >= _NEAR - 1/2 from |x|: (1/pi^2) 2 zeta(2p)/(2 pi)^2p int |g^(2p)|,
+    on, d >= _NEAR - 3/2 from |x|: (1/pi^2) 2 zeta(2p)/(2 pi)^2p int |g^(2p)|,
     by Leibniz with |f^(i)| <= lam^i e^{-lam lo} and |b^(m)(u)| <= 2 m!/|u -
     |x||^(m+1)."""
     n = 2 * _EM_ORDER
@@ -249,74 +259,75 @@ def _node_sum(y, c0, first, head, win, keys, series):
     sums them alone.  Otherwise v holds f^(0..2p) at the sorted nodes keys,
     whose first _HEAD are the head, and plan is _plan's (keep, B): the row
     sums the head, the window and the tail where keep holds, and the block
-    from first + _HEAD to B where B is past its start.
+    of the nodes from first + _HEAD up to B (not B) where B is past them.
 
-    A point's table runs over the first ``head`` nodes, last first, and,
-    where win holds (a bool per point, or None: no window), over its window
-    c0 + _WINDOW, leaving out the window nodes the head holds; the nearest
-    node's r+ is left to the collapse.  The points go in blocks of at most
-    _CHUNK table cells, a lone point beside its copy.
+    A block of points takes a table of r+ and r- over the first ``head``
+    nodes, last first, a row a point, and one over c0 + _WINDOW, a column a
+    point where win holds (a bool per point, or None: no window), leaving
+    out the window nodes the head holds; the nearest node's r+ is left to
+    the collapse.  The blocks hold at most _CHUNK cells, a lone row or
+    column beside its copy, and the end terms go by _CHUNK // _ROWS.
     """
     width = head + (0 if win is None else len(_WINDOW))
     s = first + np.arange(head - 1, -1, -1, dtype=float)
-    start = first + _HEAD
     at0 = None if win is None else np.searchsorted(keys, c0)
     heads = [tuple((g[::-1] if plan is None else g[_HEAD - 1::-1]).copy() for g in v[:2])
              for v, plan in series]
     out = np.empty((len(series), len(y)))
-    rows = max(1, _CHUNK // (2 * width - head))    # a window cell holds twice a head cell
-    for i in range(0, len(y), rows):
-        at = np.arange(i, min(i + rows, len(y)))
+    per_block = max(1, _CHUNK // (2 * width - head))   # a window cell holds twice a head cell
+    for i in range(0, len(y), per_block):
+        at = np.arange(i, min(i + per_block, len(y)))
         if len(at) == 1:
             at = np.repeat(at, 2)
         yi, ci = y[at], c0[at]
-        rp, rm = np.empty((2, len(at), width))
-        np.subtract(yi[:, None], s, out=rp[:, :head])
-        np.add(yi[:, None], s, out=rm[:, :head])
-        if win is not None:
-            np.add(ci[:, None], _WINDOW, out=rm[:, head:])
-            np.subtract(yi[:, None], rm[:, head:], out=rp[:, head:])
-            rm[:, head:] += yi[:, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(1.0, rp, out=rp)
-            np.divide(1.0, rm, out=rm)
         k = ci - first
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            rp, rm = np.divide(1.0, yi[:, None] - s), np.divide(1.0, yi[:, None] + s)
         near = np.nonzero((k >= 0) & (k < head))[0]
         rp[near, head - 1 - k[near].astype(np.int64)] = 0.0
-        if win is not None:
-            rp[:, head + _NEAR - 1] = 0.0
-            edge = np.nonzero((k < _HEAD + _NEAR - 1) | ~win[at])[0]
-            drop = (k[edge, None] + _WINDOW < _HEAD) | ~win[at[edge], None]
-            for r in (rp, rm):
-                r[edge, head:] = np.where(drop, 0.0, r[edge, head:])
-            pos = np.clip(at0[at, None] + _WINDOW.astype(np.int64), 0, len(keys) - 1)
         b = rp - rm
         a = np.add(np.multiply(rp, rp, out=rp), np.multiply(rm, rm, out=rm), out=rp)
+        w = [] if win is None else np.nonzero(win[at])[0]
+        if len(w):
+            if len(w) == 1:
+                w = np.repeat(w, 2)
+            kw, wm = k[w], ci[w] + _WINDOW[:, None]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                wp, wm = np.divide(1.0, yi[w] - wm), np.divide(1.0, wm + yi[w])
+            wp[_NEAR - 1] = 0.0
+            edge = np.nonzero(kw < _HEAD + _NEAR - 1)[0]
+            drop = kw[edge] + _WINDOW[:, None] < _HEAD
+            for r in (wp, wm):
+                r[:, edge] = np.where(drop, 0.0, r[:, edge])
+            pos = np.clip(at0[at[w]] + _WINDOW.astype(np.int64)[:, None], 0, len(keys) - 1)
+            wb = wp - wm
+            wa = np.add(np.multiply(wp, wp, out=wp), np.multiply(wm, wm, out=wm), out=wp)
         for j, ((fh, fph), (v, plan)) in enumerate(zip(heads, series)):
             m = len(fh)
-            total = (np.einsum("ik,k->i", a[:, head - m:head], fh)
-                     + np.einsum("ik,k->i", b[:, head - m:head], fph))
-            if plan is not None:
-                F, Fp = v[0][pos], v[1][pos]
-                F[~plan[0][at]] = 0.0
-                Fp[~plan[0][at]] = 0.0
-                total += (np.einsum("ik,ik->i", a[:, head:], F)
-                          + np.einsum("ik,ik->i", b[:, head:], Fp))
+            total = (np.einsum("ik,k->i", a[:, head - m:], fh)
+                     + np.einsum("ik,k->i", b[:, head - m:], fph))
+            if plan is not None and len(w):
+                F, Fp = np.take(v[:2], pos, axis=1)
+                off = ~plan[0][at[w]]
+                F[:, off] = 0.0
+                Fp[:, off] = 0.0
+                total[w] += np.einsum("ki,ki->i", wa, F) + np.einsum("ki,ki->i", wb, Fp)
             out[j, at] = total
+    start = first + _HEAD
     for row, (v, plan) in zip(out, series):
-        for i in range(0, len(y) if plan else 0, _CHUNK // 64):
-            at = slice(i, i + _CHUNK // 64)
-            keep, B = plan[0][at], plan[1][at]
-            block, tail = np.nonzero(B >= start)[0], np.nonzero(keep)[0]
-            nb = len(block)
-            ends = np.concatenate([B[block], np.full(nb, start),
-                                   np.maximum(start, c0[at][tail] + _NEAR)])
-            em = _em_end(y[at][np.concatenate([block, block, tail])], ends,
-                         v[:, np.searchsorted(keys, ends)],
-                         np.repeat([0.5, -0.5, -0.5], [nb, nb, len(tail)]))
-            part = row[at]
-            part[block] += em[:nb] - em[nb:2 * nb]
-            part[tail] -= em[2 * nb:]
+        if plan is None:
+            continue
+        block, tail = np.nonzero(plan[1] > start)[0], np.nonzero(plan[0])[0]
+        nb = len(block)
+        ends = np.concatenate([plan[1][block], np.full(nb, start), np.maximum(start, c0[tail] + _NEAR)])
+        at, pos = np.concatenate([block, block, tail]), np.searchsorted(keys, ends)
+        need = np.zeros(len(keys), dtype=bool)      # the end nodes take their coefficients once
+        need[pos] = True
+        coeffs, pos, n = _em_coeffs(v[:, need]), (np.cumsum(need) - 1)[pos], _CHUNK // _ROWS
+        em = np.concatenate([_em_end(y[at[i:i + n]], ends[i:i + n], np.take(coeffs, pos[i:i + n], axis=1))
+                             for i in range(0, len(ends), n)])
+        row[block] += em[:nb] - em[nb:2 * nb]
+        row[tail] -= em[2 * nb:]
     return out
 
 
@@ -362,7 +373,7 @@ def _lattice_series(x, series, f0=None):
         keys = np.unique(np.concatenate(
             [first + np.arange(_HEAD + 1, dtype=float), window[window >= start],
              np.maximum(start, c0[win] + _NEAR)]
-            + [plan[1][plan[1] >= start] for plan in plans if plan is not None]))
+            + [plan[1][plan[1] > start] for plan in plans if plan is not None]))
     values = [nodes(first + np.arange(cap, dtype=float), 2) if plan is None
               else _node_rows(nodes, keys) for (nodes, cap), plan in zip(series, plans)]
     head = max([_HEAD] * (win is not None)
@@ -373,6 +384,7 @@ def _lattice_series(x, series, f0=None):
             inner = np.where(c0 < 1.0, 0.0, f0 / y ** 2) + inner
     out = (np.sin(np.pi * du) / np.pi) ** 2 * inner
     k = c0 - first                       # -1: the node 0 of Z
+    sinc2 = np.sinc(du) ** 2
     for vals, v, plan in zip(out, values, plans):
         if plan is None:
             hit = np.nonzero(k < v.shape[1])[0]
@@ -384,7 +396,7 @@ def _lattice_series(x, series, f0=None):
         if f0 is not None:
             zero = k[hit] < 0
             a, b = np.where(zero, f0, a), np.where(zero, 0.0, b)
-        vals[hit] += np.sinc(du[hit]) ** 2 * (a + du[hit] * b)
+        vals[hit] += sinc2[hit] * (a + du[hit] * b)
     return [float(v[0]) if x.ndim == 0 else v.reshape(x.shape) for v in out]
 
 
@@ -442,7 +454,7 @@ def _eval_point(lam, x, f0):
     keep, B = _plan(c0, first, cap)
     keep, B = bool(keep), float(B)
     start = first + _HEAD
-    bound = _em_bound(lam, start, ax - B) if B >= start else 0.0
+    bound = _em_bound(lam, start, ax - B) if B > start else 0.0
     if not keep:
         return KernelEval(lam, float(x), value, _HEAD, bound + _dropped(lam, first + cap))
     tail = max(start, c0 + _NEAR)

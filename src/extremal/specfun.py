@@ -64,37 +64,24 @@ def _check_rate(lam, what):
 
 
 def _minorant(lam):
-    """defect_minorant at checked rates (a float, or an array): y S(y^2) (y
-    / sinh y) below _SERIES_SWITCH, with y = lam/2 and S the series of
-    (sinh y - y)/y^3, and _csch_form above.  y^3 is never formed: it
-    underflows where lam/12 does not.  Each rate takes its own branch
-    alone, and a float goes through in floats."""
-    if isinstance(lam, float):
-        if lam >= _SERIES_SWITCH:
-            return _csch_form(lam)
-        y = 0.5 * lam
-    else:
-        small = lam < _SERIES_SWITCH
-        out = np.empty_like(lam)
-        if not np.all(small):
-            out[~small] = _csch_form(lam[~small])
-        if not np.any(small):
-            return out
+    """defect_minorant at checked rates (a float, or an array), as an array,
+    each rate by its own branch: y S(y^2) (y / sinh y) below _SERIES_SWITCH,
+    with y = lam/2 and S the series of (sinh y - y)/y^3 (y^3 is never formed:
+    it underflows where lam/12 does not), and 2/lam - 2e^{-y}/(1 - e^{-lam})
+    above."""
+    lam = np.asarray(lam)
+    small = lam < _SERIES_SWITCH
+    out = np.empty_like(lam)
+    if not small.all():
+        big = lam[~small]
+        out[~small] = 2.0 / big - 2.0 * np.exp(-0.5 * big) / -np.expm1(-big)
+    if small.any():
         y = 0.5 * lam[small]
-    z = y * y
-    acc = 0.0
-    for c in reversed(_SINH_SERIES):
-        acc = acc * z + c
-    series = y * acc * (y / np.sinh(y))
-    if isinstance(lam, float):
-        return series
-    out[small] = series
+        z, acc = y * y, _SINH_SERIES[-1]
+        for c in _SINH_SERIES[-2::-1]:
+            acc = acc * z + c
+        out[small] = y * acc * (y / np.sinh(y))
     return out
-
-
-def _csch_form(lam):
-    """The minorant defect 2/lam - 2e^{-lam/2}/(1 - e^{-lam}), for lam >= 4."""
-    return 2.0 / lam - 2.0 * np.exp(-0.5 * lam) / -np.expm1(-lam)
 
 
 def defect_minorant(lam):

@@ -289,6 +289,7 @@ def test_one_node_sum_for_the_lattice_series():
                   and "np.divide" in _calls(fn)) == ["_node_sum"]
     assert _functions_reading(tree, "_node_sum") == ["_lattice_series"]
     assert _functions_reading(tree, "_em_end") == ["_node_sum"]
+    assert _functions_reading(tree, "_em_coeffs") == ["_node_sum"]
 
 
 def test_the_series_reads_the_bernoulli_numbers_of_specfun():
@@ -296,7 +297,7 @@ def test_the_series_reads_the_bernoulli_numbers_of_specfun():
     # kernels writes no Bernoulli number nor a coefficient B_2j/(2j)! (such
     # as 1/12 or 1/720) of its own
     tree = ast.parse((SRC / "kernels.py").read_text())
-    assert _functions_reading(tree, "_BERNOULLI") == ["_em_end"]
+    assert _functions_reading(tree, "_BERNOULLI") == ["_em_coeffs"]
     tables = {6, 12, 30, 42, 66, 720, 2730, 30240, 1209600, 47900160}
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
