@@ -295,10 +295,9 @@ def _node_sum(y, c0, first, head, win, keys, series):
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 wp, wm = np.divide(1.0, yi[w] - wm), np.divide(1.0, wm + yi[w])
             wp[_NEAR - 1] = 0.0
-            edge = np.nonzero(kw < _HEAD + _NEAR - 1)[0]
-            drop = kw[edge] + _WINDOW[:, None] < _HEAD
-            for r in (wp, wm):
-                r[:, edge] = np.where(drop, 0.0, r[:, edge])
+            drop = kw + _WINDOW[:, None] < _HEAD        # the nodes the head holds
+            wp[drop] = 0.0
+            wm[drop] = 0.0
             pos = np.clip(at0[at[w]] + _WINDOW.astype(np.int64)[:, None], 0, len(keys) - 1)
             wb = wp - wm
             wa = np.add(np.multiply(wp, wp, out=wp), np.multiply(wm, wm, out=wm), out=wp)
