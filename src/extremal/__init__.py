@@ -85,15 +85,12 @@ from .polybound import (
 )
 from .verify import run_criterion, run_suite
 
-integrate_measure = integrate
-
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError", "ConvergenceError", "DivergenceError", "DomainError",
     "defect_minorant", "defect_majorant", "gamma", "hurwitz_zeta", "zeta",
     "QuadResult", "integrate_finite", "integrate_semiinfinite",
-    "integrate_measure",
     "minorant_values", "majorant_values",
     "eval_L", "eval_M", "eval_Lhat", "eval_Mhat",
     "HaarLog", "PowerLaw", "Atomic", "Weight",

@@ -114,20 +114,6 @@ def upper_constant_B(measure, delta=1.0, tol=1e-10):
     return measure.defect_moment("majorant", tol, delta)
 
 
-def quadrature_route_A(measure, delta=1.0, tol=1e-10):
-    """A(delta, mu) by direct measure quadrature (closed-form cross-check)."""
-    return measures.integrate(
-        lambda lam: specfun.defect_minorant(lam / delta) / delta,
-        measure, tol=tol).value
-
-
-def quadrature_route_B(measure, delta=1.0, tol=1e-10):
-    """B(delta, mu) by direct measure quadrature (closed-form cross-check)."""
-    return measures.integrate(
-        lambda lam: specfun.defect_majorant(lam / delta) / delta,
-        measure, tol=tol).value
-
-
 def form_bound(measure, delta=1.0, tol=1e-10):
     """Both sharp constants; B is None when the cond47 moment fails."""
     A = lower_constant_A(measure, delta, tol)

@@ -43,7 +43,8 @@ share, 2 (2p)!/14.5^(2p+1), dominates: with p = _EM_ORDER = 8 the bound is
 below 3e-19 max(1, |f|) for the closed families.  One set of constants
 serves every measure; the head's nodes are never the end of a run, so they
 take f and f' alone, which a Weight integrates where its higher columns
-would not converge.
+would not converge.  A call asks its nodes for the head's f and f' and the
+other nodes' f^(0..2p) in two calls and keeps nothing between calls.
 
 The direct sums take a table of r+ = 1/(x - s) and r- = 1/(x + s) over the
 head and one over the windows, a = r+^2 + r-^2 and b = r+ - r-, from which
@@ -98,7 +99,6 @@ points is one (n_lam, n_x) vector integrand.
 """
 
 import math
-import threading
 
 import numpy as np
 
@@ -197,47 +197,6 @@ def _em_bound(lam, lo, d):
 def _dropped(lam, s0):
     """The pairs of L or M dropped from the node s0 on, with P(x), at any x."""
     return math.exp(-lam * s0) * (1.0 + 2.0 * lam / (math.pi * -math.expm1(-lam)))
-
-
-class _CellCache:
-    """Rows of floats keyed by float, each built once: the derivatives
-    f^(0..2p) of a node.
-
-    Reads take no lock and see the (keys, rows) table as one tuple; a
-    build holds the lock, so threads that miss the same key build it once.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._table = None
-
-    @staticmethod
-    def _find(table, keys):
-        """Where each key sits in the table, and the keys it lacks."""
-        if table is None:
-            return np.zeros(len(keys), dtype=np.int64), keys
-        known = table[0]
-        pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-        return pos, keys[known[pos] != keys]
-
-    def rows(self, keys, build):
-        """The rows of the sorted distinct keys; build(new) makes the rows
-        of the keys not held yet."""
-        table = self._table
-        pos, new = self._find(table, keys)
-        if new.size:
-            with self._lock:
-                table = self._table
-                pos, new = self._find(table, keys)
-                if new.size:
-                    known, rows = new, build(new)
-                    if table is not None:
-                        known = np.concatenate([table[0], known])
-                        rows = np.concatenate([table[1], rows])
-                    order = np.argsort(known, kind="stable")
-                    table = self._table = known[order], rows[order]
-                    pos, _ = self._find(table, keys)
-        return table[1][pos]
 
 
 def _node_rows(nodes, keys):

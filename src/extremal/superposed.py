@@ -18,17 +18,15 @@ on the nodes and f_nu(0) for H.
 Dilation: Minorant(mu, delta) evaluates G_nu(delta x) with nu(E) = mu(delta E),
 the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).
 
-A majorant takes f_nu(0) when it is built.  Each instance keeps one
-kernels._CellCache, keyed by node: a node's row of f_nu^(0..16), built
-once by one _derivs call for the nodes a call first needs (the head's
-nodes take f and f' alone).  Reads are pure and the cache only grows, so
-grid sweeps reuse one instance, and a point costs O(1) nodes at every |x|
-below 2^52, past which G, H and U raise DomainError.  Where f_nu has a
-closed form (HaarLog, PowerLaw, Atomic) a value depends on its own x
-alone; a Weight takes the values it caches from one vector integral over
-the nodes that first asked for them.  The measure-integral route int
-(kernel defect at x) dmu is exposed both as an independent evaluation
-strategy and as the DefectProfile cross-check.
+An instance holds measure, nu, delta and, for H, f_nu(0), taken when it
+is built, and no mutable state.  Each call takes f_nu and f_nu' at the
+head's nodes and f_nu^(0..16) at the nodes past it from two _derivs
+calls, so a point costs O(1) nodes at every |x| below 2^52, past which G,
+H and U raise DomainError.  Where f_nu has a closed form (HaarLog,
+PowerLaw, Atomic) a value depends on its own x alone; a Weight integrates
+the nodes of a call's batch on every call, so its values depend on the
+batch but never on an earlier call.  DefectProfile checks the series
+against the measure-integral route int (kernel defect at x) dmu.
 """
 
 import numpy as np
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 from . import measures
 from .errors import DomainError, check_kind
-from .kernels import KernelDefectAtPoint, _CellCache, _ROWS, _lattice_series
+from .kernels import KernelDefectAtPoint, _lattice_series
 
 
 class _Superposed:
@@ -51,20 +49,10 @@ class _Superposed:
         measure.require(self.kind)
         self.measure = measure
         self.delta = float(delta)
-        self._node_rows = _CellCache()
 
     def _nodes(self, s, n):
-        """f_nu^(0..n-1) on the sorted distinct nodes s, as an (n, len(s))
-        array.  Each node's row of f_nu^(0..2p) is built once, by one
-        _derivs call for the nodes a call first needs, with the orders that
-        call asks for and nan above them: the series asks the higher orders
-        only at nodes past its head, whose nodes take f and f'."""
-        def build(new):
-            rows = np.full((len(new), _ROWS), np.nan)
-            rows[:, :n] = self.nu._derivs(new, range(n)).T
-            return rows
-
-        return self._node_rows.rows(s, build)[:, :n].T
+        """f_nu^(0..n-1) on the sorted distinct nodes s, an (n, len(s)) array."""
+        return self.nu._derivs(s, range(n))
 
     # -- evaluation -------------------------------------------------------
 
@@ -80,17 +68,6 @@ class _Superposed:
         f_nu(delta x).  Returns the PLUS_INF sentinel where divergent.
         """
         return self.nu.f(self.delta * np.asarray(x, dtype=float))
-
-    def value_via_defect(self, x, tol=1e-9):
-        """Independent evaluation through the kernel-defect measure integral,
-        with no lattice series."""
-        x = float(x)
-        t = self.target(x)
-        if measures.is_plus_inf(t):
-            raise DomainError("defect strategy needs a finite target value")
-        gap = measures.integrate(KernelDefectAtPoint(self.delta * x, self.kind),
-                                 self.nu, tol=tol).value
-        return t - gap if self.kind == "minorant" else t + gap
 
     def defect(self, x, tol=1e-9):
         """Both routes to the one-sided gap |approximant - target| at x.

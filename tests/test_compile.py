@@ -17,8 +17,9 @@ sets its head, window and Euler-Maclaurin order, ``kernels._node_sum`` is
 the one node sum (the one reader of the block size, the one table of
 1/(y -+ s) and the one caller of the Euler-Maclaurin end terms), the end
 terms read the Bernoulli numbers of ``specfun`` and ``kernels`` writes
-none of its own, ``superposed`` holds one ``kernels._CellCache`` (its
-node rows), and that cache is the one lock of the series; that every
+none of its own, no ``src`` module takes a lock or defines a node cache,
+and an approximant of ``superposed`` sets its attributes in ``__init__``
+alone; that every
 private module-level name of
 the package is read somewhere in it, that ``specfun.hurwitz_zeta`` is the one zeta series, that
 the one small-rate defect series of ``specfun`` is the minorant's and the
@@ -312,16 +313,32 @@ def _imports_threading(tree):
                for node in ast.walk(tree))
 
 
-def test_only_the_cell_cache_takes_a_lock():
-    # every cache of the series layer is a kernels._CellCache
-    assert _modules_where(_imports_threading) == ["kernels.py"]
+def _sets_an_attribute_of_self(fn):
+    """Whether fn assigns to ``self.name`` or calls setattr."""
+    for node in ast.walk(fn):
+        targets = (node.targets if isinstance(node, ast.Assign) else [node.target]
+                   if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        if any(isinstance(t, ast.Attribute) and ast.unparse(t.value) == "self"
+               for target in targets for t in ast.walk(target)):
+            return True
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("setattr"):
+            return True
+    return False
 
 
-def test_superposed_holds_one_node_cache():
-    # the rows f^(0..2p) of the nodes are the one cache of an approximant
+def test_approximants_hold_no_mutable_state():
+    # a value of G or H is a function of (mu, delta, x) and its batch: no
+    # module takes a lock or defines a node cache, and no method of an
+    # approximant but __init__ sets an attribute
+    assert _modules_where(_imports_threading) == []
+    assert _modules_where(lambda tree: "_CellCache" in _defined_names(tree)) == []
     tree = ast.parse((SRC / "superposed.py").read_text())
-    assert [ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
-            and ast.unparse(node.func).endswith("_CellCache")] == ["_CellCache"]
+    classes = [c for c in tree.body if isinstance(c, ast.ClassDef)
+               and (c.name == "_Superposed" or "_Superposed" in map(ast.unparse, c.bases))]
+    assert [c.name for c in classes] == ["_Superposed", "Minorant", "Majorant"]
+    assert [(c.name, fn.name) for c in classes for fn in c.body
+            if isinstance(fn, ast.FunctionDef) and fn.name != "__init__"
+            and _sets_an_attribute_of_self(fn)] == []
 
 
 def test_one_pair_rule_for_the_near_nodes():
@@ -330,14 +347,6 @@ def test_one_pair_rule_for_the_near_nodes():
     tree = ast.parse((SRC / "kernels.py").read_text())
     assert [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
             and "np.sinc" in _calls(fn)] == ["_lattice_series"]
-
-
-def test_cell_cache_takes_its_width_from_its_first_build():
-    tree = ast.parse((SRC / "kernels.py").read_text())
-    cache = next(c for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "_CellCache")
-    init = _function("__init__", cache).args
-    assert [a.arg for a in init.posonlyargs + init.args + init.kwonlyargs] == ["self"]
-    assert init.vararg is None and init.kwarg is None
 
 
 def test_one_zeta_series():

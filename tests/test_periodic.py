@@ -464,19 +464,25 @@ def test_node_route_matches_the_transform_moments(case, data):
 
 @pytest.mark.parametrize("sigma", [1.0 - 1e-3, 1.0 + 1e-3, 0.5, 1.5])
 def test_power_law_q_prime_matches_mpmath(sigma):
-    """q' = -Gamma(2-sigma) [zeta(2-sigma, {x}) - zeta(2-sigma, 1-{x})], to
-    the zeta series' 1e-13 relative; the poles of the two zetas cancel near
-    sigma = 1, which adds about eps/|1-sigma|."""
-    xs = np.array([1e-6, 0.01, 0.3, 0.49, 0.77, 0.999, -0.3, 2.3])
+    """q = Gamma(1-sigma) [zeta(1-sigma, d) + zeta(1-sigma, 1-d)], d the
+    distance to Z, to 1e-13 of Gamma times the sum of the |zeta| (the zeta
+    series' accuracy), and q' = -Gamma(2-sigma) [zeta(2-sigma, {x}) -
+    zeta(2-sigma, 1-{x})] to 1e-13 relative; the poles of the two zetas of
+    q' cancel near sigma = 1, which adds about eps/|1-sigma|."""
+    xs = np.array([1e-6, 0.01, 0.3, 0.49, 0.5, 0.77, 0.999, -0.3, 2.3])
     q, dq = measures.PowerLaw(sigma)._q(xs, (0, 1), 1e-9)
     assert np.array_equal(q, measures.PowerLaw(sigma).q(xs))
     with mpmath.workdps(40):
         s = 2 - mpmath.mpf(sigma)
-        for x, got in zip(xs, dq):
+        for x, got, got_q in zip(xs, dq, q):
             frac = mpmath.mpf(x) - mpmath.floor(x)
             ref = float(-mpmath.gamma(s) * (mpmath.zeta(s, frac) - mpmath.zeta(s, 1 - frac)))
             eps = np.finfo(float).eps
             assert abs(got - ref) <= 1e-13 * abs(ref) + 16.0 * eps / abs(1.0 - sigma), x
+            d = min(frac, 1 - frac)
+            g, za, zb = mpmath.gamma(s - 1), mpmath.zeta(s - 1, d), mpmath.zeta(s - 1, 1 - d)
+            scale = float(1e-13 * abs(g) * max(1, abs(za) + abs(zb)))
+            assert abs(got_q - float(g * (za + zb))) <= scale, x
 
 
 def _mp_majorant_moment(sigma, N, n):

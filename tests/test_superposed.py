@@ -1,6 +1,5 @@
 """Band-limited one-sided approximants built from kernel superpositions."""
 
-import math
 import sys
 import threading
 import time
@@ -8,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from extremal import kernels, measures, superposed
+from extremal import measures, superposed
 from extremal.errors import AdmissibilityError, DomainError
 
 HAAR = measures.HaarLog()
@@ -86,7 +85,7 @@ def test_dilated_majorant_sandwich_and_nodes():
 
 
 def test_defect_routes_agree():
-    pts = (0.37, 1.9, 4.25)
+    pts = (0.37, 0.6, 1.9, 2.3, 4.25)
     cases = [(mu, "minorant") for mu in MINORANT_FAMILIES]
     cases += [(mu, "majorant") for mu in MAJORANT_FAMILIES]
     for mu, kind in cases:
@@ -119,32 +118,6 @@ def test_defect_over_points_equals_pointwise(cls, mu, delta):
         assert abs(prof.series_value[i] - ref.series_value) <= 1e-9
         assert abs(prof.integral_value[i] - ref.integral_value) <= 1e-9
         assert prof.abs_err[i] <= 1e-7
-
-
-def test_value_via_defect_matches_direct():
-    g = superposed.Minorant(PL05)
-    for x in (0.6, 2.3):
-        assert abs(g.value_via_defect(x) - g.value(x)) <= 1e-7
-    h = superposed.Majorant(ATOM)
-    for x in (0.6, 2.3):
-        assert abs(h.value_via_defect(x) - h.value(x)) <= 1e-7
-
-
-def test_value_via_defect_takes_no_series(monkeypatch):
-    """The integral route alone: the value of defect() at x, with no
-    lattice-series call, and a diverging target says so."""
-    expected = [superposed.Minorant(PL05).defect(x).integral_value for x in (0.6, 2.3)]
-
-    def no_series(*args):
-        raise AssertionError("lattice series called")
-
-    monkeypatch.setattr(superposed, "_lattice_series", no_series)
-    g = superposed.Minorant(PL05)
-    for x, gap in zip((0.6, 2.3), expected):
-        assert g.value_via_defect(x) == float(g.target(x)) - gap
-    assert math.isfinite(superposed.Majorant(ATOM).value_via_defect(0.6))
-    with pytest.raises(DomainError, match="finite target"):
-        superposed.Minorant(HAAR).value_via_defect(0.0)
 
 
 def test_weight_family_round_trip():
@@ -186,8 +159,8 @@ def test_input_validation():
     g = superposed.Minorant(HAAR)
     with pytest.raises(DomainError):
         g.value(np.inf)
-    with pytest.raises(DomainError):
-        g.defect(0.0)            # target diverges there
+    with pytest.raises(DomainError, match="target diverges"):
+        g.defect(0.0)
     with pytest.raises(DomainError):
         superposed.defect(HAAR, "upper", 1.0)
     with pytest.raises(DomainError):
@@ -215,95 +188,13 @@ class _CountingMeasure:
         return getattr(self.inner, name)
 
 
-class _HeldDerivs:
-    """Delegates to a measure; _derivs signals that it started and waits."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.started = threading.Event()
-        self.release = threading.Event()
-
-    def _derivs(self, ax, orders):
-        self.started.set()
-        self.release.wait(timeout=30.0)
-        return self.inner._derivs(ax, orders)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-def test_node_cache_publishes_f_and_f_prime_together():
-    """A reader while the node cache grows sees matching f and f' blocks:
-    the build publishes both at once, so it never gets a long f with the
-    old, short f'."""
-    s = np.arange(600) + 0.5
-    expected = superposed.Minorant(ATOM)._nodes(s, 2)
-    g = superposed.Minorant(ATOM)
-    g.nu = _HeldDerivs(g.nu)
-    got = []
-    writer = threading.Thread(target=g._nodes, args=(s, 2))
-    reader = threading.Thread(target=lambda: got.append(g._nodes(s, 2)))
-    writer.start()
-    try:
-        assert g.nu.started.wait(timeout=30.0)
-        reader.start()
-        reader.join(timeout=0.1)        # a reader that does not wait returns now
-    finally:
-        g.nu.release.set()
-    for t in (writer, reader):
-        t.join(timeout=30.0)
-    assert not any(t.is_alive() for t in (writer, reader))
-    (f, fp), = got
-    assert f.tobytes() == expected[0].tobytes()
-    assert fp.tobytes() == expected[1].tobytes()
-
-
 def test_majorant_zero_node_computed_once_across_threads():
-    """H takes f_nu(0) once, when it is built, and threads read that value."""
+    """H takes f_nu(0) once, when it is built, and eight threads on one
+    instance read that value and get the bits of one call."""
     h = superposed.Majorant(_CountingMeasure(ATOM))
     assert h.nu.zero_calls == 1
-    expected = superposed.Majorant(ATOM).value(0.3)
-    results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=lambda: results.append(h.value(0.3)))
-                   for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == [expected] * 8
-    assert h.nu.zero_calls == 1
-
-
-class _CountingDerivs:
-    """Delegates to a measure; _derivs records the nodes it is asked for."""
-
-    def __init__(self, inner, built):
-        self.inner = inner
-        self.built = built
-
-    def _derivs(self, ax, orders):
-        self.built.extend(np.asarray(ax).tolist())
-        time.sleep(0.01)
-        return self.inner._derivs(ax, orders)
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-def test_each_cell_is_sampled_once_across_threads():
-    """Threads that miss the same nodes build each node's row, the unit of
-    the cache, once."""
-    xs = np.linspace(-40.0, 40.0, 321)
+    xs = np.append(np.linspace(-40.0, 40.0, 321), 0.3)
     expected = superposed.Majorant(ATOM).value(xs)
-    built = []
-    h = superposed.Majorant(ATOM)
-    h.nu = _CountingDerivs(h.nu, built)
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -319,5 +210,23 @@ def test_each_cell_is_sampled_once_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     assert all(r.tobytes() == expected.tobytes() for r in results)
-    assert built and sorted(built) == sorted(set(built))
-    assert np.array_equal(h._node_rows._table[0], sorted(built))
+    assert h.nu.zero_calls == 1
+
+
+WARM_CASES = [HAAR, PL05, PL15, ATOM,
+              measures.Weight(lambda lam: lam ** -0.5 * np.exp(-lam))]
+
+
+@pytest.mark.parametrize("mu", WARM_CASES, ids=lambda m: m.family)
+def test_a_warm_instance_gives_the_bits_of_a_fresh_one(mu):
+    """G, and H where cond47 holds, keep nothing between calls: an
+    instance that took 800.2 and a grid first gives each point the bits of
+    a fresh instance, a Weight too."""
+    xs = (3.3, np.array([0.2, 3.3, 17.5, 801.7]))
+    classes = [superposed.Minorant] + [superposed.Majorant] * mu.classify().cond47
+    for cls in classes:
+        warm = cls(mu)
+        warm.value(800.2)
+        warm.value(np.linspace(-60.0, 60.0, 241))
+        for x in xs:
+            assert np.float64(warm.value(x)).tobytes() == np.float64(cls(mu).value(x)).tobytes()
