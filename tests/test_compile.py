@@ -326,12 +326,17 @@ def _sets_an_attribute_of_self(fn):
     return False
 
 
-def test_approximants_hold_no_mutable_state():
-    # a value of G or H is a function of (mu, delta, x) and its batch: no
-    # module takes a lock or defines a node cache, and no method of an
-    # approximant but __init__ sets an attribute
+def test_no_module_takes_a_lock():
+    # a value of G or H is a function of (mu, delta, x) and its batch
     assert _modules_where(_imports_threading) == []
+
+
+def test_no_module_defines_a_node_cache():
     assert _modules_where(lambda tree: "_CellCache" in _defined_names(tree)) == []
+
+
+def test_approximants_hold_no_mutable_state():
+    # no method of an approximant but __init__ sets an attribute
     tree = ast.parse((SRC / "superposed.py").read_text())
     classes = [c for c in tree.body if isinstance(c, ast.ClassDef)
                and (c.name == "_Superposed" or "_Superposed" in map(ast.unparse, c.bases))]

@@ -1,5 +1,6 @@
 """Band-limited one-sided approximants built from kernel superpositions."""
 
+import math
 import sys
 import threading
 import time
@@ -85,7 +86,7 @@ def test_dilated_majorant_sandwich_and_nodes():
 
 
 def test_defect_routes_agree():
-    pts = (0.37, 0.6, 1.9, 2.3, 4.25)
+    pts = (0.37, 1.9, 4.25)
     cases = [(mu, "minorant") for mu in MINORANT_FAMILIES]
     cases += [(mu, "majorant") for mu in MAJORANT_FAMILIES]
     for mu, kind in cases:
@@ -118,6 +119,38 @@ def test_defect_over_points_equals_pointwise(cls, mu, delta):
         assert abs(prof.series_value[i] - ref.series_value) <= 1e-9
         assert abs(prof.integral_value[i] - ref.integral_value) <= 1e-9
         assert prof.abs_err[i] <= 1e-7
+
+
+def test_value_via_defect_matches_direct():
+    """The target minus (G) or plus (H) the integral of the defect gives the
+    value of the series."""
+    g = superposed.Minorant(PL05)
+    for x in (0.6, 2.3):
+        assert abs(float(g.target(x)) - g.defect(x).integral_value - g.value(x)) <= 1e-7
+    h = superposed.Majorant(ATOM)
+    for x in (0.6, 2.3):
+        assert abs(float(h.target(x)) + h.defect(x).integral_value - h.value(x)) <= 1e-7
+
+
+def test_value_via_defect_takes_no_series(monkeypatch):
+    """The integral route of defect() alone: int (kernel defect at x) dnu
+    takes no lattice-series call, and a diverging target says so before
+    any series is summed."""
+    expected = [superposed.Minorant(PL05).defect(x).integral_value for x in (0.6, 2.3)]
+
+    def no_series(*args):
+        raise AssertionError("lattice series called")
+
+    monkeypatch.setattr(superposed, "_lattice_series", no_series)
+    g = superposed.Minorant(PL05)
+    for x, gap in zip((0.6, 2.3), expected):
+        res = measures.integrate(superposed.KernelDefectAtPoint(x, "minorant"), g.nu, tol=1e-9)
+        assert res.value == gap
+    h = superposed.Majorant(ATOM)
+    res = measures.integrate(superposed.KernelDefectAtPoint(0.6, "majorant"), h.nu, tol=1e-9)
+    assert math.isfinite(res.value)
+    with pytest.raises(DomainError, match="target diverges"):
+        superposed.Minorant(HAAR).defect(0.0)
 
 
 def test_weight_family_round_trip():
@@ -189,12 +222,98 @@ class _CountingMeasure:
 
 
 def test_majorant_zero_node_computed_once_across_threads():
-    """H takes f_nu(0) once, when it is built, and eight threads on one
-    instance read that value and get the bits of one call."""
+    """H takes f_nu(0) once, when it is built, and threads read that value."""
     h = superposed.Majorant(_CountingMeasure(ATOM))
     assert h.nu.zero_calls == 1
-    xs = np.append(np.linspace(-40.0, 40.0, 321), 0.3)
+    expected = superposed.Majorant(ATOM).value(0.3)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(h.value(0.3)))
+                   for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
+    assert h.nu.zero_calls == 1
+
+
+class _HeldDerivs:
+    """Delegates to a measure; _derivs signals that it started and waits."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def _derivs(self, ax, orders):
+        self.started.set()
+        self.release.wait(timeout=30.0)
+        return self.inner._derivs(ax, orders)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_node_cache_publishes_f_and_f_prime_together():
+    """A call that reads the nodes while another call is still building
+    them gets matching f and f' blocks, those of its own _derivs call:
+    calls on one instance share no node rows."""
+    s = np.arange(600) + 0.5
+    expected = superposed.Minorant(ATOM)._nodes(s, 2)
+    g = superposed.Minorant(ATOM)
+    g.nu = _HeldDerivs(g.nu)
+    got = []
+    writer = threading.Thread(target=g._nodes, args=(s, 2))
+    reader = threading.Thread(target=lambda: got.append(g._nodes(s, 2)))
+    writer.start()
+    try:
+        assert g.nu.started.wait(timeout=30.0)
+        reader.start()
+        reader.join(timeout=0.1)
+    finally:
+        g.nu.release.set()
+    for t in (writer, reader):
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in (writer, reader))
+    (f, fp), = got
+    assert f.tobytes() == expected[0].tobytes()
+    assert fp.tobytes() == expected[1].tobytes()
+
+
+class _CountingDerivs:
+    """Delegates to a measure; _derivs records the nodes it is asked for."""
+
+    def __init__(self, inner, built):
+        self.inner = inner
+        self.built = built
+
+    def _derivs(self, ax, orders):
+        self.built.extend(np.asarray(ax).tolist())
+        time.sleep(0.01)
+        return self.inner._derivs(ax, orders)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_each_cell_is_sampled_once_across_threads():
+    """Eight threads on one instance get the bits of one call, and each
+    call asks for each node's row once."""
+    xs = np.linspace(-40.0, 40.0, 321)
     expected = superposed.Majorant(ATOM).value(xs)
+    once = []
+    h = superposed.Majorant(ATOM)
+    h.nu = _CountingDerivs(h.nu, once)
+    h.value(xs)
+    assert once and sorted(once) == sorted(set(once))
+    built = []
+    h.nu.built = built
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -210,7 +329,7 @@ def test_majorant_zero_node_computed_once_across_threads():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == 8
     assert all(r.tobytes() == expected.tobytes() for r in results)
-    assert h.nu.zero_calls == 1
+    assert sorted(built) == sorted(once * 8)
 
 
 WARM_CASES = [HAAR, PL05, PL15, ATOM,
