@@ -46,8 +46,8 @@ base defect_moment(kind, tol, delta) is the sharp form constant A or B:
 Measures integrate and kernels evaluate: ``kernels`` writes each
 single-rate kernel, and ``integrate`` is the one integral against a
 measure: a sum over ``atoms``, one heap over ``breakpoints``, or else the
-weighted integral over (0, inf).  On the base Measure, _derivs, r, _q and
-transform_moment are each one call of the column integral ``_integral``.
+weighted integral over (0, inf).  On the base Measure, _derivs, r and _q
+are each one call of the column integral ``_integral``.
 A family overrides a method only where it beats the base:
 
              _derivs  defect_moment  r       _q
@@ -58,8 +58,8 @@ A family overrides a method only where it beats the base:
 
 Atomic's ladder and moments are the base's atom sums, exact near |x| = 1,
 and HaarLog's moments the base's from its closed _q (A = log 2, bit for
-bit).  transform_moment is the paper's coefficient route for the periodic
-polynomials; periodic builds them from _q, and the tests keep it as oracle.
+bit).  periodic builds its polynomials from _q; the paper's route, the
+transform moments of Lhat and Mhat, is an oracle of the tests.
 
 ``Measure.require(kind)`` is the one admissibility gate (the base moments
 of a kind take the gate), and ``_csv_rows`` the one CSV reader.
@@ -213,13 +213,6 @@ class Measure:
         each k in orders (0 or 1), stacked on a new first axis: the integral
         of the kernels ladder, p(lam, x) for k = 0 and j(lam, x) for k = 1."""
         return self._integral(kernels._periodized, x, tol, orders)
-
-    def transform_moment(self, kind, ts, tol=1e-9):
-        """int Lhat(lam, ts) dmu (kind "minorant") or int Mhat(lam, ts) dmu,
-        behind the kind's gate."""
-        self.require(kind)
-        return self._integral(_by_kind(kind, kernels.eval_Lhat, kernels.eval_Mhat),
-                              ts, tol)[0]
 
 
 @dataclass(frozen=True)

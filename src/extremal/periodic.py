@@ -26,12 +26,11 @@ l and m from the kernels ladder of p and j, g and h from one call of the
 measure's q ladder at all the nodes (x = 0 included), whose closed forms
 need no integral.  Only the mean is a kernel defect (l, m) or a sharp
 constant of forms (g, h).  The paper's route, the dilated measure's
-transform moments of Lhat and Mhat, is Measure.transform_moment, which the
-tests keep as the oracle.  p and its derivative j live in kernels,
-re-exported as eval_p and eval_j.
+transform moments of Lhat and Mhat, is not in the library: the tests keep
+it as the oracle of the node route.  A TrigPoly writes its coefficients as
+CSV or JSON text and reads none back.  p and its derivative j live in
+kernels, re-exported as eval_p and eval_j.
 """
-
-import json
 
 import numpy as np
 
@@ -87,91 +86,35 @@ class TrigPoly:
 
     def evaluate(self, x):
         """Value at x (scalar or array); exactly real by folding +-n.  A nan
-        or infinite x raises DomainError."""
+        or infinite x raises DomainError.  Each point's sum over n is an
+        einsum, never a BLAS product, and a lone point is summed beside its
+        copy, so a value does not depend on the batch it is evaluated in."""
         x = check_finite(x)
-        scalar = x.ndim == 0
-        xs = np.atleast_1d(x)
+        xs = np.repeat(x.reshape(-1), 2 if x.size == 1 else 1)
         N = self.degree
         n = np.arange(1, N + 1)
         c = np.array(self.coeffs[N + 1:], dtype=complex)
-        ang = 2.0 * np.pi * xs[..., None] * n
-        out = self.coeff(0).real + 2.0 * (np.cos(ang) @ c.real.copy()
-                                          - np.sin(ang) @ c.imag.copy())
-        return float(out[0]) if scalar else out
+        ang = 2.0 * np.pi * xs[:, None] * n
+        out = self.coeff(0).real + 2.0 * (np.einsum("ik,k->i", np.cos(ang), c.real)
+                                          - np.einsum("ik,k->i", np.sin(ang), c.imag))
+        out = out[:x.size].reshape(x.shape)
+        return float(out) if x.ndim == 0 else out
 
-    # -- serialization (shortest round-trip decimals; bit-exact reload) ----
+    # -- coefficient text (shortest round-trip decimals) --------------------
 
     def to_csv_text(self):
         N = self.degree
         return "n,re,im\n" + "".join(f"{n},{c.real!r},{c.imag!r}\n"
                                      for n, c in zip(range(-N, N + 1), self.coeffs))
 
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv_text())
-
-    @classmethod
-    def from_csv(cls, path):
-        entries = {}
-        for where, row in measures._csv_rows(path, ("n", "re", "im")):
-            _add_entry(entries, *row, where=where)
-        return cls._from_entries(max(abs(n) for n in entries), entries, path)
-
-    @classmethod
-    def _from_entries(cls, N, entries, where):
-        """The degree-N polynomial of entries {n: c(n)}.  Distinct integers
-        with |n| <= N cover -N..N exactly when there are 2N + 1 of them."""
-        if len(entries) != 2 * N + 1 or any(abs(n) > N for n in entries):
-            raise DomainError(f"{where}: coefficients must cover -N..N")
-        return cls(N, tuple(entries[n] for n in range(-N, N + 1)))
-
-    def to_json_obj(self):
-        return {
-            "degree": self.degree,
-            "coeffs": [
-                {"n": n, "re": self.coeff(n).real, "im": self.coeff(n).imag}
-                for n in range(-self.degree, self.degree + 1)
-            ],
-        }
-
     def to_json_text(self):
-        """json.dumps(self.to_json_obj(), indent=1) + "\n", byte for byte,
-        from a row template: json writes a finite float as its repr."""
+        """The text json.dumps(obj, indent=1) + "\n" writes for obj = {"degree":
+        N, "coeffs": [{"n": n, "re": c(n).real, "im": c(n).imag}, ...]}, byte
+        for byte, from a row template: json writes a finite float as its repr."""
         N = self.degree
         rows = ",\n".join(_JSON_ROW.format(n, c.real, c.imag)
                           for n, c in zip(range(-N, N + 1), self.coeffs))
         return f'{{\n "degree": {N},\n "coeffs": [\n{rows}\n ]\n}}\n'
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json_text())
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        N = int(obj["degree"])
-        entries = {}
-        for i, e in enumerate(obj["coeffs"]):
-            _add_entry(entries, e["n"], e["re"], e["im"], where=f"coeffs[{i}]")
-        return cls._from_entries(N, entries, "coeffs")
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_obj(json.load(fh))
-
-
-def _add_entry(entries, n, real, imag, where):
-    """entries[n] = real + i imag for a new integer n; else DomainError at where."""
-    try:
-        k, c = int(n), complex(float(real), float(imag))
-    except (TypeError, ValueError, OverflowError):
-        k = None
-    if k is None or k != float(n):
-        raise DomainError(f"{where}: expected an integer n and numeric re, im; "
-                          f"got {[n, real, imag]!r}")
-    if k in entries:
-        raise DomainError(f"{where}: duplicate coefficient n = {k}")
-    entries[k] = c
 
 
 eval_p = kernels.eval_p

@@ -15,7 +15,7 @@ import pytest
 
 from extremal import cli, forms, measures, periodic, quadrature, superposed, verify
 from extremal.errors import ConvergenceError, DivergenceError
-from extremal.periodic import TrigPoly
+import oracles
 
 
 def run_cli(argv, capsys):
@@ -360,7 +360,7 @@ def test_coeffs_csv_round_trips_bit_exact(tmp_path, capsys):
         ["coeffs", "--kind", "l", "--lambda", "1.7", "--N", "6",
          "--out", str(out_file)], capsys)
     assert code == 0
-    back = TrigPoly.from_csv(str(out_file))
+    back = oracles.from_csv_text(out_file.read_text())
     direct = periodic.trig_minorant_l(1.7, 6)
     assert back.coeffs == direct.coeffs
 
@@ -370,8 +370,7 @@ def test_coeffs_json_round_trips_bit_exact(capsys):
         ["coeffs", "--kind", "h", "--measure", "power:1.5", "--N", "4",
          "--format", "json"], capsys)
     assert code == 0
-    back = TrigPoly.from_json_obj(json.loads(out))
-    from extremal import measures
+    back = oracles.from_json_text(out)
     direct = periodic.trig_majorant_h(measures.PowerLaw(1.5), 4, tol=1e-10)
     assert back.coeffs == direct.coeffs
 
@@ -383,7 +382,7 @@ def test_coeffs_of_a_power_law_near_sigma_two(kind, capsys):
     code, out, err = run_cli(["coeffs", "--kind", kind, "--measure", "power:1.95",
                               "--N", "8", "--format", "json"], capsys)
     assert code == 0 and not err
-    poly = TrigPoly.from_json_obj(json.loads(out))
+    poly = oracles.from_json_text(out)
     assert poly == periodic._superposed_poly(
         measures.PowerLaw(1.95), 8, "minorant" if kind == "g" else "majorant")
     assert out == poly.to_json_text()

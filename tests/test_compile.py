@@ -6,9 +6,11 @@ source text catches them on every run.  No linter is installed, so a
 stdlib ``ast`` scan also checks that every imported name is used, that no
 module branches on a measure's ``family`` name, that only ``measures``
 reads what a measure is made of (``atoms``, ``breakpoints``, ``weight``),
-that only ``Measure`` defines f, f_prime, f_derivs and q, that ``periodic``
-builds its polynomials without the transform moments or a point mass, that only
-``measures`` raises AdmissibilityError or reads CSV, that one function
+that only ``Measure`` defines f, f_prime, f_derivs and q, that no ``src``
+module defines the transform moments (an oracle of the tests) and
+``periodic`` builds its polynomials without a point mass, that only
+``measures`` raises AdmissibilityError or reads CSV, that only ``cli.main``
+(the ``--out`` write) and ``measures._csv_rows`` open a file, that one function
 holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 one slices its passes, that no integrand is probed for a TypeError, and
 that the lattice series has one path: ``kernels._lattice_series`` takes
@@ -176,6 +178,11 @@ def test_measure_families_define_f_only_through_derivs():
         ("Measure", "f"), ("Measure", "f_derivs"), ("Measure", "f_prime")]
 
 
+def _modules_defining_transform_moment():
+    # the paper's coefficient route is tests/oracles.py's, not the library's
+    return _modules_where(lambda tree: "transform_moment" in _defined_names(tree))
+
+
 def test_periodic_polynomials_come_from_the_q_ladder():
     # q is order 0 of _q, and periodic builds every polynomial from the
     # ladder at the nodes: neither the transform moments nor a point mass
@@ -183,9 +190,10 @@ def test_periodic_polynomials_come_from_the_q_ladder():
     assert sorted(cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                   for fn in cls.body
                   if isinstance(fn, ast.FunctionDef) and fn.name == "q") == ["Measure"]
+    assert _modules_defining_transform_moment() == []
     tree = ast.parse((SRC / "periodic.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
-                if _attribute_read(node) in ("transform_moment", "Atomic")]
+                if _attribute_read(node) == "Atomic"]
 
 
 def _raised_names(tree):
@@ -215,6 +223,24 @@ def test_only_one_module_reads_csv():
         lambda tree: any(isinstance(node, ast.Call)
                          and _attribute_read(node.func) == "reader"
                          for node in ast.walk(tree))) == ["measures.py"]
+
+
+def _calls_open(node):
+    """Whether node calls ``open`` or ``x.open``."""
+    return any(isinstance(call, ast.Call)
+               and (_attribute_read(call.func) == "open"
+                    or (isinstance(call.func, ast.Name) and call.func.id == "open"))
+               for call in ast.walk(node))
+
+
+def test_only_the_out_write_and_the_csv_reader_open_a_file():
+    # cli.main writes --out and measures._csv_rows reads every CSV input;
+    # no other src code reads or writes a file
+    assert _modules_where(_calls_open) == ["cli.py", "measures.py"]
+    assert sorted((path.name, fn.name) for path in SRC.glob("*.py")
+                  for fn in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(fn, ast.FunctionDef) and _calls_open(fn)) == [
+        ("cli.py", "main"), ("measures.py", "_csv_rows")]
 
 
 def _functions_reading(tree, name):
@@ -538,8 +564,8 @@ def test_measures_integrate_and_kernels_evaluate():
     tree = ast.parse((SRC / "measures.py").read_text())
     assert "np.exp" not in _calls(tree)
     assert "_over_points" not in _defined_names(tree)
-    assert _functions_reading_attribute(tree, "_integral") == [
-        "_derivs", "_q", "r", "transform_moment"]
+    assert _functions_reading_attribute(tree, "_integral") == ["_derivs", "_q", "r"]
+    assert _modules_defining_transform_moment() == []
     assert sorted(set(_functions_reading(tree, "integrate"))) == ["_integral", "classify"]
     tree = ast.parse((SRC / "verify.py").read_text())
     assert "_exp_transform" not in _defined_names(tree)
@@ -551,7 +577,8 @@ def test_no_override_the_base_already_gives():
     # moments the base's closed _q behind the base's gate
     tree = ast.parse((SRC / "measures.py").read_text())
     assert _methods(tree, "Atomic") == ["__post_init__", "atoms", "classify", "dilate"]
-    assert not {"defect_moment", "transform_moment"} & set(_methods(tree, "HaarLog"))
+    assert "defect_moment" not in _methods(tree, "HaarLog")
+    assert _modules_defining_transform_moment() == []
 
 
 def test_forms_takes_the_gate_of_the_measure():

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from extremal import forms, kernels, measures, periodic, polybound, specfun, superposed
 from extremal.errors import AdmissibilityError, ConvergenceError, DomainError
+from oracles import transform_moment
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -52,9 +53,9 @@ def test_atomic_moments_are_weighted_kernel_sums(mu, xs):
     _assert_sum(mu.defect_moment("minorant"), _sum(mu, specfun.defect_minorant))
     _assert_sum(mu.defect_moment("majorant"), _sum(mu, specfun.defect_majorant))
     us = ts / (1.0 + ts)
-    _assert_sum(mu.transform_moment("minorant", us),
+    _assert_sum(transform_moment(mu, "minorant", us),
                 _sum(mu, lambda l: kernels.eval_Lhat(l, us)))
-    _assert_sum(mu.transform_moment("majorant", us),
+    _assert_sum(transform_moment(mu, "majorant", us),
                 _sum(mu, lambda l: kernels.eval_Mhat(l, us)))
 
 
@@ -121,10 +122,6 @@ def test_closed_forms_match_the_quadrature_fallback(mu):
     # q and q' (the _q ladder; base.q would dispatch to the closed _q)
     assert np.allclose(mu._q(xs, (0, 1), 1e-9), base._q(mu, xs, (0, 1), 1e-10),
                        rtol=0, atol=1e-8)
-    us = np.array([0.2, 0.5, 0.9])
-    assert np.allclose(mu.transform_moment("minorant", us),
-                       base.transform_moment(mu, "minorant", us, 1e-10),
-                       rtol=0, atol=1e-8)
 
 
 DERIVS_CLOSED = [measures.HaarLog(), measures.PowerLaw(0.5), measures.PowerLaw(1.5, 2.0)]
@@ -163,7 +160,7 @@ def test_haar_majorant_moments_and_unknown_kinds_raise():
     with pytest.raises(AdmissibilityError):
         haar.defect_moment("majorant")
     with pytest.raises(AdmissibilityError):
-        haar.transform_moment("majorant", np.array([0.5]))
+        transform_moment(haar, "majorant", np.array([0.5]))
     # the closed form 2 Gamma(1-s) zeta(1-s) reads -5.18 at s = 0.5, where
     # the moment is +inf
     with pytest.raises(AdmissibilityError, match="cond47"):
@@ -172,7 +169,7 @@ def test_haar_majorant_moments_and_unknown_kinds_raise():
         with pytest.raises(DomainError):
             mu.defect_moment("upper")
     with pytest.raises(DomainError):
-        measures.Atomic((1.0,), (1.0,)).transform_moment("upper", np.array([0.5]))
+        transform_moment(measures.Atomic((1.0,), (1.0,)), "upper", np.array([0.5]))
 
 
 def test_weight_majorant_moments_take_the_gate():
@@ -181,7 +178,7 @@ def test_weight_majorant_moments_take_the_gate():
     with pytest.raises(AdmissibilityError, match="cond47"):
         mu.defect_moment("majorant")
     with pytest.raises(AdmissibilityError, match="cond47"):
-        mu.transform_moment("majorant", np.array([0.5]))
+        transform_moment(mu, "majorant", np.array([0.5]))
 
 
 @pytest.mark.parametrize("mu", [measures.HaarLog(), measures.PowerLaw(0.5),
@@ -237,7 +234,7 @@ def test_scalar_f_and_f_prime_are_the_array_call(mu, xs):
     # r, q and transform_moment too: each scalar is the one-point array call
     t = xs[0] / 60.0                                   # |t| in (1.6e-4, 0.84)
     cases = [(fn, x) for fn in (mu.f, mu.f_prime) for x in xs] + [
-        (mu.r, abs(t)), (mu.q, t), (lambda t: mu.transform_moment("minorant", t), t)]
+        (mu.r, abs(t)), (mu.q, t), (lambda t: transform_moment(mu, "minorant", t), t)]
     for fn, x in cases:
         s = fn(x)
         assert isinstance(s, float)

@@ -12,7 +12,6 @@ import pytest
 
 from extremal import forms, kernels, measures, periodic, polybound, specfun, superposed
 from extremal.errors import AdmissibilityError, DomainError
-from extremal.periodic import TrigPoly
 
 _GAMMA_M05 = -3.5449077018110321   # Gamma(-1/2), mpmath 1.3.0
 
@@ -238,13 +237,12 @@ def test_parse_error_carries_line_number():
 
 # every CSV reader of the package, with its header and one good row
 READERS = [(measures.atomic_from_csv, "lambda,weight", "1.0,2.0"),
-           (TrigPoly.from_csv, "n,re,im", "0,1.0,0.0"),
            (forms.points_from_csv, "xi,re,im", "0.0,1.0,0.0"),
            (polybound.roots_from_csv, "re,im", "1.0,0.0")]
 
 
 @pytest.mark.parametrize("read,header,good", READERS,
-                         ids=["measure", "trigpoly", "points", "roots"])
+                         ids=["measure", "points", "roots"])
 @pytest.mark.parametrize("case", ["header", "width", "number", "empty"])
 def test_csv_readers_reject_bad_input_naming_the_line(tmp_path, read, header,
                                                       good, case):
