@@ -32,8 +32,6 @@ from .measures import (
     PowerLaw,
     Weight,
     atomic_from_csv,
-    classify,
-    dilate,
     integrate,
     weight_from_csv,
 )
@@ -41,10 +39,6 @@ from .superposed import (
     DefectProfile,
     Majorant,
     Minorant,
-    eval_G,
-    eval_G_dilated,
-    eval_H,
-    eval_H_dilated,
     eval_U,
 )
 from .periodic import (
@@ -52,7 +46,6 @@ from .periodic import (
     eval_j,
     eval_p,
     log_sin_majorant,
-    q_mu,
     trig_majorant_h,
     trig_majorant_m,
     trig_minorant_g,
@@ -67,12 +60,10 @@ from .forms import (
     form_report,
     hls_constants,
     hls_gamma_route,
-    lower_constant_A,
     points_from_csv,
     r_mu,
     random_point_set,
     sharpness_witness,
-    upper_constant_B,
 )
 from .polybound import (
     SupBound,
@@ -94,14 +85,13 @@ __all__ = [
     "minorant_values", "majorant_values",
     "eval_L", "eval_M", "eval_Lhat", "eval_Mhat",
     "HaarLog", "PowerLaw", "Atomic", "Weight",
-    "atomic_from_csv", "weight_from_csv", "classify", "dilate", "integrate",
-    "Minorant", "Majorant", "DefectProfile",
-    "eval_G", "eval_H", "eval_G_dilated", "eval_H_dilated", "eval_U",
-    "TrigPoly", "eval_p", "eval_j", "q_mu",
+    "atomic_from_csv", "weight_from_csv", "integrate",
+    "Minorant", "Majorant", "DefectProfile", "eval_U",
+    "TrigPoly", "eval_p", "eval_j",
     "trig_minorant_l", "trig_majorant_m", "trig_minorant_g",
     "trig_majorant_h", "log_sin_majorant",
     "PointSet", "FormBound", "HlsConstants",
-    "r_mu", "lower_constant_A", "upper_constant_B", "form_bound",
+    "r_mu", "form_bound",
     "evaluate_form", "form_report", "hls_constants", "hls_gamma_route",
     "sharpness_witness", "random_point_set", "points_from_csv",
     "SupBound", "reflect_roots", "disk_sup_bound", "sup_log_oracle",

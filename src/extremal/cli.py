@@ -188,8 +188,7 @@ def _eval_columns(args):
         mu = _parse_measure(args.measure)
         tol = args.tol if args.tol is not None else 1e-9
         # q_mu has period 1 and may diverge at the integers
-        vals = _split_divergent(lambda x: periodic.q_mu(mu, x, tol=tol), xs,
-                                xs == np.floor(xs))
+        vals = _split_divergent(lambda x: mu.q(x, tol), xs, xs == np.floor(xs))
     elif kind in ("G", "H"):
         cls = superposed.Minorant if kind == "G" else superposed.Majorant
         obj = cls(_parse_measure(args.measure), args.delta)

@@ -23,11 +23,12 @@ functional equation turns these into the discrete Hardy-Littlewood-Sobolev
 constants (2 - 2^{2-s}) zeta(s)/delta^s and 2 zeta(s)/delta^s for the
 kernel |xi_m - xi_n|^{-s}; both routes are computed here and must agree.
 
-r_mu is the measure's r, and A and B its defect_moment at delta, which
-dilates, checks delta and takes the kind's gate on the measure given; the
-measure classes hold the closed forms above, and this module only maps a
-divergent r_mu(0) to the PLUS_INF sentinel.  A(N+1, mu)
-and B(N+1, mu) are also the means of periodic's g_mu and h_mu, -A and B.
+r_mu is the measure's r, and A and B its defect_moment("minorant" |
+"majorant", tol, delta), which dilates, checks delta and takes the kind's
+gate on the measure given; form_bound returns the pair.  The measure
+classes hold the closed forms above, and this module only maps a
+divergent r_mu(0) to the PLUS_INF sentinel.  A(N+1, mu) and B(N+1, mu)
+are also the means of periodic's g_mu and h_mu, -A and B.
 
 Sharpness is witnessed on arithmetic progressions xi_n = delta n with
 alternating (lower) or constant (upper) coefficients; the Rayleigh ratio
@@ -104,21 +105,11 @@ def r_mu(measure, t, tol=1e-10):
     return float(out[0]) if scalar else out
 
 
-def lower_constant_A(measure, delta=1.0, tol=1e-10):
-    """Sharp lower form constant A(delta, mu) (> 0 for admissible mu)."""
-    return measure.defect_moment("minorant", tol, delta)
-
-
-def upper_constant_B(measure, delta=1.0, tol=1e-10):
-    """Sharp upper form constant B(delta, mu); needs the cond47 moment."""
-    return measure.defect_moment("majorant", tol, delta)
-
-
 def form_bound(measure, delta=1.0, tol=1e-10):
     """Both sharp constants; B is None when the cond47 moment fails."""
-    A = lower_constant_A(measure, delta, tol)
+    A = measure.defect_moment("minorant", tol, delta)
     try:
-        B = upper_constant_B(measure, delta, tol)
+        B = measure.defect_moment("majorant", tol, delta)
     except AdmissibilityError:
         B = None
     return FormBound(A, B)
@@ -181,8 +172,8 @@ def hls_gamma_route(sigma, delta=1.0):
             f"gamma-route sigma must lie in (0, 2) excluding 1, got {sigma!r}")
     mu = measures.PowerLaw(sigma)
     C = float(mu.r(1.0))
-    lower = lower_constant_A(mu, delta) / C
-    upper = upper_constant_B(mu, delta) / C if sigma > 1.0 else None
+    lower = mu.defect_moment("minorant", delta=delta) / C
+    upper = mu.defect_moment("majorant", delta=delta) / C if sigma > 1.0 else None
     return HlsConstants(lower, upper)
 
 
@@ -214,7 +205,7 @@ def form_report(measure, delta, points, a, tol=1e-10):
     this particular (points, coefficients) pair attains (<= 1).
     """
     ps = points if isinstance(points, PointSet) else PointSet(tuple(points), delta)
-    A = lower_constant_A(measure, delta, tol)
+    A = measure.defect_moment("minorant", tol, delta)
     a = np.asarray(a, dtype=complex)
     value = evaluate_form(measure, ps, a, tol)
     energy = float(np.sum(np.abs(a) ** 2))

@@ -116,6 +116,8 @@ _ROWS = 2 * _EM_ORDER + 1   # the derivatives f^(0..2p) they read
 _DIRECT = _HEAD + 2 * _NEAR - 1  # the nodes a point past the head sums directly
 _EXACT = 2.0 ** 52  # half-integers are exact floats below this
 _WINDOW = np.arange(_NEAR - 1, -_NEAR, -1.0)  # window offsets, last node first
+_FIT_RATE = 0.5  # KernelDefectAtPoint fits defect/lam below this rate
+_FIT_NODES = 12  # on this many first-kind Chebyshev nodes
 
 
 @dataclass(frozen=True)
@@ -527,14 +529,11 @@ class KernelDefectAtPoint:
     kind "minorant": e^{-lam|x|} - L(lam, x);  "majorant": M(lam, x) - e^{-lam|x|}.
     x is a point or an array of points; a call returns shape
     lam.shape + x.shape, and a float when both are scalars.
-    Above LAM_SWITCH the node series is used directly; below, a lazily
-    built Chebyshev interpolant of defect/lam on [0, LAM_SWITCH] (degree
-    NFIT-1 on first-kind nodes) takes over, because the defect cancels to
-    O(lam) and the fit keeps its relative accuracy as lam -> 0.
+    Above _FIT_RATE the node series is used directly; below, a lazily
+    built Chebyshev interpolant of defect/lam on [0, _FIT_RATE] (degree
+    _FIT_NODES-1 on first-kind nodes) takes over, because the defect
+    cancels to O(lam) and the fit keeps its relative accuracy as lam -> 0.
     """
-
-    LAM_SWITCH = 0.5
-    NFIT = 12
 
     def __init__(self, x, kind="minorant"):
         self.kind = check_kind(kind)
@@ -543,10 +542,10 @@ class KernelDefectAtPoint:
         self._coeffs = None
 
     def _fit(self):
-        n = self.NFIT
+        n = _FIT_NODES
         i = np.arange(n)
         tk = np.cos((2 * i + 1) * np.pi / (2 * n))     # first-kind nodes
-        lam = self.LAM_SWITCH * (tk + 1.0) / 2.0
+        lam = _FIT_RATE * (tk + 1.0) / 2.0
         g = (_defects(lam, self.x, self.kind).T / lam).T
         coeffs = np.polynomial.chebyshev.chebfit(tk, g.reshape(n, -1), n - 1)
         self._coeffs = coeffs.reshape(g.shape)
@@ -556,11 +555,11 @@ class KernelDefectAtPoint:
         shape = lam.shape + np.shape(self.x)
         lam = lam.ravel()
         out = np.empty((lam.size,) + np.shape(self.x))
-        small = lam < self.LAM_SWITCH
+        small = lam < _FIT_RATE
         if np.any(small):
             if self._coeffs is None:
                 self._fit()
-            tk = 2.0 * lam[small] / self.LAM_SWITCH - 1.0
+            tk = 2.0 * lam[small] / _FIT_RATE - 1.0
             # chebval puts the x axes of the coefficients first, lam last
             g = np.polynomial.chebyshev.chebval(tk, self._coeffs)
             out[small] = np.moveaxis(lam[small] * g, -1, 0)

@@ -21,20 +21,20 @@ Families:
                   (rows lambda,weight; value w_i on [lambda_i, lambda_{i+1}),
                   zero outside; no interpolation)
 
-Dilation nu(E) = mu(delta E) maps each family onto itself; it rescales the
-exponential type of the superposed approximants and satisfies
-f_nu(x) = f_mu(x/delta) - f_mu(1/delta).  HaarLog is the dilation-invariant
-point of the PowerLaw scale.
+Dilation nu = mu.dilate(delta), nu(E) = mu(delta E), maps each family onto
+itself; it rescales the exponential type of the superposed approximants
+and satisfies f_nu(x) = f_mu(x/delta) - f_mu(1/delta).  HaarLog is the
+dilation-invariant point of the PowerLaw scale.
 
 Each family states the derivatives of f_mu once, in ``_derivs(ax, orders)``
 (f_mu^(k) at the array ax of |x| for each k in orders, stacked on a new
 first axis).  Measure.f and f_prime call it with order 0 or 1, give f' the
 sign of x and return a float for a scalar; f_derivs takes orders 0-4 at
-positive points for the tail corrections in the superposed module.  At
-x = 0, f follows the divergent-point rule of ``_divergent`` (a scalar gets
-PLUS_INF, an array holding the point raises DomainError), which
-forms.r_mu and Measure.q share.  A nan or infinite point raises
-DomainError in f, f_prime, f_derivs, q and r_mu alike.
+positive points and raises DomainError at any other.  At x = 0, f follows
+the divergent-point rule of ``_divergent`` (a scalar gets PLUS_INF, an
+array holding the point raises DomainError), which forms.r_mu and
+Measure.q share.  A nan or infinite point raises DomainError in f,
+f_prime, f_derivs, q and r_mu alike.
 
 The periodized kernel q_mu(x) = int p(lam, x) dmu follows the same idiom:
 ``_q(x, orders, tol)`` gives q_mu (order 0) and q_mu' (order 1) wherever
@@ -154,8 +154,13 @@ class Measure:
         return float(out[0]) if x.ndim == 0 else out
 
     def f_derivs(self, u):
-        """(f, f', f'', f''', f'''') at positive points u, as five arrays."""
-        return tuple(self._derivs(np.atleast_1d(check_finite(u)), range(5)))
+        """(f, f', f'', f''', f'''') at positive points u, as five arrays;
+        DomainError at a point <= 0."""
+        u = np.atleast_1d(check_finite(u))
+        bad = u[u <= 0.0]
+        if bad.size:
+            raise DomainError(f"f_derivs needs positive points, got {float(bad[0])!r}")
+        return tuple(self._derivs(u, range(5)))
 
     def require(self, kind):
         """classify(); AdmissibilityError for kind "majorant" without the
@@ -413,16 +418,6 @@ class Weight(Measure):
             b / delta for b in self.breakpoints)
         return Weight(lambda lam, d=delta: d * np.asarray(base(d * np.asarray(lam)),
                                                           dtype=float), bp)
-
-
-def dilate(measure, delta):
-    """The measure nu(E) = mu(delta E); f_nu(x) = f_mu(x/delta) - f_mu(1/delta)."""
-    return measure.dilate(delta)
-
-
-def classify(measure):
-    """Admissibility flags of a measure (AdmissibilityError if not even cond31)."""
-    return measure.classify()
 
 
 def integrate(g, measure, tol=1e-10):

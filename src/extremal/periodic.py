@@ -12,9 +12,9 @@ the N + 1 nodes x_k = (k + 1/2)/(N + 1) and m at x_k = k/(N + 1).
 Superposing over an admissible measure mu gives q_mu(x) = int p(lam,x) dmu
 and its extremal polynomials g_mu <= q_mu <= h_mu, which touch q_mu at the
 same nodes; their means are the sharp form constants -A(N+1, mu) and
-B(N+1, mu) of forms.  Specializing mu to the multiplicative Haar measure
-yields u_N = -g_mu, the degree-N majorant of log|2 sin(pi x)| with mean
-log2/(N+1).
+B(N+1, mu), the measure's defect_moment at N + 1, and q_mu is Measure.q.
+Specializing mu to the multiplicative Haar measure yields u_N = -g_mu,
+the degree-N majorant of log|2 sin(pi x)| with mean log2/(N+1).
 
 A polynomial of degree N that touches a kernel at N + 1 equally spaced
 nodes matches its value and its derivative there (at the majorant node
@@ -25,9 +25,10 @@ kernel and its derivative sampled at its nodes, by two FFTs (_from_nodes):
 l and m from the kernels ladder of p and j, g and h from one call of the
 measure's q ladder at all the nodes (x = 0 included), whose closed forms
 need no integral.  Only the mean is a kernel defect (l, m) or a sharp
-constant of forms (g, h).  The paper's route, the dilated measure's
-transform moments of Lhat and Mhat, is not in the library: the tests keep
-it as the oracle of the node route.  A TrigPoly writes its coefficients as
+constant (g, h): one defect_moment call, which takes the gate and the
+dilation.  The paper's route, the dilated measure's transform moments of
+Lhat and Mhat, is not in the library: the tests keep it as the oracle of
+the node route.  A TrigPoly writes its coefficients as
 CSV or JSON text and reads none back.  p and its derivative j live in
 kernels, re-exported as eval_p and eval_j.
 """
@@ -37,8 +38,8 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Tuple
 
-from . import forms, kernels, measures, specfun
-from .errors import DomainError, check_count, check_finite
+from . import kernels, measures, specfun
+from .errors import DomainError, check_count, check_finite, is_count
 
 _SYM_TOL = 1e-12
 # one coefficient of the JSON text, as json.dumps(..., indent=1) writes it
@@ -74,7 +75,9 @@ class TrigPoly:
         object.__setattr__(self, "coeffs", tuple(c.tolist()))
 
     def coeff(self, n):
-        """c(n) for -degree <= n <= degree."""
+        """c(n) for an integer -degree <= n <= degree (a bool is not one)."""
+        if not is_count(n):
+            raise DomainError(f"coefficient index must be an integer, got {n!r}")
         if abs(n) > self.degree:
             raise DomainError(f"coefficient index {n} exceeds degree {self.degree}")
         return self.coeffs[self.degree + n]
@@ -133,13 +136,6 @@ def trig_majorant_m(lam, N):
     return _single_poly(lam, N, "majorant")
 
 
-def q_mu(measure, x, tol=1e-9):
-    """Periodized superposed kernel q_mu(x) = int p(lam, x) dmu(lam), the
-    measure's q: at an integer x, the majorant defect moment, or without the
-    cond47 moment PLUS_INF for a scalar and DomainError for an array."""
-    return measure.q(x, tol)
-
-
 def _nodes(N, kind):
     """The N + 1 touching nodes x_k = x_0 + k/(N+1), k = 0..N, with x_0 =
     1/(2(N+1)) for kind "minorant" and 0 for "majorant", each taken in
@@ -182,9 +178,9 @@ def _superposed_poly(measure, N, kind, tol=1e-9):
     the sharp form constant -A(N+1, mu) or B(N+1, mu), and the other
     coefficients come from q_mu and q_mu' at the nodes."""
     N = check_count(N, "degree")
-    c0 = (-forms.lower_constant_A(measure, N + 1.0, tol) if kind == "minorant"
-          else forms.upper_constant_B(measure, N + 1.0, tol))
-    return _from_nodes(N, kind, c0, *measure._q(_nodes(N, kind), (0, 1), tol))
+    c0 = measure.defect_moment(kind, tol, N + 1.0)
+    return _from_nodes(N, kind, -c0 if kind == "minorant" else c0,
+                       *measure._q(_nodes(N, kind), (0, 1), tol))
 
 
 def trig_minorant_g(measure, N, tol=1e-9):

@@ -16,7 +16,9 @@ f_nu^(0..16) at their ends; this module supplies f_nu and its derivatives
 on the nodes and f_nu(0) for H.
 
 Dilation: Minorant(mu, delta) evaluates G_nu(delta x) with nu(E) = mu(delta E),
-the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).
+the extremal type-2pi*delta minorant of f_mu(x) - f_mu(1/delta).  G and H
+are the value methods of Minorant and Majorant and their defects the defect
+methods; eval_U alone is a module function, as it fixes mu and the sign.
 
 An instance holds measure, nu, delta and, for H, f_nu(0), taken when it
 is built, and no mutable state.  Each call takes f_nu and f_nu' at the
@@ -34,7 +36,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from . import measures
-from .errors import DomainError, check_kind
+from .errors import DomainError
 from .kernels import KernelDefectAtPoint, _lattice_series
 
 
@@ -45,7 +47,7 @@ class _Superposed:
     _f0 = None          # f_nu(0) where the lattice has a node at 0
 
     def __init__(self, measure, delta=1.0):
-        self.nu = measures.dilate(measure, delta)
+        self.nu = measure.dilate(delta)
         measure.require(self.kind)
         self.measure = measure
         self.delta = float(delta)
@@ -114,26 +116,6 @@ class Majorant(_Superposed):
         self._f0 = self.nu.f(0.0)
 
 
-def eval_G(measure, x):
-    """G_mu(x): extremal type-2pi minorant of f_mu."""
-    return Minorant(measure).value(x)
-
-
-def eval_H(measure, x):
-    """H_mu(x): extremal type-2pi majorant of f_mu (needs cond47)."""
-    return Majorant(measure).value(x)
-
-
-def eval_G_dilated(measure, delta, x):
-    """G_nu(delta x), nu = mu(delta .): type-2pi*delta minorant of f_mu - f_mu(1/delta)."""
-    return Minorant(measure, delta).value(x)
-
-
-def eval_H_dilated(measure, delta, x):
-    """H_nu(delta x): type-2pi*delta majorant of f_mu - f_mu(1/delta)."""
-    return Majorant(measure, delta).value(x)
-
-
 def eval_U(x):
     """Band-limited majorant of log|x| of type 2pi: U = -G_{HaarLog}.
 
@@ -142,8 +124,3 @@ def eval_U(x):
     vals = Minorant(measures.HaarLog()).value(x)
     return -vals
 
-
-def defect(measure, kind, x, delta=1.0, tol=1e-9):
-    """DefectProfile of the chosen one-sided approximant at x."""
-    cls = Minorant if check_kind(kind) == "minorant" else Majorant
-    return cls(measure, delta).defect(x, tol)

@@ -141,13 +141,13 @@ def _q_text_by_points(mu, xs, tol=1e-9):
     vals = []
     for x in xs:
         if x == math.floor(x):
-            v = periodic.q_mu(mu, float(x), tol=tol)
+            v = mu.q(float(x), tol=tol)
             vals.append(math.inf if measures.is_plus_inf(v) else float(v))
         else:
             vals.append(None)
     off = [i for i, v in enumerate(vals) if v is None]
     if off:
-        for i, v in zip(off, periodic.q_mu(mu, xs[off], tol=tol)):
+        for i, v in zip(off, mu.q(xs[off], tol=tol)):
             vals[i] = float(v)
     return cli._csv_text(("x", "value"), zip(xs.tolist(), vals))
 

@@ -27,7 +27,8 @@ the package is read somewhere in it, that ``specfun.hurwitz_zeta`` is the one ze
 the one small-rate defect series of ``specfun`` is the minorant's and the
 majorant has no series, switch or direct formula of its own, that the
 small-rate series of the periodized kernel p is ``specfun``'s minorant
-defect alone and ``periodic`` reads q_mu only through the measure, that
+defect alone and ``periodic`` reads no ``q`` of a measure, only its ``_q``
+ladder, that
 ``kernels._defects`` is the one loop of kernel defects over rates, that
 the flag table of ``cli`` is the only place naming its optional flags,
 that no call overrides the quadrature budget, that criterion 3 inverts the
@@ -37,8 +38,11 @@ derivatives from the measure's ``_derivs`` ladder and never calls
 ``f_prime`` or ``f_derivs``, that ``polybound`` writes its log+ sum
 once, that ``cli.cmd_eval`` writes its CSV and JSON rows from one column
 table without a per-index loop, that the means of g_mu and h_mu are the
-sharp constants A and B of ``forms`` (so ``periodic`` neither dilates a
-measure nor reads its defect moment or admissibility gate), that
+sharp constants A and B, one read of the measure's ``defect_moment`` (so
+``periodic`` neither dilates a measure nor reads its admissibility gate,
+and imports no ``forms``), that no module-level function only forwards to
+a method of a measure or an approximant and ``KernelDefectAtPoint`` has no
+per-instance knob, that
 criterion 8 reads its witnesses off the sharpness table, that the
 count, kind, evaluation-point and dilation messages are written only in
 ``errors``, and that measures integrate while kernels evaluate: every
@@ -427,10 +431,11 @@ def test_one_defect_series_for_the_periodized_kernel():
     assert _functions_reading(tree, "defect_minorant") == ["_periodized"]
     assert _functions_reading(tree, "_periodized") == ["_order"]
     assert _functions_reading(tree, "_order") == ["eval_j", "eval_p"]
-    # periodic takes q_mu and q_mu' from the measure, the integers included:
-    # no integer test (its mean is test_periodic_means_are_the_sharp_constants')
+    # periodic takes q_mu and q_mu' from the measure's _q ladder, the
+    # integers included, and reads its q nowhere: no integer test (the mean
+    # is test_periodic_means_are_the_sharp_constants')
     tree = ast.parse((SRC / "periodic.py").read_text())
-    assert _functions_reading_attribute(tree, "q") == ["q_mu"]
+    assert not [node.lineno for node in ast.walk(tree) if _attribute_read(node) == "q"]
     assert _functions_reading_attribute(tree, "_q") == ["_superposed_poly"]
     assert _functions_reading_attribute(tree, "floor") == []
 
@@ -522,13 +527,45 @@ def test_eval_rows_come_from_one_column_table():
 
 
 def test_periodic_means_are_the_sharp_constants():
-    # the mean of g_mu is -A(N+1, mu) and that of h_mu B(N+1, mu); forms
-    # owns the admissibility gate and the dilation they take
+    # the mean of g_mu is -A(N+1, mu) and that of h_mu B(N+1, mu), one read
+    # of the measure's defect_moment, which takes the gate and the dilation
     tree = ast.parse((SRC / "periodic.py").read_text())
-    assert {"lower_constant_A", "upper_constant_B"} <= {
-        _attribute_read(node) for node in ast.walk(_function("_superposed_poly", tree))}
+    assert _functions_reading_attribute(tree, "defect_moment") == ["_superposed_poly"]
     assert not [node.lineno for node in ast.walk(tree)
-                if _attribute_read(node) in ("defect_moment", "dilate", "require")]
+                if _attribute_read(node) in ("dilate", "require")]
+    assert "forms" not in {alias.asname or alias.name for node in ast.walk(tree)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))
+                           for alias in node.names}
+
+
+# module-level functions that only passed their arguments to a method of a
+# measure or an approximant, which is now the one name of each object
+_FORWARDERS = {"eval_G", "eval_H", "eval_G_dilated", "eval_H_dilated", "defect",
+               "dilate", "classify", "q_mu", "lower_constant_A", "upper_constant_B"}
+
+
+def test_no_module_level_function_forwards_to_a_method():
+    def module_level(tree):
+        return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)} | {
+            t.id for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)}
+
+    assert _modules_where(lambda tree: module_level(tree) & _FORWARDERS) == []
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets))
+    assert set(exported) & _FORWARDERS == set()
+
+
+def test_the_kernel_defect_fit_has_no_instance_knob():
+    # the fit's rate and node count are kernels constants: a class attribute
+    # an instance could shadow after its fit was built would desync the two
+    tree = ast.parse((SRC / "kernels.py").read_text())
+    cls = next(c for c in tree.body if isinstance(c, ast.ClassDef)
+               and c.name == "KernelDefectAtPoint")
+    assert not [node.lineno for node in cls.body if isinstance(node, ast.Assign)]
 
 
 def test_criterion_8_reads_the_sharpness_table():

@@ -76,8 +76,8 @@ def test_r_divergence_sentinels():
 # -- sharp constants ----------------------------------------------------------
 
 def test_lower_constant_haar():
-    assert abs(forms.lower_constant_A(HAAR) - math.log(2.0)) <= 1e-14
-    assert abs(forms.lower_constant_A(HAAR, delta=4.0)
+    assert abs(HAAR.defect_moment("minorant") - math.log(2.0)) <= 1e-14
+    assert abs(HAAR.defect_moment("minorant", delta=4.0)
                - math.log(2.0) / 4.0) <= 1e-14
 
 
@@ -85,7 +85,7 @@ def test_lower_constant_haar():
                          ids=lambda m: m.family)
 @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
 def test_lower_constant_dual_routes(mu, delta):
-    closed = forms.lower_constant_A(mu, delta)
+    closed = mu.defect_moment("minorant", delta=delta)
     quad = quadrature_route_A(mu, delta)
     assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
@@ -93,26 +93,26 @@ def test_lower_constant_dual_routes(mu, delta):
 @pytest.mark.parametrize("mu", [PL15, ATOM], ids=lambda m: m.family)
 @pytest.mark.parametrize("delta", [0.5, 1.0, 3.0])
 def test_upper_constant_dual_routes(mu, delta):
-    closed = forms.upper_constant_B(mu, delta)
+    closed = mu.defect_moment("majorant", delta=delta)
     quad = quadrature_route_B(mu, delta)
     assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 
 def test_upper_constant_power15_value_and_scaling():
-    assert abs(forms.upper_constant_B(PL15) - B_PL15) <= 1e-12
-    assert abs(forms.upper_constant_B(PL15, delta=2.0)
+    assert abs(PL15.defect_moment("majorant") - B_PL15) <= 1e-12
+    assert abs(PL15.defect_moment("majorant", delta=2.0)
                - B_PL15 / 2.0 ** 1.5) <= 1e-12
 
 
 def test_upper_constant_rejects_divergent_families():
     with pytest.raises(AdmissibilityError):
-        forms.upper_constant_B(HAAR)
+        HAAR.defect_moment("majorant")
     with pytest.raises(AdmissibilityError) as exc:
-        forms.upper_constant_B(PL05)
+        PL05.defect_moment("majorant")
     assert "cond31" in str(exc.value)
     # the gate is the measure's own, not its dilation's
     with pytest.raises(AdmissibilityError) as exc:
-        forms.upper_constant_B(PL05, delta=5.0)
+        PL05.defect_moment("majorant", delta=5.0)
     assert repr(PL05) in str(exc.value)
 
 
@@ -217,7 +217,7 @@ def test_form_coefficient_count_mismatch():
                          ids=lambda m: m.family)
 def test_lower_bound_holds_on_random_trials(mu):
     rng = np.random.default_rng(17)
-    A = forms.lower_constant_A(mu)
+    A = mu.defect_moment("minorant")
     for _ in range(10):
         n = int(rng.integers(2, 20))
         ps = forms.random_point_set(rng, n, 1.0)
@@ -230,7 +230,7 @@ def test_lower_bound_holds_on_random_trials(mu):
 @pytest.mark.parametrize("mu", [PL15, ATOM], ids=lambda m: m.family)
 def test_upper_bound_holds_on_random_trials(mu):
     rng = np.random.default_rng(23)
-    B = forms.upper_constant_B(mu)
+    B = mu.defect_moment("majorant")
     for _ in range(10):
         n = int(rng.integers(2, 20))
         ps = forms.random_point_set(rng, n, 1.0)
@@ -241,14 +241,14 @@ def test_upper_bound_holds_on_random_trials(mu):
 
 
 def test_witness_ratio_converges_to_sharp_constant():
-    A = forms.lower_constant_A(HAAR)
+    A = HAAR.defect_moment("minorant")
     prev = 0.0
     for N in (10, 50, 200, 500):
         w = forms.sharpness_witness(HAAR, 1.0, N, kind="lower")
         assert prev < w <= A + 1e-12
         prev = w
     assert (A - prev) / A <= 0.01          # 0.14% gap at N = 500
-    B = forms.upper_constant_B(PL15)
+    B = PL15.defect_moment("majorant")
     wu = forms.sharpness_witness(PL15, 1.0, 500, kind="upper")
     assert wu <= B + 1e-12
     assert forms.sharpness_witness(HAAR, 1.0, 0) == 0.0

@@ -284,7 +284,7 @@ defect_points = st.lists(st.one_of(st.integers(-12, 12).map(float),
 @given(defect_rates, defect_points)
 def test_defect_at_point_array_x_equals_scalar_instances(kind, lams, xs):
     """An array of points gives the per-point defects, on both sides of
-    LAM_SWITCH, at lattice nodes and at 0."""
+    _FIT_RATE, at lattice nodes and at 0."""
     lams = np.array(lams + [1e-8, 0.3, 2.0])
     xs = np.array(xs + [0.0])
     got = kernels.KernelDefectAtPoint(xs, kind)(lams)

@@ -182,7 +182,7 @@ def test_far_field_matches_a_direct_sum(mu, delta, ys):
     below max(512, ceil(|delta x|) + 96) plus the Euler-Maclaurin tail:
     within 1e-14 max(1, |value|) for |delta x| < 415.5, and 2e-13 max(1,
     |value|) beyond."""
-    nu = measures.dilate(mu, delta)
+    nu = mu.dilate(delta)
     xs = np.array(ys) / delta
     y = np.abs(xs * delta)
     tol = np.where(y < 415.5, 1e-14, 2e-13)
@@ -212,9 +212,9 @@ all_measures = st.one_of(
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(all_measures, st.floats(0.5, 3.0), st.floats(0.05, 50.0))
 def test_dilation_identity_over_random_measures(mu, delta, x):
-    """f_nu(x) = f_mu(x/delta) - f_mu(1/delta) for nu = dilate(mu, delta),
+    """f_nu(x) = f_mu(x/delta) - f_mu(1/delta) for nu = mu.dilate(delta),
     over all four families."""
-    nu = measures.dilate(mu, delta)
+    nu = mu.dilate(delta)
     rhs = mu.f(x / delta) - mu.f(1.0 / delta)
     assert abs(nu.f(x) - rhs) <= 1e-9 * (1.0 + abs(rhs))
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal import forms, kernels, measures, periodic, polybound, specfun, superposed
+from extremal import forms, kernels, measures, periodic, polybound, specfun
 from extremal.errors import AdmissibilityError, ConvergenceError, DomainError
 from oracles import transform_moment
 
@@ -196,7 +196,7 @@ def test_defect_moment_at_delta_is_that_of_the_dilation(mu):
 
 def test_q_mu_integer_points_are_the_majorant_defect_moment():
     mu = measures.Atomic((0.5, 2.0), (1.0, 3.0))
-    q = periodic.q_mu(mu, np.array([0.0, 0.25, 2.0]))
+    q = mu.q(np.array([0.0, 0.25, 2.0]))
     assert q[0] == q[2] == mu.defect_moment("majorant")
     assert q[0] == pytest.approx(sum(w * kernels.eval_p(l, 0.0)
                                      for l, w in zip(mu.points, mu.weights)), rel=1e-15)
@@ -211,7 +211,7 @@ DIVERGENT_AT_ZERO = [measures.HaarLog(), measures.PowerLaw(0.5),
 def test_divergent_point_is_the_sentinel_for_a_scalar_and_an_error_in_an_array(mu):
     calls = [(mu.f, [1.0, 0.0]),
              (lambda t: forms.r_mu(mu, t), [1.0, 0.0]),
-             (lambda x: periodic.q_mu(mu, x), [0.5, 0.0])]
+             (mu.q, [0.5, 0.0])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # the divergence raises no numpy warning
         for call, pts in calls:
@@ -268,11 +268,23 @@ def test_a_non_finite_point_raises_domain_error(entry, x):
                     POINT_ENTRIES[entry](mu, pts)
 
 
+@pytest.mark.parametrize("u", [0.0, -2.0], ids=["zero", "negative"])
+def test_f_derivs_refuses_a_point_that_is_not_positive(u):
+    # not an infinity, a nan, a numpy warning or f at some other point: an
+    # even f_mu is not what the ladder at |u| gives for its odd orders, and
+    # the message names the point, not a quadrature abscissa of a Weight
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in FAMILIES:
+            for pts in (u, np.array([0.5, u])):
+                with pytest.raises(DomainError, match=f"positive points, got {u!r}"):
+                    mu.f_derivs(pts)
+
+
 def test_one_kind_rule_and_one_count_rule():
     haar = measures.HaarLog()
     for call in (lambda: haar.require("upper"),
-                 lambda: kernels.KernelDefectAtPoint(0.5, "upper"),
-                 lambda: superposed.defect(haar, "upper", 1.0)):
+                 lambda: kernels.KernelDefectAtPoint(0.5, "upper")):
         with pytest.raises(DomainError,
                            match="unknown kind 'upper'; use 'minorant' or 'majorant'"):
             call()

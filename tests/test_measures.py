@@ -104,11 +104,11 @@ def test_evenness_and_monotonicity():
 
 
 def test_classify():
-    assert measures.classify(measures.HaarLog()) == measures.Admissibility(True, False)
-    assert measures.classify(measures.PowerLaw(0.5)).cond47 is False
-    assert measures.classify(measures.PowerLaw(1.5)).cond47 is True
-    assert measures.classify(measures.Atomic((1.0,), (1.0,))).cond47 is True
-    assert measures.classify(measures.Weight(lambda lam: np.exp(-lam))).cond47 is True
+    assert measures.HaarLog().classify() == measures.Admissibility(True, False)
+    assert measures.PowerLaw(0.5).classify().cond47 is False
+    assert measures.PowerLaw(1.5).classify().cond47 is True
+    assert measures.Atomic((1.0,), (1.0,)).classify().cond47 is True
+    assert measures.Weight(lambda lam: np.exp(-lam)).classify().cond47 is True
 
 
 def test_weight_divergent_mass_rejected():
@@ -122,9 +122,9 @@ def test_weight_divergent_mass_rejected():
 
 @pytest.mark.parametrize("delta", [0.5, 2.0])
 def test_dilation_identity(delta):
-    """f_nu(x) = f_mu(x/delta) - f_mu(1/delta) for nu = dilate(mu, delta)."""
+    """f_nu(x) = f_mu(x/delta) - f_mu(1/delta) for nu = mu.dilate(delta)."""
     for mu in _families():
-        nu = measures.dilate(mu, delta)
+        nu = mu.dilate(delta)
         shift = mu.f(1.0 / delta)
         for x in (0.3, 1.0, 2.6, 9.0):
             lhs = nu.f(x)
@@ -134,9 +134,9 @@ def test_dilation_identity(delta):
 
 def test_dilate_validation():
     with pytest.raises(DomainError):
-        measures.dilate(measures.HaarLog(), 0.0)
+        measures.HaarLog().dilate(0.0)
     with pytest.raises(DomainError):
-        measures.dilate(measures.HaarLog(), -2.0)
+        measures.HaarLog().dilate(-2.0)
 
 
 def test_power_law_sigma_domain():
@@ -261,7 +261,7 @@ def test_csv_readers_reject_bad_input_naming_the_line(tmp_path, read, header,
 @pytest.mark.parametrize("delta", [np.int64(2), np.float64(2.0)], ids=repr)
 def test_dilate_accepts_numpy_scalars(delta):
     for mu in (measures.PowerLaw(0.5), measures.Atomic((1.0, 3.0), (0.5, 2.0))):
-        assert measures.dilate(mu, delta) == measures.dilate(mu, 2.0)
+        assert mu.dilate(delta) == mu.dilate(2.0)
 
 
 # one numeric argument of each validating entry point, as a function of it

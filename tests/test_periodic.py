@@ -48,6 +48,11 @@ def test_trig_poly_validation():
         TrigPoly(1, (0.5j, 1.0, 0.5j))             # not conjugate-symmetric
     with pytest.raises(DomainError):
         TrigPoly(0, (1.0,)).coeff(1)
+    # a bool or a float is not a coefficient index, not even 1.0
+    u = periodic.log_sin_majorant(3)
+    for n in (True, 1.0):
+        with pytest.raises(DomainError, match="must be an integer"):
+            u.coeff(n)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -211,24 +216,24 @@ def test_single_kernel_touch_points_and_means():
 def test_q_haar_is_negative_log_sin():
     xs = np.array([0.1, 0.25, 0.5, 0.8])
     expect = -np.log(np.abs(2.0 * np.sin(np.pi * xs)))
-    assert np.max(np.abs(periodic.q_mu(HAAR, xs) - expect)) <= 1e-14
-    assert periodic.q_mu(HAAR, 0.5) == -math.log(2.0)
+    assert np.max(np.abs(HAAR.q(xs) - expect)) <= 1e-14
+    assert HAAR.q(0.5) == -math.log(2.0)
 
 
 def test_q_sentinels_and_array_guard():
-    assert measures.is_plus_inf(periodic.q_mu(HAAR, 0.0))
-    assert measures.is_plus_inf(periodic.q_mu(PL05, 1.0))
+    assert measures.is_plus_inf(HAAR.q(0.0))
+    assert measures.is_plus_inf(PL05.q(1.0))
     with pytest.raises(DomainError):
-        periodic.q_mu(HAAR, np.array([0.0, 0.5]))
+        HAAR.q(np.array([0.0, 0.5]))
     # finite q(0) for sigma > 1 has a closed form
-    assert abs(periodic.q_mu(PL15, 0.0) - B_PL15) <= 1e-12
+    assert abs(PL15.q(0.0) - B_PL15) <= 1e-12
 
 
 def test_q_atomic_is_weighted_p_sum():
     xs = np.linspace(0.05, 0.95, 7)
     lams, ws = ATOM.atoms
     expect = sum(w * periodic.eval_p(l, xs) for l, w in zip(lams, ws))
-    assert np.max(np.abs(periodic.q_mu(ATOM, xs) - expect)) <= 1e-13
+    assert np.max(np.abs(ATOM.q(xs) - expect)) <= 1e-13
 
 
 def test_q_power_law_by_quadrature():
@@ -236,7 +241,7 @@ def test_q_power_law_by_quadrature():
     x = 0.3
     direct = measures.integrate(lambda lam: periodic.eval_p(lam, x), PL05,
                                 tol=1e-11).value
-    assert abs(periodic.q_mu(PL05, x) - direct) <= 1e-9
+    assert abs(PL05.q(x) - direct) <= 1e-9
 
 
 @pytest.mark.parametrize("mu", [PL05, PL15], ids=["power0.5", "power1.5"])
@@ -244,9 +249,9 @@ def test_q_power_law_is_even_and_finite_next_to_the_integers(mu):
     # the closed form takes the exact distance to the nearest integer, where
     # x mod 1 rounds -1e-17 to 1.0
     xs = np.array([1e-17, 0.3, 2.7, 1.0 - 2.0 ** -40])
-    assert np.array_equal(periodic.q_mu(mu, -xs), periodic.q_mu(mu, xs))
+    assert np.array_equal(mu.q(-xs), mu.q(xs))
     if mu.sigma < 1.0:
-        assert periodic.q_mu(mu, -1e-17) == pytest.approx(
+        assert mu.q(-1e-17) == pytest.approx(
             math.gamma(1.0 - mu.sigma) * 1e-17 ** (mu.sigma - 1.0), rel=1e-7)
 
 
@@ -282,10 +287,10 @@ def test_superposed_minorant_sandwich(mu):
     N = 5
     g = periodic.trig_minorant_g(mu, N)
     xs = (np.arange(1024) + 0.5) / 1024
-    qv = np.array([float(periodic.q_mu(mu, float(x))) for x in xs])
+    qv = np.array([float(mu.q(float(x))) for x in xs])
     assert np.min(qv - g.evaluate(xs)) >= -1e-9
     lo = (np.arange(1, N + 2) - 0.5) / (N + 1)
-    qlo = np.array([float(periodic.q_mu(mu, float(x))) for x in lo])
+    qlo = np.array([float(mu.q(float(x))) for x in lo])
     assert np.max(np.abs(g.evaluate(lo) - qlo)) <= 1e-9
 
 
@@ -294,10 +299,10 @@ def test_superposed_majorant_sandwich(mu):
     N = 5
     h = periodic.trig_majorant_h(mu, N)
     xs = (np.arange(1024) + 0.5) / 1024
-    qv = np.array([float(periodic.q_mu(mu, float(x))) for x in xs])
+    qv = np.array([float(mu.q(float(x))) for x in xs])
     assert np.min(h.evaluate(xs) - qv) >= -1e-9
     hi = np.arange(N + 1) / (N + 1)
-    qhi = np.array([float(periodic.q_mu(mu, float(x))) for x in hi])
+    qhi = np.array([float(mu.q(float(x))) for x in hi])
     assert np.max(np.abs(h.evaluate(hi) - qhi)) <= 1e-9
 
 
@@ -396,7 +401,7 @@ def test_node_route_matches_the_transform_moments(case, data):
     mu, kind = data.draw(case)
     N = data.draw(st.integers(0, 64))
     poly = periodic._superposed_poly(mu, N, kind, tol=1e-12)
-    nu = measures.dilate(mu, N + 1.0)
+    nu = mu.dilate(N + 1.0)
     ref = oracles.transform_moment(nu, kind, np.arange(1, N + 1) / (N + 1.0), 1e-11) / (N + 1.0)
     c = np.array(poly.coeffs[N + 1:])
     assert np.max(np.abs(c - ref), initial=0.0) <= 1e-10

@@ -87,11 +87,11 @@ def test_dilated_majorant_sandwich_and_nodes():
 
 def test_defect_routes_agree():
     pts = (0.37, 1.9, 4.25)
-    cases = [(mu, "minorant") for mu in MINORANT_FAMILIES]
-    cases += [(mu, "majorant") for mu in MAJORANT_FAMILIES]
-    for mu, kind in cases:
+    cases = [superposed.Minorant(mu) for mu in MINORANT_FAMILIES]
+    cases += [superposed.Majorant(mu) for mu in MAJORANT_FAMILIES]
+    for approximant in cases:
         for x in pts:
-            prof = superposed.defect(mu, kind, x)
+            prof = approximant.defect(x)
             assert abs(prof.series_value - prof.integral_value) <= 1e-7
             assert prof.series_value >= -1e-11
 
@@ -195,22 +195,12 @@ def test_log_majorant():
     assert np.max(np.abs(superposed.eval_U(nodes) - np.log(nodes))) <= 1e-10
 
 
-def test_module_level_wrappers():
-    x = 1.8
-    assert superposed.eval_G(HAAR, x) == superposed.Minorant(HAAR).value(x)
-    assert superposed.eval_H(PL15, x) == superposed.Majorant(PL15).value(x)
-    assert superposed.eval_G_dilated(PL05, 2.0, x) == superposed.Minorant(PL05, 2.0).value(x)
-    assert superposed.eval_H_dilated(PL15, 2.0, x) == superposed.Majorant(PL15, 2.0).value(x)
-
-
 def test_input_validation():
     g = superposed.Minorant(HAAR)
     with pytest.raises(DomainError):
         g.value(np.inf)
     with pytest.raises(DomainError, match="target diverges"):
         g.defect(0.0)
-    with pytest.raises(DomainError):
-        superposed.defect(HAAR, "upper", 1.0)
     with pytest.raises(DomainError):
         superposed.Minorant(HAAR, delta=-1.0)
 

@@ -324,21 +324,21 @@ q_points = st.lists(st.floats(0.01, 2.99).filter(lambda v: v != 1.0 and v != 2.0
 def test_q_mu_array_equals_scalar_calls(xs, sigma):
     mu = measures.PowerLaw(sigma)
     tol = 1e-9
-    vec = periodic.q_mu(mu, np.asarray(xs), tol=tol)
+    vec = mu.q(np.asarray(xs), tol=tol)
     for x, v in zip(xs, vec):
-        assert abs(v - periodic.q_mu(mu, x, tol=tol)) <= tol
+        assert abs(v - mu.q(x, tol=tol)) <= tol
 
 
 def test_q_mu_array_with_integers_and_a_weight():
     pl = measures.PowerLaw(1.5)
     xs = np.array([0.0, 0.3, 1.0, 1.75])
-    vec = periodic.q_mu(pl, xs)
+    vec = pl.q(xs)
     for x, v in zip(xs, vec):
-        assert abs(v - periodic.q_mu(pl, float(x))) <= 1e-9
+        assert abs(v - pl.q(float(x))) <= 1e-9
     w = measures.Weight(lambda lam: np.exp(-lam))
-    vec = periodic.q_mu(w, xs)
+    vec = w.q(xs)
     for x, v in zip(xs, vec):
-        assert abs(v - periodic.q_mu(w, float(x))) <= 1e-9
+        assert abs(v - w.q(float(x))) <= 1e-9
 
 
 def test_trig_polynomials_of_degree_zero():
@@ -354,7 +354,7 @@ def test_cli_q_grid_prints_inf_at_integers(capsys):
     assert cli.main(["eval", "--kind", "q", "--measure", "haar",
                      "--grid", "0:1:3"]) == 0
     expect = "x,value\n0.0,inf\n0.5,{!r}\n1.0,inf\n".format(
-        periodic.q_mu(measures.HaarLog(), 0.5))
+        measures.HaarLog().q(0.5))
     assert capsys.readouterr().out == expect
 
 
@@ -364,7 +364,7 @@ def test_cli_q_grid_mixes_sentinels_and_one_array_call(capsys):
     rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
     mu = measures.PowerLaw(0.5)
     for x, v in rows:
-        ref = periodic.q_mu(mu, float(x))
+        ref = mu.q(float(x))
         if measures.is_plus_inf(ref):
             assert v == "inf"
         else:
