@@ -181,7 +181,8 @@ def _eval_columns(args):
     if kind in ("L", "M"):
         lattice = kernels.minorant_values if kind == "L" else kernels.majorant_values
         vals = lattice(args.lam, xs)
-        target = np.exp(-args.lam * np.abs(xs))
+        with np.errstate(over="ignore"):        # lam |x| past the floats: e^-inf = 0
+            target = np.exp(-args.lam * np.abs(xs))
     elif kind in _OF_RATE:
         vals = _OF_RATE[kind](args.lam, xs)
     elif kind == "q":

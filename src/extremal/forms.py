@@ -142,21 +142,32 @@ def hls_constants(sigma, delta=1.0):
     Lower: (2 - 2^{2-sigma}) zeta(sigma)/delta^sigma, degenerating to
     log4/delta at sigma = 1.  Upper (1 < sigma < 2): 2 zeta(sigma)/delta^sigma.
     sigma = 2 is served as the continuity limit pi^2/(3 delta^2) and flagged.
+    DomainError where a constant leaves the positive floats: delta^sigma
+    overflows or underflows to 0, or a constant overflows.
     """
     check_delta(delta)
     if not (is_real(sigma) and 0.0 < sigma <= 2.0):
         raise DomainError(f"sigma must lie in (0, 2], got {sigma!r}")
     sigma = float(sigma)
-    if sigma == 1.0:
-        return HlsConstants(math.log(4.0) / delta, None)
-    if sigma == 2.0:
-        z2 = math.pi ** 2 / 6.0
-        return HlsConstants(z2 / delta ** 2, 2.0 * z2 / delta ** 2,
-                            continuity_extension=True)
-    z = specfun.zeta(sigma)
-    lower = (2.0 - 2.0 ** (2.0 - sigma)) * z / delta ** sigma
-    upper = 2.0 * z / delta ** sigma if sigma > 1.0 else None
-    return HlsConstants(lower, upper)
+    try:
+        scale = delta ** sigma
+        if sigma == 1.0:
+            out = HlsConstants(math.log(4.0) / delta, None)
+        elif sigma == 2.0:
+            z2 = math.pi ** 2 / 6.0
+            out = HlsConstants(z2 / scale, 2.0 * z2 / scale, continuity_extension=True)
+        else:
+            z = specfun.zeta(sigma)
+            lower = (2.0 - 2.0 ** (2.0 - sigma)) * z / scale
+            upper = 2.0 * z / scale if sigma > 1.0 else None
+            out = HlsConstants(lower, upper)
+    except (OverflowError, ZeroDivisionError):      # delta^sigma left the floats
+        out = None
+    if out is None or not all(0.0 < c < math.inf
+                              for c in (out.lower, out.upper) if c is not None):
+        raise DomainError(f"HLS constants at sigma = {sigma!r}, delta = {delta!r} "
+                          "leave the float range")
+    return out
 
 
 def hls_gamma_route(sigma, delta=1.0):

@@ -1,20 +1,25 @@
 """Adaptive Gauss-Kronrod quadrature over finite and semi-infinite intervals.
 
-The workhorse is the nested 7/15 Gauss-Kronrod pair on bisected panels kept
-in a worst-first heap.  The rule is open (no abscissa touches a panel
-endpoint), so integrable endpoint singularities are handled by plain
-bisection refinement; the leftmost dyadic chain shrinks the contribution of
-an x^alpha endpoint (alpha > -1) geometrically.
+The workhorse is the nested 7/15 Gauss-Kronrod pair on panels kept in a
+worst-first heap.  The rule is open (no abscissa touches a panel
+endpoint), so an integrable singularity at an edge of the initial
+partition (a, b, the 0 of the half-line map, a breakpoint) is handled by
+refinement toward it, and the dyadic chain at the edge shrinks the
+contribution of an x^alpha end (alpha > -1) geometrically.
 
 Refinement goes in batched passes.  Each pass pops the worst panels until
 their summed error estimates cover the excess, total error minus
-max(tol, 2 floor), of every unconverged component, and bisects all of
-them.  A pass is evaluated in slices: an integrand call takes the 15
-abscissae of at most max(1, _SLICE // (15 m)) panels, so no call after
-the first returns more than max(_SLICE, 15 m) values.  One rule, _gk15,
-reduces the (15, k[, m]) block of a slice, a single panel included.  A
-pass that would overrun the evaluation budget is trimmed to the panels
-that fit.
+max(tol, 2 floor), of every unconverged component, and cuts all of them
+(_cut).  A panel with one end e (not both) on an edge of the partition
+is cut at e +- w/2^_GRADE, ..., e +- w/4, e +- w/2 (w its width), so one
+pass descends _GRADE dyadic levels of the chain at e, where bisection
+took one pass a level; every other panel is bisected.  A pass is evaluated in
+slices: an integrand call takes the 15 abscissae of at most
+max(1, _SLICE // (15 m)) panels, so no call after the first returns more
+than max(_SLICE, 15 m) values.  One rule, _gk15, reduces the (15, k[, m])
+block of a slice, a single panel included.  A pass that would overrun the
+evaluation budget is trimmed to the panels whose children fit, a graded
+panel counting its _GRADE + 1.
 
 Per-panel error follows the QUADPACK scaling: with d = |K15 - G7|, the
 estimate is resasc * min(1, (200 d / resasc)^1.5), which is sharply smaller
@@ -37,10 +42,11 @@ of S. G. Johnson's cubature), with the m of its first call on every call.
 It takes arrays only: a scalar-only callable such as math.exp fails on
 its first call, and every exception an integrand raises propagates.  A
 vector integral keeps one panel heap: each panel carries m values and m
-error estimates, the panel with the largest component error is refined
-first, and refinement stops once every component k meets
-max(tol, 2 floor_k).  QuadResult.value and abs_err_est are floats for a
-scalar integrand and arrays of shape (m,) for a vector one; evaluations
+error estimates, a panel is ranked by its largest error among the
+components that were unconverged when it was made, and refinement stops
+once every component k meets max(tol, 2 floor_k).  QuadResult.value and
+abs_err_est are floats for a scalar integrand and arrays of shape (m,)
+for a vector one; evaluations
 counts abscissae (15 per panel), whatever m is.  _gk15 sums each column
 on its own, so a panel's bits do not depend on the slice width or m, nor
 a QuadResult's on the slice width.  The abscissae of a slice come
@@ -83,6 +89,7 @@ _WKG = np.stack([_WK15, _WG15])
 DEFAULT_TOL = 1e-10
 DEFAULT_BUDGET = 200_000
 _SLICE = 2 ** 16                    # integrand values per call of a pass, at most
+_GRADE = 8                          # levels of a graded cut toward an edge
 _EPS = float(np.finfo(float).eps)
 
 
@@ -132,10 +139,9 @@ def _panels(f, a, b, parents=None, cols=None):
     max(1, _SLICE // (15 m)) panels; m is the size of ``cols``, the trailing
     shape every call returns (the first call's; m = 1 until it returns).
     A non-finite integrand value raises DomainError, or DivergenceError
-    when its panel was cut from a tiny one: ``parents`` = (pa, pb) holds k
-    bisected panels, and panel i of the pass is a half of
-    [pa[i % k], pb[i % k]].  A singularity that still blows up at that
-    width does not integrate.
+    when its panel was cut from a tiny one: ``parents`` = (pa, pb) holds
+    the parent [pa[i], pb[i]] of panel i of the pass.  A singularity that
+    still blows up at that width does not integrate.
     """
     h = 0.5 * (b - a)
     x = 0.5 * (a + b) + np.multiply.outer(_NODES, h)
@@ -156,7 +162,7 @@ def _panels(f, a, b, parents=None, cols=None):
             k = np.nonzero(bad.any(axis=0))[0][0]
             at = float(xs[bad[:, k], k][0])
             if parents is not None:
-                pa, pb = (float(p[(i + k) % len(p)]) for p in parents)
+                pa, pb = (float(p[i + k]) for p in parents)
                 if pb - pa <= 1e-13 * (abs(pa) + abs(pb) + 1.0):
                     raise DivergenceError(f"integrand blows up near x={at!r}")
             raise DomainError(f"integrand non-finite at x = {at!r}")
@@ -195,6 +201,7 @@ def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     Raises as integrate_finite documents."""
     check_tol(tol)
     lo, hi = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
+    ends = set(lo.tolist() + hi.tolist())
     parents, cols, pv, pe, pr = None, None, (), (), ()  # the first pass replaces no panel
     heap, history, counter, evals = [], [], 0, 0
     total_value = total_err = total_floor = 0.0
@@ -212,16 +219,29 @@ def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
         total_value = total_value + (np.add.reduce(value) - np.add.reduce(pv))
         total_err = total_err + (np.add.reduce(err) - np.add.reduce(pe))
         total_floor = total_floor + (np.add.reduce(floor) - np.add.reduce(pr))
-        worst = err.max(axis=1, initial=0.0).tolist()
-        for i, (w, ca, cb) in enumerate(zip(worst, lo.tolist(), hi.tolist())):
-            heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i], floor[i]))
-        counter += n
         history.append(float(np.abs(total_value).max(initial=0.0)))
         excess = total_err - np.maximum(tol, 2.0 * total_floor)
         if not (excess > 0.0).any():
             break
-        room = (budget - evals) // 30
-        if room < 1:
+        # a panel's rank is its largest error among the components not yet
+        # converged, so a converged component drives no refinement
+        worst = err[:, excess > 0.0].max(axis=1).tolist()
+        for i, (w, ca, cb) in enumerate(zip(worst, lo.tolist(), hi.tolist())):
+            heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i], floor[i]))
+        counter += n
+        # the worst panels whose errors cover every component's excess, as
+        # many as the budget holds children for; a panel with one end on an
+        # edge of the partition has _GRADE + 1 children, any other 2
+        left, popped, covered = budget - evals, [], 0.0
+        while heap and not (popped and (covered >= excess).all()):
+            ca, cb = heap[0][2:4]
+            cost = 15 * (_GRADE + 1 if (ca in ends) != (cb in ends) else 2)
+            if cost > left:
+                break
+            left -= cost
+            popped.append(heapq.heappop(heap))
+            covered = covered + popped[-1][5]
+        if not popped:
             growth = len(history) > 64 and all(
                 h2 > h1 for h1, h2 in zip(history[-64:-1], history[-63:])
             )
@@ -235,24 +255,38 @@ def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
                 estimate=out(total_value),
                 err_estimate=out(total_err),
             )
-        # the worst panels whose errors cover every component's excess
-        popped = [heapq.heappop(heap)]
-        covered = popped[0][5]
-        while heap and len(popped) < room and not (covered >= excess).all():
-            popped.append(heapq.heappop(heap))
-            covered = covered + popped[-1][5]
         _, _, pa, pb, pv, pe, pr = zip(*popped)
-        pa, pb = np.array(pa), np.array(pb)
-        pm = 0.5 * (pa + pb)
-        stuck = (pm <= pa) | (pm >= pb)
-        if stuck.any():
-            at = float(pa[stuck][0])
-            raise DivergenceError(
-                f"refinement exhausted float resolution near x={at!r}; "
-                "endpoint behaviour looks non-integrable")
-        lo, hi = np.concatenate((pa, pm)), np.concatenate((pm, pb))
-        parents = (pa, pb)
+        lo, hi, parents = _cut(np.array(pa), np.array(pb), ends)
     return QuadResult(out(total_value), out(total_err), evals)
+
+
+def _cut(pa, pb, ends):
+    """The children of the popped panels [pa_i, pb_i], in panel order, and
+    each child's parent: (lo, hi, (pa, pb) per child).  A panel with one
+    end e in ``ends`` is cut at e +- w/2^_GRADE, ..., e +- w/4, e +- w/2
+    (w its width), so one pass descends _GRADE levels toward e; any other
+    panel is bisected.  A cut point that rounds onto its neighbour is
+    dropped, and a panel left whole raises DivergenceError.
+    """
+    w, grades = (pb - pa)[:, None], 0.5 ** np.arange(_GRADE, 0, -1)
+    at_a = np.fromiter((a in ends for a in pa.tolist()), bool, len(pa))
+    at_b = np.fromiter((b in ends for b in pb.tolist()), bool, len(pb))
+    graded = (at_a != at_b)[:, None]
+    # row i: pa_i, its cut points in ascending order, pb_i
+    toward_a = pa[:, None] + w * grades
+    toward_b = pb[:, None] - w * grades[::-1]
+    mid = np.broadcast_to((0.5 * (pa + pb))[:, None], toward_a.shape)
+    inner = np.where(graded, np.where(at_a[:, None], toward_a, toward_b), mid)
+    cuts = np.column_stack((pa, inner, pb))
+    keep = cuts[:, 1:] > cuts[:, :-1]
+    kids = keep.sum(axis=1)
+    if (kids < 2).any():
+        at = float(pa[kids < 2][0])
+        raise DivergenceError(
+            f"refinement exhausted float resolution near x={at!r}; "
+            "endpoint behaviour looks non-integrable")
+    of = np.repeat(np.arange(len(pa)), kids)
+    return cuts[:, :-1][keep], cuts[:, 1:][keep], (pa[of], pb[of])
 
 
 def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):

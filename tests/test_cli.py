@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,16 @@ def test_eval_log_majorant_wide_grid(capsys):
     assert float(mid[0]) == 0.0
     assert float(mid[2]) == -math.inf        # log|0|
     assert float(mid[3]) == math.inf
+
+
+def test_eval_target_past_the_floats_warns_nothing(capsys):
+    """lam |x| overflows to inf, and e^-inf = 0 is the target, silently."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["eval", "--kind", "L", "--lambda", "2", "--grid",
+                                  "1e308:1e308:1", "--with-target"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["x,value,target,defect", "1e+308,0.0,0.0,-0.0"]
 
 
 def test_eval_transform_vanishes_beyond_band(capsys):
@@ -425,6 +436,18 @@ def test_bounds_hls_continuity_flag(capsys):
     rep = json.loads(out)["results"]
     assert rep["continuity_extension"] is True
     assert abs(rep["lower"] - math.pi ** 2 / 24.0) <= 1e-15
+
+
+@pytest.mark.parametrize("argv", [["--sigma", "1.5", "--delta", "1e300"],
+                                  ["--sigma", "1.99", "--delta", "1e-300"]],
+                         ids=["constants-underflow", "constants-overflow"])
+def test_bounds_hls_out_of_float_range_is_a_domain_error(argv, capsys):
+    """delta^sigma past the floats (an OverflowError, and 0.0 as a divisor)
+    is a usage error with one error line, not a traceback."""
+    code, out, err = run_cli(["bounds", "--kind", "hls"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float range" in err
 
 
 def test_bounds_form_verdict(tmp_path, capsys):

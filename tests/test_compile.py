@@ -36,7 +36,10 @@ closed ``eval_Lhat`` and ``eval_Mhat`` and takes one tapered forward
 transform (``transform-support``'s), that ``superposed`` takes f and its
 derivatives from the measure's ``_derivs`` ladder and never calls
 ``f_prime`` or ``f_derivs``, that ``polybound`` writes its log+ sum
-once, that ``cli.cmd_eval`` writes its CSV and JSON rows from one column
+and the formula of its bound once (criterion 10 reads the lower degrees
+off one ``disk_sup_bound`` call per root set) and calls ``np.poly`` and
+the FFT only to choose the grid cells, that one function cuts the popped
+panels of the heap, that ``cli.cmd_eval`` writes its CSV and JSON rows from one column
 table without a per-index loop, that the means of g_mu and h_mu are the
 sharp constants A and B, one read of the measure's ``defect_moment`` (so
 ``periodic`` neither dilates a measure nor reads its admissibility gate,
@@ -508,6 +511,27 @@ def test_one_log_plus_sum():
     tree = ast.parse((SRC / "polybound.py").read_text())
     assert _functions_reading(tree, "_INTERIOR_GUARD") == ["disk_sup_bound",
                                                             "reflect_roots"]
+
+
+def test_one_bound_formula():
+    # _bound alone writes the bound; criterion 10 takes one disk_sup_bound
+    # per root set and reads the lower degrees off it with SupBound.at
+    tree = ast.parse((SRC / "polybound.py").read_text())
+    assert _functions_reading(tree, "_bound") == ["at", "disk_sup_bound"]
+    check = _function("check_polybound", ast.parse((SRC / "verify.py").read_text()))
+    assert _calls(check).count("polybound.disk_sup_bound") == 1
+    # the FFT only chooses cells; every value comes from the product form
+    assert [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and {"np.poly", "np.fft.fft"} & set(_calls(fn))] == ["_grid_cells"]
+
+
+def test_one_rule_cuts_the_popped_panels():
+    # _cut makes every child of a pass but the first; refine reads _GRADE
+    # only for the cost of a graded cut
+    tree = ast.parse((SRC / "quadrature.py").read_text())
+    assert _functions_reading(tree, "_GRADE") == ["_cut", "refine"]
+    assert [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and "_cut" in _calls(fn)] == ["refine"]
 
 
 def _function(name, tree):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal import forms, kernels, measures, periodic, polybound, specfun
-from extremal.errors import AdmissibilityError, ConvergenceError, DomainError
+from extremal.errors import AdmissibilityError, DomainError
 from oracles import transform_moment
 
 PROPS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -143,9 +143,6 @@ def test_base_f_converges_for_a_density_singular_at_zero():
     assert abs(singular.f(0.3) - measures.PowerLaw(1.5).f(0.3)) <= 1e-10
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the fourth-derivative column sets the floor of the "
-                          "fixed 1e-10 tolerance")
 @pytest.mark.parametrize("sigma, us", [(1.5, [1e-3]),
                                        (0.5, np.geomspace(0.01, 600.0, 12))],
                          ids=["power1.5-near-0", "power0.5-wide"])

@@ -202,21 +202,100 @@ def test_oracle_with_roots_on_the_circle_and_the_grid(on_circle, on_grid, free):
 
 @pytest.mark.parametrize("samples", [8192, 65536])
 def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
-    """One grid call, then 8 zoom calls of 33 points each."""
-    sizes = []
-    evaluate = polybound._log_abs_on_circle
+    """One FFT of the whole grid, then nine product-form calls: the cells
+    it keeps (here the one best cell), and 8 zoom steps of 33 points."""
+    sizes, ffts = [], []
+    evaluate, fft = polybound._log_abs_on_circle, np.fft.fft
 
     def counted(xs, a):
         sizes.append(len(xs))
         return evaluate(xs, a)
 
+    def counted_fft(c, n):
+        ffts.append(n)
+        return fft(c, n)
+
     monkeypatch.setattr(polybound, "_log_abs_on_circle", counted)
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
     rng = np.random.default_rng(5)
     for m in (1, 7, 40):
         sizes.clear()
+        ffts.clear()
         a = rng.normal(size=m) + 1j * rng.normal(size=m)
         polybound.sup_log_oracle(a, samples)
-        assert sizes == [samples] + [33] * 8
+        assert ffts == [samples]
+        assert sizes == [1] + [33] * 8
+
+
+def _log_sum(xs, a):
+    """The oracle's former circle values: one logarithm per root."""
+    z = np.exp(2j * np.pi * np.asarray(xs, dtype=float))
+    with np.errstate(divide="ignore"):
+        return sum(np.log(np.abs(z - am)) for am in a)
+
+
+def _product_grid_oracle(a, samples):
+    """The oracle with the product form on every cell of the grid."""
+    vals = polybound._log_abs_on_circle((np.arange(samples) + 0.5) / samples, a)
+    best = int(np.argmax(vals))
+    sup, lo, hi = float(vals[best]), (best - 1.0) / samples, (best + 2.0) / samples
+    while hi - lo > 1e-13:
+        xs = lo + (hi - lo) * np.arange(33) / 32.0
+        vals = polybound._log_abs_on_circle(xs, a)
+        j = int(np.argmax(vals))
+        sup = max(sup, float(vals[j]))
+        j = min(max(j, 1), 31)
+        lo, hi = xs[j - 1], xs[j + 1]
+    return best, sup
+
+
+def test_fft_keeps_the_cell_of_the_product_grid():
+    """On 200 root sets drawn as criterion 10 draws them, the FFT keeps the
+    product grid's best cell, and the oracle is that of the product grid;
+    the product form is within 1e-13 of one logarithm per root."""
+    rng = np.random.default_rng(20261020)
+    samples, grid = 8192, (np.arange(8192) + 0.5) / 8192
+    for _ in range(200):
+        m = int(rng.integers(1, 33))
+        a = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
+        best, sup = _product_grid_oracle(a, samples)
+        assert best in polybound._grid_cells(a, samples)
+        assert abs(polybound.sup_log_oracle(a, samples) - sup) <= 1e-13
+        product, loop = polybound._log_abs_on_circle(grid, a), _log_sum(grid, a)
+        assert np.max(np.abs(product - loop)) <= 1e-13 * max(1.0, np.max(np.abs(loop)))
+
+
+def test_rounding_gate_keeps_every_cell_of_a_flat_circle():
+    """F = z^64 - 2^64 (64 equally spaced roots at radius 2): np.poly rounds
+    its coefficients by about eps 3^64, far above the spread 2 of |F| on the
+    circle, so every cell goes to the product form; sup log|F| = log(2^64 + 1)."""
+    a = 2.0 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert len(polybound._grid_cells(a, 8192)) == 8192
+    assert abs(polybound.sup_log_oracle(a, 8192) - math.log(2.0 ** 64 + 1.0)) <= 1e-13
+
+
+def test_product_form_takes_roots_far_outside_the_circle():
+    """Each factor is scaled by max(1, |alpha|), so products of 8 roots near
+    1e200 do not overflow."""
+    a = np.concatenate([1e200 * np.exp(2j * np.pi * np.arange(9) / 9), [0.5, 1.5j]])
+    xs = np.linspace(0.0, 1.0, 101)
+    loop = _log_sum(xs, a)
+    assert np.all(np.isfinite(polybound._log_abs_on_circle(xs, a)))
+    assert np.max(np.abs(polybound._log_abs_on_circle(xs, a) - loop)) <= 1e-13 * np.max(loop)
+    assert polybound.sup_log_oracle(a, 8192) >= np.max(loop) * (1.0 - 1e-13)
+
+
+def test_bound_of_lower_degree_from_the_same_power_sums():
+    """SupBound.at(n) is disk_sup_bound(alpha, n).bound, bit for bit."""
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-2, 2, 17) + 1j * rng.uniform(-2, 2, 17)
+    sb = polybound.disk_sup_bound(a, 64)
+    assert sb.at(64) == sb.bound
+    for n in range(65):
+        assert sb.at(n) == polybound.disk_sup_bound(a, n).bound
+    for bad in (65, -1, 2.0, True):
+        with pytest.raises(DomainError):
+            sb.at(bad)
 
 
 def test_power_sums_match_the_product_loop():

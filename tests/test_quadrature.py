@@ -113,6 +113,65 @@ def test_budget_is_never_overrun(budget):
     assert sum(points) <= max(budget, 15)
 
 
+def _counting(f):
+    calls = []
+
+    def g(x):
+        calls.append(np.size(x))
+        return f(x)
+
+    return g, calls
+
+
+def test_an_endpoint_singularity_takes_graded_passes():
+    """int_0^1 cos(x)/sqrt(x) = 2 int_0^1 cos(t^2) dt: each pass cuts the
+    panel at 0 at 2^-8, ..., 1/2 of its width, so 11 integrand calls reach
+    tol (one bisection level a pass took 68)."""
+    with mpmath.workdps(30):
+        exact = float(2 * mpmath.quad(lambda t: mpmath.cos(t * t), [0, 1]))
+    f, calls = _counting(lambda x: np.cos(x) / np.sqrt(x))
+    res = quadrature.integrate_finite(f, 0.0, 1.0, tol=1e-10)
+    assert abs(res.value - exact) <= 1e-10
+    assert len(calls) <= 12 and res.evaluations <= 1500
+
+
+def test_singularities_at_the_interior_edge_of_the_half_line_map():
+    """int_0^inf lam^-1/2/(1 + lam) = pi is singular on both sides of u = 0,
+    the interior edge of (-1, 0, 1): lam^-1/2 at 0 and |u|^-1/2 from the tail.
+    11 integrand calls reach tol (71 took one level a pass)."""
+    f, calls = _counting(lambda lam: 1.0 / (np.sqrt(lam) * (1.0 + lam)))
+    res = quadrature.integrate_semiinfinite(f, tol=1e-10)
+    assert abs(res.value - math.pi) <= 1e-10
+    assert len(calls) <= 12 and res.evaluations <= 3000
+
+
+def test_graded_cuts_and_their_parents():
+    """A panel with one end on an edge is cut at 2^-8, ..., 1/2 of its width
+    from that end, any other bisected; every child names its own parent."""
+    pa, pb = np.array([0.0, 2.0, 5.0]), np.array([1.0, 4.0, 6.0])
+    lo, hi, (qa, qb) = quadrature._cut(pa, pb, {0.0, 6.0})
+    toward_0 = [0.0] + [2.0 ** -k for k in range(8, 0, -1)] + [1.0]
+    toward_6 = [5.0] + [6.0 - 2.0 ** -k for k in range(1, 9)] + [6.0]
+    cuts = toward_0 + [2.0, 3.0, 4.0] + toward_6
+    assert lo.tolist() == [c for c in cuts[:-1] if c not in (1.0, 4.0)]
+    assert hi.tolist() == [c for c in cuts[1:] if c not in (2.0, 5.0)]
+    assert qa.tolist() == [0.0] * 9 + [2.0] * 2 + [5.0] * 9
+    assert qb.tolist() == [1.0] * 9 + [4.0] * 2 + [6.0] * 9
+
+
+def test_graded_cuts_drop_points_that_round_onto_their_neighbours():
+    """Near 1, w/2^k below half an ulp rounds onto the end: those cut points
+    go, and a panel no cut point splits raises DivergenceError."""
+    ulp = math.ulp(1.0)
+    lo, hi, _ = quadrature._cut(np.array([1.0]), np.array([1.0 + 8 * ulp]), {1.0})
+    assert lo.tolist() == [1.0, 1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 4 * ulp]
+    assert hi.tolist() == [1.0 + ulp, 1.0 + 2 * ulp, 1.0 + 4 * ulp, 1.0 + 8 * ulp]
+    with pytest.raises(DivergenceError, match="float resolution"):
+        quadrature._cut(np.array([1.0]), np.array([1.0 + ulp]), {1.0})
+    with pytest.raises(DivergenceError, match="float resolution"):
+        quadrature._cut(np.array([1.0]), np.array([1.0 + ulp]), set())
+
+
 def test_zero_width_interval():
     res = quadrature.integrate_finite(lambda x: x, 2.0, 2.0)
     assert res.value == 0.0 and res.evaluations == 0
