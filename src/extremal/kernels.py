@@ -74,8 +74,10 @@ The Fourier transforms (supported on [-1, 1]) have the closed forms
     Mhat = [(1-|t|) sinh(l/2) cosh(l/2) + (l/2pi)|sin(pi t)| cos(pi t)] / Dh
     Dh   = sinh(l/2)^2 + sin(pi t)^2
 
-evaluated in e^{-l/2}-scaled form so nothing overflows for any lam > 0;
-eval_Lhat and eval_Mhat share one body, _hat.
+evaluated in e^{-l/2}-scaled form so nothing overflows for any lam > 0,
+and divided twice by r = 2 e^{-l/2} sqrt(Dh) (a hypot) rather than once by
+r^2, which underflows for lam below ~1.5e-154; eval_Lhat and eval_Mhat
+share one body, _hat.
 
 The periodized kernel p(lam, x) = -2/lam + sum_m e^{-lam|x+m|} and its
 x-derivative j (eval_p, eval_j, re-exported by periodic) are one ladder,
@@ -444,7 +446,8 @@ def _hat(lam, t, majorant):
     c = lam / (2.0 * math.pi)
     num = ((1.0 - at) * -np.expm1(-2.0 * lam) + 4.0 * E * E * c * st * ct if majorant
            else 2.0 * E * ((1.0 - at) * ct * one_m_E2 + c * st * (1.0 + E * E)))
-    vals = np.where(at < 1.0, num / (one_m_E2 ** 2 + 4.0 * E * E * st * st), 0.0)
+    r = np.hypot(one_m_E2, 2.0 * E * st)          # 2 e^{-lam/2} sqrt(Dh)
+    vals = np.where(at < 1.0, num / r / r, 0.0)
     return float(vals) if vals.ndim == 0 else vals
 
 

@@ -58,6 +58,17 @@ def test_eval_target_past_the_floats_warns_nothing(capsys):
     assert out.splitlines() == ["x,value,target,defect", "1e+308,0.0,0.0,-0.0"]
 
 
+def test_eval_transform_at_a_rate_whose_square_underflows(capsys):
+    """Lhat(lam, 0) = csch(lam/2), 1.99999999999999995e300 at lam = 1e-300
+    (the double nearest 1e-300), which rounds to 1.9999999999999998e+300."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["eval", "--kind", "Lhat", "--lambda", "1e-300",
+                                  "--grid", "-0:0:2"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["x,value"] + ["0.0,1.9999999999999998e+300"] * 2
+
+
 def test_eval_transform_vanishes_beyond_band(capsys):
     code, out, _ = run_cli(
         ["eval", "--kind", "Lhat", "--lambda", "1.0", "--grid", "1.25:3:8"],

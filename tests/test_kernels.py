@@ -64,6 +64,34 @@ def test_evenness_bitwise():
         assert np.array_equal(m1, m2)
 
 
+def _mp_hat(lam, t, majorant):
+    """Lhat or Mhat at (lam, t), |t| < 1, from the sinh form in 40 digits."""
+    with mpmath.workdps(40):
+        lam, t = mpmath.mpf(lam), abs(mpmath.mpf(t))
+        sh, ch = mpmath.sinh(lam / 2), mpmath.cosh(lam / 2)
+        s, c = abs(mpmath.sin(mpmath.pi * t)), mpmath.cos(mpmath.pi * t)
+        c2 = lam / (2 * mpmath.pi) * s
+        num = (1 - t) * sh * ch + c2 * c if majorant else (1 - t) * sh * c + c2 * ch
+        return float(num / (sh ** 2 + s ** 2))
+
+
+@pytest.mark.parametrize("kind", ["L", "M"])
+def test_transforms_at_rates_whose_square_underflows(kind):
+    """Dh ~ (lam/2)^2 at t = 0 underflows below lam ~ 1.5e-154; the
+    transforms stay within 1e-14 of mpmath down to lam = 1e-300, with t
+    where sin(pi t)^2 underflows too (1e-170) and where it dominates."""
+    hat = kernels.eval_Mhat if kind == "M" else kernels.eval_Lhat
+    lams = 10.0 ** np.linspace(-300.0, -140.0, 33)
+    ts = np.array([0.0, 1e-170, 1e-3, 0.3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hat(lams[:, None], ts)
+    for i, lam in enumerate(lams):
+        for j, t in enumerate(ts):
+            want = _mp_hat(lam, t, kind == "M")
+            assert abs(got[i, j] - want) <= 1e-14 * want, (lam, t, got[i, j], want)
+
+
 def test_transform_values_at_zero():
     """that(0) is the integral: csch(lam/2) for L, coth(lam/2) for M."""
     for lam in (0.25, 1.0, 6.0):
