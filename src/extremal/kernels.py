@@ -46,27 +46,28 @@ take f and f' alone, which a Weight integrates where its higher columns
 would not converge.  A call asks its nodes for the head's f and f' and the
 other nodes' f^(0..2p) in two calls and keeps nothing between calls.
 
-The direct sums take a table of r+ = 1/(x - s) and r- = 1/(x + s) over the
-head and one over the windows, a = r+^2 + r-^2 and b = r+ - r-, from which
-each series takes its own dot products; einsum reduces each point on its
-own (a BLAS product does not, nor does einsum a lone point, which is summed
-beside its copy), and an end term is a polynomial in 1/(x -+ a) evaluated
+The series of one call (the rates of L or M, or one G or H) share the
+lattice and lie on one array axis.  The direct sums take a table of r+ =
+1/(x - s) and r- = 1/(x + s) over the head and one over the windows, a =
+r+^2 + r-^2 and b = r+ - r-, from which each series takes its own dot
+products; einsum reduces each (series, point) pair on its own (a BLAS
+product does not, nor does einsum a lone point, which is summed beside its
+copy), and an end term is a polynomial in 1/(x -+ a) evaluated
 elementwise, so a value depends on its own x and series alone.
 Half-integers are exact floats below 2^52: a point whose window would reach
-2^52 raises DomainError.
+2^52 raises DomainError, and so does a series value that leaves the floats
+(a node value or derivative past them).
 
 L and M (f = e^{-lam s}, f(0) = 1) have a cap K(lam) = ceil(log(1/eps)/lam)
 + 10 (eps = 1e-16), and none where that reaches 2^52.  Since sum_s sinc(x -
-s)^2 = 1 and |P(x)/(x -+ s)| <= 1/pi, the pairs dropped from s0 = first
-node + K on sum to at most e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at
-every x.  A cap of at most _DIRECT nodes (lam >~ 0.695) is summed as it
-stands: the first K nodes and nothing else, with no collapse where the
-nearest node is past the cap.  A longer cap is dropped, every piece past it
-being below eps, except at a point whose window lies wholly past it: that
-point takes the head and one block to the cap, which keeps L and M finite
-(and 0 to rounding) at any |x|.  eval_L and eval_M report the nodes summed
-directly and a bound on the Euler-Maclaurin remainders and the dropped
-pairs.
+s)^2 = 1 and |P(x)/(x -+ s)| <= 1/pi, the pairs dropped from s0 on sum to
+at most e^{-lam s0} (1 + 2 lam / (pi (1 - e^{-lam}))) at every x.  A cap
+drops only the pieces past it, every one below eps: a point whose window
+lies wholly past it takes the head and, where the cap is past the head,
+one block to the cap, which keeps L and M finite (and 0 to rounding) at
+any |x|.  Every rate, however large, takes the same pieces.  eval_L and
+eval_M report the nodes summed directly and a bound on the Euler-Maclaurin
+remainders and the dropped pairs.
 
 The Fourier transforms (supported on [-1, 1]) have the closed forms
 
@@ -115,7 +116,6 @@ _HEAD = 32       # nodes summed directly from the first node on
 _NEAR = 16       # a point's window: the nodes c0 + j, |j| < _NEAR
 _EM_ORDER = 8    # p: the terms B_2 ... B_2p of each block and tail
 _ROWS = 2 * _EM_ORDER + 1   # the derivatives f^(0..2p) they read
-_DIRECT = _HEAD + 2 * _NEAR - 1  # the nodes a point past the head sums directly
 _EXACT = 2.0 ** 52  # half-integers are exact floats below this
 _WINDOW = np.arange(_NEAR - 1, -_NEAR, -1.0)  # window offsets, last node first
 _FIT_RATE = 0.5  # KernelDefectAtPoint fits defect/lam below this rate
@@ -148,13 +148,13 @@ def _nearest(y, first):
     return c0, y - c0
 
 
-def _plan(c0, first, cap):
-    """(keep, B) of a series past the head at points with nearest node c0:
-    keep where the point keeps its window, its collapse and its tail, and B
-    the node past the end of its block from first + _HEAD, c0 - _NEAR + 1
-    there and the cap's node first + cap (cap None: none) where the window
-    lies past it."""
-    stop = math.inf if cap is None else first + cap
+def _plan(c0, first, caps):
+    """(keep, B) of each series past the head at points with nearest nodes
+    c0, an (R, len(c0)) array each for the R caps: keep where the point
+    keeps its window, its collapse and its tail, and B the node past the end
+    of its block from first + _HEAD, c0 - _NEAR + 1 there and the cap's node
+    first + cap (cap None: none) where the window lies past it."""
+    stop = np.array([math.inf if cap is None else first + cap for cap in caps])[:, None]
     keep = c0 - _NEAR + 1 < stop
     return keep, np.where(keep, c0 - _NEAR + 1, stop)
 
@@ -190,73 +190,75 @@ def _em_bound(lam, lo, d):
     """P(x) times the Euler-Maclaurin remainder of L or M over nodes from lo
     on, d >= _NEAR - 3/2 from |x|: (1/pi^2) 2 zeta(2p)/(2 pi)^2p int |g^(2p)|,
     by Leibniz with |f^(i)| <= lam^i e^{-lam lo} and |b^(m)(u)| <= 2 m!/|u -
-    |x||^(m+1)."""
+    |x||^(m+1).  0 where e^{-lam lo} underflows, before lam^i overflows."""
+    e = math.exp(-lam * lo)
+    if e == 0.0:
+        return 0.0
     n = 2 * _EM_ORDER
     terms = sum(math.comb(n + 1, i) * math.factorial(n - i) * lam ** i * (1.0 / d) ** (n + 1 - i)
                 for i in range(n + 1))
-    return (4.0 * hurwitz_zeta(n, 1.0) / (2.0 * math.pi) ** n * math.exp(-lam * lo)
-            * (terms + lam ** n / d) / math.pi ** 2)
+    return 4.0 * hurwitz_zeta(n, 1.0) / (2.0 * math.pi) ** n * e * (terms + lam ** n / d) / math.pi ** 2
 
 
 def _dropped(lam, s0):
-    """The pairs of L or M dropped from the node s0 on, with P(x), at any x."""
-    return math.exp(-lam * s0) * (1.0 + 2.0 * lam / (math.pi * -math.expm1(-lam)))
+    """The pairs of L or M dropped from the node s0 on, with P(x), at any x;
+    0 where e^{-lam s0} underflows, before 2 lam overflows."""
+    e = math.exp(-lam * s0)
+    return e * (1.0 + 2.0 * lam / (math.pi * -math.expm1(-lam))) if e > 0.0 else 0.0
 
 
-def _node_rows(nodes, keys):
-    """f^(0..2p) at the sorted nodes keys of a series past the head, as a
-    (_ROWS, len(keys)) array: the first _HEAD keys, the head, are never the
+def _node_rows(nodes, keys, count):
+    """f^(0..2p) of the count series at the sorted nodes keys, as a (_ROWS,
+    count, len(keys)) array: the first _HEAD keys, the head, are never the
     end of a block or a tail, so they take f and f' alone (nan below)."""
-    rows = np.full((_ROWS, len(keys)), np.nan)
-    rows[:2, :_HEAD] = nodes(keys[:_HEAD], 2)
-    rows[:, _HEAD:] = nodes(keys[_HEAD:], _ROWS)
+    rows = np.full((_ROWS, count, len(keys)), np.nan)
+    rows[:2, :, :_HEAD] = nodes(keys[:_HEAD], 2)
+    rows[:, :, _HEAD:] = nodes(keys[_HEAD:], _ROWS)
     return rows
 
 
-def _node_sum(y, c0, first, head, win, keys, series):
+def _node_sum(y, c0, first, keys, v, keep, B):
     """The pair sums at the points y with nearest nodes c0, without P and
-    the collapse: one row per (v, plan) in series, a (len(series), len(y))
-    array.
+    the collapse: an (R, len(y)) array, a row per series.
 
-    plan None: v holds f and f' at the first v.shape[1] nodes, and the row
-    sums them alone.  Otherwise v holds f^(0..2p) at the sorted nodes keys,
-    whose first _HEAD are the head, and plan is _plan's (keep, B): the row
-    sums the head, the window and the tail where keep holds, and the block
-    of the nodes from first + _HEAD up to B (not B) where B is past them.
+    v holds f^(0..2p) of the R series at the sorted nodes keys, whose first
+    _HEAD are the head, and keep and B are _plan's: row r sums the head,
+    and the window and the tail where keep[r] holds, and the block of the
+    nodes from first + _HEAD up to B[r] (not B[r]) where B[r] is past them.
 
-    A block of points takes a table of r+ and r- over the first ``head``
-    nodes, last first, a row a point, and one over c0 + _WINDOW, a column a
-    point where win holds (a bool per point, or None: no window), leaving
-    out the window nodes the head holds; the nearest node's r+ is left to
-    the collapse.  The blocks hold at most _CHUNK cells, a lone row or
-    column beside its copy, and the end terms go by _CHUNK // _ROWS.
+    A block of points takes a table of r+ and r- over the head, last first,
+    a row a point, and one over c0 + _WINDOW, a column a point whose window
+    reaches past the head and which a series keeps, leaving out the window
+    nodes the head holds; the nearest node's r+ is left to the collapse.
+    Every series takes its dot products from the same tables.  The blocks
+    hold at most _CHUNK cells with the series counted, a lone row or column
+    beside its copy, and the end terms go by _CHUNK // _ROWS.
     """
-    width = head + (0 if win is None else len(_WINDOW))
-    s = first + np.arange(head - 1, -1, -1, dtype=float)
-    at0 = None if win is None else np.searchsorted(keys, c0)
-    heads = [tuple((g[::-1] if plan is None else g[_HEAD - 1::-1]).copy() for g in v[:2])
-             for v, plan in series]
-    out = np.empty((len(series), len(y)))
-    per_block = max(1, _CHUNK // (2 * width - head))   # a window cell holds twice a head cell
+    start = first + _HEAD
+    s = first + np.arange(_HEAD - 1, -1, -1, dtype=float)
+    fh, fph = v[:2, :, _HEAD - 1::-1].copy()
+    win = keep.any(axis=0) & (c0 + _NEAR - 1 >= start)
+    at0 = np.searchsorted(keys, c0)
+    out = np.empty(keep.shape)
+    per_block = max(1, _CHUNK // (_HEAD + len(_WINDOW) * (len(keep) + 1)))
     for i in range(0, len(y), per_block):
         at = np.arange(i, min(i + per_block, len(y)))
         if len(at) == 1:
             at = np.repeat(at, 2)
         yi, ci = y[at], c0[at]
         k = ci - first
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            rp, rm = np.divide(1.0, yi[:, None] - s), np.divide(1.0, yi[:, None] + s)
-        near = np.nonzero((k >= 0) & (k < head))[0]
-        rp[near, head - 1 - k[near].astype(np.int64)] = 0.0
+        rp, rm = np.divide(1.0, yi[:, None] - s), np.divide(1.0, yi[:, None] + s)
+        near = np.nonzero((k >= 0) & (k < _HEAD))[0]
+        rp[near, _HEAD - 1 - k[near].astype(np.int64)] = 0.0
         b = rp - rm
         a = np.add(np.multiply(rp, rp, out=rp), np.multiply(rm, rm, out=rm), out=rp)
-        w = [] if win is None else np.nonzero(win[at])[0]
+        total = np.einsum("ik,rk->ri", a, fh) + np.einsum("ik,rk->ri", b, fph)
+        w = np.nonzero(win[at])[0]
         if len(w):
             if len(w) == 1:
                 w = np.repeat(w, 2)
             kw, wm = k[w], ci[w] + _WINDOW[:, None]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                wp, wm = np.divide(1.0, yi[w] - wm), np.divide(1.0, wm + yi[w])
+            wp, wm = np.divide(1.0, yi[w] - wm), np.divide(1.0, wm + yi[w])
             wp[_NEAR - 1] = 0.0
             drop = kw + _WINDOW[:, None] < _HEAD        # the nodes the head holds
             wp[drop] = 0.0
@@ -264,38 +266,32 @@ def _node_sum(y, c0, first, head, win, keys, series):
             pos = np.clip(at0[at[w]] + _WINDOW.astype(np.int64)[:, None], 0, len(keys) - 1)
             wb = wp - wm
             wa = np.add(np.multiply(wp, wp, out=wp), np.multiply(wm, wm, out=wm), out=wp)
-        for j, ((fh, fph), (v, plan)) in enumerate(zip(heads, series)):
-            m = len(fh)
-            total = (np.einsum("ik,k->i", a[:, head - m:], fh)
-                     + np.einsum("ik,k->i", b[:, head - m:], fph))
-            if plan is not None and len(w):
-                F, Fp = np.take(v[:2], pos, axis=1)
-                off = ~plan[0][at[w]]
-                F[:, off] = 0.0
-                Fp[:, off] = 0.0
-                total[w] += np.einsum("ki,ki->i", wa, F) + np.einsum("ki,ki->i", wb, Fp)
-            out[j, at] = total
-    start = first + _HEAD
-    for row, (v, plan) in zip(out, series):
-        if plan is None:
-            continue
-        block, tail = np.nonzero(plan[1] > start)[0], np.nonzero(plan[0])[0]
-        nb = len(block)
-        ends = np.concatenate([plan[1][block], np.full(nb, start), np.maximum(start, c0[tail] + _NEAR)])
-        at, pos = np.concatenate([block, block, tail]), np.searchsorted(keys, ends)
-        need = np.zeros(len(keys), dtype=bool)      # the end nodes take their coefficients once
-        need[pos] = True
-        coeffs, pos, n = _em_coeffs(v[:, need]), (np.cumsum(need) - 1)[pos], _CHUNK // _ROWS
-        em = np.concatenate([_em_end(y[at[i:i + n]], ends[i:i + n], np.take(coeffs, pos[i:i + n], axis=1))
-                             for i in range(0, len(ends), n)])
-        row[block] += em[:nb] - em[nb:2 * nb]
-        row[tail] -= em[2 * nb:]
+            F, Fp = np.take(v[:2], pos, axis=2)
+            off = ~keep[:, None, at[w]]
+            np.copyto(F, 0.0, where=off)
+            np.copyto(Fp, 0.0, where=off)
+            total[:, w] += np.einsum("ki,rki->ri", wa, F) + np.einsum("ki,rki->ri", wb, Fp)
+        out[:, at] = total
+    (rb, block), (rt, tail) = np.nonzero(B > start), np.nonzero(keep)
+    nb = len(block)
+    ends = np.concatenate([B[rb, block], np.full(nb, start), np.maximum(start, c0[tail] + _NEAR)])
+    at = np.concatenate([block, block, tail])
+    cell = np.concatenate([rb, rb, rt]) * len(keys) + np.searchsorted(keys, ends)
+    need = np.zeros(v[0].size, dtype=bool)      # the end nodes take their coefficients once
+    need[cell] = True
+    coeffs, cell = _em_coeffs(v.reshape(_ROWS, -1)[:, need]), (np.cumsum(need) - 1)[cell]
+    n = _CHUNK // _ROWS
+    em = np.concatenate([np.empty(0)] + [
+        _em_end(y[at[i:i + n]], ends[i:i + n], np.take(coeffs, cell[i:i + n], axis=1))
+        for i in range(0, len(ends), n)])
+    out[rb, block] += em[:nb] - em[nb:2 * nb]
+    out[rt, tail] -= em[2 * nb:]
     return out
 
 
 def _lattice_series(x, series, f0=None):
     """Interpolation series through (f, f') on Z + 1/2, or on Z when f0 is
-    given, for each of a list of series that share the lattice.
+    given, for each of R series that share the lattice.
 
     Vectorized over x and even in x bit-for-bit; with P(x) = (cos(pi x)/pi)^2
     on Z + 1/2 and (sin(pi x)/pi)^2 on Z it evaluates
@@ -303,87 +299,86 @@ def _lattice_series(x, series, f0=None):
         P(x) [f0/x^2 + sum_s f(s) (1/(x-s)^2 + 1/(x+s)^2)
                      + f'(s) (1/(x-s) - 1/(x+s))].
 
-    A series is (nodes, cap): ``nodes(s, n)`` returns f^(0..n-1) at the
-    sorted distinct positive nodes s (first = 1/2, or 1 with f0), as an
-    (n, len(s)) array, and cap is None or K: the series is below eps past
-    its first K nodes.  A series with cap <= _DIRECT sums its first K
-    nodes; every other takes the head, window, block and tail of the
-    module docstring, dropping its cap but where a point's window lies past
-    it.  A value depends on its own x and its own series alone.  The f0/x^2
-    term is the unpaired node 0 of the integer lattice.  Non-finite x, or a
-    point whose window reaches 2^52, raises DomainError.
+    series is (nodes, caps): ``nodes(s, n)`` returns f^(0..n-1) of the R
+    series at the sorted distinct positive nodes s (first = 1/2, or 1 with
+    f0), as an (n, R, len(s)) array, and caps holds R caps, each None or K:
+    the series is below eps past its first K nodes.  Every series takes the
+    head, window, block and tail of the module docstring, dropping what lies
+    past its cap.  A value depends on its own x and its own series alone.
+    The f0/x^2 term is the unpaired node 0 of the integer lattice (f0 a
+    float, shared by the series).  Non-finite x, a point whose window
+    reaches 2^52, or a value that leaves the floats raises DomainError.
 
-    Returns one value per series: a float for a scalar x, else an array of
-    the shape of x.
+    Returns one (R,) + x.shape array.
     """
+    nodes, caps = series
     x = check_finite(x)
     if not x.size:
-        return [np.empty(x.shape) for _ in series]
+        return np.empty((len(caps),) + x.shape)
     y = np.abs(x).ravel()
     first = 0.5 if f0 is None else 1.0
     c0, du = _nearest(y, first)
-    plans = [_plan(c0, first, cap) if cap is None or cap > _DIRECT else None
-             for _, cap in series]
-    win = keys = None
-    if any(plan is not None for plan in plans):
-        win = np.logical_or.reduce([plan[0] for plan in plans if plan is not None])
-        if np.any(win & (c0 + _NEAR >= _EXACT)):
-            raise DomainError(f"|x| = {float(y.max())!r} needs series nodes past 2^52, "
-                              "where they are no longer exact floats")
-        start = first + _HEAD
-        window = (np.unique(c0[win])[:, None] + _WINDOW).ravel()
-        keys = np.unique(np.concatenate(
-            [first + np.arange(_HEAD + 1, dtype=float), window[window >= start],
-             np.maximum(start, c0[win] + _NEAR)]
-            + [plan[1][plan[1] > start] for plan in plans if plan is not None]))
-    values = [nodes(first + np.arange(cap, dtype=float), 2) if plan is None
-              else _node_rows(nodes, keys) for (nodes, cap), plan in zip(series, plans)]
-    head = max([_HEAD] * (win is not None)
-               + [v.shape[1] for v, plan in zip(values, plans) if plan is None])
-    inner = _node_sum(y, c0, first, head, win, keys, list(zip(values, plans)))
-    if f0 is not None:
-        with np.errstate(divide="ignore", over="ignore"):
-            inner = np.where(c0 < 1.0, 0.0, f0 / y ** 2) + inner
-    out = (np.sin(np.pi * du) / np.pi) ** 2 * inner
-    k = c0 - first                       # -1: the node 0 of Z
-    sinc2 = np.sinc(du) ** 2
-    for vals, v, plan in zip(out, values, plans):
-        if plan is None:
-            hit = np.nonzero(k < v.shape[1])[0]
-            at = np.maximum(k[hit], 0).astype(np.int64)
-        else:
-            hit = np.nonzero(plan[0])[0]
-            at = np.searchsorted(keys, c0[hit])
-        a, b = v[0][at], v[1][at]
+    keep, B = _plan(c0, first, caps)
+    win = keep.any(axis=0)
+    if np.any(win & (c0 + _NEAR >= _EXACT)):
+        raise DomainError(f"|x| = {float(y.max())!r} needs series nodes past 2^52, "
+                          "where they are no longer exact floats")
+    start = first + _HEAD
+    window = (np.unique(c0[win])[:, None] + _WINDOW).ravel()
+    keys = np.unique(np.concatenate(
+        [first + np.arange(_HEAD + 1, dtype=float), window[window >= start],
+         np.maximum(start, c0[win] + _NEAR), B[B > start]]))
+    # past the floats a node value or derivative is inf or nan, and so the
+    # value: it raises below, not as a warning on the way
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = _node_rows(nodes, keys, len(caps))
+        inner = _node_sum(y, c0, first, keys, v, keep, B)
         if f0 is not None:
-            zero = k[hit] < 0
+            inner = np.where(c0 < 1.0, 0.0, f0 / y ** 2) + inner
+        out = (np.sin(np.pi * du) / np.pi) ** 2 * inner
+        sinc2 = np.sinc(du) ** 2
+        rows, hit = np.nonzero(keep)
+        at = np.searchsorted(keys, c0[hit])
+        a, b = v[0, rows, at], v[1, rows, at]
+        if f0 is not None:
+            zero = c0[hit] < first              # the node 0 of Z
             a, b = np.where(zero, f0, a), np.where(zero, 0.0, b)
-        vals[hit] += sinc2[hit] * (a + du[hit] * b)
-    return [float(v[0]) if x.ndim == 0 else v.reshape(x.shape) for v in out]
+        out[rows, hit] += sinc2[hit] * (a + du[hit] * b)
+    if not np.isfinite(out).all():
+        raise DomainError("the lattice series leaves the floats: a node value or "
+                          "derivative of its function is past them")
+    return out.reshape((len(caps),) + x.shape)
 
 
 def _exp_series(lams, x, f0):
-    """L (f0 None) or M (f0 = 1) at each of the rates lams, a list of floats:
-    f = e^{-lam s} with the cap K(lam).  One value per rate, as
-    _lattice_series returns them."""
-    def series(lam):
-        def nodes(s, n):
-            e = np.exp(-lam * s)
-            return np.array([(-lam) ** j * e for j in range(n)])
+    """L (f0 None) or M (f0 = 1) at each of the rates lams, a sequence of
+    floats: f^(j) = (-lam)^j e^{-lam s} with the cap K(lam), one ladder over
+    the rates, as _lattice_series returns them.  (-lam)^j is a float's pow,
+    the C library's, rate by rate (numpy's vector pow differs from it in the
+    last bit at some rates).  It meets only e^{-lam s} at s >= 1/2, which is
+    0 once lam > 1491, so a rate past 2^60 takes the powers of 2^60, which
+    stay finite up to j = 2p."""
+    rates = [float(lam) for lam in lams]
+    powers = np.array([[(-min(lam, 2.0 ** 60)) ** j for lam in rates]
+                       for j in range(_ROWS)])[:, :, None]
+    column = -np.array(rates)[:, None]
 
-        return nodes, _cap(lam)
+    def nodes(s, n):
+        return powers[:n] * np.exp(column * s)
 
-    return _lattice_series(x, [series(lam) for lam in lams], f0)
+    return _lattice_series(x, (nodes, tuple(_cap(lam) for lam in rates)), f0)
 
 
 def minorant_values(lam, x):
     """L(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series([_check_rate(lam, "the kernel")], x, None)[0]
+    v = _exp_series([_check_rate(lam, "the kernel")], x, None)[0]
+    return float(v) if v.ndim == 0 else v
 
 
 def majorant_values(lam, x):
     """M(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    return _exp_series([_check_rate(lam, "the kernel")], x, 1.0)[0]
+    v = _exp_series([_check_rate(lam, "the kernel")], x, 1.0)[0]
+    return float(v) if v.ndim == 0 else v
 
 
 def _defects(lams, x, kind):
@@ -391,34 +386,27 @@ def _defects(lams, x, kind):
     ("majorant") at the points x for each rate: (len(lams),) + x.shape.
     One series call takes every rate, and each row has the bits of the
     rate taken alone."""
-    lams = np.atleast_1d(check_rates(lams, "the kernel")).tolist()
+    lams = np.atleast_1d(check_rates(lams, "the kernel"))
     values = _exp_series(lams, x, None if kind == "minorant" else 1.0)
-    out = np.empty((len(lams),) + np.shape(x))
-    for i, (lam, v) in enumerate(zip(lams, values)):
-        e = np.exp(-lam * np.abs(x))
-        out[i] = e - v if kind == "minorant" else v - e
-    return out
+    e = np.exp(-lams.reshape((-1,) + (1,) * np.ndim(x)) * np.abs(x))
+    return e - values if kind == "minorant" else values - e
 
 
 def _eval_point(lam, x, f0):
     """KernelEval of L (f0 None) or M (f0 = 1) at one point: the nodes
-    summed directly, and a bound on the dropped pairs (a cap of at most
-    _DIRECT nodes, or a window past the cap) plus the Euler-Maclaurin
-    remainders of the block and the tail."""
+    summed directly, and a bound on the pairs dropped past the cap (where
+    the window lies past it) plus the Euler-Maclaurin remainders of the
+    block and the tail."""
     lam = _check_rate(lam, "the kernel")
     ax = abs(float(check_finite(x)))
     first = 0.5 if f0 is None else 1.0
-    value = _exp_series([lam], ax, f0)[0]
-    cap = _cap(lam)
-    if cap is not None and cap <= _DIRECT:
-        return KernelEval(lam, float(x), value, cap, _dropped(lam, first + cap))
+    value = float(_exp_series([lam], ax, f0)[0])
     c0 = float(_nearest(ax, first)[0])
-    keep, B = _plan(c0, first, cap)
-    keep, B = bool(keep), float(B)
+    keep, B = (v.item() for v in _plan(np.array([c0]), first, (_cap(lam),)))
     start = first + _HEAD
     bound = _em_bound(lam, start, ax - B) if B > start else 0.0
     if not keep:
-        return KernelEval(lam, float(x), value, _HEAD, bound + _dropped(lam, first + cap))
+        return KernelEval(lam, float(x), value, _HEAD, bound + _dropped(lam, max(start, B)))
     tail = max(start, c0 + _NEAR)
     k = c0 - first
     n = _HEAD + max(0, int(k + _NEAR) - max(_HEAD, int(k - _NEAR) + 1))
@@ -447,7 +435,8 @@ def _hat(lam, t, majorant):
     num = ((1.0 - at) * -np.expm1(-2.0 * lam) + 4.0 * E * E * c * st * ct if majorant
            else 2.0 * E * ((1.0 - at) * ct * one_m_E2 + c * st * (1.0 + E * E)))
     r = np.hypot(one_m_E2, 2.0 * E * st)          # 2 e^{-lam/2} sqrt(Dh)
-    vals = np.where(at < 1.0, num / r / r, 0.0)
+    with np.errstate(over="ignore"):      # inf once csch or coth of lam/2 leaves the floats
+        vals = np.where(at < 1.0, num / r / r, 0.0)
     return float(vals) if vals.ndim == 0 else vals
 
 

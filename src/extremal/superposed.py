@@ -53,15 +53,17 @@ class _Superposed:
         self.delta = float(delta)
 
     def _nodes(self, s, n):
-        """f_nu^(0..n-1) on the sorted distinct nodes s, an (n, len(s)) array."""
-        return self.nu._derivs(s, range(n))
+        """f_nu^(0..n-1) on the sorted distinct nodes s, an (n, 1, len(s))
+        array: the one series of a _lattice_series call."""
+        return self.nu._derivs(s, range(n))[:, None]
 
     # -- evaluation -------------------------------------------------------
 
     def value(self, x):
         """The approximant at x (vectorized, even in x bit-for-bit)."""
-        return _lattice_series(np.asarray(x, dtype=float) * self.delta,
-                               [(self._nodes, None)], self._f0)[0]
+        v = _lattice_series(np.asarray(x, dtype=float) * self.delta,
+                            (self._nodes, (None,)), self._f0)[0]
+        return float(v) if v.ndim == 0 else v
 
     def target(self, x):
         """What the approximant one-sidedly approximates at x.

@@ -411,13 +411,14 @@ def check_dict(c):
     return d
 
 
-# the criteria from longest to shortest, by their warm in-process times at
-# seed 7 on a 2-vCPU Linux VM (Python 3.11), in ms: 10 ~135, 5 ~90, 4 ~85,
-# 8 ~55-100, 1 ~55, 3 ~35, 2 ~25, 6 ~20, 7 ~12, 9 ~2.  A pool fed in suite
-# order starts criterion 10 last and then waits on it alone.
-LONGEST_FIRST = ("10-et-bounds", "5-superposition-routes", "4-log-majorant",
-                 "8-form-bounds", "1-kernel-sandwich", "3-transforms",
-                 "2-defect-integrals", "6-periodic-sandwich", "7-log-sin-suite",
+# the criteria from longest to shortest, by their warm in-process median
+# times at seed 7 on a 2-vCPU Linux VM (Python 3.11, numpy 2.4), in ms:
+# 10 ~115-130, 4 ~70-85, 5 ~55-60, 8 ~45, 3 ~35, 1 ~20, 6 ~17, 2 ~15, 7 ~9,
+# 9 ~1.  A pool fed in suite order starts criterion 10 last and then waits
+# on it alone.
+LONGEST_FIRST = ("10-et-bounds", "4-log-majorant", "5-superposition-routes",
+                 "8-form-bounds", "3-transforms", "1-kernel-sandwich",
+                 "6-periodic-sandwich", "2-defect-integrals", "7-log-sin-suite",
                  "9-hls-constants")
 
 

@@ -69,6 +69,37 @@ def test_eval_transform_at_a_rate_whose_square_underflows(capsys):
     assert out.splitlines() == ["x,value"] + ["0.0,1.9999999999999998e+300"] * 2
 
 
+@pytest.mark.parametrize("kind", ["Lhat", "Mhat"])
+def test_eval_transform_past_the_floats_prints_inf(kind, capsys):
+    """csch(lam/2) and coth(lam/2), about 2e310 at lam = 1e-310, leave the
+    floats: Lhat(lam, 0) and Mhat(lam, 0) print inf, and nothing warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["eval", "--kind", kind, "--lambda", "1e-310",
+                                  "--grid", "0:0.5:2"], capsys)
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "0.0,inf"
+
+
+def test_eval_dilation_past_the_floats_is_a_domain_error(capsys):
+    """At delta = 1e-320 the node derivatives of H for power:1.95 leave the
+    floats, though its target, 2.05e305, does not: exit 2 with one error
+    line and no row, not nan, and nothing warns.  At delta = 1e-310 the
+    value is the target."""
+    argv = ["eval", "--kind", "H", "--measure", "power:1.95", "--grid", "0:0:1",
+            "--with-target", "--delta"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv + ["1e-320"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "leaves the floats" in err
+        code, out, err = run_cli(argv + ["1e-310"], capsys)
+    assert code == 0 and err == ""
+    _, rows = parse_csv(out)
+    assert rows[0][1] == rows[0][2] and float(rows[0][1]) > 6e295
+
+
 def test_eval_transform_vanishes_beyond_band(capsys):
     code, out, _ = run_cli(
         ["eval", "--kind", "Lhat", "--lambda", "1.0", "--grid", "1.25:3:8"],

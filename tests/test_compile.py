@@ -15,9 +15,11 @@ holds the Gauss-Kronrod rule, that one function keeps a panel heap and
 one slices its passes, that no integrand is probed for a TypeError, and
 that the lattice series has one path: ``kernels._lattice_series`` takes
 no cell cache and keeps no cell, far field or horizon, only ``kernels``
-sets its head, window and Euler-Maclaurin order, ``kernels._node_sum`` is
-the one node sum (the one reader of the block size, the one table of
-1/(y -+ s) and the one caller of the Euler-Maclaurin end terms), the end
+sets its head, window and Euler-Maclaurin order (and defines no ``_DIRECT``
+cap path), ``kernels._node_sum`` is the one node sum (the one reader of the
+block size, the one table of 1/(y -+ s) and the one caller of the
+Euler-Maclaurin end terms, with one ``for`` statement, its loop over the
+blocks of points, and none over the series), the end
 terms read the Bernoulli numbers of ``specfun`` and ``kernels`` writes
 none of its own, no ``src`` module takes a lock or defines a node cache,
 and an approximant of ``superposed`` sets its attributes in ``__init__``
@@ -29,7 +31,8 @@ majorant has no series, switch or direct formula of its own, that the
 small-rate series of the periodized kernel p is ``specfun``'s minorant
 defect alone and ``periodic`` reads no ``q`` of a measure, only its ``_q``
 ladder, that
-``kernels._defects`` is the one loop of kernel defects over rates, that
+``kernels._defects`` is the one route of kernel defects over rates, one
+broadcast with no loop, that
 the flag table of ``cli`` is the only place naming its optional flags,
 that no call overrides the quadrature budget, that criterion 3 inverts the
 closed ``eval_Lhat`` and ``eval_Mhat`` and takes one tapered forward
@@ -301,7 +304,7 @@ def test_one_truncation_for_the_lattice_series():
     # window and the Euler-Maclaurin order
     gone = {"_cell_samples", "_interpolate", "_near", "_far", "_direct", "_truncation",
             "_OFFSETS", "_WEIGHTS", "_Q", "_R", "_A", "_B", "_MIN_HORIZON", "_MAX_NODES",
-            "_GAP", "_pairs", "_bder", "_em_tail", "_NODE_TOL"}
+            "_GAP", "_pairs", "_bder", "_em_tail", "_NODE_TOL", "_DIRECT"}
     assert _modules_where(lambda tree: _defined_names(tree) & gone) == []
     assert _modules_where(
         lambda tree: _defined_names(tree) & {"_HEAD", "_NEAR", "_EM_ORDER"}) == ["kernels.py"]
@@ -316,8 +319,12 @@ def test_one_truncation_for_the_lattice_series():
 def test_one_node_sum_for_the_lattice_series():
     # _node_sum alone blocks the points by _CHUNK, builds the table of
     # 1/(y - s) and 1/(y + s) and adds the Euler-Maclaurin runs, for every
-    # series of a _lattice_series call
+    # series of a _lattice_series call at once: its one for statement is
+    # the loop over the blocks of points, none over the series
     tree = ast.parse((SRC / "kernels.py").read_text())
+    node_sum = _function("_node_sum", tree)
+    assert [type(node) for node in ast.walk(node_sum)
+            if isinstance(node, (ast.For, ast.While))] == [ast.For]
     assert _functions_reading(tree, "_CHUNK") == ["_node_sum"]
     assert sorted(fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                   and "np.divide" in _calls(fn)) == ["_node_sum"]
@@ -446,9 +453,12 @@ def test_one_defect_series_for_the_periodized_kernel():
 def test_one_kernel_defect_loop():
     # KernelDefectAtPoint and verify's criteria 1-3 all take the one-sided
     # defects of L and M over a set of rates from kernels._defects, which
-    # hands all its rates to one _exp_series call; the one-rate entry points
-    # are not a second route
+    # hands all its rates to one _exp_series call and takes e^{-lam|x|} in
+    # one broadcast, with no loop; the one-rate entry points are not a
+    # second route
     tree = ast.parse((SRC / "kernels.py").read_text())
+    assert not [node.lineno for node in ast.walk(_function("_defects", tree))
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert _functions_reading(tree, "_defects") == ["__call__", "_fit"]
     assert _functions_reading(tree, "_exp_series") == [
         "_defects", "_eval_point", "majorant_values", "minorant_values"]

@@ -166,18 +166,42 @@ def _cap(lam):
 
 
 def test_eval_point_wrappers_bound_the_tail_past_the_last_node():
-    """Points past the K(lam) kept nodes: a finite tail bound, the kernel value."""
+    """Points past the K(lam) kept nodes: the head alone, a finite tail
+    bound, the kernel value."""
     r = kernels.eval_L(10.0, 100.5)
-    assert r.trunc_terms == _cap(10.0)
+    assert r.trunc_terms == 32
     assert math.isfinite(r.tail_bound) and 0.0 < r.tail_bound <= 1e-15
     assert abs(r.value - math.exp(-1005.0)) <= 1e-15
     r = kernels.eval_M(10.0, 100.0)
-    assert r.trunc_terms == _cap(10.0)
+    assert r.trunc_terms == 32
     assert math.isfinite(r.tail_bound) and 0.0 < r.tail_bound <= 1e-15
     for lam in (0.1, 0.37, 1.0, 10.0):
         for x in (0.0, 3.3, 1e3, 1e9):
             assert kernels.eval_L(lam, x).tail_bound <= 1e-16
             assert kernels.eval_M(lam, x).tail_bound <= 1e-16
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e20, 1e300, 1e308])
+def test_large_rates_take_the_one_path(lam):
+    """Every rate takes the head, the window and the Euler-Maclaurin ends,
+    with no overflow of (-lam)^16 or of the bound: no warning, L and M lie
+    on either side of e^{-lam|x|} and match it at their nodes (2.5 and 0),
+    and, as e^{-lam/2} <= e^{-500}, L is 0 and M the sinc^2 of its node 0
+    to 1e-15; eval_L and eval_M give the same bits and finite bounds."""
+    xs = np.array([0.0, 0.3, 2.5, 40.2, 1e6 - 0.2])
+    with np.errstate(over="ignore"):            # lam |x| past the floats: e^-inf = 0
+        e = np.exp(-lam * xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = kernels.minorant_values(lam, xs), kernels.majorant_values(lam, xs)
+        evals = [(ev(lam, x), v) for ev, vs in ((kernels.eval_L, lo), (kernels.eval_M, hi))
+                 for x, v in zip(xs, vs)]
+    assert np.all(lo <= e + 1e-15) and np.all(hi >= e - 1e-15)
+    assert abs(lo[2] - e[2]) <= 1e-15 and hi[0] == 1.0
+    assert np.max(np.abs(lo)) <= 1e-15
+    assert np.max(np.abs(hi - np.sinc(xs) ** 2)) <= 1e-15
+    for r, v in evals:
+        assert np.float64(r.value).tobytes() == v.tobytes() and math.isfinite(r.tail_bound)
 
 
 @pytest.mark.parametrize("lam", [0.1, 1.0, 10.0])
@@ -233,15 +257,16 @@ def test_small_rates_take_the_horizon_and_the_tail(lam, x):
 
 @pytest.mark.parametrize("lam, x, kept, rounding", [
     (0.5, 1000.3, 32, 0.0),                      # the window past the cap K(lam)
-    (1.0, 3.3, 47, 0.0),                         # a cap of at most 63 nodes alone
+    (1.0, 3.3, 32, 0.0),                         # a cap of 47 nodes: the head and the tail
     # pairs of size up to 1e-5 cancel to a value of about 1e-6 here, so
-    # their rounding, about 1e-20, is far above tail_bound ~ 6e-26
-    (2.0, 100.7, 29, 1e-19),
+    # their rounding, about 1e-20, is far above tail_bound ~ 1e-28
+    (2.0, 100.7, 32, 1e-19),                     # a cap of 29 nodes: the head alone
 ], ids=["past-cap", "capped-1", "capped-2"])
 def test_tail_bound_bounds_the_error_under_a_cap(lam, x, kept, rounding):
     """A point whose window lies past the cap takes the head and one block
-    to the cap; a cap of at most 63 nodes is summed alone: tail_bound then
-    bounds the dropped pairs (and the block's remainder)."""
+    to the cap where the cap is past the head: tail_bound then bounds the
+    dropped pairs (and the block's remainder).  A point that keeps its
+    window takes its tail, whose remainder tail_bound bounds."""
     _check_tail_bound(lam, x, kept, rounding)
 
 

@@ -262,8 +262,8 @@ def test_log_majorant_values_do_not_depend_on_their_batch():
 
 @pytest.mark.parametrize("lam", [1e-8, 1e-3, 0.03, 0.07])
 def test_small_rate_values_do_not_depend_on_their_batch(lam):
-    """L and M past the direct cap, so that each point's window, block and
-    tail follow its nearest node (and, at 1e-3, its window lies past the
+    """L and M with caps past 63 nodes, so that each point's window, block
+    and tail follow its nearest node (and, at 1e-3, its window lies past the
     cap from |x| ~ 3.7e4 on)."""
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
@@ -272,7 +272,7 @@ def test_small_rate_values_do_not_depend_on_their_batch(lam):
 @pytest.mark.parametrize("lam", [0.1, 0.5, 3.0])
 def test_capped_rate_values_do_not_depend_on_their_batch(lam):
     """L and M with a cap K(lam) past every window of BATCH but the last
-    (0.1), past a few of them (0.5), and at most 63 nodes (3.0)."""
+    (0.1), past a few of them (0.5), and short of the head (3.0, 23 nodes)."""
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.minorant_values(lam, x))
     _bit_identical_alone_and_in_batches(lambda: lambda x: kernels.majorant_values(lam, x))
 
@@ -380,8 +380,10 @@ def test_shared_table_matches_the_per_rate_sum(f0, lams, xs):
     """The rates of one call, capped or not, through one shared table:
     each has the bits of the rate taken alone, and lies within 2e-15
     max(1, |value|) of a direct sum below max(512, |x| + 96) with its
-    Euler-Maclaurin tail."""
-    xs = np.array(xs + [0.0])
+    Euler-Maclaurin tail.  The short caps of 0.7, 3 and 10 join every
+    call, with points past them."""
+    lams = lams + [0.7, 3.0, 10.0]
+    xs = np.array(xs + [0.0, 100.7, -1000.5])
     first = 0.5 if f0 is None else 1.0
     for lam, got in zip(lams, kernels._exp_series(lams, xs, f0)):
         assert got.tobytes() == kernels._exp_series([lam], xs, f0)[0].tobytes()
