@@ -217,14 +217,15 @@ def _node_rows(nodes, keys, count):
     return rows
 
 
-def _node_sum(y, c0, first, keys, v, keep, B):
+def _node_sum(y, c0, first, keys, v, keep, B, win):
     """The pair sums at the points y with nearest nodes c0, without P and
     the collapse: an (R, len(y)) array, a row per series.
 
     v holds f^(0..2p) of the R series at the sorted nodes keys, whose first
-    _HEAD are the head, and keep and B are _plan's: row r sums the head,
-    and the window and the tail where keep[r] holds, and the block of the
-    nodes from first + _HEAD up to B[r] (not B[r]) where B[r] is past them.
+    _HEAD are the head, keep and B are _plan's and win is keep.any(axis=0):
+    row r sums the head, and the window and the tail where keep[r] holds,
+    and the block of the nodes from first + _HEAD up to B[r] (not B[r])
+    where B[r] is past them.  The end terms index (r, point) flat over out.
 
     A block of points takes a table of r+ and r- over the head, last first,
     a row a point, and one over c0 + _WINDOW, a column a point whose window
@@ -237,8 +238,7 @@ def _node_sum(y, c0, first, keys, v, keep, B):
     start = first + _HEAD
     s = first + np.arange(_HEAD - 1, -1, -1, dtype=float)
     fh, fph = v[:2, :, _HEAD - 1::-1].copy()
-    win = keep.any(axis=0) & (c0 + _NEAR - 1 >= start)
-    at0 = np.searchsorted(keys, c0)
+    win = win & (c0 + _NEAR - 1 >= start)
     out = np.empty(keep.shape)
     per_block = max(1, _CHUNK // (_HEAD + len(_WINDOW) * (len(keep) + 1)))
     for i in range(0, len(y), per_block):
@@ -261,22 +261,21 @@ def _node_sum(y, c0, first, keys, v, keep, B):
             wp, wm = np.divide(1.0, yi[w] - wm), np.divide(1.0, wm + yi[w])
             wp[_NEAR - 1] = 0.0
             drop = kw + _WINDOW[:, None] < _HEAD        # the nodes the head holds
-            wp[drop] = 0.0
-            wm[drop] = 0.0
-            pos = np.clip(at0[at[w]] + _WINDOW.astype(np.int64)[:, None], 0, len(keys) - 1)
+            wp[drop] = wm[drop] = 0.0
+            pos = np.clip(np.searchsorted(keys, ci[w]) + _WINDOW.astype(np.int64)[:, None],
+                          0, len(keys) - 1)
             wb = wp - wm
             wa = np.add(np.multiply(wp, wp, out=wp), np.multiply(wm, wm, out=wm), out=wp)
-            F, Fp = np.take(v[:2], pos, axis=2)
-            off = ~keep[:, None, at[w]]
-            np.copyto(F, 0.0, where=off)
-            np.copyto(Fp, 0.0, where=off)
-            total[:, w] += np.einsum("ki,rki->ri", wa, F) + np.einsum("ki,rki->ri", wb, Fp)
+            F = np.take(v[:2], pos, axis=2)             # f and f' at the windows
+            np.copyto(F, 0.0, where=~keep[:, None, at[w]])
+            total[:, w] += np.einsum("ki,rki->ri", wa, F[0]) + np.einsum("ki,rki->ri", wb, F[1])
         out[:, at] = total
-    (rb, block), (rt, tail) = np.nonzero(B > start), np.nonzero(keep)
+    block, tail = np.flatnonzero(B > start), np.flatnonzero(keep)
     nb = len(block)
-    ends = np.concatenate([B[rb, block], np.full(nb, start), np.maximum(start, c0[tail] + _NEAR)])
-    at = np.concatenate([block, block, tail])
-    cell = np.concatenate([rb, rb, rt]) * len(keys) + np.searchsorted(keys, ends)
+    row, at = np.divmod(np.concatenate([block, block, tail]), len(y))
+    ends = np.concatenate([B.ravel()[block], np.full(nb, start),
+                           np.maximum(start, c0[at[2 * nb:]] + _NEAR)])
+    cell = row * len(keys) + np.searchsorted(keys, ends)
     need = np.zeros(v[0].size, dtype=bool)      # the end nodes take their coefficients once
     need[cell] = True
     coeffs, cell = _em_coeffs(v.reshape(_ROWS, -1)[:, need]), (np.cumsum(need) - 1)[cell]
@@ -284,8 +283,8 @@ def _node_sum(y, c0, first, keys, v, keep, B):
     em = np.concatenate([np.empty(0)] + [
         _em_end(y[at[i:i + n]], ends[i:i + n], np.take(coeffs, cell[i:i + n], axis=1))
         for i in range(0, len(ends), n)])
-    out[rb, block] += em[:nb] - em[nb:2 * nb]
-    out[rt, tail] -= em[2 * nb:]
+    out.reshape(-1)[block] += em[:nb] - em[nb:2 * nb]
+    out.reshape(-1)[tail] -= em[2 * nb:]
     return out
 
 
@@ -332,18 +331,17 @@ def _lattice_series(x, series, f0=None):
     # value: it raises below, not as a warning on the way
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = _node_rows(nodes, keys, len(caps))
-        inner = _node_sum(y, c0, first, keys, v, keep, B)
+        inner = _node_sum(y, c0, first, keys, v, keep, B, win)
         if f0 is not None:
             inner = np.where(c0 < 1.0, 0.0, f0 / y ** 2) + inner
         out = (np.sin(np.pi * du) / np.pi) ** 2 * inner
-        sinc2 = np.sinc(du) ** 2
-        rows, hit = np.nonzero(keep)
-        at = np.searchsorted(keys, c0[hit])
-        a, b = v[0, rows, at], v[1, rows, at]
+        hit = np.flatnonzero(keep)              # as in _node_sum
+        row, at = np.divmod(hit, len(y))
+        a, b = v[:2].reshape(2, -1)[:, row * len(keys) + np.searchsorted(keys, c0[at])]
         if f0 is not None:
-            zero = c0[hit] < first              # the node 0 of Z
+            zero = c0[at] < first               # the node 0 of Z
             a, b = np.where(zero, f0, a), np.where(zero, 0.0, b)
-        out[rows, hit] += sinc2[hit] * (a + du[hit] * b)
+        out.reshape(-1)[hit] += np.sinc(du)[at] ** 2 * (a + du[at] * b)
     if not np.isfinite(out).all():
         raise DomainError("the lattice series leaves the floats: a node value or "
                           "derivative of its function is past them")
@@ -369,16 +367,20 @@ def _exp_series(lams, x, f0):
     return _lattice_series(x, (nodes, tuple(_cap(lam) for lam in rates)), f0)
 
 
+def _first_series(values):
+    """The first series of a _lattice_series value: a float at a scalar x."""
+    v = values[0]
+    return float(v) if v.ndim == 0 else v
+
+
 def minorant_values(lam, x):
     """L(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    v = _exp_series([_check_rate(lam, "the kernel")], x, None)[0]
-    return float(v) if v.ndim == 0 else v
+    return _first_series(_exp_series([_check_rate(lam, "the kernel")], x, None))
 
 
 def majorant_values(lam, x):
     """M(lam, x) for an array (or scalar) of real x; even in x bit-for-bit."""
-    v = _exp_series([_check_rate(lam, "the kernel")], x, 1.0)[0]
-    return float(v) if v.ndim == 0 else v
+    return _first_series(_exp_series([_check_rate(lam, "the kernel")], x, 1.0))
 
 
 def _defects(lams, x, kind):
@@ -400,7 +402,7 @@ def _eval_point(lam, x, f0):
     lam = _check_rate(lam, "the kernel")
     ax = abs(float(check_finite(x)))
     first = 0.5 if f0 is None else 1.0
-    value = float(_exp_series([lam], ax, f0)[0])
+    value = _first_series(_exp_series([lam], ax, f0))
     c0 = float(_nearest(ax, first)[0])
     keep, B = (v.item() for v in _plan(np.array([c0]), first, (_cap(lam),)))
     start = first + _HEAD

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from . import measures
 from .errors import DomainError
-from .kernels import KernelDefectAtPoint, _lattice_series
+from .kernels import KernelDefectAtPoint, _first_series, _lattice_series
 
 
 class _Superposed:
@@ -61,9 +61,8 @@ class _Superposed:
 
     def value(self, x):
         """The approximant at x (vectorized, even in x bit-for-bit)."""
-        v = _lattice_series(np.asarray(x, dtype=float) * self.delta,
-                            (self._nodes, (None,)), self._f0)[0]
-        return float(v) if v.ndim == 0 else v
+        return _first_series(_lattice_series(np.asarray(x, dtype=float) * self.delta,
+                                             (self._nodes, (None,)), self._f0))
 
     def target(self, x):
         """What the approximant one-sidedly approximates at x.
