@@ -357,7 +357,8 @@ def _exp_series(lams, x, f0):
     0 once lam > 1491, so a rate past 2^60 takes the powers of 2^60, which
     stay finite up to j = 2p."""
     rates = [float(lam) for lam in lams]
-    powers = np.array([[(-min(lam, 2.0 ** 60)) ** j for lam in rates]
+    bases = [-min(lam, 2.0 ** 60) for lam in rates]
+    powers = np.array([[base ** j for base in bases]
                        for j in range(_ROWS)])[:, :, None]
     column = -np.array(rates)[:, None]
 

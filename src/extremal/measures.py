@@ -426,10 +426,10 @@ def integrate(g, measure, tol=1e-10):
     ``measure`` is duck-typed: an ``atoms`` pair of (positions, weights)
     arrays gives a finite sum; otherwise ``measure.weight`` is the density,
     integrated by one ``quadrature.refine`` heap over its ``breakpoints``,
-    or over (0, inf) without them.  g follows the integrand contract of
-    ``quadrature``, atom sums included: it takes arrays, and an (n, m)
-    result gives m integrals in one call, with arrays in the QuadResult.
-    tol follows quadrature.check_tol there too.
+    graded toward each of them, or over (0, inf) without them.  g follows
+    the integrand contract of ``quadrature``, atom sums included: it takes
+    arrays, and an (n, m) result gives m integrals in one call, with arrays
+    in the QuadResult.  tol follows quadrature.check_tol there too.
     """
     quadrature.check_tol(tol)
     atoms = getattr(measure, "atoms", None)
@@ -459,7 +459,7 @@ def integrate(g, measure, tol=1e-10):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if bp is None:
             return quadrature.integrate_semiinfinite(integrand, tol)
-        return quadrature.refine(integrand, bp, tol)
+        return quadrature.refine(integrand, bp, bp, tol)
 
 
 def atomic_from_csv(path):

@@ -100,53 +100,130 @@ def disk_sup_bound(alpha, N):
     return SupBound(len(a), N, _bound(logplus, len(a), sums), logplus, sums)
 
 
-def _log_abs_on_circle(xs, alpha):
+def _log_abs_on_circle(xs, alpha, owner=None):
     """sum_m log|e(x) - alpha_m| on the circle, -inf exactly at roots.
 
-    The product form: one logarithm per _GROUP roots, of the product of
-    their factors (e(x) - alpha_m)/s_m with s_m = max(1, |alpha_m|), each
-    of modulus at most 2, plus sum_m log s_m once.  A point's value does
-    not depend on the other points of the call.
+    alpha is one root set, or an (n, M) group of n sets of M roots with
+    ``owner`` naming the set of each point.  The product form: one
+    logarithm per _GROUP roots, of the product of their factors
+    (e(x) - alpha_m)/s_m with s_m = max(1, |alpha_m|), each of modulus at
+    most 2, plus sum_m log s_m once.  A point's value depends on its own
+    roots alone, not on the other points or sets of the call.
     """
     z = np.exp(2j * np.pi * np.asarray(xs, dtype=float))
+    alpha = np.atleast_2d(alpha)
     scale = np.maximum(1.0, np.abs(alpha))
-    starts = np.arange(0, len(alpha), _GROUP)
+    M = alpha.shape[1]
+    starts = np.arange(0, M, _GROUP)
     total = np.empty(z.shape)
-    rows = max(1, _BLOCK // len(alpha))
+    rows = max(1, _BLOCK // M)
     with np.errstate(divide="ignore"):
         for i in range(0, len(z), rows):
-            factors = np.subtract.outer(z[i:i + rows], alpha) / scale
+            # one set broadcasts over the block; a group gathers the roots of
+            # each point's own set
+            of = slice(None) if owner is None else owner[i:i + rows]
+            factors = (z[i:i + rows, None] - alpha[of]) / scale[of]
             groups = np.multiply.reduceat(factors, starts, axis=1)
             total[i:i + rows] = np.log(np.abs(groups)).sum(axis=1)
-    return total + float(np.sum(np.log(scale)))
+    logs = np.sum(np.log(scale), axis=1)
+    return total + (logs[0] if owner is None else logs[owner])
+
+
+def _poly(alpha):
+    """np.poly of each row of the (n, M) roots alpha, in one recurrence
+    over the rows: c_k += -alpha_m c_{k-1}, root by root, with the complex
+    products and sums in the order of the two-term dot products of
+    np.poly's np.convolve, so each row has np.poly's bits where those are
+    finite.  A row whose roots are closed under conjugation gets imaginary
+    parts +0, where np.poly drops them."""
+    n, M = alpha.shape
+    re, im = np.zeros((n, M + 1)), np.zeros((n, M + 1))
+    re[:, 0] = 1.0
+    zr, zi = -alpha.real, -alpha.imag
+    for m in range(M):
+        r, i = re[:, :m + 1], im[:, :m + 1]
+        tr, ti = zr[:, m, None], zi[:, m, None]
+        re[:, 1:m + 2], im[:, 1:m + 2] = ((re[:, 1:m + 2] + r * tr) - i * ti,
+                                          r * ti + (im[:, 1:m + 2] + i * tr))
+    real = np.all(np.sort(alpha, axis=1) == np.sort(np.conj(alpha), axis=1), axis=1)
+    im[real] = 0.0
+    return re + 1j * im
 
 
 def _grid_cells(alpha, samples):
-    """Indices of the offset grid's cells that can hold its largest |F|.
+    """The cells of the offset grid that can hold the largest |F| of each
+    set of the (n, M) roots alpha: an (n, samples) mask.
 
-    With c = np.poly(alpha), F at (k + 1/2)/S is the DFT of the twisted
-    coefficients c_{M-n} e(n/(2S)), one FFT for all S = ``samples`` cells.
-    Rounding c costs up to about M eps prod(1 + |alpha_m|) in |F|, not
-    eps sum|c_j|, and the twist and the FFT add up to about log2(S) eps
-    times the same, so each FFT modulus is within
-    E = 4 eps (M + log2 S) prod(1 + |alpha_m|) of the true one.  The cell
-    of the largest true |F| is then within 2E of the largest FFT modulus,
-    and every cell further below is dropped.  Where E is not finite or
-    M >= S (the DFT would fold), or where 2E reaches the peak, every cell
-    is kept.
+    With c = np.poly(alpha) (_poly), F at (k + 1/2)/S is the DFT of the
+    twisted coefficients c_{M-n} e(n/(2S)), one FFT of a group's n rows
+    for all S = ``samples`` cells.  Rounding c costs up to about
+    M eps prod(1 + |alpha_m|) in |F|, not eps sum|c_j|, and the twist and
+    the FFT add up to about log2(S) eps times the same, so each FFT
+    modulus is within E = 4 eps (M + log2 S) prod(1 + |alpha_m|) of the
+    true one.  The cell of the largest true |F| is then within 2E of the
+    largest FFT modulus, and every cell further below is dropped.  Where
+    E is not finite or M >= S (the DFT would fold), or where 2E reaches
+    the peak, every cell of the set is kept.
     """
-    M = len(alpha)
-    every = np.arange(samples)
+    n, M = alpha.shape
+    keep = np.ones((n, samples), bool)
+    if M >= samples:
+        return keep
     with np.errstate(over="ignore", invalid="ignore"):
-        err = 4.0 * quadrature._EPS * (M + math.log2(samples)) * np.prod(1.0 + np.abs(alpha))
-        if not (math.isfinite(err) and M < samples):
-            return every
-        twisted = np.poly(alpha)[::-1] * np.exp(1j * np.pi * np.arange(M + 1) / samples)
+        err = 4.0 * quadrature._EPS * (M + math.log2(samples)) * np.prod(
+            1.0 + np.abs(alpha), axis=1)
+        twisted = _poly(alpha)[:, ::-1] * np.exp(1j * np.pi * np.arange(M + 1) / samples)
         mods = np.abs(np.fft.fft(np.conj(twisted), samples))
-    peak = float(np.max(mods))
-    if not (math.isfinite(peak) and 2.0 * err < peak):
-        return every
-    return np.flatnonzero(mods >= peak - 2.0 * err)
+        peak = np.max(mods, axis=1)
+        sure = np.isfinite(err) & np.isfinite(peak) & (2.0 * err < peak)
+    keep[sure] = mods[sure] >= (peak - 2.0 * err)[sure, None]
+    return keep
+
+
+def sup_log_oracles(alphas, samples=65536):
+    """sup_log_oracle of each root set in ``alphas``, as an array.
+
+    The sets of one root count M go together, at most 2^20 // samples sets
+    at a time: one _poly recurrence and one FFT choose their cells, one
+    product-form call takes every kept cell, and each zoom step is one
+    product-form call over all their brackets.  A set's value has the bits
+    it has alone, whatever the other sets of the call.
+    """
+    sets = [_as_roots(a) for a in alphas]
+    if not (is_count(samples) and samples >= 1024):
+        raise DomainError(f"need an integer >= 1024 boundary samples, got {samples!r}")
+    counts = np.array([len(a) for a in sets], int)
+    sup = np.empty(len(sets))
+    for M in np.unique(counts):
+        of = np.flatnonzero(counts == M)
+        for part in np.array_split(of, -(-len(of) // max(1, 2 ** 20 // samples))):
+            sup[part] = _zoom(np.array([sets[i] for i in part]), samples)
+    return sup
+
+
+def _zoom(alpha, samples):
+    """The oracle of each set of the (n, M) roots alpha, in lockstep."""
+    n = len(alpha)
+    owner, cells = np.nonzero(_grid_cells(alpha, samples))
+    vals = _log_abs_on_circle((cells + 0.5) / samples, alpha, owner)
+    # each set's first best cell, as np.argmax finds it: a stable sort by
+    # set, then by value from the top (finite, or -inf exactly at a root)
+    at = np.lexsort((-vals, owner))[np.searchsorted(owner, np.arange(n))]
+    best, sup = cells[at], vals[at]
+    lo = (best - 1.0) / samples
+    hi = (best + 2.0) / samples
+    steps = np.arange(_ZOOM) / (_ZOOM - 1.0)
+    live = np.flatnonzero(hi - lo > 1e-13)
+    while len(live):
+        xs = lo[live, None] + (hi - lo)[live, None] * steps
+        vals = _log_abs_on_circle(xs.ravel(), alpha, np.repeat(live, _ZOOM)).reshape(xs.shape)
+        j = np.argmax(vals, axis=1)
+        rows = np.arange(len(live))
+        sup[live] = np.maximum(sup[live], vals[rows, j])
+        j = np.clip(j, 1, _ZOOM - 2)
+        lo[live], hi[live] = xs[rows, j - 1], xs[rows, j + 1]
+        live = live[hi[live] - lo[live] > 1e-13]
+    return sup
 
 
 def sup_log_oracle(alpha, samples=65536):
@@ -160,31 +237,16 @@ def sup_log_oracle(alpha, samples=65536):
     points of the bracket in product form and keeps the two neighbours of
     the best one, until the bracket is narrower than 1e-13 (8 steps at 8192
     and at 65536 samples).  The result is the largest value seen, never
-    below the grid's, and every value comes from the product form.
+    below the grid's, and every value comes from the product form.  It is
+    the batch of one of sup_log_oracles.
     """
-    a = _as_roots(alpha)
-    if not (is_count(samples) and samples >= 1024):
-        raise DomainError(f"need an integer >= 1024 boundary samples, got {samples!r}")
-    cells = _grid_cells(a, samples)
-    vals = _log_abs_on_circle((cells + 0.5) / samples, a)
-    j = int(np.argmax(vals))        # finite, or -inf exactly at a root
-    best, sup = int(cells[j]), float(vals[j])
-    lo = (best - 1.0) / samples
-    hi = (best + 2.0) / samples
-    steps = np.arange(_ZOOM) / (_ZOOM - 1.0)
-    while hi - lo > 1e-13:
-        xs = lo + (hi - lo) * steps
-        vals = _log_abs_on_circle(xs, a)
-        j = int(np.argmax(vals))
-        sup = max(sup, float(vals[j]))
-        j = min(max(j, 1), _ZOOM - 2)
-        lo, hi = xs[j - 1], xs[j + 1]
-    return sup
+    return float(sup_log_oracles([alpha], samples)[0])
 
 
 def jensen_gap(alpha, tol=1e-10):
     """|sum log+|alpha| - circle mean of log|F||; zero in exact arithmetic.
 
+    The integrand is periodic, so its one panel [0, 1] has no graded end.
     Roots within 1e-9 of the unit circle make the integrand near-singular;
     a warning flags the conditioning but the quadrature still runs.
     """
@@ -193,8 +255,7 @@ def jensen_gap(alpha, tol=1e-10):
         warnings.warn("root within 1e-9 of the unit circle: "
                       "Jensen integral is ill-conditioned", RuntimeWarning)
     logplus = disk_sup_bound(a, 0).logplus_sum
-    res = quadrature.integrate_finite(
-        lambda xs: _log_abs_on_circle(xs, a), 0.0, 1.0, tol=tol)
+    res = quadrature.refine(lambda xs: _log_abs_on_circle(xs, a), (0.0, 1.0), (), tol=tol)
     return abs(logplus - res.value)
 
 

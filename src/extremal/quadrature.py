@@ -2,24 +2,29 @@
 
 The workhorse is the nested 7/15 Gauss-Kronrod pair on panels kept in a
 worst-first heap.  The rule is open (no abscissa touches a panel
-endpoint), so an integrable singularity at an edge of the initial
-partition (a, b, the 0 of the half-line map, a breakpoint) is handled by
-refinement toward it, and the dyadic chain at the edge shrinks the
-contribution of an x^alpha end (alpha > -1) geometrically.
+endpoint), so an integrable singularity at a graded end, an edge of the
+initial partition that the caller marks, is handled by refinement toward
+it, and the dyadic chain at the end shrinks the contribution of an
+x^alpha end (alpha > -1) geometrically.  integrate_finite marks its a and
+b, measures.integrate a table's breakpoints and integrate_semiinfinite
+the -1, 0 and 1 of its half-line map: every edge of each of their
+partitions.  A caller of refine that knows where its integrand is smooth
+marks fewer: verify's head and tapered-window integrals mark only 0, and
+polybound.jensen_gap, whose integrand is periodic, marks none.
 
 Refinement goes in batched passes.  Each pass pops the worst panels until
 their summed error estimates cover the excess, total error minus
 max(tol, 2 floor), of every unconverged component, and cuts all of them
-(_cut).  A panel with one end e (not both) on an edge of the partition
-is cut at e +- w/2^_GRADE, ..., e +- w/4, e +- w/2 (w its width), so one
-pass descends _GRADE dyadic levels of the chain at e, where bisection
-took one pass a level; every other panel is bisected.  A pass is evaluated in
-slices: an integrand call takes the 15 abscissae of at most
-max(1, _SLICE // (15 m)) panels, so no call after the first returns more
-than max(_SLICE, 15 m) values.  One rule, _gk15, reduces the (15, k[, m])
-block of a slice, a single panel included.  A pass that would overrun the
-evaluation budget is trimmed to the panels whose children fit, a graded
-panel counting its _GRADE + 1.
+(_cut).  A panel with one end e (not both) graded is cut at
+e +- w/2^_GRADE, ..., e +- w/4, e +- w/2 (w its width), so one pass
+descends _GRADE dyadic levels of the chain at e, where bisection took one
+pass a level; every other panel, one at an unmarked edge included, is
+bisected.  A pass is evaluated in slices: an integrand call takes the 15
+abscissae of at most max(1, _SLICE // (15 m)) panels, so no call after
+the first returns more than max(_SLICE, 15 m) values.  One rule, _gk15,
+reduces the (15, k[, m]) block of a slice, a single panel included.  A
+pass that would overrun the evaluation budget is trimmed to the panels
+whose children fit, a graded panel counting its _GRADE + 1.
 
 Per-panel error follows the QUADPACK scaling: with d = |K15 - G7|, the
 estimate is resasc * min(1, (200 d / resasc)^1.5), which is sharply smaller
@@ -31,7 +36,9 @@ Every integral is one heap, with one tol and one budget, over an initial
 partition: (a, b) for integrate_finite, a tabulated weight's breakpoints for
 measures.integrate, and (-1, 0, 1) for int_0^inf, lam = u on (0, 1] and
 lam = -1/u (du weight 1/u^2) on [-1, 0); every admissible kernel weight
-lam^-sigma is then an integrable power at 0, where floats are dense.  This
+lam^-sigma is then an integrable power at 0, where floats are dense.  A
+caller of refine gives its own: verify's unit panels on [0, 40] and its
+one panel per cycle on [0, 448].  This
 module integrates functions only; integrals against a measure are
 ``measures.integrate``.
 
@@ -186,7 +193,7 @@ def integrate_finite(f, a, b, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     check_tol(tol)
     if a == b:
         return QuadResult(0.0, 0.0, 0)
-    return refine(f, (a, b), tol, budget)
+    return refine(f, (a, b), (a, b), tol, budget)
 
 
 def check_tol(tol):
@@ -195,13 +202,15 @@ def check_tol(tol):
         raise DomainError(f"tolerance must be finite and positive, got {tol!r}")
 
 
-def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
+def refine(f, edges, graded, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
     """f over [edges[0], edges[-1]] by one worst-first heap, one tol and one
     budget; the first pass evaluates every piece of the partition ``edges``.
+    ``graded`` holds the edges where f may be singular, which _cut grades
+    toward; every other edge is smooth, and a panel there is bisected.
     Raises as integrate_finite documents."""
     check_tol(tol)
     lo, hi = np.asarray(edges[:-1], float), np.asarray(edges[1:], float)
-    ends = set(lo.tolist() + hi.tolist())
+    ends = set(np.asarray(graded, float).tolist())
     parents, cols, pv, pe, pr = None, None, (), (), ()  # the first pass replaces no panel
     heap, history, counter, evals = [], [], 0, 0
     total_value = total_err = total_floor = 0.0
@@ -230,8 +239,8 @@ def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
             heapq.heappush(heap, (-w, counter + i, ca, cb, value[i], err[i], floor[i]))
         counter += n
         # the worst panels whose errors cover every component's excess, as
-        # many as the budget holds children for; a panel with one end on an
-        # edge of the partition has _GRADE + 1 children, any other 2
+        # many as the budget holds children for; a panel with one end
+        # graded has _GRADE + 1 children, any other 2
         left, popped, covered = budget - evals, [], 0.0
         while heap and not (popped and (covered >= excess).all()):
             ca, cb = heap[0][2:4]
@@ -262,11 +271,13 @@ def refine(f, edges, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
 
 def _cut(pa, pb, ends):
     """The children of the popped panels [pa_i, pb_i], in panel order, and
-    each child's parent: (lo, hi, (pa, pb) per child).  A panel with one
-    end e in ``ends`` is cut at e +- w/2^_GRADE, ..., e +- w/4, e +- w/2
-    (w its width), so one pass descends _GRADE levels toward e; any other
-    panel is bisected.  A cut point that rounds onto its neighbour is
-    dropped, and a panel left whole raises DivergenceError.
+    each child's parent: (lo, hi, (pa, pb) per child).  ``ends`` holds the
+    graded ends, the edges refine's caller marks.  A panel with one end e
+    in ``ends`` is cut at e +- w/2^_GRADE, ..., e +- w/4, e +- w/2 (w its
+    width), so one pass descends _GRADE levels toward e; any other panel,
+    one with an end on an unmarked edge included, is bisected.  A cut point
+    that rounds onto its neighbour is dropped, and a panel left whole
+    raises DivergenceError.
     """
     w, grades = (pb - pa)[:, None], 0.5 ** np.arange(_GRADE, 0, -1)
     at_a = np.fromiter((a in ends for a in pa.tolist()), bool, len(pa))
@@ -299,4 +310,4 @@ def integrate_semiinfinite(f, tol=DEFAULT_TOL, budget=DEFAULT_BUDGET):
         # the transposes broadcast the weight over (n,) and (n, m) alike
         return (np.asarray(f(lam), dtype=float).T / np.where(tail, u * u, 1.0)).T
 
-    return refine(mapped, (-1.0, 0.0, 1.0), tol, budget)
+    return refine(mapped, (-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), tol, budget)

@@ -64,11 +64,12 @@ def integral_with_period_tail(f):
 
     f maps an array x to x.shape values, or to x.shape + (k,) for k
     integrands at once, which give a (k,) array.  Integrates [0, 40]
-    adaptively and the periods [m, m + 1), 40 <= m < 64, as one vector
-    integral of f(u + m) over u in [0, 1], both at tol 1e-11; fits the
-    model to those per-period integrals and closes with the zeta tail.
+    adaptively from its unit panels [m, m + 1), graded toward 0 alone, and
+    the periods [m, m + 1), 40 <= m < 64, as one vector integral of
+    f(u + m) over u in [0, 1], both at tol 1e-11; fits the model to those
+    per-period integrals and closes with the zeta tail.
     """
-    head = quadrature.integrate_finite(f, 0.0, 40.0, tol=1e-11).value
+    head = quadrature.refine(f, np.arange(41.0), (0.0,), tol=1e-11).value
     ms = np.arange(40, 64)
     vals = quadrature.integrate_finite(
         lambda u: f(u[:, None] + ms).reshape(len(u), -1), 0.0, 1.0, tol=1e-11).value
@@ -86,17 +87,22 @@ def cos_window_integral(f, t):
     frequency or an array of them; a scalar t gives a float, an array t an
     array of t's shape.  Truncates with a raised-cosine taper on
     [X, X + taper] = [384, 448], at tol 1e-9; valid when every frequency
-    component of f(x) cos(2 pi t x) stays away from 0.
+    component of f(x) cos(2 pi t x) stays away from 0.  The integral starts
+    from one panel per cycle of its fastest component, which is at most
+    1 + max|t| for f of exponential type 2 pi: ceil(448 (1 + max|t|))
+    equal panels, graded toward 0 alone.
     """
     X, taper = 384.0, 64.0
     omega = 2.0 * np.pi * np.asarray(t, dtype=float)
+    panels = math.ceil((X + taper) * (1.0 + float(np.max(np.abs(t)))))
 
     def g(x):
         w = np.where(x <= X, 1.0,
                      0.5 * (1.0 + np.cos(np.pi * (x - X) / taper)))
         return (np.cos(np.multiply.outer(omega, x)) * f(x) * w).T
 
-    return 2.0 * quadrature.integrate_finite(g, 0.0, X + taper, tol=1e-9).value
+    edges = np.linspace(0.0, X + taper, panels + 1)
+    return 2.0 * quadrature.refine(g, edges, (0.0,), tol=1e-9).value
 
 
 # -- criterion checks ------------------------------------------------------
@@ -325,10 +331,11 @@ def check_hls_constants(rng):
 def check_polybound(rng):
     out = []
     worst = math.inf
+    sets = []
     for _ in range(200):
         M = int(rng.integers(1, 33))
-        roots = rng.uniform(-2, 2, M) + 1j * rng.uniform(-2, 2, M)
-        sup = polybound.sup_log_oracle(roots, 8192)
+        sets.append(rng.uniform(-2, 2, M) + 1j * rng.uniform(-2, 2, M))
+    for roots, sup in zip(sets, polybound.sup_log_oracles(sets, 8192).tolist()):
         sb = polybound.disk_sup_bound(roots, 64)
         for N in (0, 1, 4, 16, 64):
             worst = min(worst, sb.at(N) - sup)
@@ -413,12 +420,12 @@ def check_dict(c):
 
 # the criteria from longest to shortest, by their warm in-process median
 # times at seed 7 on a 2-vCPU Linux VM (Python 3.11, numpy 2.4), in ms:
-# 10 ~115-130, 4 ~70-85, 5 ~55-60, 8 ~45, 3 ~35, 1 ~20, 6 ~17, 2 ~15, 7 ~9,
-# 9 ~1.  A pool fed in suite order starts criterion 10 last and then waits
-# on it alone.
-LONGEST_FIRST = ("10-et-bounds", "4-log-majorant", "5-superposition-routes",
-                 "8-form-bounds", "3-transforms", "1-kernel-sandwich",
-                 "6-periodic-sandwich", "2-defect-integrals", "7-log-sin-suite",
+# 10 ~85-95, 5 ~58-61, 4 ~45-48, 8 ~43-47, 1 ~24, 3 ~17, 6 ~17, 7 ~9,
+# 2 ~6, 9 ~1.  A pool fed in suite order starts criterion 10 last and then
+# waits on it alone.
+LONGEST_FIRST = ("10-et-bounds", "5-superposition-routes", "4-log-majorant",
+                 "8-form-bounds", "1-kernel-sandwich", "3-transforms",
+                 "6-periodic-sandwich", "7-log-sin-suite", "2-defect-integrals",
                  "9-hls-constants")
 
 

@@ -40,8 +40,9 @@ transform (``transform-support``'s), that ``superposed`` takes f and its
 derivatives from the measure's ``_derivs`` ladder and never calls
 ``f_prime`` or ``f_derivs``, that ``polybound`` writes its log+ sum
 and the formula of its bound once (criterion 10 reads the lower degrees
-off one ``disk_sup_bound`` call per root set) and calls ``np.poly`` and
-the FFT only to choose the grid cells, that one function cuts the popped
+off one ``disk_sup_bound`` call per root set) and builds the coefficients
+of F (``np.poly`` or ``_poly``) and calls the FFT only to choose the grid
+cells, that one function cuts the popped
 panels of the heap, that ``cli.cmd_eval`` writes its CSV and JSON rows from one column
 table without a per-index loop, that the means of g_mu and h_mu are the
 sharp constants A and B, one read of the measure's ``defect_moment`` (so
@@ -530,9 +531,10 @@ def test_one_bound_formula():
     assert _functions_reading(tree, "_bound") == ["at", "disk_sup_bound"]
     check = _function("check_polybound", ast.parse((SRC / "verify.py").read_text()))
     assert _calls(check).count("polybound.disk_sup_bound") == 1
-    # the FFT only chooses cells; every value comes from the product form
+    # the coefficients and the FFT only choose cells; every value comes
+    # from the product form
     assert [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-            and {"np.poly", "np.fft.fft"} & set(_calls(fn))] == ["_grid_cells"]
+            and {"np.poly", "_poly", "np.fft.fft"} & set(_calls(fn))] == ["_grid_cells"]
 
 
 def test_one_rule_cuts_the_popped_panels():

@@ -207,9 +207,9 @@ def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
     sizes, ffts = [], []
     evaluate, fft = polybound._log_abs_on_circle, np.fft.fft
 
-    def counted(xs, a):
+    def counted(xs, a, owner=None):
         sizes.append(len(xs))
-        return evaluate(xs, a)
+        return evaluate(xs, a, owner)
 
     def counted_fft(c, n):
         ffts.append(n)
@@ -225,6 +225,79 @@ def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
         polybound.sup_log_oracle(a, samples)
         assert ffts == [samples]
         assert sizes == [1] + [33] * 8
+
+
+def test_oracle_takes_each_root_count_in_lockstep(monkeypatch):
+    """Five sets of two root counts: one FFT per count, of all its sets, and
+    nine product-form calls per count: the kept cells of all its sets, then
+    8 zoom steps of 33 points for each set."""
+    sizes, ffts = [], []
+    evaluate, fft = polybound._log_abs_on_circle, np.fft.fft
+
+    def counted(xs, a, owner=None):
+        sizes.append(len(xs))
+        return evaluate(xs, a, owner)
+
+    def counted_fft(c, n):
+        ffts.append(np.shape(c))
+        return fft(c, n)
+
+    monkeypatch.setattr(polybound, "_log_abs_on_circle", counted)
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    rng = np.random.default_rng(6)
+    sets = [rng.normal(size=m) + 1j * rng.normal(size=m) for m in (9, 4, 9, 4, 4)]
+    polybound.sup_log_oracles(sets, 8192)
+    assert ffts == [(3, 5), (2, 10)]
+    assert len(sizes) == 18 and sizes[0] >= 3 and sizes[9] >= 2
+    assert sizes[1:9] == [99] * 8 and sizes[10:] == [66] * 8
+
+
+def _root_sets(samples):
+    """Root sets of every kind the oracle branches on: 1-32 complex roots,
+    real roots and sets closed under conjugation (real coefficients), a
+    root on a grid point beside two roots near 1e200 (E is not finite, so
+    every cell is kept and one is -inf), and 48-64 equally spaced roots on
+    the unit circle (2E reaches the peak)."""
+    coord = st.floats(-2.0, 2.0)
+    free = st.lists(st.tuples(coord, coord), min_size=1, max_size=32).map(
+        lambda rs: np.array([complex(x, y) for x, y in rs]))
+    real = st.lists(coord, min_size=1, max_size=32).map(
+        lambda rs: np.array(rs, dtype=complex))
+    closed = st.tuples(st.lists(st.tuples(coord, coord), min_size=1, max_size=15),
+                       st.lists(coord, max_size=2)).map(
+        lambda p: np.concatenate([[complex(x, y) for x, y in p[0]],
+                                  [complex(x, -y) for x, y in p[0]], p[1]]))
+    on_grid = st.tuples(st.integers(0, samples - 1), st.floats(0.0, 1.0),
+                        st.lists(st.tuples(coord, coord), max_size=8)).map(
+        lambda p: np.concatenate([_circle([(p[0] + 0.5) / samples]),
+                                  1e200 * _circle([p[1], p[1] + 0.5]),
+                                  [complex(x, y) for x, y in p[2]]]))
+    flat = st.tuples(st.integers(48, 64), st.floats(0.0, 1.0)).map(
+        lambda p: _circle(np.arange(p[0]) / p[0] + p[1]))
+    return st.one_of(free, real, closed, on_grid, flat)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1024, 8192]).flatmap(
+    lambda s: st.tuples(st.just(s), st.lists(_root_sets(s), min_size=1, max_size=8))))
+def test_a_set_has_its_oracle_bits_in_any_batch(drawn):
+    """sup_log_oracle of a root set alone is, bit for bit, its entry of a
+    batch of sets of mixed root counts, whatever the kind of each set; a
+    set's polynomial is np.poly's, bit for bit, where that is finite; sets
+    near 1e200 and on the flat circle keep every cell."""
+    samples, sets = drawn
+    batch = polybound.sup_log_oracles(sets, samples)
+    alone = np.array([polybound.sup_log_oracle(a, samples) for a in sets])
+    assert batch.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+    for a in sets:
+        with np.errstate(over="ignore", invalid="ignore"):   # roots near 1e200
+            c, ref = polybound._poly(a[None])[0], np.asarray(np.poly(a), complex)
+        if np.all(np.isfinite(ref)):
+            assert np.array_equal(c.view(float), ref.view(float))
+        else:
+            assert not np.all(np.isfinite(c))
+        if len(a) >= 48 or np.max(np.abs(a)) > 1e199:
+            assert polybound._grid_cells(a[None], samples).all()
 
 
 def _log_sum(xs, a):
@@ -259,7 +332,7 @@ def test_fft_keeps_the_cell_of_the_product_grid():
         m = int(rng.integers(1, 33))
         a = rng.uniform(-2, 2, m) + 1j * rng.uniform(-2, 2, m)
         best, sup = _product_grid_oracle(a, samples)
-        assert best in polybound._grid_cells(a, samples)
+        assert polybound._grid_cells(a[None], samples)[0, best]
         assert abs(polybound.sup_log_oracle(a, samples) - sup) <= 1e-13
         product, loop = polybound._log_abs_on_circle(grid, a), _log_sum(grid, a)
         assert np.max(np.abs(product - loop)) <= 1e-13 * max(1.0, np.max(np.abs(loop)))
@@ -270,7 +343,7 @@ def test_rounding_gate_keeps_every_cell_of_a_flat_circle():
     its coefficients by about eps 3^64, far above the spread 2 of |F| on the
     circle, so every cell goes to the product form; sup log|F| = log(2^64 + 1)."""
     a = 2.0 * np.exp(2j * np.pi * np.arange(64) / 64)
-    assert len(polybound._grid_cells(a, 8192)) == 8192
+    assert polybound._grid_cells(a[None], 8192).all()
     assert abs(polybound.sup_log_oracle(a, 8192) - math.log(2.0 ** 64 + 1.0)) <= 1e-13
 
 

@@ -52,7 +52,7 @@ def test_semiinfinite_battery():
 def test_cos_window_integral_batches_its_panels(monkeypatch):
     """A tapered forward transform: one integrand call per pass, not per panel."""
     calls, results = [], []
-    plain = quadrature.integrate_finite
+    plain = quadrature.refine
 
     def counting(f, *args, **kwargs):
         def g(x):
@@ -62,7 +62,7 @@ def test_cos_window_integral_batches_its_panels(monkeypatch):
         results.append(plain(g, *args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    monkeypatch.setattr(quadrature, "refine", counting)
     lam, t = 0.7, 0.45
     ft = verify.cos_window_integral(
         lambda x: np.exp(-lam * np.abs(x)) - kernels.minorant_values(lam, x), t)
@@ -81,16 +81,43 @@ def test_whole_line_criteria_take_vector_integrals(name, most, monkeypatch):
     most 2, 2 and 3 quadrature calls, where one scalar integral per rate,
     kind and frequency took 12, 42 and 8 (criterion 3 inverts the closed
     transforms of its 40 columns in one integral)."""
-    plain = quadrature.integrate_finite
+    plain = quadrature.refine
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args[1])
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "integrate_finite", counting)
+    monkeypatch.setattr(quadrature, "refine", counting)
     verify.run_criterion(name)
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("name, end, count, most", [
+    ("2-defect-integrals", 40.0, 1, 920),
+    ("3-transforms", 448.0, 1, 17_000),
+    ("4-log-majorant", 448.0, 1, 24_100),
+    ("10-et-bounds", 1.0, 20, 5_700)])
+def test_verify_integrals_start_from_their_natural_partitions(
+        name, end, count, most, monkeypatch):
+    """At seed 7, the integrand evaluations of criterion 2's [0, 40] head
+    (unit panels), of criteria 3 and 4's tapered windows on [0, 448] (one
+    panel per cycle), each graded toward 0 alone, and of criterion 10's 20
+    Jensen integrals on [0, 1] (periodic, no graded end).  From one panel
+    graded at both ends they took 1815, 28 860, 36 360 and 8580."""
+    plain = quadrature.refine
+    evals = []
+
+    def counting(f, edges, *args, **kwargs):
+        res = plain(f, edges, *args, **kwargs)
+        if edges[-1] == end:
+            evals.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(quadrature, "refine", counting)
+    verify.run_criterion(name, 7)
+    assert len(evals) == count
+    assert sum(evals) <= most
 
 
 @pytest.mark.parametrize("budget", [15, 44, 45, 75, 300, 901, 1500])
@@ -133,6 +160,19 @@ def test_an_endpoint_singularity_takes_graded_passes():
     res = quadrature.integrate_finite(f, 0.0, 1.0, tol=1e-10)
     assert abs(res.value - exact) <= 1e-10
     assert len(calls) <= 12 and res.evaluations <= 1500
+
+
+def test_refine_grades_only_the_ends_its_caller_marks():
+    """The same singular end 0 of cos(x)/sqrt(x) on [0, 1]: marked, graded
+    passes reach tol in 12 integrand calls; unmarked, its panel is bisected
+    like any other, one level a pass, and takes more than 60."""
+    with mpmath.workdps(30):
+        exact = float(2 * mpmath.quad(lambda t: mpmath.cos(t * t), [0, 1]))
+    for graded, fewest, most in (((0.0,), 1, 12), ((), 61, 100)):
+        f, calls = _counting(lambda x: np.cos(x) / np.sqrt(x))
+        res = quadrature.refine(f, (0.0, 1.0), graded, tol=1e-10)
+        assert abs(res.value - exact) <= 1e-10
+        assert fewest <= len(calls) <= most
 
 
 def test_singularities_at_the_interior_edge_of_the_half_line_map():
