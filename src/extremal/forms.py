@@ -115,25 +115,32 @@ def form_bound(measure, delta=1.0, tol=1e-10):
     return FormBound(A, B)
 
 
+def evaluate_forms(measure, point_sets, coeffs, tol=1e-10):
+    """evaluate_form of each point set with its coefficients, as an array: one
+    r_mu call over the distinct distances of all sets, then a dot product per
+    set, so a set has its bits alone where r_mu does (not a Weight's integral)."""
+    pairs = []
+    for points, a in zip(point_sets, coeffs, strict=True):
+        xi = np.asarray(points.xi if isinstance(points, PointSet) else points, dtype=float)
+        a = np.asarray(a, dtype=complex)
+        if a.shape != xi.shape:
+            raise DomainError(f"coefficient count {a.shape} does not match points {xi.shape}")
+        m, n = np.triu_indices(len(xi), k=1)
+        pairs.append((np.abs(xi[m] - xi[n]), a.real[m] * a.real[n] + a.imag[m] * a.imag[n]))
+    uniq, inv = np.unique(np.concatenate([d for d, _ in pairs] + [[]]), return_inverse=True)
+    r = r_mu(measure, uniq, tol=tol) if uniq.size else uniq
+    ends = np.cumsum([0] + [len(w) for _, w in pairs])
+    return np.array([2.0 * float(w @ r[inv[i:j]]) for (_, w), i, j in zip(pairs, ends, ends[1:])])
+
+
 def evaluate_form(measure, points, a, tol=1e-10):
     """Off-diagonal Hermitian form sum_{m != n} a_m conj(a_n) r_mu(xi_m - xi_n).
 
     The (m, n) and (n, m) terms are conjugates, so it is the real sum
     2 sum_{m < n} Re(a_m conj(a_n)) r_mu(|xi_m - xi_n|), with one r_mu value
-    per distinct distance.
+    per distinct distance.  It is the batch of one of evaluate_forms.
     """
-    xi = np.asarray(points.xi if isinstance(points, PointSet) else points,
-                    dtype=float)
-    a = np.asarray(a, dtype=complex)
-    if a.shape != xi.shape:
-        raise DomainError(
-            f"coefficient count {a.shape} does not match points {xi.shape}")
-    m, n = np.triu_indices(len(xi), k=1)
-    if m.size == 0:
-        return 0.0
-    uniq, inv = np.unique(np.abs(xi[m] - xi[n]), return_inverse=True)
-    weights = a.real[m] * a.real[n] + a.imag[m] * a.imag[n]
-    return 2.0 * float(weights @ r_mu(measure, uniq, tol=tol)[inv])
+    return float(evaluate_forms(measure, [points], [a], tol)[0])
 
 
 def hls_constants(sigma, delta=1.0):
@@ -221,12 +228,8 @@ def form_report(measure, delta, points, a, tol=1e-10):
     value = evaluate_form(measure, ps, a, tol)
     energy = float(np.sum(np.abs(a) ** 2))
     bound = -A * energy
-    return {
-        "bound": bound,
-        "form_value": value,
-        "slack": value - bound,
-        "witness_ratio": (-value / energy) / A if energy > 0 else 0.0,
-    }
+    return {"bound": bound, "form_value": value, "slack": value - bound,
+            "witness_ratio": (-value / energy) / A if energy > 0 else 0.0}
 
 
 def random_point_set(rng, count, delta):

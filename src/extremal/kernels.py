@@ -67,7 +67,8 @@ lies wholly past it takes the head and, where the cap is past the head,
 one block to the cap, which keeps L and M finite (and 0 to rounding) at
 any |x|.  Every rate, however large, takes the same pieces.  eval_L and
 eval_M report the nodes summed directly and a bound on the Euler-Maclaurin
-remainders and the dropped pairs.
+remainders and the dropped pairs.  Past lam = 745.13 on Z, 1490.27 on Z + 1/2,
+e^{-lam first} underflows: such rates share one row, all 0 and capped at 11.
 
 The Fourier transforms (supported on [-1, 1]) have the closed forms
 
@@ -108,7 +109,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .errors import DomainError, check_finite, check_kind
-from .specfun import _BERNOULLI, _check_rate, check_rates, defect_minorant, hurwitz_zeta
+from .specfun import _BERNOULLI, _check_rate, _finite, check_rates, defect_minorant, hurwitz_zeta
 
 _EPS_TAIL = 1e-16
 _CHUNK = 65_536  # max matrix cells per vectorized block
@@ -355,8 +356,12 @@ def _exp_series(lams, x, f0):
     the C library's, rate by rate (numpy's vector pow differs from it in the
     last bit at some rates).  It meets only e^{-lam s} at s >= 1/2, which is
     0 once lam > 1491, so a rate past 2^60 takes the powers of 2^60, which
-    stay finite up to j = 2p."""
-    rates = [float(lam) for lam in lams]
+    stay finite up to j = 2p.  Underflowed rates share one row (module doc)."""
+    rates = np.array([float(lam) for lam in lams])
+    gone = np.exp(-rates * (0.5 if f0 is None else 1.0)) == 0.0
+    _, take, row = np.unique(np.where(gone, -1, np.arange(len(rates))), return_index=True,
+                             return_inverse=True)
+    rates = rates[take].tolist()
     bases = [-min(lam, 2.0 ** 60) for lam in rates]
     powers = np.array([[base ** j for base in bases]
                        for j in range(_ROWS)])[:, :, None]
@@ -365,7 +370,7 @@ def _exp_series(lams, x, f0):
     def nodes(s, n):
         return powers[:n] * np.exp(column * s)
 
-    return _lattice_series(x, (nodes, tuple(_cap(lam) for lam in rates)), f0)
+    return _lattice_series(x, (nodes, tuple(_cap(lam) for lam in rates)), f0)[row]
 
 
 def _first_series(values):
@@ -498,9 +503,11 @@ def _periodized(lam, x, orders):
 
 
 def _order(lam, x, k):
-    """Order k of _periodized at checked rates and finite x; a float when lam
-    and x are scalars."""
-    out = _periodized(check_rates(lam, "the kernel"), check_finite(x), (k,))[0]
+    """Order k of _periodized at checked rates and finite x, a float when lam
+    and x are scalars; DomainError where it leaves the floats (lam < 5.6e-309)."""
+    lam, x = check_rates(lam, "the kernel"), check_finite(x)
+    with np.errstate(all="ignore"):
+        out = _finite(("p", "j")[k], lam, _periodized(lam, x, (k,))[0])
     return float(out) if out.ndim == 0 else out
 
 

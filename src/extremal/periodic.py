@@ -167,10 +167,11 @@ def _single_poly(lam, N, kind):
     """l (kind "minorant") or m ("majorant"): mean -+ the kind's kernel defect
     at lam/(N+1), over N+1, and p(lam, .) and j(lam, .) at the nodes."""
     N = check_count(N, "degree")
+    with np.errstate(all="ignore"):
+        pj = specfun._finite("p", lam, kernels._periodized(lam, _nodes(N, kind), (0, 1)))
     u = lam / (N + 1.0)
     c0 = -specfun.defect_minorant(u) if kind == "minorant" else specfun.defect_majorant(u)
-    return _from_nodes(N, kind, c0 / (N + 1.0),
-                       *kernels._periodized(lam, _nodes(N, kind), (0, 1)))
+    return _from_nodes(N, kind, c0 / (N + 1.0), *pj)
 
 
 def _superposed_poly(measure, N, kind, tol=1e-9):

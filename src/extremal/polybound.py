@@ -62,11 +62,11 @@ class SupBound:
     power_sums: Tuple[float, ...]    # |sum_m beta_m^n| for n = 1..N
 
     def at(self, n):
-        """The bound of degree n <= N from the same power sums: that of
-        disk_sup_bound(alpha, n), bit for bit."""
+        """The bound of degree n <= N from the same power sums: disk_sup_bound(
+        alpha, n)'s bit for bit, but at n = 2 < N (a two-row cumprod rounds apart)."""
         if not (is_count(n) and 0 <= n <= self.N):
             raise DomainError(f"degree must be an integer in [0, {self.N}], got {n!r}")
-        return _bound(self.logplus_sum, self.M, self.power_sums[:n])
+        return float(_bound(self.logplus_sum, self.M, np.array(self.power_sums[:n])))
 
 
 def reflect_roots(alpha):
@@ -83,21 +83,45 @@ def reflect_roots(alpha):
 
 
 def _bound(logplus, M, sums):
-    """The bound's formula, of degree N = len(sums)."""
-    return (logplus + M * math.log(2.0) / (len(sums) + 1.0)
-            + sum(s / n for n, s in enumerate(sums, start=1)))
+    """The bound's formula of degree N = sums.shape[-1] from the power sums
+    s_1..s_N, elementwise over their rows: the terms s_n/n add up in order."""
+    N = sums.shape[-1]
+    partial = np.cumsum(sums / np.arange(1.0, N + 1), axis=-1)[..., -1] if N else 0.0
+    return logplus + M * math.log(2.0) / (N + 1.0) + partial
+
+
+def _lockstep(sets, cells):
+    """(indices, (n, M) roots) of the checked root sets that go in lockstep:
+    those of one root count M, at most 2^20 // cells(M) at a time."""
+    counts = np.array([len(a) for a in sets], int)
+    for M in np.unique(counts).tolist():
+        of = np.flatnonzero(counts == M)
+        for part in np.array_split(of, -(-len(of) // max(1, 2 ** 20 // max(1, cells(M))))):
+            yield part, np.array([sets[i] for i in part])
+
+
+def disk_sup_bounds(alphas, N):
+    """disk_sup_bound of each root set in ``alphas``, as a list: the sets of
+    one root count in lockstep (at most 2^20 powers at a time), a log+ sum
+    per set, one cumprod for every power sum and one _bound call."""
+    sets = [_as_roots(a) for a in alphas]
+    N = check_count(N, "N")
+    out = [None] * len(sets)
+    for part, a in _lockstep(sets, lambda M: N * M):
+        (n, M), mods = a.shape, np.abs(a)
+        logplus = np.array([np.sum(np.log(m[m > _INTERIOR_GUARD])) for m in mods])
+        beta = reflect_roots(a.ravel()).reshape(n, 1, M)
+        sums = np.abs(np.sum(np.cumprod(np.broadcast_to(beta, (n, N, M)), axis=1), axis=2))
+        for i, b, lp, s in zip(part, _bound(logplus, M, sums).tolist(), logplus.tolist(),
+                               sums.tolist()):
+            out[i] = SupBound(M, N, b, lp, tuple(s))
+    return out
 
 
 def disk_sup_bound(alpha, N):
-    """The log+ / power-sum upper bound for sup_{|z|<=1} log|F(z)|."""
-    a = _as_roots(alpha)
-    N = check_count(N, "N")
-    mods = np.abs(a)
-    logplus = float(np.sum(np.log(mods[mods > _INTERIOR_GUARD])))
-    beta = reflect_roots(a)
-    powers = np.cumprod(np.broadcast_to(beta, (N, len(beta))), axis=0)
-    sums = tuple(np.abs(np.sum(powers, axis=1)).tolist())
-    return SupBound(len(a), N, _bound(logplus, len(a), sums), logplus, sums)
+    """The log+ / power-sum upper bound for sup_{|z|<=1} log|F(z)|; the
+    batch of one of disk_sup_bounds."""
+    return disk_sup_bounds([alpha], N)[0]
 
 
 def _log_abs_on_circle(xs, alpha, owner=None):
@@ -192,12 +216,9 @@ def sup_log_oracles(alphas, samples=65536):
     sets = [_as_roots(a) for a in alphas]
     if not (is_count(samples) and samples >= 1024):
         raise DomainError(f"need an integer >= 1024 boundary samples, got {samples!r}")
-    counts = np.array([len(a) for a in sets], int)
     sup = np.empty(len(sets))
-    for M in np.unique(counts):
-        of = np.flatnonzero(counts == M)
-        for part in np.array_split(of, -(-len(of) // max(1, 2 ** 20 // samples))):
-            sup[part] = _zoom(np.array([sets[i] for i in part]), samples)
+    for part, alpha in _lockstep(sets, lambda M: samples):
+        sup[part] = _zoom(alpha, samples)
     return sup
 
 
@@ -243,20 +264,28 @@ def sup_log_oracle(alpha, samples=65536):
     return float(sup_log_oracles([alpha], samples)[0])
 
 
+def jensen_gaps(alphas, tol=1e-10):
+    """jensen_gap of each root set in ``alphas``, as an array: one vector
+    integral with a column per set, whose shared frontier refines a panel
+    for every set, so a gap's last bits depend on its batch."""
+    sets = [_as_roots(a) for a in alphas]
+    if any(np.any(np.abs(np.abs(a) - 1.0) < 1e-9) for a in sets):
+        warnings.warn("root within 1e-9 of the unit circle: "
+                      "Jensen integral is ill-conditioned", RuntimeWarning)
+    res = quadrature.refine(lambda xs: np.stack([_log_abs_on_circle(xs, a) for a in sets], 1),
+                            (0.0, 1.0), (), tol=tol)
+    return np.abs([sb.logplus_sum for sb in disk_sup_bounds(sets, 0)] - res.value)
+
+
 def jensen_gap(alpha, tol=1e-10):
     """|sum log+|alpha| - circle mean of log|F||; zero in exact arithmetic.
 
     The integrand is periodic, so its one panel [0, 1] has no graded end.
     Roots within 1e-9 of the unit circle make the integrand near-singular;
-    a warning flags the conditioning but the quadrature still runs.
+    a warning flags the conditioning but the quadrature still runs.  It is
+    the batch of one of jensen_gaps.
     """
-    a = _as_roots(alpha)
-    if np.any(np.abs(np.abs(a) - 1.0) < 1e-9):
-        warnings.warn("root within 1e-9 of the unit circle: "
-                      "Jensen integral is ill-conditioned", RuntimeWarning)
-    logplus = disk_sup_bound(a, 0).logplus_sum
-    res = quadrature.refine(lambda xs: _log_abs_on_circle(xs, a), (0.0, 1.0), (), tol=tol)
-    return abs(logplus - res.value)
+    return float(jensen_gaps([alpha], tol)[0])
 
 
 def bound_report(alpha, N, samples=65536):
@@ -264,15 +293,9 @@ def bound_report(alpha, N, samples=65536):
     a = _as_roots(alpha)
     sb = disk_sup_bound(a, N)
     sup = sup_log_oracle(a, samples)
-    return {
-        "M": sb.M,
-        "N": sb.N,
-        "bound": sb.bound,
-        "sup_estimate": sup,
-        "slack": sb.bound - sup,
-        "logplus_sum": sb.logplus_sum,
-        "power_sums": list(sb.power_sums),
-    }
+    return {"M": sb.M, "N": sb.N, "bound": sb.bound, "sup_estimate": sup,
+            "slack": sb.bound - sup, "logplus_sum": sb.logplus_sum,
+            "power_sums": list(sb.power_sums)}
 
 
 def roots_from_csv(path):

@@ -63,6 +63,16 @@ def _check_rate(lam, what):
     return lam
 
 
+def _finite(what, lam, out):
+    """out, values of a finite function of the rates lam taken under np.errstate(
+    all="ignore"); DomainError naming the first rate where one is not a float."""
+    bad = ~np.isfinite(out)
+    if bad.any():
+        rate = float(np.broadcast_to(lam, bad.shape)[bad][0])
+        raise DomainError(f"{what} leaves the floats at lam = {rate!r}")
+    return out
+
+
 def _minorant(lam):
     """defect_minorant at checked rates (a float, or an array), as an array,
     each rate by its own branch: y S(y^2) (y / sinh y) below _SERIES_SWITCH,
@@ -100,11 +110,13 @@ def defect_majorant(lam):
     Elementwise on arrays, like defect_minorant.  It is tanh(lam/4) minus
     the minorant defect, with tanh(lam/4) = (w t) t for w = 1/(1 - e^{-lam})
     and t = expm1(-lam/2): p(lam, 0) of kernels, written as it writes it.
+    w leaves the floats below lam ~ 5.6e-309, which raises DomainError.
     """
     lam = check_rates(lam, "defect_majorant")
-    w = 1.0 / -np.expm1(-lam)
-    t = np.expm1(-0.5 * lam)
-    out = (w * t) * t - _minorant(lam)     # t * t underflows for tiny lam
+    with np.errstate(all="ignore"):
+        w = 1.0 / -np.expm1(-lam)
+        t = np.expm1(-0.5 * lam)
+        out = _finite("defect_majorant", lam, (w * t) * t - _minorant(lam))  # t * t underflows
     return float(out) if out.ndim == 0 else out
 
 

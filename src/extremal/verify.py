@@ -285,14 +285,14 @@ def check_form_bounds(rng, table=None):
     out = []
     for name, (mu, _) in _FAMILIES.items():
         fb = forms.form_bound(mu, 1.0)
-        worst_lo = math.inf
-        worst_hi = math.inf
+        trials = []
         for _ in range(100):
             n = int(rng.integers(2, 40))
             ps = forms.random_point_set(rng, n, 1.0)
-            a = rng.normal(size=n) + 1j * rng.normal(size=n)
+            trials.append((ps, rng.normal(size=n) + 1j * rng.normal(size=n)))
+        worst_lo = worst_hi = math.inf
+        for (_, a), v in zip(trials, forms.evaluate_forms(mu, *zip(*trials)).tolist()):
             energy = float(np.sum(np.abs(a) ** 2))
-            v = forms.evaluate_form(mu, ps, a)
             worst_lo = min(worst_lo, (v + fb.A * energy) / energy)
             if fb.B is not None:
                 worst_hi = min(worst_hi, (fb.B * energy - v) / energy)
@@ -335,8 +335,8 @@ def check_polybound(rng):
     for _ in range(200):
         M = int(rng.integers(1, 33))
         sets.append(rng.uniform(-2, 2, M) + 1j * rng.uniform(-2, 2, M))
-    for roots, sup in zip(sets, polybound.sup_log_oracles(sets, 8192).tolist()):
-        sb = polybound.disk_sup_bound(roots, 64)
+    sups = polybound.sup_log_oracles(sets, 8192).tolist()
+    for sb, sup in zip(polybound.disk_sup_bounds(sets, 64), sups):
         for N in (0, 1, 4, 16, 64):
             worst = min(worst, sb.at(N) - sup)
     out.append(_check("et-soundness", worst >= -1e-9, worst,
@@ -346,13 +346,13 @@ def check_polybound(rng):
               abs(rep["sup_estimate"] - math.log(2.0)))
     out.append(_check("et-equality-witness", err <= 1e-9, err,
                       "alpha={1}, N=0: bound = sup = log 2", 1e-9))
-    worst = 0.0
+    sets = []
     for _ in range(20):
         M = int(rng.integers(1, 9))
         radii = np.where(rng.uniform(size=M) < 0.5,
                          rng.uniform(0.0, 0.8, M), rng.uniform(1.25, 2.0, M))
-        roots = radii * np.exp(2j * np.pi * rng.uniform(size=M))
-        worst = max(worst, polybound.jensen_gap(roots))
+        sets.append(radii * np.exp(2j * np.pi * rng.uniform(size=M)))
+    worst = float(np.max(polybound.jensen_gaps(sets)))
     out.append(_check("et-jensen", worst <= 1e-8, worst,
                       "Jensen gap on 20 root sets off the circle", 1e-8))
     return out
@@ -390,14 +390,8 @@ def sharpness_table(delta=1.0):
         const = fb.A if kind == "lower" else fb.B
         for N in (125, 250, 500, 1000, 2000):
             ratio = forms.sharpness_witness(mu, delta, N, kind)
-            rows.append({
-                "family": name,
-                "kind": kind,
-                "N": N,
-                "constant": const,
-                "ratio": ratio,
-                "rel_gap": (const - ratio) / const,
-            })
+            rows.append({"family": name, "kind": kind, "N": N, "constant": const,
+                         "ratio": ratio, "rel_gap": (const - ratio) / const})
     return rows
 
 
@@ -420,12 +414,12 @@ def check_dict(c):
 
 # the criteria from longest to shortest, by their warm in-process median
 # times at seed 7 on a 2-vCPU Linux VM (Python 3.11, numpy 2.4), in ms:
-# 10 ~85-95, 5 ~58-61, 4 ~45-48, 8 ~43-47, 1 ~24, 3 ~17, 6 ~17, 7 ~9,
-# 2 ~6, 9 ~1.  A pool fed in suite order starts criterion 10 last and then
-# waits on it alone.
-LONGEST_FIRST = ("10-et-bounds", "5-superposition-routes", "4-log-majorant",
-                 "8-form-bounds", "1-kernel-sandwich", "3-transforms",
-                 "6-periodic-sandwich", "7-log-sin-suite", "2-defect-integrals",
+# 10 ~78-98, 4 ~44-52, 5 ~41-47, 8 ~29-31, 1 ~19-30, 6 ~18-20, 3 ~16-20,
+# 7 ~9-11, 2 ~7-11, 9 ~1.  A pool fed in suite order starts criterion 10
+# last and then waits on it alone.
+LONGEST_FIRST = ("10-et-bounds", "4-log-majorant", "5-superposition-routes",
+                 "8-form-bounds", "1-kernel-sandwich", "6-periodic-sandwich",
+                 "3-transforms", "7-log-sin-suite", "2-defect-integrals",
                  "9-hls-constants")
 
 

@@ -100,6 +100,22 @@ def test_eval_dilation_past_the_floats_is_a_domain_error(capsys):
     assert rows[0][1] == rows[0][2] and float(rows[0][1]) > 6e295
 
 
+@pytest.mark.parametrize("argv, rate", [
+    (["coeffs", "--kind", "l", "--lambda", "1e-320", "--N", "4"], "1e-320"),
+    (["coeffs", "--kind", "m", "--lambda", "1e-320", "--N", "4"], "1e-320"),
+    (["eval", "--kind", "p", "--lambda", "1e-310", "--grid", "0:0.5:2"], "1e-310"),
+], ids=["coeffs-l", "coeffs-m", "eval-p"])
+def test_periodized_kernel_past_the_floats_is_a_domain_error(argv, rate, capsys):
+    """Below lam ~ 5.6e-309, 1/(1 - e^{-lam}) leaves the floats, though p
+    and j do not: exit 2 with one error line naming lam, no row and no
+    warning, not inf or nan coefficients or values."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: p leaves the floats at lam = {rate}\n"
+
+
 def test_eval_transform_vanishes_beyond_band(capsys):
     code, out, _ = run_cli(
         ["eval", "--kind", "Lhat", "--lambda", "1.0", "--grid", "1.25:3:8"],

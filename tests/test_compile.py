@@ -422,7 +422,8 @@ def test_one_small_rate_series_for_the_defects():
                     and fn.name == "defect_majorant")
     calls = sorted(ast.unparse(node.func) for node in ast.walk(majorant)
                    if isinstance(node, ast.Call))
-    assert calls == ["_minorant", "check_rates", "float", "np.expm1", "np.expm1"]
+    assert calls == ["_finite", "_minorant", "check_rates", "float", "np.errstate",
+                     "np.expm1", "np.expm1"]
 
 
 def _functions_reading_attribute(tree, attr):
@@ -518,19 +519,25 @@ def test_superposed_reads_one_derivative_ladder():
 
 
 def test_one_log_plus_sum():
-    # disk_sup_bound alone sums log+|alpha|; jensen_gap reads its logplus_sum
+    # disk_sup_bounds alone sums log+|alpha|; jensen_gaps reads its logplus_sum
     tree = ast.parse((SRC / "polybound.py").read_text())
-    assert _functions_reading(tree, "_INTERIOR_GUARD") == ["disk_sup_bound",
+    assert _functions_reading(tree, "_INTERIOR_GUARD") == ["disk_sup_bounds",
                                                             "reflect_roots"]
 
 
 def test_one_bound_formula():
-    # _bound alone writes the bound; criterion 10 takes one disk_sup_bound
-    # per root set and reads the lower degrees off it with SupBound.at
+    # _bound alone writes the bound, which the batch and SupBound.at read;
+    # the single calls are batches of one; criterion 10 takes every root set
+    # in one disk_sup_bounds call, reads the lower degrees off each with
+    # SupBound.at, and takes its Jensen gaps in one jensen_gaps call
     tree = ast.parse((SRC / "polybound.py").read_text())
-    assert _functions_reading(tree, "_bound") == ["at", "disk_sup_bound"]
-    check = _function("check_polybound", ast.parse((SRC / "verify.py").read_text()))
-    assert _calls(check).count("polybound.disk_sup_bound") == 1
+    assert _functions_reading(tree, "_bound") == ["at", "disk_sup_bounds"]
+    assert "disk_sup_bounds" in _calls(_function("disk_sup_bound", tree))
+    assert "jensen_gaps" in _calls(_function("jensen_gap", tree))
+    calls = _calls(_function("check_polybound", ast.parse((SRC / "verify.py").read_text())))
+    assert calls.count("polybound.disk_sup_bounds") == 1
+    assert calls.count("polybound.jensen_gaps") == 1
+    assert not {"polybound.disk_sup_bound", "polybound.jensen_gap"} & set(calls)
     # the coefficients and the FFT only choose cells; every value comes
     # from the product form
     assert [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
@@ -606,9 +613,19 @@ def test_the_kernel_defect_fit_has_no_instance_knob():
 
 def test_criterion_8_reads_the_sharpness_table():
     # the witness ratios and constants are computed once, in sharpness_table
-    calls = _calls(_function("check_form_bounds", ast.parse((SRC / "verify.py").read_text())))
+    check = _function("check_form_bounds", ast.parse((SRC / "verify.py").read_text()))
+    calls = _calls(check)
     assert "sharpness_table" in calls
     assert not [c for c in calls if c.endswith("sharpness_witness")]
+    # a family's 100 trials are one evaluate_forms call, made once per family
+    # after the trials are drawn, and no trial takes evaluate_form
+    assert calls.count("forms.evaluate_forms") == 1
+    assert "forms.evaluate_form" not in calls
+    families = next(node for node in check.body if isinstance(node, ast.For))
+    trials = [node for node in ast.walk(families) if isinstance(node, ast.For)
+              and ast.unparse(node.iter) == "range(100)"]
+    assert len(trials) == 1 and "forms.evaluate_forms" not in _calls(trials[0])
+    assert "forms.evaluate_forms" in _calls(families)
 
 
 def test_count_kind_and_point_messages_are_written_once():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal import forms, measures, specfun
 from extremal.errors import AdmissibilityError, DomainError
@@ -307,3 +308,64 @@ def test_points_csv_round_trip_and_errors(tmp_path):
 def test_witness_rejects_a_non_integer_or_negative_N(N):
     with pytest.raises(DomainError):
         forms.sharpness_witness(HAAR, 1.0, N)
+
+
+def _form_alone(mu, xi, a):
+    """The form of one set, written out: one r_mu value per distinct
+    distance of the set, and one dot product."""
+    m, n = np.triu_indices(len(xi), k=1)
+    if m.size == 0:
+        return 0.0
+    uniq, inv = np.unique(np.abs(xi[m] - xi[n]), return_inverse=True)
+    weights = a.real[m] * a.real[n] + a.imag[m] * a.imag[n]
+    return 2.0 * float(weights @ forms.r_mu(mu, uniq)[inv])
+
+
+# a set: its size, whether it is a lattice delta n + offset, and a seed for
+# its gaps, offset and coefficients
+form_sets = st.tuples(st.integers(1, 40), st.booleans(), st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([HAAR, PL05, PL15, ATOM]), st.lists(form_sets, min_size=1, max_size=6))
+def test_a_set_has_its_form_bits_in_any_batch(mu, drawn):
+    """evaluate_forms over a batch of 1-40-point sets, lattices among them
+    (whose distances repeat within and across sets): each entry has the bits
+    of evaluate_form on its set alone and of the set written out, for Haar,
+    power laws on both sides of sigma = 1 and an atomic measure."""
+    sets, coeffs = [], []
+    for count, lattice, seed in drawn:
+        rng = np.random.default_rng(seed)
+        delta = rng.choice([0.5, 1.0, 2.0])
+        if lattice:     # raw points, as a PointSet may see a gap round below delta
+            sets.append(delta * np.arange(count) + rng.uniform(-1.0, 1.0))
+        else:
+            sets.append(forms.random_point_set(rng, count, delta))
+        coeffs.append(rng.normal(size=count) + 1j * rng.normal(size=count))
+    batch = forms.evaluate_forms(mu, sets, coeffs)
+    alone = [forms.evaluate_form(mu, ps, a) for ps, a in zip(sets, coeffs)]
+    written = [_form_alone(mu, np.array(getattr(ps, "xi", ps)), a)
+               for ps, a in zip(sets, coeffs)]
+    assert batch.tolist() == alone == written
+    assert np.array(alone).view(np.uint64).tolist() == batch.view(np.uint64).tolist()
+
+
+def test_forms_take_one_r_call_over_every_distance(monkeypatch):
+    """A batch makes one r call over the distinct distances of all its
+    sets; a batch of single points makes none and gives zeros."""
+    calls = []
+    r = measures.PowerLaw.r
+
+    def counted(self, t, tol=1e-10):
+        calls.append(np.array(t))
+        return r(self, t, tol)
+
+    monkeypatch.setattr(measures.PowerLaw, "r", counted)
+    sets = [(0.0, 1.0, 2.0), (5.0,), (0.0, 2.0, 3.5)]
+    coeffs = [np.ones(3), np.ones(1), np.ones(3)]
+    forms.evaluate_forms(PL05, sets, coeffs)
+    assert len(calls) == 1 and calls[0].tolist() == [1.0, 1.5, 2.0, 3.5]
+    assert forms.evaluate_forms(PL05, [(1.0,), (2.0,)], [[1.0], [1j]]).tolist() == [0.0, 0.0]
+    assert len(calls) == 1
+    with pytest.raises(DomainError, match="coefficient count"):
+        forms.evaluate_forms(PL05, sets, [np.ones(3), np.ones(2), np.ones(3)])

@@ -521,3 +521,69 @@ def test_node_counts_do_not_overflow(x, recwarn):
     ev = kernels.eval_M(0.01, 1e300)
     assert ev.value == 0.0 and math.isfinite(ev.tail_bound)
     assert not recwarn.list
+
+
+def _underflow_edge(first):
+    """The least rate lam at which e^{-lam first} underflows to 0, as the
+    node rows of L (first 1/2) or M (first 1) take it."""
+    lo, hi = 700.0 / first, 760.0 / first
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if np.exp(-mid * first) == 0.0 else (mid, hi)
+    return hi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([None, 1.0]),
+       st.lists(st.one_of(st.integers(-4, 4).map(lambda k: ("edge", k)),
+                          st.floats(math.log(800.0), math.log(1e300)).map(
+                              lambda v: ("far", math.exp(v))),
+                          st.floats(math.log(0.1), math.log(40.0)).map(
+                              lambda v: ("near", math.exp(v)))),
+                min_size=1, max_size=8),
+       wide_points)
+def test_underflowed_rates_have_the_bits_of_each_rate_alone(f0, drawn, xs):
+    """Rates within 4 ulps of the edge where e^{-lam first} underflows, on
+    both sides of it, and rates far past it (up to 1e300), mixed with
+    ordinary ones: each _defects row has the bits of the rate alone, signed
+    zeros included, though the underflowed rates share one engine row."""
+    first = 0.5 if f0 is None else 1.0
+    edge = _underflow_edge(first)
+    lams = []
+    for what, v in drawn:
+        lam = edge if what == "edge" else v
+        for _ in range(abs(v) if what == "edge" else 0):    # v ulps from the edge
+            lam = np.nextafter(lam, math.inf if v > 0 else 0.0)
+        lams.append(float(lam))
+    kind = "minorant" if f0 is None else "majorant"
+    xs = np.array(xs + [0.0, 0.5, -1.0, 1e6 + 0.25])
+    batch = kernels._defects(lams, xs, kind)
+    for lam, got in zip(lams, batch):
+        alone = kernels._defects([lam], xs, kind)[0]
+        assert got.view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("f0", [None, 1.0], ids=["L", "M"])
+def test_underflowed_rates_take_one_engine_row(f0, monkeypatch):
+    """Past the edge every node row is 0 and the cap 11: one engine row
+    serves all such rates, that of the first of them, and every other rate,
+    the one an ulp below the edge included, takes its own; the shared row
+    goes first."""
+    first = 0.5 if f0 is None else 1.0
+    edge = _underflow_edge(first)
+    below = float(np.nextafter(edge, 0.0))
+    seen = []
+    engine = kernels._lattice_series
+
+    def counted(x, series, f0=None):
+        nodes, caps = series
+        seen.append((nodes(np.array([first]), 1)[0, :, 0].tolist(), caps))
+        return engine(x, series, f0)
+
+    monkeypatch.setattr(kernels, "_lattice_series", counted)
+    kernels._exp_series([0.3, edge, 5.0, 2.0 * edge, 1e300, below],
+                        np.linspace(-40.0, 40.0, 81), f0)
+    assert seen == [(np.exp(-np.array([edge, 0.3, 5.0, below]) * first).tolist(),
+                     (11, kernels._cap(0.3), kernels._cap(5.0), 11))]
+    assert seen[0][0][0] == 0.0 < seen[0][0][3]
+    assert kernels._exp_series([], np.zeros(3), f0).shape == (0, 3)

@@ -383,3 +383,57 @@ def test_power_sums_match_the_product_loop():
     sums = polybound.disk_sup_bound(a, 64).power_sums
     assert len(sums) == 64
     assert np.max(np.abs(np.array(sums) - loop)) <= 1e-13
+
+
+def _bound_alone(a, n, rows):
+    """The bound of degree n written out for one set: its log+ sum, the
+    power sums of one cumulative product over ``rows`` >= n rows, and the
+    terms s_k/k added in order."""
+    mods = np.abs(a)
+    logplus = float(np.sum(np.log(mods[mods > polybound._INTERIOR_GUARD])))
+    beta = polybound.reflect_roots(a)
+    powers = np.cumprod(np.broadcast_to(beta, (rows, len(a))), axis=0)[:n]
+    partial = 0.0
+    for k, s in enumerate(np.abs(np.sum(powers, axis=1)).tolist(), start=1):
+        partial += s / k
+    return logplus + len(a) * math.log(2.0) / (n + 1.0) + partial
+
+
+# a root: on the unit circle, or of modulus 10^e for e in [-8, 8], at a
+# drawn angle; a set of 1-12 of them
+_moduli = st.one_of(st.just(1.0), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e))
+_roots = st.lists(st.tuples(_moduli, st.floats(0.0, 1.0)), min_size=1, max_size=12).map(
+    lambda rs: np.array([r * np.exp(2j * np.pi * t) for r, t in rs]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 40), st.lists(_roots, min_size=1, max_size=8))
+def test_a_set_has_its_bound_bits_in_any_batch(N, sets):
+    """disk_sup_bounds over a batch of sets of mixed root counts, roots on,
+    inside and outside the circle with moduli 1e-8 ... 1e8: each entry is
+    disk_sup_bound of its set alone, and its at(n) is, bit for bit, the
+    bound of degree n written out from the same products.  That is the
+    bound of degree n alone for every n <= N but n = 2 < N: numpy's cumprod
+    of exactly two rows multiplies the second as a vector product, which
+    can round beta^2 apart from the row-by-row products of three or more."""
+    for a, sb in zip(sets, polybound.disk_sup_bounds(sets, N)):
+        assert sb == polybound.disk_sup_bound(a, N)
+        for n in range(N + 1):
+            assert sb.at(n) == _bound_alone(a, n, N)
+            if n != 2 or N == 2:
+                assert sb.at(n) == polybound.disk_sup_bound(a, n).bound
+
+
+def test_jensen_gaps_of_a_batch():
+    """jensen_gaps of a batch is one vector integral: every gap is small,
+    the batch of one is jensen_gap, and a root near the circle in any set
+    warns once."""
+    rng = np.random.default_rng(5)
+    sets = [rng.uniform(0.2, 0.8, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+            * np.where(rng.uniform(size=m) < 0.5, 1.0, 2.5) for m in (1, 3, 3, 8)]
+    gaps = polybound.jensen_gaps(sets)
+    assert gaps.shape == (4,) and np.all(gaps <= 1e-8)
+    assert polybound.jensen_gap(sets[0]) == polybound.jensen_gaps(sets[:1])[0]
+    with pytest.warns(RuntimeWarning, match="unit circle") as caught:
+        polybound.jensen_gaps(sets + [np.array([1.0 + 5e-10])])
+    assert len(caught) == 1

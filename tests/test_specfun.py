@@ -159,6 +159,29 @@ def test_defect_majorant_limit():
     assert specfun.defect_minorant(1e-12) <= 1e-12
 
 
+def test_majorant_defect_and_p_past_the_floats_raise_naming_the_rate():
+    """The majorant defect (about lam/6, 1.7e-321 at lam = 1e-320), p and j
+    are finite, but 1/(1 - e^{-lam}) leaves the floats below lam ~ 5.6e-309:
+    one DomainError naming the first such rate, and no warning.  At a rate
+    just above, the values are those of the unchecked formulas, bit for bit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^defect_majorant leaves the floats at lam = 1e-320$"):
+            specfun.defect_majorant(1e-320)
+        with pytest.raises(DomainError, match=r"at lam = 1e-315$"):
+            specfun.defect_majorant(np.array([1.0, 1e-315, 1e-320]))
+        with pytest.raises(DomainError, match=r"^j leaves the floats at lam = 1e-310$"):
+            kernels.eval_j(np.array([[1.0], [1e-310]]), np.array([0.25, 0.5]))
+        with pytest.raises(DomainError, match=r"^p leaves the floats at lam = 1e-310$"):
+            kernels.eval_p(1e-310, 0.0)
+        lam = 5.6e-309
+        x = np.linspace(0.0, 1.0, 9)
+        assert specfun.defect_majorant(lam) == 9.33333333333334e-310
+        for k, fn in enumerate((kernels.eval_p, kernels.eval_j)):
+            got, ref = fn(lam, x), kernels._periodized(lam, x, (k,))[0]
+            assert got.tobytes() == ref.tobytes() and np.all(np.isfinite(got))
+
+
 @pytest.mark.parametrize("s,val", _ZETA_CASES)
 def test_zeta_reference(s, val):
     assert abs(specfun.zeta(s) - val) <= 1e-11 * max(1.0, abs(val))
