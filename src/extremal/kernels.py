@@ -324,10 +324,12 @@ def _lattice_series(x, series, f0=None):
         raise DomainError(f"|x| = {float(y.max())!r} needs series nodes past 2^52, "
                           "where they are no longer exact floats")
     start = first + _HEAD
-    window = (np.unique(c0[win])[:, None] + _WINDOW).ravel()
+    # return_counts keeps np.unique off its masked-array check, whose first
+    # call imports numpy.ma (about 15 ms in each fresh or forked process)
+    window = (np.unique(c0[win], return_counts=True)[0][:, None] + _WINDOW).ravel()
     keys = np.unique(np.concatenate(
         [first + np.arange(_HEAD + 1, dtype=float), window[window >= start],
-         np.maximum(start, c0[win] + _NEAR), B[B > start]]))
+         np.maximum(start, c0[win] + _NEAR), B[B > start]]), return_counts=True)[0]
     # past the floats a node value or derivative is inf or nan, and so the
     # value: it raises below, not as a warning on the way
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):

@@ -94,7 +94,7 @@ def _lockstep(sets, cells):
     """(indices, (n, M) roots) of the checked root sets that go in lockstep:
     those of one root count M, at most 2^20 // cells(M) at a time."""
     counts = np.array([len(a) for a in sets], int)
-    for M in np.unique(counts).tolist():
+    for M in sorted(set(counts.tolist())):
         of = np.flatnonzero(counts == M)
         for part in np.array_split(of, -(-len(of) // max(1, 2 ** 20 // max(1, cells(M))))):
             yield part, np.array([sets[i] for i in part])

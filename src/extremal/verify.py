@@ -330,15 +330,13 @@ def check_hls_constants(rng):
 
 def check_polybound(rng):
     out = []
-    worst = math.inf
     sets = []
     for _ in range(200):
         M = int(rng.integers(1, 33))
         sets.append(rng.uniform(-2, 2, M) + 1j * rng.uniform(-2, 2, M))
     sups = polybound.sup_log_oracles(sets, 8192).tolist()
-    for sb, sup in zip(polybound.disk_sup_bounds(sets, 64), sups):
-        for N in (0, 1, 4, 16, 64):
-            worst = min(worst, sb.at(N) - sup)
+    worst = min(sb.at(N) - sup for sb, sup in zip(polybound.disk_sup_bounds(sets, 64), sups)
+                for N in (0, 1, 4, 16, 64))
     out.append(_check("et-soundness", worst >= -1e-9, worst,
                       "bound >= sup oracle, 200 random root sets", 1e-9))
     rep = polybound.bound_report([1.0], 0)
