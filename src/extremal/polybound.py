@@ -86,7 +86,7 @@ def _bound(logplus, M, sums):
     """The bound's formula of degree N = sums.shape[-1] from the power sums
     s_1..s_N, elementwise over their rows: the terms s_n/n add up in order."""
     N = sums.shape[-1]
-    partial = np.cumsum(sums / np.arange(1.0, N + 1), axis=-1)[..., -1] if N else 0.0
+    partial = np.add.accumulate(sums / np.arange(1.0, N + 1), axis=-1)[..., -1] if N else 0.0
     return logplus + M * math.log(2.0) / (N + 1.0) + partial
 
 
