@@ -62,8 +62,8 @@ class SupBound:
     power_sums: Tuple[float, ...]    # |sum_m beta_m^n| for n = 1..N
 
     def at(self, n):
-        """The bound of degree n <= N from the same power sums: disk_sup_bound(
-        alpha, n)'s bit for bit, but at n = 2 < N (a two-row cumprod rounds apart)."""
+        """The bound of degree n <= N from the same power sums: bit for bit that
+        of disk_sup_bound(alpha, n) but at n = 2 < N (a 2-row cumprod rounds apart)."""
         if not (is_count(n) and 0 <= n <= self.N):
             raise DomainError(f"degree must be an integer in [0, {self.N}], got {n!r}")
         return float(_bound(self.logplus_sum, self.M, np.array(self.power_sums[:n])))
