@@ -170,7 +170,11 @@ def _single_poly(lam, N, kind):
     with np.errstate(all="ignore"):
         pj = specfun._finite("p", lam, kernels._periodized(lam, _nodes(N, kind), (0, 1)))
     u = lam / (N + 1.0)
-    c0 = -specfun.defect_minorant(u) if kind == "minorant" else specfun.defect_majorant(u)
+    try:
+        c0 = -specfun.defect_minorant(u) if kind == "minorant" else specfun.defect_majorant(u)
+    except DomainError as exc:   # name the lam and N given beside the rate of the mean
+        raise DomainError(f"{exc}, the rate lam/(N+1) of the mean at lam = {lam!r}, "
+                          f"N = {N}") from None
     return _from_nodes(N, kind, c0 / (N + 1.0), *pj)
 
 

@@ -16,13 +16,15 @@ improved for N = 0 where alpha = {1} attains equality (both sides log 2).
 A brute-force boundary oracle (maximum modulus pushes the sup to
 |z| = 1) and the Jensen-mean identity sum log+|alpha_m| =
 int_0^1 log|F(e(x))| dx serve as independent soundness checks.  The
-oracle takes |F| on a dense circle grid by one FFT of the twisted
-coefficients of F, keeps the cells that its rounding bound cannot rule
-out, and zooms on the best of them with 33-point grids.  Every value it
-returns is log|F| in product form, one logarithm per 8 roots
-(_log_abs_on_circle), never from the FFT.  A SupBound gives the bound of
-every lower degree from its power sums (SupBound.at), so one cumulative
-product serves all the degrees of a root set.
+oracle screens a dense circle grid by one FFT of the twisted coefficients
+of F on every 8th cell, keeps the cells that the FFT's rounding bound and
+the sampling bounds of |F|^2, a trigonometric polynomial of degree M,
+between the samples cannot rule out (_grid_cells), and zooms on the best of them
+with 33-point grids.  Every value it returns is log|F| in product form,
+one logarithm per 8 roots (_log_abs_on_circle), never from the FFT, with
+the bits the full grid gives.  The bound of every degree n <= N comes
+from one running sum of the power sums (_bound), so one cumulative
+product serves all the degrees of a root set (SupBound.at).
 """
 
 import math
@@ -66,7 +68,7 @@ class SupBound:
         of disk_sup_bound(alpha, n) but at n = 2 < N (a 2-row cumprod rounds apart)."""
         if not (is_count(n) and 0 <= n <= self.N):
             raise DomainError(f"degree must be an integer in [0, {self.N}], got {n!r}")
-        return float(_bound(self.logplus_sum, self.M, np.array(self.power_sums[:n])))
+        return float(_bound(self.logplus_sum, self.M, np.array(self.power_sums[:n]))[-1])
 
 
 def reflect_roots(alpha):
@@ -83,11 +85,15 @@ def reflect_roots(alpha):
 
 
 def _bound(logplus, M, sums):
-    """The bound's formula of degree N = sums.shape[-1] from the power sums
-    s_1..s_N, elementwise over their rows: the terms s_n/n add up in order."""
+    """The bound of every degree n = 0..N, N = sums.shape[-1], from the power
+    sums s_1..s_N, elementwise over their rows, each with its log+ sum and
+    root count: the terms s_n/n add up in order in one running sum, whose
+    prefix of n terms gives degree n."""
     N = sums.shape[-1]
-    partial = np.add.accumulate(sums / np.arange(1.0, N + 1), axis=-1)[..., -1] if N else 0.0
-    return logplus + M * math.log(2.0) / (N + 1.0) + partial
+    partial = np.add.accumulate(sums / np.arange(1.0, N + 1), axis=-1)
+    partial = np.concatenate([np.zeros(sums.shape[:-1] + (1,)), partial], axis=-1)
+    return (np.asarray(logplus)[..., None]
+            + np.multiply(M, math.log(2.0))[..., None] / np.arange(1.0, N + 2)) + partial
 
 
 def _lockstep(sets, cells):
@@ -112,7 +118,7 @@ def disk_sup_bounds(alphas, N):
         logplus = np.array([np.sum(np.log(m[m > _INTERIOR_GUARD])) for m in mods])
         beta = reflect_roots(a.ravel()).reshape(n, 1, M)
         sums = np.abs(np.sum(np.cumprod(np.broadcast_to(beta, (n, N, M)), axis=1), axis=2))
-        for i, b, lp, s in zip(part, _bound(logplus, M, sums).tolist(), logplus.tolist(),
+        for i, b, lp, s in zip(part, _bound(logplus, M, sums)[:, -1].tolist(), logplus.tolist(),
                                sums.tolist()):
             out[i] = SupBound(M, N, b, lp, tuple(s))
     return out
@@ -128,29 +134,32 @@ def _log_abs_on_circle(xs, alpha, owner=None):
     """sum_m log|e(x) - alpha_m| on the circle, -inf exactly at roots.
 
     alpha is one root set, or an (n, M) group of n sets of M roots with
-    ``owner`` naming the set of each point.  The product form: one
-    logarithm per _GROUP roots, of the product of their factors
-    (e(x) - alpha_m)/s_m with s_m = max(1, |alpha_m|), each of modulus at
-    most 2, plus sum_m log s_m once.  A point's value depends on its own
-    roots alone, not on the other points or sets of the call.
+    ``owner`` naming the set of each row of xs: of each point of a 1-d xs,
+    or of a row of points of a 2-d xs, which broadcast against the roots of
+    their set.  The product form: one logarithm per _GROUP roots, of the
+    product of their factors (e(x) - alpha_m)/s_m with s_m = max(1, |alpha_m|),
+    each of modulus at most 2, plus sum_m log s_m once.  A point's value
+    depends on its own roots alone, not on the other points or sets of the
+    call.
     """
     z = np.exp(2j * np.pi * np.asarray(xs, dtype=float))
+    rowz = z[:, None] if z.ndim == 1 else z
     alpha = np.atleast_2d(alpha)
     scale = np.maximum(1.0, np.abs(alpha))
     M = alpha.shape[1]
     starts = np.arange(0, M, _GROUP)
-    total = np.empty(z.shape)
-    rows = max(1, _BLOCK // M)
+    total = np.empty(rowz.shape)
+    rows = max(1, _BLOCK // (M * rowz.shape[1]))
     with np.errstate(divide="ignore"):
-        for i in range(0, len(z), rows):
+        for i in range(0, len(rowz), rows):
             # one set broadcasts over the block; a group gathers the roots of
-            # each point's own set
+            # each row's own set
             of = slice(None) if owner is None else owner[i:i + rows]
-            factors = (z[i:i + rows, None] - alpha[of]) / scale[of]
-            groups = np.multiply.reduceat(factors, starts, axis=1)
-            total[i:i + rows] = np.log(np.abs(groups)).sum(axis=1)
+            factors = (rowz[i:i + rows, :, None] - alpha[of, None]) / scale[of, None]
+            groups = np.multiply.reduceat(factors, starts, axis=2)
+            total[i:i + rows] = np.log(np.abs(groups)).sum(axis=2)
     logs = np.sum(np.log(scale), axis=1)
-    return total + (logs[0] if owner is None else logs[owner])
+    return (total + (logs[0] if owner is None else logs[owner, None])).reshape(z.shape)
 
 
 def _poly(alpha):
@@ -179,28 +188,56 @@ def _grid_cells(alpha, samples):
     set of the (n, M) roots alpha: an (n, samples) mask.
 
     With c = np.poly(alpha) (_poly), F at (k + 1/2)/S is the DFT of the
-    twisted coefficients c_{M-n} e(n/(2S)), one FFT of a group's n rows
-    for all S = ``samples`` cells.  Rounding c costs up to about
-    M eps prod(1 + |alpha_m|) in |F|, not eps sum|c_j|, and the twist and
-    the FFT add up to about log2(S) eps times the same, so each FFT
-    modulus is within E = 4 eps (M + log2 S) prod(1 + |alpha_m|) of the
-    true one.  The cell of the largest true |F| is then within 2E of the
-    largest FFT modulus, and every cell further below is dropped.  Where
-    E is not finite or M >= S (the DFT would fold), or where 2E reaches
-    the peak, every cell of the set is kept.
+    twisted coefficients c_{M-n} e(n/(2S)).  One FFT of a group's n rows
+    takes F at K = S/r of the S = ``samples`` cells, every r-th one, r the
+    largest of 8, 4 and 2 that divides S with K > 2M.  Rounding c costs up
+    to about M eps prod(1 + |alpha_m|) in |F|, not eps sum|c_j|, and the
+    twist and the FFT add up to about log2(K) eps times the same, so each
+    FFT modulus m_j is within E = 4 eps (M + log2 K) prod(1 + |alpha_m|) of
+    the true |F|.  The largest |F| of the grid is at least that of the best
+    sample, at least P - E for P = max_j m_j; a cell is kept if its |F| can
+    reach P - 2E, which also spares the product form's own rounding.
+
+    Between the samples, T = |F|^2 is a real trigonometric polynomial of
+    degree M in theta = 2 pi x, at most T_j = (m_j + E)^2 at sample j.
+    Where T takes its norm, T(theta* + t) >= ||T|| cos(M t) for |M t| <= pi
+    (van der Corput-Schaake), and some sample lies within pi/K of theta*,
+    so ||T|| <= max_j T_j / cos(pi M/K) as K > 2M.  By Bernstein's
+    inequality |T''| <= M^2 ||T||, so on the interval of samples j and
+    j + 1, of length h = 2 pi/K, T is at most its chord plus M^2 ||T|| h^2/8,
+    at most max(T_j, T_{j+1}) + M^2 ||T|| h^2/8.  Every cell of an interval
+    whose bound reaches (P - 2E)^2, its two samples included, is kept, so
+    the cell of the largest |F| is kept.
+
+    Where no r gives K > 2M the FFT takes all S cells (K = S) and keeps
+    those with m_j >= P - 2E.  Where E is not finite or M >= S (the DFT
+    would fold), or where 2E reaches P, every cell of the set is kept.
     """
     n, M = alpha.shape
     keep = np.ones((n, samples), bool)
     if M >= samples:
         return keep
-    with np.errstate(over="ignore", invalid="ignore"):
-        err = 4.0 * quadrature._EPS * (M + math.log2(samples)) * np.prod(
+    step = next((r for r in (8, 4, 2) if samples % r == 0 and samples // r > 2 * M), 1)
+    K = samples // step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        err = 4.0 * quadrature._EPS * (M + math.log2(K)) * np.prod(
             1.0 + np.abs(alpha), axis=1)
         twisted = _poly(alpha)[:, ::-1] * np.exp(1j * np.pi * np.arange(M + 1) / samples)
-        mods = np.abs(np.fft.fft(np.conj(twisted), samples))
+        mods = np.abs(np.fft.fft(np.conj(twisted), K))
         peak = np.max(mods, axis=1)
         sure = np.isfinite(err) & np.isfinite(peak) & (2.0 * err < peak)
-    keep[sure] = mods[sure] >= (peak - 2.0 * err)[sure, None]
+        floor = (peak - 2.0 * err)[:, None]
+        if step == 1:
+            cells = mods >= floor
+        else:
+            # the bounds on T over (P - 2E)^2, sample by sample and interval by interval
+            top = ((mods + err[:, None]) / floor) ** 2
+            norm = np.max(top, axis=1, keepdims=True) / math.cos(math.pi * M / K)
+            live = (np.maximum(top, np.roll(top, -1, axis=1))
+                    + norm * (math.pi * M / K) ** 2 / 2.0 >= 1.0)
+            cells = np.repeat(live, step, axis=1)
+            cells[:, ::step] |= np.roll(live, 1, axis=1)
+    keep[sure] = cells[sure]
     return keep
 
 
@@ -210,7 +247,8 @@ def sup_log_oracles(alphas, samples=65536):
     The sets of one root count M go together, at most 2^20 // samples sets
     at a time: one _poly recurrence and one FFT choose their cells, one
     product-form call takes every kept cell, and each zoom step is one
-    product-form call over all their brackets.  A set's value has the bits
+    product-form call over all their brackets, a row of 33 points a set
+    that broadcasts against its roots.  A set's value has the bits
     it has alone, whatever the other sets of the call.
     """
     sets = [_as_roots(a) for a in alphas]
@@ -237,7 +275,7 @@ def _zoom(alpha, samples):
     live = np.flatnonzero(hi - lo > 1e-13)
     while len(live):
         xs = lo[live, None] + (hi - lo)[live, None] * steps
-        vals = _log_abs_on_circle(xs.ravel(), alpha, np.repeat(live, _ZOOM)).reshape(xs.shape)
+        vals = _log_abs_on_circle(xs, alpha, live)
         j = np.argmax(vals, axis=1)
         rows = np.arange(len(live))
         sup[live] = np.maximum(sup[live], vals[rows, j])
@@ -250,8 +288,9 @@ def _zoom(alpha, samples):
 def sup_log_oracle(alpha, samples=65536):
     """Lower estimate of sup_{|z|<=1} log|F(z)| from the boundary circle.
 
-    The offset grid of ``samples`` points (k + 1/2)/samples: one FFT keeps
-    the cells that can hold the grid's largest |F| (_grid_cells), and the
+    The offset grid of ``samples`` points (k + 1/2)/samples: one FFT on
+    every 8th point keeps the cells that can hold the grid's largest |F|
+    (_grid_cells), and the
     product form takes log|F| on those, so a root exactly on a grid point
     only costs that one -inf sample.  Then a zoom on the best cell
     [best - 1, best + 2]/samples: each step evaluates 33 equally spaced

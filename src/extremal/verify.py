@@ -26,14 +26,20 @@ off the N = 2000 rows of sharpness_table, which run_suite also reports.
 The criteria are independent: each draws from its own RNG seeded afresh,
 and only criterion 8 reads the one shared input, the sharpness table, which
 run_suite builds first.  So run_suite runs a suite's criteria in up to one
-forked worker per usable CPU, longest first (LONGEST_FIRST), and puts the
-rows back in suite order: the report is the one that running the criteria
-in order gives, byte for byte.  With one usable CPU or one criterion it
-runs them in order in the calling process.
+forked worker per usable CPU and puts the rows back in suite order: the
+report is the one that running the criteria in order gives, byte for byte.
+The workers are bare os.fork children, with no process pool: the parent
+writes the criteria's indices, longest first (LONGEST_FIRST), as one-byte
+tokens into one task pipe, each worker takes the next token when it is
+free, pickles its rows (or the exception of a failing criterion) down its
+own pipe and leaves by os._exit, and the parent reaps every worker on
+every path.  With one usable CPU or one criterion it runs them in order in
+the calling process.
 """
 
 import math
 import os
+import pickle
 
 import numpy as np
 
@@ -334,9 +340,13 @@ def check_polybound(rng):
     for _ in range(200):
         M = int(rng.integers(1, 33))
         sets.append(rng.uniform(-2, 2, M) + 1j * rng.uniform(-2, 2, M))
-    sups = polybound.sup_log_oracles(sets, 8192).tolist()
-    worst = min(sb.at(N) - sup for sb, sup in zip(polybound.disk_sup_bounds(sets, 64), sups)
-                for N in (0, 1, 4, 16, 64))
+    sups = polybound.sup_log_oracles(sets, 8192)
+    bounds = polybound.disk_sup_bounds(sets, 64)
+    # the bounds of degrees 0, 1, 4, 16 and 64 of each set, from its one running sum
+    degrees = polybound._bound(np.array([sb.logplus_sum for sb in bounds]),
+                               np.array([sb.M for sb in bounds]),
+                               np.array([sb.power_sums for sb in bounds]))
+    worst = np.min(degrees[:, [0, 1, 4, 16, 64]] - sups[:, None])
     out.append(_check("et-soundness", worst >= -1e-9, worst,
                       "bound >= sup oracle, 200 random root sets", 1e-9))
     rep = polybound.bound_report([1.0], 0)
@@ -412,10 +422,10 @@ def check_dict(c):
 
 # the criteria from longest to shortest, by their warm in-process median
 # times at seed 7 on a 2-vCPU Linux VM (Python 3.11, numpy 2.4), in ms:
-# 10 ~78-98, 4 ~44-52, 5 ~41-47, 8 ~29-31, 1 ~19-30, 6 ~18-20, 3 ~16-20,
-# 7 ~9-11, 2 ~7-11, 9 ~1.  A pool fed in suite order starts criterion 10
+# 10 ~65-69, 5 ~46-49, 4 ~46-47, 8 ~31-37, 1 ~21-22, 6 ~20-22, 3 ~17-18,
+# 7 ~9-13, 2 ~7-8, 9 ~1.  A pool fed in suite order starts criterion 10
 # last and then waits on it alone.
-LONGEST_FIRST = ("10-et-bounds", "4-log-majorant", "5-superposition-routes",
+LONGEST_FIRST = ("10-et-bounds", "5-superposition-routes", "4-log-majorant",
                  "8-form-bounds", "1-kernel-sandwich", "6-periodic-sandwich",
                  "3-transforms", "7-log-sin-suite", "2-defect-integrals",
                  "9-hls-constants")
@@ -428,28 +438,81 @@ def _group(crit, seed, table):
             {"criterion": crit, "passed": all(c.passed for c in rows)})
 
 
+def _work(tasks, out, names, seed, table):
+    """A forked worker: _group of each criterion whose index it reads from
+    the task pipe, a byte a token, until the pipe is empty or a criterion
+    raises; then a dict of index to rows, or to that exception, pickled
+    down its own pipe.  It leaves by os._exit, so none of the parent's
+    handlers or buffers runs twice."""
+    code = 1
+    try:
+        done = {}
+        while token := os.read(tasks, 1):
+            try:
+                done[token[0]] = _group(names[token[0]], seed, table)
+            except Exception as exc:
+                done[token[0]] = exc
+                break
+        blob = memoryview(pickle.dumps(done))
+        while blob:
+            blob = blob[os.write(out, blob):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def _groups(names, seed, table):
     """_group of each criterion in names, in that order.  With two or more
     usable CPUs and criteria, they run in up to one forked worker per CPU,
-    longest first; a worker's exception reaches the caller with its class,
-    and a worker that dies raises BrokenProcessPool."""
+    which take the criteria longest first from one task pipe, and the
+    parent reaps every worker on every path.  The exception of the first
+    failing criterion reaches the caller with its class, and a worker that
+    dies raises BrokenProcessPool."""
     # no sched_getaffinity on macOS and Windows, where fork is unsafe or absent
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(names), cpus)
     if workers < 2:
         return [_group(crit, seed, table) for crit in names]
-    # imported here only: cli imports this module at start-up.  Forked, not
-    # spawned: a spawned worker imports numpy and the library afresh, which
-    # took 0.4 s for two workers, as long as the whole suite in order
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    # Forked, not spawned: a spawned worker imports numpy and the library
+    # afresh, which took 0.4 s for two workers, as long as the whole suite.
+    # The tokens are in the pipe and its write end closed before the first
+    # fork, so a worker that finds it empty is done.
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(sorted(range(len(names)), key=lambda i: LONGEST_FIRST.index(names[i]))))
+    os.close(feed)
+    pids, pipes = [], []
     try:
-        pending = {crit: pool.submit(_group, crit, seed, table)
-                   for crit in sorted(names, key=LONGEST_FIRST.index)}
-        return [pending[crit].result() for crit in names]
+        for _ in range(workers):
+            r, w = os.pipe()
+            pipes.append(r)
+            try:
+                if (pid := os.fork()) == 0:
+                    _work(tasks, w, names, seed, table)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        blobs = [b"".join(iter(lambda: os.read(r, 1 << 16), b"")) for r in pipes]
+    except BaseException:
+        import signal
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for fd in [tasks] + pipes:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes) or not all(blobs):
+        # imported here only: a run whose workers all finish loads no concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+        raise BrokenProcessPool(f"a verify worker died: exit codes {codes}")
+    done = {}
+    for blob in blobs:
+        done.update(pickle.loads(blob))
+    parts = [done[i] for i in range(len(names))]
+    for part in parts:
+        if isinstance(part, Exception):
+            raise part
+    return parts
 
 
 def run_suite(suite, seed=7, command=None):

@@ -116,6 +116,19 @@ def test_periodized_kernel_past_the_floats_is_a_domain_error(argv, rate, capsys)
     assert err == f"error: p leaves the floats at lam = {rate}\n"
 
 
+def test_the_mean_past_the_floats_names_the_lambda_given(capsys):
+    """coeffs --kind m at lam = 1e-307, N = 400: p and j stay finite, but
+    the rate lam/(N+1) of the mean leaves the floats; the one error line
+    names that rate beside the lam and N given."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["coeffs", "--kind", "m", "--lambda", "1e-307", "--N", "400"], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: defect_majorant leaves the floats at lam = 2.4937655860349e-310, "
+                   "the rate lam/(N+1) of the mean at lam = 1e-307, N = 400\n")
+
+
 def test_eval_transform_vanishes_beyond_band(capsys):
     code, out, _ = run_cli(
         ["eval", "--kind", "Lhat", "--lambda", "1.0", "--grid", "1.25:3:8"],

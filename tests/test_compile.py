@@ -40,9 +40,9 @@ transform (``transform-support``'s), that ``superposed`` takes f and its
 derivatives from the measure's ``_derivs`` ladder and never calls
 ``f_prime`` or ``f_derivs``, that ``polybound`` writes its log+ sum
 and the formula of its bound once (criterion 10 reads the lower degrees
-off one ``disk_sup_bound`` call per root set) and builds the coefficients
-of F (``np.poly`` or ``_poly``) and calls the FFT only to choose the grid
-cells, that one function cuts the popped
+of every root set off one ``_bound`` call over the power sums of one
+``disk_sup_bounds`` call) and builds the coefficients of F (``np.poly`` or
+``_poly``) and calls the FFT, once, only to choose the grid cells, that one function cuts the popped
 panels of the heap, that ``cli.cmd_eval`` writes its CSV and JSON rows from one column
 table without a per-index loop, that the means of g_mu and h_mu are the
 sharp constants A and B, one read of the measure's ``defect_moment`` (so
@@ -528,8 +528,8 @@ def test_one_log_plus_sum():
 def test_one_bound_formula():
     # _bound alone writes the bound, which the batch and SupBound.at read;
     # the single calls are batches of one; criterion 10 takes every root set
-    # in one disk_sup_bounds call, reads the lower degrees off each with
-    # SupBound.at, and takes its Jensen gaps in one jensen_gaps call
+    # in one disk_sup_bounds call, reads the lower degrees of every set off
+    # one _bound call, and takes its Jensen gaps in one jensen_gaps call
     tree = ast.parse((SRC / "polybound.py").read_text())
     assert _functions_reading(tree, "_bound") == ["at", "disk_sup_bounds"]
     assert "disk_sup_bounds" in _calls(_function("disk_sup_bound", tree))
@@ -538,10 +538,14 @@ def test_one_bound_formula():
     assert calls.count("polybound.disk_sup_bounds") == 1
     assert calls.count("polybound.jensen_gaps") == 1
     assert not {"polybound.disk_sup_bound", "polybound.jensen_gap"} & set(calls)
-    # the coefficients and the FFT only choose cells; every value comes
+    # and reads the degrees it checks off one _bound call, no SupBound.at
+    assert calls.count("polybound._bound") == 1
+    assert not [call for call in calls if call.endswith(".at")]
+    # the coefficients and the one FFT only choose cells; every value comes
     # from the product form
     assert [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
             and {"np.poly", "_poly", "np.fft.fft"} & set(_calls(fn))] == ["_grid_cells"]
+    assert _calls(_function("_grid_cells", tree)).count("np.fft.fft") == 1
 
 
 def test_one_rule_cuts_the_popped_panels():

@@ -1,6 +1,7 @@
 """Power-sum sup-norm bounds for monic polynomials on the unit disk."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -202,13 +203,14 @@ def test_oracle_with_roots_on_the_circle_and_the_grid(on_circle, on_grid, free):
 
 @pytest.mark.parametrize("samples", [8192, 65536])
 def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
-    """One FFT of the whole grid, then nine product-form calls: the cells
-    it keeps (here the one best cell), and 8 zoom steps of 33 points."""
-    sizes, ffts = [], []
+    """One FFT of every 8th cell, then nine product-form calls: the cells
+    the screen keeps (one to eight intervals of 8 cells with their ends),
+    and 8 zoom steps of 33 points."""
+    shapes, ffts = [], []
     evaluate, fft = polybound._log_abs_on_circle, np.fft.fft
 
     def counted(xs, a, owner=None):
-        sizes.append(len(xs))
+        shapes.append(np.shape(xs))
         return evaluate(xs, a, owner)
 
     def counted_fft(c, n):
@@ -219,27 +221,29 @@ def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
     monkeypatch.setattr(np.fft, "fft", counted_fft)
     rng = np.random.default_rng(5)
     for m in (1, 7, 40):
-        sizes.clear()
-        ffts.clear()
         a = rng.normal(size=m) + 1j * rng.normal(size=m)
+        kept = int(np.count_nonzero(polybound._grid_cells(a[None], samples)))
+        shapes.clear()
+        ffts.clear()
         polybound.sup_log_oracle(a, samples)
-        assert ffts == [samples]
-        assert sizes == [1] + [33] * 8
+        assert ffts == [samples // 8]
+        assert shapes == [(kept,)] + [(1, 33)] * 8
+        assert 9 <= kept <= 65
 
 
 def test_oracle_takes_each_root_count_in_lockstep(monkeypatch):
-    """Five sets of two root counts: one FFT per count, of all its sets, and
-    nine product-form calls per count: the kept cells of all its sets, then
-    8 zoom steps of 33 points for each set."""
-    sizes, ffts = [], []
+    """Five sets of two root counts: one FFT per count, of all its sets on
+    every 8th cell, and nine product-form calls per count: the kept cells of
+    all its sets, then 8 zoom steps of 33 points, a row for each set."""
+    shapes, ffts = [], []
     evaluate, fft = polybound._log_abs_on_circle, np.fft.fft
 
     def counted(xs, a, owner=None):
-        sizes.append(len(xs))
+        shapes.append(np.shape(xs))
         return evaluate(xs, a, owner)
 
     def counted_fft(c, n):
-        ffts.append(np.shape(c))
+        ffts.append((np.shape(c), n))
         return fft(c, n)
 
     monkeypatch.setattr(polybound, "_log_abs_on_circle", counted)
@@ -247,9 +251,10 @@ def test_oracle_takes_each_root_count_in_lockstep(monkeypatch):
     rng = np.random.default_rng(6)
     sets = [rng.normal(size=m) + 1j * rng.normal(size=m) for m in (9, 4, 9, 4, 4)]
     polybound.sup_log_oracles(sets, 8192)
-    assert ffts == [(3, 5), (2, 10)]
-    assert len(sizes) == 18 and sizes[0] >= 3 and sizes[9] >= 2
-    assert sizes[1:9] == [99] * 8 and sizes[10:] == [66] * 8
+    assert ffts == [((3, 5), 1024), ((2, 10), 1024)]
+    assert len(shapes) == 18 and len(shapes[0]) == len(shapes[9]) == 1
+    assert 3 * 9 <= shapes[0][0] <= 3 * 65 and 2 * 9 <= shapes[9][0] <= 2 * 65
+    assert shapes[1:9] == [(3, 33)] * 8 and shapes[10:] == [(2, 33)] * 8
 
 
 def _root_sets(samples):
@@ -298,6 +303,47 @@ def test_a_set_has_its_oracle_bits_in_any_batch(drawn):
             assert not np.all(np.isfinite(c))
         if len(a) >= 48 or np.max(np.abs(a)) > 1e199:
             assert polybound._grid_cells(a[None], samples).all()
+
+
+def _screened_sets(samples):
+    """Root sets the coarse screen sees: 1-64 complex roots, real roots,
+    sets closed under conjugation, 1-64 roots on the unit circle, a root on
+    a grid point among free roots, and the sets of _root_sets (roots near
+    1e200, where E is not finite and every cell is kept, and the flat
+    circle)."""
+    coord = st.floats(-2.0, 2.0)
+    free = st.lists(st.tuples(coord, coord), min_size=1, max_size=64).map(
+        lambda rs: np.array([complex(x, y) for x, y in rs]))
+    real = st.lists(coord, min_size=1, max_size=64).map(
+        lambda rs: np.array(rs, dtype=complex))
+    closed = st.lists(st.tuples(coord, coord), min_size=1, max_size=32).map(
+        lambda rs: np.array([complex(x, s * y) for x, y in rs for s in (1, -1)]))
+    circle = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64).map(_circle)
+    on_grid = st.tuples(st.integers(0, samples - 1),
+                        st.lists(st.tuples(coord, coord), max_size=32)).map(
+        lambda p: np.concatenate([_circle([(p[0] + 0.5) / samples]),
+                                  [complex(x, y) for x, y in p[1]]]))
+    return st.one_of(free, real, closed, circle, on_grid, _root_sets(samples))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1024, 8192, 65536]).flatmap(
+    lambda s: st.tuples(st.just(s), st.lists(_screened_sets(s), min_size=1, max_size=3))))
+def test_the_screen_keeps_the_oracle_bits(drawn):
+    """The coarse screen of _grid_cells keeps the first argmax of the
+    product form over the whole grid, and the oracle has the bits it has
+    with every cell kept, the trivially safe superset."""
+    samples, sets = drawn
+    screened = polybound.sup_log_oracles(sets, samples)
+    with mock.patch.object(polybound, "_grid_cells",
+                           lambda alpha, samples: np.ones((len(alpha), samples), bool)):
+        every = polybound.sup_log_oracles(sets, samples)
+    assert screened.view(np.uint64).tolist() == every.view(np.uint64).tolist()
+    grid = (np.arange(samples) + 0.5) / samples
+    for a in sets:
+        best = int(np.argmax(polybound._log_abs_on_circle(grid, a)))
+        with np.errstate(over="ignore", invalid="ignore"):   # roots near 1e200
+            assert polybound._grid_cells(a[None], samples)[0, best]
 
 
 def _log_sum(xs, a):

@@ -8,8 +8,10 @@ exercise the pool (two CPUs) and the plain loop (one) on any Linux host.
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -113,3 +115,86 @@ def test_the_cli_starts_without_multiprocessing():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))))
     assert proc.stdout == "[]\n"
+
+
+def _reaped():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raises(exc):
+    def criterion(rng):
+        raise exc
+    return criterion
+
+
+@pytest.mark.parametrize("criterion, expected", [
+    (None, None),
+    (_raises(DomainError("out of domain")), DomainError),
+    (_raises(ConvergenceError("budget spent", estimate=1.5)), ConvergenceError),
+    (lambda rng: os._exit(1), BrokenProcessPool),
+], ids=["clean", "domain", "convergence", "exit"])
+def test_every_worker_is_reaped(criterion, expected, monkeypatch):
+    _cpus(monkeypatch, 2)
+    if criterion is not None:
+        monkeypatch.setattr(verify, "CRITERIA", tuple(
+            (name, criterion if name == "7-log-sin-suite" else fn) for name, fn in verify.CRITERIA))
+    if expected is None:
+        assert verify.run_suite("periodic")["results"]["passed"]
+    else:
+        with pytest.raises(expected):
+            verify.run_suite("periodic")
+    _reaped()
+
+
+class _Alarm(Exception):
+    pass
+
+
+def test_an_exception_in_the_waiting_parent_stops_and_reaps_every_worker(monkeypatch):
+    # both criteria sleep in their workers; an alarm raises in the parent
+    # while it waits on their pipes, and neither worker is waited for
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(verify, "CRITERIA", tuple(
+        (name, (lambda rng: time.sleep(60)) if name in verify.SUITES["periodic"] else fn)
+        for name, fn in verify.CRITERIA))
+
+    def alarm(signum, frame):
+        raise _Alarm()
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        start = time.monotonic()
+        with pytest.raises(_Alarm):
+            verify.run_suite("periodic")
+        assert time.monotonic() - start < 30
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    _reaped()
+
+
+_POOLED_RUN = """
+import os, sys
+from extremal import verify
+forks, fork = [], os.fork
+def counted():
+    forks.append(1)
+    return fork()
+os.fork = counted
+os.sched_getaffinity = lambda pid: {0, 1}
+verify.run_suite("periodic")
+print(len(forks), sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+
+
+def test_a_pooled_run_loads_neither_multiprocessing_nor_concurrent():
+    # two bare forked workers, and no pool module in the parent
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOLED_RUN], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))))
+    assert proc.stdout == "2 []\n"
