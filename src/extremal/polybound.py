@@ -209,14 +209,13 @@ def _grid_cells(alpha, samples):
     whose bound reaches (P - 2E)^2, its two samples included, is kept, so
     the cell of the largest |F| is kept.
 
-    Where no r gives K > 2M the FFT takes all S cells (K = S) and keeps
+    Where no such r exists the FFT takes all S cells (K = S) and keeps
     those with m_j >= P - 2E.  Where E is not finite or M >= S (the DFT
     would fold), or where 2E reaches P, every cell of the set is kept.
     """
     n, M = alpha.shape
-    keep = np.ones((n, samples), bool)
     if M >= samples:
-        return keep
+        return np.ones((n, samples), bool)
     step = next((r for r in (8, 4, 2) if samples % r == 0 and samples // r > 2 * M), 1)
     K = samples // step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -237,8 +236,8 @@ def _grid_cells(alpha, samples):
                     + norm * (math.pi * M / K) ** 2 / 2.0 >= 1.0)
             cells = np.repeat(live, step, axis=1)
             cells[:, ::step] |= np.roll(live, 1, axis=1)
-    keep[sure] = cells[sure]
-    return keep
+    cells[~sure] = True
+    return cells
 
 
 def sup_log_oracles(alphas, samples=65536):
