@@ -96,14 +96,21 @@ def _bound(logplus, M, sums):
             + np.multiply(M, math.log(2.0))[..., None] / np.arange(1.0, N + 2)) + partial
 
 
-def _lockstep(sets, cells):
-    """(indices, (n, M) roots) of the checked root sets that go in lockstep:
-    those of one root count M, at most 2^20 // cells(M) at a time."""
+def _lockstep(sets, cells, width=lambda M: M):
+    """(indices, (n, M) roots, (n,) root counts) of the checked root sets
+    that go in lockstep: those whose root counts have one width (the count
+    itself by default), each padded with zero roots to the largest count M
+    among them, at most 2^20 // cells(M) at a time."""
     counts = np.array([len(a) for a in sets], int)
-    for M in sorted(set(counts.tolist())):
-        of = np.flatnonzero(counts == M)
+    widths = np.array([width(M) for M in counts.tolist()], int)
+    for w in sorted(set(widths.tolist())):
+        of = np.flatnonzero(widths == w)
+        M = int(counts[of].max())
         for part in np.array_split(of, -(-len(of) // max(1, 2 ** 20 // max(1, cells(M))))):
-            yield part, np.array([sets[i] for i in part])
+            alpha = np.zeros((len(part), int(counts[part].max())), complex)
+            for row, i in enumerate(part.tolist()):
+                alpha[row, :counts[i]] = sets[i]
+            yield part, alpha, counts[part]
 
 
 def disk_sup_bounds(alphas, N):
@@ -113,7 +120,7 @@ def disk_sup_bounds(alphas, N):
     sets = [_as_roots(a) for a in alphas]
     N = check_count(N, "N")
     out = [None] * len(sets)
-    for part, a in _lockstep(sets, lambda M: N * M):
+    for part, a, _ in _lockstep(sets, lambda M: N * M):
         (n, M), mods = a.shape, np.abs(a)
         logplus = np.array([np.sum(np.log(m[m > _INTERIOR_GUARD])) for m in mods])
         beta = reflect_roots(a.ravel()).reshape(n, 1, M)
@@ -130,23 +137,27 @@ def disk_sup_bound(alpha, N):
     return disk_sup_bounds([alpha], N)[0]
 
 
-def _log_abs_on_circle(xs, alpha, owner=None):
+def _log_abs_on_circle(xs, alpha, owner=None, counts=None):
     """sum_m log|e(x) - alpha_m| on the circle, -inf exactly at roots.
 
-    alpha is one root set, or an (n, M) group of n sets of M roots with
-    ``owner`` naming the set of each row of xs: of each point of a 1-d xs,
-    or of a row of points of a 2-d xs, which broadcast against the roots of
-    their set.  The product form: one logarithm per _GROUP roots, of the
-    product of their factors (e(x) - alpha_m)/s_m with s_m = max(1, |alpha_m|),
-    each of modulus at most 2, plus sum_m log s_m once.  A point's value
-    depends on its own roots alone, not on the other points or sets of the
-    call.
+    alpha is one root set, or an (n, M) group of n sets with ``owner``
+    naming the set of each row of xs: of each point of a 1-d xs, or of a
+    row of points of a 2-d xs, which broadcast against the roots of their
+    set.  The product form: one logarithm per _GROUP roots, of the product
+    of their factors (e(x) - alpha_m)/s_m with s_m = max(1, |alpha_m|),
+    each of modulus at most 2, plus sum_m log s_m once.  A group's rows may
+    be padded past a set's own root count, given by ``counts``, as long as
+    the padding adds no group of _GROUP roots: a padded factor is exactly
+    1, which leaves each product, and sum_m log s_m is taken over the set's
+    own roots.  So a point's value has the bits of its own roots alone,
+    whatever the other points or sets of the call.
     """
     z = np.exp(2j * np.pi * np.asarray(xs, dtype=float))
     rowz = z[:, None] if z.ndim == 1 else z
     alpha = np.atleast_2d(alpha)
     scale = np.maximum(1.0, np.abs(alpha))
     M = alpha.shape[1]
+    pad = None if counts is None else np.arange(M) >= counts[:, None]
     starts = np.arange(0, M, _GROUP)
     total = np.empty(rowz.shape)
     rows = max(1, _BLOCK // (M * rowz.shape[1]))
@@ -156,9 +167,16 @@ def _log_abs_on_circle(xs, alpha, owner=None):
             # each row's own set
             of = slice(None) if owner is None else owner[i:i + rows]
             factors = (rowz[i:i + rows, :, None] - alpha[of, None]) / scale[of, None]
+            if pad is not None:
+                np.copyto(factors, 1.0, where=pad[of, None])
             groups = np.multiply.reduceat(factors, starts, axis=2)
             total[i:i + rows] = np.log(np.abs(groups)).sum(axis=2)
-    logs = np.sum(np.log(scale), axis=1)
+    if counts is None:
+        logs = np.sum(np.log(scale), axis=1)
+    else:
+        logs = np.empty(len(alpha))
+        for m in set(counts.tolist()):
+            logs[counts == m] = np.sum(np.log(scale[counts == m, :m]), axis=1)
     return (total + (logs[0] if owner is None else logs[owner, None])).reshape(z.shape)
 
 
@@ -243,8 +261,11 @@ def _grid_cells(alpha, samples):
 def sup_log_oracles(alphas, samples=65536):
     """sup_log_oracle of each root set in ``alphas``, as an array.
 
-    The sets of one root count M go together, at most 2^20 // samples sets
-    at a time: one _poly recurrence and one FFT choose their cells, one
+    The sets whose root counts take one number of product-form groups go
+    together, at most 2^20 // samples sets at a time, padded with zero roots
+    to the largest count M among them (their polynomials gain a factor
+    z^k, of modulus 1 on the circle, and the product form takes each set's
+    own roots): one _poly recurrence and one FFT choose their cells, one
     product-form call takes every kept cell, and each zoom step is one
     product-form call over all their brackets, a row of 33 points a set
     that broadcasts against its roots.  A set's value has the bits
@@ -254,16 +275,17 @@ def sup_log_oracles(alphas, samples=65536):
     if not (is_count(samples) and samples >= 1024):
         raise DomainError(f"need an integer >= 1024 boundary samples, got {samples!r}")
     sup = np.empty(len(sets))
-    for part, alpha in _lockstep(sets, lambda M: samples):
-        sup[part] = _zoom(alpha, samples)
+    for part, alpha, counts in _lockstep(sets, lambda M: samples, lambda M: -(-M // _GROUP)):
+        sup[part] = _zoom(alpha, counts, samples)
     return sup
 
 
-def _zoom(alpha, samples):
-    """The oracle of each set of the (n, M) roots alpha, in lockstep."""
+def _zoom(alpha, counts, samples):
+    """The oracle of each set of the (n, M) roots alpha, with its own root
+    count in counts, in lockstep."""
     n = len(alpha)
     owner, cells = np.nonzero(_grid_cells(alpha, samples))
-    vals = _log_abs_on_circle((cells + 0.5) / samples, alpha, owner)
+    vals = _log_abs_on_circle((cells + 0.5) / samples, alpha, owner, counts)
     # each set's first best cell, as np.argmax finds it: a stable sort by
     # set, then by value from the top (finite, or -inf exactly at a root)
     at = np.lexsort((-vals, owner))[np.searchsorted(owner, np.arange(n))]
@@ -274,7 +296,7 @@ def _zoom(alpha, samples):
     live = np.flatnonzero(hi - lo > 1e-13)
     while len(live):
         xs = lo[live, None] + (hi - lo)[live, None] * steps
-        vals = _log_abs_on_circle(xs, alpha, live)
+        vals = _log_abs_on_circle(xs, alpha, live, counts)
         j = np.argmax(vals, axis=1)
         rows = np.arange(len(live))
         sup[live] = np.maximum(sup[live], vals[rows, j])

@@ -422,10 +422,10 @@ def check_dict(c):
 
 # the criteria from longest to shortest, by their warm in-process median
 # times at seed 7 on a 2-vCPU Linux VM (Python 3.11, numpy 2.4), in ms:
-# 10 ~65-69, 5 ~46-49, 4 ~46-47, 8 ~31-37, 1 ~21-22, 6 ~20-22, 3 ~17-18,
-# 7 ~9-13, 2 ~7-8, 9 ~1.  A pool fed in suite order starts criterion 10
-# last and then waits on it alone.
-LONGEST_FIRST = ("10-et-bounds", "5-superposition-routes", "4-log-majorant",
+# 10 ~34, 4 ~31, 5 ~30, 8 ~21, 1 ~15, 6 ~13, 3 ~12, 7 ~6, 2 ~5, 9 ~1 on a
+# quiet host, up to about 1.6 times that on a loaded one.  A pool fed in
+# suite order starts criterion 10 last and then waits on it alone.
+LONGEST_FIRST = ("10-et-bounds", "4-log-majorant", "5-superposition-routes",
                  "8-form-bounds", "1-kernel-sandwich", "6-periodic-sandwich",
                  "3-transforms", "7-log-sin-suite", "2-defect-integrals",
                  "9-hls-constants")

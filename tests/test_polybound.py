@@ -209,9 +209,9 @@ def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
     shapes, ffts = [], []
     evaluate, fft = polybound._log_abs_on_circle, np.fft.fft
 
-    def counted(xs, a, owner=None):
+    def counted(xs, a, owner=None, counts=None):
         shapes.append(np.shape(xs))
-        return evaluate(xs, a, owner)
+        return evaluate(xs, a, owner, counts)
 
     def counted_fft(c, n):
         ffts.append(n)
@@ -232,15 +232,17 @@ def test_oracle_evaluates_the_circle_nine_times(samples, monkeypatch):
 
 
 def test_oracle_takes_each_root_count_in_lockstep(monkeypatch):
-    """Five sets of two root counts: one FFT per count, of all its sets on
-    every 8th cell, and nine product-form calls per count: the kept cells of
-    all its sets, then 8 zoom steps of 33 points, a row for each set."""
+    """Five sets of four root counts that take one or two product-form
+    groups: one FFT per number of groups, of all its sets padded to its
+    largest count, on every 8th cell, and nine product-form calls per
+    number: the kept cells of all its sets, then 8 zoom steps of 33 points,
+    a row for each set."""
     shapes, ffts = [], []
     evaluate, fft = polybound._log_abs_on_circle, np.fft.fft
 
-    def counted(xs, a, owner=None):
+    def counted(xs, a, owner=None, counts=None):
         shapes.append(np.shape(xs))
-        return evaluate(xs, a, owner)
+        return evaluate(xs, a, owner, counts)
 
     def counted_fft(c, n):
         ffts.append((np.shape(c), n))
@@ -249,9 +251,9 @@ def test_oracle_takes_each_root_count_in_lockstep(monkeypatch):
     monkeypatch.setattr(polybound, "_log_abs_on_circle", counted)
     monkeypatch.setattr(np.fft, "fft", counted_fft)
     rng = np.random.default_rng(6)
-    sets = [rng.normal(size=m) + 1j * rng.normal(size=m) for m in (9, 4, 9, 4, 4)]
+    sets = [rng.normal(size=m) + 1j * rng.normal(size=m) for m in (9, 4, 12, 3, 4)]
     polybound.sup_log_oracles(sets, 8192)
-    assert ffts == [((3, 5), 1024), ((2, 10), 1024)]
+    assert ffts == [((3, 5), 1024), ((2, 13), 1024)]
     assert len(shapes) == 18 and len(shapes[0]) == len(shapes[9]) == 1
     assert 3 * 9 <= shapes[0][0] <= 3 * 65 and 2 * 9 <= shapes[9][0] <= 2 * 65
     assert shapes[1:9] == [(3, 33)] * 8 and shapes[10:] == [(2, 33)] * 8
