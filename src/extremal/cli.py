@@ -155,19 +155,6 @@ def _check_flags(args):
 # -- eval ------------------------------------------------------------------
 
 
-def _split_divergent(fn, xs, at):
-    """fn on the grid xs.  The points in the mask at, where fn may diverge,
-    take the scalar fn(0.0) with the PLUS_INF sentinel as math.inf; the rest
-    are one array call."""
-    out = np.empty(xs.size)
-    if np.any(at):
-        v = fn(0.0)
-        out[at] = math.inf if measures.is_plus_inf(v) else float(v)
-    if not np.all(at):
-        out[~at] = fn(xs[~at])
-    return out
-
-
 # the kinds whose values at one rate are one array call over the grid
 _OF_RATE = {"Lhat": kernels.eval_Lhat, "Mhat": kernels.eval_Mhat, "p": periodic.eval_p}
 
@@ -186,17 +173,16 @@ def _eval_columns(args):
     elif kind in _OF_RATE:
         vals = _OF_RATE[kind](args.lam, xs)
     elif kind == "q":
-        mu = _parse_measure(args.measure)
-        tol = args.tol if args.tol is not None else 1e-9
-        # q_mu has period 1 and may diverge at the integers
-        vals = _split_divergent(lambda x: mu.q(x, tol), xs, xs == np.floor(xs))
+        # one call over the grid: inf at the integers where q_mu diverges
+        vals = _parse_measure(args.measure).q(xs, args.tol if args.tol is not None else 1e-9)
     elif kind in ("G", "H"):
         cls = superposed.Minorant if kind == "G" else superposed.Majorant
         obj = cls(_parse_measure(args.measure), args.delta)
         vals = obj.value(xs)
         if args.with_target:
-            # a quadrature for a Weight, so only when asked; only x = 0 can diverge
-            target = _split_divergent(obj.target, xs, xs == 0.0)
+            # a quadrature for a Weight, so only when asked; inf at x = 0
+            # where f_mu(0) diverges
+            target = obj.target(xs)
     else:  # U
         vals = superposed.eval_U(xs)
         with np.errstate(divide="ignore"):

@@ -90,19 +90,18 @@ class HlsConstants:
 def r_mu(measure, t, tol=1e-10):
     """Form kernel r_mu(t); vectorized in t, even, positive.
 
-    Scalar t = 0 returns the PLUS_INF sentinel when r_mu(0) = int 2/lam dmu
-    diverges (Haar, power-law, densities with mass near 0); array input
-    containing 0 then raises DomainError.
+    Where r_mu(0) = int 2/lam dmu diverges (Haar, power-law, densities
+    with mass near 0), the divergent-point rule of the measures holds: t = 0
+    gives +inf, and the other points one call without it.
     """
-    scalar = np.ndim(t) == 0
-    at = np.abs(np.atleast_1d(check_finite(t)))
+    at = np.abs(check_finite(t))
     try:
-        out = measure.r(at, tol)
+        out = measure.r(np.atleast_1d(at), tol)
     except ConvergenceError:
         if not np.any(at == 0.0):
             raise
-        return measures._divergent(t, "r diverges at t = 0")
-    return float(out[0]) if scalar else out
+        return measures._inf_at(lambda u: measure.r(u, tol), at, at == 0.0)
+    return float(out[0]) if at.ndim == 0 else out
 
 
 def form_bound(measure, delta=1.0, tol=1e-10):
@@ -118,7 +117,9 @@ def form_bound(measure, delta=1.0, tol=1e-10):
 def evaluate_forms(measure, point_sets, coeffs, tol=1e-10):
     """evaluate_form of each point set with its coefficients, as an array: one
     r_mu call over the distinct distances of all sets, then a dot product per
-    set, so a set has its bits alone where r_mu does (not a Weight's integral)."""
+    set, so a set has its bits alone where r_mu does (not a Weight's integral).
+    A distance where r_mu is not finite, such as two coincident points where
+    r_mu(0) diverges, raises DomainError naming the points."""
     pairs = []
     for points, a in zip(point_sets, coeffs, strict=True):
         xi = np.asarray(points.xi if isinstance(points, PointSet) else points, dtype=float)
@@ -130,6 +131,14 @@ def evaluate_forms(measure, point_sets, coeffs, tol=1e-10):
     uniq, inv = np.unique(np.concatenate([d for d, _ in pairs] + [[]]), return_inverse=True)
     r = r_mu(measure, uniq, tol=tol) if uniq.size else uniq
     ends = np.cumsum([0] + [len(w) for _, w in pairs])
+    if not np.all(np.isfinite(r)):
+        at = np.flatnonzero(~np.isfinite(r[inv]))[0]         # the first such pair
+        k = np.searchsorted(ends, at, side="right") - 1
+        d, i = pairs[k][0], at - ends[k]
+        m, n = np.triu_indices((1 + math.isqrt(1 + 8 * len(d))) // 2, k=1)   # N(N-1)/2 pairs
+        where = "coincide" if d[i] == 0.0 else f"lie {float(d[i])!r} apart"
+        raise DomainError(f"points {m[i]} and {n[i]} of set {k} {where}, "
+                          "where r_mu is not finite")
     return np.array([2.0 * float(w @ r[inv[i:j]]) for (_, w), i, j in zip(pairs, ends, ends[1:])])
 
 

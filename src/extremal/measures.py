@@ -7,8 +7,8 @@ Each measure mu yields the even kernel transform
 finite for x != 0 under the minorant admissibility condition
 (int lam/(lam^2+1) dmu in (0, inf), "cond31"); majorants additionally need
 int lam/(lam+1) dmu < inf ("cond47"), which is equivalent to f_mu(0) < inf.
-f_mu(0) = +infinity is represented by the PLUS_INF sentinel, never by a
-floating infinity, so downstream majorant logic has to branch deliberately.
+f_mu(0) = +infinity is the IEEE float inf; no majorant reads it, since
+Measure.require("majorant") refuses every measure whose f_mu(0) diverges.
 
 Families:
 
@@ -30,11 +30,12 @@ Each family states the derivatives of f_mu once, in ``_derivs(ax, orders)``
 (f_mu^(k) at the array ax of |x| for each k in orders, stacked on a new
 first axis).  Measure.f and f_prime call it with order 0 or 1, give f' the
 sign of x and return a float for a scalar; f_derivs takes orders 0-4 at
-positive points and raises DomainError at any other.  At x = 0, f follows
-the divergent-point rule of ``_divergent`` (a scalar gets PLUS_INF, an
-array holding the point raises DomainError), which forms.r_mu and
-Measure.q share.  A nan or infinite point raises DomainError in f,
-f_prime, f_derivs, q and r_mu alike.
+positive points and raises DomainError at any other.  f at x = 0, q at
+the integers and forms.r_mu at t = 0 share one divergent-point rule,
+``_inf_at``: where the transform diverges the value is IEEE +inf, a float
+for a scalar and an entry in place for an array, and the other points
+take one call that never sees a divergent one.  A nan or infinite point
+raises DomainError in f, f_prime, f_derivs, q and r_mu alike.
 
 The periodized kernel q_mu(x) = int p(lam, x) dmu follows the same idiom:
 ``_q(x, orders, tol)`` gives q_mu (order 0) and q_mu' (order 1) wherever
@@ -78,23 +79,6 @@ from .errors import (AdmissibilityError, ConvergenceError, DivergenceError,
                      DomainError, check_delta, check_finite, check_kind, is_real)
 
 
-class _PlusInfinity:
-    """Sentinel for a divergent (positively infinite) kernel transform value."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "+inf"
-
-
-PLUS_INF = _PlusInfinity()
-
-
-def is_plus_inf(v):
-    """True when v is the +infinity sentinel."""
-    return v is PLUS_INF
-
-
 @dataclass(frozen=True)
 class Admissibility:
     """Which superposition conditions a measure satisfies."""
@@ -103,13 +87,19 @@ class Admissibility:
     cond47: bool       # majorant path: additionally int lam/(lam+1) dmu < inf
 
 
-def _divergent(x, what):
-    """The divergent-point rule, for an x that holds the point where a
-    transform diverges: PLUS_INF for a scalar x, DomainError for an array."""
-    if np.ndim(x) == 0:
-        return PLUS_INF
-    raise DomainError(f"{what}; evaluate that point as a scalar to get the "
-                      "PLUS_INF sentinel")
+def _inf_at(fn, x, at):
+    """The divergent-point rule: +inf on the mask at, where a transform
+    diverges, and fn at the other points of the array x, in one call that
+    sees none of the mask; a float for a 0-d x.  fn maps an array of
+    points to an array of its shape."""
+    x1, at1 = np.atleast_1d(x), np.atleast_1d(at)
+    if not at1.any():
+        out = fn(x1)
+    else:
+        out = np.full(x1.shape, math.inf)
+        if not at1.all():
+            out[~at1] = fn(x1[~at1])
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def _by_kind(kind, minorant, majorant):
@@ -140,10 +130,7 @@ class Measure:
         x = 0 follows the divergent-point rule when the cond47 moment fails.
         """
         ax = np.abs(check_finite(x))
-        if np.any(ax == 0.0) and not self.classify().cond47:
-            return _divergent(x, "f diverges at x = 0")
-        out = self._derivs(np.atleast_1d(ax), (0,))[0]
-        return float(out[0]) if ax.ndim == 0 else out
+        return _inf_at(lambda a: self._derivs(a, (0,))[0], ax, self._diverges(ax == 0.0))
 
     def f_prime(self, x):
         """f_mu'(x) = sign(x) f_mu'(|x|) for x != 0; a float for a scalar x."""
@@ -171,6 +158,12 @@ class Measure:
                 f"majorant requires the cond47 moment (finite f_mu(0)); "
                 f"{self!r} only satisfies cond31")
         return adm
+
+    def _diverges(self, at):
+        """The mask at of points where f or q diverges without the cond47
+        moment: at itself when the moment fails, else no point.  classify
+        runs only when at holds a point."""
+        return at & bool(at.any() and not self.classify().cond47)
 
     def _integral(self, kernel, x, tol, orders=None):
         """int kernel dmu at every point of x, in one vector integral over the
@@ -208,10 +201,8 @@ class Measure:
         a float for a scalar x.  An integer x follows the divergent-point
         rule when the cond47 moment fails."""
         x = check_finite(x)
-        if np.any(x - np.floor(x) == 0.0) and not self.classify().cond47:
-            return _divergent(x, "q diverges at integer x")
-        out = self._q(np.atleast_1d(x), (0,), tol)[0]
-        return float(out[0]) if x.ndim == 0 else out
+        return _inf_at(lambda u: self._q(u, (0,), tol)[0], x,
+                       self._diverges(x - np.floor(x) == 0.0))
 
     def _q(self, x, orders, tol):
         """q_mu^(k) at the points of the array x, integers included, for

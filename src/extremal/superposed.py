@@ -68,7 +68,9 @@ class _Superposed:
         """What the approximant one-sidedly approximates at x.
 
         delta = 1: f_mu(x).  General delta: f_mu(x) - f_mu(1/delta), i.e.
-        f_nu(delta x).  Returns the PLUS_INF sentinel where divergent.
+        f_nu(delta x).  IEEE +inf where it diverges, for a scalar or in
+        place in an array: at x = 0 when the cond47 moment fails, which only
+        G's measure may do.
         """
         return self.nu.f(self.delta * np.asarray(x, dtype=float))
 
@@ -79,7 +81,7 @@ class _Superposed:
         """
         x = float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
         t = self.target(x)
-        if measures.is_plus_inf(t):
+        if np.any(np.isinf(t)):
             raise DomainError("defect undefined where the target diverges")
         v = self.value(x)
         series = (t - v) if self.kind == "minorant" else (v - t)

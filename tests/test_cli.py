@@ -219,23 +219,13 @@ WEIGHT_ROWS = "lambda,weight\n0.5,1.0\n1.0,2.0\n3.0,0.5\n6.0,1.0\n"
 
 
 def _q_text_by_points(mu, xs, tol=1e-9):
-    """eval --kind q output when each integer point takes its own scalar q_mu."""
-    vals = []
-    for x in xs:
-        if x == math.floor(x):
-            v = mu.q(float(x), tol=tol)
-            vals.append(math.inf if measures.is_plus_inf(v) else float(v))
-        else:
-            vals.append(None)
-    off = [i for i, v in enumerate(vals) if v is None]
-    if off:
-        for i, v in zip(off, mu.q(xs[off], tol=tol)):
-            vals[i] = float(v)
-    return cli._csv_text(("x", "value"), zip(xs.tolist(), vals))
+    """eval --kind q output from one q_mu call over the grid, inf where it
+    diverges."""
+    return cli._csv_text(("x", "value"), zip(xs.tolist(), mu.q(xs, tol=tol).tolist()))
 
 
 def test_eval_q_integer_points_share_one_moment(tmp_path, capsys, monkeypatch):
-    """q_mu has period 1, so the integer points cost one moment, not one each."""
+    """The integer points join the one vector integral of the grid."""
     w = tmp_path / "w.csv"
     w.write_text(WEIGHT_ROWS)
     calls = []
@@ -245,9 +235,8 @@ def test_eval_q_integer_points_share_one_moment(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(["eval", "--kind", "q", "--measure", f"weight:{w}",
                             "--grid", "0:10:11"], capsys)
     assert code == 0
-    # classify's cond47 integral and one q_mu(0); a moment per integer
-    # point would make 2 integrals a point
-    assert len(calls) <= 2
+    # classify's cond47 integral and one q_mu integral over the grid
+    assert len(calls) == 2
     monkeypatch.setattr(quadrature, "refine", inner)
     xs = np.linspace(0.0, 10.0, 11)
     assert out == _q_text_by_points(measures.weight_from_csv(str(w)), xs)
@@ -259,12 +248,32 @@ def test_eval_q_matches_pointwise_route(measure, grid, capsys):
     code, out, _ = run_cli(["eval", "--kind", "q", "--measure", measure,
                             "--grid", grid], capsys)
     assert code == 0
-    assert out == _q_text_by_points(cli._parse_measure(measure),
-                                    cli._parse_grid(grid))
+    mu = cli._parse_measure(measure)
+    # a closed form: the one call over the grid is each point's scalar q_mu
+    assert out == cli._csv_text(("x", "value"), [(x, mu.q(x)) for x in
+                                                  cli._parse_grid(grid).tolist()])
     if measure == "haar":
         assert out == ("x,value\n0.0,inf\n0.25,-0.3465735902799726\n"
                        "0.5,-0.6931471805599453\n0.75,-0.3465735902799727\n"
                        "1.0,inf\n")
+
+
+@pytest.mark.parametrize("measure", ["haar", "power:1.5", "weight"])
+def test_eval_q_is_one_measure_call(measure, tmp_path, capsys, monkeypatch):
+    if measure == "weight":
+        w = tmp_path / "w.csv"
+        w.write_text(WEIGHT_ROWS)
+        measure = f"weight:{w}"
+    calls = []
+    inner = measures.Measure.q
+    monkeypatch.setattr(measures.Measure, "q",
+                        lambda self, x, tol: calls.append(np.copy(x)) or inner(self, x, tol))
+    code, out, _ = run_cli(["eval", "--kind", "q", "--measure", measure,
+                            "--grid", "-2:2:9"], capsys)
+    assert code == 0
+    assert [x.tolist() for x in calls] == [np.linspace(-2.0, 2.0, 9).tolist()]
+    if measure == "haar":
+        assert [r.split(",")[1] for r in out.splitlines()[1::2]] == ["inf"] * 5
 
 
 @pytest.mark.parametrize("kind, measure, delta", [
@@ -294,7 +303,7 @@ def test_eval_with_target_matches_scalar_targets(kind, measure, delta,
     for r in rows:
         x, t = float(r[0]), float(r[2])
         ref = obj.target(x)
-        if measures.is_plus_inf(ref):
+        if ref == math.inf:
             assert r[2] == "inf"
             continue
         assert abs(t - ref) <= tol * max(1.0, abs(ref))

@@ -16,7 +16,8 @@ one slices its passes, that no integrand is probed for a TypeError, and
 that the lattice series has one path: ``kernels._lattice_series`` takes
 no cell cache and keeps no cell, far field or horizon, only ``kernels``
 sets its head, window and Euler-Maclaurin order (and defines no ``_DIRECT``
-cap path), ``kernels._node_sum`` is the one node sum (the one reader of the
+cap path), no ``src`` module defines a sentinel for a divergent value (it
+is the float inf), ``kernels._node_sum`` is the one node sum (the one reader of the
 block size, the one table of 1/(y -+ s) and the one caller of the
 Euler-Maclaurin end terms, with one ``for`` statement, its loop over the
 blocks of points, and none over the series), the end
@@ -374,6 +375,12 @@ def test_no_module_takes_a_lock():
 
 def test_no_module_defines_a_node_cache():
     assert _modules_where(lambda tree: "_CellCache" in _defined_names(tree)) == []
+
+
+def test_no_module_defines_a_divergence_sentinel():
+    # a divergent transform value is the float inf, in a scalar or an array
+    names = {"PLUS_INF", "_PlusInfinity", "is_plus_inf", "_divergent", "_split_divergent"}
+    assert _modules_where(lambda tree: names & _defined_names(tree)) == []
 
 
 def test_approximants_hold_no_mutable_state():

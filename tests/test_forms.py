@@ -66,12 +66,31 @@ def test_r_weight_matches_quadrature():
 
 
 def test_r_divergence_sentinels():
-    assert measures.is_plus_inf(forms.r_mu(HAAR, 0.0))
-    assert measures.is_plus_inf(forms.r_mu(PL05, 0.0))
-    with pytest.raises(DomainError):
-        forms.r_mu(HAAR, np.array([0.0, 1.0]))
+    # a divergent r_mu(0) is the float inf, alone or in place in an array
+    for mu in (HAAR, PL05):
+        v = forms.r_mu(mu, 0.0)
+        assert type(v) is float and v == math.inf
+        r = forms.r_mu(mu, np.array([0.0, 1.0]))
+        assert r[0] == math.inf and r[1] == forms.r_mu(mu, 1.0)
     # atomic r(0) is finite
     assert forms.r_mu(ATOM, 0.0) > 0.0
+
+
+@pytest.mark.parametrize("mu", [HAAR, PL05, measures.Weight(lambda lam: np.exp(-lam))],
+                         ids=["haar", "power0.5", "weight"])
+def test_coincident_points_raise_where_r_mu_zero_diverges(mu):
+    sets = [[0.0, 1.0], [0.5, 2.0, 0.5]]
+    with pytest.raises(DomainError, match="points 0 and 2 of set 1 coincide"):
+        forms.evaluate_forms(mu, sets, [[1.0, 1.0], [1.0, -1.0, 1j]])
+    with pytest.raises(DomainError, match="points 0 and 1 of set 0 coincide"):
+        forms.evaluate_form(mu, [3.0, 3.0], [1.0, 1.0])
+
+
+def test_coincident_points_keep_a_finite_r_mu_zero():
+    # atomic r_mu(0) is finite, so a repeated point is one more finite term
+    v = forms.evaluate_form(ATOM, [0.5, 2.0, 0.5], [1.0, 1.0, 1.0])
+    assert v == pytest.approx(2.0 * (2.0 * forms.r_mu(ATOM, 1.5) + forms.r_mu(ATOM, 0.0)),
+                              rel=1e-15)
 
 
 # -- sharp constants ----------------------------------------------------------

@@ -93,11 +93,14 @@ def test_weight_vector_methods_equal_scalar_integrals(which, tmp_path):
 
 
 def test_r_mu_zero_sentinel_and_array_rejection():
+    # a divergent r_mu(0) is the float inf, alone or in place in an array
     weight = measures.Weight(lambda lam: np.exp(-lam))
-    assert measures.is_plus_inf(forms.r_mu(weight, 0.0))
+    v = forms.r_mu(weight, 0.0)
+    assert type(v) is float and v == math.inf
     for mu in (measures.HaarLog(), measures.PowerLaw(0.5), weight):
-        with pytest.raises(DomainError):
-            forms.r_mu(mu, np.array([0.5, 0.0, 2.0]))
+        r = forms.r_mu(mu, np.array([0.5, 0.0, 2.0]))
+        assert r.shape == (3,) and r[1] == math.inf
+        assert np.array_equal(r[[0, 2]], forms.r_mu(mu, np.array([0.5, 2.0])))
     atom = measures.Atomic((0.5, 2.0), (1.0, 3.0))
     assert forms.r_mu(atom, np.array([0.0, 1.0]))[0] == pytest.approx(
         2.0 / 0.5 + 6.0 / 2.0, rel=1e-15)
@@ -206,15 +209,62 @@ DIVERGENT_AT_ZERO = [measures.HaarLog(), measures.PowerLaw(0.5),
 
 @pytest.mark.parametrize("mu", DIVERGENT_AT_ZERO, ids=["haar", "power0.5", "weight"])
 def test_divergent_point_is_the_sentinel_for_a_scalar_and_an_error_in_an_array(mu):
+    # the one rule: the float inf for a scalar, inf in place in an array
     calls = [(mu.f, [1.0, 0.0]),
              (lambda t: forms.r_mu(mu, t), [1.0, 0.0]),
              (mu.q, [0.5, 0.0])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # the divergence raises no numpy warning
         for call, pts in calls:
-            assert measures.is_plus_inf(call(0.0))
-            with pytest.raises(DomainError):
-                call(np.array(pts))
+            v = call(0.0)
+            assert type(v) is float and v == math.inf
+            out = call(np.array(pts))
+            assert out.shape == (2,) and out[1] == math.inf
+            assert out[0] == call(pts[0]) and math.isfinite(out[0])
+
+
+# each call with a grid and the indices of its divergent points
+DIVERGENT_GRIDS = {
+    "f": (lambda mu, x: mu.f(x), [0.3, 0.0, -1.7, 2.0, -0.0], [1, 4]),
+    "r_mu": (lambda mu, t: forms.r_mu(mu, t), [0.3, 0.0, 1.7, 2.0, 0.0], [1, 4]),
+    "q": (lambda mu, x: mu.q(x), [0.25, 1.0, -0.6, -2.0, 3.5, 0.0], [1, 3, 5]),
+}
+
+
+@pytest.mark.parametrize("mu", DIVERGENT_AT_ZERO, ids=["haar", "power0.5", "weight"])
+@pytest.mark.parametrize("name", sorted(DIVERGENT_GRIDS))
+def test_finite_entries_are_the_call_without_the_divergent_points(mu, name):
+    call, pts, bad = DIVERGENT_GRIDS[name]
+    pts = np.array(pts)
+    at = np.isin(np.arange(pts.size), bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no numpy warning either way
+        out = call(mu, pts)
+        rest = call(mu, pts[~at])
+    assert np.all(out[at] == math.inf)
+    assert np.all(np.isfinite(rest))
+    assert np.array_equal(out[~at], rest)            # bit for bit
+
+
+@pytest.mark.parametrize("mu", DIVERGENT_AT_ZERO, ids=["haar", "power0.5", "weight"])
+def test_f_and_q_never_see_a_divergent_point(mu, monkeypatch):
+    seen = []
+    for name in ("_derivs", "_q"):
+        inner = getattr(type(mu), name)
+        monkeypatch.setattr(type(mu), name,
+                            lambda self, x, *a, inner=inner: seen.append(np.copy(x))
+                            or inner(self, x, *a))
+    mu.f(np.array([0.0, 0.5, -0.0, 3.0]))
+    mu.q(np.array([0.0, 0.5, 2.0, 0.25]))
+    assert [x.tolist() for x in seen] == [[0.5, 3.0], [0.5, 0.25]]
+
+
+def test_classify_runs_only_with_a_divergent_candidate(monkeypatch):
+    mu = measures.Weight(lambda lam: np.exp(-lam))
+    monkeypatch.setattr(measures.Weight, "classify",
+                        lambda self: pytest.fail("classify without a candidate"))
+    assert np.all(np.isfinite(mu.f(np.array([0.5, 2.0]))))
+    assert np.all(np.isfinite(mu.q(np.array([0.25, 0.5]))))
 
 
 FAMILIES = [measures.HaarLog(), measures.PowerLaw(0.5), measures.PowerLaw(1.5, 2.0),
