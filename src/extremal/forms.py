@@ -127,19 +127,21 @@ def evaluate_forms(measure, point_sets, coeffs, tol=1e-10):
         if a.shape != xi.shape:
             raise DomainError(f"coefficient count {a.shape} does not match points {xi.shape}")
         m, n = np.triu_indices(len(xi), k=1)
-        pairs.append((np.abs(xi[m] - xi[n]), a.real[m] * a.real[n] + a.imag[m] * a.imag[n]))
-    uniq, inv = np.unique(np.concatenate([d for d, _ in pairs] + [[]]), return_inverse=True)
+        pairs.append((np.abs(xi[m] - xi[n]), a.real[m] * a.real[n] + a.imag[m] * a.imag[n],
+                      len(xi)))
+    uniq, inv = np.unique(np.concatenate([d for d, _, _ in pairs] + [[]]), return_inverse=True)
     r = r_mu(measure, uniq, tol=tol) if uniq.size else uniq
-    ends = np.cumsum([0] + [len(w) for _, w in pairs])
+    ends = np.cumsum([0] + [len(w) for _, w, _ in pairs])
     if not np.all(np.isfinite(r)):
         at = np.flatnonzero(~np.isfinite(r[inv]))[0]         # the first such pair
         k = np.searchsorted(ends, at, side="right") - 1
-        d, i = pairs[k][0], at - ends[k]
-        m, n = np.triu_indices((1 + math.isqrt(1 + 8 * len(d))) // 2, k=1)   # N(N-1)/2 pairs
+        (d, _, size), i = pairs[k], at - ends[k]
+        m, n = np.triu_indices(size, k=1)
         where = "coincide" if d[i] == 0.0 else f"lie {float(d[i])!r} apart"
         raise DomainError(f"points {m[i]} and {n[i]} of set {k} {where}, "
                           "where r_mu is not finite")
-    return np.array([2.0 * float(w @ r[inv[i:j]]) for (_, w), i, j in zip(pairs, ends, ends[1:])])
+    return np.array([2.0 * float(w @ r[inv[i:j]])
+                     for (_, w, _), i, j in zip(pairs, ends, ends[1:])])
 
 
 def evaluate_form(measure, points, a, tol=1e-10):
