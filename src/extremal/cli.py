@@ -12,10 +12,16 @@ left out, or a flag given to a kind that does not read it, is a usage error.
 
 Exit codes: 0 pass, 1 check failure, 2 usage error, 3 numeric
 non-convergence.
+
+Loading this module runs errors and kernels alone (L, M, Lhat, Mhat and
+p).  The other modules it names are registered in sys.modules as an import
+would, but each runs on its first attribute access, so a command pays for
+no module it does not reach.
 """
 
 import argparse
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -23,9 +29,32 @@ import sys
 
 import numpy as np
 
-from . import (forms, kernels, measures, periodic, polybound, quadrature,
-               superposed, verify)
+from . import kernels
 from .errors import AdmissibilityError, ConvergenceError, DivergenceError, DomainError
+
+
+def _deferred(name):
+    """The submodule name, in sys.modules as an import leaves it, but run on
+    its first attribute access (LazyLoader).  It is not set on the package,
+    whose __getattr__ runs it when another module imports it."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+forms = _deferred("forms")
+measures = _deferred("measures")
+periodic = _deferred("periodic")
+polybound = _deferred("polybound")
+quadrature = _deferred("quadrature")
+superposed = _deferred("superposed")
+verify = _deferred("verify")
 
 # the argparse settings of every optional flag
 FLAGS = {
@@ -68,7 +97,7 @@ KINDS = {
         "form": ("--measure", "--points", "--coeffs", "--delta", "--tol"),
         "et": ("--roots", "--N"),
     },
-    "verify": dict.fromkeys(sorted(verify.SUITES), ()),
+    "verify": dict.fromkeys(("all", "et", "forms", "kernels", "periodic", "superposed"), ()),
 }
 # the flags a kind cannot do without when it reads them
 REQUIRED = ("--lambda", "--measure", "--N", "--sigma", "--points", "--roots")
@@ -156,7 +185,7 @@ def _check_flags(args):
 
 
 # the kinds whose values at one rate are one array call over the grid
-_OF_RATE = {"Lhat": kernels.eval_Lhat, "Mhat": kernels.eval_Mhat, "p": periodic.eval_p}
+_OF_RATE = {"Lhat": kernels.eval_Lhat, "Mhat": kernels.eval_Mhat, "p": kernels.eval_p}
 
 
 def _eval_columns(args):

@@ -226,7 +226,8 @@ class HaarLog(Measure):
                          for k in orders])
 
     def r(self, t, tol=1e-10):
-        return 0.5 / _nonzero(t)
+        with np.errstate(over="ignore"):    # inf once 1/t leaves the floats
+            return 0.5 / _nonzero(t)
 
     def _q(self, x, orders, tol):
         """-log|2 sin(pi x)| and its derivative -pi cot(pi x), the latter
@@ -309,7 +310,8 @@ class PowerLaw(Measure):
         s = self.sigma
         C = self.prefactor * math.pi / ((2.0 * math.pi) ** s
                                         * math.sin(math.pi * s / 2.0))
-        return C * np.asarray(_nonzero(t), dtype=float) ** (-s)
+        with np.errstate(over="ignore"):    # inf once t^-sigma leaves the floats
+            return C * np.asarray(_nonzero(t), dtype=float) ** (-s)
 
     def classify(self):
         return Admissibility(cond31=True, cond47=self.sigma > 1.0)

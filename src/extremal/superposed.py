@@ -118,6 +118,14 @@ class Majorant(_Superposed):
         super().__init__(measure, delta)
         self._f0 = self.nu.f(0.0)
 
+    def target(self, x):
+        """As for G, but at x = 0 it is the f_nu(0) that H interpolates
+        there, so H's defect at its node 0 is exactly 0 also for a Weight,
+        whose f_nu(0) inside a batch may differ from it in the last bits."""
+        u = self.delta * np.asarray(x, dtype=float)
+        t = np.where(u == 0.0, self._f0, super().target(x))
+        return float(t) if t.ndim == 0 else t
+
 
 def eval_U(x):
     """Band-limited majorant of log|x| of type 2pi: U = -G_{HaarLog}.

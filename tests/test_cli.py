@@ -193,6 +193,20 @@ def test_eval_superposed_with_target(capsys):
     assert all(abs(float(r[3])) <= 1e-10 for r in rows)
 
 
+def test_eval_weight_majorant_defect_at_its_node_zero_is_exactly_zero(tmp_path, capsys):
+    # a Weight's f_nu(0) in a batch may differ in its last bits from the one
+    # H interpolates; H's value and target read the one f_nu(0)
+    w = tmp_path / "w.csv"
+    w.write_text("lambda,weight\n0.00010961657193663788,1.6695578810875593\n"
+                 "1.0724789940773534,0.9029844917315754\n")
+    code, out, _ = run_cli(["eval", "--kind", "H", "--measure", f"weight:{w}",
+                            "--with-target", "--grid", "-10:10:201"], capsys)
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[100][0] == "0.0" and rows[100][1] == rows[100][2]
+    assert rows[100][3] == "0.0"
+
+
 def test_eval_divergent_periodization_prints_inf(capsys):
     code, out, _ = run_cli(
         ["eval", "--kind", "q", "--measure", "haar", "--grid", "0:1:5"],
@@ -604,6 +618,19 @@ def test_bounds_form_weight_csv_prints_plain_floats(tmp_path, capsys):
         assert math.isfinite(float(cell)), key
 
 
+def test_bounds_form_at_a_subnormal_distance_is_one_error_line(tmp_path, capsys):
+    # r_mu is inf there, with no overflow warning above the error line
+    pts = tmp_path / "pts.csv"
+    pts.write_text("xi,re,im\n0,1,0\n1e-310,1,0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["bounds", "--kind", "form", "--measure", "haar",
+                                  "--delta", "1e-310", "--points", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: points 0 and 1 of set 0 lie 1e-310 apart, where r_mu is not finite"]
+
+
 def test_bounds_usage_error_leaves_no_file(tmp_path, capsys):
     out_file = tmp_path / "report.json"
     code, _, err = run_cli(
@@ -706,6 +733,113 @@ def test_console_script_entry_point():
         proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "eval" in proc.stdout
+
+
+# -- what a command loads -------------------------------------------------------
+
+# the submodules loading the CLI runs: L, M, Lhat, Mhat and p need no other
+_CLI_LOADS = ["cli", "errors", "kernels", "specfun"]
+
+# run in a fresh interpreter: the extremal submodules run after importing the
+# package, after importing the CLI, and after each command of argv[1]; the
+# CLI registers the others in sys.modules to run on first use, so a module
+# counts once it is a plain module
+_LOADED = """
+import contextlib, io, json, sys, types
+def loaded():
+    return sorted(m[len("extremal."):] for m, v in sys.modules.items()
+                  if m.startswith("extremal.") and type(v) is types.ModuleType)
+import extremal
+steps = [loaded()]
+from extremal import cli
+steps.append(loaded())
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def _in_fresh_interpreter(code, *args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_the_package_loads_nothing_and_the_kinds_of_one_rate_add_nothing_to_the_cli():
+    argvs = [["eval", "--kind", kind, "--lambda", "2", "--grid", "-1:1:3",
+              "--format", fmt] + (["--with-target"] if kind in ("L", "M") else [])
+             for kind in ("p", "L", "M", "Lhat", "Mhat") for fmt in ("csv", "json")]
+    steps = json.loads(_in_fresh_interpreter(_LOADED, json.dumps(argvs)))
+    assert steps == [[]] + [_CLI_LOADS] * (1 + len(argvs))
+
+
+@pytest.mark.parametrize("argv, adds", [
+    (["eval", "--kind", "q", "--measure", "haar", "--grid", "0.1:0.4:3"],
+     ["measures", "quadrature"]),
+    (["eval", "--kind", "G", "--measure", "haar", "--grid", "-1:1:3"],
+     ["measures", "quadrature", "superposed"]),
+    (["eval", "--kind", "H", "--measure", "power:1.5", "--grid", "-1:1:3"],
+     ["measures", "quadrature", "superposed"]),
+    (["eval", "--kind", "U", "--grid", "-1:1:3"], ["measures", "quadrature", "superposed"]),
+    (["coeffs", "--kind", "l", "--lambda", "1", "--N", "3"],
+     ["measures", "periodic", "quadrature"]),
+    (["bounds", "--kind", "hls", "--sigma", "0.5"], ["forms", "measures", "quadrature"]),
+    # verify runs every module it imports before it forks its workers
+    (["verify", "--suite", "kernels"],
+     ["forms", "measures", "periodic", "polybound", "quadrature", "superposed", "verify"]),
+], ids=["eval-q", "eval-G", "eval-H", "eval-U", "coeffs", "bounds-hls", "verify"])
+def test_a_command_adds_the_modules_it_uses(argv, adds):
+    steps = json.loads(_in_fresh_interpreter(_LOADED, json.dumps([argv])))
+    assert steps[1:] == [_CLI_LOADS, sorted(_CLI_LOADS + adds)]
+
+
+def test_the_package_resolves_each_public_name_on_first_access():
+    # in a fresh interpreter, so each name goes through the package's lookup
+    out = _in_fresh_interpreter(
+        "import importlib, json, extremal\n"
+        "listed = set(dir(extremal))\n"
+        "star = {}\n"
+        "exec('from extremal import *', star)\n"
+        "print(json.dumps([[name, getattr(extremal, name).__module__, name in listed,\n"
+        "                   star.get(name) is getattr(extremal, name)]\n"
+        "                  for name in extremal.__all__]))")
+    rows = json.loads(out)
+    import extremal
+    assert [name for name, *_ in rows] == extremal.__all__
+    for name, module, listed, starred in rows:
+        # the object its module defines under that name
+        assert getattr(sys.modules[module], name) is getattr(extremal, name)
+        assert listed and starred, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        extremal.no_such_name
+
+
+def test_every_layer_is_in_sys_modules_once_the_cli_loads():
+    # a tool that wraps the library from outside, as perfbench's layer tracer
+    # does, reads each layer from sys.modules after importing the CLI, and
+    # reading a registered module's namespace runs it
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    out = _in_fresh_interpreter(
+        "import json, sys\n"
+        "from extremal import cli\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from tracer import LAYERS, Tracer\n"
+        "missing = [n for n in LAYERS if 'extremal.' + n not in sys.modules]\n"
+        "Tracer().install()\n"
+        "from extremal import quadrature\n"
+        "print(json.dumps([missing, hasattr(quadrature.integrate_finite, '__wrapped__')]))",
+        bench)
+    assert json.loads(out) == [[], True]
+
+
+def test_the_verify_suites_are_the_verify_kinds():
+    assert tuple(cli.KINDS["verify"]) == tuple(sorted(verify.SUITES))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 """Sharp Hermitian form constants, witnesses, and the HLS specialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_r_divergence_sentinels():
         assert r[0] == math.inf and r[1] == forms.r_mu(mu, 1.0)
     # atomic r(0) is finite
     assert forms.r_mu(ATOM, 0.0) > 0.0
+
+
+@pytest.mark.parametrize("mu, t", [(HAAR, 1e-310), (PL15, 1e-300)], ids=["haar", "power1.5"])
+def test_r_mu_past_the_floats_is_inf_without_a_warning(mu, t):
+    # 1/t and t^-sigma leave the floats at a subnormal distance, as Lhat and
+    # Mhat do past theirs: the value is inf and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = forms.r_mu(mu, t)
+        r = forms.r_mu(mu, np.array([t, 1.0]))
+    assert type(v) is float and v == math.inf
+    assert r[0] == math.inf and r[1] == forms.r_mu(mu, 1.0)
 
 
 @pytest.mark.parametrize("mu", [HAAR, PL05, measures.Weight(lambda lam: np.exp(-lam))],
